@@ -159,8 +159,8 @@ def random_spec(rng: random.Random, duration_s: float = 0.4) -> ScenarioSpec:
         if stall:
             # A zero-rate step stalls the queue mid-run; sometimes the
             # schedule resumes it, sometimes the stall holds to the
-            # horizon (the unbounded-serialization case the shard floor
-            # must survive).
+            # horizon (the unbounded-serialization case the shard egress
+            # predictor must survive).
             schedule = [(round(duration_s * 0.4, 6), 0.0)]
             if stall_resumes:
                 schedule.append((round(duration_s * 0.7, 6), wired * 0.5))

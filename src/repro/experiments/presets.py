@@ -126,7 +126,7 @@ def coupled_core() -> ScenarioSpec:
     """Four cells behind one shared wired bottleneck, with SNR mobility.
 
     The coupled-topology showcase for ``--shards``: every flow funnels
-    through one AQM-managed middlebox (so all shards share mid-run queue
+    through one drop-tail middlebox (so all shards share mid-run queue
     state) while UE 0's poor radio (5 dB against a 10 dB threshold)
     triggers an SNR handover that is decided on one shard and committed on
     all of them two-phase.  Flow starts are staggered so the shared queue

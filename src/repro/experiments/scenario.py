@@ -222,6 +222,11 @@ def ue_ip_address(ue_id: int) -> str:
     return f"10.45.0.{(ue_id % 250) + 2}"
 
 
+#: Drop-tail buffer of the wired middlebox (``_insert_wired_bottleneck``);
+#: the sharded runtime's hosted queue and its egress predictor share it.
+WIRED_MIDDLEBOX_QUEUE_BYTES = 1_500_000
+
+
 class BuiltScenario:
     """A wired-up scenario ready to run (exposed for advanced tests)."""
 
@@ -351,7 +356,8 @@ class BuiltScenario:
         config = self.config
         self._wired = BottleneckRouter(
             self.sim, rate=mbps(config.wired_bottleneck_mbps),
-            sink=self.core, queue_bytes=1_500_000, name="wired-middlebox")
+            sink=self.core, queue_bytes=WIRED_MIDDLEBOX_QUEUE_BYTES,
+            name="wired-middlebox")
         # Re-point every already-built WAN pipe at the middlebox.
         for pipe in self._wan_pipes:
             pipe.sink = self._wired

@@ -61,10 +61,15 @@ Five couplings the barrier once refused are now first-class protocol:
 
 * **A shared wired middlebox** is hosted on one shard; every shard cuts
   its senders at WAN entry (``mbx_in`` boundary items into the host
-  queue), the host's egress routes each packet by serving cell at egress
-  time (``mbx_core_dl``, pre-stamped), and the synchronizer caps every
-  window at the host queue's earliest possible egress plus the core
-  processing delay — the one hop shorter than the lookahead.
+  queue) and the host routes each egress by serving cell at egress time
+  (``mbx_core_dl``, pre-stamped) — the one hop shorter than the
+  lookahead.  The queue is a drop-tail FIFO behind a known rate schedule,
+  so the host *predicts* its egress: every barrier sends the knowledge
+  frontier ``K`` (earliest peek / in-flight delivery + lookahead; every
+  arrival before it is already known), the host hands off every
+  remote-bound egress up to ``K`` at once, and — released items leaving
+  one barrier later — windows are capped at the previous ``K`` plus the
+  core processing delay.  The real link verifies each prediction.
 * **SNR-triggered handovers** run two-phase decide-then-commit: the
   serving shard's monitor *decides*, the decision crosses the next barrier
   as a broadcast ``ho_decision`` item, and every loop *commits* the
@@ -85,10 +90,9 @@ Five couplings the barrier once refused are now first-class protocol:
   losing senders at WAN entry toward the winner's shard
   (:class:`_AliasRouting`), reproducing the misdelivery byte-for-byte.
 * **Zero-rate middlebox schedule steps** stall the shared queue; the
-  window floor falls back to the schedule's next rate-resume event (the
-  earliest instant the head packet could start serialising), or — with no
-  resume left — stops constraining windows at all, exactly mirroring the
-  single loop's stalled link.
+  predictor restarts the head packet at the schedule's next positive-rate
+  step, or — with no resume left — never releases it, exactly mirroring
+  the single loop's stalled link.
 
 Scenarios a split genuinely cannot reproduce exactly are still refused up
 front by :func:`sharding_blockers` and fall back (with a warning) to the
@@ -108,13 +112,16 @@ import dataclasses
 import multiprocessing
 import os
 import warnings
+from bisect import bisect_right, insort
+from collections import deque
+from copy import copy
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import count
 from typing import Optional
 
-from bisect import bisect_right, insort
-
-from repro.experiments.scenario import (BuiltScenario, FlowResult,
+from repro.experiments.scenario import (WIRED_MIDDLEBOX_QUEUE_BYTES,
+                                        BuiltScenario, FlowResult,
                                         ScenarioResult, ScenarioSpec,
                                         attach_data_gaps, build_scenario,
                                         min_snr_commit_lag,
@@ -126,7 +133,6 @@ from repro.metrics.collectors import (DelayBreakdownAccumulator,
                                       ThroughputCollector, TimeSeries,
                                       merge_numeric_summaries,
                                       merge_sample_dicts)
-from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.router import BottleneckRouter
 from repro.ran.core import CORE_PROCESSING_DELAY
@@ -153,7 +159,12 @@ class ShardPlanError(ValueError):
 
 
 class ConservativeSyncError(RuntimeError):
-    """A boundary packet arrived inside an already-simulated window."""
+    """A boundary packet arrived inside an already-simulated window, or the
+    hosted middlebox egressed a packet other than as predicted."""
+
+
+class ShardWorkerDied(RuntimeError):
+    """A shard worker process exited before finishing its run."""
 
 
 # --------------------------------------------------------------------- #
@@ -212,7 +223,7 @@ def sharding_blockers(spec: ScenarioSpec) -> list[str]:
     decide-then-commit protocol, interruptions shorter than the lookahead
     force a barrier at the commit time, wrapped >250-UE address spaces are
     routed address-space-aware at the winner's shard, and zero-rate
-    middlebox schedule steps floor the window at the rate-resume event.
+    middlebox schedule steps stall the predicted queue like the real one.
     What remains unshardable is what a split genuinely cannot reproduce
     byte-for-byte.
     """
@@ -454,14 +465,15 @@ class _SyncPlan:
       cross-shard handovers with interruption < lookahead (known up front)
       and SNR handover commits (added mid-run when a decision crosses the
       barrier).  A commit shrinks the next window to the commit time.
-    * **The middlebox floor** — with a shared wired middlebox hosted on one
-      shard, its egress feeds *remote* cores only one core-processing delay
-      later, far inside the lookahead.  The window is capped at the
-      earliest possible egress (the host's in-flight completion / earliest
-      pending arrival, combined with inbound deliveries routed to the
-      host) plus that processing delay; arrivals caused by events still
-      behind the global floor land a full lookahead + processing later and
-      never bind.
+    * **The middlebox frontier** — a shared wired middlebox hosted on one
+      shard feeds *remote* cores only one core-processing delay after
+      egress, far inside the lookahead.  Every barrier computes the
+      knowledge frontier ``K`` (:attr:`frontier`): each event still to run
+      anywhere is at or after the earliest peek / in-flight delivery, so
+      an arrival the host does not know yet lands at ``K`` or later.  The
+      host predicts and hands off every egress up to ``K``; what it
+      releases leaves with its *next* report, so a window is capped at the
+      ``K`` sent one barrier ago plus the processing delay.
 
     ``always_coupled`` (SNR mobility or a middlebox) disables schedule
     jumps — there is no schedule proving any phase boundary-free.
@@ -483,7 +495,12 @@ class _SyncPlan:
         self.always_coupled = always_coupled
         self.mbx_shard = mbx_shard
         self.core_processing = core_processing
+        #: ``K`` as of the latest barrier.  No arrival, hence no egress,
+        #: exists before one lookahead.
+        self.frontier = lookahead
         self.windows = 0
+        #: How many windows each term bound (set by :meth:`first_window`).
+        self.window_bounds: dict[str, int] = {}
 
     def add_commit_point(self, when: float) -> None:
         """Register a mid-run commit (an SNR decision crossing the barrier)."""
@@ -496,13 +513,14 @@ class _SyncPlan:
             return self.commit_points[index]
         return None
 
-    def _capped(self, now: float, window: float,
-                mbx_floor: Optional[float]) -> float:
+    def _capped(self, now: float, window: float, bound: str,
+                released: Optional[float] = None) -> float:
         cap = self._commit_cap(now)
-        if cap is not None:
-            window = min(window, cap)
-        if self.mbx_shard is not None and mbx_floor is not None:
-            window = min(window, mbx_floor + self.core_processing)
+        if cap is not None and cap < window:
+            window, bound = cap, "commit"
+        if released is not None and released + self.core_processing < window:
+            window, bound = released + self.core_processing, "middlebox"
+        self.window_bounds[bound] += 1
         # Every component is strictly after ``now`` (commit caps by
         # construction, the middlebox bound by the processing delay), so
         # the clamp below never binds; it guards hand-built plans.
@@ -510,39 +528,37 @@ class _SyncPlan:
 
     def first_window(self) -> float:
         """Where the first barrier lands (the horizon when boundary-free)."""
+        self.window_bounds = dict.fromkeys(
+            ("lookahead", "commit", "middlebox", "jump"), 0)
         if not self.boundary_required:
+            # Lookahead over zero inter-shard links is unbounded.
+            self.window_bounds["lookahead"] = 1
             return self.horizon
-        window = min(self.horizon, self.lookahead)
         if self.adaptive and not self.always_coupled:
             jump = self._jump_target(0.0)
             if jump is not None:
-                window = jump
-        # The middlebox is provably idle before the first window (the
-        # earliest WAN entry delivers one lookahead in), so only commit
-        # points cap it.
-        cap = self._commit_cap(0.0)
-        if cap is not None:
-            window = min(window, cap)
-        return window
+                return self._capped(0.0, jump, "jump")
+        # The middlebox cannot egress before the initial frontier, so only
+        # commit points cap the first window.
+        return self._capped(0.0, self.lookahead, "lookahead")
 
     def next_window(self, now: float, peeks: list[Optional[float]],
-                    min_deliver: Optional[float], all_idle: bool,
-                    mbx_floor: Optional[float] = None) -> float:
+                    min_deliver: Optional[float], all_idle: bool) -> float:
         """The next barrier after ``now`` given the shards' reports."""
         if now >= self.horizon:
             return now
+        floors = [p for p in peeks if p is not None]
+        if min_deliver is not None:
+            floors.append(min_deliver)
+        released = self.frontier if self.mbx_shard is not None else None
+        self.frontier = ((max(now, min(floors)) if floors else now)
+                         + self.lookahead)
         if self.adaptive and all_idle and not self.always_coupled:
             jump = self._jump_target(now)
             if jump is not None:
-                return self._capped(now, jump, mbx_floor)
-        base = now + self.lookahead
-        if self.adaptive:
-            floors = [p for p in peeks if p is not None]
-            if min_deliver is not None:
-                floors.append(min_deliver)
-            if floors:
-                base = max(base, min(floors) + self.lookahead)
-        return self._capped(now, base, mbx_floor)
+                return self._capped(now, jump, "jump", released)
+        base = self.frontier if self.adaptive else now + self.lookahead
+        return self._capped(now, base, "lookahead", released)
 
     def _jump_target(self, now: float) -> Optional[float]:
         """Next barrier when no coupling overlaps ``now``; None if coupled."""
@@ -900,48 +916,51 @@ class _AliasRouting:
 # --------------------------------------------------------------------- #
 # The shared wired middlebox, hosted on one shard
 # --------------------------------------------------------------------- #
-class _TrackedLink(Link):
-    """A :class:`~repro.net.link.Link` exposing its in-flight completion.
+class _EgressPredictor:
+    """The hosted queue's egress times as a function of its arrivals alone.
 
-    Behaviourally identical to the base link (the transmit body is a copy);
-    it additionally records when the packet currently on the wire finishes
-    serialising — the middlebox half of the synchronizer's window floor.
+    The middlebox is a drop-tail FIFO behind a rate schedule known up
+    front, so replaying :class:`~repro.net.link.Link`'s own float
+    arithmetic over the arrival sequence — offered in the host loop's
+    ``(time, seq)`` order — reproduces its completion times exactly.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: Simulation time the in-flight serialisation completes, or None
-        #: when nothing is on the wire.
-        self.next_completion: Optional[float] = None
+    def __init__(self, rate: float, schedule: list,
+                 queue_bytes: int) -> None:
+        steps = sorted(schedule, key=lambda step: step[0])
+        self._times = [start for start, _rate in steps]
+        self._rates = [rate] + [mbps(step_rate) for _start, step_rate in steps]
+        self._limit = queue_bytes
+        self._free = 0.0  # completion of the last admitted packet
+        #: ``(serialisation start, size)`` of admitted packets that still
+        #: occupy the buffer (the link dequeues a packet when it starts).
+        self._waiting: deque = deque()
+        self._bytes = 0
 
-    def _transmit_next(self) -> None:
-        packet = self.queue.dequeue()
-        if packet is None:
-            self._busy = False
-            self.next_completion = None
-            return
-        if self.aqm is not None:
-            verdict = self.aqm.on_dequeue(packet, self.queue, self._sim.now)
-            if verdict is False:
-                self.dropped_by_aqm += 1
-                self.next_completion = None
-                self._sim.call_soon(self._transmit_next)
-                return
-        self._busy = True
-        serialization = transmission_time(packet.size, self.rate)
-        if serialization == float("inf"):
-            # Stalled: a zero-rate schedule step holds the head packet on
-            # the queue until set_rate() resumes the link.  No completion
-            # can be predicted, so the synchronizer's floor falls back to
-            # the schedule's next rate-resume event (_SharedMiddlebox
-            # floor()) instead of the in-flight serialisation.
-            self.queue._queue.appendleft(packet)  # noqa: SLF001 - re-queue head
-            self.queue.bytes += packet.size
-            self._busy = False
-            self.next_completion = None
-            return
-        self.next_completion = self._sim.now + serialization
-        self._sim.schedule(serialization, self._finish_transmission, packet)
+    def admit(self, arrival: float, size: int) -> Optional[float]:
+        """Egress time of a packet arriving now (None: tail-dropped;
+        ``inf``: stalled behind a zero rate that never resumes)."""
+        waiting = self._waiting
+        # A same-instant start came first: it ran in an earlier arrival's
+        # or a schedule step's event.  (A completion tying an arrival to
+        # the bit is decided by event order; the verifier catches it.)
+        while waiting and waiting[0][0] <= arrival:
+            self._bytes -= waiting.popleft()[1]
+        if self._bytes + size > self._limit:
+            return None
+        start = max(arrival, self._free)
+        index = bisect_right(self._times, start)
+        rate = self._rates[index]
+        while rate <= 0 and index < len(self._times):
+            # Stalled: the head restarts at the next positive-rate step.
+            start, rate = self._times[index], self._rates[index + 1]
+            index += 1
+        if rate <= 0:
+            start = float("inf")  # the schedule never resumes
+        self._free = start + transmission_time(size, rate)
+        waiting.append((start, size))
+        self._bytes += size
+        return self._free
 
 
 class _MiddleboxWanPath:
@@ -986,10 +1005,12 @@ class _SharedMiddlebox:
     core-processing delay later).  Uplink bypasses the middlebox exactly
     like the single loop's topology.
 
-    The host side also maintains the synchronizer's window floor: the
-    earliest time the queue could next emit a packet (:meth:`floor`),
-    tracked from the in-flight serialisation and a heap of known future
-    arrivals.
+    The host does not wait for the queue to drain before handing remote
+    packets off: at every barrier it learns the knowledge frontier ``K``
+    (:meth:`release`), predicts the egress of every arrival before it and
+    ships the remote-bound ones at once.  The real link stays the truth
+    for host-local deliveries and verifies every prediction
+    (:meth:`egress`).
     """
 
     def __init__(self, host: "ShardHost", full_spec: ScenarioSpec,
@@ -1029,26 +1050,28 @@ class _SharedMiddlebox:
             rtt = (flow.wan_rtt if flow.wan_rtt is not None
                    else full_spec.wan_rtt)
             sender.path = _MiddleboxWanPath(self, rtt / 2.0)
-        #: Known future arrival times into the host queue (heap).
-        self._pending: list[float] = []
-        #: Schedule times at which a zero-rate stall ends (sorted): while
-        #: the link is stalled the window floor is the next of these.
-        self._resume_times: list[float] = sorted(
-            start for start, rate in full_spec.wired_bottleneck_schedule
-            if rate > 0)
+        self.horizon = full_spec.duration_s
+        #: Known arrivals not yet predicted: a heap of ``(time, injection
+        #: order, packet)``, the host loop's order for their real events.
+        self._arrivals: list[tuple] = []
+        self._injected = count()
+        #: Predicted ``(egress, arrival, packet)`` beyond the frontier.
+        self._predicted: deque = deque()
+        #: Released ``(packet_id, egress, target)``, until the real egress.
+        self._expected: deque = deque()
         self.router: Optional[BottleneckRouter] = None
         if self.shard_index == mbx_shard:
+            rate = mbps(full_spec.wired_bottleneck_mbps)
+            schedule = full_spec.wired_bottleneck_schedule
             self.router = BottleneckRouter(
-                self.sim, rate=mbps(full_spec.wired_bottleneck_mbps),
-                sink=None, queue_bytes=1_500_000, name="wired-middlebox")
-            # Swap in the completion-tracking link (identical behaviour).
-            self.router.link = _TrackedLink(
-                self.sim, rate=self.router.link.rate,
-                sink=_MiddleboxEgress(self), queue_bytes=1_500_000,
-                name=self.router.link.name)
-            for start_time, rate in full_spec.wired_bottleneck_schedule:
+                self.sim, rate=rate, sink=_MiddleboxEgress(self),
+                queue_bytes=WIRED_MIDDLEBOX_QUEUE_BYTES,
+                name="wired-middlebox")
+            for start_time, step_rate in schedule:
                 self.sim.schedule_at(start_time, self.router.set_rate,
-                                     mbps(rate))
+                                     mbps(step_rate))
+            self._predictor = _EgressPredictor(rate, schedule,
+                                               WIRED_MIDDLEBOX_QUEUE_BYTES)
 
     # ------------------------------------------------------------------ #
     def send(self, packet: Packet, wan_leg: float) -> None:
@@ -1065,77 +1088,64 @@ class _SharedMiddlebox:
         self.boundary.hand_off(self.sim.now + wan_leg, packet,
                                self.mbx_shard, "mbx_in")
 
-    def note_arrival(self, when: float) -> None:
-        """Host side: register a known future arrival for :meth:`floor`."""
-        heappush(self._pending, when)
+    def arrive(self, when: float, packet: Packet) -> None:
+        """Host side: a known arrival, for the real queue and the predictor."""
+        self.sim.schedule_at(when, self.router.receive, packet)
+        heappush(self._arrivals, (when, next(self._injected), packet))
 
-    def ingress(self, packet: Packet) -> None:
-        """Host side: a registered arrival reaches the shared queue."""
-        heappop(self._pending)
-        self.router.receive(packet)
-
-    def egress(self, packet: Packet) -> None:
-        """Output-link completion: route by the serving cell *now*."""
+    def _target(self, packet: Packet, when: float) -> int:
+        """The shard serving the packet's UE at time ``when``."""
         address = packet.five_tuple.dst_ip
         itinerary = self._itinerary.get(address)
-        if itinerary is not None:
-            cell = itinerary.cell_at(self.sim.now)
-        else:
-            cell = self._static_cell[address]
-        target = self.assignment[cell]
-        if target == self.shard_index:
-            self.core.receive(packet)
-        else:
-            packet.stamp("core_ingress", self.sim.now)
-            self.boundary.hand_off(self.sim.now + self.core_processing,
-                                   packet, target, "mbx_core_dl")
+        cell = (itinerary.cell_at(when) if itinerary is not None
+                else self._static_cell[address])
+        return self.assignment[cell]
 
-    def _next_resume(self, now: float) -> Optional[float]:
-        """Strictly-future schedule time the rate becomes positive again.
+    def release(self, frontier: float) -> None:
+        """Barrier, after injection: predict up to the knowledge frontier.
 
-        ``None`` when the schedule never resumes: a link stalled to the
-        horizon constrains no window — its queued packets never egress,
-        exactly like the single loop's.
-        """
-        index = bisect_right(self._resume_times, now + 1e-12)
-        if index >= len(self._resume_times):
-            return None
-        return self._resume_times[index]
-
-    def floor(self) -> Optional[float]:
-        """Earliest possible next egress; None when provably idle.
-
-        The queue emits next either when the in-flight serialisation
-        completes or — if idle — when the earliest known future arrival
-        lands (its serialisation takes longer than zero).  Arrivals *not*
-        yet known to the host are caused by sender events at or after the
-        global event floor and land a full WAN leg later, so they can
-        never undercut the window the synchronizer derives from this.
-
-        A queue stalled by a zero-rate schedule step cannot emit before
-        the schedule's next positive-rate event, so the floor rests there
-        (or vanishes entirely when the schedule never resumes).
+        Any arrival not yet injected lands at ``frontier`` or later, so the
+        FIFO is final for arrivals strictly before it (a same-instant
+        unknown one could order first) and so is every egress up to it.
+        Routing at such an egress is final too: an SNR decision not yet
+        adopted commits more than a lookahead after the frontier's floor.
+        Remote-bound packets leave now, stamped as the real queue would
+        have (the copy crosses before its ``receive`` event runs); an
+        egress delivered past the horizon is never simulated.
         """
         if self.router is None:
-            return None
-        link = self.router.link
-        earliest: Optional[float] = None
-        if link.next_completion is not None:
-            earliest = link.next_completion
-        elif not link.queue.empty:
-            if link.rate > 0:
-                # Mid-cascade (a dequeue is pending via call_soon after an
-                # AQM drop): conservatively pin the floor to now.
-                earliest = self.sim.now
-            else:
-                # Stalled at zero rate: the head packet resumes with the
-                # schedule.  (_TrackedLink re-queued it; set_rate fires
-                # _transmit_next when the rate turns positive again.)
-                earliest = self._next_resume(self.sim.now)
-        if self._pending and (earliest is None
-                              or self._pending[0] < earliest):
-            earliest = self._pending[0]
-        return earliest
+            return
+        arrivals, predicted = self._arrivals, self._predicted
+        while arrivals and arrivals[0][0] < frontier:
+            arrival, _order, packet = heappop(arrivals)
+            egress = self._predictor.admit(arrival, packet.size)
+            if egress is not None:
+                predicted.append((egress, arrival, packet))
+        while predicted and predicted[0][0] <= frontier:
+            egress, arrival, packet = predicted.popleft()
+            target = self._target(packet, egress)
+            self._expected.append((packet.packet_id, egress, target))
+            deliver_at = egress + self.core_processing
+            if target != self.shard_index and deliver_at <= self.horizon:
+                twin = copy(packet)
+                twin.timestamps = {"router_ingress": arrival,
+                                   "link_enqueue": arrival,
+                                   "core_ingress": egress,
+                                   **packet.timestamps}
+                self.boundary.hand_off(deliver_at, twin, target,
+                                       "mbx_core_dl")
+
+    def egress(self, packet: Packet) -> None:
+        """Output-link completion: the verifier, and host-local delivery."""
+        now = self.sim.now
+        target = self._target(packet, now)
+        expected = self._expected.popleft() if self._expected else None
+        if expected != (packet.packet_id, now, target):
+            raise ConservativeSyncError(
+                f"middlebox egress of packet {packet.packet_id} at {now!r} "
+                f"to shard {target} was predicted as {expected}")
+        if target == self.shard_index:
+            self.core.receive(packet)
 
 
 class ShardHost:
@@ -1206,14 +1216,12 @@ class ShardHost:
             return True
         return self.mobility.manager.boundary_idle()
 
-    def mbx_floor(self) -> Optional[float]:
-        """Middlebox host only: earliest possible next egress (else None)."""
-        if self.middlebox is None:
-            return None
-        return self.middlebox.floor()
-
-    def inject(self, batch: list[tuple]) -> None:
+    def inject(self, batch: list[tuple],
+               frontier: Optional[float] = None) -> None:
         """Schedule inbound boundary items onto the local loop.
+
+        ``frontier`` is the barrier's middlebox knowledge frontier: with
+        the batch injected, the hosted queue predicts and releases up to it.
 
         Legacy pairs carry ``deliver_at`` stamps produced by the router as
         ``handoff + lookahead``; pre-routed triples carry their true
@@ -1249,10 +1257,7 @@ class ShardHost:
                 sim.schedule_at(at, self.mobility.manager.apply_transfer,
                                 payload)
             elif mode == "mbx_in":
-                # A remote sender's packet bound for the shared queue:
-                # register the arrival so the window floor sees it.
-                self.middlebox.note_arrival(at)
-                sim.schedule_at(at, self.middlebox.ingress, payload)
+                self.middlebox.arrive(at, payload)
             elif mode == "mbx_core_dl":
                 # Crossed the boundary after middlebox egress: already
                 # core_ingress-stamped, delivery time covers processing.
@@ -1264,6 +1269,8 @@ class ShardHost:
                 self.mobility.adopt_decision(payload)
             else:
                 raise ValueError(f"unknown boundary item mode {mode!r}")
+        if frontier is not None and self.middlebox is not None:
+            self.middlebox.release(frontier)
 
     def finish(self) -> ShardResult:
         """Stop collectors and package this shard's results for the merge."""
@@ -1327,9 +1334,6 @@ class _BoundaryRouter:
     #: Earliest delivery time among the items routed by the last
     #: :meth:`route` call (the adaptive window floor), or None.
     last_min_deliver: Optional[float] = None
-    #: Same, but per destination shard (the middlebox floor combines the
-    #: host's report with what this barrier just routed at it).
-    min_deliver_by_target: list = field(default_factory=list)
     #: Commit times of handover decisions routed since the last
     #: :meth:`drain_commits` — the synchronizer pins a barrier on each.
     pending_commits: list = field(default_factory=list)
@@ -1385,7 +1389,6 @@ class _BoundaryRouter:
         """Turn per-shard outbound batches into per-shard inbound batches."""
         inbound: list[list[tuple]] = [[] for _ in range(self.num_shards)]
         min_deliver: Optional[float] = None
-        per_target: list[Optional[float]] = [None] * self.num_shards
         for source, batch in enumerate(outputs):
             for item in batch:
                 if len(item) > 2:
@@ -1426,11 +1429,6 @@ class _BoundaryRouter:
                     self.routed_packets += 1
                     deliver_at = handoff + self.lookahead
                     inbound[target].append((deliver_at, packet))
-                    targets = [target]
-                for shard in targets:
-                    if (per_target[shard] is None
-                            or deliver_at < per_target[shard]):
-                        per_target[shard] = deliver_at
                 if min_deliver is None or deliver_at < min_deliver:
                     min_deliver = deliver_at
         for batch in inbound:
@@ -1441,7 +1439,6 @@ class _BoundaryRouter:
             # ties keep the source-shard order.
             batch.sort(key=self._sort_key)
         self.last_min_deliver = min_deliver
-        self.min_deliver_by_target = per_target
         return inbound
 
     def _sort_key(self, entry: tuple) -> tuple:
@@ -1613,24 +1610,6 @@ def merge_shard_results(config: ScenarioSpec, plan: ShardPlan,
 # --------------------------------------------------------------------- #
 # Synchronizers
 # --------------------------------------------------------------------- #
-def _combined_mbx_floor(sync: _SyncPlan, floors: list[Optional[float]],
-                        router: _BoundaryRouter) -> Optional[float]:
-    """The middlebox host's earliest possible egress, coordinator view.
-
-    The host reports its floor *before* this barrier's inbound batch is
-    injected, so arrivals the barrier just routed at it are folded in here
-    (the per-target minimum is conservative — it may include non-arrival
-    items, which only tightens the window).
-    """
-    if sync.mbx_shard is None:
-        return None
-    candidates = [floors[sync.mbx_shard]]
-    if router.min_deliver_by_target:
-        candidates.append(router.min_deliver_by_target[sync.mbx_shard])
-    known = [value for value in candidates if value is not None]
-    return min(known) if known else None
-
-
 def _run_hosts_inprocess(hosts: list[ShardHost], router: _BoundaryRouter,
                          sync: _SyncPlan,
                          on_window=None) -> list[ShardResult]:
@@ -1646,19 +1625,20 @@ def _run_hosts_inprocess(hosts: list[ShardHost], router: _BoundaryRouter,
         outputs = [host.advance(window_end) for host in hosts]
         peeks = [host.peek() for host in hosts]
         all_idle = all(host.boundary_idle() for host in hosts)
-        floors = [host.mbx_floor() for host in hosts]
         inbound = router.route(outputs)
         for when in router.drain_commits():
             sync.add_commit_point(when)
+        done = window_end >= sync.horizon - 1e-12
+        next_window = (window_end if done else
+                       sync.next_window(window_end, peeks,
+                                        router.last_min_deliver, all_idle))
         for host, batch in zip(hosts, inbound):
-            host.inject(batch)
+            host.inject(batch, sync.frontier)
         if on_window is not None:
             on_window(window_end)
-        if window_end >= sync.horizon - 1e-12:
+        if done:
             break
-        window_end = sync.next_window(
-            window_end, peeks, router.last_min_deliver, all_idle,
-            mbx_floor=_combined_mbx_floor(sync, floors, router))
+        window_end = next_window
     return [host.finish() for host in hosts]
 
 
@@ -1667,8 +1647,8 @@ def _shard_worker(conn, payload: dict) -> None:
 
     Protocol, in lock-step with the coordinator: the worker advances to the
     current window end and sends ``("window", (outbound_batch, peek_time,
-    boundary_idle, mbx_floor))``, then blocks for ``("proceed",
-    (inbound_batch, next_window_end))`` — the coordinator owns the
+    boundary_idle))``, then blocks for ``("proceed", (inbound_batch,
+    next_window_end, middlebox_frontier))`` — the coordinator owns the
     (possibly adaptive) window clock.  After the horizon window it sends
     ``("result", ShardResult)``.  Any exception is shipped back as
     ``("error", traceback_text)`` instead of dying silently.
@@ -1681,10 +1661,9 @@ def _shard_worker(conn, payload: dict) -> None:
         horizon = payload["horizon"]
         while True:
             batch = host.advance(window_end)
-            conn.send(("window", (batch, host.peek(), host.boundary_idle(),
-                                  host.mbx_floor())))
-            _kind, (inbound, next_window) = conn.recv()
-            host.inject(inbound)
+            conn.send(("window", (batch, host.peek(), host.boundary_idle())))
+            _kind, (inbound, next_window, frontier) = conn.recv()
+            host.inject(inbound, frontier)
             if window_end >= horizon - 1e-12:
                 break
             window_end = next_window
@@ -1703,11 +1682,17 @@ class _WorkersUnavailable(RuntimeError):
     """Worker processes could not be created on this platform."""
 
 
-def _recv(conn, shard: int):
+def _recv(conn, worker, shard: int, window: int):
     if not conn.poll(_WORKER_TIMEOUT_S):
         raise RuntimeError(f"shard {shard} sent nothing for "
                            f"{_WORKER_TIMEOUT_S:.0f}s; run wedged")
-    kind, value = conn.recv()
+    try:
+        kind, value = conn.recv()
+    except (EOFError, OSError) as exc:
+        worker.join(timeout=5.0)
+        raise ShardWorkerDied(
+            f"shard {shard} worker died in window {window} "
+            f"(exit code {worker.exitcode})") from exc
     if kind == "error":
         raise RuntimeError(f"shard {shard} worker failed:\n{value}")
     return kind, value
@@ -1750,25 +1735,27 @@ def _run_workers(sub_specs: list[ScenarioSpec], router: _BoundaryRouter,
         window_end = first_window
         while True:
             sync.windows += 1
-            outputs, peeks, idles, floors = [], [], [], []
+            outputs, peeks, idles = [], [], []
             for shard, conn in enumerate(pipes):
-                _kind, (batch, peek, idle, floor) = _recv(conn, shard)
+                _kind, (batch, peek, idle) = _recv(conn, workers[shard],
+                                                   shard, sync.windows)
                 outputs.append(batch)
                 peeks.append(peek)
                 idles.append(idle)
-                floors.append(floor)
             inbound = router.route(outputs)
             for when in router.drain_commits():
                 sync.add_commit_point(when)
             done = window_end >= sync.horizon - 1e-12
             next_window = (window_end if done else
-                           sync.next_window(
-                               window_end, peeks, router.last_min_deliver,
-                               all(idles),
-                               mbx_floor=_combined_mbx_floor(sync, floors,
-                                                             router)))
+                           sync.next_window(window_end, peeks,
+                                            router.last_min_deliver,
+                                            all(idles)))
             for conn, batch in zip(pipes, inbound):
-                conn.send(("proceed", (batch, next_window)))
+                try:
+                    conn.send(("proceed", (batch, next_window,
+                                           sync.frontier)))
+                except OSError:
+                    pass  # a dead worker: the next _recv names it
             if on_window is not None:
                 on_window(window_end)
             if done:
@@ -1776,9 +1763,15 @@ def _run_workers(sub_specs: list[ScenarioSpec], router: _BoundaryRouter,
             window_end = next_window
         results = []
         for shard, conn in enumerate(pipes):
-            _kind, result = _recv(conn, shard)
+            _kind, result = _recv(conn, workers[shard], shard, sync.windows)
             results.append(result)
         return results
+    except BaseException:
+        # The surviving workers block on their pipes, and a forked worker
+        # holds its own copy of the coordinator's end: EOF never comes.
+        for worker in workers:
+            worker.terminate()
+        raise
     finally:
         for conn in pipes:
             conn.close()
@@ -1906,6 +1899,7 @@ def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
             "uplink packet(s) at the shard boundary (the single loop drops "
             "these silently)", RuntimeWarning, stacklevel=2)
     stats = {"windows": sync.windows,
+             "window_bounds": sync.window_bounds,
              "lookahead": plan.lookahead,
              "adaptive_windows": sync.adaptive,
              "boundary_required": router.boundary_required,

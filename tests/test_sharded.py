@@ -15,7 +15,8 @@ import dataclasses
 import pytest
 
 from repro.experiments.presets import make_preset
-from repro.experiments.scenario import run_scenario, ue_ip_address
+from repro.experiments.scenario import (WIRED_MIDDLEBOX_QUEUE_BYTES,
+                                        run_scenario, ue_ip_address)
 from repro.experiments.sharded import (ConservativeSyncError, ShardHost,
                                        ShardPlanError, boundary_lookahead,
                                        build_shard_plan, merge_shard_results,
@@ -442,25 +443,49 @@ class TestMergeStep:
             list(single.queue_length_by_drb)
 
 
-class TestTrackedLinkStall:
-    """Unit coverage for the zero-rate stall branch of _TrackedLink.
+def _packet(seq: int, payload: int = 1200):
+    return make_data_packet(
+        flow_id=0, five_tuple=FiveTuple(
+            src_ip="10.0.0.1", src_port=443, dst_ip="10.45.0.2",
+            dst_port=50_000, protocol="tcp"),
+        seq=seq, payload=payload, ecn=ECN.ECT1, now=0.0)
 
-    The sharded middlebox runtime relies on the link holding its head
-    packet (rather than dropping it or dividing by zero) while a
-    schedule step pins the rate to 0, and on ``set_rate`` restarting
-    the serialisation pipeline when the schedule resumes.
+
+class TestEgressPredictor:
+    """The middlebox egress predictor against a real Link.
+
+    The sharded runtime hands remote-bound packets off at *predicted*
+    egress times, so the predictor must reproduce the link's completion
+    times to the last bit — equality below is ``==``, never ``approx``.
     """
 
-    @staticmethod
-    def _packet(seq: int):
-        return make_data_packet(
-            flow_id=0, five_tuple=FiveTuple(
-                src_ip="10.0.0.1", src_port=443, dst_ip="10.45.0.2",
-                dst_port=50_000, protocol="tcp"),
-            seq=seq, payload=1200, ecn=ECN.ECT1, now=0.0)
+    #: name -> (arrival times, rate schedule, buffer bytes)
+    CASES = {
+        "back_to_back": ([0.01, 0.01, 0.01, 0.0101, 0.0102], [],
+                         WIRED_MIDDLEBOX_QUEUE_BYTES),
+        "idle_gap": ([0.01, 0.0101, 0.2, 0.2001, 0.5], [],
+                     WIRED_MIDDLEBOX_QUEUE_BYTES),
+        "rate_step_while_queued": (
+            [0.01 + 0.0001 * i for i in range(12)], [(0.012, 3.0)],
+            WIRED_MIDDLEBOX_QUEUE_BYTES),
+        "zero_rate_stall_with_resume": (
+            [0.01 + 0.001 * i for i in range(8)],
+            [(0.0105, 0.0), (0.3, 10.0)], WIRED_MIDDLEBOX_QUEUE_BYTES),
+        # The second zero step is a no-op on a stalled link, not a resume.
+        "stall_to_the_horizon": (
+            [0.01 + 0.001 * i for i in range(6)],
+            [(0.0125, 0.0), (0.5, 0.0)], WIRED_MIDDLEBOX_QUEUE_BYTES),
+        # One sender event emits a whole window at one instant: the first
+        # packet is on the wire (not in the buffer) when the rest arrive.
+        "same_instant_burst_overflow": ([0.01] * 6 + [0.02], [], 2500),
+        "drop_tail_overflow": (
+            [0.01 + 0.0001 * i for i in range(20)] + [0.05, 0.0501],
+            [], 4000),
+    }
 
-    def test_stall_holds_head_then_resume_delivers_in_order(self):
-        from repro.experiments.sharded import _TrackedLink
+    @staticmethod
+    def _link_egress(arrivals, schedule, queue_bytes, horizon=1.0):
+        from repro.net.link import Link
         from repro.sim.engine import Simulator
 
         sim = Simulator(seed=0)
@@ -470,60 +495,126 @@ class TestTrackedLinkStall:
             def receive(self, packet):
                 delivered.append((sim.now, packet.seq))
 
-        link = _TrackedLink(sim, rate=0.0, sink=Sink())
-        first, second = self._packet(0), self._packet(1200)
-        link.receive(first)
-        link.receive(second)
-        sim.run(until=0.1)
-        # Stalled: both packets held on the queue, nothing predicted to
-        # complete — the synchronizer floor must come from the schedule.
-        assert delivered == []
-        assert link.next_completion is None
-        assert not link._busy  # noqa: SLF001 - asserting the stall state
-        assert link.queued_bytes == first.size + second.size
-        # Resuming re-enters the transmit pipeline in FIFO order.  (The
-        # clock sits at the last processed event — a stalled link
-        # schedules nothing — so serialisation restarts from sim.now.)
-        resumed_at = sim.now
-        link.set_rate(mbps(20.0))
-        sim.run(until=1.0)
-        assert [seq for _t, seq in delivered] == [0, 1200]
-        assert delivered[0][0] == pytest.approx(
-            resumed_at + transmission_time(first.size, mbps(20.0)))
-        assert link.next_completion is None
+        link = Link(sim, rate=mbps(5.0), sink=Sink(),
+                    queue_bytes=queue_bytes)
+        for start, rate in schedule:
+            sim.schedule_at(start, link.set_rate, mbps(rate))
+        for index, arrival in enumerate(arrivals):
+            sim.schedule_at(arrival, link.receive, _packet(index))
+        sim.run(until=horizon)
+        return delivered, link
 
-    def test_resume_to_zero_is_a_no_op(self):
-        from repro.experiments.sharded import _TrackedLink
-        from repro.sim.engine import Simulator
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_predicts_link_completions_exactly(self, case):
+        from repro.experiments.sharded import _EgressPredictor
 
-        sim = Simulator(seed=0)
-        link = _TrackedLink(sim, rate=0.0, sink=None)
-        link.receive(self._packet(0))
-        sim.run(until=0.05)
-        link.set_rate(0.0)
-        sim.run(until=0.1)
-        assert link.queue.peek() is not None
-        assert link.next_completion is None
+        arrivals, schedule, queue_bytes = self.CASES[case]
+        delivered, link = self._link_egress(arrivals, schedule, queue_bytes)
+        predictor = _EgressPredictor(mbps(5.0), schedule, queue_bytes)
+        size = _packet(0).size
+        predicted = [(predictor.admit(arrival, size), index)
+                     for index, arrival in enumerate(arrivals)]
+        dropped = [index for egress, index in predicted if egress is None]
+        assert [(egress, index) for egress, index in predicted
+                if egress is not None and egress <= 1.0] == delivered
+        assert len(dropped) == link.queue.dropped_packets
+        # Each case exercises the branch it is named after.
+        if case == "drop_tail_overflow":
+            assert dropped and delivered[-1][1] == len(arrivals) - 1
+        if case == "same_instant_burst_overflow":
+            assert dropped == [3, 4, 5]
+        if case == "stall_to_the_horizon":
+            assert predicted[-1][0] == float("inf")
+            assert 0 < len(delivered) < len(arrivals)
+        if case == "zero_rate_stall_with_resume":
+            assert len(delivered) == len(arrivals)
+            assert delivered[1][0] == 0.3 + size / mbps(10.0)
 
-    def test_middlebox_floor_tracks_next_resume(self):
-        """While the shared queue is stalled the window floor is the
-        schedule's next positive-rate step; a schedule that never
-        resumes constrains nothing (floor() -> None path)."""
-        spec = dataclasses.replace(
-            _two_cell_static(duration=1.0), wired_bottleneck_mbps=20.0,
-            wired_bottleneck_schedule=[(0.2, 0.0), (0.6, 10.0)])
-        spec = spec.validate()
-        plan = build_shard_plan(spec, shards=2)
-        subs = split_spec(spec, plan)
-        mbx_shard = plan.assignment[spec.resolved_cells()[0].cell_id]
-        coupling = {"full_spec": spec.to_dict(),
-                    "assignment": plan.assignment,
-                    "lookahead": plan.lookahead,
-                    "mbx_shard": mbx_shard}
-        hosts = [ShardHost(sub, i, coupling=coupling)
-                 for i, sub in enumerate(subs)]
-        mbx = next(h.middlebox for h in hosts if h.middlebox is not None
-                   and h.middlebox.router is not None)
-        assert mbx._resume_times == [0.6]  # noqa: SLF001
-        assert mbx._next_resume(0.0) == pytest.approx(0.6)  # noqa: SLF001
-        assert mbx._next_resume(0.6) is None  # noqa: SLF001
+    def test_corrupt_prediction_trips_the_verifier(self, monkeypatch):
+        """The real link verifies every prediction at egress: a predicted
+        time that is off by a nanosecond must stop the run."""
+        from repro.experiments import sharded
+
+        admit = sharded._EgressPredictor.admit
+        calls = []
+
+        def skewed(self, arrival, size):
+            calls.append(arrival)
+            egress = admit(self, arrival, size)
+            return egress + 1e-9 if len(calls) == 40 else egress
+
+        monkeypatch.setattr(sharded._EgressPredictor, "admit", skewed)
+        spec = dataclasses.replace(_two_cell_static(duration=1.0),
+                                   wired_bottleneck_mbps=20.0)
+        with pytest.raises(ConservativeSyncError, match="predicted"):
+            run_scenario_sharded(spec, shards=2, inprocess=True)
+        assert len(calls) >= 40
+
+
+class TestBarrierWindows:
+    """What the coupled barrier costs, and what each window waited on."""
+
+    def test_coupled_core_needs_few_windows_and_stays_exact(self):
+        """Egress prediction: about two windows per lookahead instead of
+        one per middlebox egress, per-flow results untouched."""
+        spec = dataclasses.replace(make_preset("coupled-core"),
+                                   duration_s=1.0)
+        single = run_scenario(
+            dataclasses.replace(spec, sharding=ShardingSpec(mode="off")))
+        for shards in (2, 4):
+            sharded = run_scenario_sharded(spec, shards=shards,
+                                           inprocess=True)
+            assert all(_flows_equal(a, b)
+                       for a, b in zip(single.flows, sharded.flows))
+            stats = sharded.sharding_stats
+            assert stats["windows"] <= 3 * spec.duration_s / stats["lookahead"]
+
+    @pytest.mark.parametrize("preset", ["coupled-core", "handover"])
+    def test_window_bounds_account_for_every_window(self, preset):
+        from repro.experiments.results import result_document
+
+        spec = dataclasses.replace(make_preset(preset), duration_s=2.5)
+        result = run_scenario_sharded(spec, shards=2, inprocess=True)
+        sharding = result_document(result)["sharding"]
+        bounds = sharding["window_bounds"]
+        assert set(bounds) == {"lookahead", "commit", "middlebox", "jump"}
+        assert sum(bounds.values()) == sharding["windows"]
+        if preset == "coupled-core":
+            assert bounds["middlebox"] > bounds["lookahead"] > 0
+            assert bounds["commit"] >= 1 and bounds["jump"] == 0
+        else:
+            assert bounds["jump"] >= 1 and bounds["middlebox"] == 0
+
+
+class TestWorkerDeath:
+    def test_dead_worker_raises_typed_error_promptly(self, monkeypatch):
+        """A shard worker killed mid-run surfaces as ShardWorkerDied naming
+        the shard, the window and the exit code — not a bare EOFError, not
+        a hang — and leaves no child process behind."""
+        import multiprocessing
+        import os
+        import time
+
+        from repro.experiments.sharded import ShardWorkerDied
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method to patch the worker")
+        advance = ShardHost.advance
+
+        def dying_advance(self, until):
+            if self.shard_index == 1 and self.windows == 20:
+                os._exit(13)
+            return advance(self, until)
+
+        monkeypatch.setattr(ShardHost, "advance", dying_advance)
+        spec = dataclasses.replace(make_preset("coupled-core"),
+                                   duration_s=1.0)
+        started = time.monotonic()
+        with pytest.raises(ShardWorkerDied) as caught:
+            run_scenario_sharded(spec, shards=2, inprocess=False,
+                                 start_method="fork")
+        assert time.monotonic() - started < 30.0
+        message = str(caught.value)
+        assert "shard 1" in message and "window 21" in message
+        assert "exit code 13" in message
+        assert multiprocessing.active_children() == []
