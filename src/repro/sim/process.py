@@ -1,7 +1,9 @@
 """Periodic processes built on top of the event queue.
 
-The MAC scheduler's TTI loop, channel-model updates and metric sampling all
-run as :class:`PeriodicProcess` instances.
+Metric samplers, the SNR monitor and receiver feedback timers run as
+:class:`PeriodicProcess` instances.  (The MAC slot clock does not: it lives
+off-heap on the engine's timer wheel, see
+:class:`repro.sim.engine.SlotTimer`.)
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Engine backend registry and cross-backend equivalence contract.
 
-The ``numpy`` backend replaces the profiled per-slot hot loops (MAC slot
-clock on the timer wheel, blocked channel draws, blocked air-interface
-uniforms) but must not change *what* is simulated: on static channels the
+The ``numpy`` backend replaces profiled per-slot hot loops (blocked channel
+draws, blocked air-interface uniforms, numpy PRB allocation above a
+crossover) but must not change *what* is simulated: on static channels the
 per-flow metrics are bit-identical to the ``python`` backend, across
 repeats and shard counts.  On fading channels the drift is confined to the
 channel stream's documented block-reordering; each backend remains
-individually deterministic.  These tests pin that contract.
+individually deterministic.  These tests pin that contract.  (The slot clock
+is shared by both backends; ``tests/test_slot_clock.py`` pins it against the
+heap-driven clock it replaced.)
 """
 
 from __future__ import annotations
