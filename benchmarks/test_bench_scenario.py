@@ -18,10 +18,7 @@ import dataclasses
 import pstats
 import time
 
-import pytest
-
 from benchmarks.conftest import attach_rows, scaled_duration
-from repro._numpy import numpy_available
 from repro.api import ScenarioSpec, make_preset, run as run_scenario
 from repro.experiments.sharded import run_scenario_sharded
 
@@ -31,23 +28,6 @@ def _prague_config(duration: float) -> ScenarioSpec:
     return ScenarioSpec(duration_s=duration, seed=7, num_ues=2,
                         cc_name="prague",
                         channel_profile="pedestrian")
-
-
-def _with_engine(spec: ScenarioSpec, backend: str) -> ScenarioSpec:
-    """The same scenario on the named engine backend."""
-    return dataclasses.replace(
-        spec, engine=dataclasses.replace(spec.engine, backend=backend))
-
-
-def _best_of(runner, repeats: int = 3) -> tuple[float, object]:
-    """Best wall-clock of ``repeats`` runs (the machine is noisy)."""
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = runner()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best, result
 
 
 def _mixed_config(duration: float) -> ScenarioSpec:
@@ -80,22 +60,10 @@ def _bench_scenario(benchmark, config_factory, duration: float) -> None:
     result = benchmark.pedantic(
         lambda: run_scenario(config_factory(duration)), rounds=1, iterations=1)
     events_per_sec = result.events_processed / benchmark.stats.stats.min
-    # Time the same scenario on the numpy engine backend, so the BENCH
-    # trajectory records both backends for every scenario benchmark.
-    if numpy_available():
-        numpy_elapsed, numpy_result = _best_of(
-            lambda: run_scenario(
-                _with_engine(config_factory(duration), "numpy")),
-            repeats=1)
-        numpy_eps = numpy_result.events_processed / numpy_elapsed
-    else:
-        numpy_eps = 0.0
     attach_rows(
         benchmark, [result.summary()],
         events=result.events_processed,
         events_per_sec_best=events_per_sec,
-        events_per_sec_numpy=numpy_eps,
-        numpy_speedup=(numpy_eps / events_per_sec if events_per_sec else 0.0),
         subsystem_seconds=_subsystem_breakdown(config_factory(duration)))
     assert result.events_processed > 0
     assert result.total_goodput_mbps() > 0
@@ -250,19 +218,11 @@ def test_scenario_dense_cell_population(benchmark):
         lambda: run_scenario(spec), rounds=1, iterations=1)
     elapsed = benchmark.stats.stats.min
     dense_ue_s = dense.simulated_ue_seconds() / elapsed
-    if numpy_available():
-        numpy_elapsed, numpy_dense = _best_of(
-            lambda: run_scenario(_with_engine(spec, "numpy")), repeats=1)
-        numpy_eps = numpy_dense.events_processed / numpy_elapsed
-    else:
-        numpy_eps = 0.0
     dense_eps = dense.events_processed / elapsed
     attach_rows(
         benchmark, [dense.summary()],
         events=dense.events_processed,
         events_per_sec_best=dense_eps,
-        events_per_sec_numpy=numpy_eps,
-        numpy_speedup=(numpy_eps / dense_eps if dense_eps else 0.0),
         ue_seconds_per_sec_best=dense_ue_s,
         full_sim_ue_seconds_per_sec=full_ue_s,
         population_speedup=(dense_ue_s / full_ue_s if full_ue_s else 0.0))
@@ -270,50 +230,6 @@ def test_scenario_dense_cell_population(benchmark):
     assert dense.total_goodput_mbps() > 0
     assert dense.background_throughput_mbps() > 0
     assert dense_ue_s >= 100 * full_ue_s
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-def test_scenario_dense_cell_engine_backends(benchmark):
-    """The numpy engine backend vs the python one, same scenario.
-
-    The scenario is the dense-cell preset with a coarser population kernel
-    cadence (40 ms), which makes the run slot-bound: long runs of slots
-    grant no foreground PRBs.  Both backends tick on the timer wheel and
-    collapse those runs, so what the recorded ``numpy_speedup`` measures is
-    the rest of the numpy backend (block cache, blocked draws) on a
-    slot-bound run.  Both are timed best-of-N back-to-back in this process
-    and the static-channel results are asserted identical.
-
-    There is no speedup floor: the 1.3x the numpy backend used to show here
-    was the wheel clock the python backend now shares, and the ratio is an
-    input to the one-engine-path decision (ROADMAP), not a gate.
-    """
-    dense = make_preset("dense-cell")
-    spec = dataclasses.replace(
-        dense, duration_s=scaled_duration(6.0),
-        population=dataclasses.replace(dense.population,
-                                       update_interval_s=0.04))
-    python_elapsed, python_result = _best_of(
-        lambda: run_scenario(_with_engine(spec, "python")), repeats=4)
-
-    numpy_result = benchmark.pedantic(
-        lambda: run_scenario(_with_engine(spec, "numpy")),
-        rounds=4, iterations=1)
-    numpy_elapsed = benchmark.stats.stats.min
-    python_eps = python_result.events_processed / python_elapsed
-    numpy_eps = numpy_result.events_processed / numpy_elapsed
-    speedup = python_elapsed / numpy_elapsed
-    attach_rows(
-        benchmark, [numpy_result.summary()],
-        events=numpy_result.events_processed,
-        events_per_sec_best=numpy_eps,
-        events_per_sec_numpy=numpy_eps,
-        python_events_per_sec=python_eps,
-        numpy_speedup=speedup)
-    # Static channel: the backend must not change what was simulated.
-    assert numpy_result.events_processed == python_result.events_processed
-    assert numpy_result.total_goodput_mbps() == \
-        python_result.total_goodput_mbps()
 
 
 def test_scenario_events_deterministic():

@@ -45,13 +45,12 @@ SUPPORTED_BASELINE_VERSIONS = (1,)
 
 #: extra_info keys treated as throughput metrics (higher is better).
 RATE_KEYS = ("events_per_sec_best", "packets_per_sec_best",
-             "ue_seconds_per_sec_best", "events_per_sec_numpy")
+             "ue_seconds_per_sec_best")
 
 #: extra_info keys recorded in the baseline for trend inspection but never
-#: gated: cross-backend speedup ratios divide two noisy timings, so their
-#: run-to-run spread is far wider than the rates themselves (the benchmarks
-#: assert their own hard floors where the ISSUE demands one).
-INFO_KEYS = ("numpy_speedup", "sync_windows")
+#: gated: they are not rates (the benchmarks assert their own hard floors
+#: where the ISSUE demands one).
+INFO_KEYS = ("sync_windows",)
 
 
 def latest_run(storage: Path) -> Path:

@@ -4,7 +4,7 @@
 Replays :func:`repro.experiments.fuzz.random_spec` over ``--count``
 sequential seeds starting at ``--seed`` and checks every invariant suite
 (byte/packet conservation, sharded ≡ single loop on static channels,
-determinism across repeats and backends, result-document validity, no
+determinism across repeats, result-document validity, no
 ``ConservativeSyncError``).  Exit status 1 if any spec violates an
 invariant; the failing seed is printed so
 ``random_spec(random.Random(seed))`` reproduces it exactly.

@@ -102,11 +102,11 @@ def run(spec: SpecLike, *, options: Optional[RuntimeOptions] = None,
         progress_interval_s: float = 0.25) -> ScenarioResult:
     """Run one scenario and return its :class:`ScenarioResult`.
 
-    ``options`` applies the shared runtime overrides (engine, shards,
-    workers, shard windows) through the same code path as the CLI flags
-    and the service's request overrides.  ``progress`` receives live
-    snapshot dicts (per-flow rates on the single event loop, per-window
-    barrier progress for sharded runs).
+    ``options`` applies the shared runtime overrides (shards, workers,
+    shard windows) through the same code path as the CLI flags and the
+    service's request overrides.  ``progress`` receives live snapshot
+    dicts (per-flow rates on the single event loop, per-window barrier
+    progress for sharded runs).
     """
     resolved = apply_runtime_options(load_spec(spec), options)
     return run_scenario(resolved, progress=progress,

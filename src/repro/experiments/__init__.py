@@ -19,20 +19,6 @@ from repro.experiments.spec import (CellSpec, ScenarioSpec, ShardingSpec,
 from repro.experiments.wired import WiredScenarioConfig, run_wired_scenario
 
 
-def __getattr__(name: str):
-    """Forward the deprecated ``ScenarioConfig`` alias (with its warning).
-
-    The alias lives behind a module ``__getattr__`` in
-    :mod:`repro.experiments.scenario` so merely importing this package does
-    not fire the :class:`DeprecationWarning`; only actually touching the
-    name does.  Use :mod:`repro.api` (``repro.api.ScenarioSpec``) instead.
-    """
-    if name == "ScenarioConfig":
-        from repro.experiments import scenario
-        return scenario.ScenarioConfig
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "ScenarioSpec",
     "CellSpec",
@@ -45,7 +31,6 @@ __all__ = [
     "make_preset",
     "preset_names",
     "run_scenario_dict",
-    "ScenarioConfig",
     "ScenarioResult",
     "FlowResult",
     "build_scenario",

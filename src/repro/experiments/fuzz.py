@@ -2,13 +2,12 @@
 
 The shard synchronizer's correctness argument ("any window end is safe,
 any commit point is honoured, ties sort like the single loop") — and its
-twins for the engine-backend registry and the result-document path — are
-only as good as the scenarios that exercise them.  This module draws
-small random but always *legal* :class:`~repro.experiments.spec.
-ScenarioSpec` instances spanning the coupled features (shared wired
-middlebox with zero-rate schedule steps, SNR-triggered mobility,
-scheduled handovers with short interruptions, wrapped >250-UE address
-spaces, fading channels, background populations, both engine backends)
+twin for the result-document path — are only as good as the scenarios
+that exercise them.  This module draws small random but always *legal*
+:class:`~repro.experiments.spec.ScenarioSpec` instances spanning the
+coupled features (shared wired middlebox with zero-rate schedule steps,
+SNR-triggered mobility, scheduled handovers with short interruptions,
+wrapped >250-UE address spaces, fading channels, background populations)
 and checks them against pluggable invariant suites:
 
 * **conservation** — per-flow and per-UE byte accounting agree, every
@@ -22,20 +21,15 @@ and checks them against pluggable invariant suites:
   sharded run must still be deterministic and conserve bytes.  A silent
   fallback or any exception (``ConservativeSyncError`` included) is a
   violation.
-* **backend** — the ``numpy`` backend is bit-identical to ``python`` on
-  static channels and individually deterministic on fading ones (the
-  contract of :mod:`repro.sim.backends`).
 * **document** — every run's :func:`~repro.experiments.results.
   result_document` serializes byte-identically across dumps, passes
   :func:`~repro.experiments.results.check_document`, and determinism
   pairs produce byte-equal documents.
 
 ``random_spec`` is a pure function of the :class:`random.Random`
-instance it is handed — every axis draw is consumed regardless of
-environment gating (a missing numpy downgrades the choice, never the
-stream) — so a seed fully reproduces a failing spec.  The property tests
-in ``tests/test_fuzz_spec.py`` drive it through hypothesis, the CI smoke
-job replays fixed seeds via ``scripts/fuzz_specs.py``, and
+instance it is handed, so a seed fully reproduces a failing spec.  The
+property tests in ``tests/test_fuzz_spec.py`` drive it through hypothesis,
+the CI smoke job replays fixed seeds via ``scripts/fuzz_specs.py``, and
 :func:`run_campaign` fans seed ranges across worker processes under the
 ``REPRO_CORE_BUDGET`` arbiter for the nightly campaign.
 """
@@ -49,15 +43,13 @@ import time
 import warnings
 from typing import Callable, Optional, Sequence
 
-from repro._numpy import numpy_available
 from repro.api import ScenarioResult, run
 from repro.experiments.results import (check_document, dump_document,
                                        result_document)
 from repro.experiments.sharded import run_scenario_sharded, sharding_blockers
-from repro.experiments.spec import (CellSpec, EngineSpec, HandoverSpec,
-                                    MobilitySpec, PopulationSpec,
-                                    ScenarioSpec, ShardingSpec, UeSpec)
-from repro.sim.backends import available_backends, default_engine_name
+from repro.experiments.spec import (CellSpec, HandoverSpec, MobilitySpec,
+                                    PopulationSpec, ScenarioSpec,
+                                    ShardingSpec, UeSpec)
 from repro.units import ms
 from repro.workloads.flows import FlowSpec
 
@@ -82,16 +74,16 @@ def random_spec(rng: random.Random, duration_s: float = 0.4) -> ScenarioSpec:
 
     Pure in ``rng``: the same :class:`random.Random` state yields the same
     spec, so one integer seed reproduces any failure.  Axis draws are
-    consumed unconditionally; environment gates (numpy missing) downgrade
-    the drawn value without touching the stream, so a seed names the same
-    scenario *shape* everywhere.
+    consumed unconditionally, in a fixed order.
 
     The spec's name records the drawn axes (``fuzz-mbx+stall+wrap``
     style), so campaign reports and corpus entries are self-describing.
     """
     coupling = rng.choice(_COUPLINGS)
     # Axis draws — always consumed, in a fixed order.
-    engine_draw = rng.choice(("python", "python", "numpy"))
+    # The retired engine-backend axis: its draw stays consumed so every
+    # seed still names the spec shape it named before the axis was deleted.
+    rng.choice(("python", "python", "numpy"))
     fading = rng.random() < 0.25
     fading_profile = rng.choice(_FADING_PROFILES)
     population = rng.random() < 0.2
@@ -100,11 +92,6 @@ def random_spec(rng: random.Random, duration_s: float = 0.4) -> ScenarioSpec:
     n_wrapped = rng.randint(1, 2)
     stall = rng.random() < 0.35
     stall_resumes = rng.random() < 0.7
-    # Environment gating (never consumes draws): numpy-only axes fall back
-    # to the portable choice when numpy is absent.
-    if not numpy_available():
-        engine_draw = "python"
-        population = False
     # Wrapped addresses require every colliding UE to stay non-mobile
     # (sharding_blockers): restrict them to the immobile couplings.
     wrapped = wrapped and coupling in ("plain", "mbx")
@@ -168,8 +155,7 @@ def random_spec(rng: random.Random, duration_s: float = 0.4) -> ScenarioSpec:
             schedule = [(duration_s / 2, wired * 0.5)]
     name = "fuzz-" + coupling
     for tag, active in (("fading", fading), ("pop", population),
-                        ("wrap", wrapped), ("stall", stall),
-                        ("np", engine_draw == "numpy")):
+                        ("wrap", wrapped), ("stall", stall)):
         if active:
             name += f"+{tag}"
     return ScenarioSpec(
@@ -178,7 +164,6 @@ def random_spec(rng: random.Random, duration_s: float = 0.4) -> ScenarioSpec:
         marker="l4span",
         seed=rng.randrange(2 ** 31),
         wired_bottleneck_mbps=wired, wired_bottleneck_schedule=schedule,
-        engine=EngineSpec(backend=engine_draw),
         population=(PopulationSpec(n_background=n_background,
                                    snr_stddev_db=3.0, activity=0.8)
                     if population else PopulationSpec()),
@@ -250,27 +235,18 @@ class SpecRuns:
         self.spec = spec.validate()
         self.shard_counts = tuple(shard_counts)
         self.static = static_channel(self.spec)
-        self._single: dict[tuple[str, int], ScenarioResult] = {}
+        self._single: dict[int, ScenarioResult] = {}
         self._sharded: dict[tuple[int, int], object] = {}
 
-    def backend_of(self) -> str:
-        """The spec's resolved engine backend name."""
-        return self.spec.engine.backend or default_engine_name()
-
-    def single(self, backend: Optional[str] = None,
-               repeat: int = 0) -> ScenarioResult:
-        """The single-loop result under ``backend`` (None = the spec's)."""
-        backend = backend or self.backend_of()
-        key = (backend, repeat)
-        if key not in self._single:
+    def single(self, repeat: int = 0) -> ScenarioResult:
+        """The single-loop result of run number ``repeat``."""
+        if repeat not in self._single:
             spec = dataclasses.replace(
-                self.spec, sharding=ShardingSpec(mode="off"),
-                engine=EngineSpec(backend=backend,
-                                  channel_block=self.spec.engine.channel_block))
+                self.spec, sharding=ShardingSpec(mode="off"))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                self._single[key] = run(spec)
-        return self._single[key]
+                self._single[repeat] = run(spec)
+        return self._single[repeat]
 
     def sharded(self, shards: int, repeat: int = 0) -> ScenarioResult:
         """The sharded result; re-raises a memoized failure."""
@@ -290,8 +266,8 @@ class SpecRuns:
 
     def completed(self) -> list[tuple[str, ScenarioResult]]:
         """Every (label, result) pair materialized so far."""
-        runs = [(f"single[{backend},run{repeat}]", result)
-                for (backend, repeat), result in self._single.items()]
+        runs = [(f"single[run{repeat}]", result)
+                for repeat, result in self._single.items()]
         runs.extend((f"sharded[{shards},run{repeat}]", value)
                     for (shards, repeat), value in self._sharded.items()
                     if not isinstance(value, Exception))
@@ -350,26 +326,6 @@ def _suite_sharding(runs: SpecRuns) -> list[str]:
     return violations
 
 
-def _suite_backend(runs: SpecRuns) -> list[str]:
-    backends = available_backends()
-    if len(backends) < 2:
-        return []  # one backend: nothing to differ from
-    violations: list[str] = []
-    for backend in backends:
-        if not flows_identical(runs.single(backend=backend),
-                               runs.single(backend=backend, repeat=1)):
-            violations.append(f"{backend} backend is not deterministic "
-                              "across repeats")
-    if runs.static:
-        reference = backends[0]
-        for backend in backends[1:]:
-            if not flows_identical(runs.single(backend=reference),
-                                   runs.single(backend=backend)):
-                violations.append(f"{backend} backend per-flow metrics "
-                                  f"differ from {reference} (static channel)")
-    return violations
-
-
 def _suite_document(runs: SpecRuns) -> list[str]:
     violations: list[str] = []
     texts: dict[str, str] = {}
@@ -386,13 +342,11 @@ def _suite_document(runs: SpecRuns) -> list[str]:
                               f"document: {exc}")
         texts[label] = text
     # Determinism pairs must produce byte-equal documents.
-    for base, repeat in (("single[{0},run0]", "single[{0},run1]"),):
-        backend = runs.backend_of()
-        a = texts.get(base.format(backend))
-        b = texts.get(repeat.format(backend))
-        if a is not None and b is not None and a != b:
-            violations.append("repeat runs serialize to different "
-                              "documents (byte identity broken)")
+    a = texts.get("single[run0]")
+    b = texts.get("single[run1]")
+    if a is not None and b is not None and a != b:
+        violations.append("repeat runs serialize to different "
+                          "documents (byte identity broken)")
     return violations
 
 
@@ -403,7 +357,6 @@ INVARIANT_SUITES: dict[str, Callable[[SpecRuns], list[str]]] = {
     "conservation": _suite_conservation,
     "determinism": _suite_determinism,
     "sharding": _suite_sharding,
-    "backend": _suite_backend,
     "document": _suite_document,
 }
 

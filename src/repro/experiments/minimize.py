@@ -27,7 +27,7 @@ import dataclasses
 import json
 from typing import Callable, Iterator, Sequence
 
-from repro.experiments.spec import (EngineSpec, MobilitySpec, PopulationSpec,
+from repro.experiments.spec import (MobilitySpec, PopulationSpec,
                                     ScenarioSpec)
 
 __all__ = ["failure_signature", "minimize_spec"]
@@ -101,8 +101,6 @@ def _zero_blocks(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
         yield dataclasses.replace(spec, wired_bottleneck_schedule=[])
     if spec.population.n_background:
         yield dataclasses.replace(spec, population=PopulationSpec())
-    if spec.engine != EngineSpec():
-        yield dataclasses.replace(spec, engine=EngineSpec())
     profiles = {ue.channel_profile or spec.channel_profile
                 for ue in spec.resolved_ues()}
     if profiles - {"static"}:

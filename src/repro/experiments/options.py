@@ -1,11 +1,11 @@
 """Runtime execution options shared by every scenario-running surface.
 
-``--engine``, ``--shards``, ``--workers`` and ``--shard-windows`` used to be
-wired ad-hoc per CLI subcommand, which is exactly how flag drift happens
-(``scenario`` grew ``--shards`` while ``experiment`` only knew ``--workers``,
-and a served spec had neither).  This module is the single source of truth:
+``--shards``, ``--workers`` and ``--shard-windows`` used to be wired ad-hoc
+per CLI subcommand, which is exactly how flag drift happens (``scenario``
+grew ``--shards`` while ``experiment`` only knew ``--workers``, and a served
+spec had neither).  This module is the single source of truth:
 
-* :func:`add_runtime_arguments` contributes the four flags to an argparse
+* :func:`add_runtime_arguments` contributes the three flags to an argparse
   parser — ``python -m repro scenario`` (ad-hoc and ``--preset`` runs alike)
   and ``python -m repro serve`` both build their parsers from the same
   parent.
@@ -16,11 +16,11 @@ and a served spec had neither).  This module is the single source of truth:
   :class:`~repro.experiments.spec.ScenarioSpec` — one implementation, used
   verbatim by every path, regression-tested in ``tests/test_service.py``.
 
-Semantics: ``--engine`` selects the engine backend, ``--shards`` the shard
-process count (1 disables sharding), ``--shard-windows`` the barrier window
-policy, and ``--workers`` caps the worker-process count a single scenario
-may use (i.e. it bounds ``--shards``; the ``experiment`` command separately
-uses its sweep-grid ``--workers``, and the core-budget arbiter in
+Semantics: ``--shards`` selects the shard process count (1 disables
+sharding), ``--shard-windows`` the barrier window policy, and ``--workers``
+caps the worker-process count a single scenario may use (i.e. it bounds
+``--shards``; the ``experiment`` command separately uses its sweep-grid
+``--workers``, and the core-budget arbiter in
 :mod:`repro.experiments.runner` still bounds the product globally).
 """
 
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.experiments.spec import ScenarioSpec, ShardingSpec
-from repro.sim.backends import ENGINE_BACKENDS
 
 #: Barrier window policies ``--shard-windows`` understands.
 SHARD_WINDOW_POLICIES = ("adaptive", "fixed")
@@ -45,7 +44,6 @@ class RuntimeOptions:
     identity under :func:`apply_runtime_options`.
     """
 
-    engine: Optional[str] = None
     shards: Optional[int] = None
     workers: Optional[int] = None
     shard_windows: Optional[str] = None
@@ -57,7 +55,6 @@ class RuntimeOptions:
         defaults through this.
         """
         return RuntimeOptions(
-            engine=self.engine if self.engine is not None else defaults.engine,
             shards=self.shards if self.shards is not None else defaults.shards,
             workers=(self.workers if self.workers is not None
                      else defaults.workers),
@@ -66,8 +63,6 @@ class RuntimeOptions:
 
     def validate(self) -> "RuntimeOptions":
         """Check names and counts; return self."""
-        if self.engine is not None:
-            ENGINE_BACKENDS.resolve(self.engine)
         if self.shards is not None and self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.workers is not None and self.workers < 1:
@@ -100,10 +95,9 @@ class RuntimeOptions:
             if value is not None and (isinstance(value, bool)
                                       or not isinstance(value, int)):
                 raise ValueError(f"override {key!r} must be an integer")
-        for key in ("engine", "shard_windows"):
-            value = data.get(key)
-            if value is not None and not isinstance(value, str):
-                raise ValueError(f"override {key!r} must be a string")
+        value = data.get("shard_windows")
+        if value is not None and not isinstance(value, str):
+            raise ValueError("override 'shard_windows' must be a string")
         return cls(**data).validate()
 
 
@@ -113,11 +107,6 @@ def add_runtime_arguments(parser) -> None:
     Used as the one argparse parent for ``scenario`` and ``serve`` (and, by
     the regression tests, as proof the two cannot drift apart again).
     """
-    parser.add_argument(
-        "--engine", default=None,
-        choices=ENGINE_BACKENDS.names(include_aliases=True),
-        help="engine backend for the per-slot hot loops (default: the "
-             "spec's engine.backend, or $REPRO_ENGINE, or python)")
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="shard a multi-cell scenario over N worker processes "
@@ -135,8 +124,7 @@ def add_runtime_arguments(parser) -> None:
 
 def runtime_options_from_args(args) -> RuntimeOptions:
     """Collect the shared flags out of a parsed argparse namespace."""
-    return RuntimeOptions(engine=args.engine, shards=args.shards,
-                          workers=args.workers,
+    return RuntimeOptions(shards=args.shards, workers=args.workers,
                           shard_windows=args.shard_windows)
 
 
@@ -151,7 +139,6 @@ def apply_runtime_options(spec: ScenarioSpec,
     if options is None:
         return spec
     options.validate()
-    overrides: dict = {}
     sharding = spec.sharding
     sharding_changed = False
     if options.shards is not None:
@@ -169,10 +156,5 @@ def apply_runtime_options(spec: ScenarioSpec,
             sharding = dataclasses.replace(sharding, shards=options.workers)
             sharding_changed = True
     if sharding_changed:
-        overrides["sharding"] = sharding
-    if options.engine is not None:
-        overrides["engine"] = dataclasses.replace(spec.engine,
-                                                  backend=options.engine)
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+        spec = dataclasses.replace(spec, sharding=sharding)
     return spec

@@ -1,8 +1,7 @@
 """The generic 5G scenario builder used by every experiment harness.
 
 A scenario is described declaratively by a
-:class:`~repro.experiments.spec.ScenarioSpec` (``ScenarioConfig`` is the
-historical alias) and wires, for each flow:
+:class:`~repro.experiments.spec.ScenarioSpec` and wires, for each flow:
 
     content server (CC sender)
         -> WAN delay pipe (half the flow's WAN RTT)
@@ -54,23 +53,6 @@ from repro.ran.ue import UeConfig, UeContext
 from repro.sim.engine import Simulator
 from repro.units import mbps, to_mbps
 from repro.workloads.flows import FlowSpec
-
-def __getattr__(name: str):
-    """Deprecated module attributes (PEP 562).
-
-    ``ScenarioConfig`` was the pre-spec name of :class:`ScenarioSpec`; the
-    alias still resolves (pickled configs and old scripts keep working) but
-    now warns — new code should use :mod:`repro.api` (or ``ScenarioSpec``
-    directly).  Removal is noted in ``docs/service.md``.
-    """
-    if name == "ScenarioConfig":
-        import warnings
-        warnings.warn(
-            "ScenarioConfig is a deprecated alias of ScenarioSpec and will "
-            "be removed; use the repro.api facade (repro.api.ScenarioSpec, "
-            "repro.api.run) instead", DeprecationWarning, stacklevel=2)
-        return ScenarioSpec
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -233,9 +215,6 @@ class BuiltScenario:
     def __init__(self, config: ScenarioSpec) -> None:
         self.config = config.validate()
         self.sim = Simulator(seed=config.seed)
-        #: The engine backend executing the per-slot hot loops (see
-        #: repro.sim.backends; the spec's engine block or $REPRO_ENGINE).
-        self.engine_backend = config.engine.make_backend()
         marker_name = config.resolved_marker()
         self.cell_specs: list[CellSpec] = config.resolved_cells()
         self.markers: dict[int, object] = {}
@@ -247,8 +226,7 @@ class BuiltScenario:
                     else f"gnb{cell_spec.cell_id}")
             gnb = GNodeB(self.sim, cell=cell_spec.radio,
                          scheduler_policy=resolve_scheduler(cell_spec.scheduler),
-                         marker=marker, air_config=cell_spec.air, name=name,
-                         engine_backend=self.engine_backend)
+                         marker=marker, air_config=cell_spec.air, name=name)
             self.markers[cell_spec.cell_id] = marker
             self.gnbs[cell_spec.cell_id] = gnb
         first_cell = self.cell_specs[0].cell_id

@@ -22,16 +22,15 @@ Three properties make it the currency of the whole experiment layer:
   :mod:`repro.registry`, so a typo fails fast with the list of choices
   instead of deep inside the build.
 
-The historical ``ScenarioConfig`` name is a *deprecated* alias of this class
-(it warns on access and will be removed; see ``docs/service.md``).  Every
-field it had keeps its exact default, which is why pre-spec experiment
-outputs are bit-identical.
+Every field the pre-spec configuration class had keeps its exact default,
+which is why pre-spec experiment outputs are bit-identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -45,8 +44,6 @@ from repro.ran.mac import resolve_scheduler  # noqa: F401  (registration)
 from repro.ran.phy import AirInterfaceConfig
 from repro.registry import (CC_SENDERS, CHANNEL_PROFILES, MARKERS, SCHEDULERS,
                             UnknownComponentError)
-from repro.sim.backends import (ENGINE_BACKENDS, EngineBackend,
-                                default_engine_name, make_engine_backend)
 from repro.units import ms
 from repro.workloads.flows import FlowSpec
 
@@ -244,7 +241,7 @@ class PopulationSpec:
 
     Attributes:
         n_background: background UEs attached to each cell (0 disables the
-            population entirely; the kernel -- and numpy -- are never touched).
+            population entirely; the kernel is never built).
         workload: ``"bulk"`` (always-backlogged, window-limited senders) or
             ``"rate"`` (each UE offers a finite rate drawn around
             ``mean_rate_mbps``).
@@ -306,49 +303,6 @@ class PopulationSpec:
             if share <= 0:
                 raise ValueError(
                     f"population.cc_mix share for {name!r} must be positive")
-        return self
-
-
-@dataclass
-class EngineSpec:
-    """Which engine backend executes the per-slot channel and PHY draws.
-
-    The MAC slot clock (timer wheel, slot batching, quiet-run collapse) is
-    the same under every backend.  Backends never change the modelled
-    behaviour -- on static channels the per-flow metrics are bit-identical
-    across backends (asserted by ``tests/test_backends.py``); on fading
-    channels the drift is confined to the channel stream's documented
-    block-reordering.  See :mod:`repro.sim.backends` for the registry and
-    the equivalence contract.
-
-    Attributes:
-        backend: registered backend name (``"python"``/``"py"``,
-            ``"numpy"``/``"np"``), or None to inherit the environment
-            default (``$REPRO_ENGINE``, falling back to ``"python"``).
-        channel_block: slots/variates precomputed per channel-cache block
-            by vectorized backends (ignored by ``"python"``).
-    """
-
-    backend: Optional[str] = None
-    channel_block: int = 256
-
-    def resolved_backend(self) -> str:
-        """The primary name of the backend this block selects."""
-        if self.backend is not None:
-            return ENGINE_BACKENDS.resolve(self.backend)
-        return default_engine_name()
-
-    def make_backend(self) -> EngineBackend:
-        """Instantiate the selected backend (explicit names fail loudly)."""
-        return make_engine_backend(self.backend,
-                                   channel_block=self.channel_block)
-
-    def validate(self) -> "EngineSpec":
-        """Check the backend name and block size."""
-        if self.backend is not None:
-            ENGINE_BACKENDS.resolve(self.backend)
-        if self.channel_block < 1:
-            raise ValueError("engine.channel_block must be >= 1")
         return self
 
 
@@ -425,9 +379,6 @@ class ScenarioSpec:
     # Aggregated background-UE population per cell (off by default; see
     # repro.ran.background for the vectorized kernel).
     population: PopulationSpec = field(default_factory=PopulationSpec)
-    # Engine backend executing the per-slot hot loops (None = the
-    # environment default; see repro.sim.backends).
-    engine: EngineSpec = field(default_factory=EngineSpec)
 
     def __post_init__(self) -> None:
         # Normalise the throttle schedule to tuples so a spec deserialized
@@ -528,7 +479,6 @@ class ScenarioSpec:
         MARKERS.resolve(self.resolved_marker() or "none")
         self.sharding.validate()
         self.population.validate()
-        self.engine.validate()
         cells = self.resolved_cells()
         cell_ids = {cell.cell_id for cell in cells}
         if self.sharding.mode == "explicit":
@@ -629,9 +579,13 @@ class ScenarioSpec:
         """Rebuild a spec from :meth:`to_dict` output (or hand-written data).
 
         Unknown keys raise ``ValueError`` — a typo in a JSON spec fails
-        loudly instead of silently running the default scenario.
+        loudly instead of silently running the default scenario.  The one
+        exception is the retired ``engine`` block (see
+        :func:`_drop_retired_engine_block`), which every spec dumped before
+        the engine-backend axis was deleted still carries.
         """
         data = dict(data)
+        _drop_retired_engine_block(data.pop("engine", None))
         parsed: dict[str, Any] = {}
         nested = {
             "cell": CellConfig,
@@ -639,7 +593,6 @@ class ScenarioSpec:
             "l4span_config": L4SpanConfig,
             "sharding": ShardingSpec,
             "population": PopulationSpec,
-            "engine": EngineSpec,
         }
         for key, nested_cls in nested.items():
             if key in data and data[key] is not None:
@@ -670,6 +623,35 @@ class ScenarioSpec:
         if not isinstance(data, dict):
             raise ValueError("a scenario spec must be a JSON object")
         return cls.from_dict(data)
+
+
+def _drop_retired_engine_block(block: Any) -> None:
+    """Accept, and ignore, the ``engine`` block of a pre-PR-15 spec.
+
+    Archived documents, ``--dump-spec`` files and the fuzz corpus all carry
+    ``"engine": {"backend": ..., "channel_block": ...}``; there is one
+    engine now, so a well-formed block is dropped (warning once when it
+    asked for the numpy backend, whose run now takes the one path) and a
+    malformed one fails as loudly as any other unknown field.
+    """
+    if block is None:
+        return
+    if not isinstance(block, dict):
+        raise ValueError(
+            f"engine: expected an object, got {type(block).__name__}")
+    unknown = sorted(set(block) - {"backend", "channel_block"})
+    if unknown:
+        raise ValueError(f"engine: unknown field(s) {unknown}; the engine "
+                         "block is retired and may simply be removed")
+    backend = block.get("backend")
+    if backend not in (None, "python", "py", "numpy", "np"):
+        raise ValueError(f"engine: unknown backend {backend!r}; the engine "
+                         "block is retired and may simply be removed")
+    if backend in ("numpy", "np"):
+        warnings.warn(
+            "the spec's engine block selects the numpy backend, which no "
+            "longer exists; the run uses the single engine path (remove the "
+            "block to silence this)", DeprecationWarning, stacklevel=3)
 
 
 def _dataclass_from_dict(cls, data: Any, where: str,

@@ -32,8 +32,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro._numpy import np, require_numpy
+import numpy as np
+
 from repro.cc.factory import is_l4s_algorithm
+from repro.channel.mcs import efficiency_from_snr_array
 from repro.ran.cell import CellConfig
 
 #: Sender MSS used by the window dynamics, bytes.
@@ -49,18 +51,6 @@ BETA_CLASSIC = 0.7
 BETA_L4S = 0.85
 
 
-def _require_numpy() -> None:
-    """Guard for the kernel via the shared :mod:`repro._numpy` helper.
-
-    Pure-python scenarios (``population.n_background == 0``) never reach
-    this; only building an actual population needs the vectorized kernel.
-    """
-    require_numpy(
-        "the background-population kernel",
-        hint="alternatively set population.n_background = 0 to run "
-             "the scenario without aggregated background UEs")
-
-
 class BackgroundPopulation:
     """All background UEs of one cell, as contiguous numpy state arrays.
 
@@ -74,7 +64,6 @@ class BackgroundPopulation:
 
     def __init__(self, sim, cell_id: int, cell: CellConfig, spec,
                  marker: Optional[object] = None) -> None:
-        _require_numpy()
         spec.validate()
         self.sim = sim
         self.cell_id = cell_id
@@ -90,9 +79,6 @@ class BackgroundPopulation:
                                      size=self.n)
         else:
             self.snr_db = np.full(self.n, float(spec.snr_mean_db))
-        # Late import: repro.channel.mcs is numpy-typed; keep this module
-        # importable (for require_numpy's message) even without numpy.
-        from repro.channel.mcs import efficiency_from_snr_array
         self.efficiency = efficiency_from_snr_array(self.snr_db)
         self.bytes_per_prb = cell.bytes_per_prb(1.0) * self.efficiency
 

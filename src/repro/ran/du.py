@@ -26,16 +26,12 @@ class DistributedUnit:
 
     def __init__(self, sim: Simulator, cell: CellConfig, f1u: F1UInterface,
                  scheduler_policy: SchedulerPolicy = SchedulerPolicy.ROUND_ROBIN,
-                 air_config: Optional[AirInterfaceConfig] = None,
-                 engine_backend=None) -> None:
+                 air_config: Optional[AirInterfaceConfig] = None) -> None:
         self._sim = sim
         self.cell = cell
         self.f1u = f1u
         self.air = AirInterface(sim, air_config)
-        if engine_backend is not None and engine_backend.vectorized:
-            self.air.enable_block_draws(engine_backend.channel_block)
-        self.mac = MacScheduler(sim, cell, policy=scheduler_policy,
-                                backend=engine_backend)
+        self.mac = MacScheduler(sim, cell, policy=scheduler_policy)
         self._rlc: dict[DrbKey, RlcEntity] = {}
         self._ue_drbs: dict[UeId, list[DrbId]] = {}
         #: Per-UE RLC entities in DRB order -- the grant/backlog hot path
@@ -97,11 +93,7 @@ class DistributedUnit:
         else:
             backlog = (lambda es=tuple(entities):
                        sum(e.backlog_bytes for e in es))
-        # The MAC may wrap the channel in a block-cache view (vectorized
-        # backends); re-point the UE at whatever the scheduler queries so
-        # every consumer (mobility's SNR monitor above all) reads the same
-        # variate sequence.
-        ue.channel = self.mac.register_ue(
+        self.mac.register_ue(
             ue.ue_id, ue.channel,
             backlog_bytes=backlog,
             pull=lambda grant, ue_id=ue.ue_id: self.pull_for_ue(ue_id, grant))

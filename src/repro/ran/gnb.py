@@ -15,7 +15,6 @@ from repro.ran.mac import SchedulerPolicy
 from repro.ran.marker import RanMarker
 from repro.ran.phy import AirInterfaceConfig
 from repro.ran.ue import UeContext
-from repro.sim.backends import EngineBackend
 from repro.sim.engine import Simulator
 
 
@@ -28,16 +27,13 @@ class GNodeB:
         scheduler_policy: MAC policy (RR / PF).
         marker: the in-RAN marking layer (defaults to no-op).
         air_config: air-interface delay/HARQ configuration.
-        engine_backend: engine backend executing the per-slot hot loops
-            (None = the classic python path; see :mod:`repro.sim.backends`).
     """
 
     def __init__(self, sim: Simulator, cell: Optional[CellConfig] = None,
                  scheduler_policy: SchedulerPolicy = SchedulerPolicy.ROUND_ROBIN,
                  marker: Optional[RanMarker] = None,
                  air_config: Optional[AirInterfaceConfig] = None,
-                 name: str = "gnb",
-                 engine_backend: Optional[EngineBackend] = None) -> None:
+                 name: str = "gnb") -> None:
         self._sim = sim
         self.name = name
         self.cell = cell if cell is not None else CellConfig()
@@ -46,8 +42,7 @@ class GNodeB:
                                        name=f"{name}-cu")
         self.du = DistributedUnit(sim, self.cell, self.f1u,
                                   scheduler_policy=scheduler_policy,
-                                  air_config=air_config,
-                                  engine_backend=engine_backend)
+                                  air_config=air_config)
         self._ues: dict[UeId, UeContext] = {}
 
     # ------------------------------------------------------------------ #

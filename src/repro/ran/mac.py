@@ -21,20 +21,11 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro._numpy import np
 from repro.channel.base import ChannelModel
 from repro.ran.cell import CellConfig
 from repro.ran.identifiers import UeId
 from repro.registry import SCHEDULERS
-from repro.sim.backends import EngineBackend
 from repro.sim.engine import Simulator
-
-#: Below these many backlogged UEs the scalar allocation loops beat the
-#: numpy ones (array construction and ``tolist`` overhead are fixed costs
-#: of several microseconds per slot).  Crossovers measured on the dev
-#: container; tests force the vector paths by patching these down.
-_VECTOR_MIN_UES_RR = 160
-_VECTOR_MIN_UES_PF = 48
 
 
 class SchedulerPolicy(enum.Enum):
@@ -80,19 +71,15 @@ class MacScheduler:
         pf_time_constant: averaging horizon (seconds) of the PF throughput
             EWMA.
         start: when to start the slot clock (defaults to time zero).
-        backend: engine backend; a vectorized backend serves channels
-            through a per-cell
-            :class:`~repro.channel.blockcache.ChannelBlockCache` and takes
-            numpy allocation paths for large UE counts.  The slot clock
-            does not depend on it: every scheduler ticks on the simulator's
-            timer wheel (:meth:`_run_slot_batch`).
+
+    Every scheduler ticks on the simulator's timer wheel
+    (:meth:`_run_slot_batch`).
     """
 
     def __init__(self, sim: Simulator, cell: CellConfig,
                  policy: SchedulerPolicy = SchedulerPolicy.ROUND_ROBIN,
                  pf_time_constant: float = 0.1,
-                 start: Optional[float] = None,
-                 backend: Optional[EngineBackend] = None) -> None:
+                 start: Optional[float] = None) -> None:
         self._sim = sim
         self.cell = cell
         self.policy = policy
@@ -111,13 +98,6 @@ class MacScheduler:
         self._decay = cell.slot_duration / pf_time_constant
         self._inv_slot_duration = 1.0 / cell.slot_duration
         self._round_robin = policy == SchedulerPolicy.ROUND_ROBIN
-        self._vectorized = backend is not None and backend.vectorized
-        if self._vectorized:
-            from repro.channel.blockcache import ChannelBlockCache
-            self._channel_cache = ChannelBlockCache(
-                cell.slot_duration, block=backend.channel_block)
-        else:
-            self._channel_cache = None
         self._timer = sim.add_slot_timer(
             cell.slot_duration, self._run_slot_batch,
             start_at=start if start is not None else sim.now)
@@ -127,16 +107,8 @@ class MacScheduler:
     # ------------------------------------------------------------------ #
     def register_ue(self, ue_id: UeId, channel: ChannelModel,
                     backlog_bytes: Callable[[], int],
-                    pull: Callable[[int], int]) -> ChannelModel:
-        """Attach a UE: the DU provides backlog and pull callbacks.
-
-        Returns the channel the scheduler will actually query -- under a
-        vectorized backend this is the block-cache view of ``channel``, and
-        the caller should read link quality through it (not the raw model)
-        so every consumer sees one consistent variate sequence.
-        """
-        if self._channel_cache is not None:
-            channel = self._channel_cache.view(channel)
+                    pull: Callable[[int], int]) -> None:
+        """Attach a UE: the DU provides backlog and pull callbacks."""
         state = _UeSchedulingState(
             ue_id=ue_id, channel=channel, backlog_bytes=backlog_bytes,
             pull=pull)
@@ -146,7 +118,6 @@ class MacScheduler:
         else:
             self._ue_states.append(state)
         self._ues[ue_id] = state
-        return channel
 
     def unregister_ue(self, ue_id: UeId) -> None:
         """Stop scheduling a UE (it detached or handed over away)."""
@@ -473,20 +444,10 @@ class MacScheduler:
             fg_prbs = 0
             ordered = active if len(active) == 1 \
                 else sorted(active, key=lambda s: s.ue_id)
-            if self._vectorized and len(ordered) >= _VECTOR_MIN_UES_RR:
-                # Pure integer arithmetic: identical to the per-index
-                # modcheck in the else-branch, one vector op instead of n.
-                grants = (base + ((np.arange(len(ordered)) + offset)
-                                  % total_claimants < remainder)).tolist()
-            else:
-                grants = None
             for index, state in enumerate(ordered):
-                if grants is not None:
-                    prbs = grants[index]
-                else:
-                    extra = 1 if ((index + offset) % total_claimants
-                                  < remainder) else 0
-                    prbs = base + extra
+                extra = 1 if ((index + offset) % total_claimants
+                              < remainder) else 0
+                prbs = base + extra
                 if prbs <= 0:
                     continue
                 fg_prbs += prbs
@@ -534,17 +495,9 @@ class MacScheduler:
         remainder = total - base * n
         allocations: dict[UeId, int] = {}
         ordered = sorted(active, key=lambda s: s.ue_id)
-        if self._vectorized and n >= _VECTOR_MIN_UES_RR:
-            # Pure integer arithmetic, so the numpy path is trivially equal
-            # to the scalar loop below.
-            prbs = (base + ((np.arange(n) + self._rr_offset) % n
-                            < remainder)).tolist()
-            for index, state in enumerate(ordered):
-                allocations[state.ue_id] = prbs[index]
-        else:
-            for index, state in enumerate(ordered):
-                extra = 1 if (index + self._rr_offset) % n < remainder else 0
-                allocations[state.ue_id] = base + extra
+        for index, state in enumerate(ordered):
+            extra = 1 if (index + self._rr_offset) % n < remainder else 0
+            allocations[state.ue_id] = base + extra
         self._rr_offset = (self._rr_offset + 1) % max(1, n)
         return allocations
 
@@ -554,15 +507,10 @@ class MacScheduler:
             total_prb: Optional[int] = None) -> dict[UeId, int]:
         budget = self.cell.num_prb if total_prb is None else total_prb
         weights: dict[UeId, float] = {}
-        if self._vectorized and len(active) >= _VECTOR_MIN_UES_PF:
-            weights = self._pf_weights_vector(active, efficiencies)
-        else:
-            for state in active:
-                instantaneous = self.cell.slot_capacity_bytes(
-                    efficiencies[state.ue_id]) / self.cell.slot_duration
-                weights[state.ue_id] = instantaneous / state.average_throughput
-        # Builtin sum over insertion order -- np.sum's pairwise reduction
-        # would round differently and break cross-backend bit-identity.
+        for state in active:
+            instantaneous = self.cell.slot_capacity_bytes(
+                efficiencies[state.ue_id]) / self.cell.slot_duration
+            weights[state.ue_id] = instantaneous / state.average_throughput
         total_weight = sum(weights.values())
         if total_weight <= 0:
             return self._allocate_round_robin(active, total_prb=total_prb)
@@ -579,28 +527,6 @@ class MacScheduler:
         if leftover > 0 and ordered:
             allocations[ordered[0].ue_id] += leftover
         return allocations
-
-    def _pf_weights_vector(self, active: list[_UeSchedulingState],
-                           efficiencies: dict[UeId, float]
-                           ) -> dict[UeId, float]:
-        """Numpy PF weights, bit-identical to the scalar loop.
-
-        Every operation replicates the scalar evaluation order of
-        ``CellConfig.bytes_per_prb`` / ``slot_capacity_bytes`` elementwise
-        (same doubles in, same doubles out), and the int truncation matches
-        ``int()`` for the non-negative capacities involved.
-        """
-        cell = self.cell
-        effs = np.array([efficiencies[state.ue_id] for state in active])
-        averages = np.array([state.average_throughput for state in active])
-        usable_re = cell.RE_PER_PRB_PER_SLOT * (1.0 - cell.overhead)
-        bits = (usable_re * effs) * cell.efficiency_backoff
-        bytes_per_prb = (bits * cell.tdd_dl_fraction) / 8.0
-        capacities = (cell.num_prb * bytes_per_prb).astype(np.int64)
-        instantaneous = capacities / cell.slot_duration
-        values = (instantaneous / averages).tolist()
-        return {state.ue_id: values[index]
-                for index, state in enumerate(active)}
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -33,40 +33,10 @@ class AirInterfaceConfig:
     delivery_jitter: float = ms(0.5)
 
 
-class _BlockRandom:
-    """Serves ``random()`` uniforms from pre-drawn blocks.
-
-    ``rng.random(n)`` consumes the generator exactly like ``n`` scalar
-    ``rng.random()`` calls and yields the same doubles, so wrapping a stream
-    in this class is invisible to every consumer of uniform draws -- it only
-    amortizes the per-call numpy dispatch over a whole block.  Used by the
-    ``numpy`` engine backend for the HARQ/jitter streams, whose consumers
-    (:func:`~repro.sim.randomness.chance`, the jitter draw) draw uniforms
-    exclusively.
-    """
-
-    __slots__ = ("_rng", "_block", "_values", "_index")
-
-    def __init__(self, rng, block: int = 256) -> None:
-        self._rng = rng
-        self._block = block
-        self._values: list[float] = []
-        self._index = 0
-
-    def random(self) -> float:
-        index = self._index
-        if index >= len(self._values):
-            self._values = self._rng.random(self._block).tolist()
-            index = 0
-        self._index = index + 1
-        return self._values[index]
-
-
 class AirInterface:
     """Computes per-transport-block delivery outcomes and delays."""
 
     __slots__ = ("_sim", "config", "_stream_name", "_ue_streams",
-                 "_draw_block",
                  "transmitted_blocks", "harq_retransmissions", "failed_blocks")
 
     def __init__(self, sim: Simulator, config: AirInterfaceConfig | None = None,
@@ -78,31 +48,16 @@ class AirInterface:
         # transport block, so it must not rebuild stream-name strings and
         # re-hash them on every call.
         self._ue_streams: dict[int, tuple] = {}
-        #: Block size for pre-drawn uniforms, or 0 for scalar draws.
-        self._draw_block = 0
         self.transmitted_blocks = 0
         self.harq_retransmissions = 0
         self.failed_blocks = 0
-
-    def enable_block_draws(self, block: int = 256) -> None:
-        """Pre-draw HARQ/jitter uniforms in blocks (numpy engine backend).
-
-        Bit-identical to scalar draws (see :class:`_BlockRandom`); must be
-        called before the first transmission so already-cached scalar
-        streams are not mixed with blocked ones mid-sequence.
-        """
-        self._draw_block = block
-        self._ue_streams.clear()
-
-    def _wrap(self, rng):
-        return _BlockRandom(rng, self._draw_block) if self._draw_block else rng
 
     def _streams_for(self, ue_id: int) -> tuple:
         streams = self._ue_streams.get(ue_id)
         if streams is None:
             base = f"{self._stream_name}-ue{ue_id}"
-            streams = (self._wrap(self._sim.random.stream(base)),
-                       self._wrap(self._sim.random.stream(f"{base}-jitter")))
+            streams = (self._sim.random.stream(base),
+                       self._sim.random.stream(f"{base}-jitter"))
             self._ue_streams[ue_id] = streams
         return streams
 
@@ -115,8 +70,8 @@ class AirInterface:
         on its own shard (where the old stream's draws never happened).
         """
         self._ue_streams[ue_id] = (
-            self._wrap(self._sim.random.stream(label)),
-            self._wrap(self._sim.random.stream(f"{label}-jitter")))
+            self._sim.random.stream(label),
+            self._sim.random.stream(f"{label}-jitter"))
 
     def transmit(self, ue_id: int,
                  on_delivered: Callable[..., None],

@@ -26,10 +26,10 @@ class SlotTimer:
     """A recurring timer on the simulator's timer wheel.
 
     The wheel exists for the *dominant periodic* event class -- the MAC slot
-    clock, which fires every 0.5 ms for every cell of every backend and
-    would otherwise account for the majority of heap pushes/pops in
-    slot-bound scenarios.  A wheel timer never touches the heap: the run
-    loop compares its ``(time, seq)`` key directly against the heap head.
+    clock, which fires every 0.5 ms for every cell and would otherwise
+    account for the majority of heap pushes/pops in slot-bound scenarios.
+    A wheel timer never touches the heap: the run loop compares its
+    ``(time, seq)`` key directly against the heap head.
 
     Determinism contract: a wheel timer consumes sequence numbers from the
     same :class:`~repro.sim.events.EventQueue` counter a heap push would, at

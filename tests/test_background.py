@@ -69,13 +69,6 @@ class TestKernelMechanics:
         assert result.background == {}
         assert "repro.ran.background" not in sys.modules
 
-    def test_numpy_guard_message(self, monkeypatch):
-        import repro._numpy as _numpy
-        import repro.ran.background as background
-        monkeypatch.setattr(_numpy, "np", None)
-        with pytest.raises(RuntimeError, match="numpy"):
-            background._require_numpy()
-
 
 class TestAccuracyEnvelope:
     def test_foreground_matches_fully_simulated_within_20_percent(self):

@@ -127,32 +127,32 @@ class TestGate:
         assert "non-numeric" in capsys.readouterr().err
 
 
-class TestBackendMetrics:
-    def test_numpy_rate_is_tracked_and_speedup_is_informational(
+class TestInformationalMetrics:
+    def test_rate_keys_gate_and_info_keys_do_not(
             self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(bench_compare.WARN_ONLY_ENV, raising=False)
         extra = {"events_per_sec_best": 1000.0,
-                 "events_per_sec_numpy": 1500.0,
-                 "numpy_speedup": 1.5}
+                 "ue_seconds_per_sec_best": 1500.0,
+                 "sync_windows": 40}
         run = _run_file(tmp_path, [_bench("a", extra)])
         baseline = tmp_path / "baseline.json"
         assert bench_compare.main(["--run", str(run), "--update",
                                    "--baseline", str(baseline)]) == 0
         saved = json.loads(baseline.read_text())["metrics"]
-        assert saved["benchmarks/x.py::a:events_per_sec_numpy"] == 1500.0
-        assert saved["benchmarks/x.py::a:numpy_speedup"] == 1.5
+        assert saved["benchmarks/x.py::a:ue_seconds_per_sec_best"] == 1500.0
+        assert saved["benchmarks/x.py::a:sync_windows"] == 40
 
-        # A numpy-rate regression gates like any other rate...
+        # A regression on a secondary rate gates like any other rate...
         slow = _run_file(tmp_path, [_bench("a", dict(
-            extra, events_per_sec_numpy=1000.0))])
+            extra, ue_seconds_per_sec_best=1000.0))])
         assert bench_compare.main(["--run", str(slow),
                                    "--baseline", str(baseline)]) == 1
 
-        # ...but a speedup-ratio swing alone never does (hard floors live
-        # in the benchmarks themselves).
-        ratio = _run_file(tmp_path, [_bench("a", dict(
-            extra, numpy_speedup=1.0))])
-        assert bench_compare.main(["--run", str(ratio),
+        # ...but a swing of an informational key alone never does (hard
+        # floors live in the benchmarks themselves).
+        windows = _run_file(tmp_path, [_bench("a", dict(
+            extra, sync_windows=20))])
+        assert bench_compare.main(["--run", str(windows),
                                    "--baseline", str(baseline)]) == 0
         assert "informational" in capsys.readouterr().out
 

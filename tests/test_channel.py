@@ -39,10 +39,10 @@ class TestMcsTables:
         assert 0 <= mcs_from_snr(40) <= 27
 
     def test_array_mappers_match_scalar_at_boundaries(self):
-        # The numpy engine backend's bit-identity on static channels rests
-        # on the vectorized table lookups rounding exactly like the scalar
-        # bisect at every CQI threshold: pin each threshold itself (a
-        # right-closed boundary) plus one ulp-ish step either side.
+        # BackgroundPopulation and FadingChannel.mcs_trace rest on the
+        # array table lookups rounding exactly like the scalar bisect at
+        # every CQI threshold: pin each threshold itself (a right-closed
+        # boundary) plus one ulp-ish step either side.
         from repro.channel.mcs import (_CQI_SNR_THRESHOLDS_DB,
                                        cqi_from_snr_array,
                                        efficiency_from_snr_array,
@@ -109,7 +109,7 @@ class TestChannels:
             return np.mean(np.abs(np.diff(samples)))
         assert lag1_diff(fast) > lag1_diff(slow)
 
-    def test_vectorized_mcs_trace_matches_sample_loop(self):
+    def test_array_mcs_trace_matches_sample_loop(self):
         """FadingChannel.mcs_trace (vectorized table gather) must be
         bit-identical to the generic sample()-per-point implementation."""
         def make():

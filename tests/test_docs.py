@@ -18,7 +18,6 @@ import repro.experiments.presets  # noqa: F401  (preset registration)
 import repro.experiments.spec as spec_module
 from repro.registry import (CC_SENDERS, CHANNEL_PROFILES, MARKERS,
                             SCENARIO_PRESETS, SCHEDULERS, WORKLOADS)
-from repro.sim.backends import ENGINE_BACKENDS
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -46,7 +45,7 @@ def test_docs_tree_exists():
 
 @pytest.mark.parametrize("registry", [
     CC_SENDERS, MARKERS, CHANNEL_PROFILES, SCHEDULERS, WORKLOADS,
-    SCENARIO_PRESETS, ENGINE_BACKENDS,
+    SCENARIO_PRESETS,
 ], ids=lambda r: r.kind)
 def test_every_registered_name_documented(registry, scenarios_tokens):
     for name in registry.names(include_aliases=True):
@@ -59,7 +58,6 @@ def test_every_registered_name_documented(registry, scenarios_tokens):
     spec_module.ScenarioSpec, spec_module.CellSpec, spec_module.UeSpec,
     spec_module.ShardingSpec, spec_module.MobilitySpec,
     spec_module.HandoverSpec, spec_module.PopulationSpec,
-    spec_module.EngineSpec,
 ], ids=lambda c: c.__name__)
 def test_every_spec_field_documented(cls, scenarios_tokens):
     for field in dataclasses.fields(cls):
@@ -147,8 +145,8 @@ def test_service_doc_covers_service_env_vars(service_tokens):
     assert "REPRO_CORE_BUDGET" in service_tokens
 
 
-def test_service_doc_notes_scenario_config_deprecation(service_md):
-    assert "ScenarioConfig" in service_md
+def test_service_doc_notes_engine_block_deprecation(service_md):
+    assert "`engine` block" in service_md
     assert "DeprecationWarning" in service_md
 
 

@@ -1,13 +1,12 @@
-"""Fading channels: determinism across shard counts and engine backends.
+"""Fading channels: determinism across shard counts.
 
 A fading spec draws its channel gains from seeded per-UE streams, so two
 runs of the same spec must be bit-identical — per execution path.  The
-sharded runtime samples those streams in per-shard simulators and the
-vectorized backend batches the slot clock differently, so *cross*-path
-bit-identity is explicitly not promised for fading (the fuzzer's
-sharding/backend suites degrade to determinism checks there); these
-tests pin exactly that contract for every runnable backend at
-``--shards 1`` (single loop) and ``--shards 2``.
+sharded runtime samples those streams in per-shard simulators, so
+*cross*-path bit-identity is explicitly not promised for fading (the
+fuzzer's sharding suite degrades to a determinism check there); these
+tests pin exactly that contract at ``--shards 1`` (single loop) and
+``--shards 2``.
 """
 
 from __future__ import annotations
@@ -19,19 +18,15 @@ import pytest
 from repro.experiments.fuzz import flows_identical
 from repro.experiments.scenario import run_scenario
 from repro.experiments.sharded import run_scenario_sharded, sharding_blockers
-from repro.experiments.spec import (CellSpec, EngineSpec, ScenarioSpec,
-                                    ShardingSpec, UeSpec)
-from repro.sim.backends import available_backends
+from repro.experiments.spec import (CellSpec, ScenarioSpec, ShardingSpec,
+                                    UeSpec)
 from repro.workloads.flows import FlowSpec
 
-BACKENDS = available_backends()
 
-
-def _fading_spec(backend: str, profile: str = "pedestrian") -> ScenarioSpec:
+def _fading_spec(profile: str = "pedestrian") -> ScenarioSpec:
     return ScenarioSpec(
-        name=f"fading-{backend}", duration_s=0.3, num_ues=0, seed=77,
+        name="fading", duration_s=0.3, num_ues=0, seed=77,
         channel_profile=profile,
-        engine=EngineSpec(backend=backend),
         cells=[CellSpec(cell_id=0), CellSpec(cell_id=1)],
         ues=[UeSpec(ue_id=0, cell_id=0), UeSpec(ue_id=1, cell_id=1),
              UeSpec(ue_id=2, cell_id=0)],
@@ -50,10 +45,9 @@ def _run(spec: ScenarioSpec, shards: int):
     return run_scenario_sharded(spec, shards=shards, inprocess=True)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("shards", [1, 2])
-def test_fading_repeat_runs_bit_identical(backend, shards):
-    spec = _fading_spec(backend)
+def test_fading_repeat_runs_bit_identical(shards):
+    spec = _fading_spec()
     assert sharding_blockers(spec) == []
     first = _run(spec, shards)
     second = _run(spec, shards)
@@ -64,10 +58,9 @@ def test_fading_repeat_runs_bit_identical(backend, shards):
     assert any(flow.goodput_bytes_per_s > 0 for flow in first.flows)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_vehicular_profile_also_deterministic(backend):
+def test_vehicular_profile_also_deterministic():
     """The faster-varying profile exercises more channel redraws."""
-    spec = _fading_spec(backend, profile="vehicular")
+    spec = _fading_spec(profile="vehicular")
     first = _run(spec, 2)
     second = _run(spec, 2)
     assert flows_identical(first, second)

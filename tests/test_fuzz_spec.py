@@ -33,7 +33,7 @@ def test_random_spec_is_seed_reproducible(seed):
 
 
 #: Axis suffixes random_spec appends after the coupling mode.
-_AXES = {"fading", "pop", "wrap", "stall", "np"}
+_AXES = {"fading", "pop", "wrap", "stall"}
 
 
 def _coupling_of(name: str) -> str:
@@ -53,7 +53,7 @@ def test_generator_covers_every_coupling_mode():
 def test_generator_covers_every_axis():
     """The same sweep also draws every orthogonal spec axis at least once
     (fading channels, population blocks, wrapped addresses, zero-rate
-    stalls, the vectorized backend)."""
+    stalls)."""
     names = [random_spec(random.Random(seed)).name for seed in range(40)]
     drawn = {axis for name in names
              for axis in name.removeprefix("fuzz-").split("+")

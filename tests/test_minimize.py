@@ -30,9 +30,9 @@ def _big_spec() -> ScenarioSpec:
 
 class TestFailureSignature:
     def test_prefixes_extracted(self):
-        violations = ["sharding: shards=2 differ", "backend: numpy differs",
+        violations = ["sharding: shards=2 differ", "document: bytes differ",
                       "sharding: shards=4 raised"]
-        assert failure_signature(violations) == {"sharding", "backend"}
+        assert failure_signature(violations) == {"sharding", "document"}
 
     def test_empty(self):
         assert failure_signature([]) == frozenset()

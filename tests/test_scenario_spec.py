@@ -4,6 +4,7 @@ heterogeneous (multi-cell / per-UE / per-flow) scenarios and the CLI."""
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -141,13 +142,31 @@ class TestSpecSerialization:
         with pytest.raises(ValueError):
             ScenarioSpec.from_json("[1, 2, 3]")
 
-    def test_scenario_config_alias_warns_but_resolves(self):
-        import repro.experiments
-        import repro.experiments.scenario as scenario_module
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            assert scenario_module.ScenarioConfig is ScenarioSpec
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            assert repro.experiments.ScenarioConfig is ScenarioSpec
+    def test_retired_engine_block_is_accepted_and_not_emitted(self):
+        """Specs dumped before the engine axis was deleted still load."""
+        spec = heterogeneous_spec()
+        assert "engine" not in spec.to_dict()
+        old = dict(spec.to_dict(),
+                   engine={"backend": None, "channel_block": 256})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ScenarioSpec.from_dict(old) == spec
+            assert ScenarioSpec.from_dict(dict(old, engine=None)) == spec
+            assert ScenarioSpec.from_dict(
+                dict(old, engine={"backend": "py"})) == spec
+
+    def test_retired_numpy_backend_warns_once(self):
+        old = dict(ScenarioSpec().to_dict(), engine={"backend": "numpy"})
+        with pytest.warns(DeprecationWarning, match="numpy") as caught:
+            assert ScenarioSpec.from_dict(old) == ScenarioSpec()
+        assert len(caught) == 1
+
+    @pytest.mark.parametrize("block", [
+        {"backend": "fortran"}, "numpy", ["numpy"],
+        {"backend": None, "channel_block": 256, "threads": 4}])
+    def test_malformed_engine_block_rejected(self, block):
+        with pytest.raises(ValueError, match="engine"):
+            ScenarioSpec.from_dict({"engine": block})
 
 
 class TestSpecValidation:

@@ -117,28 +117,28 @@ class TestRoundTrip:
 class TestRuntimeOptionParity:
     def test_cli_flags_and_service_overrides_build_identical_specs(
             self, capsys):
-        """--engine/--shards/--shard-windows through ``repro scenario`` and
+        """--shards/--shard-windows through ``repro scenario`` and
         through a POSTed ``overrides`` object must resolve to the same
         spec — the drift that motivated the shared argparse parent."""
         from repro.__main__ import main
 
         assert main(["scenario", "--preset", "coupled-core", "--shards", "2",
-                     "--engine", "numpy", "--shard-windows", "fixed",
-                     "--dump-spec"]) == 0
+                     "--shard-windows", "fixed", "--dump-spec"]) == 0
         cli_spec = ScenarioSpec.from_json(capsys.readouterr().out)
 
         service_spec, _ = spec_from_request(
             {"preset": "coupled-core",
-             "overrides": {"shards": 2, "engine": "numpy",
-                           "shard_windows": "fixed"}})
+             "overrides": {"shards": 2, "shard_windows": "fixed"}})
         assert service_spec == cli_spec
+        assert cli_spec.sharding.shards == 2
+        assert cli_spec.sharding.adaptive_windows is False
 
     def test_serve_level_defaults_yield_to_request_overrides(self):
-        defaults = RuntimeOptions(engine="numpy", shards=4)
+        defaults = RuntimeOptions(shard_windows="fixed", shards=4)
         spec, _ = spec_from_request(
             {"preset": "coupled-core", "overrides": {"shards": 2}}, defaults)
         assert spec.sharding.shards == 2
-        assert spec.engine.backend == "numpy"
+        assert spec.sharding.adaptive_windows is False
 
     def test_workers_flag_caps_shard_count(self):
         spec = apply_runtime_options(
@@ -165,8 +165,8 @@ class TestBadRequests:
         ({"spec": {"num_ues": 1, "cc_name": "vegas"}}, "congestion"),
         ({"spec": {"num_ues": 1}, "overrides": {"shards": "two"}},
          "integer"),
-        ({"spec": {"num_ues": 1}, "overrides": {"engine": "fortran"}},
-         "engine backend"),
+        ({"spec": {"num_ues": 1}, "overrides": {"engine": "numpy"}},
+         "override(s) ['engine']"),
         ({"bogus": 1}, "unknown request key"),
     ])
     def test_bad_payloads_return_400(self, service, payload, fragment):

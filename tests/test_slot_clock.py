@@ -349,7 +349,6 @@ def _two_cells() -> ScenarioSpec:
 @pytest.mark.parametrize("make_spec", [_dense, _fading, _two_cells],
                          ids=["dense-cell", "fading-2ue", "two-cell"])
 def test_mac_on_wheel_equals_heap_driven_slots(make_spec, monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     wheel = mac_fingerprint(make_spec())
     with monkeypatch.context() as patch:
         heap_driven_mac(patch)
@@ -362,7 +361,6 @@ def test_mac_on_wheel_equals_heap_driven_slots(make_spec, monkeypatch):
 # (c) The default backend gets the collapse
 # --------------------------------------------------------------------- #
 def test_default_backend_collapses_quiet_slots(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     counts = {"on_slot": 0, "push": 0}
     on_slot = MacScheduler._on_slot
     push = EventQueue.push
@@ -389,8 +387,7 @@ def test_default_backend_collapses_quiet_slots(monkeypatch):
 # --------------------------------------------------------------------- #
 # step() drives the slot clocks too
 # --------------------------------------------------------------------- #
-def test_step_loop_equals_run(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+def test_step_loop_equals_run():
     spec = ScenarioSpec(num_ues=2, duration_s=0.2, cc_name="prague",
                         marker="l4span", seed=3, warmup_s=0.05)
     ran = build_scenario(spec)
