@@ -109,7 +109,7 @@ def add_runtime_arguments(parser) -> None:
     """
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="shard a multi-cell scenario over N worker processes "
+        help="shard a multi-cell scenario over N processes "
              "(1 disables; see the README's Parallelism section)")
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",

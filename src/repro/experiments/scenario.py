@@ -638,14 +638,14 @@ def run_scenario(config: ScenarioSpec, progress=None,
     """Build and run a scenario, returning its results.
 
     When the spec's ``sharding`` block asks for it (and the scenario is
-    shardable), cells are distributed over worker processes by the sharded
+    shardable), cells are distributed over shard processes by the sharded
     runtime; the merged result carries the exact single-loop report schema.
 
     ``progress`` (optional) receives live metric snapshots every
     ``progress_interval_s`` simulated seconds: per-flow snapshots from the
     single event loop (see :meth:`BuiltScenario.attach_progress`), coarser
-    per-barrier-window snapshots from the sharded runtime (worker processes
-    own the flow state mid-run).  Measured results are unaffected either
+    per-barrier-window snapshots from the sharded runtime (the shards own
+    the flow state mid-run).  Measured results are unaffected either
     way.
     """
     if config.sharding.enabled:

@@ -2,9 +2,10 @@
 
 A multi-cell :class:`~repro.experiments.spec.ScenarioSpec` describes N radio
 cells sharing one 5G core.  The single event loop simulates them back to
-back; this module instead runs **one simulator per shard of cells, each in
-its own worker process**, synchronized conservatively — the same federated
-decomposition distributed ns-3/OMNeT++ deployments use.
+back; this module instead runs **one simulator per shard of cells — shard 0
+in the coordinating process, each other shard in its own worker process** —
+synchronized conservatively by one barrier loop (:func:`_run_shards`): the
+same federated decomposition distributed ns-3/OMNeT++ deployments use.
 
 Why it is exact
 ---------------
@@ -114,6 +115,7 @@ import os
 import warnings
 from bisect import bisect_right, insort
 from collections import deque
+from contextlib import suppress
 from copy import copy
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -140,8 +142,8 @@ from repro.ran.mobility import (HandoverDecision, HandoverTransfer,
                                 MobilityManager, merge_handover_records)
 from repro.units import mbps, transmission_time
 
-#: Environment variable forcing the in-process synchronizer (no worker
-#: processes), e.g. on sandboxes that cannot fork.
+#: Environment variable keeping every shard in the coordinator process (no
+#: worker processes), e.g. on sandboxes that cannot fork.
 INPROCESS_ENV = "REPRO_SHARD_INPROCESS"
 
 #: Seconds the coordinator waits for a worker message before declaring the
@@ -1151,9 +1153,9 @@ class _SharedMiddlebox:
 class ShardHost:
     """One shard's simulator, its boundary buffer, and the window stepper.
 
-    The host is synchronizer-agnostic: the in-process fallback drives a list
-    of hosts directly, and :func:`_shard_worker` pumps one host over a pipe
-    from a worker process — both through the same few methods.
+    The host is transport-agnostic: :func:`_run_shards` drives it through
+    a :class:`_LocalShard` in the coordinator process or, pumped by
+    :func:`_shard_worker`, a :class:`_PipeShard` — the same few methods.
 
     ``coupling`` (a dict with the full spec, the cell→shard assignment, the
     lookahead and the middlebox host shard) activates the mobility and/or
@@ -1608,186 +1610,187 @@ def merge_shard_results(config: ScenarioSpec, plan: ShardPlan,
 
 
 # --------------------------------------------------------------------- #
-# Synchronizers
+# Shard transports and the one barrier loop
 # --------------------------------------------------------------------- #
-def _run_hosts_inprocess(hosts: list[ShardHost], router: _BoundaryRouter,
-                         sync: _SyncPlan,
-                         on_window=None) -> list[ShardResult]:
-    """Drive all shard hosts in one process, window by window.
+class _LocalShard:
+    """Transport to a :class:`ShardHost` in the coordinator process.
 
-    The sequential twin of the process synchronizer: same windows, same
-    exchanges, same results — used as the sandbox fallback and by tests that
-    must not depend on the platform's multiprocessing support.
+    ``proceed`` only injects; the window is simulated inside ``collect``,
+    after every pipe shard was told to proceed, while the workers compute.
     """
-    window_end = sync.first_window()
-    while True:
-        sync.windows += 1
-        outputs = [host.advance(window_end) for host in hosts]
-        peeks = [host.peek() for host in hosts]
-        all_idle = all(host.boundary_idle() for host in hosts)
-        inbound = router.route(outputs)
-        for when in router.drain_commits():
-            sync.add_commit_point(when)
-        done = window_end >= sync.horizon - 1e-12
-        next_window = (window_end if done else
-                       sync.next_window(window_end, peeks,
-                                        router.last_min_deliver, all_idle))
-        for host, batch in zip(hosts, inbound):
-            host.inject(batch, sync.frontier)
-        if on_window is not None:
-            on_window(window_end)
-        if done:
-            break
-        window_end = next_window
-    return [host.finish() for host in hosts]
+
+    def __init__(self, host: ShardHost) -> None:
+        self.host: Optional[ShardHost] = host
+        self._window_end = 0.0
+
+    def proceed(self, inbound: list[tuple], next_window: Optional[float],
+                frontier: Optional[float]) -> None:
+        self.host.inject(inbound, frontier)
+        self._window_end = next_window
+
+    def collect(self) -> tuple:
+        host = self.host
+        return host.advance(self._window_end), host.peek(), host.boundary_idle()
+
+    def result(self) -> ShardResult:
+        # Dropped with the packaging: the merge never overlaps a live host.
+        host, self.host = self.host, None
+        return host.finish()
+
+    def close(self) -> None:
+        self.host = None
 
 
-def _shard_worker(conn, payload: dict) -> None:
+def _shard_worker(conn, shard_index: int, spec: dict,
+                  coupling: Optional[dict]) -> None:
     """Worker-process main: pump one :class:`ShardHost` over a pipe.
 
-    Protocol, in lock-step with the coordinator: the worker advances to the
-    current window end and sends ``("window", (outbound_batch, peek_time,
-    boundary_idle))``, then blocks for ``("proceed", (inbound_batch,
-    next_window_end, middlebox_frontier))`` — the coordinator owns the
-    (possibly adaptive) window clock.  After the horizon window it sends
-    ``("result", ShardResult)``.  Any exception is shipped back as
-    ``("error", traceback_text)`` instead of dying silently.
+    In lock-step with :func:`_run_shards`, which owns the window clock:
+    block for ``("proceed", (inbound_batch, window_end, frontier))``,
+    inject, advance, send ``("window", (outbound_batch, peek_time,
+    boundary_idle))``.  The proceed answering the horizon window has no
+    window end and is answered with ``("result", ShardResult)``.  An exception
+    is shipped back as ``("error", traceback_text)`` instead of dying silently.
     """
     try:
-        spec = ScenarioSpec.from_dict(payload["spec"])
-        host = ShardHost(spec, payload["shard_index"],
-                         coupling=payload.get("coupling"))
-        window_end = payload["first_window"]
-        horizon = payload["horizon"]
+        host = ShardHost(ScenarioSpec.from_dict(spec), shard_index, coupling)
         while True:
-            batch = host.advance(window_end)
-            conn.send(("window", (batch, host.peek(), host.boundary_idle())))
-            _kind, (inbound, next_window, frontier) = conn.recv()
+            _kind, (inbound, window_end, frontier) = conn.recv()
             host.inject(inbound, frontier)
-            if window_end >= horizon - 1e-12:
+            if window_end is None:
                 break
-            window_end = next_window
+            conn.send(("window", (host.advance(window_end), host.peek(),
+                                  host.boundary_idle())))
         conn.send(("result", host.finish()))
     except Exception:  # pragma: no cover - ships the traceback to the parent
         import traceback
-        try:
+        with suppress(OSError):
             conn.send(("error", traceback.format_exc()))
-        except OSError:
-            pass
     finally:
         conn.close()
 
 
-class _WorkersUnavailable(RuntimeError):
-    """Worker processes could not be created on this platform."""
+class _PipeShard:
+    """Transport to a :class:`ShardHost` that :func:`_shard_worker` pumps in
+    a worker process of its own; same four calls as :class:`_LocalShard`."""
+
+    def __init__(self, context, index: int, spec: dict,
+                 coupling: Optional[dict]) -> None:
+        self.index = index
+        self.window = 0
+        self.conn, child = context.Pipe()
+        self.worker = context.Process(target=_shard_worker,
+                                      args=(child, index, spec, coupling),
+                                      name=f"repro-shard-{index}", daemon=True)
+        try:
+            with child:
+                self.worker.start()
+        except BaseException:
+            self.conn.close()
+            raise
+
+    def _recv(self):
+        if not self.conn.poll(_WORKER_TIMEOUT_S):
+            raise RuntimeError(f"shard {self.index} sent nothing for "
+                               f"{_WORKER_TIMEOUT_S:.0f}s; run wedged")
+        try:
+            kind, value = self.conn.recv()
+        except (EOFError, OSError) as exc:
+            self.worker.join(timeout=5.0)
+            raise ShardWorkerDied(
+                f"shard {self.index} worker died in window {self.window} "
+                f"(exit code {self.worker.exitcode})") from exc
+        if kind == "error":
+            raise RuntimeError(f"shard {self.index} worker failed:\n{value}")
+        return value
+
+    def proceed(self, inbound: list[tuple], next_window: Optional[float],
+                frontier: Optional[float]) -> None:
+        with suppress(OSError):  # a dead worker: the next collect names it
+            self.conn.send(("proceed", (inbound, next_window, frontier)))
+
+    def collect(self) -> tuple:
+        self.window += 1
+        return self._recv()
+
+    def result(self) -> ShardResult:
+        result = self._recv()
+        self.worker.join(timeout=5.0)
+        return result
+
+    def close(self) -> None:
+        """Reap a worker that has not delivered its result: it blocks on its
+        pipe (a forked one holds its own copy of the coordinator's end, so
+        EOF never comes) until terminated."""
+        self.conn.close()
+        if self.worker.is_alive():
+            self.worker.terminate()
+            self.worker.join(timeout=5.0)
 
 
-def _recv(conn, worker, shard: int, window: int):
-    if not conn.poll(_WORKER_TIMEOUT_S):
-        raise RuntimeError(f"shard {shard} sent nothing for "
-                           f"{_WORKER_TIMEOUT_S:.0f}s; run wedged")
+def _start_workers(sub_specs: list[ScenarioSpec], coupling: Optional[dict],
+                   start_method: Optional[str]) -> list[_PipeShard]:
+    """One worker process per shard but shard 0, which the coordinator
+    hosts itself; ``[]`` (after a warning) where the platform has none."""
+    if coupling is not None:
+        coupling = {**coupling, "full_spec": coupling["full_spec"].to_dict()}
+    started: list[_PipeShard] = []
     try:
-        kind, value = conn.recv()
-    except (EOFError, OSError) as exc:
-        worker.join(timeout=5.0)
-        raise ShardWorkerDied(
-            f"shard {shard} worker died in window {window} "
-            f"(exit code {worker.exitcode})") from exc
-    if kind == "error":
-        raise RuntimeError(f"shard {shard} worker failed:\n{value}")
-    return kind, value
-
-
-def _run_workers(sub_specs: list[ScenarioSpec], router: _BoundaryRouter,
-                 sync: _SyncPlan, coupling: Optional[dict],
-                 start_method: Optional[str],
-                 on_window=None) -> list[ShardResult]:
-    """Coordinator: one worker process per shard, barrier per window."""
-    pipes, workers = [], []
-    first_window = sync.first_window()
-    try:
-        context = (multiprocessing.get_context(start_method)
-                   if start_method else multiprocessing.get_context())
-        for index, sub in enumerate(sub_specs):
-            parent, child = context.Pipe()
-            worker = context.Process(
-                target=_shard_worker,
-                args=(child, {"spec": sub.to_dict(), "shard_index": index,
-                              "first_window": first_window,
-                              "horizon": sync.horizon,
-                              "coupling": coupling}),
-                name=f"repro-shard-{index}", daemon=True)
-            worker.start()
-            child.close()
-            pipes.append(parent)
-            workers.append(worker)
+        context = multiprocessing.get_context(start_method or None)
+        for index, sub in enumerate(sub_specs[1:], start=1):
+            started.append(_PipeShard(context, index, sub.to_dict(),
+                                      coupling))
     except (ImportError, NotImplementedError, OSError, PermissionError) as exc:
         # Partial startup (e.g. EAGAIN on the Nth fork): reap the workers
-        # that did start before falling back, or they would simulate the
-        # whole scenario concurrently with the in-process retry.
-        for conn in pipes:
-            conn.close()
-        for worker in workers:
-            worker.terminate()
-            worker.join(timeout=5.0)
-        raise _WorkersUnavailable(str(exc)) from exc
-    try:
-        window_end = first_window
-        while True:
-            sync.windows += 1
-            outputs, peeks, idles = [], [], []
-            for shard, conn in enumerate(pipes):
-                _kind, (batch, peek, idle) = _recv(conn, workers[shard],
-                                                   shard, sync.windows)
-                outputs.append(batch)
-                peeks.append(peek)
-                idles.append(idle)
-            inbound = router.route(outputs)
-            for when in router.drain_commits():
-                sync.add_commit_point(when)
-            done = window_end >= sync.horizon - 1e-12
-            next_window = (window_end if done else
-                           sync.next_window(window_end, peeks,
-                                            router.last_min_deliver,
-                                            all(idles)))
-            for conn, batch in zip(pipes, inbound):
-                try:
-                    conn.send(("proceed", (batch, next_window,
-                                           sync.frontier)))
-                except OSError:
-                    pass  # a dead worker: the next _recv names it
-            if on_window is not None:
-                on_window(window_end)
-            if done:
-                break
-            window_end = next_window
-        results = []
-        for shard, conn in enumerate(pipes):
-            _kind, result = _recv(conn, workers[shard], shard, sync.windows)
-            results.append(result)
-        return results
-    except BaseException:
-        # The surviving workers block on their pipes, and a forked worker
-        # holds its own copy of the coordinator's end: EOF never comes.
-        for worker in workers:
-            worker.terminate()
-        raise
-    finally:
-        for conn in pipes:
-            conn.close()
-        for worker in workers:
-            worker.join(timeout=5.0)
-            if worker.is_alive():  # pragma: no cover - defensive cleanup
-                worker.terminate()
+        # that did start before the all-local retry.
+        for shard in started:
+            shard.close()
+        warnings.warn(
+            f"shard worker processes unavailable ({exc}); running all "
+            f"{len(sub_specs)} shards in-process (same results, no "
+            "parallel speedup)", RuntimeWarning, stacklevel=3)
+        return []
+    return started
+
+
+def _run_shards(shards: list, router: _BoundaryRouter, sync: _SyncPlan,
+                on_window=None) -> list[ShardResult]:
+    """The barrier loop: drive every shard, local or piped, window by window.
+
+    Every ``proceed`` of a window precedes its first ``collect``, so the
+    workers are computing when the local shards start; reports arrive in
+    shard index order, which the router's stable sort relies on.
+    """
+    window_end = sync.first_window()
+    for shard in shards:
+        shard.proceed([], window_end, None)
+    while True:
+        sync.windows += 1
+        outputs, peeks, idles = zip(*[shard.collect() for shard in shards])
+        inbound = router.route(outputs)
+        for when in router.drain_commits():
+            sync.add_commit_point(when)
+        done = window_end >= sync.horizon - 1e-12
+        next_window = (None if done else
+                       sync.next_window(window_end, peeks,
+                                        router.last_min_deliver, all(idles)))
+        for shard, batch in zip(shards, inbound):
+            shard.proceed(batch, next_window, sync.frontier)
+        if on_window is not None:
+            on_window(window_end)
+        if done:
+            return [shard.result() for shard in shards]
+        window_end = next_window
 
 
 # --------------------------------------------------------------------- #
 # Entry point
 # --------------------------------------------------------------------- #
-def _run_single_loop(spec: ScenarioSpec, progress,
+def _run_single_loop(config: ScenarioSpec, progress,
                      progress_interval_s: float) -> ScenarioResult:
     """Single-event-loop execution used by the sharded fallback paths."""
-    built = build_scenario(spec)
+    built = build_scenario(
+        dataclasses.replace(config, sharding=ShardingSpec(mode="off")))
     if progress is not None:
         built.attach_progress(progress, interval=progress_interval_s)
     return built.run()
@@ -1806,11 +1809,13 @@ def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
     cannot reproduce byte-for-byte (single cell, too-small SNR commit lag,
     a mobile UE on a wrapped address) run on the classic single loop, and
     the result's ``sharding_stats`` records why.
-    Platforms that cannot host worker processes use the in-process
-    synchronizer (identical results — only wall-clock differs).  ``shards``
-    overrides the spec's worker count and ``adaptive`` the spec's
-    ``sharding.adaptive_windows`` (the fixed-cadence baseline is
-    ``adaptive=False``).
+    The coordinator hosts shard 0 itself and starts one worker process per
+    further shard; ``inprocess=True``, ``$REPRO_SHARD_INPROCESS`` or a
+    platform without worker processes keeps every shard in this process,
+    under the same barrier loop (identical results — only wall-clock
+    differs).  ``shards`` overrides the spec's shard count and ``adaptive``
+    the spec's ``sharding.adaptive_windows`` (the fixed-cadence baseline
+    is ``adaptive=False``).
     """
     config.validate()
     blockers = sharding_blockers(config)
@@ -1822,17 +1827,13 @@ def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
             "spec cannot be sharded (" + "; ".join(blockers) + "); "
             "running on the single event loop instead",
             RuntimeWarning, stacklevel=2)
-        unsharded = dataclasses.replace(config,
-                                        sharding=ShardingSpec(mode="off"))
-        result = _run_single_loop(unsharded, progress, progress_interval_s)
+        result = _run_single_loop(config, progress, progress_interval_s)
         result.sharding_stats = {"fallback": "single-loop",
                                  "blockers": list(blockers)}
         return result
     plan = build_shard_plan(config, shards=shards)
     if plan.num_shards <= 1:
-        unsharded = dataclasses.replace(config,
-                                        sharding=ShardingSpec(mode="off"))
-        return _run_single_loop(unsharded, progress, progress_interval_s)
+        return _run_single_loop(config, progress, progress_interval_s)
     sub_specs = split_spec(config, plan)
     mbx_shard: Optional[int] = None
     if config.wired_bottleneck_mbps is not None:
@@ -1848,7 +1849,7 @@ def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
         commit_points = schedule_commit_points(config, plan)
     aliases = wrapped_address_aliases(config)
     if config.mobility.enabled or mbx_shard is not None or aliases:
-        coupling_payload = {"full_spec": config.to_dict(),
+        coupling_payload = {"full_spec": config,
                             "assignment": plan.assignment,
                             "lookahead": plan.lookahead,
                             "mbx_shard": mbx_shard}
@@ -1869,7 +1870,7 @@ def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
     on_window = None
     if progress is not None:
         def on_window(window_end: float) -> None:
-            # Worker processes own the per-flow state mid-run, so sharded
+            # The shards own the per-flow state mid-run, so sharded
             # progress is coarser than the single loop's: one snapshot per
             # barrier window, carrying the synchronized simulation time.
             progress({"kind": "window",
@@ -1878,21 +1879,19 @@ def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
                       "shards": plan.num_shards})
     if inprocess is None:
         inprocess = bool(os.environ.get(INPROCESS_ENV))
-    results = None
-    if not inprocess:
-        try:
-            results = _run_workers(sub_specs, router, sync, coupling_payload,
-                                   start_method, on_window=on_window)
-        except _WorkersUnavailable as exc:
-            sync.windows = 0
-            warnings.warn(
-                f"shard worker processes unavailable ({exc}); running all "
-                f"{plan.num_shards} shards in-process (same results, no "
-                "parallel speedup)", RuntimeWarning, stacklevel=2)
-    if results is None:
-        hosts = [ShardHost(sub, index, coupling=coupling_payload)
-                 for index, sub in enumerate(sub_specs)]
-        results = _run_hosts_inprocess(hosts, router, sync, on_window=on_window)
+    transports: list = ([] if inprocess else
+                        _start_workers(sub_specs, coupling_payload,
+                                       start_method))
+    try:
+        # Every worker is forked by now, so no child inherits a local host.
+        transports[:0] = [
+            _LocalShard(ShardHost(sub, index, coupling_payload))
+            for index, sub in enumerate(
+                sub_specs[:plan.num_shards - len(transports)])]
+        results = _run_shards(transports, router, sync, on_window)
+    finally:
+        for transport in transports:
+            transport.close()
     if router.dropped_packets:
         warnings.warn(
             f"sharded run dropped {router.dropped_packets} unroutable "

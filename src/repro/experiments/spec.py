@@ -79,7 +79,7 @@ class ShardingSpec:
 
     Attributes:
         mode: ``"off"`` runs the classic single event loop; ``"auto"``
-            distributes cells round-robin over ``shards`` worker processes
+            distributes cells round-robin over ``shards`` shard processes
             (defaulting to one shard per cell, capped at the CPU count);
             ``"explicit"`` places each cell on the shard named by ``map``.
         shards: worker count for ``"auto"`` mode, or None for the default.

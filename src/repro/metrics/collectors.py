@@ -213,7 +213,7 @@ class DelayBreakdownAccumulator:
 # --------------------------------------------------------------------- #
 # Shard merge helpers
 #
-# A sharded scenario produces one collector set per worker process; these
+# A sharded scenario produces one collector set per shard process; these
 # functions recombine their outputs into the exact schema (and, where the
 # single loop's iteration order is observable, the exact ordering) of an
 # unsharded run.  They live here, next to the collectors whose outputs they

@@ -618,3 +618,246 @@ class TestWorkerDeath:
         assert "shard 1" in message and "window 21" in message
         assert "exit code 13" in message
         assert multiprocessing.active_children() == []
+
+
+def _require_fork() -> None:
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method to patch the worker")
+
+
+def _coupled_core(duration: float = 1.0) -> ScenarioSpec:
+    return dataclasses.replace(make_preset("coupled-core"),
+                               duration_s=duration)
+
+
+class TestShardFailures:
+    """Every way a sharded run can fail is typed, prompt and leaves no
+    child process behind — whichever side of the pipe the shard is on."""
+
+    def test_local_shard_failure_keeps_its_type_and_reaps_workers(
+            self, monkeypatch):
+        """Shard 0 lives in the coordinator: its exception propagates as
+        itself, not as a worker-failed RuntimeError, and the workers that
+        were waiting for the next barrier are terminated."""
+        import multiprocessing
+        import time
+
+        _require_fork()
+
+        class LocalShardBroke(Exception):
+            pass
+
+        advance = ShardHost.advance
+
+        def failing_advance(self, until):
+            if self.shard_index == 0 and self.windows == 20:
+                raise LocalShardBroke("window 21 of shard 0")
+            return advance(self, until)
+
+        monkeypatch.setattr(ShardHost, "advance", failing_advance)
+        started = time.monotonic()
+        with pytest.raises(LocalShardBroke, match="window 21 of shard 0"):
+            run_scenario_sharded(_coupled_core(), shards=3, inprocess=False,
+                                 start_method="fork")
+        assert time.monotonic() - started < 30.0
+        assert multiprocessing.active_children() == []
+
+    def test_remote_exception_names_the_shard_and_ships_its_traceback(
+            self, monkeypatch):
+        import multiprocessing
+
+        _require_fork()
+        advance = ShardHost.advance
+
+        def failing_advance(self, until):
+            if self.shard_index == 1 and self.windows == 5:
+                raise ValueError("remote boom")
+            return advance(self, until)
+
+        monkeypatch.setattr(ShardHost, "advance", failing_advance)
+        with pytest.raises(RuntimeError) as caught:
+            run_scenario_sharded(_coupled_core(), shards=3, inprocess=False,
+                                 start_method="fork")
+        message = str(caught.value)
+        assert message.startswith("shard 1 worker failed:")
+        assert "Traceback" in message and "failing_advance" in message
+        assert "ValueError: remote boom" in message
+        assert multiprocessing.active_children() == []
+
+    def test_failed_worker_start_reaps_and_reruns_all_local(
+            self, monkeypatch):
+        """EAGAIN on the second fork: the first worker is reaped, one
+        warning says so, and the all-local rerun returns the document an
+        ``inprocess=True`` run does (window counters included)."""
+        import errno
+        import multiprocessing
+        import warnings
+        from multiprocessing.process import BaseProcess
+
+        from repro.experiments.results import result_document
+
+        _require_fork()
+        spec = _coupled_core()
+        expected = result_document(
+            run_scenario_sharded(spec, shards=3, inprocess=True))
+        start = BaseProcess.start
+        workers = []
+
+        def second_start_fails(self):
+            workers.append(self)
+            if len(workers) == 2:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            start(self)
+
+        monkeypatch.setattr(BaseProcess, "start", second_start_fails)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_scenario_sharded(spec, shards=3, inprocess=False,
+                                          start_method="fork")
+        assert [str(w.message) for w in caught
+                if "unavailable" in str(w.message)] == [
+            "shard worker processes unavailable ([Errno 11] Resource "
+            "temporarily unavailable); running all 3 shards in-process "
+            "(same results, no parallel speedup)"]
+        assert caught[0].filename == __file__
+        assert len(workers) == 2
+        assert workers[0].exitcode is not None and not workers[0].is_alive()
+        assert multiprocessing.active_children() == []
+        assert result_document(result) == expected
+
+
+class TestBarrierLoop:
+    """The one window loop, over local and pipe transports."""
+
+    def test_pipes_proceed_before_locals_advance_and_reports_keep_shard_order(
+            self):
+        """No processes: fake hosts behind real local transports, fake
+        pipe transports, the real router and synchronizer."""
+        from repro.experiments.sharded import (_BoundaryRouter, _LocalShard,
+                                               _run_shards, _SyncPlan)
+
+        log = []
+
+        def outbound(index, until):
+            # Same-instant items for shard 0: only the collection order
+            # decides how the router's stable sort leaves them.
+            return [(until + 1.0, f"from{index}", "core_dl", 0)]
+
+        class FakeHost:
+            def __init__(self, index):
+                self.index = index
+
+            def inject(self, batch, frontier):
+                log.append(("inject", self.index,
+                            [item[1] for item in batch]))
+
+            def advance(self, until):
+                log.append(("advance", self.index, until))
+                return outbound(self.index, until) if self.index else []
+
+            def peek(self):
+                return None
+
+            def boundary_idle(self):
+                return False
+
+            def finish(self):
+                return f"result{self.index}"
+
+        class FakePipe:
+            def __init__(self, index):
+                self.index = index
+
+            def proceed(self, inbound, next_window, frontier):
+                log.append(("proceed", self.index, next_window))
+                self.window_end = next_window
+
+            def collect(self):
+                log.append(("collect", self.index))
+                return outbound(self.index, self.window_end), None, False
+
+            def result(self):
+                return f"result{self.index}"
+
+        shards = [_LocalShard(FakeHost(0)), FakePipe(1),
+                  _LocalShard(FakeHost(2)), FakePipe(3)]
+        router = _BoundaryRouter(ip_to_shard={}, flow_to_shard={},
+                                 lookahead=0.02, num_shards=4,
+                                 boundary_required=True)
+        sync = _SyncPlan(horizon=0.1, lookahead=0.02, boundary_required=True,
+                         adaptive=False, coupling=[])
+        seen = []
+        results = _run_shards(shards, router, sync, on_window=seen.append)
+
+        assert results == ["result0", "result1", "result2", "result3"]
+        assert sync.windows == len(seen) == 5
+        assert seen == sorted(seen) and seen[-1] == sync.horizon
+        for window_end in seen:
+            advances = [log.index(("advance", index, window_end))
+                        for index in (0, 2)]
+            proceeds = [log.index(("proceed", index, window_end))
+                        for index in (1, 3)]
+            assert max(proceeds) < min(advances)
+        reports = [entry[:2] for entry in log
+                   if entry[0] in ("advance", "collect")]
+        assert reports == [("advance", 0), ("collect", 1), ("advance", 2),
+                           ("collect", 3)] * 5
+        injected = [entry[2] for entry in log
+                    if entry[:2] == ("inject", 0)]
+        assert injected == [[]] + [["from1", "from2", "from3"]] * 5
+        # The local transports let go of their hosts with the results.
+        assert shards[0].host is None and shards[2].host is None
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_n_shards_run_on_n_processes(self, shards, monkeypatch):
+        """The coordinator hosts shard 0 itself: N − 1 children, every one
+        of them forked before the local host is built."""
+        import multiprocessing
+        import os
+
+        _require_fork()
+        coordinator = os.getpid()
+        init = ShardHost.__init__
+        children_at_build = []
+        children_in_window = []
+
+        def recording_init(self, sub_spec, shard_index, coupling=None):
+            if os.getpid() == coordinator:
+                children_at_build.append(
+                    (shard_index, len(multiprocessing.active_children())))
+            init(self, sub_spec, shard_index, coupling=coupling)
+
+        monkeypatch.setattr(ShardHost, "__init__", recording_init)
+
+        def progress(snapshot):
+            if snapshot["windows"] <= 3:
+                children_in_window.append(
+                    len(multiprocessing.active_children()))
+
+        result = run_scenario_sharded(_coupled_core(), shards=shards,
+                                      inprocess=False, start_method="fork",
+                                      progress=progress)
+        assert result.sharding_stats["shards"] == shards
+        assert children_at_build == [(0, shards - 1)]
+        assert children_in_window == [shards - 1] * 3
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("preset, shards", [("coupled-core", 3),
+                                                ("coupled-core", 4),
+                                                ("two-cell-imbalance", 2)])
+    def test_mixed_transports_match_all_local_and_single_loop(self, preset,
+                                                              shards):
+        from repro.experiments.results import result_document
+
+        spec = dataclasses.replace(make_preset(preset), duration_s=1.0)
+        single = result_document(run_scenario(
+            dataclasses.replace(spec, sharding=ShardingSpec(mode="off"))))
+        local = result_document(
+            run_scenario_sharded(spec, shards=shards, inprocess=True))
+        mixed = result_document(
+            run_scenario_sharded(spec, shards=shards, inprocess=False))
+        assert mixed["flows"] == local["flows"] == single["flows"]
+        assert mixed["sharding"] == local["sharding"]
+        assert mixed["sharding"]["shards"] == shards
