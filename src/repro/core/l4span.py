@@ -303,15 +303,15 @@ class L4SpanLayer:
     # Aggregate background load (dense-cell population kernel)
     # ------------------------------------------------------------------ #
     def on_background_aggregate(self, arrival_bytes: float,
-                                served_bytes: float, backlog_bytes: float,
-                                now: float) -> None:
+                                served_bytes: float, now: float) -> None:
         """Observe one batched step of the cell's background population.
 
-        The population's contention effect reaches the marker through the
-        shared MAC (reduced foreground service shifts the measured egress
-        rates and sojourn predictions the marking laws react to); this hook
-        only book-keeps the aggregate arrival process for cell-level
-        telemetry.
+        ``arrival_bytes`` / ``served_bytes`` are what the population queued
+        and drained over the step ending at ``now``.  The population's
+        contention effect reaches the marker through the shared MAC (reduced
+        foreground service shifts the measured egress rates and sojourn
+        predictions the marking laws react to); this hook only book-keeps
+        the aggregate arrival process for cell-level telemetry.
         """
         self.background_arrival_bytes += arrival_bytes
         self.background_served_bytes += served_bytes

@@ -19,8 +19,9 @@ Coupling into the exact simulation is deliberately narrow:
   estimates and sojourn predictions that DualPI2/L4Span mark from -- so
   foreground flows see realistic congestion signals without the population
   injecting per-packet traffic.  Markers that implement
-  ``on_background_aggregate`` additionally receive the population's batched
-  arrival/served byte counters for cell-level telemetry.
+  ``on_background_aggregate(arrival_bytes, served_bytes, now)`` additionally
+  receive each batched step's arrival/served byte counts for cell-level
+  telemetry.
 
 Everything random is drawn from the single per-cell named stream
 ``background-cell{cell_id}``, so a population is bit-identical across repeat
@@ -110,10 +111,19 @@ class BackgroundPopulation:
         self.active_ue_seconds = 0.0
         self.kernel_steps = 0
 
+        # Kernel working set: scratch the fused step writes through
+        # ``out=``, and the values that depend only on ``active`` (its count,
+        # its 0/1 float mask, ``where(active, bytes_per_prb, 0)``), refreshed
+        # only when a churn flip writes ``active``.
+        self._float_scratch = (np.empty(self.n), np.empty(self.n))
+        self._bool_scratch = np.empty(self.n, dtype=bool)
+        self._active_mask = np.empty(self.n)
+        self._active_bpp = np.empty(self.n)
+        self._refresh_active()
+
         #: O(1) view the MAC reads every slot: number of background UEs
         #: currently demanding air time (refreshed at each batched step).
-        self.demand_count = int(np.count_nonzero(
-            self.active & (self.backlog > 0))) if self.n else 0
+        self.demand_count = int(np.count_nonzero(self.backlog > 0))
 
     # ------------------------------------------------------------------ #
     # MAC-facing hot path (called once per slot; must stay O(1))
@@ -130,89 +140,129 @@ class BackgroundPopulation:
     # Batched vectorized step
     # ------------------------------------------------------------------ #
     def _step(self, now: float) -> None:
+        """Advance the whole population by one batched interval.
+
+        One fused pass: every expression writes through ``out=`` into one of
+        three preallocated scratch arrays, so the steady path allocates
+        nothing.  Each masked form of the textbook kernel is replaced by an
+        unmasked one that is elementwise identical under the two standing
+        invariants -- *inactive => backlog == 0.0* and *MSS <= cwnd <= cap* --
+        and every reduction runs over the full-length array, because numpy's
+        pairwise summation depends on element position.  The textbook form
+        lives on as the oracle in ``tests/reference_population_kernel.py``.
+        """
         dt = now - self._last_step_time
         self._last_step_time = now
         if dt <= 0:
             return
-        spec = self.spec
         rng = self._rng
         active = self.active
         backlog = self.backlog
         cwnd = self.cwnd
+        bulk = self.offered_rate is None
+        f0, f1 = self._float_scratch
+        flags = self._bool_scratch
 
         # Arrival/departure churn: Poisson flips, uniformly across the
         # population.  A flip resets the UE's transport state.
-        if spec.churn_rate_per_s > 0:
-            flips = int(rng.poisson(spec.churn_rate_per_s * dt))
+        churn = self.spec.churn_rate_per_s
+        if churn > 0:
+            flips = int(rng.poisson(churn * dt))
             if flips:
                 idx = rng.integers(0, self.n, size=flips)
                 active[idx] = ~active[idx]
                 backlog[idx] = 0.0
                 cwnd[idx] = float(BACKGROUND_INITIAL_CWND)
+                self._refresh_active()
 
         # New arrivals into the RAN backlogs.  Bulk senders keep a full
         # window outstanding; rate senders offer rate*dt, still window-capped.
-        window_room = np.maximum(cwnd - backlog, 0.0)
-        if self.offered_rate is None:
-            arrivals = np.where(active, window_room, 0.0)
-        else:
-            arrivals = np.where(
-                active, np.minimum(self.offered_rate * dt, window_room), 0.0)
+        # Window room is never negative, so the 0/1 mask zeroes inactive UEs.
+        room = np.subtract(cwnd, backlog, out=f0)
+        np.maximum(room, 0.0, out=room)
+        if not bulk:
+            offered = np.multiply(self.offered_rate, dt, out=f1)
+            np.minimum(offered, room, out=room)
+        arrivals = np.multiply(room, self._active_mask, out=f0)
         backlog += arrivals
-        arrival_bytes = float(arrivals.sum())
+        arrival_bytes = float(np.add.reduce(arrivals))
         self.arrival_bytes_total += arrival_bytes
+
+        # Who demands air time.  An inactive UE holds nothing, so neither
+        # workload needs the AND with ``active``; an active bulk sender now
+        # holds at least one MSS, so for bulk the mask *is* ``active``.
+        if bulk:
+            demand, demanding = active, self._active_count
+        else:
+            demand = np.greater(backlog, 0.0, out=flags)
+            demanding = int(np.count_nonzero(demand))
 
         # Serve the PRB budget the MAC granted over this interval: equal
         # PRB shares across demanding UEs (round-robin in expectation), each
         # converted through its own SNR-derived bytes-per-PRB; one
         # redistribution pass hands leftovers of drained UEs to the rest.
-        demand = active & (backlog > 0)
-        demanding = int(np.count_nonzero(demand))
         step_served = 0.0
         if demanding and self._pending_prb_slots > 0:
-            capacity = np.where(
-                demand,
-                (self._pending_prb_slots / demanding) * self.bytes_per_prb,
-                0.0)
-            served = np.minimum(backlog, capacity)
-            leftover = float((capacity - served).sum())
-            still = demand & (backlog > served)
-            still_count = int(np.count_nonzero(still))
-            if leftover > 0 and still_count:
-                extra = np.where(still, leftover / still_count, 0.0)
-                served += np.minimum(backlog - served, extra)
+            share = self._pending_prb_slots / demanding
+            if bulk:
+                capacity = np.multiply(self._active_bpp, share, out=f1)
+            else:
+                capacity = np.multiply(self.bytes_per_prb, share, out=f1)
+                capacity *= demand
+            served = np.minimum(backlog, capacity, out=f0)
+            unused = np.subtract(capacity, served, out=f1)
+            leftover = float(np.add.reduce(unused))
+            if leftover > 0:
+                # Whoever still holds bytes was demanding.  A drained UE has
+                # backlog == served exactly, so its remainder is 0.0 and the
+                # scalar top-up needs no mask.
+                still_count = int(np.count_nonzero(
+                    np.greater(backlog, served, out=flags)))
+                if still_count:
+                    extra = np.subtract(backlog, served, out=f1)
+                    np.minimum(extra, leftover / still_count, out=extra)
+                    served += extra
             backlog -= served
-            step_served = float(served.sum())
+            step_served = float(np.add.reduce(served))
             self.served_bytes_total += step_served
-            congested = demand & (backlog > 0.5 * cwnd)
+            # More than half a window (>= MSS/2 > 0) left: it was demanding.
+            half_window = np.multiply(cwnd, 0.5, out=f1)
+            congested = np.greater(backlog, half_window, out=flags)
         else:
             congested = demand
         self._pending_prb_slots = 0.0
 
         # AIMD window update: senders that kept more than half a window
-        # queued back off (their class beta); the rest grow additively.
-        # Masked in-place ufuncs compute the same elementwise values as
-        # boolean fancy indexing without the gather/scatter copies.
-        relieved = active & ~congested
-        np.multiply(cwnd, self.beta, out=cwnd, where=congested)
-        np.add(cwnd, BACKGROUND_MSS * (dt / BACKGROUND_NOMINAL_RTT),
-               out=cwnd, where=relieved)
-        np.clip(cwnd, BACKGROUND_MSS, BACKGROUND_CWND_CAP, out=cwnd)
+        # queued back off (their class beta); the other active ones grow
+        # additively.  Both candidates come unmasked from the old windows
+        # and are selected per UE (``np.putmask`` costs a fraction of a
+        # ``where=`` ufunc); inactive windows are never written.
+        backed_off = np.multiply(cwnd, self.beta, out=f1)
+        grown = np.add(cwnd, BACKGROUND_MSS * (dt / BACKGROUND_NOMINAL_RTT),
+                       out=f0)
+        np.putmask(grown, congested, backed_off)
+        np.putmask(cwnd, active, grown)
+        np.maximum(cwnd, BACKGROUND_MSS, out=cwnd)
+        np.minimum(cwnd, BACKGROUND_CWND_CAP, out=cwnd)
 
-        active_count = int(np.count_nonzero(active))
-        self.active_ue_seconds += float(active_count) * dt
+        self.active_ue_seconds += self._active_count * dt
         self.kernel_steps += 1
-        if self.offered_rate is None:
+        if bulk:
             # Bulk UEs refill next step; an active bulk sender always demands.
-            self.demand_count = active_count
+            self.demand_count = self._active_count
         else:
-            self.demand_count = int(
-                np.count_nonzero(active & (backlog > 0)))
+            self.demand_count = int(np.count_nonzero(
+                np.greater(backlog, 0.0, out=flags)))
         if self._marker_hook is not None:
             self._marker_hook(arrival_bytes=arrival_bytes,
-                              served_bytes=step_served,
-                              backlog_bytes=float(backlog.sum()),
-                              now=now)
+                              served_bytes=step_served, now=now)
+
+    def _refresh_active(self) -> None:
+        """Recompute what depends only on ``active`` (build, churn flips)."""
+        self._active_count = int(np.count_nonzero(self.active))
+        np.copyto(self._active_mask, self.active)
+        np.multiply(self.bytes_per_prb, self._active_mask,
+                    out=self._active_bpp)
 
     # ------------------------------------------------------------------ #
     # Reporting

@@ -2,21 +2,33 @@
 
 Covers the population's coupling into the MAC (foreground contention), its
 accuracy envelope against a fully simulated equivalent, the seed/determinism
-contract (repeats and shard splits), the numpy guard and the promise that
-pure-python scenarios never import the kernel.
+contract (repeats and shard splits), the numpy guard, the promise that
+pure-python scenarios never import the kernel, and the fused batched step
+against its frozen textbook form (bit-identical state, counters and random
+stream, plus the invariants the fusion relies on).
 """
 
 from __future__ import annotations
 
+import copy
+import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_population_kernel import ReferencePopulation
 from repro.experiments.scenario import build_scenario, run_scenario
 from repro.experiments.sharded import run_scenario_sharded
 from repro.experiments.spec import (CellSpec, PopulationSpec, ScenarioSpec,
                                     UeSpec)
+from repro.ran.background import (BACKGROUND_CWND_CAP,
+                                  BACKGROUND_INITIAL_CWND, BACKGROUND_MSS,
+                                  BackgroundPopulation)
+from repro.ran.cell import CellConfig
+from repro.sim.engine import Simulator
 from repro.workloads.flows import FlowSpec
 
 pytestmark = pytest.mark.filterwarnings("ignore")
@@ -140,3 +152,137 @@ class TestDeterminism:
         # Different cells draw from different named streams.
         assert not np.array_equal(first.backgrounds[0].snr_db,
                                   first.backgrounds[1].snr_db)
+
+
+def _standalone(kernel, spec: PopulationSpec, seed: int):
+    """A population on its own simulator clock, outside any scenario."""
+    sim = Simulator(seed=seed)
+    return sim, kernel(sim, 0, CellConfig(), spec)
+
+
+def _slot_times(sim, population) -> list:
+    """The clock readings of the next batched interval's MAC slots."""
+    times = [sim.now + population.cell.slot_duration]
+    while len(times) < population._slots_per_step:
+        times.append(times[-1] + population.cell.slot_duration)
+    return times
+
+
+def _advance(sim, population, granted_prbs: int) -> None:
+    """One batched interval of MAC slots; the grant lands in its first."""
+    for now in _slot_times(sim, population):
+        sim.now = now
+        population.on_slot(granted_prbs)
+        granted_prbs = 0
+
+
+class TestServiceMechanics:
+    """The ``rate`` workload and the leftover hand-off, in closed form."""
+
+    def _two_rate_ues(self):
+        spec = PopulationSpec(n_background=2, workload="rate")
+        sim, population = _standalone(BackgroundPopulation, spec, seed=1)
+        return sim, population, float(population.bytes_per_prb[0])
+
+    def test_rate_arrivals_are_offered_rate_capped_by_the_window(self):
+        sim, population, _ = self._two_rate_ues()
+        interval = _slot_times(sim, population)[-1] - sim.now
+        population.offered_rate[:] = [1e5, 1e9]
+        _advance(sim, population, 0)
+        assert population.backlog == pytest.approx(
+            [1e5 * interval, BACKGROUND_INITIAL_CWND])
+        assert population.demand_count == 2
+        assert population.served_bytes_total == 0.0
+
+    def test_drained_ue_hands_its_leftover_to_the_rest(self):
+        sim, population, per_prb = self._two_rate_ues()
+        interval = _slot_times(sim, population)[-1] - sim.now
+        share = 50 * per_prb                  # 100 PRBs across two UEs
+        assert 2 * share < BACKGROUND_INITIAL_CWND
+        population.offered_rate[:] = [0.25 * share / interval, 1e9]
+        _advance(sim, population, 100)
+        # UE 0 drains a quarter share; UE 1 gets its share plus the rest.
+        assert population.backlog == pytest.approx(
+            [0.0, BACKGROUND_INITIAL_CWND - 1.75 * share], abs=1e-6)
+        assert population.served_bytes_total == pytest.approx(2 * share)
+        assert population.demand_count == 1
+
+
+_CC_MIXES = st.sampled_from([
+    {}, {"cubic": 1.0}, {"prague": 1.0}, {"prague": 0.5, "cubic": 0.5},
+    {"prague": 0.2, "bbr": 0.3, "cubic": 0.5}])
+#: Per-step grant as a fraction of what would drain the whole population:
+#: none or a trickle, about enough for some UEs, more than anyone holds.
+_GRANT_FRACTIONS = st.one_of(st.floats(0.0, 0.2), st.floats(0.2, 1.5),
+                             st.floats(1.5, 4.0))
+
+
+class TestFusedKernelAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+           workload=st.sampled_from(["bulk", "rate"]),
+           activity=st.floats(0.0, 1.0), cc_mix=_CC_MIXES,
+           snr_mean_db=st.floats(0.0, 30.0),
+           snr_stddev_db=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+           mean_rate_mbps=st.floats(0.05, 20.0),
+           churn_rate_per_s=st.one_of(st.just(0.0), st.floats(0.1, 2000.0)),
+           grant_fractions=st.lists(_GRANT_FRACTIONS, min_size=5,
+                                    max_size=40))
+    def test_bit_identical_and_invariants_hold_after_every_step(
+            self, seed, n, workload, activity, cc_mix, snr_mean_db,
+            snr_stddev_db, mean_rate_mbps, churn_rate_per_s,
+            grant_fractions):
+        spec = PopulationSpec(
+            n_background=n, workload=workload, activity=activity,
+            cc_mix=cc_mix, snr_mean_db=snr_mean_db,
+            snr_stddev_db=snr_stddev_db, mean_rate_mbps=mean_rate_mbps,
+            churn_rate_per_s=churn_rate_per_s)
+        ref_sim, reference = _standalone(ReferencePopulation, spec, seed)
+        sim, fused = _standalone(BackgroundPopulation, spec, seed)
+        per_prb = max(float(fused.bytes_per_prb.mean()), 1.0)
+        queued_at_build = float(fused.backlog.sum())
+        zeroed_by_churn = 0.0
+
+        for fraction in grant_fractions:
+            holding = max(float(reference.backlog.sum()), BACKGROUND_MSS * n)
+            grant = int(fraction * holding / per_prb)
+            # Replay the step's churn draws on a copy of the stream to learn
+            # which backlogs the flips are about to zero.
+            probe = copy.deepcopy(fused._rng)
+            if churn_rate_per_s > 0:
+                dt = _slot_times(sim, fused)[-1] - fused._last_step_time
+                flips = int(probe.poisson(churn_rate_per_s * dt))
+                if flips:
+                    flipped = np.unique(probe.integers(0, n, size=flips))
+                    zeroed_by_churn += float(fused.backlog[flipped].sum())
+            _advance(ref_sim, reference, grant)
+            _advance(sim, fused, grant)
+
+            # Differential: state, counters and stream position.
+            assert np.array_equal(fused.active, reference.active)
+            assert np.array_equal(fused.backlog, reference.backlog)
+            assert np.array_equal(fused.cwnd, reference.cwnd)
+            for counter in ("arrival_bytes_total", "served_bytes_total",
+                            "active_ue_seconds", "demand_count",
+                            "kernel_steps"):
+                assert getattr(fused, counter) == getattr(reference, counter)
+            assert (fused._rng.bit_generator.state
+                    == reference._rng.bit_generator.state)
+
+            # Standing invariants (the first two are what the fusion uses).
+            assert not fused.backlog[~fused.active].any()
+            assert fused.cwnd.min() >= BACKGROUND_MSS
+            assert fused.cwnd.max() <= BACKGROUND_CWND_CAP
+            # Non-negative up to one rounding: the redistribution's
+            # served + (backlog - served) can exceed backlog by an ulp, and
+            # the next service restores exactly 0.0.
+            assert fused.backlog.min() >= -np.spacing(
+                float(BACKGROUND_CWND_CAP))
+            offered = queued_at_build + fused.arrival_bytes_total
+            assert math.isclose(
+                offered - fused.served_bytes_total - zeroed_by_churn,
+                float(fused.backlog.sum()),
+                rel_tol=1e-9, abs_tol=1e-9 * max(offered, 1.0))
+            assert probe.bit_generator.state == fused._rng.bit_generator.state
+
+        assert fused.summary() == reference.summary()
