@@ -48,6 +48,8 @@ class TcpReceiver:
         self.received_packets = 0
         self.received_bytes = 0
         self.ce_packets_seen = 0
+        #: The flow's uplink five-tuple, reversed once from its first packet.
+        self._ack_tuple = None
 
     # ------------------------------------------------------------------ #
     # Handover state transfer
@@ -89,10 +91,13 @@ class TcpReceiver:
         self._reassemble(packet)
         if self._owd_callback is not None:
             self._owd_callback(now - packet.sent_time, packet)
+        if self._ack_tuple is None:
+            self._ack_tuple = packet.five_tuple.reversed()
         ack = make_ack_packet(
             packet, ack_seq=self.rcv_nxt, now=now,
             ece=self.ece_latched if not self.accecn_enabled else False,
-            accecn=self.counters if self.accecn_enabled else None)
+            accecn=self.counters if self.accecn_enabled else None,
+            ack_tuple=self._ack_tuple)
         self._send_feedback(ack)
 
     # ------------------------------------------------------------------ #
@@ -150,6 +155,7 @@ class UdpFeedbackReceiver:
         self.received_packets = 0
         self.received_bytes = 0
         self.highest_seq = 0
+        self._ack_tuple = None  # as TcpReceiver: reversed once per flow
 
     def export_state(self) -> dict:
         """Snapshot the feedback state a handover carries to the target."""
@@ -175,8 +181,11 @@ class UdpFeedbackReceiver:
         self.highest_seq = max(self.highest_seq, packet.end_seq)
         if self._owd_callback is not None:
             self._owd_callback(now - packet.sent_time, packet)
+        if self._ack_tuple is None:
+            self._ack_tuple = packet.five_tuple.reversed()
         feedback = make_ack_packet(packet, ack_seq=self.highest_seq, now=now,
-                                   accecn=self.counters)
+                                   accecn=self.counters,
+                                   ack_tuple=self._ack_tuple)
         feedback.payload_info["udp_feedback"] = True
         self._send_feedback(feedback)
 

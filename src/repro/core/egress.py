@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from repro.core.profile_table import ProfileEntry
 
@@ -70,9 +69,8 @@ class WindowedMeanVariance:
         return math.sqrt(self.variance())
 
 
-@dataclass(frozen=True)
-class RateEstimate:
-    """The output of one estimator update."""
+class RateEstimate(NamedTuple):
+    """The output of one estimator update (immutable, one per report)."""
 
     timestamp: float
     smoothed_rate: float       # r_hat_e, bytes per second
@@ -150,10 +148,8 @@ class EgressRateEstimator:
         while inst_times[0] <= cutoff:
             inst_times.popleft()
             stats.remove(inst_rates.popleft())
-        estimate = RateEstimate(timestamp=now, smoothed_rate=stats.mean,
-                                instantaneous_rate=instantaneous,
-                                error_std=stats.std(),
-                                samples_in_window=stats.count)
+        estimate = RateEstimate(now, stats.mean, instantaneous, stats.std(),
+                                stats.count)
         self._last_estimate = estimate
         return estimate
 

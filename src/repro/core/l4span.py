@@ -49,21 +49,19 @@ class DrbState:
     key: DrbKey
     profile: DrbProfile
     estimator: EgressRateEstimator
-    prediction: SojournPrediction = field(
-        default_factory=lambda: SojournPrediction(0.0, 0, 0.0, 0.0))
-    classes_seen: set = field(default_factory=set)
+    prediction: SojournPrediction = SojournPrediction(0.0, 0, 0.0, 0.0)
+    #: Flow classes carried so far -- a list, tested by identity: hashing an
+    #: enum member into a set runs a Python frame on every packet.
+    classes_seen: list = field(default_factory=list)
+    #: True when both L4S and classic flows map onto this bearer; recomputed
+    #: only when a class is first seen.
+    is_shared: bool = False
     feedback_count: int = 0
     marks_l4s: int = 0
     marks_classic: int = 0
     #: Cached generator of the bearer's marking stream -- the per-packet
     #: marking decision must not rebuild/hash the stream name every time.
     mark_rng: object = None
-
-    @property
-    def is_shared(self) -> bool:
-        """True when both L4S and classic flows map onto this bearer."""
-        return (FlowClass.L4S in self.classes_seen
-                and FlowClass.CLASSIC in self.classes_seen)
 
 
 class L4SpanLayer:
@@ -75,10 +73,17 @@ class L4SpanLayer:
                  mss: int = 1440) -> None:
         self._sim = sim
         self.config = config if config is not None else L4SpanConfig()
+        # The handlers' per-packet switches are read here, once: the config
+        # is not expected to change after the layer is built.
+        self._measure = self.config.measure_processing
+        self._shortcircuit = self.config.enable_shortcircuit
         self.mss = mss
         self.predictor = SojournPredictor()
         self._drbs: dict[DrbKey, DrbState] = {}
         self._flows: dict[FiveTuple, FlowRecord] = {}
+        #: The same records under each flow's *uplink* tuple, filled when the
+        #: flow is created, so an ACK finds its flow with one lookup.
+        self._uplink_flows: dict[FiveTuple, FlowRecord] = {}
         self._last_purge = 0.0
         # Attach tag per UE ("#a1" after its first handover): qualifies the
         # marking stream of bearers created after a UE arrives here, so the
@@ -107,9 +112,9 @@ class L4SpanLayer:
 
     def drb_state(self, ue_id: UeId, drb_id: DrbId) -> DrbState:
         """Get or create the per-bearer state."""
-        key = DrbKey(ue_id, drb_id)
-        state = self._drbs.get(key)
+        state = self._drbs.get((ue_id, drb_id))
         if state is None:
+            key = DrbKey(ue_id, drb_id)
             tag = self._ue_stream_tags.get(ue_id, "")
             state = DrbState(key=key,
                              profile=DrbProfile(self.config.profile_horizon),
@@ -139,11 +144,15 @@ class L4SpanLayer:
     # ------------------------------------------------------------------ #
     def on_downlink_packet(self, packet: Packet, ue_id: UeId, drb_id: DrbId,
                            now: float) -> None:
-        start = time.perf_counter() if self.config.measure_processing else 0.0
+        measure = self._measure
+        start = time.perf_counter() if measure else 0.0
         self.downlink_packets += 1
         state = self.drb_state(ue_id, drb_id)
         flow = self._get_or_create_flow(packet, ue_id, drb_id, now)
-        state.classes_seen.add(flow.flow_class)
+        if flow.flow_class not in state.classes_seen:
+            state.classes_seen.append(flow.flow_class)
+            state.is_shared = (FlowClass.L4S in state.classes_seen
+                               and FlowClass.CLASSIC in state.classes_seen)
         if packet.cwr and not flow.uses_accecn:
             flow.ece_latched = False
         state.profile.add_packet(packet.size, now)
@@ -153,7 +162,7 @@ class L4SpanLayer:
             self._last_purge = now
             for drb in self._drbs.values():
                 drb.profile.purge(now)
-        if self.config.measure_processing:
+        if measure:
             self.processing_times["downlink"].append(
                 time.perf_counter() - start)
 
@@ -167,6 +176,7 @@ class L4SpanLayer:
                               uses_accecn=packet.protocol == "tcp"
                               and packet.flow_class == FlowClass.L4S)
             self._flows[packet.five_tuple] = flow
+            self._uplink_flows[packet.five_tuple.reversed()] = flow
         return flow
 
     # ------------------------------------------------------------------ #
@@ -235,9 +245,7 @@ class L4SpanLayer:
             state.marks_classic += 1
         flow.record_mark(packet.size,
                          ecn_capable_l4s=flow.flow_class == FlowClass.L4S)
-        apply_to_downlink = (flow.protocol != "tcp"
-                             or not self.config.enable_shortcircuit)
-        if apply_to_downlink:
+        if flow.protocol != "tcp" or not self._shortcircuit:
             if packet.ecn == ECN.NOT_ECT and self.config.drop_non_ecn:
                 packet.payload_info["l4span_drop"] = True
             else:
@@ -247,7 +255,8 @@ class L4SpanLayer:
     # Event 2: F1-U delivery-status feedback
     # ------------------------------------------------------------------ #
     def on_ran_feedback(self, status: DeliveryStatus, now: float) -> None:
-        start = time.perf_counter() if self.config.measure_processing else 0.0
+        measure = self._measure
+        start = time.perf_counter() if measure else 0.0
         self.feedback_messages += 1
         state = self.drb_state(status.ue_id, status.drb_id)
         state.feedback_count += 1
@@ -257,7 +266,7 @@ class L4SpanLayer:
         estimate = state.estimator.observe_transmissions(newly)
         state.prediction = self.predictor.predict(state.profile.queued_bytes,
                                                   estimate)
-        if self.config.measure_processing:
+        if measure:
             self.processing_times["feedback"].append(
                 time.perf_counter() - start)
 
@@ -265,39 +274,43 @@ class L4SpanLayer:
     # Event 3: uplink packet (feedback short-circuiting)
     # ------------------------------------------------------------------ #
     def on_uplink_packet(self, packet: Packet, now: float) -> None:
-        start = time.perf_counter() if self.config.measure_processing else 0.0
+        measure = self._measure
+        start = time.perf_counter() if measure else 0.0
         self.uplink_packets += 1
         if packet.is_ack and packet.protocol == "tcp":
-            downlink_tuple = packet.five_tuple.reversed()
-            flow = self._flows.get(downlink_tuple)
+            flow = self._uplink_flows.get(packet.five_tuple)
             if flow is not None:
                 flow.observe_uplink(now)
-                if self.config.enable_shortcircuit:
+                if self._shortcircuit:
                     self._shortcircuit_ack(packet, flow)
-        if self.config.measure_processing:
+        if measure:
             self.processing_times["uplink"].append(
                 time.perf_counter() - start)
 
     def _shortcircuit_ack(self, packet: Packet, flow: FlowRecord) -> None:
-        # The pre-rewrite words are captured only on the branches that are
-        # about to mutate, so ACKs that need no rewrite pay nothing here.
-        old_words = None
-        if flow.uses_accecn and packet.accecn is not None:
-            old_words = tcp_rewrite_words(packet)
-            packet.accecn.ce_packets = flow.tentative.ce_packets
-            packet.accecn.ce_bytes = flow.tentative.ce_bytes
-            packet.accecn.ect1_bytes = flow.tentative.ect1_bytes
-            packet.accecn.ect0_bytes = flow.tentative.ect0_bytes
-        elif not flow.uses_accecn:
-            if flow.ece_latched and not packet.ece:
-                old_words = tcp_rewrite_words(packet)
-                packet.ece = True
-        if old_words is not None:
-            # RFC 1624 incremental update from the words just rewritten; the
-            # IP header is untouched so its checksum is never recomputed.
-            update_checksums_after_ack_rewrite(packet, old_words)
-            flow.shortcircuited_acks += 1
-            self.shortcircuited_acks += 1
+        accecn = packet.accecn
+        if flow.uses_accecn:
+            if accecn is None:
+                return
+        elif not flow.ece_latched or packet.ece:
+            return
+        # This ACK is rewritten.  The pre-rewrite words feed the RFC 1624
+        # incremental update, so they are captured only when a stored TCP
+        # checksum exists to update from (a fresh ACK carries none and is
+        # summed once); the IP header is untouched either way.
+        old_words = (tcp_rewrite_words(packet)
+                     if "tcp_checksum" in packet.payload_info else None)
+        if flow.uses_accecn:
+            tentative = flow.tentative
+            accecn.ce_packets = tentative.ce_packets
+            accecn.ce_bytes = tentative.ce_bytes
+            accecn.ect1_bytes = tentative.ect1_bytes
+            accecn.ect0_bytes = tentative.ect0_bytes
+        else:
+            packet.ece = True
+        update_checksums_after_ack_rewrite(packet, old_words)
+        flow.shortcircuited_acks += 1
+        self.shortcircuited_acks += 1
 
     # ------------------------------------------------------------------ #
     # Aggregate background load (dense-cell population kernel)

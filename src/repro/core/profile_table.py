@@ -21,12 +21,11 @@ order it showed them to L4Span.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class ProfileEntry:
     """Per-packet record in the profile table."""
 
@@ -58,7 +57,8 @@ class DrbProfile:
     """Profile table of a single (UE, DRB) bearer."""
 
     def __init__(self, horizon: float = 2.0) -> None:
-        self._entries: "OrderedDict[int, ProfileEntry]" = OrderedDict()
+        #: SN -> entry, in SN order (dicts keep insertion order).
+        self._entries: dict[int, ProfileEntry] = {}
         self._next_sn = 0
         self.horizon = horizon
         self.highest_txed_sn: Optional[int] = None
@@ -74,7 +74,7 @@ class DrbProfile:
         """Record a packet entering the bearer; returns its (mirrored) SN."""
         sn = self._next_sn
         self._next_sn += 1
-        self._entries[sn] = ProfileEntry(sn=sn, size=size, ingress_time=now)
+        self._entries[sn] = ProfileEntry(sn, size, now)
         self._queued_bytes += size
         self.total_packets += 1
         self.total_bytes += size
@@ -157,17 +157,16 @@ class DrbProfile:
         Returns the number of purged entries.
         """
         cutoff = now - self.horizon
-        purged = 0
-        for sn in list(self._entries):
-            entry = self._entries[sn]
-            if entry.queued:
+        entries = self._entries
+        stale = []
+        for entry in entries.values():
+            transmitted = entry.transmitted_time
+            if transmitted is None or transmitted >= cutoff:
                 break
-            if entry.transmitted_time is not None and entry.transmitted_time < cutoff:
-                del self._entries[sn]
-                purged += 1
-            else:
-                break
-        return purged
+            stale.append(entry.sn)
+        for sn in stale:
+            del entries[sn]
+        return len(stale)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -181,5 +180,5 @@ class DrbProfile:
 
     def measured_queueing_delays(self) -> list[float]:
         """Queueing delays of every transmitted entry still retained."""
-        return [e.queueing_delay() for e in self._entries.values()
-                if e.queueing_delay() is not None]
+        delays = (e.queueing_delay() for e in self._entries.values())
+        return [delay for delay in delays if delay is not None]

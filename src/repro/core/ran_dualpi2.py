@@ -65,8 +65,7 @@ class RanDualPi2Marker:
 
     # ------------------------------------------------------------------ #
     def _state(self, ue_id: UeId, drb_id: DrbId) -> _DualPi2DrbState:
-        key = DrbKey(ue_id, drb_id)
-        state = self._drbs.get(key)
+        state = self._drbs.get((ue_id, drb_id))
         if state is None:
             state = _DualPi2DrbState()
             state.core.l4s_threshold = self.l4s_threshold
@@ -74,7 +73,7 @@ class RanDualPi2Marker:
             state.rng = self._sim.random.stream(
                 f"ran-dualpi2-{ue_id}-{drb_id}"
                 f"{self._ue_stream_tags.get(ue_id, '')}")
-            self._drbs[key] = state
+            self._drbs[DrbKey(ue_id, drb_id)] = state
         return state
 
     # ------------------------------------------------------------------ #

@@ -10,14 +10,12 @@ error-aware marking rule is designed to balance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.core.egress import RateEstimate
 
 
-@dataclass(frozen=True)
-class SojournPrediction:
+class SojournPrediction(NamedTuple):
     """A sojourn-time prediction together with the inputs that produced it."""
 
     sojourn: float

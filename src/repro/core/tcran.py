@@ -58,11 +58,10 @@ class TcRanMarker:
 
     # ------------------------------------------------------------------ #
     def _state(self, ue_id: UeId, drb_id: DrbId) -> _CodelDrbState:
-        key = DrbKey(ue_id, drb_id)
-        state = self._drbs.get(key)
+        state = self._drbs.get((ue_id, drb_id))
         if state is None:
             state = _CodelDrbState()
-            self._drbs[key] = state
+            self._drbs[DrbKey(ue_id, drb_id)] = state
         return state
 
     # ------------------------------------------------------------------ #

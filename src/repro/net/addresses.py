@@ -7,14 +7,14 @@ should carry (paper §4.1, Fig. 22/23 pseudocode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class FiveTuple:
+class FiveTuple(NamedTuple):
     """Source/destination addresses and ports plus the transport protocol.
 
-    Instances are hashable so they can key the five-tuple -> DRB map.
+    A named tuple: instances key the five-tuple -> flow maps on every packet,
+    so they hash and compare in C rather than through generated Python.
     """
 
     src_ip: str
@@ -25,9 +25,8 @@ class FiveTuple:
 
     def reversed(self) -> "FiveTuple":
         """The five-tuple of traffic flowing in the opposite direction."""
-        return FiveTuple(src_ip=self.dst_ip, src_port=self.dst_port,
-                         dst_ip=self.src_ip, dst_port=self.src_port,
-                         protocol=self.protocol)
+        return FiveTuple(self.dst_ip, self.dst_port, self.src_ip,
+                         self.src_port, self.protocol)
 
     def __str__(self) -> str:
         return (f"{self.protocol}:{self.src_ip}:{self.src_port}->"

@@ -12,11 +12,20 @@ from __future__ import annotations
 
 import struct
 import sys
+import zlib
+from functools import lru_cache
 
 from repro.net.ecn import ECN
 from repro.net.packet import Packet
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def _fold_complement(total: int) -> int:
+    """Fold a sum of 16-bit words with end-around carry and complement it."""
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
 
 
 def internet_checksum(data: bytes) -> int:
@@ -25,18 +34,16 @@ def internet_checksum(data: bytes) -> int:
     The one's-complement sum is invariant under a consistent byte swap of
     every word, so the words are summed in *native* order through a zero-copy
     ``memoryview`` cast (no per-word unpacking loop) and the folded result is
-    swapped back to network order once at the end -- several times faster
-    than the ``iter_unpack`` formulation this replaces, which matters because
-    every marked packet and short-circuited ACK pays this cost.
+    swapped back to network order once at the end.  This is the checksum of
+    arbitrary bytes; the per-packet path never serialises a header, it sums
+    the header's words directly (:func:`ip_checksum_of`).
     """
     if len(data) % 2:
         data += b"\x00"
-    total = sum(memoryview(data).cast("H"))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
+    checksum = _fold_complement(sum(memoryview(data).cast("H")))
     if _LITTLE_ENDIAN:
-        total = ((total & 0xFF) << 8) | (total >> 8)
-    return (~total) & 0xFFFF
+        checksum = ((checksum & 0xFF) << 8) | (checksum >> 8)
+    return checksum
 
 
 def incremental_checksum_update(checksum: int, old_words, new_words) -> int:
@@ -58,9 +65,7 @@ def incremental_checksum_update(checksum: int, old_words, new_words) -> int:
     total = (~checksum) & 0xFFFF
     for old, new in zip(old_words, new_words):
         total += ((~old) & 0xFFFF) + new
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    return _fold_complement(total)
 
 
 def checksums_equal(a: int, b: int) -> bool:
@@ -80,7 +85,7 @@ def ip_tos_word(packet: Packet) -> int:
     bits of the ToS byte), so CE marking updates the checksum incrementally
     from this word alone.
     """
-    return (0x45 << 8) | (int(packet.ecn) & 0x03)
+    return 0x4500 | (packet.ecn & 0x03)
 
 
 def tcp_rewrite_words(packet: Packet) -> tuple:
@@ -91,19 +96,19 @@ def tcp_rewrite_words(packet: Packet) -> tuple:
     Capture before the rewrite, compare after: the pair feeds
     :func:`incremental_checksum_update`.
     """
-    flags = 0x10
-    if packet.ece:
-        flags |= 0x40
-    if packet.cwr:
-        flags |= 0x80
-    words = [(0x50 << 8) | flags]
-    if packet.accecn is not None:
-        for value in (packet.accecn.ce_packets, packet.accecn.ce_bytes,
-                      packet.accecn.ect1_bytes, packet.accecn.ect0_bytes):
-            value &= 0xFFFFFFFF
-            words.append(value >> 16)
-            words.append(value & 0xFFFF)
-    return tuple(words)
+    flags = (0x5010 | (0x40 if packet.ece else 0)  # data offset 5, ACK
+             | (0x80 if packet.cwr else 0))
+    accecn = packet.accecn
+    if accecn is None:
+        return (flags,)
+    ce_packets = accecn.ce_packets & 0xFFFFFFFF
+    ce_bytes = accecn.ce_bytes & 0xFFFFFFFF
+    ect1_bytes = accecn.ect1_bytes & 0xFFFFFFFF
+    ect0_bytes = accecn.ect0_bytes & 0xFFFFFFFF
+    return (flags, ce_packets >> 16, ce_packets & 0xFFFF,
+            ce_bytes >> 16, ce_bytes & 0xFFFF,
+            ect1_bytes >> 16, ect1_bytes & 0xFFFF,
+            ect0_bytes >> 16, ect0_bytes & 0xFFFF)
 
 
 def verify_checksum(data: bytes, checksum: int) -> bool:
@@ -111,52 +116,76 @@ def verify_checksum(data: bytes, checksum: int) -> bool:
     return internet_checksum(data) == checksum
 
 
+@lru_cache(maxsize=4096)
+def _address_words(address: str) -> tuple:
+    """The two header words of an address, computed once per address.
+
+    A dotted quad is its 32 bits; any other string (tests use ``"a"``) goes
+    through CRC-32 -- never ``hash(str)``, which is salted per interpreter.
+    """
+    try:
+        quad = bytes(int(part) for part in address.split("."))
+    except ValueError:
+        quad = b""
+    value = (int.from_bytes(quad, "big") if len(quad) == 4
+             else zlib.crc32(address.encode()))
+    return value >> 16, value & 0xFFFF
+
+
+def _ip_header_words(packet: Packet) -> tuple:
+    """The ten 16-bit words of the simplified IPv4 header, network order.
+
+    The single definition of the layout: :func:`serialize_ip_header` packs
+    these words and :func:`ip_checksum_of` sums them.  The checksum word is
+    zero, as it is while a checksum is being computed.
+    """
+    five_tuple = packet.five_tuple
+    return ((ip_tos_word(packet), packet.size & 0xFFFF,
+             packet.packet_id & 0xFFFF, 0,
+             (64 << 8) | (6 if packet.protocol == "tcp" else 17), 0)  # TTL
+            + _address_words(five_tuple.src_ip)
+            + _address_words(five_tuple.dst_ip))
+
+
+def _tcp_header_words(packet: Packet) -> tuple:
+    """The words of the simplified TCP header: ten, or eighteen with AccECN.
+
+    The single definition of the layout, like :func:`_ip_header_words`; the
+    flags word and the AccECN counters come from :func:`tcp_rewrite_words`.
+    """
+    five_tuple = packet.five_tuple
+    seq = packet.seq & 0xFFFFFFFF
+    ack_seq = packet.ack_seq & 0xFFFFFFFF
+    rewritable = tcp_rewrite_words(packet)
+    return (five_tuple.src_port & 0xFFFF, five_tuple.dst_port & 0xFFFF,
+            seq >> 16, seq & 0xFFFF, ack_seq >> 16, ack_seq & 0xFFFF,
+            rewritable[0], 0xFFFF, 0, 0) + rewritable[1:]
+
+
 def serialize_ip_header(packet: Packet) -> bytes:
     """Produce a 20-byte IPv4-style header for checksum purposes.
 
-    The encoding is simplified (addresses are hashed into 32 bits) but is
-    deterministic and sensitive to every field a marker may rewrite, which is
-    what the tests and the processing-cost model need.
+    The encoding is simplified but sensitive to every field a marker may
+    rewrite, and it is a function of the packet alone: the same packet
+    serialises to the same bytes in every interpreter.
     """
-    tos = int(packet.ecn) & 0x03
-    total_length = packet.size & 0xFFFF
-    proto = 6 if packet.protocol == "tcp" else 17
-    src = hash(packet.five_tuple.src_ip) & 0xFFFFFFFF
-    dst = hash(packet.five_tuple.dst_ip) & 0xFFFFFFFF
-    header = struct.pack("!BBHHHBBH", 0x45, tos, total_length,
-                         packet.packet_id & 0xFFFF, 0, 64, proto, 0)
-    header += struct.pack("!II", src, dst)
-    return header
+    return struct.pack("!10H", *_ip_header_words(packet))
 
 
 def serialize_tcp_header(packet: Packet) -> bytes:
-    """Produce a 20-byte TCP-style header covering the feedback fields."""
-    flags = 0x10  # ACK
-    if packet.ece:
-        flags |= 0x40
-    if packet.cwr:
-        flags |= 0x80
-    src_port = packet.five_tuple.src_port & 0xFFFF
-    dst_port = packet.five_tuple.dst_port & 0xFFFF
-    header = struct.pack("!HHIIBBHHH", src_port, dst_port,
-                         packet.seq & 0xFFFFFFFF, packet.ack_seq & 0xFFFFFFFF,
-                         0x50, flags, 0xFFFF, 0, 0)
-    if packet.accecn is not None:
-        header += struct.pack("!IIII", packet.accecn.ce_packets & 0xFFFFFFFF,
-                              packet.accecn.ce_bytes & 0xFFFFFFFF,
-                              packet.accecn.ect1_bytes & 0xFFFFFFFF,
-                              packet.accecn.ect0_bytes & 0xFFFFFFFF)
-    return header
+    """Produce a TCP-style header (20 bytes, 36 with AccECN counters)."""
+    words = _tcp_header_words(packet)
+    return struct.pack(f"!{len(words)}H", *words)
 
 
 def ip_checksum_of(packet: Packet) -> int:
     """Checksum of the (simplified) IP header of ``packet``."""
-    return internet_checksum(serialize_ip_header(packet))
+    return _fold_complement(sum(_ip_header_words(packet)))
 
 
 def tcp_checksum_of(packet: Packet) -> int:
     """Checksum of the (simplified) TCP header of ``packet``."""
-    return internet_checksum(serialize_tcp_header(packet))
+    return _fold_complement(sum(_tcp_header_words(packet)))
 
 
 def recompute_checksums(packet: Packet) -> tuple[int, int]:
@@ -209,7 +238,8 @@ def update_checksums_after_ack_rewrite(packet: Packet,
                                        old_words: tuple) -> tuple[int, int]:
     """Refresh stored checksums after a feedback short-circuit rewrite.
 
-    ``old_words`` is :func:`tcp_rewrite_words` captured before the rewrite.
+    ``old_words`` is :func:`tcp_rewrite_words` captured before the rewrite
+    (not read, so it may be ``None``, when no TCP checksum is stored).
     The IP header is untouched by an ACK rewrite, so its checksum is never
     recomputed (only computed once if absent); the TCP checksum is updated
     incrementally per RFC 1624 when known, and summed once otherwise.

@@ -157,10 +157,16 @@ def make_data_packet(flow_id: int, five_tuple: FiveTuple, seq: int,
 
 def make_ack_packet(data_packet: Packet, ack_seq: int, now: float,
                     ece: bool = False,
-                    accecn: Optional[AccEcnCounters] = None) -> Packet:
-    """Create the uplink acknowledgement elicited by ``data_packet``."""
+                    accecn: Optional[AccEcnCounters] = None,
+                    ack_tuple: Optional[FiveTuple] = None) -> Packet:
+    """Create the uplink acknowledgement elicited by ``data_packet``.
+
+    ``ack_tuple`` is the reversed five-tuple when the caller already holds
+    it (a receiver reverses its flow's tuple once, not per ACK).
+    """
     ack = Packet(flow_id=data_packet.flow_id,
-                 five_tuple=data_packet.five_tuple.reversed(),
+                 five_tuple=(ack_tuple if ack_tuple is not None
+                             else data_packet.five_tuple.reversed()),
                  size=HEADER_BYTES, ecn=ECN.NOT_ECT,
                  protocol=data_packet.protocol, is_ack=True,
                  ack_seq=ack_seq, ece=ece,

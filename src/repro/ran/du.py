@@ -117,10 +117,8 @@ class DistributedUnit:
     def _make_status_sender(self, ue_id: UeId, drb_id: DrbId):
         def send_status(highest_txed_sn, highest_delivered_sn, timestamp):
             self.f1u.send_delivery_status(DeliveryStatus(
-                ue_id=ue_id, drb_id=drb_id,
-                highest_txed_sn=highest_txed_sn,
-                highest_delivered_sn=highest_delivered_sn,
-                timestamp=timestamp))
+                ue_id, drb_id, highest_txed_sn, highest_delivered_sn,
+                timestamp))
         return send_status
 
     # ------------------------------------------------------------------ #
@@ -129,7 +127,7 @@ class DistributedUnit:
     def handle_downlink_sdu(self, ue_id: UeId, drb_id: DrbId, sn: int,
                             packet: Packet) -> None:
         """Enqueue a PDCP SDU into its bearer's RLC queue."""
-        entity = self._rlc.get(DrbKey(ue_id, drb_id))
+        entity = self._rlc.get((ue_id, drb_id))
         if entity is None:
             if self.drop_orphan_sdus:
                 # The UE detached while this SDU was crossing F1-U.

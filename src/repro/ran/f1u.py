@@ -9,17 +9,15 @@ timestamp at which the RLC generated the report (paper §4.3.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.ran.identifiers import DrbId, UeId
 from repro.sim.engine import Simulator
 from repro.units import us
 
 
-@dataclass(frozen=True)
-class DeliveryStatus:
-    """One downlink-data-delivery-status message.
+class DeliveryStatus(NamedTuple):
+    """One downlink-data-delivery-status message (immutable, one per report).
 
     Attributes:
         ue_id / drb_id: the bearer the report describes.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Type aliases -- plain ints keep dictionary keys cheap, the aliases keep
 #: signatures readable.
@@ -62,9 +63,12 @@ class DrbConfig:
     service_class: DrbServiceClass = DrbServiceClass.MIXED
 
 
-@dataclass(frozen=True)
-class DrbKey:
-    """Dictionary key addressing one DRB of one UE."""
+class DrbKey(NamedTuple):
+    """Dictionary key addressing one DRB of one UE.
+
+    A named tuple, so it hashes in C and equals the bare ``(ue_id, drb_id)``
+    pair: per-packet lookups pass that pair instead of building a key.
+    """
 
     ue_id: UeId
     drb_id: DrbId

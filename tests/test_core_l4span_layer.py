@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
-import pytest
+import copy
+import dataclasses
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference_l4span_layer import ReferenceL4SpanLayer
 from repro.core.config import L4SpanConfig
 from repro.core.l4span import L4SpanLayer
 from repro.net.addresses import FiveTuple
+from repro.net.checksum import (checksums_equal, checksums_valid,
+                                ip_checksum_of, recompute_checksums,
+                                tcp_checksum_of)
 from repro.net.ecn import ECN, FlowClass
 from repro.net.packet import AccEcnCounters, make_ack_packet, make_data_packet
 from repro.ran.f1u import DeliveryStatus
+from repro.sim.engine import Simulator
 from repro.units import ms
 
 
@@ -252,3 +263,174 @@ class TestHousekeeping:
         assert len(layer.processing_times["downlink"]) == 1
         assert len(layer.processing_times["feedback"]) == 1
         assert len(layer.processing_times["uplink"]) == 1
+
+
+# --------------------------------------------------------------------- #
+# Differential test: the layer against its frozen pre-fast-path self
+def _record(value):
+    """A record's fields as a plain tuple (named tuple, dataclass or None)."""
+    if value is None:
+        return None
+    return (tuple(value) if isinstance(value, tuple)
+            else dataclasses.astuple(value))
+
+
+def _assert_layers_agree(layer, oracle) -> None:
+    assert layer.summary() == oracle.summary()
+    assert layer.flows == oracle.flows  # every FlowRecord field, in order
+    assert list(layer.flows) == list(oracle.flows)
+    assert list(layer.drb_states) == list(oracle.drb_states)
+    for key, state in layer.drb_states.items():
+        old = oracle.drb_states[key]
+        assert str(state.key) == str(old.key) == f"ue{key[0]}/drb{key[1]}"
+        assert _record(state.prediction) == _record(old.prediction)
+        assert (_record(state.estimator.last_estimate)
+                == _record(old.estimator.last_estimate))
+        assert ((state.is_shared, set(state.classes_seen),
+                 state.feedback_count, state.marks_l4s, state.marks_classic)
+                == (old.is_shared, old.classes_seen, old.feedback_count,
+                    old.marks_l4s, old.marks_classic))
+        profile, old_profile = state.profile, old.profile
+        assert ([dataclasses.astuple(entry) for entry in profile]
+                == [dataclasses.astuple(entry) for entry in old_profile])
+        assert ((profile.queued_bytes, profile.queued_packets,
+                 profile.highest_txed_sn, profile.highest_delivered_sn,
+                 profile.total_packets, profile.total_bytes)
+                == (old_profile.queued_bytes, old_profile.queued_packets,
+                    old_profile.highest_txed_sn,
+                    old_profile.highest_delivered_sn,
+                    old_profile.total_packets, old_profile.total_bytes))
+        assert (profile.measured_queueing_delays()
+                == old_profile.measured_queueing_delays())
+        assert (state.mark_rng.bit_generator.state
+                == old.mark_rng.bit_generator.state)
+
+
+def _assert_packets_agree(packet, twin, must_verify: bool) -> None:
+    for name in ("ecn", "marked_by", "ece", "cwr", "accecn", "payload_info"):
+        assert getattr(packet, name) == getattr(twin, name), name
+    for side in (packet, twin):
+        info = side.payload_info
+        if "ip_checksum" in info:
+            assert checksums_equal(info["ip_checksum"], ip_checksum_of(side))
+        if side.protocol == "tcp" and "tcp_checksum" in info:
+            assert checksums_equal(info["tcp_checksum"],
+                                   tcp_checksum_of(side))
+        assert checksums_valid(side) or not must_verify
+
+
+def _differential_run(rng, steps: int) -> dict:
+    """Drive the layer and the oracle with one random event interleaving.
+
+    ``rng`` is a ``random.Random`` (Hypothesis supplies a shrinkable one).
+    Both sides get equal packets with equal ids and simulators with equal
+    seeds; everything observable is compared after every event.  Returns
+    what the run exercised, for the coverage test.
+    """
+    n_ues, n_drbs = rng.randint(1, 3), rng.randint(1, 2)
+    flows = []
+    for index in range(rng.randint(1, 5)):
+        ue_id, protocol = rng.randrange(n_ues), rng.choice(["tcp", "tcp", "udp"])
+        flows.append((FiveTuple("10.0.0.1", 443, f"10.45.0.{ue_id + 2}",
+                                50_000 + index, protocol),
+                      ue_id, rng.randint(1, n_drbs),
+                      rng.choice([ECN.ECT1, ECN.ECT1, ECN.ECT0, ECN.NOT_ECT])))
+    config = L4SpanConfig(enable_shortcircuit=rng.random() < 0.7,
+                          drop_non_ecn=rng.random() < 0.4,
+                          sojourn_threshold=rng.choice([ms(1), ms(10)]),
+                          profile_horizon=rng.choice([0.004, 0.05]))
+    seed = rng.randrange(2**32)
+    layer = L4SpanLayer(Simulator(seed=seed), config=config)
+    oracle = ReferenceL4SpanLayer(Simulator(seed=seed),
+                                  config=dataclasses.replace(config))
+    sent: dict = {}        # (ue, drb) -> packets shown to the layer
+    last_data: dict = {}   # flow index -> its newest data packet
+    seen = {"drops": 0, "rewritten_acks": 0, "untouched_acks": 0}
+    now = 0.0
+    for step in range(steps):
+        now += rng.choice([0.0, 0.0002, 0.001, 0.004])
+        kind = rng.choice(["down"] * 4 + ["feedback"] * 3 + ["up"] * 3)
+        if kind == "feedback":
+            ue_id, drb_id = rng.randrange(n_ues), rng.randint(1, n_drbs)
+            newest = sent.get((ue_id, drb_id), 0) - 1
+            # Fresh, repeated, stale, beyond-the-table and absent SNs.
+            txed, delivered = (
+                None if sn < 0 or rng.random() < 0.15 else sn
+                for sn in (newest - rng.choice([0, 0, 1, 3, -2]),
+                           newest - rng.choice([0, 2, 5, -1])))
+            status = DeliveryStatus(ue_id, drb_id, txed, delivered, now)
+            layer.on_ran_feedback(status, now)
+            oracle.on_ran_feedback(status, now)
+            _assert_layers_agree(layer, oracle)
+            continue
+        index = rng.randrange(len(flows))
+        five_tuple, ue_id, drb_id, ecn = flows[index]
+        precomputed = rng.random() < 0.5
+        if kind == "down":
+            if rng.random() < 0.05:
+                ecn = ECN.CE          # marked upstream of the RAN
+            if rng.random() < 0.05:
+                drb_id = rng.randint(1, n_drbs)   # SDAP re-mapped the flow
+            packet = make_data_packet(index, five_tuple, step * 1400,
+                                      rng.choice([1, 37, 1399, 1400]), ecn,
+                                      now, protocol=five_tuple.protocol)
+            packet.cwr = rng.random() < 0.1
+            last_data[index] = packet
+            sent[(ue_id, drb_id)] = sent.get((ue_id, drb_id), 0) + 1
+        else:
+            data = last_data.get(index)
+            if data is None or rng.random() < 0.1:
+                # An ACK of a flow the layer has never seen downlink.
+                data = make_data_packet(99, FiveTuple("10.9.9.9", 1, "10.8.8.8",
+                                                      2), 0, 10, ecn, now)
+            packet = make_ack_packet(
+                data, step, now, ece=rng.random() < 0.2,
+                accecn=(AccEcnCounters(rng.randrange(5), rng.randrange(9000),
+                                       rng.randrange(2**33), 3)
+                        if rng.random() < 0.6 else None))
+            packet.is_ack = rng.random() < 0.95
+        packet.packet_id = step
+        if precomputed:
+            recompute_checksums(packet)
+        twin = copy.deepcopy(packet)
+        before = layer.shortcircuited_acks
+        if kind == "down":
+            layer.on_downlink_packet(packet, ue_id, drb_id, now)
+            oracle.on_downlink_packet(twin, ue_id, drb_id, now)
+            seen["drops"] += bool(packet.payload_info.get("l4span_drop"))
+        else:
+            layer.on_uplink_packet(packet, now)
+            oracle.on_uplink_packet(twin, now)
+        rewritten = layer.shortcircuited_acks > before
+        seen["rewritten_acks" if rewritten else "untouched_acks"] += (
+            kind == "up")
+        _assert_packets_agree(packet, twin,
+                              must_verify=precomputed or rewritten)
+        _assert_layers_agree(layer, oracle)
+    states = layer.drb_states.values()
+    seen.update(
+        marked=layer.marked_packets,  # every mark is a marking-stream draw
+        shared=sum(state.is_shared for state in states),
+        purged=sum(state.profile.total_packets - len(state.profile)
+                   for state in states))
+    return seen
+
+
+class TestAgainstReferenceLayer:
+    """``tests/reference_l4span_layer.py`` is the parent commit's layer."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rng=st.randoms(use_true_random=False),
+           steps=st.integers(5, 160))
+    def test_every_event_leaves_both_layers_equal(self, rng, steps):
+        _differential_run(rng, steps)
+
+    def test_the_interleavings_reach_every_branch(self):
+        """The generator is only worth its comparisons if it marks, drops,
+        rewrites, purges and shares bearers -- count that it does."""
+        total: dict = {}
+        for seed in range(12):
+            for name, count in _differential_run(random.Random(seed),
+                                                 400).items():
+                total[name] = total.get(name, 0) + count
+        assert all(count > 0 for count in total.values()), total

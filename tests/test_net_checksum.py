@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
+import os
 import struct
+import subprocess
+import sys
 
-from repro.net.checksum import (checksums_valid, incremental_checksum_update,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.net.checksum as checksum_module
+from repro.net.addresses import FiveTuple
+from repro.net.checksum import (checksums_equal, checksums_valid,
+                                incremental_checksum_update,
                                 internet_checksum, ip_checksum_of,
                                 ip_tos_word, mark_ce_with_checksum,
                                 recompute_checksums, serialize_ip_header,
-                                tcp_checksum_of, tcp_rewrite_words,
+                                serialize_tcp_header, tcp_checksum_of,
+                                tcp_rewrite_words,
                                 update_checksums_after_ack_rewrite,
                                 verify_checksum)
 from repro.net.ecn import ECN
-from repro.net.packet import AccEcnCounters, make_ack_packet, make_data_packet
+from repro.net.packet import (AccEcnCounters, Packet, make_ack_packet,
+                              make_data_packet)
 
 
 def test_internet_checksum_known_vector():
@@ -155,3 +166,124 @@ def test_tcp_checksum_covers_ece_flag(five_tuple):
     before = tcp_checksum_of(ack)
     ack.ece = True
     assert tcp_checksum_of(ack) != before
+
+
+# --------------------------------------------------------------------- #
+# Header words: one definition, summed without bytes
+def _pinned_packet(src="10.0.0.1", dst="10.45.0.2") -> Packet:
+    return Packet(flow_id=0, five_tuple=FiveTuple(src, 443, dst, 50_000),
+                  size=1440, ecn=ECN.ECT1, seq=2**32 + 5, ack_seq=77,
+                  accecn=AccEcnCounters(1, 1440, 2880, 0), packet_id=7)
+
+
+def test_header_checksums_are_pinned_constants():
+    """A header is a function of the packet alone: dotted quads encode as
+    their 32 bits, any other address string through CRC-32, so these values
+    hold in every interpreter (``hash(str)`` made them per-process)."""
+    packet = _pinned_packet()
+    assert serialize_ip_header(packet).hex() == (
+        "450105a0000700004006" "0000" "0a000001" "0a2d0002")
+    assert (ip_checksum_of(packet), tcp_checksum_of(packet)) == (0x6121,
+                                                                 0xD9B0)
+    named = _pinned_packet(src="a", dst="b")
+    assert serialize_ip_header(named)[12:].hex() == "e8b7be43" "71beeff9"
+    assert ip_checksum_of(named) == 0x6C9D
+
+
+def test_header_checksums_do_not_depend_on_the_hash_seed():
+    """Two interpreters with different string-hash salts agree (a stored
+    checksum must verify in a spawn-started shard worker)."""
+    script = ("from test_net_checksum import _pinned_packet\n"
+              "from repro.net.checksum import ip_checksum_of, tcp_checksum_of\n"
+              "for p in (_pinned_packet(), _pinned_packet('a', 'b')):\n"
+              "    print(ip_checksum_of(p), tcp_checksum_of(p))\n")
+    here = os.path.dirname(os.path.abspath(__file__))
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [here] + [path for path in sys.path if path]))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True, timeout=120).stdout)
+    assert outputs[0] == outputs[1]
+    packet, named = _pinned_packet(), _pinned_packet("a", "b")
+    assert outputs[0].split() == [
+        str(value) for p in (packet, named)
+        for value in (ip_checksum_of(p), tcp_checksum_of(p))]
+
+
+_ADDRESSES = st.one_of(
+    st.tuples(*[st.integers(0, 255)] * 4).map(
+        lambda quad: ".".join(map(str, quad))),
+    st.text(min_size=0, max_size=12))
+_COUNTERS = st.one_of(st.none(), st.builds(
+    AccEcnCounters, *[st.integers(0, 2**40)] * 4))
+
+
+@st.composite
+def _packets(draw) -> Packet:
+    protocol = draw(st.sampled_from(["tcp", "udp"]))
+    return Packet(
+        flow_id=0, protocol=protocol,
+        five_tuple=FiveTuple(draw(_ADDRESSES), draw(st.integers(0, 70_000)),
+                             draw(_ADDRESSES), draw(st.integers(0, 70_000)),
+                             protocol),
+        size=draw(st.integers(0, 70_001)), ecn=draw(st.sampled_from(ECN)),
+        seq=draw(st.integers(0, 2**40)), ack_seq=draw(st.integers(0, 2**40)),
+        is_ack=draw(st.booleans()), ece=draw(st.booleans()),
+        cwr=draw(st.booleans()), accecn=draw(_COUNTERS),
+        packet_id=draw(st.integers(0, 2**20)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packet=_packets())
+def test_word_sums_equal_the_checksum_of_the_serialised_header(packet):
+    """The arithmetic sum over a header's words is exactly the RFC 1071
+    checksum of the bytes those same words pack to."""
+    ip_bytes = serialize_ip_header(packet)
+    tcp_bytes = serialize_tcp_header(packet)
+    assert len(ip_bytes) == 20
+    assert len(tcp_bytes) == (20 if packet.accecn is None else 36)
+    assert ip_checksum_of(packet) == internet_checksum(ip_bytes)
+    assert tcp_checksum_of(packet) == internet_checksum(tcp_bytes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(packet=_packets(), ece=st.booleans(), counters=_COUNTERS,
+       precomputed=st.booleans())
+def test_incremental_updates_equal_the_recompute_after_a_rewrite(
+        packet, ece, counters, precomputed):
+    """CE marking and an ACK rewrite leave stored checksums equal (modulo
+    the one's-complement zero) to a recompute, stored beforehand or not."""
+    packet.protocol = "tcp"
+    if precomputed:
+        recompute_checksums(packet)
+    old_words = tcp_rewrite_words(packet)
+    packet.ece = ece
+    if packet.accecn is not None and counters is not None:
+        packet.accecn = counters
+    update_checksums_after_ack_rewrite(packet, old_words)
+    mark_ce_with_checksum(packet, by="test")
+    info = packet.payload_info
+    assert checksums_equal(info["tcp_checksum"], tcp_checksum_of(packet))
+    assert checksums_equal(info["ip_checksum"], ip_checksum_of(packet))
+    assert checksums_valid(packet)
+
+
+def test_packet_path_never_serialises_a_header(monkeypatch):
+    """The per-packet path is byte-free: a Prague + L4Span run completes,
+    short-circuiting ACKs, with every bytes-producing helper disabled."""
+    from repro.experiments.scenario import run_scenario
+    from repro.experiments.spec import ScenarioSpec
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a header was serialised on the packet path")
+
+    for name in ("serialize_ip_header", "serialize_tcp_header",
+                 "internet_checksum"):
+        monkeypatch.setattr(checksum_module, name, forbidden)
+    result = run_scenario(ScenarioSpec(num_ues=1, duration_s=0.5,
+                                       cc_name="prague", marker="l4span",
+                                       seed=3))
+    assert result.marker_summary["shortcircuited_acks"] > 0
