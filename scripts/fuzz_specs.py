@@ -3,7 +3,7 @@
 
 Replays :func:`repro.experiments.fuzz.random_spec` over ``--count``
 sequential seeds starting at ``--seed`` and checks every invariant suite
-(byte/packet conservation, sharded ≡ single loop on static channels,
+(byte/packet conservation, sharded ≡ single loop,
 determinism across repeats, result-document validity, no
 ``ConservativeSyncError``).  Exit status 1 if any spec violates an
 invariant; the failing seed is printed so

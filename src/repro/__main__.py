@@ -14,7 +14,7 @@ All component choices (``--cc``, ``--marker``, ``--channel``,
 ``--scheduler``, ``--preset``) are derived from the registries in
 :mod:`repro.registry`, so a newly registered component is immediately
 selectable here with no CLI edits.  The runtime flags shared by
-``scenario`` and ``serve`` (``--shards/--workers/--shard-windows``) come
+``scenario`` and ``serve`` (``--shards/--workers``) come
 from one argparse parent in :mod:`repro.experiments.options`, so the
 two commands cannot drift apart.
 """
@@ -59,7 +59,7 @@ def _build_spec(args: argparse.Namespace):
         overrides["l4span"] = None
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
-    # The shared runtime flags (--shards/--workers/--shard-windows) go
+    # The shared runtime flags (--shards/--workers) go
     # through the same application path as serve-submitted overrides.
     spec = apply_runtime_options(spec, runtime_options_from_args(args))
     if spec.flows is not None:
@@ -184,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro", description="L4Span reproduction experiment runner")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    # The one parent contributing --shards/--workers/--shard-windows to
+    # The one parent contributing --shards/--workers to
     # every command that runs (or will run) scenarios.
     runtime = argparse.ArgumentParser(add_help=False)
     add_runtime_arguments(runtime)

@@ -15,12 +15,10 @@ and checks them against pluggable invariant suites:
   fractions stay inside ``[0, 1]``.
 * **determinism** — running the same spec twice reproduces the result
   exactly, on every execution path.
-* **sharding** — on static channels the sharded run's per-flow metrics
-  and handover records are bit-identical to the single loop; on fading
-  channels (where per-shard channel streams legitimately differ) the
-  sharded run must still be deterministic and conserve bytes.  A silent
-  fallback or any exception (``ConservativeSyncError`` included) is a
-  violation.
+* **sharding** — the sharded run's per-flow metrics and handover records
+  are bit-identical to the single loop, on static and fading channels
+  alike, and it conserves bytes.  A silent fallback or any exception
+  (``ConservativeSyncError`` included) is a violation.
 * **document** — every run's :func:`~repro.experiments.results.
   result_document` serializes byte-identically across dumps, passes
   :func:`~repro.experiments.results.check_document`, and determinism
@@ -54,7 +52,7 @@ from repro.units import ms
 from repro.workloads.flows import FlowSpec
 
 __all__ = ["INVARIANT_SUITES", "SpecRuns", "check_spec", "flows_identical",
-           "random_spec", "run_campaign", "static_channel"]
+           "random_spec", "run_campaign"]
 
 #: Congestion controllers the fuzzer mixes (all deterministic).
 _CC_NAMES = ("prague", "cubic", "bbr2")
@@ -173,12 +171,6 @@ def random_spec(rng: random.Random, duration_s: float = 0.4) -> ScenarioSpec:
 # --------------------------------------------------------------------------- #
 # Result predicates
 # --------------------------------------------------------------------------- #
-def static_channel(spec: ScenarioSpec) -> bool:
-    """True when every UE rides a static channel (bit-identity tier)."""
-    return all((ue.channel_profile or spec.channel_profile) == "static"
-               for ue in spec.resolved_ues())
-
-
 def flows_identical(a: ScenarioResult, b: ScenarioResult) -> bool:
     """Bit-exact equality of the two results' per-flow metrics."""
     if len(a.flows) != len(b.flows):
@@ -234,9 +226,8 @@ class SpecRuns:
                  shard_counts: Sequence[int] = (2,)) -> None:
         self.spec = spec.validate()
         self.shard_counts = tuple(shard_counts)
-        self.static = static_channel(self.spec)
         self._single: dict[int, ScenarioResult] = {}
-        self._sharded: dict[tuple[int, int], object] = {}
+        self._sharded: dict[int, object] = {}
 
     def single(self, repeat: int = 0) -> ScenarioResult:
         """The single-loop result of run number ``repeat``."""
@@ -248,18 +239,17 @@ class SpecRuns:
                 self._single[repeat] = run(spec)
         return self._single[repeat]
 
-    def sharded(self, shards: int, repeat: int = 0) -> ScenarioResult:
+    def sharded(self, shards: int) -> ScenarioResult:
         """The sharded result; re-raises a memoized failure."""
-        key = (shards, repeat)
-        if key not in self._sharded:
+        if shards not in self._sharded:
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    self._sharded[key] = run_scenario_sharded(
+                    self._sharded[shards] = run_scenario_sharded(
                         self.spec, shards=shards, inprocess=True)
             except Exception as exc:  # noqa: BLE001 - memoized, re-raised
-                self._sharded[key] = exc
-        value = self._sharded[key]
+                self._sharded[shards] = exc
+        value = self._sharded[shards]
         if isinstance(value, Exception):
             raise value
         return value
@@ -268,8 +258,8 @@ class SpecRuns:
         """Every (label, result) pair materialized so far."""
         runs = [(f"single[run{repeat}]", result)
                 for repeat, result in self._single.items()]
-        runs.extend((f"sharded[{shards},run{repeat}]", value)
-                    for (shards, repeat), value in self._sharded.items()
+        runs.extend((f"sharded[{shards}]", value)
+                    for shards, value in self._sharded.items()
                     if not isinstance(value, Exception))
         return runs
 
@@ -301,26 +291,12 @@ def _suite_sharding(runs: SpecRuns) -> list[str]:
             violations.append(f"shards={shards} silently fell back: "
                               f"{sharded.sharding_stats}")
             continue
-        if runs.static:
-            if not flows_identical(single, sharded):
-                violations.append(f"shards={shards} per-flow metrics differ "
-                                  "from single loop")
-            if single.handovers != sharded.handovers:
-                violations.append(f"shards={shards} handover records differ "
-                                  "from single loop")
-        else:
-            # Fading: per-shard channel streams legitimately diverge from
-            # the single loop; the sharded path must still be
-            # deterministic in itself.
-            try:
-                repeat = runs.sharded(shards, repeat=1)
-            except Exception as exc:  # noqa: BLE001
-                violations.append(f"shards={shards} repeat raised "
-                                  f"{type(exc).__name__}: {exc}")
-                continue
-            if not flows_identical(sharded, repeat):
-                violations.append(f"shards={shards} is not deterministic "
-                                  "across repeats (fading)")
+        if not flows_identical(single, sharded):
+            violations.append(f"shards={shards} per-flow metrics differ "
+                              "from single loop")
+        if single.handovers != sharded.handovers:
+            violations.append(f"shards={shards} handover records differ "
+                              "from single loop")
         violations.extend(f"shards={shards}: {reason}"
                           for reason in _conservation_violations(sharded))
     return violations

@@ -1,11 +1,11 @@
 """Runtime execution options shared by every scenario-running surface.
 
-``--shards``, ``--workers`` and ``--shard-windows`` used to be wired ad-hoc
+``--shards`` and ``--workers`` used to be wired ad-hoc
 per CLI subcommand, which is exactly how flag drift happens (``scenario``
 grew ``--shards`` while ``experiment`` only knew ``--workers``, and a served
 spec had neither).  This module is the single source of truth:
 
-* :func:`add_runtime_arguments` contributes the three flags to an argparse
+* :func:`add_runtime_arguments` contributes the two flags to an argparse
   parser — ``python -m repro scenario`` (ad-hoc and ``--preset`` runs alike)
   and ``python -m repro serve`` both build their parsers from the same
   parent.
@@ -17,7 +17,7 @@ spec had neither).  This module is the single source of truth:
   verbatim by every path, regression-tested in ``tests/test_service.py``.
 
 Semantics: ``--shards`` selects the shard process count (1 disables
-sharding), ``--shard-windows`` the barrier window policy, and ``--workers``
+sharding) and ``--workers``
 caps the worker-process count a single scenario may use (i.e. it bounds
 ``--shards``; the ``experiment`` command separately uses its sweep-grid
 ``--workers``, and the core-budget arbiter in
@@ -32,9 +32,6 @@ from typing import Optional
 
 from repro.experiments.spec import ScenarioSpec, ShardingSpec
 
-#: Barrier window policies ``--shard-windows`` understands.
-SHARD_WINDOW_POLICIES = ("adaptive", "fixed")
-
 
 @dataclass(frozen=True)
 class RuntimeOptions:
@@ -46,7 +43,6 @@ class RuntimeOptions:
 
     shards: Optional[int] = None
     workers: Optional[int] = None
-    shard_windows: Optional[str] = None
 
     def merged_over(self, defaults: "RuntimeOptions") -> "RuntimeOptions":
         """These options, falling back to ``defaults`` for unset fields.
@@ -57,9 +53,7 @@ class RuntimeOptions:
         return RuntimeOptions(
             shards=self.shards if self.shards is not None else defaults.shards,
             workers=(self.workers if self.workers is not None
-                     else defaults.workers),
-            shard_windows=(self.shard_windows if self.shard_windows is not None
-                           else defaults.shard_windows))
+                     else defaults.workers))
 
     def validate(self) -> "RuntimeOptions":
         """Check names and counts; return self."""
@@ -67,11 +61,6 @@ class RuntimeOptions:
             raise ValueError("shards must be >= 1")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if (self.shard_windows is not None
-                and self.shard_windows not in SHARD_WINDOW_POLICIES):
-            raise ValueError(
-                f"unknown shard-windows policy {self.shard_windows!r}; "
-                f"choose from {SHARD_WINDOW_POLICIES}")
         return self
 
     @classmethod
@@ -95,9 +84,6 @@ class RuntimeOptions:
             if value is not None and (isinstance(value, bool)
                                       or not isinstance(value, int)):
                 raise ValueError(f"override {key!r} must be an integer")
-        value = data.get("shard_windows")
-        if value is not None and not isinstance(value, str):
-            raise ValueError("override 'shard_windows' must be a string")
         return cls(**data).validate()
 
 
@@ -115,17 +101,11 @@ def add_runtime_arguments(parser) -> None:
         "--workers", type=int, default=None, metavar="N",
         help="cap the worker processes one scenario may use (bounds "
              "--shards; the core-budget arbiter still applies)")
-    parser.add_argument(
-        "--shard-windows", choices=SHARD_WINDOW_POLICIES, default=None,
-        help="barrier window policy for mobility-coupled sharded runs "
-             "(default: the spec's sharding.adaptive_windows, i.e. "
-             "adaptive)")
 
 
 def runtime_options_from_args(args) -> RuntimeOptions:
     """Collect the shared flags out of a parsed argparse namespace."""
-    return RuntimeOptions(shards=args.shards, workers=args.workers,
-                          shard_windows=args.shard_windows)
+    return RuntimeOptions(shards=args.shards, workers=args.workers)
 
 
 def apply_runtime_options(spec: ScenarioSpec,
@@ -144,10 +124,6 @@ def apply_runtime_options(spec: ScenarioSpec,
     if options.shards is not None:
         sharding = (ShardingSpec(mode="auto", shards=options.shards)
                     if options.shards > 1 else ShardingSpec(mode="off"))
-        sharding_changed = True
-    if options.shard_windows is not None:
-        sharding = dataclasses.replace(
-            sharding, adaptive_windows=options.shard_windows == "adaptive")
         sharding_changed = True
     if options.workers is not None and sharding.mode == "auto":
         # A single scenario's only process layer is its shards; the workers

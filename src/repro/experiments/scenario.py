@@ -103,8 +103,8 @@ class ScenarioResult:
     #: ``to_cell``, forward/flush counts, ``completed_at`` and the measured
     #: per-flow ``data_gap_s``); empty without mobility.
     handovers: list = field(default_factory=list)
-    #: Synchronizer statistics of a sharded run (window count, boundary
-    #: exchanges, adaptive flag); empty for single-loop runs.
+    #: Synchronizer statistics of a sharded run (window count and bounds,
+    #: boundary exchanges); empty for single-loop runs.
     sharding_stats: dict = field(default_factory=dict)
     #: Aggregate background-population counters summed over cells
     #: (``n_background``, ``arrival_bytes``, ``served_bytes``,
@@ -346,9 +346,9 @@ class BuiltScenario:
     def _build_flows(self) -> None:
         config = self.config
         self._wan_pipes: list[DelayPipe] = []
+        legs = wan_one_way_legs(config)
         for spec in self.flow_specs:
-            wan_rtt = spec.wan_rtt if spec.wan_rtt is not None else config.wan_rtt
-            one_way = wan_rtt / 2.0
+            one_way = legs[spec.flow_id]
             protocol = "udp" if is_udp_algorithm(spec.cc_name) else "tcp"
             five_tuple = FiveTuple(src_ip="10.0.0.1", src_port=443,
                                    dst_ip=self._ue_ip(spec.ue_id),
@@ -532,6 +532,24 @@ class BuiltScenario:
             background=background)
 
 
+def wan_one_way_legs(spec: ScenarioSpec) -> dict[int, float]:
+    """Every resolved flow's WAN one-way leg (half its RTT), by flow id.
+
+    The one place a flow's own ``wan_rtt`` falls back to the scenario's:
+    the WAN pipes, the shard lookahead, the SNR commit lag and the sharded
+    runtime's WAN-entry cuts must agree on these to the bit.
+    """
+    return {flow.flow_id: (flow.wan_rtt if flow.wan_rtt is not None
+                           else spec.wan_rtt) / 2.0
+            for flow in spec.resolved_flows()}
+
+
+def boundary_lookahead(spec: ScenarioSpec) -> float:
+    """The conservative window: the minimum WAN one-way leg of any flow."""
+    legs = wan_one_way_legs(spec).values()
+    return max(min(legs, default=spec.wan_rtt / 2.0), 1e-4)
+
+
 def min_snr_commit_lag(spec: ScenarioSpec) -> float:
     """The smallest decide-to-commit lag a shard split can honour exactly.
 
@@ -541,12 +559,8 @@ def min_snr_commit_lag(spec: ScenarioSpec) -> float:
     processing delay (a strict safety margin, so lookups at exactly the
     commit time always see the adopted itinerary first).
     """
-    rtts = [flow.wan_rtt if flow.wan_rtt is not None else spec.wan_rtt
-            for flow in spec.resolved_flows()]
-    if not rtts:
-        rtts = [spec.wan_rtt]
-    lookahead = max(min(rtts) / 2.0, 1e-4)
-    return lookahead + max(rtts) / 2.0 + CORE_PROCESSING_DELAY
+    longest = max(wan_one_way_legs(spec).values(), default=spec.wan_rtt / 2.0)
+    return boundary_lookahead(spec) + longest + CORE_PROCESSING_DELAY
 
 
 def snr_commit_lag(spec: ScenarioSpec) -> float:
@@ -555,8 +569,7 @@ def snr_commit_lag(spec: ScenarioSpec) -> float:
     The spec's ``mobility.commit_lag_s`` override, or the computed safe
     minimum (:func:`min_snr_commit_lag`).  The single loop and the sharded
     runtime both resolve the lag through this function, which is what makes
-    their handover timelines — and on static channels their per-flow
-    metrics — identical.
+    their handover timelines and per-flow metrics identical.
     """
     if spec.mobility.commit_lag_s is not None:
         return spec.mobility.commit_lag_s

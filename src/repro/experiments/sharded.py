@@ -20,28 +20,27 @@ packet is handed off at WAN-pipe entry stamped ``entry + wan_leg``, an
 uplink ACK at core egress stamped ``egress + processing + wan_leg``), which
 is always at least one lookahead in the receiver's future — so no shard
 ever receives an event inside a window it has already simulated and no
-rollback is ever needed.  In the boundary-free case (no mobility, no
-address aliasing) the split proves no packet can cross shards at all, the
+rollback is ever needed.  In the boundary-free case (no coupling below is
+active) the split proves no packet can cross shards at all, the
 lookahead over zero inter-shard links is unbounded, and each shard runs to
 the horizon in one window with no barrier exchanges.
 
-Mobility coupling and adaptive windows
---------------------------------------
+Mobility coupling and the window policy
+---------------------------------------
 Inter-cell handover (:mod:`repro.ran.mobility`) is what makes the barrier
 loop load-bearing: a UE's serving cell — and with it its whole RAN-side
 termination — can live on a different shard than its content server and WAN
 pipes.  While it does, every data packet, ACK, handover transfer and
 forwarded SDU of its flows crosses through :class:`_BoundaryRouter`.  The
-synchronizer exploits the *schedule*: outside the union of cross-shard
-serving intervals (padded by the interruption window and proven drained by
-per-shard in-flight reports) no boundary traffic can exist, so adaptive
-mode (``sharding.adaptive_windows``, the default) jumps the barrier
-straight to the next coupling interval — and inside coupled phases it still
-widens windows past ``W + lookahead`` when every shard's next event
+synchronizer (:class:`_SyncPlan`, the one window policy) exploits the
+*schedule*: outside the union of cross-shard serving intervals (padded by
+the interruption window and proven drained by per-shard in-flight reports)
+no boundary traffic can exist, so it jumps the barrier straight to the next
+coupling interval — and inside coupled phases it still widens windows past
+``W + lookahead`` when every shard's next event
 (:meth:`repro.sim.engine.Simulator.peek_time`) and every in-flight delivery
-provably allow it.  Fixed mode runs the classic one-pipe-round-trip-per-
-lookahead cadence (~316 exchanges for 6 s at 19 ms) and exists as the
-benchmark baseline.
+provably allow it (a one-pipe-round-trip-per-lookahead cadence would cost
+~316 exchanges for 6 s at 19 ms).
 
 Determinism contract
 --------------------
@@ -52,9 +51,8 @@ sequence are identical whether its cell runs in the shared loop or in any
 shard.  Handover re-attachments create *fresh attach-qualified* streams
 (``air-ue3#a1``) on whichever loop hosts the target cell, preserving the
 contract under mobility.  Consequently a sharded run is deterministic for a
-fixed shard map, reproducible across repeats and shard counts, and — on a
-static channel — produces **per-flow metrics identical to the single-loop
-run**.
+fixed shard map, reproducible across repeats and shard counts, and produces
+**per-flow metrics identical to the single-loop run**.
 
 Coupled topologies
 ------------------
@@ -90,6 +88,7 @@ Five couplings the barrier once refused are now first-class protocol:
   packet for it), so every shard unregisters losing addresses and re-cuts
   losing senders at WAN entry toward the winner's shard
   (:class:`_AliasRouting`), reproducing the misdelivery byte-for-byte.
+  No schedule bounds such traffic, so the split runs always-coupled.
 * **Zero-rate middlebox schedule steps** stall the shared queue; the
   predictor restarts the head packet at the schedule's next positive-rate
   step, or — with no resume left — never releases it, exactly mirroring
@@ -125,10 +124,10 @@ from typing import Optional
 from repro.experiments.scenario import (WIRED_MIDDLEBOX_QUEUE_BYTES,
                                         BuiltScenario, FlowResult,
                                         ScenarioResult, ScenarioSpec,
-                                        attach_data_gaps, build_scenario,
-                                        min_snr_commit_lag,
+                                        attach_data_gaps, boundary_lookahead,
+                                        build_scenario, min_snr_commit_lag,
                                         mobility_topology, snr_commit_lag,
-                                        ue_ip_address)
+                                        ue_ip_address, wan_one_way_legs)
 from repro.experiments.runner import active_sweep_workers, core_budget
 from repro.experiments.spec import MobilitySpec, ShardingSpec
 from repro.metrics.collectors import (DelayBreakdownAccumulator,
@@ -257,14 +256,6 @@ def sharding_blockers(spec: ScenarioSpec) -> list[str]:
     return blockers
 
 
-def boundary_lookahead(spec: ScenarioSpec) -> float:
-    """The conservative window: the minimum WAN one-way leg of any flow."""
-    rtts = [flow.wan_rtt if flow.wan_rtt is not None else spec.wan_rtt
-            for flow in spec.resolved_flows()]
-    rtt = min(rtts) if rtts else spec.wan_rtt
-    return max(rtt / 2.0, 1e-4)
-
-
 def build_shard_plan(spec: ScenarioSpec,
                      shards: Optional[int] = None) -> ShardPlan:
     """Turn the spec's ``sharding`` block into a concrete :class:`ShardPlan`.
@@ -388,7 +379,8 @@ def schedule_commit_points(spec: ScenarioSpec, plan: ShardPlan) -> list[float]:
     delivery stamp.  Interruptions of at least one lookahead keep the
     classic stamp and need no barrier.
     """
-    if spec.mobility.interruption_s >= plan.lookahead - 1e-12:
+    if (not spec.mobility.enabled
+            or spec.mobility.interruption_s >= plan.lookahead - 1e-12):
         return []
     points = []
     for tr in mobility_topology(spec).transitions():
@@ -435,33 +427,18 @@ def mobility_coupling_intervals(spec: ScenarioSpec,
     return merged
 
 
-def window_schedule(duration: float, lookahead: float) -> list[float]:
-    """The fixed-cadence list of window-end times (one per lookahead).
-
-    Retained for direct window-by-window driving in tests; the runtime
-    itself steps through :class:`_SyncPlan`, whose fixed mode reproduces
-    exactly this recurrence.
-    """
-    ends = []
-    t = 0.0
-    while t < duration - 1e-12:
-        t = min(t + lookahead, duration)
-        ends.append(t)
-    return ends
-
-
 class _SyncPlan:
     """Decides how far all shards may advance before the next barrier.
 
-    ``fixed`` mode steps ``W -> min(horizon, W + lookahead)``.  Adaptive
-    mode additionally (a) jumps across phases where the mobility schedule
-    (plus the shards' drained reports) proves no boundary traffic can
-    exist, and (b) inside coupled phases widens past the fixed step when
-    every shard's next pending event and every in-flight boundary delivery
-    are provably later — any future handoff happens at an event ≥ that
-    floor and is delivered ≥ one lookahead after it.
+    The one window policy: (a) jump across phases where the mobility
+    schedule (plus the shards' drained reports) proves no boundary traffic
+    can exist, and (b) inside coupled phases run up to the knowledge
+    frontier :attr:`frontier` — every shard's next pending event and every
+    in-flight boundary delivery are at or after its floor, any future
+    handoff happens at an event ≥ that floor and is delivered ≥ one
+    lookahead after it.
 
-    Two coupling mechanisms constrain every mode, fixed included:
+    Two coupling mechanisms cap a window further:
 
     * **Commit points** — exact times a barrier must land on: scheduled
       cross-shard handovers with interruption < lookahead (known up front)
@@ -470,19 +447,20 @@ class _SyncPlan:
     * **The middlebox frontier** — a shared wired middlebox hosted on one
       shard feeds *remote* cores only one core-processing delay after
       egress, far inside the lookahead.  Every barrier computes the
-      knowledge frontier ``K`` (:attr:`frontier`): each event still to run
-      anywhere is at or after the earliest peek / in-flight delivery, so
-      an arrival the host does not know yet lands at ``K`` or later.  The
-      host predicts and hands off every egress up to ``K``; what it
-      releases leaves with its *next* report, so a window is capped at the
-      ``K`` sent one barrier ago plus the processing delay.
+      knowledge frontier ``K``: each event still to run anywhere is at or
+      after the earliest peek / in-flight delivery, so an arrival the host
+      does not know yet lands at ``K`` or later.  The host predicts and
+      hands off every egress up to ``K``; what it releases leaves with its
+      *next* report, so a window is capped at the ``K`` sent one barrier
+      ago plus the processing delay.
 
-    ``always_coupled`` (SNR mobility or a middlebox) disables schedule
-    jumps — there is no schedule proving any phase boundary-free.
+    ``always_coupled`` (SNR mobility, a middlebox, cross-shard address
+    aliases) disables schedule jumps — there is no schedule proving any
+    phase boundary-free.  A split with neither that nor a coupling interval
+    is boundary-free (:attr:`coupled` is false) and runs a single window.
     """
 
     def __init__(self, horizon: float, lookahead: float,
-                 boundary_required: bool, adaptive: bool,
                  coupling: list[tuple[float, float]],
                  commit_points: Optional[list[float]] = None,
                  always_coupled: bool = False,
@@ -490,8 +468,6 @@ class _SyncPlan:
                  core_processing: float = CORE_PROCESSING_DELAY) -> None:
         self.horizon = horizon
         self.lookahead = lookahead
-        self.boundary_required = boundary_required
-        self.adaptive = adaptive
         self.coupling = coupling
         self.commit_points: list[float] = sorted(set(commit_points or ()))
         self.always_coupled = always_coupled
@@ -503,6 +479,11 @@ class _SyncPlan:
         self.windows = 0
         #: How many windows each term bound (set by :meth:`first_window`).
         self.window_bounds: dict[str, int] = {}
+
+    @property
+    def coupled(self) -> bool:
+        """True when two shards could ever owe each other a boundary item."""
+        return self.always_coupled or bool(self.coupling)
 
     def add_commit_point(self, when: float) -> None:
         """Register a mid-run commit (an SNR decision crossing the barrier)."""
@@ -532,11 +513,11 @@ class _SyncPlan:
         """Where the first barrier lands (the horizon when boundary-free)."""
         self.window_bounds = dict.fromkeys(
             ("lookahead", "commit", "middlebox", "jump"), 0)
-        if not self.boundary_required:
+        if not self.coupled:
             # Lookahead over zero inter-shard links is unbounded.
             self.window_bounds["lookahead"] = 1
             return self.horizon
-        if self.adaptive and not self.always_coupled:
+        if not self.always_coupled:
             jump = self._jump_target(0.0)
             if jump is not None:
                 return self._capped(0.0, jump, "jump")
@@ -555,12 +536,11 @@ class _SyncPlan:
         released = self.frontier if self.mbx_shard is not None else None
         self.frontier = ((max(now, min(floors)) if floors else now)
                          + self.lookahead)
-        if self.adaptive and all_idle and not self.always_coupled:
+        if all_idle and not self.always_coupled:
             jump = self._jump_target(now)
             if jump is not None:
                 return self._capped(now, jump, "jump", released)
-        base = self.frontier if self.adaptive else now + self.lookahead
-        return self._capped(now, base, "lookahead", released)
+        return self._capped(now, self.frontier, "lookahead", released)
 
     def _jump_target(self, now: float) -> Optional[float]:
         """Next barrier when no coupling overlaps ``now``; None if coupled."""
@@ -575,38 +555,55 @@ class _SyncPlan:
         return target if target > now else None
 
 
+@dataclass(frozen=True)
+class _CouplingPlan:
+    """What couples the shards of one split: built once by :meth:`of`, read
+    by the synchronizer and pickled to every shard host."""
+
+    #: The full (unsplit) spec; sub-specs carry mobility and the middlebox
+    #: stripped.
+    spec: ScenarioSpec
+    plan: ShardPlan
+    #: The shard hosting the shared wired middlebox, or None without one.
+    mbx_shard: Optional[int]
+    #: Wrapped client address -> its winner's shard, for the addresses
+    #: whose colliding UEs span shards (the others resolve locally).
+    alias_shard: dict[str, int]
+
+    @classmethod
+    def of(cls, spec: ScenarioSpec, plan: ShardPlan) -> "_CouplingPlan":
+        mbx_shard = None
+        if spec.wired_bottleneck_mbps is not None:
+            # Host the shared queue with the scenario's first cell.
+            mbx_shard = plan.assignment[spec.resolved_cells()[0].cell_id]
+        aliases = wrapped_address_aliases(spec)
+        ue_shard = {ue.ue_id: plan.assignment[ue.cell_id]
+                    for ue in spec.resolved_ues()}
+        alias_shard = {}
+        for ue_id, shard in ue_shard.items():
+            address = ue_ip_address(ue_id)
+            winner = aliases.get(address)
+            if winner is not None and shard != ue_shard[winner]:
+                alias_shard[address] = ue_shard[winner]
+        return cls(spec, plan, mbx_shard, alias_shard)
+
+    def sync_plan(self) -> _SyncPlan:
+        """The window policy over what each coupling contributes: mobility
+        its schedule (or, SNR-triggered, none), the others no schedule."""
+        mobility = self.spec.mobility
+        return _SyncPlan(
+            horizon=self.spec.duration_s, lookahead=self.plan.lookahead,
+            coupling=mobility_coupling_intervals(self.spec, self.plan),
+            commit_points=schedule_commit_points(self.spec, self.plan),
+            always_coupled=((mobility.enabled and mobility.mode == "snr")
+                            or self.mbx_shard is not None
+                            or bool(self.alias_shard)),
+            mbx_shard=self.mbx_shard)
+
+
 # --------------------------------------------------------------------- #
 # One shard: a built sub-scenario advanced window by window
 # --------------------------------------------------------------------- #
-class _BoundaryBuffer:
-    """Collects this shard's outbound cross-boundary items.
-
-    Two item shapes share the buffer: legacy ``(handoff_time, packet)``
-    pairs from the core's ``remote_sink`` (routed by the coordinator's
-    address tables, delivered ``handoff + lookahead``) and pre-routed
-    ``(deliver_at, payload, mode, target_shard)`` entries from the mobility
-    runtime, which knows the exact delivery time and destination.
-    """
-
-    def __init__(self, sim) -> None:
-        self._sim = sim
-        self._outbound: list[tuple] = []
-
-    def receive(self, packet: Packet) -> None:
-        """Core ``remote_sink`` entry: record a table-routed handoff."""
-        self._outbound.append((self._sim.now, packet))
-
-    def hand_off(self, deliver_at: float, payload, target: int,
-                 mode: str) -> None:
-        """Record a pre-routed item with its exact delivery time."""
-        self._outbound.append((deliver_at, payload, mode, target))
-
-    def drain(self) -> list[tuple]:
-        """Take (and clear) the items handed off since the last barrier."""
-        out, self._outbound = self._outbound, []
-        return out
-
-
 @dataclass
 class ShardResult:
     """Everything one shard ships back for the merge step (picklable)."""
@@ -621,8 +618,6 @@ class ShardResult:
     per_ue_throughput: dict[int, float]
     rate_errors: list[float]
     events_processed: int
-    boundary_packets: int = 0
-    windows: int = 0
     #: Mobile-flow sample fragments: a flow served by several shards has
     #: its one-way delays and raw delivery events re-merged in
     #: delivery-time order by :func:`merge_shard_results` (the throughput
@@ -639,6 +634,29 @@ class ShardResult:
     flow_mark_counts: dict[int, tuple[int, int]] = field(default_factory=dict)
     #: Aggregate background-population counters of this shard's cells.
     background: dict = field(default_factory=dict)
+
+
+class _CouplingRuntime:
+    """The seam between :class:`ShardHost` and one coupling's shard side.
+
+    The host keeps a list of these and knows nothing else about mobility,
+    aliases or the middlebox; the defaults are a coupling that takes no
+    boundary items, may always emit some and adds nothing to the result.
+    """
+
+    #: Boundary item mode -> ``handler(at, payload)`` scheduling an inbound
+    #: item of that mode onto the local loop.
+    inject_handlers: dict = {}
+
+    def boundary_idle(self) -> bool:
+        """True when this coupling provably cannot emit boundary traffic."""
+        return False
+
+    def release(self, frontier: float) -> None:
+        """Barrier hook, the batch injected: the knowledge frontier ``K``."""
+
+    def finish(self, result: ShardResult) -> None:
+        """Add this coupling's share to the shard's packaged result."""
 
 
 class _DynamicItinerary:
@@ -667,144 +685,139 @@ class _DynamicItinerary:
         self._cells.append(cell)
 
 
-class _MobileWanPath:
-    """The home-shard forward path of a mobile flow: routed at WAN entry.
+class _WanEntryCut:
+    """A local sender's forward path, cut at WAN entry.
 
     The cut happens at pipe *entry* because that is where one full WAN leg
-    of latency — at least the conservative lookahead — still lies ahead, so
-    the handoff can carry the true core-arrival time.  Arrival-time routing
-    against the (dynamic) itinerary reproduces exactly the single loop's
+    of latency — at least the conservative lookahead — still lies ahead:
+    the leg is applied arithmetically and the handoff carries the true
+    pipe-exit time, so the far side ingests the packet at exactly the
+    single loop's time.  The stamp is never late: an arrival is one WAN leg
+    past the sender event that caused it, and no window end ever exceeds
+    the global event floor plus the lookahead.
+
+    A fixed ``target`` shard always hands off — towards the shared
+    middlebox's host (``mbx_in``) even when that is this very shard, so
+    simultaneous arrivals from different shards share one router-sorted
+    injection order (flow declaration order, the single loop's tie order)
+    instead of local-first; or towards an aliased address's winner
+    (``core_dl``).  An ``itinerary`` routes a mobile UE's packet by its
+    core-arrival time instead, which reproduces exactly the single loop's
     route-at-core-ingress behaviour: scheduled handovers are known up
     front, SNR commits are appended when their decisions are adopted —
     always before any lookup at or past the commit time.
     """
 
-    def __init__(self, runtime: "_ShardMobility", flow_id: int,
-                 ue_id: int, wan_leg: float) -> None:
-        self._runtime = runtime
-        self._flow_id = flow_id
+    __slots__ = ("_host", "_sim", "_assignment", "_leg", "_mode", "_target",
+                 "_itinerary")
+
+    def __init__(self, host: "ShardHost", assignment: dict[int, int],
+                 wan_leg: float, mode: str, target: Optional[int] = None,
+                 itinerary: Optional[_DynamicItinerary] = None) -> None:
+        self._host = host
+        self._sim = host.scenario.sim
+        self._assignment = assignment
         self._leg = wan_leg
-        # Resolved once: the shared dynamic itinerary object (adopted SNR
-        # commits mutate it in place, visible to this cached reference).
-        self._itinerary = runtime.itinerary_of(ue_id)
+        self._mode = mode
+        self._target = target
+        # The shared dynamic itinerary object (adopted SNR commits mutate
+        # it in place, visible to this cached reference).
+        self._itinerary = itinerary
 
     def receive(self, packet: Packet) -> None:
-        """Route one downlink packet by its core-arrival time."""
-        runtime = self._runtime
-        sim = runtime.sim
-        arrival = sim.now + self._leg
-        target = runtime.assignment[self._itinerary.cell_at(arrival)]
-        if target == runtime.shard_index:
-            sim.schedule_at(arrival, runtime.core.receive, packet)
-        else:
-            runtime.boundary.hand_off(arrival, packet, target, "core_dl")
+        """Hand one downlink packet to whoever owns its pipe-exit time."""
+        host = self._host
+        arrival = self._sim.now + self._leg
+        target = self._target
+        if target is None:
+            target = self._assignment[self._itinerary.cell_at(arrival)]
+            if target == host.shard_index:
+                self._sim.schedule_at(arrival, host.scenario.core.receive,
+                                      packet)
+                return
+        host.hand_off(arrival, packet, target, self._mode)
 
 
-class _MobilityBoundarySink:
-    """The core ``remote_sink`` of a mobility-aware shard.
-
-    Uplink ACKs of mobile flows leaving a serving shard are pre-routed to
-    their home shard carrying the true sender-arrival time
-    (``egress + core processing + wan_leg``); everything else keeps the
-    legacy table-routed path.
-    """
-
-    def __init__(self, runtime: "_ShardMobility",
-                 buffer: _BoundaryBuffer) -> None:
-        self._runtime = runtime
-        self._buffer = buffer
-
-    def receive(self, packet: Packet) -> None:
-        """Pre-route a mobile flow's ACK home; defer the rest to the table."""
-        runtime = self._runtime
-        flow_id = packet.flow_id
-        if packet.is_ack and flow_id in runtime.flow_home:
-            deliver = ((runtime.sim.now + runtime.core_processing)
-                       + runtime.flow_wan_leg[flow_id])
-            self._buffer.hand_off(deliver, packet,
-                                  runtime.flow_home[flow_id], "wan_ul")
-            return
-        self._buffer.receive(packet)
-
-
-class _ShardMobility:
+class _ShardMobility(_CouplingRuntime):
     """Glues one shard's scenario into the full-spec mobility plan.
 
     Builds the shard-local :class:`MobilityManager` (arrivals into and
-    departures from local cells), rewires the home shard's mobile senders
-    onto :class:`_MobileWanPath`, pre-routes mobile uplink through
-    :class:`_MobilityBoundarySink`, ships handover transfers across the
-    boundary (stamped one lookahead late, or at the commit barrier itself
-    when the interruption is shorter than the lookahead), and — for SNR
-    mobility — publishes this shard's handover decisions as broadcast
-    boundary items and adopts the other shards' into the dynamic
-    itineraries.
+    departures from local cells), pre-routes mobile uplink home as the
+    core's ``remote_sink``, ships handover transfers across the boundary
+    (stamped one lookahead late, or at the commit barrier itself when the
+    interruption is shorter than the lookahead), and — for SNR mobility —
+    publishes this shard's handover decisions as broadcast boundary items
+    and adopts the other shards' into the dynamic itineraries.
     """
 
-    def __init__(self, host: "ShardHost", full_spec: ScenarioSpec,
-                 assignment: dict[int, int], lookahead: float) -> None:
-        self.host = host
+    def __init__(self, host: "ShardHost", coupling: _CouplingPlan) -> None:
+        full_spec = coupling.spec
         self.shard_index = host.shard_index
-        self.assignment = {int(cell): int(shard)
-                           for cell, shard in assignment.items()}
-        self.lookahead = lookahead
+        self.assignment = coupling.plan.assignment
+        self.lookahead = coupling.plan.lookahead
         self.interruption = full_spec.mobility.interruption_s
-        scenario = host.scenario
+        self.scenario = scenario = host.scenario
         self.sim = scenario.sim
-        self.core = scenario.core
         self.core_processing = scenario.core.processing_delay
-        self.boundary = host.boundary
-        self.topology = mobility_topology(full_spec)
-        self.itineraries = self.topology.itineraries
+        self.hand_off = host.hand_off
+        topology = mobility_topology(full_spec)
+        itineraries = topology.itineraries
         self._dynamic: dict[int, _DynamicItinerary] = {
             ue_id: _DynamicItinerary(itinerary)
-            for ue_id, itinerary in self.itineraries.items()}
-        mobile_ues = potentially_mobile_ues(full_spec)
+            for ue_id, itinerary in itineraries.items()}
+        self.mobile_ues = potentially_mobile_ues(full_spec)
         home_shard = {ue_id: self.assignment[itin[0][1]]
-                      for ue_id, itin in self.itineraries.items()}
+                      for ue_id, itin in itineraries.items()}
         local_cells = {cell for cell, shard in self.assignment.items()
                        if shard == self.shard_index}
         snr_mode = full_spec.mobility.mode == "snr"
         if snr_mode:
             # Any watched UE may be handed to any cell; every away-from-home
             # watched UE is a potential visitor here.
-            visiting = {ue_id for ue_id in mobile_ues
+            visiting = {ue_id for ue_id in self.mobile_ues
                         if home_shard[ue_id] != self.shard_index}
         else:
-            visiting = {ue_id for ue_id in mobile_ues
+            visiting = {ue_id for ue_id in self.mobile_ues
                         if home_shard[ue_id] != self.shard_index
                         and any(self.assignment[cell] == self.shard_index
-                                for _t, cell in self.itineraries[ue_id])}
+                                for _t, cell in itineraries[ue_id])}
         self.manager = MobilityManager(
-            scenario, self.topology, full_spec.mobility,
+            scenario, topology, full_spec.mobility,
             local_cells=local_cells, transfer_out=self._send_transfer,
             visiting_ues=visiting,
             commit_lag=snr_commit_lag(full_spec),
             decision_out=self._publish_decision if snr_mode else None)
         # Per-mobile-flow routing tables (home shard, WAN one-way leg).
+        legs = wan_one_way_legs(full_spec)
         self.flow_home: dict[int, int] = {}
         self.flow_wan_leg: dict[int, float] = {}
         for flow in full_spec.resolved_flows():
-            if flow.ue_id not in mobile_ues:
-                continue
-            rtt = (flow.wan_rtt if flow.wan_rtt is not None
-                   else full_spec.wan_rtt)
-            self.flow_home[flow.flow_id] = home_shard[flow.ue_id]
-            self.flow_wan_leg[flow.flow_id] = rtt / 2.0
-            if home_shard[flow.ue_id] == self.shard_index:
-                # Cut this flow's forward path at WAN entry.  (The shared
-                # middlebox runtime, when present, re-cuts every sender —
-                # mobile ones included — through the middlebox host.)
-                sender = scenario.senders[flow.flow_id]
-                sender.path = _MobileWanPath(self, flow.flow_id, flow.ue_id,
-                                             rtt / 2.0)
-        self.mobile_flow_ids = set(self.flow_home)
-        scenario.throughput.retain_events_for = self.mobile_flow_ids
-        scenario.core.remote_sink = _MobilityBoundarySink(self, self.boundary)
+            if flow.ue_id in self.mobile_ues:
+                self.flow_home[flow.flow_id] = home_shard[flow.ue_id]
+                self.flow_wan_leg[flow.flow_id] = legs[flow.flow_id]
+        scenario.throughput.retain_events_for = set(self.flow_home)
+        scenario.core.remote_sink = self
+        self.inject_handlers = {"wan_ul": self._inject_uplink,
+                                "ho_transfer": self._inject_transfer,
+                                "ho_decision": self._inject_decision}
 
     def itinerary_of(self, ue_id: int) -> _DynamicItinerary:
         """The UE's shared (mutable) serving-cell timeline."""
         return self._dynamic[ue_id]
+
+    def receive(self, packet: Packet) -> None:
+        """Core ``remote_sink``: an uplink packet with no local WAN path.
+
+        A mobile flow's ACK leaving a serving shard goes to its home shard
+        carrying the true sender-arrival time (``egress + core processing
+        + wan_leg``); any other stray is dropped, as the single core drops
+        an uplink packet of an unknown flow.
+        """
+        flow_id = packet.flow_id
+        if packet.is_ack and flow_id in self.flow_home:
+            deliver = ((self.sim.now + self.core_processing)
+                       + self.flow_wan_leg[flow_id])
+            self.hand_off(deliver, packet, self.flow_home[flow_id], "wan_ul")
 
     def _transfer_stamp(self, transfer_time: float) -> float:
         # Interruption >= lookahead: the classic PR-5 stamp, no barrier
@@ -816,51 +829,58 @@ class _ShardMobility:
 
     def _send_transfer(self, transfer: HandoverTransfer,
                        target_cell: int) -> None:
-        self.boundary.hand_off(self._transfer_stamp(transfer.time), transfer,
-                               self.assignment[target_cell], "ho_transfer")
+        self.hand_off(self._transfer_stamp(transfer.time), transfer,
+                      self.assignment[target_cell], "ho_transfer")
 
     def _publish_decision(self, decision: HandoverDecision) -> None:
         """Decide phase, shard side: adopt locally, broadcast to the rest."""
         self._dynamic[decision.ue_id].extend(decision.commit_at,
                                              decision.to_cell)
-        self.boundary.hand_off(decision.commit_at, decision,
-                               _BROADCAST, "ho_decision")
+        self.hand_off(decision.commit_at, decision, _BROADCAST,
+                      "ho_decision")
 
-    def adopt_decision(self, decision: HandoverDecision) -> None:
-        """A broadcast decision landed: itinerary first, then the manager."""
+    def _inject_uplink(self, at: float, packet: Packet) -> None:
+        self.sim.schedule_at(at, self.scenario.senders[packet.flow_id].receive,
+                             packet)
+
+    def _inject_transfer(self, at: float, transfer: HandoverTransfer) -> None:
+        self.sim.schedule_at(at, self.manager.apply_transfer, transfer)
+
+    def _inject_decision(self, _at: float,
+                         decision: HandoverDecision) -> None:
+        """A broadcast decision landed: itinerary first, then the manager.
+
+        Adopted immediately: extending the itinerary is safe (and required)
+        before any routing lookup at or past the commit time — the commit
+        lag guarantees none happened.
+        """
         self._dynamic[decision.ue_id].extend(decision.commit_at,
                                              decision.to_cell)
         self.manager.adopt_decision(decision)
+
+    def boundary_idle(self) -> bool:
+        return self.manager.boundary_idle()
+
+    def finish(self, result: ShardResult) -> None:
+        """Sample fragments of the mobile flows, and the handover records."""
+        scenario = self.scenario
+        for flow_id in self.flow_home:
+            times = scenario.owd.sample_times.get(flow_id)
+            samples = scenario.owd.samples.get(flow_id)
+            if times:
+                result.mobile_owd[flow_id] = (list(times), list(samples))
+            events = scenario.throughput.raw_events.get(flow_id)
+            if events and events[0]:
+                result.mobile_rate_events[flow_id] = events
+        self.manager.stop()
+        result.handover_records = [dict(record)
+                                   for record in self.manager.records]
 
 
 # --------------------------------------------------------------------- #
 # Wrapped (>250-UE) address spaces: route aliases at the winner's shard
 # --------------------------------------------------------------------- #
-class _AliasWanPath:
-    """A losing flow's forward path: cut at WAN entry, aimed at the winner.
-
-    Mirrors :class:`_MobileWanPath`: the WAN pipe's one-way leg is applied
-    arithmetically and the handoff carries the true core-arrival time
-    (``entry + wan_leg``), so the winner shard's core ingests the packet at
-    exactly the single loop's time.  The leg is at least the conservative
-    lookahead, which is what makes the stamp barrier-safe.
-    """
-
-    __slots__ = ("_runtime", "_leg", "_target")
-
-    def __init__(self, runtime: "_AliasRouting", wan_leg: float,
-                 target: int) -> None:
-        self._runtime = runtime
-        self._leg = wan_leg
-        self._target = target
-
-    def receive(self, packet: Packet) -> None:
-        runtime = self._runtime
-        runtime.boundary.hand_off(runtime.sim.now + self._leg, packet,
-                                  self._target, "core_dl")
-
-
-class _AliasRouting:
+class _AliasRouting(_CouplingRuntime):
     """Address-space-aware boundary routing of wrapped client addresses.
 
     The single shared core resolves a wrapped address collision
@@ -871,48 +891,26 @@ class _AliasRouting:
 
     Per shard this runtime makes the split reproduce exactly that: shards
     not hosting an address's winner drop their losing registration from the
-    local core, and local senders whose destination address wins remotely
-    are re-cut at WAN entry (:class:`_AliasWanPath`).  Shards hosting both
-    a loser and the winner already resolve locally — registration order is
-    ascending ue_id, so the local last write is the global winner.
+    local core, and :meth:`ShardHost._cut_wan_entry` aims local senders
+    whose destination address wins remotely at the winner's shard.  Shards
+    hosting both a loser and the winner already resolve locally —
+    registration order is ascending ue_id, so the local last write is the
+    global winner.
 
     Wrapped UEs are validated non-mobile (:func:`sharding_blockers`), so
-    the winner map is static for the whole run.  A shared middlebox, built
-    after this runtime, supersedes the sender cut; its egress tables
-    resolve wrapped addresses to the winner's cell by the same
-    last-write-wins construction.
+    the winner map is static for the whole run.  A shared middlebox's
+    egress tables resolve wrapped addresses to the winner's cell by the
+    same last-write-wins construction.
     """
 
-    def __init__(self, host: "ShardHost", full_spec: ScenarioSpec,
-                 assignment: dict[int, int],
-                 aliases: dict[str, int]) -> None:
-        scenario = host.scenario
-        self.sim = scenario.sim
-        self.boundary = host.boundary
-        self.shard_index = host.shard_index
-        assignment = {int(cell): int(shard)
-                      for cell, shard in assignment.items()}
-        ue_cell = {ue.ue_id: ue.cell_id for ue in full_spec.resolved_ues()}
-        self.winner_shard: dict[str, int] = {
-            address: assignment[ue_cell[winner]]
-            for address, winner in aliases.items()}
-        for address, shard in self.winner_shard.items():
-            if (shard != self.shard_index
-                    and scenario.core.knows_ue_address(address)):
+    def __init__(self, host: "ShardHost", coupling: _CouplingPlan) -> None:
+        core = host.scenario.core
+        for address, shard in coupling.alias_shard.items():
+            if shard != host.shard_index and core.knows_ue_address(address):
                 # This shard hosts only losing UEs of the address: the
                 # local registration must go, like the single core's table
                 # after the winner's (later) registration overwrote it.
-                scenario.core.unregister_ue_address(address)
-        for flow in full_spec.resolved_flows():
-            sender = scenario.senders.get(flow.flow_id)
-            if sender is None:
-                continue
-            target = self.winner_shard.get(ue_ip_address(flow.ue_id))
-            if target is None or target == self.shard_index:
-                continue
-            rtt = (flow.wan_rtt if flow.wan_rtt is not None
-                   else full_spec.wan_rtt)
-            sender.path = _AliasWanPath(self, rtt / 2.0, target)
+                core.unregister_ue_address(address)
 
 
 # --------------------------------------------------------------------- #
@@ -965,24 +963,6 @@ class _EgressPredictor:
         return self._free
 
 
-class _MiddleboxWanPath:
-    """A sender's forward path cut at WAN entry, aimed at the middlebox.
-
-    Mirrors :class:`_MobileWanPath`: the WAN pipe's one-way leg is applied
-    arithmetically, and the packet reaches the shared queue — local call or
-    boundary item — at exactly the single loop's pipe-exit time.
-    """
-
-    __slots__ = ("_runtime", "_leg")
-
-    def __init__(self, runtime: "_SharedMiddlebox", wan_leg: float) -> None:
-        self._runtime = runtime
-        self._leg = wan_leg
-
-    def receive(self, packet: Packet) -> None:
-        self._runtime.send(packet, self._leg)
-
-
 class _MiddleboxEgress:
     """The middlebox output link's sink on the host shard."""
 
@@ -995,17 +975,16 @@ class _MiddleboxEgress:
         self._runtime.egress(packet)
 
 
-class _SharedMiddlebox:
+class _SharedMiddlebox(_CouplingRuntime):
     """One shard-spanning wired middlebox, its queue hosted on one shard.
 
-    Every shard re-cuts its local senders' forward paths at WAN entry
-    (:class:`_MiddleboxWanPath`); packets converge on the host shard's
-    single :class:`BottleneckRouter` — crossing the boundary as ``mbx_in``
-    items when the sender lives elsewhere — and its egress routes each
-    packet to the shard serving the destination UE *at egress time*
-    (``mbx_core_dl`` items, pre-stamped ``core_ingress``, delivered one
-    core-processing delay later).  Uplink bypasses the middlebox exactly
-    like the single loop's topology.
+    Every shard's local senders are cut at WAN entry towards the host
+    shard's single :class:`BottleneckRouter` (``mbx_in`` items, see
+    :class:`_WanEntryCut`), and its egress routes each packet to the shard
+    serving the destination UE *at egress time* (``mbx_core_dl`` items,
+    pre-stamped ``core_ingress``, delivered one core-processing delay
+    later).  Uplink bypasses the middlebox exactly like the single loop's
+    topology.
 
     The host does not wait for the queue to drain before handing remote
     packets off: at every barrier it learns the knowledge frontier ``K``
@@ -1015,43 +994,27 @@ class _SharedMiddlebox:
     (:meth:`egress`).
     """
 
-    def __init__(self, host: "ShardHost", full_spec: ScenarioSpec,
-                 assignment: dict[int, int], mbx_shard: int,
-                 lookahead: float) -> None:
-        self.host = host
+    def __init__(self, host: "ShardHost", coupling: _CouplingPlan,
+                 mobility: Optional[_ShardMobility]) -> None:
+        full_spec = coupling.spec
         self.shard_index = host.shard_index
-        self.mbx_shard = mbx_shard
-        self.assignment = {int(cell): int(shard)
-                           for cell, shard in assignment.items()}
-        self.lookahead = lookahead
+        self.assignment = coupling.plan.assignment
         scenario = host.scenario
         self.sim = scenario.sim
         self.core = scenario.core
         self.core_processing = scenario.core.processing_delay
-        self.boundary = host.boundary
+        self.hand_off = host.hand_off
         # Egress routing tables: destination address -> serving cell, the
         # mobile UEs resolved against their (dynamic) itineraries.
-        mobility = host.mobility
         self._itinerary: dict[str, _DynamicItinerary] = {}
         self._static_cell: dict[str, int] = {}
-        mobile = (potentially_mobile_ues(full_spec)
-                  if mobility is not None else set())
+        mobile = mobility.mobile_ues if mobility is not None else set()
         for ue in full_spec.resolved_ues():
             address = ue_ip_address(ue.ue_id)
             if ue.ue_id in mobile:
                 self._itinerary[address] = mobility.itinerary_of(ue.ue_id)
             else:
                 self._static_cell[address] = ue.cell_id
-        # Re-cut every *local* sender's forward path at WAN entry (mobile
-        # senders included: the middlebox sits between the WAN pipes and
-        # the core, so it supersedes the _MobileWanPath cut).
-        for flow in full_spec.resolved_flows():
-            sender = scenario.senders.get(flow.flow_id)
-            if sender is None:
-                continue
-            rtt = (flow.wan_rtt if flow.wan_rtt is not None
-                   else full_spec.wan_rtt)
-            sender.path = _MiddleboxWanPath(self, rtt / 2.0)
         self.horizon = full_spec.duration_s
         #: Known arrivals not yet predicted: a heap of ``(time, injection
         #: order, packet)``, the host loop's order for their real events.
@@ -1062,7 +1025,7 @@ class _SharedMiddlebox:
         #: Released ``(packet_id, egress, target)``, until the real egress.
         self._expected: deque = deque()
         self.router: Optional[BottleneckRouter] = None
-        if self.shard_index == mbx_shard:
+        if self.shard_index == coupling.mbx_shard:
             rate = mbps(full_spec.wired_bottleneck_mbps)
             schedule = full_spec.wired_bottleneck_schedule
             self.router = BottleneckRouter(
@@ -1074,26 +1037,19 @@ class _SharedMiddlebox:
                                      mbps(step_rate))
             self._predictor = _EgressPredictor(rate, schedule,
                                                WIRED_MIDDLEBOX_QUEUE_BYTES)
+        self.inject_handlers = {"mbx_in": self._arrive,
+                                "mbx_core_dl": self._inject_egressed}
 
     # ------------------------------------------------------------------ #
-    def send(self, packet: Packet, wan_leg: float) -> None:
-        """WAN entry on the sender's shard: one leg later, the host queue.
-
-        Host-local senders hand off through the boundary too (a
-        self-targeted item): simultaneous arrivals from different shards
-        then share one router-sorted injection order — flow declaration
-        order, the single loop's tie order — instead of local-first.  The
-        stamp is never late: an arrival is one WAN leg (≥ the lookahead)
-        past the sender event that caused it, and no window end ever
-        exceeds the global event floor plus the lookahead.
-        """
-        self.boundary.hand_off(self.sim.now + wan_leg, packet,
-                               self.mbx_shard, "mbx_in")
-
-    def arrive(self, when: float, packet: Packet) -> None:
+    def _arrive(self, when: float, packet: Packet) -> None:
         """Host side: a known arrival, for the real queue and the predictor."""
         self.sim.schedule_at(when, self.router.receive, packet)
         heappush(self._arrivals, (when, next(self._injected), packet))
+
+    def _inject_egressed(self, at: float, packet: Packet) -> None:
+        # Crossed the boundary after middlebox egress: already
+        # core_ingress-stamped, delivery time covers processing.
+        self.sim.schedule_at(at, self.core.deliver_downlink, packet)
 
     def _target(self, packet: Packet, when: float) -> int:
         """The shard serving the packet's UE at time ``when``."""
@@ -1134,8 +1090,7 @@ class _SharedMiddlebox:
                                    "link_enqueue": arrival,
                                    "core_ingress": egress,
                                    **packet.timestamps}
-                self.boundary.hand_off(deliver_at, twin, target,
-                                       "mbx_core_dl")
+                self.hand_off(deliver_at, twin, target, "mbx_core_dl")
 
     def egress(self, packet: Packet) -> None:
         """Output-link completion: the verifier, and host-local delivery."""
@@ -1151,72 +1106,99 @@ class _SharedMiddlebox:
 
 
 class ShardHost:
-    """One shard's simulator, its boundary buffer, and the window stepper.
+    """One shard's simulator, its outbound batch, and the window stepper.
 
     The host is transport-agnostic: :func:`_run_shards` drives it through
     a :class:`_LocalShard` in the coordinator process or, pumped by
     :func:`_shard_worker`, a :class:`_PipeShard` — the same few methods.
 
-    ``coupling`` (a dict with the full spec, the cell→shard assignment, the
-    lookahead and the middlebox host shard) activates the mobility and/or
-    shared-middlebox runtimes; sub-specs themselves always carry mobility
-    and the middlebox stripped.
+    ``coupling`` activates the coupling runtimes the full spec asks for
+    (sub-specs themselves always carry mobility and the middlebox
+    stripped); the host then only walks :attr:`couplings`.
     """
 
     def __init__(self, sub_spec: ScenarioSpec, shard_index: int,
-                 coupling: Optional[dict] = None) -> None:
+                 coupling: Optional[_CouplingPlan] = None) -> None:
         self.shard_index = shard_index
         self.scenario: BuiltScenario = build_scenario(sub_spec)
-        self.boundary = _BoundaryBuffer(self.scenario.sim)
-        self.scenario.core.remote_sink = self.boundary
-        self.mobility: Optional[_ShardMobility] = None
-        self.alias: Optional[_AliasRouting] = None
-        self.middlebox: Optional[_SharedMiddlebox] = None
+        #: Outbound boundary items since the last barrier.
+        self._outbound: list[tuple] = []
+        self.couplings: list[_CouplingRuntime] = []
+        #: Boundary item mode -> ``handler(at, payload)``; the couplings
+        #: add theirs to the WAN-entry cut's plain core delivery.
+        self._inject = {"core_dl": self._inject_downlink}
         if coupling is not None:
-            full_spec = coupling["full_spec"]
-            if isinstance(full_spec, dict):
-                full_spec = ScenarioSpec.from_dict(full_spec)
-            if full_spec.mobility.enabled:
-                self.mobility = _ShardMobility(self, full_spec,
-                                               coupling["assignment"],
-                                               coupling["lookahead"])
-            aliases = wrapped_address_aliases(full_spec)
-            if aliases:
-                # Wrapped UEs are validated non-mobile, so this slots in
-                # after mobility without contention; a middlebox built
-                # below supersedes the sender cut.
-                self.alias = _AliasRouting(self, full_spec,
-                                           coupling["assignment"], aliases)
-            mbx_shard = coupling.get("mbx_shard")
-            if mbx_shard is not None:
-                # After the mobility runtime: the middlebox re-cuts every
-                # sender (mobile ones included) at WAN entry.
-                self.middlebox = _SharedMiddlebox(self, full_spec,
-                                                  coupling["assignment"],
-                                                  mbx_shard,
-                                                  coupling["lookahead"])
-        self.windows = 0
-        self.boundary_packets = 0
+            mobility = None
+            if coupling.spec.mobility.enabled:
+                mobility = _ShardMobility(self, coupling)
+                self.couplings.append(mobility)
+            if coupling.alias_shard:
+                self.couplings.append(_AliasRouting(self, coupling))
+            if coupling.mbx_shard is not None:
+                self.couplings.append(
+                    _SharedMiddlebox(self, coupling, mobility))
+            for runtime in self.couplings:
+                self._inject.update(runtime.inject_handlers)
+            self._cut_wan_entry(coupling, mobility)
+
+    def _cut_wan_entry(self, coupling: _CouplingPlan,
+                       mobility: Optional[_ShardMobility]) -> None:
+        """Re-cut every local sender whose packets may leave this shard.
+
+        One precedence, by what sits at the far end of the WAN pipe: a
+        shared middlebox lies between *every* pipe and the core, so it
+        takes every sender (mobile and aliased ones included — its egress
+        routes those); else a wrapped destination address won on another
+        shard (such UEs are validated non-mobile); else a potentially
+        mobile UE, whose flows live on this, its home shard.
+        """
+        assignment = coupling.plan.assignment
+        legs = wan_one_way_legs(coupling.spec)
+        for flow in coupling.spec.resolved_flows():
+            sender = self.scenario.senders.get(flow.flow_id)
+            if sender is None:
+                continue
+            winner = coupling.alias_shard.get(ue_ip_address(flow.ue_id),
+                                              self.shard_index)
+            if coupling.mbx_shard is not None:
+                cut = {"mode": "mbx_in", "target": coupling.mbx_shard}
+            elif winner != self.shard_index:
+                cut = {"mode": "core_dl", "target": winner}
+            elif mobility is not None and flow.ue_id in mobility.mobile_ues:
+                cut = {"mode": "core_dl",
+                       "itinerary": mobility.itinerary_of(flow.ue_id)}
+            else:
+                continue
+            sender.path = _WanEntryCut(self, assignment, legs[flow.flow_id],
+                                       **cut)
+
+    def hand_off(self, deliver_at: float, payload, target: int,
+                 mode: str) -> None:
+        """Record an outbound boundary item, pre-routed by its producer.
+
+        There is one item shape: ``(deliver_at, payload, mode, target)`` —
+        the exact single-loop delivery time, what is delivered, the inject
+        handler that takes it, and the destination shard (or
+        :data:`_BROADCAST`).
+        """
+        self._outbound.append((deliver_at, payload, mode, target))
 
     def advance(self, until: float) -> list[tuple]:
         """Run the local loop up to ``until``; return drained outbound batch."""
         self.scenario.sim.run(until=until)
-        self.windows += 1
-        batch = self.boundary.drain()
-        self.boundary_packets += len(batch)
+        batch, self._outbound = self._outbound, []
         return batch
 
     def peek(self) -> Optional[float]:
-        """Earliest pending local event (the adaptive window floor)."""
+        """Earliest pending local event (the window floor)."""
         return self.scenario.sim.peek_time()
 
     def boundary_idle(self) -> bool:
         """True when this shard provably cannot emit boundary traffic."""
-        if self.middlebox is not None or self.alias is not None:
-            return False
-        if self.mobility is None:
-            return True
-        return self.mobility.manager.boundary_idle()
+        return all(runtime.boundary_idle() for runtime in self.couplings)
+
+    def _inject_downlink(self, at: float, packet: Packet) -> None:
+        self.scenario.sim.schedule_at(at, self.scenario.core.receive, packet)
 
     def inject(self, batch: list[tuple],
                frontier: Optional[float] = None) -> None:
@@ -1225,76 +1207,31 @@ class ShardHost:
         ``frontier`` is the barrier's middlebox knowledge frontier: with
         the batch injected, the hosted queue predicts and releases up to it.
 
-        Legacy pairs carry ``deliver_at`` stamps produced by the router as
-        ``handoff + lookahead``; pre-routed triples carry their true
-        single-loop delivery time.  The conservative window guarantees
-        neither is ever in this shard's past — enforce it rather than
-        assume it.
+        Every item carries its true single-loop delivery time.  The
+        conservative window guarantees it is never in this shard's past —
+        enforce it rather than assume it.
         """
         sim = self.scenario.sim
-        core = self.scenario.core
-        for item in batch:
-            deliver_at = item[0]
+        for deliver_at, payload, mode, _target in batch:
             if deliver_at < sim.now - 1e-12:
                 raise ConservativeSyncError(
                     f"shard {self.shard_index}: boundary item for "
                     f"t={deliver_at:.6f} arrived at local time "
                     f"{sim.now:.6f}; lookahead window violated")
-            at = max(deliver_at, sim.now)
-            if len(item) == 2:
-                packet = item[1]
-                if core.knows_ue_address(packet.five_tuple.dst_ip):
-                    sink = core.receive          # downlink: to a local UE
-                else:
-                    sink = core.receive_uplink   # uplink: to a local WAN path
-                sim.schedule_at(at, sink, packet)
-                continue
-            _deliver, payload, mode = item
-            if mode == "core_dl":
-                sim.schedule_at(at, core.receive, payload)
-            elif mode == "wan_ul":
-                sender = self.scenario.senders[payload.flow_id]
-                sim.schedule_at(at, sender.receive, payload)
-            elif mode == "ho_transfer":
-                sim.schedule_at(at, self.mobility.manager.apply_transfer,
-                                payload)
-            elif mode == "mbx_in":
-                self.middlebox.arrive(at, payload)
-            elif mode == "mbx_core_dl":
-                # Crossed the boundary after middlebox egress: already
-                # core_ingress-stamped, delivery time covers processing.
-                sim.schedule_at(at, core.deliver_downlink, payload)
-            elif mode == "ho_decision":
-                # Adopt immediately: extending the itinerary is safe (and
-                # required) before any routing lookup at or past the
-                # commit time — the commit lag guarantees none happened.
-                self.mobility.adopt_decision(payload)
-            else:
+            handler = self._inject.get(mode)
+            if handler is None:
                 raise ValueError(f"unknown boundary item mode {mode!r}")
-        if frontier is not None and self.middlebox is not None:
-            self.middlebox.release(frontier)
+            handler(max(deliver_at, sim.now), payload)
+        if frontier is not None:
+            for runtime in self.couplings:
+                runtime.release(frontier)
 
     def finish(self) -> ShardResult:
         """Stop collectors and package this shard's results for the merge."""
         scenario = self.scenario
         scenario.stop_collectors()
         result = scenario.collect(scenario.sim.processed_events)
-        mobile_owd: dict[int, tuple[list[float], list[float]]] = {}
-        mobile_rate_events: dict[int, tuple[list[float], list[int]]] = {}
-        records: list[dict] = []
-        if self.mobility is not None:
-            for flow_id in self.mobility.mobile_flow_ids:
-                times = scenario.owd.sample_times.get(flow_id)
-                samples = scenario.owd.samples.get(flow_id)
-                if times:
-                    mobile_owd[flow_id] = (list(times), list(samples))
-                events = scenario.throughput.raw_events.get(flow_id)
-                if events and events[0]:
-                    mobile_rate_events[flow_id] = events
-            self.mobility.manager.stop()
-            records = [dict(record)
-                       for record in self.mobility.manager.records]
-        return ShardResult(
+        packaged = ShardResult(
             shard_index=self.shard_index,
             flows=result.flows,
             queue_lengths={name: list(values) for name, values
@@ -1308,13 +1245,11 @@ class ShardHost:
             per_ue_throughput=result.per_ue_throughput,
             rate_errors=result.rate_estimation_errors,
             events_processed=result.events_processed,
-            boundary_packets=self.boundary_packets,
-            windows=self.windows,
-            mobile_owd=mobile_owd,
-            mobile_rate_events=mobile_rate_events,
-            handover_records=records,
             flow_mark_counts=scenario.flow_mark_counts(),
             background=result.background)
+        for runtime in self.couplings:
+            runtime.finish(packaged)
+        return packaged
 
 
 # --------------------------------------------------------------------- #
@@ -1322,70 +1257,19 @@ class ShardHost:
 # --------------------------------------------------------------------- #
 @dataclass
 class _BoundaryRouter:
-    """Routes drained boundary items to the shard that can deliver them."""
+    """Fans drained boundary items out to the shards they name."""
 
-    ip_to_shard: dict[str, int]
-    flow_to_shard: dict[int, int]
-    lookahead: float
     num_shards: int
     #: flow_id -> declaration index; simultaneous middlebox arrivals inject
     #: in this order (the single loop's tie order for the initial bursts).
     flow_order: dict[int, int] = field(default_factory=dict)
     routed_packets: int = 0
-    dropped_packets: int = 0
     #: Earliest delivery time among the items routed by the last
-    #: :meth:`route` call (the adaptive window floor), or None.
+    #: :meth:`route` call (the window floor), or None.
     last_min_deliver: Optional[float] = None
     #: Commit times of handover decisions routed since the last
     #: :meth:`drain_commits` — the synchronizer pins a barrier on each.
     pending_commits: list = field(default_factory=list)
-
-    #: True when two shards could ever owe each other a packet: a mobile
-    #: UE whose itinerary leaves its home shard, or an aliased client
-    #: address.  When False the synchronizer runs a single window to the
-    #: horizon — conservative lookahead over zero inter-federate links is
-    #: unbounded.
-    boundary_required: bool = False
-    #: True when coupling comes from aliased addresses (a wrapped >250-UE
-    #: space) rather than the mobility schedule.  Such coupling has no
-    #: schedule the adaptive clock could jump by, so it forces
-    #: fixed-cadence windows.
-    ip_conflict: bool = False
-
-    @classmethod
-    def for_plan(cls, spec: ScenarioSpec, plan: ShardPlan, ue_ip,
-                 mobility_coupled: bool = False) -> "_BoundaryRouter":
-        """Build the routing tables (and coupling verdict) for a plan.
-
-        ``mobility_coupled`` is the caller's
-        :func:`mobility_coupling_intervals` verdict — passed in rather than
-        recomputed so the router's requirement and the synchronizer's jump
-        schedule stay consistent by construction.
-        """
-        ip_to_shard = {}
-        ip_conflict = False
-        flow_to_shard = {}
-        ue_cell = {}
-        for ue in spec.resolved_ues():
-            ue_cell[ue.ue_id] = ue.cell_id
-            shard = plan.assignment[ue.cell_id]
-            address = ue_ip(ue.ue_id)
-            if ip_to_shard.setdefault(address, shard) != shard:
-                # A wrapped (>250-UE) address space: last registration wins,
-                # like the single core's routing table — the final value is
-                # the winning (highest) ue_id's shard, which is where
-                # _AliasRouting steers every packet for the address.
-                ip_to_shard[address] = shard
-                ip_conflict = True
-        flow_order = {}
-        for index, flow in enumerate(spec.resolved_flows()):
-            flow_to_shard[flow.flow_id] = plan.assignment[ue_cell[flow.ue_id]]
-            flow_order[flow.flow_id] = index
-        return cls(ip_to_shard=ip_to_shard, flow_to_shard=flow_to_shard,
-                   lookahead=plan.lookahead, num_shards=plan.num_shards,
-                   flow_order=flow_order,
-                   boundary_required=ip_conflict or mobility_coupled,
-                   ip_conflict=ip_conflict)
 
     def route(self, outputs: list[list[tuple]]) -> list[list[tuple]]:
         """Turn per-shard outbound batches into per-shard inbound batches."""
@@ -1393,44 +1277,18 @@ class _BoundaryRouter:
         min_deliver: Optional[float] = None
         for source, batch in enumerate(outputs):
             for item in batch:
-                if len(item) > 2:
-                    # Pre-routed by a coupling runtime: exact delivery time
-                    # and destination shard travel with the item.
-                    deliver_at, payload, mode, target = item
-                    self.routed_packets += 1
-                    if target == _BROADCAST:
-                        # An SNR handover decision: every other shard
-                        # adopts it, and the synchronizer pins a barrier
-                        # at its commit time.
-                        self.pending_commits.append(deliver_at)
-                        targets = [shard for shard in range(self.num_shards)
-                                   if shard != source]
-                    else:
-                        targets = [target]
-                    for shard in targets:
-                        inbound[shard].append((deliver_at, payload, mode))
+                deliver_at, target = item[0], item[3]
+                self.routed_packets += 1
+                if target == _BROADCAST:
+                    # An SNR handover decision: every other shard adopts
+                    # it, and the synchronizer pins a barrier at its
+                    # commit time.
+                    self.pending_commits.append(deliver_at)
+                    for shard in range(self.num_shards):
+                        if shard != source:
+                            inbound[shard].append(item)
                 else:
-                    handoff, packet = item
-                    target = self.ip_to_shard.get(packet.five_tuple.dst_ip)
-                    if target is None:
-                        target = self.flow_to_shard.get(packet.flow_id)
-                    if target is None or target == source:
-                        if not packet.is_ack:
-                            # The single loop's core raises for an unroutable
-                            # downlink datagram; a sharded run must be as
-                            # loud, not silently corrupt the metrics.
-                            raise KeyError(
-                                f"no shard can deliver downlink packet for "
-                                f"{packet.five_tuple.dst_ip} (flow "
-                                f"{packet.flow_id}, from shard {source})")
-                        # Unknown uplink flows are dropped silently by the
-                        # single core too; count them for the post-run
-                        # warning.
-                        self.dropped_packets += 1
-                        continue
-                    self.routed_packets += 1
-                    deliver_at = handoff + self.lookahead
-                    inbound[target].append((deliver_at, packet))
+                    inbound[target].append(item)
                 if min_deliver is None or deliver_at < min_deliver:
                     min_deliver = deliver_at
         for batch in inbound:
@@ -1443,10 +1301,10 @@ class _BoundaryRouter:
         self.last_min_deliver = min_deliver
         return inbound
 
-    def _sort_key(self, entry: tuple) -> tuple:
-        if len(entry) > 2 and entry[2] == "mbx_in":
-            return (entry[0], 1, self.flow_order.get(entry[1].flow_id, -1))
-        return (entry[0], 0, -1)
+    def _sort_key(self, item: tuple) -> tuple:
+        if item[2] == "mbx_in":
+            return (item[0], 1, self.flow_order.get(item[1].flow_id, -1))
+        return (item[0], 0, -1)
 
     def drain_commits(self) -> list[float]:
         """Take (and clear) commit times routed since the last barrier."""
@@ -1642,7 +1500,7 @@ class _LocalShard:
 
 
 def _shard_worker(conn, shard_index: int, spec: dict,
-                  coupling: Optional[dict]) -> None:
+                  coupling: _CouplingPlan) -> None:
     """Worker-process main: pump one :class:`ShardHost` over a pipe.
 
     In lock-step with :func:`_run_shards`, which owns the window clock:
@@ -1675,7 +1533,7 @@ class _PipeShard:
     a worker process of its own; same four calls as :class:`_LocalShard`."""
 
     def __init__(self, context, index: int, spec: dict,
-                 coupling: Optional[dict]) -> None:
+                 coupling: _CouplingPlan) -> None:
         self.index = index
         self.window = 0
         self.conn, child = context.Pipe()
@@ -1728,19 +1586,17 @@ class _PipeShard:
             self.worker.join(timeout=5.0)
 
 
-def _start_workers(sub_specs: list[ScenarioSpec], coupling: Optional[dict],
+def _start_workers(sub_specs: list[ScenarioSpec], coupling: _CouplingPlan,
                    start_method: Optional[str]) -> list[_PipeShard]:
     """One worker process per shard but shard 0, which the coordinator
     hosts itself; ``[]`` (after a warning) where the platform has none."""
-    if coupling is not None:
-        coupling = {**coupling, "full_spec": coupling["full_spec"].to_dict()}
     started: list[_PipeShard] = []
     try:
         context = multiprocessing.get_context(start_method or None)
         for index, sub in enumerate(sub_specs[1:], start=1):
             started.append(_PipeShard(context, index, sub.to_dict(),
                                       coupling))
-    except (ImportError, NotImplementedError, OSError, PermissionError) as exc:
+    except (ImportError, NotImplementedError, OSError) as exc:
         # Partial startup (e.g. EAGAIN on the Nth fork): reap the workers
         # that did start before the all-local retry.
         for shard in started:
@@ -1799,7 +1655,6 @@ def _run_single_loop(config: ScenarioSpec, progress,
 def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
                          inprocess: Optional[bool] = None,
                          start_method: Optional[str] = None,
-                         adaptive: Optional[bool] = None,
                          progress=None,
                          progress_interval_s: float = 0.25
                          ) -> ScenarioResult:
@@ -1813,9 +1668,7 @@ def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
     further shard; ``inprocess=True``, ``$REPRO_SHARD_INPROCESS`` or a
     platform without worker processes keeps every shard in this process,
     under the same barrier loop (identical results — only wall-clock
-    differs).  ``shards`` overrides the spec's shard count and ``adaptive``
-    the spec's ``sharding.adaptive_windows`` (the fixed-cadence baseline
-    is ``adaptive=False``).
+    differs).  ``shards`` overrides the spec's shard count.
     """
     config.validate()
     blockers = sharding_blockers(config)
@@ -1835,38 +1688,12 @@ def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
     if plan.num_shards <= 1:
         return _run_single_loop(config, progress, progress_interval_s)
     sub_specs = split_spec(config, plan)
-    mbx_shard: Optional[int] = None
-    if config.wired_bottleneck_mbps is not None:
-        # Host the shared queue with the scenario's first cell.
-        mbx_shard = plan.assignment[config.resolved_cells()[0].cell_id]
-    snr_coupled = config.mobility.enabled and config.mobility.mode == "snr"
-    always_coupled = snr_coupled or mbx_shard is not None
-    coupling_payload = None
-    coupling_intervals: list[tuple[float, float]] = []
-    commit_points: list[float] = []
-    if config.mobility.enabled:
-        coupling_intervals = mobility_coupling_intervals(config, plan)
-        commit_points = schedule_commit_points(config, plan)
-    aliases = wrapped_address_aliases(config)
-    if config.mobility.enabled or mbx_shard is not None or aliases:
-        coupling_payload = {"full_spec": config,
-                            "assignment": plan.assignment,
-                            "lookahead": plan.lookahead,
-                            "mbx_shard": mbx_shard}
-    router = _BoundaryRouter.for_plan(
-        config, plan, ue_ip=ue_ip_address,
-        mobility_coupled=bool(coupling_intervals) or always_coupled)
-    if adaptive is None:
-        adaptive = config.sharding.adaptive_windows
-    # Address-alias coupling (wrapped >250-UE specs) has no schedule the
-    # adaptive clock could jump by; fall back to fixed cadence for it.
-    sync = _SyncPlan(horizon=config.duration_s, lookahead=plan.lookahead,
-                     boundary_required=router.boundary_required,
-                     adaptive=adaptive and not router.ip_conflict,
-                     coupling=coupling_intervals,
-                     commit_points=commit_points,
-                     always_coupled=always_coupled,
-                     mbx_shard=mbx_shard)
+    coupling = _CouplingPlan.of(config, plan)
+    sync = coupling.sync_plan()
+    router = _BoundaryRouter(
+        num_shards=plan.num_shards,
+        flow_order={flow.flow_id: index for index, flow
+                    in enumerate(config.resolved_flows())})
     on_window = None
     if progress is not None:
         def on_window(window_end: float) -> None:
@@ -1880,38 +1707,24 @@ def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
     if inprocess is None:
         inprocess = bool(os.environ.get(INPROCESS_ENV))
     transports: list = ([] if inprocess else
-                        _start_workers(sub_specs, coupling_payload,
-                                       start_method))
+                        _start_workers(sub_specs, coupling, start_method))
     try:
         # Every worker is forked by now, so no child inherits a local host.
         transports[:0] = [
-            _LocalShard(ShardHost(sub, index, coupling_payload))
+            _LocalShard(ShardHost(sub, index, coupling))
             for index, sub in enumerate(
                 sub_specs[:plan.num_shards - len(transports)])]
         results = _run_shards(transports, router, sync, on_window)
     finally:
         for transport in transports:
             transport.close()
-    if router.dropped_packets:
-        warnings.warn(
-            f"sharded run dropped {router.dropped_packets} unroutable "
-            "uplink packet(s) at the shard boundary (the single loop drops "
-            "these silently)", RuntimeWarning, stacklevel=2)
     stats = {"windows": sync.windows,
              "window_bounds": sync.window_bounds,
              "lookahead": plan.lookahead,
-             "adaptive_windows": sync.adaptive,
-             "boundary_required": router.boundary_required,
+             "boundary_required": sync.coupled,
              "routed_packets": router.routed_packets,
              "shards": plan.num_shards}
     return merge_shard_results(config, plan, results, sharding_stats=stats)
-
-
-def run_scenario_dict_sharded(spec_dict: dict,
-                              shards: Optional[int] = None) -> ScenarioResult:
-    """Sharded twin of ``run_scenario_dict`` (sweep-cell form)."""
-    return run_scenario_sharded(ScenarioSpec.from_dict(spec_dict),
-                                shards=shards)
 
 
 __all__ = [
@@ -1927,10 +1740,8 @@ __all__ = [
     "mobility_coupling_intervals",
     "potentially_mobile_ues",
     "run_scenario_sharded",
-    "run_scenario_dict_sharded",
     "schedule_commit_points",
     "sharding_blockers",
     "split_spec",
-    "window_schedule",
     "wrapped_address_aliases",
 ]

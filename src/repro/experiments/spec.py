@@ -84,17 +84,11 @@ class ShardingSpec:
             ``"explicit"`` places each cell on the shard named by ``map``.
         shards: worker count for ``"auto"`` mode, or None for the default.
         map: explicit ``cell_id -> shard index`` placement (``"explicit"``).
-        adaptive_windows: when shards are genuinely coupled (mobility), let
-            the synchronizer widen barrier windows while the handover
-            schedule proves no boundary traffic can flow, instead of running
-            one fixed-lookahead pipe round-trip per window for the whole run.
-            Ignored for boundary-free splits (they run a single window).
     """
 
     mode: str = "off"
     shards: Optional[int] = None
     map: dict[int, int] = field(default_factory=dict)
-    adaptive_windows: bool = True
 
     def __post_init__(self) -> None:
         # JSON object keys are strings; normalise back to int cell ids so a

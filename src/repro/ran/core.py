@@ -6,11 +6,11 @@ encapsulation/processing latency is modelled; the core performs no queueing of
 its own (the paper's bottleneck is always the RAN or an explicit wired
 middlebox).
 
-When a scenario is sharded across processes the core additionally acts as the
-*shard boundary*: packets whose destination is not registered locally are
-handed to :attr:`FiveGCore.remote_sink` (the sharded runtime's outbound
-batch buffer) instead of raising, so one core instance per shard collectively
-behaves like the single shared core of the unsharded run.
+When a scenario is sharded across processes a mobile UE's ACKs can surface on
+a shard that does not host its flow's WAN return path; such uplink packets are
+handed to :attr:`FiveGCore.remote_sink` (the sharded runtime's mobility sink)
+instead of being dropped, so one core instance per shard collectively behaves
+like the single shared core of the unsharded run.
 """
 
 from __future__ import annotations
@@ -41,14 +41,11 @@ class FiveGCore:
         self._downlink_routes: dict[str, tuple[object, UeId]] = {}
         self._uplink_routes: dict[int, PacketSink] = {}
         self._default_uplink: Optional[PacketSink] = None
-        #: Where packets with no local route go.  ``None`` (the default)
-        #: keeps the historical behaviour: unroutable downlink raises,
-        #: unroutable uplink is dropped.  The sharded runtime installs its
-        #: boundary buffer here so cross-shard traffic is batched instead.
+        #: Where uplink packets with no local route go; ``None`` (the
+        #: default) drops them.  Unroutable downlink always raises.
         self.remote_sink: Optional[PacketSink] = None
         self.downlink_packets = 0
         self.uplink_packets = 0
-        self.remote_packets = 0
 
     # ------------------------------------------------------------------ #
     # Routing table management
@@ -86,10 +83,6 @@ class FiveGCore:
         """Downlink entry point (the WAN path's sink)."""
         route = self._downlink_routes.get(packet.five_tuple.dst_ip)
         if route is None:
-            if self.remote_sink is not None:
-                self.remote_packets += 1
-                self.remote_sink.receive(packet)
-                return
             raise KeyError(
                 f"no UE registered for {packet.five_tuple.dst_ip}")
         gnb, ue_id = route
@@ -121,7 +114,6 @@ class FiveGCore:
         sink = self._uplink_routes.get(packet.flow_id, self._default_uplink)
         if sink is None:
             if self.remote_sink is not None:
-                self.remote_packets += 1
                 self.remote_sink.receive(packet)
             return
         self._sim.schedule(self.processing_delay, sink.receive, packet)

@@ -46,7 +46,7 @@ def spec_from_request(payload, defaults: Optional[RuntimeOptions] = None):
     The body is a JSON object holding either ``{"preset": name}`` or
     ``{"spec": {...}}`` (a full ScenarioSpec dict), plus an optional
     ``{"overrides": {...}}`` object carrying the shared runtime options
-    (``shards`` / ``workers`` / ``shard_windows``).  Request overrides win
+    (``shards`` / ``workers``).  Request overrides win
     over the service's own defaults; both are applied by the one
     :func:`~repro.experiments.options.apply_runtime_options`
     implementation the CLI uses.

@@ -86,10 +86,8 @@ class TestRun:
         assert json.loads(api.dump_document(document)) == document
 
     def test_runtime_options_flow_through(self):
-        result = api.run(_tiny_spec(), options=api.RuntimeOptions(
-            shards=1, shard_windows="fixed"))
+        result = api.run(_tiny_spec(), options=api.RuntimeOptions(shards=1))
         assert result.config.sharding.mode == "off"
-        assert result.config.sharding.adaptive_windows is False
 
 
 # --------------------------------------------------------------------- #

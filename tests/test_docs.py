@@ -156,7 +156,6 @@ def test_documented_defaults_match_spec(scenarios_md):
     assert f"`{spec.mobility.interruption_s:.3f}`" == "`0.020`"
     assert "`0.020`" in scenarios_md
     assert spec.mobility.ho_mode == "forward"
-    assert spec.sharding.adaptive_windows is True
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,11 @@
-"""Fading channels: determinism across shard counts.
+"""Fading channels: determinism across repeats and across shard counts.
 
 A fading spec draws its channel gains from seeded per-UE streams, so two
-runs of the same spec must be bit-identical — per execution path.  The
-sharded runtime samples those streams in per-shard simulators, so
-*cross*-path bit-identity is explicitly not promised for fading (the
-fuzzer's sharding suite degrades to a determinism check there); these
-tests pin exactly that contract at ``--shards 1`` (single loop) and
-``--shards 2``.
+runs of the same spec must be bit-identical — and, the streams being named
+per UE and seeded from the master seed, a shard simulator draws exactly
+what the single loop draws: the sharded run equals the single loop like on
+a static channel.  These tests pin both at ``--shards 1`` (single loop)
+and ``--shards 2``.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ def test_fading_repeat_runs_bit_identical(shards):
     second = _run(spec, shards)
     if shards > 1:
         assert not first.sharding_stats.get("fallback")
+        assert flows_identical(first, _run(spec, 1))
     assert flows_identical(first, second)
     assert first.per_ue_throughput == second.per_ue_throughput
     assert any(flow.goodput_bytes_per_s > 0 for flow in first.flows)
@@ -63,4 +63,7 @@ def test_vehicular_profile_also_deterministic():
     spec = _fading_spec(profile="vehicular")
     first = _run(spec, 2)
     second = _run(spec, 2)
+    single = _run(spec, 1)
     assert flows_identical(first, second)
+    assert flows_identical(first, single)
+    assert first.per_ue_throughput == single.per_ue_throughput

@@ -16,6 +16,7 @@ Two load-bearing properties:
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -317,18 +318,16 @@ class TestShardedMobility:
 
     def test_adaptive_windows_fewer_barriers_same_results(self):
         spec = _ping_pong()
-        adaptive = run_scenario_sharded(spec, shards=2, inprocess=True,
-                                        adaptive=True)
-        fixed = run_scenario_sharded(spec, shards=2, inprocess=True,
-                                     adaptive=False)
-        assert _results_equal(adaptive, fixed)
-        assert adaptive.sharding_stats["windows"] < \
-            fixed.sharding_stats["windows"]
-        # Fixed cadence is ~duration/lookahead; adaptive must beat it by
-        # skipping the uncoupled phases ([0, 1.0] and the drained tail).
-        assert fixed.sharding_stats["windows"] >= 150
-        assert adaptive.sharding_stats["windows"] <= \
-            fixed.sharding_stats["windows"] * 0.6
+        sharded = run_scenario_sharded(spec, shards=2, inprocess=True)
+        assert _results_equal(sharded, run_scenario(spec))
+        stats = sharded.sharding_stats
+        # One barrier per lookahead is ~duration/lookahead; the window
+        # policy must beat it by skipping the uncoupled phases ([0, 1.0]
+        # and the drained tail).
+        cadence = math.ceil(spec.duration_s / stats["lookahead"])
+        assert cadence >= 150
+        assert stats["windows"] <= cadence * 0.6
+        assert stats["window_bounds"]["jump"] >= 1
 
     def test_process_synchronizer_matches_inprocess(self):
         spec = _ping_pong(duration=1.5)

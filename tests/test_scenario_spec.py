@@ -137,6 +137,10 @@ class TestSpecSerialization:
             ScenarioSpec.from_dict({"flows": [{"flow_id": 0, "ue_id": 0,
                                                "cc_name": "prague",
                                                "bogus": 1}]})
+        # The removed window-policy field is unknown like any other.
+        with pytest.raises(ValueError, match="sharding.*adaptive_windows"):
+            ScenarioSpec.from_dict(
+                {"sharding": {"mode": "auto", "adaptive_windows": True}})
 
     def test_non_object_rejected(self):
         with pytest.raises(ValueError):

@@ -117,28 +117,42 @@ class TestRoundTrip:
 class TestRuntimeOptionParity:
     def test_cli_flags_and_service_overrides_build_identical_specs(
             self, capsys):
-        """--shards/--shard-windows through ``repro scenario`` and
+        """--shards/--workers through ``repro scenario`` and
         through a POSTed ``overrides`` object must resolve to the same
         spec — the drift that motivated the shared argparse parent."""
         from repro.__main__ import main
 
-        assert main(["scenario", "--preset", "coupled-core", "--shards", "2",
-                     "--shard-windows", "fixed", "--dump-spec"]) == 0
+        assert main(["scenario", "--preset", "coupled-core", "--shards", "4",
+                     "--workers", "2", "--dump-spec"]) == 0
         cli_spec = ScenarioSpec.from_json(capsys.readouterr().out)
 
         service_spec, _ = spec_from_request(
             {"preset": "coupled-core",
-             "overrides": {"shards": 2, "shard_windows": "fixed"}})
+             "overrides": {"shards": 4, "workers": 2}})
         assert service_spec == cli_spec
         assert cli_spec.sharding.shards == 2
-        assert cli_spec.sharding.adaptive_windows is False
 
     def test_serve_level_defaults_yield_to_request_overrides(self):
-        defaults = RuntimeOptions(shard_windows="fixed", shards=4)
+        defaults = RuntimeOptions(workers=3, shards=4)
         spec, _ = spec_from_request(
             {"preset": "coupled-core", "overrides": {"shards": 2}}, defaults)
         assert spec.sharding.shards == 2
-        assert spec.sharding.adaptive_windows is False
+        capped, _ = spec_from_request({"preset": "coupled-core"}, defaults)
+        assert capped.sharding.shards == 3
+
+    def test_removed_window_policy_knob_is_rejected_by_name(self, capsys):
+        """There is one window policy; the flag and the override that used
+        to select the other fail like any unknown name, naming the key."""
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scenario", "--preset", "coupled-core", "--shards", "2",
+                  "--shard-windows", "fixed", "--dump-spec"])
+        assert exit_info.value.code == 2
+        assert "--shard-windows" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="shard_windows"):
+            spec_from_request({"preset": "coupled-core",
+                               "overrides": {"shard_windows": "fixed"}})
 
     def test_workers_flag_caps_shard_count(self):
         spec = apply_runtime_options(

@@ -1,33 +1,37 @@
 """Tests for the process-per-cell sharding runtime.
 
-The load-bearing property is the determinism contract: for a fixed spec on a
-static channel, the sharded run produces per-flow metrics identical to the
-single event loop, for any shard count and across repeats.  The conservative
-boundary (core -> batch -> remote core) is additionally exercised directly
-with hand-built shard hosts, since spec-split scenarios keep each flow's
-whole path inside one shard.
+The load-bearing property is the determinism contract: for a fixed spec the
+sharded run produces per-flow metrics identical to the single event loop,
+for any shard count and across repeats.  The conservative boundary (the
+inject handlers, the lateness guard, stray packets at a shard core) is
+additionally exercised directly with hand-built shard hosts, since
+boundary-free splits keep each flow's whole path inside one shard.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from itertools import count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.presets import make_preset
 from repro.experiments.scenario import (WIRED_MIDDLEBOX_QUEUE_BYTES,
-                                        run_scenario, ue_ip_address)
+                                        min_snr_commit_lag, run_scenario,
+                                        ue_ip_address, wan_one_way_legs)
 from repro.experiments.sharded import (ConservativeSyncError, ShardHost,
                                        ShardPlanError, boundary_lookahead,
                                        build_shard_plan, merge_shard_results,
                                        run_scenario_sharded, sharding_blockers,
-                                       split_spec, window_schedule,
-                                       wrapped_address_aliases)
+                                       split_spec, wrapped_address_aliases)
 from repro.experiments.spec import (CellSpec, HandoverSpec, MobilitySpec,
                                     ScenarioSpec, ShardingSpec, UeSpec)
 from repro.net.addresses import FiveTuple
 from repro.net.ecn import ECN
 from repro.net.packet import make_data_packet
+from repro.ran.core import CORE_PROCESSING_DELAY
 from repro.units import mbps, ms, transmission_time
 from repro.workloads.flows import FlowSpec
 
@@ -109,6 +113,25 @@ class TestShardPlanning:
             FlowSpec(flow_id=0, ue_id=0, cc_name="prague", wan_rtt=ms(18)),
             FlowSpec(flow_id=1, ue_id=1, cc_name="prague")])
         assert boundary_lookahead(spec) == pytest.approx(ms(9))
+
+    @given(rtts=st.lists(st.one_of(st.none(), st.floats(1e-5, 0.5)),
+                         min_size=0, max_size=6),
+           default_rtt=st.floats(1e-3, 0.3))
+    @settings(max_examples=100, deadline=None)
+    def test_commit_lag_is_built_from_the_one_lookahead(self, rtts,
+                                                        default_rtt):
+        """Exact SNR commits need the lag's lookahead term to *be* the
+        barrier's: both come from the one per-flow leg helper."""
+        spec = ScenarioSpec(wan_rtt=default_rtt, num_ues=len(rtts) or 1,
+                            flows=[FlowSpec(flow_id=i, ue_id=i,
+                                            cc_name="prague", wan_rtt=rtt)
+                                   for i, rtt in enumerate(rtts)] or None)
+        legs = wan_one_way_legs(spec)
+        assert list(legs) == [f.flow_id for f in spec.resolved_flows()]
+        assert boundary_lookahead(spec) == max(min(legs.values()), 1e-4)
+        assert min_snr_commit_lag(spec) == (boundary_lookahead(spec)
+                                            + max(legs.values())
+                                            + CORE_PROCESSING_DELAY)
 
     def test_wired_bottleneck_shards_bit_identically(self):
         """The coupled-topology protocol: a shared middlebox no longer
@@ -220,12 +243,6 @@ class TestShardPlanning:
         assert seen_ues == set(range(8))
         assert seen_flows == set(range(8))
 
-    def test_window_schedule_covers_duration_exactly(self):
-        ends = window_schedule(1.0, 0.19)
-        assert ends[-1] == 1.0
-        assert all(b - a <= 0.19 + 1e-12
-                   for a, b in zip([0.0] + ends, ends))
-
 
 # --------------------------------------------------------------------- #
 # The acceptance property: sharded == single loop, per flow
@@ -326,88 +343,68 @@ class TestBoundaryExchange:
             flows=[FlowSpec(flow_id=ue_id, ue_id=ue_id, cc_name="prague")])
         return ShardHost(sub, shard)
 
-    def test_unroutable_packet_crosses_boundary_and_delivers(self):
-        lookahead = 0.02
-        host_a = self._host(ue_id=0, shard=0)
-        host_b = self._host(ue_id=1, shard=1)
-        # A downlink packet for UE 1 entering shard 0's core is unroutable
-        # there: it must land in the boundary buffer, not raise.
-        stray = make_data_packet(
-            flow_id=1, five_tuple=FiveTuple(
+    def _stray(self, ue_id: int):
+        return make_data_packet(
+            flow_id=ue_id, five_tuple=FiveTuple(
                 src_ip="10.0.0.1", src_port=443,
-                dst_ip=ue_ip_address(1), dst_port=50_001, protocol="tcp"),
+                dst_ip=ue_ip_address(ue_id), dst_port=50_000 + ue_id,
+                protocol="tcp"),
             seq=0, payload=1200, ecn=ECN.ECT1, now=0.0)
-        host_a.scenario.sim.schedule_at(0.005, host_a.scenario.core.receive,
-                                        stray)
-        batch = host_a.advance(lookahead)
-        assert [packet for _t, packet in batch] == [stray]
-        handoff = batch[0][0]
-        assert handoff == pytest.approx(0.005)
-        # Deliver on shard B with the router's lookahead stamp.  Shard A's
-        # core never stamped the stray (it had no route), so the stamp
-        # proves shard B's core ingested it, at exactly the delivery time.
-        assert "core_ingress" not in stray.timestamps
-        host_b.advance(lookahead)
-        host_b.inject([(handoff + lookahead, stray)])
-        host_b.advance(2 * lookahead)
-        assert stray.timestamps["core_ingress"] == \
-            pytest.approx(handoff + lookahead)
 
-    def test_unroutable_downlink_fails_loudly_at_the_router(self):
-        """The single loop's core raises for an unknown downlink address;
-        the boundary router must be as loud instead of silently dropping."""
-        from repro.experiments.sharded import _BoundaryRouter
+    def test_stray_downlink_at_a_shard_core_raises_keyerror(self):
+        """Every cross-shard downlink is cut and pre-routed at WAN entry; a
+        datagram for a UE another shard hosts that still reaches this
+        shard's core is a routing bug, and it fails as loudly as the
+        single core's unknown address does — no boundary item, no drop."""
+        host = self._host(ue_id=0, shard=0)
+        assert host.scenario.core.remote_sink is None
+        host.scenario.sim.schedule_at(0.005, host.scenario.core.receive,
+                                      self._stray(ue_id=1))
+        with pytest.raises(KeyError, match="no UE registered for "
+                                           + ue_ip_address(1)):
+            host.advance(0.02)
+        # A mis-targeted boundary item ends at the same core entry point.
+        other = self._host(ue_id=0, shard=0)
+        other.inject([(0.005, self._stray(ue_id=1), "core_dl", 0)])
+        with pytest.raises(KeyError, match="no UE registered"):
+            other.advance(0.02)
 
-        router = _BoundaryRouter(ip_to_shard={}, flow_to_shard={},
-                                 lookahead=0.02, num_shards=2)
-        stray = make_data_packet(
-            flow_id=99, five_tuple=FiveTuple(
-                src_ip="10.0.0.1", src_port=443, dst_ip="10.45.0.200",
-                dst_port=50_099, protocol="tcp"),
-            seq=0, payload=1200, ecn=ECN.ECT1, now=0.0)
-        with pytest.raises(KeyError, match="no shard can deliver"):
-            router.route([[(0.001, stray)], []])
+    def test_stray_uplink_is_dropped_like_the_single_loop(self):
+        """An ACK of a flow no local WAN path serves is dropped silently
+        (and counted) by the single core; a shard core does the same and
+        hands nothing to the boundary."""
+        host = self._host(ue_id=0, shard=0)
+        ack = self._stray(ue_id=1)
+        ack.is_ack = True
+        host.scenario.sim.schedule_at(0.005,
+                                      host.scenario.core.receive_uplink, ack)
+        before = host.scenario.core.uplink_packets
+        assert host.advance(0.02) == []
+        assert host.scenario.core.uplink_packets > before
 
     def test_collision_free_plan_runs_one_window(self):
         """No cross-shard route -> unbounded lookahead -> single window
         (the boundary machinery stays armed but never exchanges)."""
-        from repro.experiments.sharded import _BoundaryRouter
-
-        spec = _two_cell_static().validate()
-        plan = build_shard_plan(spec, shards=2)
-        router = _BoundaryRouter.for_plan(spec, plan, ue_ip=ue_ip_address)
-        assert not router.boundary_required
+        result = run_scenario_sharded(_two_cell_static(duration=0.5),
+                                      shards=2, inprocess=True)
+        stats = result.sharding_stats
+        assert stats["windows"] == 1
+        assert stats["window_bounds"]["lookahead"] == 1
+        assert not stats["boundary_required"]
+        assert stats["routed_packets"] == 0
 
     def test_late_boundary_packet_raises(self):
         host = self._host(ue_id=0, shard=0)
         host.advance(0.04)
-        stray = make_data_packet(
-            flow_id=0, five_tuple=FiveTuple(
-                src_ip="10.0.0.1", src_port=443,
-                dst_ip=ue_ip_address(0), dst_port=50_000, protocol="tcp"),
-            seq=0, payload=1200, ecn=ECN.ECT1, now=0.0)
         with pytest.raises(ConservativeSyncError):
-            host.inject([(0.01, stray)])
-
-    def test_late_pre_routed_item_raises_too(self):
-        """The guard covers pre-routed (mode-tagged) items, not just the
-        legacy table-routed pairs."""
-        host = self._host(ue_id=0, shard=0)
-        host.advance(0.04)
-        stray = make_data_packet(
-            flow_id=0, five_tuple=FiveTuple(
-                src_ip="10.0.0.1", src_port=443,
-                dst_ip=ue_ip_address(0), dst_port=50_000, protocol="tcp"),
-            seq=0, payload=1200, ecn=ECN.ECT1, now=0.0)
-        with pytest.raises(ConservativeSyncError):
-            host.inject([(0.02, stray, "core_dl")])
+            host.inject([(0.02, self._stray(ue_id=0), "core_dl", 0)])
 
     def test_unknown_boundary_item_mode_raises(self):
         """Protocol corruption (an unrecognised mode tag) must fail fast,
         not silently drop the payload."""
         host = self._host(ue_id=0, shard=0)
         with pytest.raises(ValueError, match="unknown boundary item mode"):
-            host.inject([(0.5, object(), "warp_drive")])
+            host.inject([(0.5, object(), "warp_drive", 0)])
 
 
 # --------------------------------------------------------------------- #
@@ -429,9 +426,8 @@ class TestMergeStep:
         plan = build_shard_plan(spec, shards=2)
         subs = split_spec(spec, plan)
         hosts = [ShardHost(sub, i) for i, sub in enumerate(subs)]
-        for end in window_schedule(spec.duration_s, plan.lookahead):
-            for host in hosts:
-                host.advance(end)
+        for host in hosts:  # boundary-free: one window to the horizon
+            assert host.advance(spec.duration_s) == []
         # Merge with the shard results deliberately reversed: ordering must
         # come from the spec, not from worker completion order.
         results = [host.finish() for host in hosts][::-1]
@@ -586,6 +582,34 @@ class TestBarrierWindows:
             assert bounds["jump"] >= 1 and bounds["middlebox"] == 0
 
 
+    def test_alias_coupling_runs_the_one_window_policy(self):
+        """A wrapped address whose colliders span shards has no schedule to
+        jump by: always-coupled, every window bounded by the frontier."""
+        spec = _wrapped_address_spec()
+        sharding = run_scenario_sharded(spec, shards=2,
+                                        inprocess=True).sharding_stats
+        bounds = sharding["window_bounds"]
+        assert sharding["boundary_required"] and sharding["windows"] > 1
+        assert sum(bounds.values()) == sharding["windows"]
+        assert bounds["jump"] == bounds["commit"] == bounds["middlebox"] == 0
+
+    def test_same_shard_alias_split_is_boundary_free(self):
+        """Coupling is derived from what crosses: colliding UEs that share
+        a shard resolve at their local core, so the split runs one window —
+        and still equals the single loop."""
+        base = _wrapped_address_spec()
+        spec = dataclasses.replace(base, ues=[
+            dataclasses.replace(ue, cell_id=ue.ue_id % 250)
+            for ue in base.ues])
+        single = run_scenario(
+            dataclasses.replace(spec, sharding=ShardingSpec(mode="off")))
+        sharded = run_scenario_sharded(spec, shards=2, inprocess=True)
+        assert sharded.sharding_stats["windows"] == 1
+        assert not sharded.sharding_stats["boundary_required"]
+        assert all(_flows_equal(a, b)
+                   for a, b in zip(single.flows, sharded.flows))
+
+
 class TestWorkerDeath:
     def test_dead_worker_raises_typed_error_promptly(self, monkeypatch):
         """A shard worker killed mid-run surfaces as ShardWorkerDied naming
@@ -600,9 +624,10 @@ class TestWorkerDeath:
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs the fork start method to patch the worker")
         advance = ShardHost.advance
+        windows = count()
 
         def dying_advance(self, until):
-            if self.shard_index == 1 and self.windows == 20:
+            if self.shard_index == 1 and next(windows) == 20:
                 os._exit(13)
             return advance(self, until)
 
@@ -650,9 +675,10 @@ class TestShardFailures:
             pass
 
         advance = ShardHost.advance
+        windows = count()
 
         def failing_advance(self, until):
-            if self.shard_index == 0 and self.windows == 20:
+            if self.shard_index == 0 and next(windows) == 20:
                 raise LocalShardBroke("window 21 of shard 0")
             return advance(self, until)
 
@@ -670,9 +696,10 @@ class TestShardFailures:
 
         _require_fork()
         advance = ShardHost.advance
+        windows = count()
 
         def failing_advance(self, until):
-            if self.shard_index == 1 and self.windows == 5:
+            if self.shard_index == 1 and next(windows) == 5:
                 raise ValueError("remote boom")
             return advance(self, until)
 
@@ -742,8 +769,9 @@ class TestBarrierLoop:
 
         def outbound(index, until):
             # Same-instant items for shard 0: only the collection order
-            # decides how the router's stable sort leaves them.
-            return [(until + 1.0, f"from{index}", "core_dl", 0)]
+            # decides how the router's stable sort leaves them.  Stamped
+            # at the window end, they hold the frontier one lookahead on.
+            return [(until, f"from{index}", "core_dl", 0)]
 
         class FakeHost:
             def __init__(self, index):
@@ -783,11 +811,9 @@ class TestBarrierLoop:
 
         shards = [_LocalShard(FakeHost(0)), FakePipe(1),
                   _LocalShard(FakeHost(2)), FakePipe(3)]
-        router = _BoundaryRouter(ip_to_shard={}, flow_to_shard={},
-                                 lookahead=0.02, num_shards=4,
-                                 boundary_required=True)
-        sync = _SyncPlan(horizon=0.1, lookahead=0.02, boundary_required=True,
-                         adaptive=False, coupling=[])
+        router = _BoundaryRouter(num_shards=4)
+        sync = _SyncPlan(horizon=0.1, lookahead=0.02, coupling=[],
+                         always_coupled=True)
         seen = []
         results = _run_shards(shards, router, sync, on_window=seen.append)
 
@@ -861,3 +887,30 @@ class TestBarrierLoop:
         assert mixed["flows"] == local["flows"] == single["flows"]
         assert mixed["sharding"] == local["sharding"]
         assert mixed["sharding"]["shards"] == shards
+
+    @pytest.mark.parametrize("preset, duration", [("coupled-core", 1.0),
+                                                  ("handover", None)])
+    def test_spawned_workers_match_inprocess_document(self, preset,
+                                                      duration):
+        """A spawn-started worker imports everything afresh and receives
+        its sub-spec and the coupling plan through a pickle; the document
+        must not depend on that."""
+        import multiprocessing
+        import warnings
+
+        from repro.experiments.results import dump_document, result_document
+
+        if "spawn" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the spawn start method")
+        spec = make_preset(preset)
+        if duration is not None:
+            spec = dataclasses.replace(spec, duration_s=duration)
+        local = run_scenario_sharded(spec, shards=2, inprocess=True)
+        with warnings.catch_warnings():
+            # An all-local rerun ("workers unavailable") must not pass.
+            warnings.simplefilter("error", RuntimeWarning)
+            spawned = run_scenario_sharded(spec, shards=2, inprocess=False,
+                                           start_method="spawn")
+        assert dump_document(result_document(spawned)) == \
+            dump_document(result_document(local))
+        assert multiprocessing.active_children() == []
