@@ -39,8 +39,7 @@ no boundary traffic can exist, so it jumps the barrier straight to the next
 coupling interval — and inside coupled phases it still widens windows past
 ``W + lookahead`` when every shard's next event
 (:meth:`repro.sim.engine.Simulator.peek_time`) and every in-flight delivery
-provably allow it (a one-pipe-round-trip-per-lookahead cadence would cost
-~316 exchanges for 6 s at 19 ms).
+provably allow it.
 
 Determinism contract
 --------------------
@@ -58,17 +57,20 @@ Coupled topologies
 ------------------
 Five couplings the barrier once refused are now first-class protocol:
 
-* **A shared wired middlebox** is hosted on one shard; every shard cuts
-  its senders at WAN entry (``mbx_in`` boundary items into the host
-  queue) and the host routes each egress by serving cell at egress time
-  (``mbx_core_dl``, pre-stamped) — the one hop shorter than the
-  lookahead.  The queue is a drop-tail FIFO behind a known rate schedule,
-  so the host *predicts* its egress: every barrier sends the knowledge
-  frontier ``K`` (earliest peek / in-flight delivery + lookahead; every
-  arrival before it is already known), the host hands off every
-  remote-bound egress up to ``K`` at once, and — released items leaving
-  one barrier later — windows are capped at the previous ``K`` plus the
-  core processing delay.  The real link verifies each prediction.
+* **A shared wired middlebox** belongs to no cell and is hosted on shard
+  0, the coordinator's own; every shard cuts its senders at WAN entry
+  (``mbx_in`` boundary items into the host queue) and the host routes each
+  egress by serving cell at egress time (``mbx_core_dl``, pre-stamped) —
+  the one hop shorter than the lookahead.  The queue is a drop-tail FIFO
+  behind a known rate schedule, so the host *predicts* its egress: every
+  barrier computes the knowledge frontier ``K`` (earliest peek / in-flight
+  delivery + lookahead; every arrival before it is already known) and
+  delivers the host's remote-bound egresses up to ``K`` *in that same
+  barrier*.  Exact: items released at barrier *n* have egress in
+  ``(K_{n-1}, K_n]``, every target's local time is ``<= K_{n-1}``, so
+  ``deliver_at = egress + core_processing`` is never in a target's past,
+  and anything released later has egress ``> K_n >=`` the window end.  The
+  real link verifies each prediction.
 * **SNR-triggered handovers** run two-phase decide-then-commit: the
   serving shard's monitor *decides*, the decision crosses the next barrier
   as a broadcast ``ho_decision`` item, and every loop *commits* the
@@ -115,7 +117,6 @@ import warnings
 from bisect import bisect_right, insort
 from collections import deque
 from contextlib import suppress
-from copy import copy
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import count
@@ -136,7 +137,6 @@ from repro.metrics.collectors import (DelayBreakdownAccumulator,
                                       merge_sample_dicts)
 from repro.net.packet import Packet
 from repro.net.router import BottleneckRouter
-from repro.ran.core import CORE_PROCESSING_DELAY
 from repro.ran.mobility import (HandoverDecision, HandoverTransfer,
                                 MobilityManager, merge_handover_records)
 from repro.units import mbps, transmission_time
@@ -438,21 +438,13 @@ class _SyncPlan:
     handoff happens at an event ≥ that floor and is delivered ≥ one
     lookahead after it.
 
-    Two coupling mechanisms cap a window further:
-
-    * **Commit points** — exact times a barrier must land on: scheduled
-      cross-shard handovers with interruption < lookahead (known up front)
-      and SNR handover commits (added mid-run when a decision crosses the
-      barrier).  A commit shrinks the next window to the commit time.
-    * **The middlebox frontier** — a shared wired middlebox hosted on one
-      shard feeds *remote* cores only one core-processing delay after
-      egress, far inside the lookahead.  Every barrier computes the
-      knowledge frontier ``K``: each event still to run anywhere is at or
-      after the earliest peek / in-flight delivery, so an arrival the host
-      does not know yet lands at ``K`` or later.  The host predicts and
-      hands off every egress up to ``K``; what it releases leaves with its
-      *next* report, so a window is capped at the ``K`` sent one barrier
-      ago plus the processing delay.
+    **Commit points** cap a window further — exact times a barrier must
+    land on: scheduled cross-shard handovers with interruption < lookahead
+    (known up front) and SNR handover commits (added mid-run when a
+    decision crosses the barrier).  A shared wired middlebox, feeding
+    *remote* cores one core-processing delay after egress, caps nothing:
+    an arrival its host does not know yet lands at ``K`` or later, and the
+    egresses predicted up to ``K`` cross in the barrier that computed it.
 
     ``always_coupled`` (SNR mobility, a middlebox, cross-shard address
     aliases) disables schedule jumps — there is no schedule proving any
@@ -463,18 +455,13 @@ class _SyncPlan:
     def __init__(self, horizon: float, lookahead: float,
                  coupling: list[tuple[float, float]],
                  commit_points: Optional[list[float]] = None,
-                 always_coupled: bool = False,
-                 mbx_shard: Optional[int] = None,
-                 core_processing: float = CORE_PROCESSING_DELAY) -> None:
+                 always_coupled: bool = False) -> None:
         self.horizon = horizon
         self.lookahead = lookahead
         self.coupling = coupling
         self.commit_points: list[float] = sorted(set(commit_points or ()))
         self.always_coupled = always_coupled
-        self.mbx_shard = mbx_shard
-        self.core_processing = core_processing
-        #: ``K`` as of the latest barrier.  No arrival, hence no egress,
-        #: exists before one lookahead.
+        #: ``K`` as of the latest barrier (no arrival precedes one lookahead).
         self.frontier = lookahead
         self.windows = 0
         #: How many windows each term bound (set by :meth:`first_window`).
@@ -496,23 +483,17 @@ class _SyncPlan:
             return self.commit_points[index]
         return None
 
-    def _capped(self, now: float, window: float, bound: str,
-                released: Optional[float] = None) -> float:
+    def _capped(self, now: float, window: float, bound: str) -> float:
         cap = self._commit_cap(now)
         if cap is not None and cap < window:
             window, bound = cap, "commit"
-        if released is not None and released + self.core_processing < window:
-            window, bound = released + self.core_processing, "middlebox"
         self.window_bounds[bound] += 1
-        # Every component is strictly after ``now`` (commit caps by
-        # construction, the middlebox bound by the processing delay), so
-        # the clamp below never binds; it guards hand-built plans.
+        # Commit caps lie after ``now``: the clamp guards hand-built plans.
         return min(self.horizon, max(window, now + 1e-12))
 
     def first_window(self) -> float:
         """Where the first barrier lands (the horizon when boundary-free)."""
-        self.window_bounds = dict.fromkeys(
-            ("lookahead", "commit", "middlebox", "jump"), 0)
+        self.window_bounds = dict.fromkeys(("lookahead", "commit", "jump"), 0)
         if not self.coupled:
             # Lookahead over zero inter-shard links is unbounded.
             self.window_bounds["lookahead"] = 1
@@ -521,8 +502,6 @@ class _SyncPlan:
             jump = self._jump_target(0.0)
             if jump is not None:
                 return self._capped(0.0, jump, "jump")
-        # The middlebox cannot egress before the initial frontier, so only
-        # commit points cap the first window.
         return self._capped(0.0, self.lookahead, "lookahead")
 
     def next_window(self, now: float, peeks: list[Optional[float]],
@@ -533,14 +512,13 @@ class _SyncPlan:
         floors = [p for p in peeks if p is not None]
         if min_deliver is not None:
             floors.append(min_deliver)
-        released = self.frontier if self.mbx_shard is not None else None
         self.frontier = ((max(now, min(floors)) if floors else now)
                          + self.lookahead)
         if all_idle and not self.always_coupled:
             jump = self._jump_target(now)
             if jump is not None:
-                return self._capped(now, jump, "jump", released)
-        return self._capped(now, self.frontier, "lookahead", released)
+                return self._capped(now, jump, "jump")
+        return self._capped(now, self.frontier, "lookahead")
 
     def _jump_target(self, now: float) -> Optional[float]:
         """Next barrier when no coupling overlaps ``now``; None if coupled."""
@@ -564,7 +542,7 @@ class _CouplingPlan:
     #: stripped.
     spec: ScenarioSpec
     plan: ShardPlan
-    #: The shard hosting the shared wired middlebox, or None without one.
+    #: The shared wired middlebox's shard: 0, the coordinator's, or None.
     mbx_shard: Optional[int]
     #: Wrapped client address -> its winner's shard, for the addresses
     #: whose colliding UEs span shards (the others resolve locally).
@@ -572,10 +550,7 @@ class _CouplingPlan:
 
     @classmethod
     def of(cls, spec: ScenarioSpec, plan: ShardPlan) -> "_CouplingPlan":
-        mbx_shard = None
-        if spec.wired_bottleneck_mbps is not None:
-            # Host the shared queue with the scenario's first cell.
-            mbx_shard = plan.assignment[spec.resolved_cells()[0].cell_id]
+        mbx_shard = None if spec.wired_bottleneck_mbps is None else 0
         aliases = wrapped_address_aliases(spec)
         ue_shard = {ue.ue_id: plan.assignment[ue.cell_id]
                     for ue in spec.resolved_ues()}
@@ -597,8 +572,7 @@ class _CouplingPlan:
             commit_points=schedule_commit_points(self.spec, self.plan),
             always_coupled=((mobility.enabled and mobility.mode == "snr")
                             or self.mbx_shard is not None
-                            or bool(self.alias_shard)),
-            mbx_shard=self.mbx_shard)
+                            or bool(self.alias_shard)))
 
 
 # --------------------------------------------------------------------- #
@@ -653,7 +627,7 @@ class _CouplingRuntime:
         return False
 
     def release(self, frontier: float) -> None:
-        """Barrier hook, the batch injected: the knowledge frontier ``K``."""
+        """Shard 0's barrier hook, its batch injected: the frontier ``K``."""
 
     def finish(self, result: ShardResult) -> None:
         """Add this coupling's share to the shard's packaged result."""
@@ -976,7 +950,7 @@ class _MiddleboxEgress:
 
 
 class _SharedMiddlebox(_CouplingRuntime):
-    """One shard-spanning wired middlebox, its queue hosted on one shard.
+    """One shard-spanning wired middlebox, its queue hosted on shard 0.
 
     Every shard's local senders are cut at WAN entry towards the host
     shard's single :class:`BottleneckRouter` (``mbx_in`` items, see
@@ -986,12 +960,11 @@ class _SharedMiddlebox(_CouplingRuntime):
     later).  Uplink bypasses the middlebox exactly like the single loop's
     topology.
 
-    The host does not wait for the queue to drain before handing remote
-    packets off: at every barrier it learns the knowledge frontier ``K``
-    (:meth:`release`), predicts the egress of every arrival before it and
-    ships the remote-bound ones at once.  The real link stays the truth
-    for host-local deliveries and verifies every prediction
-    (:meth:`egress`).
+    The host does not wait for the queue to drain: at every barrier it
+    learns the knowledge frontier ``K`` (:meth:`release`), predicts the
+    egress of every arrival before it and ships the remote-bound ones in
+    that barrier.  The real link stays the truth for host-local deliveries
+    and verifies every prediction (:meth:`egress`).
     """
 
     def __init__(self, host: "ShardHost", coupling: _CouplingPlan,
@@ -1068,11 +1041,9 @@ class _SharedMiddlebox(_CouplingRuntime):
         Routing at such an egress is final too: an SNR decision not yet
         adopted commits more than a lookahead after the frontier's floor.
         Remote-bound packets leave now, stamped as the real queue would
-        have (the copy crosses before its ``receive`` event runs); an
+        have (the twin crosses before its ``receive`` event runs); an
         egress delivered past the horizon is never simulated.
         """
-        if self.router is None:
-            return
         arrivals, predicted = self._arrivals, self._predicted
         while arrivals and arrivals[0][0] < frontier:
             arrival, _order, packet = heappop(arrivals)
@@ -1080,16 +1051,18 @@ class _SharedMiddlebox(_CouplingRuntime):
             if egress is not None:
                 predicted.append((egress, arrival, packet))
         while predicted and predicted[0][0] <= frontier:
-            egress, arrival, packet = predicted.popleft()
-            target = self._target(packet, egress)
-            self._expected.append((packet.packet_id, egress, target))
+            egress, arrival, p = predicted.popleft()
+            target = self._target(p, egress)
+            self._expected.append((p.packet_id, egress, target))
             deliver_at = egress + self.core_processing
             if target != self.shard_index and deliver_at <= self.horizon:
-                twin = copy(packet)
-                twin.timestamps = {"router_ingress": arrival,
-                                   "link_enqueue": arrival,
-                                   "core_ingress": egress,
-                                   **packet.timestamps}
+                twin = Packet(
+                    p.flow_id, p.five_tuple, p.size, p.ecn, p.protocol, p.seq,
+                    p.end_seq, p.is_ack, p.ack_seq, p.ece, p.cwr, p.accecn,
+                    p.sent_time, p.packet_id,
+                    {"router_ingress": arrival, "link_enqueue": arrival,
+                     "core_ingress": egress, **p.timestamps},
+                    p.marked_by, p.retransmission, p.payload_info)
                 self.hand_off(deliver_at, twin, target, "mbx_core_dl")
 
     def egress(self, packet: Packet) -> None:
@@ -1200,12 +1173,8 @@ class ShardHost:
     def _inject_downlink(self, at: float, packet: Packet) -> None:
         self.scenario.sim.schedule_at(at, self.scenario.core.receive, packet)
 
-    def inject(self, batch: list[tuple],
-               frontier: Optional[float] = None) -> None:
+    def inject(self, batch: list[tuple]) -> None:
         """Schedule inbound boundary items onto the local loop.
-
-        ``frontier`` is the barrier's middlebox knowledge frontier: with
-        the batch injected, the hosted queue predicts and releases up to it.
 
         Every item carries its true single-loop delivery time.  The
         conservative window guarantees it is never in this shard's past —
@@ -1222,9 +1191,14 @@ class ShardHost:
             if handler is None:
                 raise ValueError(f"unknown boundary item mode {mode!r}")
             handler(max(deliver_at, sim.now), payload)
-        if frontier is not None:
-            for runtime in self.couplings:
-                runtime.release(frontier)
+
+    def release(self, frontier: float) -> list[tuple]:
+        """Shard 0 at a barrier, its batch injected: what the couplings hand
+        off knowing the frontier ``K``, drained for this same barrier."""
+        for runtime in self.couplings:
+            runtime.release(frontier)
+        batch, self._outbound = self._outbound, []
+        return batch
 
     def finish(self) -> ShardResult:
         """Stop collectors and package this shard's results for the merge."""
@@ -1300,6 +1274,24 @@ class _BoundaryRouter:
             batch.sort(key=self._sort_key)
         self.last_min_deliver = min_deliver
         return inbound
+
+    def route_released(self, released: list[tuple], inbound: list[list[tuple]],
+                       window_end: float, frontier: float) -> None:
+        """Add what shard 0 released knowing ``frontier`` to this barrier's
+        inbound batches, guarded at the source: a target's own lateness
+        guard fires a pipe hop later and names neither egress nor ``K``."""
+        for item in released:
+            deliver_at, packet, _mode, target = item
+            if deliver_at < window_end:
+                egress = packet.timestamps["core_ingress"]
+                raise ConservativeSyncError(
+                    f"middlebox egress of packet {packet.packet_id} at "
+                    f"{egress!r} (K={frontier!r}) is due on shard {target} at "
+                    f"{deliver_at!r}, before the window end {window_end!r}")
+            self.routed_packets += 1
+            inbound[target].append(item)
+        for target in {item[3] for item in released}:
+            inbound[target].sort(key=self._sort_key)
 
     def _sort_key(self, item: tuple) -> tuple:
         if item[2] == "mbx_in":
@@ -1481,10 +1473,13 @@ class _LocalShard:
         self.host: Optional[ShardHost] = host
         self._window_end = 0.0
 
-    def proceed(self, inbound: list[tuple], next_window: Optional[float],
-                frontier: Optional[float]) -> None:
-        self.host.inject(inbound, frontier)
+    def proceed(self, inbound: list[tuple],
+                next_window: Optional[float]) -> None:
+        self.host.inject(inbound)
         self._window_end = next_window
+
+    def release(self, frontier: float) -> list[tuple]:
+        return self.host.release(frontier)
 
     def collect(self) -> tuple:
         host = self.host
@@ -1504,17 +1499,17 @@ def _shard_worker(conn, shard_index: int, spec: dict,
     """Worker-process main: pump one :class:`ShardHost` over a pipe.
 
     In lock-step with :func:`_run_shards`, which owns the window clock:
-    block for ``("proceed", (inbound_batch, window_end, frontier))``,
-    inject, advance, send ``("window", (outbound_batch, peek_time,
-    boundary_idle))``.  The proceed answering the horizon window has no
-    window end and is answered with ``("result", ShardResult)``.  An exception
-    is shipped back as ``("error", traceback_text)`` instead of dying silently.
+    block for ``("proceed", (inbound_batch, window_end))``, inject, advance,
+    send ``("window", (outbound_batch, peek_time, boundary_idle))``.  The
+    proceed answering the horizon window has no window end and is answered
+    with ``("result", ShardResult)``.  An exception is shipped back as
+    ``("error", traceback_text)`` instead of dying silently.
     """
     try:
         host = ShardHost(ScenarioSpec.from_dict(spec), shard_index, coupling)
         while True:
-            _kind, (inbound, window_end, frontier) = conn.recv()
-            host.inject(inbound, frontier)
+            _kind, (inbound, window_end) = conn.recv()
+            host.inject(inbound)
             if window_end is None:
                 break
             conn.send(("window", (host.advance(window_end), host.peek(),
@@ -1562,10 +1557,10 @@ class _PipeShard:
             raise RuntimeError(f"shard {self.index} worker failed:\n{value}")
         return value
 
-    def proceed(self, inbound: list[tuple], next_window: Optional[float],
-                frontier: Optional[float]) -> None:
+    def proceed(self, inbound: list[tuple],
+                next_window: Optional[float]) -> None:
         with suppress(OSError):  # a dead worker: the next collect names it
-            self.conn.send(("proceed", (inbound, next_window, frontier)))
+            self.conn.send(("proceed", (inbound, next_window)))
 
     def collect(self) -> tuple:
         self.window += 1
@@ -1615,11 +1610,13 @@ def _run_shards(shards: list, router: _BoundaryRouter, sync: _SyncPlan,
 
     Every ``proceed`` of a window precedes its first ``collect``, so the
     workers are computing when the local shards start; reports arrive in
-    shard index order, which the router's stable sort relies on.
+    shard index order, which the router's stable sort relies on.  Shard 0
+    is local and hosts the middlebox: what it releases knowing a barrier's
+    frontier joins that barrier's inbound batches.
     """
     window_end = sync.first_window()
     for shard in shards:
-        shard.proceed([], window_end, None)
+        shard.proceed([], window_end)
     while True:
         sync.windows += 1
         outputs, peeks, idles = zip(*[shard.collect() for shard in shards])
@@ -1630,8 +1627,11 @@ def _run_shards(shards: list, router: _BoundaryRouter, sync: _SyncPlan,
         next_window = (None if done else
                        sync.next_window(window_end, peeks,
                                         router.last_min_deliver, all(idles)))
-        for shard, batch in zip(shards, inbound):
-            shard.proceed(batch, next_window, sync.frontier)
+        shards[0].proceed(inbound[0], next_window)
+        router.route_released(shards[0].release(sync.frontier), inbound,
+                              window_end, sync.frontier)
+        for shard, batch in zip(shards[1:], inbound[1:]):
+            shard.proceed(batch, next_window)
         if on_window is not None:
             on_window(window_end)
         if done:

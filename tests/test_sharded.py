@@ -551,8 +551,9 @@ class TestBarrierWindows:
     """What the coupled barrier costs, and what each window waited on."""
 
     def test_coupled_core_needs_few_windows_and_stays_exact(self):
-        """Egress prediction: about two windows per lookahead instead of
-        one per middlebox egress, per-flow results untouched."""
+        """Egress prediction released in the barrier that learns ``K``: one
+        window per lookahead (plus the commit-capped ones) instead of one
+        per middlebox egress, per-flow results untouched."""
         spec = dataclasses.replace(make_preset("coupled-core"),
                                    duration_s=1.0)
         single = run_scenario(
@@ -563,7 +564,8 @@ class TestBarrierWindows:
             assert all(_flows_equal(a, b)
                        for a, b in zip(single.flows, sharded.flows))
             stats = sharded.sharding_stats
-            assert stats["windows"] <= 3 * spec.duration_s / stats["lookahead"]
+            assert stats["windows"] <= (spec.duration_s / stats["lookahead"]
+                                        + stats["window_bounds"]["commit"] + 2)
 
     @pytest.mark.parametrize("preset", ["coupled-core", "handover"])
     def test_window_bounds_account_for_every_window(self, preset):
@@ -573,13 +575,13 @@ class TestBarrierWindows:
         result = run_scenario_sharded(spec, shards=2, inprocess=True)
         sharding = result_document(result)["sharding"]
         bounds = sharding["window_bounds"]
-        assert set(bounds) == {"lookahead", "commit", "middlebox", "jump"}
+        assert set(bounds) == {"lookahead", "commit", "jump"}
         assert sum(bounds.values()) == sharding["windows"]
         if preset == "coupled-core":
-            assert bounds["middlebox"] > bounds["lookahead"] > 0
+            assert bounds["lookahead"] > 0
             assert bounds["commit"] >= 1 and bounds["jump"] == 0
         else:
-            assert bounds["jump"] >= 1 and bounds["middlebox"] == 0
+            assert bounds["jump"] >= 1
 
 
     def test_alias_coupling_runs_the_one_window_policy(self):
@@ -591,7 +593,7 @@ class TestBarrierWindows:
         bounds = sharding["window_bounds"]
         assert sharding["boundary_required"] and sharding["windows"] > 1
         assert sum(bounds.values()) == sharding["windows"]
-        assert bounds["jump"] == bounds["commit"] == bounds["middlebox"] == 0
+        assert bounds["jump"] == bounds["commit"] == 0
 
     def test_same_shard_alias_split_is_boundary_free(self):
         """Coupling is derived from what crosses: colliding UEs that share
@@ -755,6 +757,56 @@ class TestShardFailures:
         assert result_document(result) == expected
 
 
+class _FakeHost:
+    """A shard host that simulates nothing and logs what the loop asks."""
+
+    def __init__(self, index, log, outbound=None, release=None):
+        self.index, self.log = index, log
+        self._outbound, self._release = outbound, release
+
+    def inject(self, batch):
+        self.log.append(("inject", self.index, [item[1] for item in batch]))
+
+    def release(self, frontier):
+        self.log.append(("release", self.index, frontier))
+        return self._release(frontier) if self._release else []
+
+    def advance(self, until):
+        self.log.append(("advance", self.index, until))
+        return self._outbound(self.index, until) if self._outbound else []
+
+    def peek(self):
+        return None
+
+    def boundary_idle(self):
+        return False
+
+    def finish(self):
+        return f"result{self.index}"
+
+
+class _FakePipe:
+    """A pipe transport with nobody behind it; keeps what it was sent."""
+
+    def __init__(self, index, log, outbound=None):
+        self.index, self.log, self._outbound = index, log, outbound
+        self.inbox = []
+
+    def proceed(self, inbound, next_window):
+        self.log.append(("proceed", self.index, next_window))
+        self.inbox.append(inbound)
+        self.window_end = next_window
+
+    def collect(self):
+        self.log.append(("collect", self.index))
+        batch = (self._outbound(self.index, self.window_end)
+                 if self._outbound else [])
+        return batch, None, False
+
+    def result(self):
+        return f"result{self.index}"
+
+
 class TestBarrierLoop:
     """The one window loop, over local and pipe transports."""
 
@@ -771,46 +823,12 @@ class TestBarrierLoop:
             # Same-instant items for shard 0: only the collection order
             # decides how the router's stable sort leaves them.  Stamped
             # at the window end, they hold the frontier one lookahead on.
-            return [(until, f"from{index}", "core_dl", 0)]
+            return [(until, f"from{index}", "core_dl", 0)] if index else []
 
-        class FakeHost:
-            def __init__(self, index):
-                self.index = index
-
-            def inject(self, batch, frontier):
-                log.append(("inject", self.index,
-                            [item[1] for item in batch]))
-
-            def advance(self, until):
-                log.append(("advance", self.index, until))
-                return outbound(self.index, until) if self.index else []
-
-            def peek(self):
-                return None
-
-            def boundary_idle(self):
-                return False
-
-            def finish(self):
-                return f"result{self.index}"
-
-        class FakePipe:
-            def __init__(self, index):
-                self.index = index
-
-            def proceed(self, inbound, next_window, frontier):
-                log.append(("proceed", self.index, next_window))
-                self.window_end = next_window
-
-            def collect(self):
-                log.append(("collect", self.index))
-                return outbound(self.index, self.window_end), None, False
-
-            def result(self):
-                return f"result{self.index}"
-
-        shards = [_LocalShard(FakeHost(0)), FakePipe(1),
-                  _LocalShard(FakeHost(2)), FakePipe(3)]
+        shards = [_LocalShard(_FakeHost(0, log, outbound)),
+                  _FakePipe(1, log, outbound),
+                  _LocalShard(_FakeHost(2, log, outbound)),
+                  _FakePipe(3, log, outbound)]
         router = _BoundaryRouter(num_shards=4)
         sync = _SyncPlan(horizon=0.1, lookahead=0.02, coupling=[],
                          always_coupled=True)
@@ -833,8 +851,73 @@ class TestBarrierLoop:
         injected = [entry[2] for entry in log
                     if entry[:2] == ("inject", 0)]
         assert injected == [[]] + [["from1", "from2", "from3"]] * 5
+        # Only shard 0 — the middlebox host — is asked to release, once per
+        # barrier, knowing that barrier's frontier.
+        released = [entry[1:] for entry in log if entry[0] == "release"]
+        assert [index for index, _k in released] == [0] * 5
+        assert [k for _i, k in released][:4] == pytest.approx(
+            [end + sync.lookahead for end in seen[:4]])
         # The local transports let go of their hosts with the results.
         assert shards[0].host is None and shards[2].host is None
+
+    @staticmethod
+    def _egressed(egress, target, packet_id=77):
+        """A ``mbx_core_dl`` item as the hosted middlebox hands it off."""
+        packet = _packet(0)
+        packet.packet_id = packet_id
+        packet.timestamps["core_ingress"] = egress
+        return (egress + CORE_PROCESSING_DELAY, packet, "mbx_core_dl", target)
+
+    @staticmethod
+    def _run_with_releasing_host(release):
+        """Shard 0: a real local transport over a fake host whose
+        ``release`` is given; shard 1: a fake pipe keeping what it is sent."""
+        from repro.experiments.sharded import (_BoundaryRouter, _LocalShard,
+                                               _run_shards, _SyncPlan)
+
+        log = []
+        pipe = _FakePipe(1, log)
+        router = _BoundaryRouter(num_shards=2)
+        sync = _SyncPlan(horizon=0.1, lookahead=0.02, coupling=[],
+                         always_coupled=True)
+        _run_shards([_LocalShard(_FakeHost(0, log, release=release)), pipe],
+                    router, sync)
+        return log, pipe, router
+
+    def test_released_item_reaches_its_target_in_the_same_barrier(self):
+        """What the local host hands off on ``release(K)`` is in the pipe
+        shard's very next ``proceed`` — the one closing the barrier that
+        computed ``K`` — counted once, not a barrier later."""
+        frontiers = []
+
+        def release(frontier):
+            frontiers.append(frontier)
+            if len(frontiers) == 2:
+                return [self._egressed(frontier, target=1)]
+            return []
+
+        log, pipe, router = self._run_with_releasing_host(release)
+        second_release = [i for i, entry in enumerate(log)
+                          if entry[0] == "release"][1]
+        # Handed over before shard 1 is collected again: the entry after
+        # the release is shard 1's proceed, the third it ever got.
+        assert log[second_release + 1][:2] == ("proceed", 1)
+        sent = [[item[1].packet_id for item in inbound]
+                for inbound in pipe.inbox]
+        assert sent == [[], [], [77], [], [], []]
+        assert router.routed_packets == 1
+
+    def test_release_into_a_targets_past_is_refused_at_the_source(self):
+        """A released item due before the window end just completed names
+        packet, egress, ``K`` and target shard — before any pipe hop."""
+        def release(frontier):
+            return [self._egressed(0.001, target=1, packet_id=4242)]
+
+        with pytest.raises(ConservativeSyncError) as caught:
+            self._run_with_releasing_host(release)
+        message = str(caught.value)
+        assert "packet 4242" in message and "shard 1" in message
+        assert "at 0.001 " in message and "K=0.04" in message
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_n_shards_run_on_n_processes(self, shards, monkeypatch):
@@ -888,20 +971,58 @@ class TestBarrierLoop:
         assert mixed["sharding"] == local["sharding"]
         assert mixed["sharding"]["shards"] == shards
 
-    @pytest.mark.parametrize("preset, duration", [("coupled-core", 1.0),
-                                                  ("handover", None)])
-    def test_spawned_workers_match_inprocess_document(self, preset,
-                                                      duration):
+    def test_explicit_map_putting_the_first_cell_off_shard_zero(self):
+        """The middlebox belongs to no cell: the coordinator — shard 0 —
+        hosts it even when an explicit map sends the first cell elsewhere.
+        Same windows as the auto split; only ``routed_packets`` moves,
+        because which egresses are remote-bound depends on the cells that
+        sit with the host."""
+        import warnings
+
+        from repro.experiments.results import result_document
+
+        spec = _coupled_core()
+        single = result_document(run_scenario(
+            dataclasses.replace(spec, sharding=ShardingSpec(mode="off"))))
+        auto = result_document(
+            run_scenario_sharded(spec, shards=2, inprocess=True))
+        swapped = dataclasses.replace(spec, sharding=ShardingSpec(
+            mode="explicit", map={0: 1, 1: 0, 2: 1, 3: 0}))
+        assert build_shard_plan(swapped).assignment[0] == 1
+        local = result_document(run_scenario_sharded(swapped, inprocess=True))
+        with warnings.catch_warnings():
+            # An all-local rerun ("workers unavailable") must not pass.
+            warnings.simplefilter("error", RuntimeWarning)
+            workers = result_document(
+                run_scenario_sharded(swapped, inprocess=False))
+        for document in (local, workers):
+            assert document["flows"] == single["flows"]
+            assert document["handovers"] == single["handovers"]
+            assert document["handovers"]
+        assert workers["sharding"] == local["sharding"]
+        assert local["sharding"].pop("routed_packets") > 0
+        del auto["sharding"]["routed_packets"]
+        assert local["sharding"] == auto["sharding"]
+
+    @pytest.mark.parametrize("preset, duration, start_method", [
+        # The spawn cases keep the ids they had before fork joined them.
+        pytest.param("coupled-core", 1.0, "spawn", id="coupled-core-1.0"),
+        pytest.param("handover", None, "spawn", id="handover-None"),
+        pytest.param("coupled-core", 1.0, "fork", id="coupled-core-1.0-fork"),
+        pytest.param("handover", None, "fork", id="handover-None-fork")])
+    def test_spawned_workers_match_inprocess_document(self, preset, duration,
+                                                      start_method):
         """A spawn-started worker imports everything afresh and receives
         its sub-spec and the coupling plan through a pickle; the document
-        must not depend on that."""
+        must not depend on that.  Either way every boundary packet crosses
+        a real pipe through ``Packet.__reduce__``."""
         import multiprocessing
         import warnings
 
         from repro.experiments.results import dump_document, result_document
 
-        if "spawn" not in multiprocessing.get_all_start_methods():
-            pytest.skip("needs the spawn start method")
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"needs the {start_method} start method")
         spec = make_preset(preset)
         if duration is not None:
             spec = dataclasses.replace(spec, duration_s=duration)
@@ -910,7 +1031,7 @@ class TestBarrierLoop:
             # An all-local rerun ("workers unavailable") must not pass.
             warnings.simplefilter("error", RuntimeWarning)
             spawned = run_scenario_sharded(spec, shards=2, inprocess=False,
-                                           start_method="spawn")
+                                           start_method=start_method)
         assert dump_document(result_document(spawned)) == \
             dump_document(result_document(local))
         assert multiprocessing.active_children() == []
