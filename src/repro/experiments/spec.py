@@ -29,7 +29,9 @@ which is why pre-spec experiment outputs are bit-identical.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import typing
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -648,16 +650,60 @@ def _drop_retired_engine_block(block: Any) -> None:
             "block to silence this)", DeprecationWarning, stacklevel=3)
 
 
+#: JSON types accepted for a field annotated with the key.
+_JSON_TYPES = {int: (int,), float: (float, int), str: (str,), bool: (bool,),
+               list: (list, tuple), dict: (dict,)}
+
+
+@functools.lru_cache(maxsize=None)
+def _field_types(cls) -> dict:
+    """``field -> (accepted types, accepted element types or None)`` for
+    every field of ``cls``, or ``None`` for a field not annotated with a
+    plain JSON type; ``NoneType`` is accepted where the annotation is
+    ``Optional``."""
+    types = {}
+    hints = typing.get_type_hints(cls)
+    for field_ in dataclasses.fields(cls):
+        hint = hints[field_.name]
+        args = typing.get_args(hint)
+        optional = (type(None),) if type(None) in args else ()
+        hint = args[0] if optional else hint
+        accepted = _JSON_TYPES.get(typing.get_origin(hint) or hint)
+        inner = typing.get_args(hint)
+        types[field_.name] = accepted and (
+            accepted + optional, _JSON_TYPES.get(inner[-1]) if inner else None)
+    return types
+
+
+def _is_a(value: Any, accepted: tuple) -> bool:
+    # bool is an int to Python, not to a spec: ``true`` is no seed.
+    return isinstance(value, accepted) and (
+        type(value) is not bool or bool in accepted)
+
+
 def _dataclass_from_dict(cls, data: Any, where: str,
                          extra: Optional[dict] = None):
     """Strictly construct dataclass ``cls`` from a plain dict."""
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected an object, got {type(data).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
+    types = _field_types(cls)
+    unknown = sorted(set(data) - types.keys())
     if unknown:
         raise ValueError(f"{where}: unknown field(s) {unknown}; "
-                         f"valid fields: {sorted(names)}")
+                         f"valid fields: {sorted(types)}")
+    for name, value in data.items():
+        if types[name] is None:
+            continue
+        accepted, inner = types[name]
+        valid = _is_a(value, accepted)
+        if valid and inner and value is not None:
+            valid = all(_is_a(item, inner) for item in (
+                value.values() if isinstance(value, dict) else value))
+        if not valid:
+            raise ValueError(
+                f"{where}.{name}: expected {accepted[0].__name__}"
+                f"{' of ' + inner[0].__name__ if inner else ''}, "
+                f"got {value!r}")
     kwargs = dict(data)
     if extra:
         kwargs.update(extra)

@@ -68,6 +68,7 @@ class DistributedUnit:
                 deliver=ue.deliver,
                 send_status=self._make_status_sender(ue.ue_id,
                                                      drb_config.drb_id))
+            entity.mac = self.mac
             self._rlc[key] = entity
             drb_ids.append(drb_config.drb_id)
             entities.append(entity)

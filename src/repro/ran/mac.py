@@ -73,7 +73,11 @@ class MacScheduler:
         start: when to start the slot clock (defaults to time zero).
 
     Every scheduler ticks on the simulator's timer wheel
-    (:meth:`_run_slot_batch`).
+    (:meth:`_run_slot_batch`).  A cell with no backlog and no background
+    population parks its timer (:class:`~repro.sim.engine.SlotTimer`); while
+    parked, :attr:`slots`, :attr:`null_ticks` and ``average_throughput`` lag
+    by ``timer.skipped`` ticks, so a mid-run reader calls :meth:`wake` first
+    (:meth:`stop` does).
     """
 
     def __init__(self, sim: Simulator, cell: CellConfig,
@@ -94,6 +98,8 @@ class MacScheduler:
         self._quiet_active_count = 0
         self.slots = 0
         self.busy_slots = 0
+        #: Slots the run loop took as null ticks (a diagnostic, not a result).
+        self.null_ticks = 0
         # Per-slot constants hoisted off the hot loop.
         self._decay = cell.slot_duration / pf_time_constant
         self._inv_slot_duration = 1.0 / cell.slot_duration
@@ -108,7 +114,10 @@ class MacScheduler:
     def register_ue(self, ue_id: UeId, channel: ChannelModel,
                     backlog_bytes: Callable[[], int],
                     pull: Callable[[int], int]) -> None:
-        """Attach a UE: the DU provides backlog and pull callbacks."""
+        """Attach a UE: the DU provides backlog and pull callbacks; whatever
+        makes ``backlog_bytes()`` grow calls :meth:`wake` (``RlcEntity`` does).
+        """
+        self.wake()
         state = _UeSchedulingState(
             ue_id=ue_id, channel=channel, backlog_bytes=backlog_bytes,
             pull=pull)
@@ -121,6 +130,7 @@ class MacScheduler:
 
     def unregister_ue(self, ue_id: UeId) -> None:
         """Stop scheduling a UE (it detached or handed over away)."""
+        self.wake()
         state = self._ues.pop(ue_id, None)
         if state is not None:
             self._ue_states.remove(state)
@@ -133,6 +143,7 @@ class MacScheduler:
         claimants; the PRBs not granted to foreground UEs are accumulated via
         ``population.on_slot`` and served by its next batched kernel step.
         """
+        self.wake()
         self._background = population
 
     @property
@@ -142,7 +153,39 @@ class MacScheduler:
 
     def stop(self) -> None:
         """Stop the slot clock (end of scenario)."""
+        self.wake()
         self._timer.stop()
+
+    def wake(self) -> None:
+        """Unpark the slot clock and replay the ticks the run loop took.
+
+        Exact because an idle slot's only effects are ``slots += 1`` and one
+        clamped EWMA decay per UE, which nothing reads or writes in between.
+        Called before anything an idle slot would have seen differently:
+        backlog growth, a UE or population (de)registering, :meth:`stop`.
+        """
+        timer = self._timer
+        timer.parked = False
+        count = timer.skipped
+        if count:
+            timer.skipped = 0
+            self.slots += count
+            self.null_ticks += count
+            self._decay_idle(count)
+
+    def _decay_idle(self, count: int) -> None:
+        """``count`` idle slots of PF-EWMA decay, as sequential multiplies
+        (``keep * average + 0.0 == keep * average`` bit-exactly, matching
+        both per-slot forms in :meth:`_on_slot`)."""
+        keep = 1.0 - self._decay
+        for state in self._ue_states:
+            average = state.average_throughput
+            for _ in range(count):
+                average = keep * average
+                if average <= 1.0:
+                    average = 1.0  # keep < 1: stays clamped from here on
+                    break
+            state.average_throughput = average
 
     # ------------------------------------------------------------------ #
     # Slot processing
@@ -159,7 +202,7 @@ class MacScheduler:
         event: another wheel timer (the ``barrier_*`` arguments), the heap
         head (a cancelled head conservatively ends the batch too; the
         engine loop discards it and re-enters), the run window, or a
-        ``stop()``.
+        ``stop()`` -- or the slot just run parked the clock.
         """
         sim = self._sim
         queue = sim.events
@@ -191,7 +234,7 @@ class MacScheduler:
             nxt = sim.now + slot
             timer.time = nxt
             timer.seq = seq
-            if timer.stopped or not sim._running:
+            if timer.stopped or timer.parked or not sim._running:
                 return
             if nxt > barrier_time or (nxt == barrier_time
                                       and seq > barrier_seq):
@@ -269,10 +312,7 @@ class MacScheduler:
           kernel-step boundary the run is capped at);
         * the background PRB accumulator adds ``prbs * count`` -- all
           integer-valued floats, so repeated ``+= prbs`` sums identically;
-        * the EWMA is ``count`` sequential multiplies, and ``keep < 1``
-          means a clamped average stays clamped, so the decay loop may
-          break early (``keep * average + 0.0 == keep * average``
-          bit-exactly, matching both the served- and idle-loop forms).
+        * the EWMA is :meth:`_decay_idle`.
 
         Returns ``True`` when the slot batch is over (the tick after the
         last one processed crosses the barrier, the heap head, or the
@@ -330,15 +370,7 @@ class MacScheduler:
             # ``quiet <= boundary`` caps the run, so the only possible
             # kernel step is at the final tick, whose time is ``t``.
             background._step(t)
-        keep = 1.0 - self._decay
-        for state in self._ue_states:
-            average = state.average_throughput
-            for _ in range(count):
-                average = keep * average
-                if average <= 1.0:
-                    average = 1.0  # keep < 1: stays clamped from here on
-                    break
-            state.average_throughput = average
+        self._decay_idle(count)
         sim.now = t
         sim._processed += count
         queue._next_seq = seq0 + count
@@ -374,13 +406,15 @@ class MacScheduler:
         background = self._background
         bg_demand = background.demand_count if background is not None else 0
         if not active:
-            if background is not None:
+            if background is None:
+                # Nothing to do until something calls wake().
+                self._timer.parked = True
+            elif bg_demand:
                 # The background aggregate owns the whole cell this slot.
-                if bg_demand:
-                    self.busy_slots += 1
-                    background.on_slot(self.cell.num_prb)
-                else:
-                    background.on_slot(0)
+                self.busy_slots += 1
+                background.on_slot(self.cell.num_prb)
+            else:
+                background.on_slot(0)
             for state in states:
                 average = state.average_throughput * keep
                 state.average_throughput = average if average > 1.0 else 1.0

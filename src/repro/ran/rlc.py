@@ -81,7 +81,7 @@ class RlcEntity:
                  "transmitted_bytes", "backlog_bytes", "_next_delivery_sn",
                  "_pending_delivery", "_skipped_sns", "reassembly_timeout",
                  "_delivery_report_pending", "_status_dirty", "_is_am",
-                 "_max_queue_sdus", "_released", "abandoned_sdus")
+                 "_max_queue_sdus", "_released", "abandoned_sdus", "mac")
 
     def __init__(self, sim: Simulator, ue_id: UeId, config: DrbConfig,
                  air: AirInterface,
@@ -128,6 +128,8 @@ class RlcEntity:
         # blocks still in flight then complete against a dead entity.
         self._released = False
         self.abandoned_sdus = 0
+        #: The cell's MacScheduler (set by the DU): backlog growth wakes it.
+        self.mac = None
 
     # ------------------------------------------------------------------ #
     # Ingress (from PDCP over F1-U)
@@ -149,6 +151,8 @@ class RlcEntity:
         self._tx_queue.append(sdu)
         self.backlog_bytes += sdu.size
         self.enqueued_sdus += 1
+        if self.mac is not None and self.mac._timer.parked:
+            self.mac.wake()
         return True
 
     # ------------------------------------------------------------------ #
@@ -362,6 +366,8 @@ class RlcEntity:
                 sdu.packet.stamp_override("rlc_head", self._sim.now)
             self._retx_queue.append(sdu)
             self.backlog_bytes += sdu.size
+            if self.mac is not None and self.mac._timer.parked:
+                self.mac.wake()
         else:
             self.lost_sdus += 1
             # Never block in-order delivery on an SDU that will not arrive.

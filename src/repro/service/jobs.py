@@ -75,19 +75,23 @@ def spec_from_request(payload, defaults: Optional[RuntimeOptions] = None):
             raise ValueError(f"unknown preset {preset!r}; available: "
                              f"{preset_names()}")
         spec = make_preset(preset)
-    else:
-        if not isinstance(spec_data, dict):
-            raise ValueError("'spec' must be a JSON object (a ScenarioSpec "
-                             "document, e.g. from 'repro scenario "
-                             "--dump-spec')")
-        try:
-            spec = ScenarioSpec.from_dict(spec_data)
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"malformed scenario spec: {exc}") from exc
+    elif not isinstance(spec_data, dict):
+        raise ValueError("'spec' must be a JSON object (a ScenarioSpec "
+                         "document, e.g. from 'repro scenario --dump-spec')")
     options = RuntimeOptions.from_mapping(payload.get("overrides") or {})
     if defaults is not None:
         options = options.merged_over(defaults)
-    spec = apply_runtime_options(spec, options).validate()
+    try:
+        if preset is None:
+            spec = ScenarioSpec.from_dict(spec_data)
+        spec = apply_runtime_options(spec, options).validate()
+    except ValueError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - the request boundary: a
+        # wrong-typed value the field checks cannot see (inside an opaque
+        # list, say) must still answer 400, not kill the handler thread.
+        raise ValueError("malformed scenario spec: "
+                         f"{type(exc).__name__}: {exc}") from exc
     meta = {"preset": preset, "label": spec.label(), "seed": spec.seed,
             "duration_s": spec.duration_s}
     return spec, meta

@@ -12,6 +12,7 @@ and congestion-control components.
 from __future__ import annotations
 
 from heapq import heappop as _heappop
+from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.sim.events import Event, EventQueue
@@ -21,6 +22,9 @@ from repro.sim.randomness import RandomStreams
 class SimulationError(RuntimeError):
     """Raised when the engine is used inconsistently (e.g. scheduling in the past)."""
 
+
+#: The wheel's sort key.
+_timer_key = attrgetter("time", "seq")
 
 class SlotTimer:
     """A recurring timer on the simulator's timer wheel.
@@ -43,9 +47,24 @@ class SlotTimer:
     call :meth:`advance` after every tick it processes; it *may* process
     further ticks (batching) while its next ``(time, seq)`` key stays below
     both the barrier key and the heap head.
+
+    A *parked* timer's owner (an idle cell's MAC, ``MacScheduler.wake``) has
+    nothing to do until some heap event says otherwise.  Its ticks are still
+    taken, at their own ``(time, seq)`` keys, but by the run loop: a *null
+    tick* sets the clock, consumes the sequence number, advances ``time`` by
+    ``period`` and counts one processed event and one ``skipped`` tick -- no
+    callback.  The owner alone sets and clears ``parked`` and replays the
+    ``skipped`` ticks when it wakes.  Exact because (1) only a heap event
+    can end the owner's idleness, and heap events fire only between ticks;
+    (2) a null tick does to the queue's counter, the clock and the event
+    total exactly what the idle callback's re-arm does, so every tick, run
+    or null, keeps its key and every heap event its sequence number; (3) the
+    replay commutes with whatever ran in between, because an idle tick
+    touches nothing but its owner's private counters.
     """
 
-    __slots__ = ("time", "seq", "period", "callback", "stopped")
+    __slots__ = ("time", "seq", "period", "callback", "stopped", "parked",
+                 "skipped")
 
     def __init__(self, time: float, seq: int, period: float,
                  callback) -> None:
@@ -54,6 +73,8 @@ class SlotTimer:
         self.period = period
         self.callback = callback
         self.stopped = False
+        self.parked = False
+        self.skipped = 0
 
     def advance(self, queue) -> None:
         """Move to the next tick, consuming one tie-break sequence number."""
@@ -89,10 +110,11 @@ class Simulator:
         self._running = False
         self._processed = 0
         #: Recurring timers living off-heap (see :class:`SlotTimer`): one
-        #: slot clock per cell in a RAN scenario.
+        #: slot clock per cell in a RAN scenario.  Ordered by ``(time,
+        #: seq)``: the head fires next, the second entry is its barrier.
         self._wheel: list[SlotTimer] = []
         #: Bumped by ``add_slot_timer`` and ``stop``; tells the run loop its
-        #: cached earliest-timer key may be stale or its time is up.
+        #: cached head-timer key may be stale or its time is up.
         self._epoch = 0
 
     # ------------------------------------------------------------------ #
@@ -136,39 +158,43 @@ class Simulator:
         queue._next_seq = seq + 1
         timer = SlotTimer(first, seq, period, callback)
         self._wheel.append(timer)
+        self._wheel.sort(key=_timer_key)
         self._epoch += 1
         return timer
 
     # ------------------------------------------------------------------ #
     # Running
     # ------------------------------------------------------------------ #
-    def _earliest_timer(self) -> Optional[SlotTimer]:
-        """The live wheel timer with the smallest ``(time, seq)`` key."""
-        timer = None
-        for candidate in self._wheel:
-            if not candidate.stopped and (
-                    timer is None or candidate.time < timer.time
-                    or (candidate.time == timer.time
-                        and candidate.seq < timer.seq)):
-                timer = candidate
-        return timer
+    def _head_timer(self) -> Optional[SlotTimer]:
+        """The next live wheel timer to fire (drops stopped heads)."""
+        wheel = self._wheel
+        while wheel and wheel[0].stopped:
+            del wheel[0]
+        return wheel[0] if wheel else None
 
     def step(self) -> bool:
         """Fire the next heap event or wheel tick, whichever is due first.
 
-        The heap head and the earliest live wheel timer compete on their
-        ``(time, seq)`` keys exactly as in :meth:`run`.  A timer is handed
-        its own key as the barrier, so it processes one tick and never
-        batches.  Returns ``False`` when nothing is left to fire.
+        The heap head and the wheel's head timer compete on their ``(time,
+        seq)`` keys exactly as in :meth:`run`.  A timer is handed its own
+        key as the barrier, so it processes one tick and never batches; a
+        parked timer's null tick is one step.  Returns ``False`` when
+        nothing is left to fire.
         """
         self.events.peek_time()  # drops cancelled heads
         heap = self.events.heap
-        timer = self._earliest_timer()
+        timer = self._head_timer()
         if timer is not None and (
                 not heap or timer.time < heap[0][0]
                 or (timer.time == heap[0][0] and timer.seq < heap[0][1])):
             self.now = timer.time
-            timer.callback(timer.time, timer.seq)
+            if timer.parked:
+                timer.advance(self.events)
+                timer.skipped += 1
+                self._processed += 1
+            else:
+                timer.callback(timer.time, timer.seq)
+            self._wheel.sort(key=_timer_key)
             return True
         event = self.events.pop_pending()
         if event is None:
@@ -193,16 +219,17 @@ class Simulator:
         the hottest code in the library: every simulated packet, timer and
         channel update funnels through the inner drain, whose per-event
         work is one cancellation check, one key comparison against a cached
-        stop key (the earliest timer, capped by ``until``) and one staleness
-        check.  The wheel bookkeeping runs once per timer *firing*, in a
-        single pass that finds the earliest live timer and the runner-up.
-        The runner-up's key, capped by ``until``, is the barrier handed to
-        the firing callback, which may batch ticks up to it and the heap
-        head.  The cached keys can only go stale through
-        :meth:`add_slot_timer` (a new timer may be earlier) or :meth:`stop`,
-        both of which bump ``_epoch`` and end the drain; a timer *stopped*
-        by a heap callback is simply not fired, and a stopped runner-up
-        merely leaves the barrier conservative.
+        stop key (the head timer, capped by ``until``) and one staleness
+        check.  The wheel is kept ordered, so a timer *firing* reads the
+        head, hands its callback the second entry's key (capped by
+        ``until``) as the barrier it may batch ticks up to, and re-seats
+        that one timer afterwards; a parked head's ticks are taken by the
+        loop itself (null ticks, see :class:`SlotTimer`).  The cached keys
+        can only go stale through :meth:`add_slot_timer` (a new timer may
+        be earlier) or :meth:`stop`, both of which bump ``_epoch`` and end
+        the drain; a timer *stopped* by a heap callback is simply not
+        fired, and a stopped second entry merely leaves the barrier
+        conservative.
 
         A ``max_events`` budget forbids batching, so that (rare) variant
         advances one :meth:`step` at a time.
@@ -228,43 +255,23 @@ class Simulator:
 
     def _run_merged(self, until: Optional[float]) -> None:
         """The batching loop of :meth:`run` (documented there)."""
-        heap = self.events.heap
+        queue = self.events
+        heap = queue.heap
+        wheel = self._wheel
         heappop = _heappop
         inf = float("inf")
         limit = inf if until is None else until
         while self._running:
-            timer = None
-            timer_time = timer_seq = barrier_time = barrier_seq = inf
-            compact = False
-            for candidate in self._wheel:
-                if candidate.stopped:
-                    compact = True
-                    continue
-                time = candidate.time
-                seq = candidate.seq
-                if time < timer_time or (time == timer_time
-                                         and seq < timer_seq):
-                    barrier_time = timer_time
-                    barrier_seq = timer_seq
-                    timer = candidate
-                    timer_time = time
-                    timer_seq = seq
-                elif time < barrier_time or (time == barrier_time
-                                             and seq < barrier_seq):
-                    barrier_time = time
-                    barrier_seq = seq
-            if compact:
-                self._wheel = [t for t in self._wheel if not t.stopped]
+            while wheel and wheel[0].stopped:  # _head_timer(), inlined
+                del wheel[0]
             # Events and ticks exactly at ``until`` still fire, hence the
             # +inf sequence of the window's end key.
-            fire = timer is not None and timer_time <= limit
-            if fire:
-                stop_time = timer_time
-                stop_seq = timer_seq
-                if barrier_time > limit:
-                    barrier_time = limit
-                    barrier_seq = inf
+            if wheel and wheel[0].time <= limit:
+                timer = wheel[0]
+                stop_time = timer.time
+                stop_seq = timer.seq
             else:
+                timer = None
                 stop_time = limit
                 stop_seq = inf
             epoch = self._epoch
@@ -289,14 +296,67 @@ class Simulator:
                     break
             if self._epoch != epoch:
                 continue
-            if fire:
-                if not timer.stopped:
-                    self.now = timer_time
-                    timer.callback(barrier_time, barrier_seq)
+            if timer is None:
+                if heap or wheel:
+                    self.now = until  # work remains, all of it past the window
+                return
+            if timer.stopped:
                 continue
-            if heap or timer is not None:
-                self.now = until  # work remains, all of it past the window
-            return
+            count = len(wheel)
+            if not timer.parked:
+                if count > 1 and wheel[1].time <= limit:
+                    barrier_time = wheel[1].time
+                    barrier_seq = wheel[1].seq
+                else:
+                    barrier_time = limit
+                    barrier_seq = inf
+                self.now = stop_time
+                timer.callback(barrier_time, barrier_seq)
+                if count > 1 or self._epoch != epoch:
+                    # The timer moved (or one was added mid-firing); the
+                    # list is short and all but sorted.
+                    wheel.sort(key=_timer_key)
+                continue
+            # Null ticks (see SlotTimer), for as long as the next head is
+            # parked too and neither a heap entry (a cancelled one counts,
+            # as it does for a slot batch) nor the window's end precedes its
+            # key.  Nothing else runs in here, so ``now``, the event total
+            # and the sequence counter are written back once.
+            processed = self._processed
+            next_seq = queue._next_seq
+            while True:
+                now = timer.time
+                seq = next_seq
+                next_seq += 1
+                time = now + timer.period
+                timer.time = time
+                timer.seq = seq
+                timer.skipped += 1
+                processed += 1
+                if count > 1:
+                    # Re-seat the head: a rotation to the tail when periods
+                    # are equal, a sort when they are not.
+                    other = wheel[-1]
+                    if time > other.time or (time == other.time
+                                             and seq > other.seq):
+                        del wheel[0]
+                        wheel.append(timer)
+                    else:
+                        wheel.sort(key=_timer_key)
+                    timer = wheel[0]
+                    time = timer.time
+                    seq = timer.seq
+                    if not timer.parked or timer.stopped:
+                        break
+                if time > limit:
+                    break
+                if heap:
+                    head = heap[0]
+                    if head[0] < time or (head[0] == time and head[1] < seq):
+                        break
+            self.now = now
+            self._processed = processed
+            queue._next_seq = next_seq
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
@@ -318,7 +378,7 @@ class Simulator:
         is its slot clock must not look idle to the barrier synchronizer.
         """
         heap_time = self.events.peek_time()
-        timer = self._earliest_timer()
+        timer = self._head_timer()
         if timer is None:
             return heap_time
         if heap_time is None or timer.time < heap_time:

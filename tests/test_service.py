@@ -188,6 +188,38 @@ class TestBadRequests:
         assert status == 400
         assert fragment in body["error"]
 
+    #: Right keys, wrong JSON types: each used to escape as a TypeError /
+    #: AttributeError from ``validate()`` (a dropped connection) or, for the
+    #: scalar, to be accepted and fail inside the job thread.
+    WRONG_TYPES = [
+        ({"ues": [{"ue_id": "a"}]}, "ues[].ue_id: expected int"),
+        ({"population": {"cc_mix": [1]}}, "population.cc_mix: expected dict"),
+        ({"duration_s": "x"}, "scenario.duration_s: expected float"),
+        ({"seed": True}, "scenario.seed: expected int"),
+        ({"mobility": {"ues": ["0"]}}, "mobility.ues: expected list of int"),
+        ({"population": {"cc_mix": {"prague": "all"}}},
+         "population.cc_mix: expected dict of float"),
+        ({"cells": [{"cell_id": 0}], "ues": [{"ue_id": 0, "cell_id": None}]},
+         "ues[].cell_id: expected int"),
+        # Where the field checks do not look:
+        ({"ues": 5}, "malformed"),
+        ({"wired_bottleneck_schedule": [[0.5, "fast"]]}, "malformed"),
+    ]
+
+    @pytest.mark.parametrize("spec, fragment", WRONG_TYPES)
+    def test_wrong_typed_spec_fields_name_the_field(self, spec, fragment):
+        with pytest.raises(ValueError) as info:
+            spec_from_request({"spec": spec})
+        assert fragment in str(info.value)
+
+    @pytest.mark.parametrize("spec, fragment", WRONG_TYPES[:3])
+    def test_wrong_typed_spec_fields_return_400(self, service, spec,
+                                                fragment):
+        status, body = _post(service, {"spec": spec})
+        assert status == 400 and fragment in body["error"]
+        # The handler thread survived: the next request is served.
+        assert _get_json(service, "/health")[0] == 200
+
     def test_non_json_body_returns_400(self, service):
         request = urllib.request.Request(f"{service.url}/runs",
                                          data=b"{not json")
