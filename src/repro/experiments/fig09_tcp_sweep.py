@@ -79,16 +79,6 @@ def run_spec_cell(spec: ScenarioSpec) -> SweepCell:
                      total_goodput_mbps=result.total_goodput_mbps())
 
 
-def run_sweep_cell(cc_name: str, channel: str, num_ues: int, rlc_queue: int,
-                   wan_rtt: float, marker: str, duration_s: float,
-                   seed: int) -> SweepCell:
-    """Run one cell of the Fig. 9 grid (historical argument-tuple form)."""
-    return run_spec_cell(ScenarioSpec(
-        num_ues=num_ues, duration_s=duration_s, cc_name=cc_name,
-        marker=marker, channel_profile=channel, wan_rtt=wan_rtt,
-        rlc_queue_sdus=rlc_queue, seed=seed))
-
-
 def sweep_cells(config: SweepConfig) -> list[dict]:
     """The grid as a list of picklable scenario-spec dicts."""
     return [ScenarioSpec(

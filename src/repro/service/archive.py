@@ -10,7 +10,8 @@ The index is *append-only*: every status transition (queued, running,
 done, failed) appends one line, and readers collapse lines by ``run_id``
 (later lines win field-by-field).  Appends are atomic at the line level on
 POSIX, so a crash mid-run leaves at worst a truncated final line, which
-readers skip — never a corrupted archive.  Environment-specific metadata
+readers skip and the next writer's first append terminates — never a
+corrupted archive.  Environment-specific metadata
 (submission timestamps, the error text of a failed run) lives only here;
 the per-run ``<run_id>.json`` holds exactly the canonical document bytes
 from :func:`repro.experiments.results.dump_document`, which is what makes
@@ -52,6 +53,7 @@ class RunArchive:
 
     def __init__(self, root: Optional[str] = None) -> None:
         self.root = runs_dir(root)
+        self._tail_checked = False
 
     # ------------------------------------------------------------------ #
     # writing
@@ -71,8 +73,24 @@ class RunArchive:
         line = json.dumps(entry, sort_keys=True, separators=(",", ":"))
         self.root.mkdir(parents=True, exist_ok=True)
         with self._append_lock:
+            if not self._tail_checked:
+                # A crash may have left a partial final line; start ours
+                # on a fresh line so readers skip only the torn one.
+                line = self._torn_tail_newline() + line
+                self._tail_checked = True
             with open(self.index_path, "a", encoding="utf-8") as handle:
                 handle.write(line + "\n")
+
+    def _torn_tail_newline(self) -> str:
+        """``"\\n"`` if the index is non-empty and lacks a final newline."""
+        try:
+            with open(self.index_path, "rb") as handle:
+                if handle.seek(0, os.SEEK_END) == 0:
+                    return ""
+                handle.seek(-1, os.SEEK_END)
+                return "" if handle.read(1) == b"\n" else "\n"
+        except FileNotFoundError:
+            return ""
 
     def write_document(self, run_id: str, text: str) -> Path:
         """Store a run's canonical document, byte for byte."""

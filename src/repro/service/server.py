@@ -109,7 +109,17 @@ class _Handler(BaseHTTPRequestHandler):
                                   f"no such route: POST {url.path}")
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            header = self.headers.get("Content-Length") or "0"
+            if not (header.isascii() and header.isdigit()):
+                # The body's extent is unknown, so the connection cannot
+                # carry another request.
+                self.close_connection = True
+                self._send_error_json(
+                    HTTPStatus.BAD_REQUEST,
+                    "Content-Length must be a non-negative integer, "
+                    f"got {header!r}")
+                return
+            length = int(header)
             raw = self.rfile.read(length) if length else b""
             try:
                 payload = json.loads(raw.decode("utf-8")) if raw else {}

@@ -1,7 +1,8 @@
 """Tests for the vectorized background-UE population kernel.
 
 Covers the population's coupling into the MAC (foreground contention), its
-accuracy envelope against a fully simulated equivalent, the seed/determinism
+accuracy envelope and its 100x throughput-of-simulation floor against a
+fully simulated equivalent, the seed/determinism
 contract (repeats and shard splits), the numpy guard, the promise that
 pure-python scenarios never import the kernel, and the fused batched step
 against its frozen textbook form (bit-identical state, counters and random
@@ -11,8 +12,10 @@ stream, plus the invariants the fusion relies on).
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_population_kernel import ReferencePopulation
+from repro.experiments.presets import make_preset
 from repro.experiments.scenario import build_scenario, run_scenario
 from repro.experiments.sharded import run_scenario_sharded
 from repro.experiments.spec import (CellSpec, PopulationSpec, ScenarioSpec,
@@ -105,6 +109,26 @@ class TestAccuracyEnvelope:
         assert 0.8 <= aggregate_fg / full_fg <= 1.25, (
             f"aggregate {aggregate_fg:.2f} Mbps vs fully simulated "
             f"{full_fg:.2f} Mbps")
+
+    def test_dense_cell_simulates_100x_more_ue_seconds_per_wall_second(self):
+        """The kernel's acceptance floor, in simulated-UE-seconds per
+        wall-second: the dense-cell preset (2 exact + 1000 aggregated UEs)
+        against 8 packet-exact UEs on a static channel."""
+        start = time.perf_counter()
+        full = run_scenario(ScenarioSpec(
+            duration_s=1.0, seed=7, num_ues=8, cc_name="cubic",
+            channel_profile="static"))
+        full_ue_s = full.simulated_ue_seconds() / (time.perf_counter() - start)
+
+        start = time.perf_counter()
+        dense = run_scenario(dataclasses.replace(make_preset("dense-cell"),
+                                                 duration_s=6.0))
+        dense_ue_s = dense.simulated_ue_seconds() / (time.perf_counter()
+                                                     - start)
+        assert dense.background["n_background"] == 1000
+        assert dense.total_goodput_mbps() > 0
+        assert dense.background_throughput_mbps() > 0
+        assert dense_ue_s >= 100 * full_ue_s
 
 
 def _dense_two_cell_spec() -> ScenarioSpec:

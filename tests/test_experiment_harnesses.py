@@ -1,4 +1,5 @@
-"""Smoke tests for every per-figure experiment harness (tiny configurations)."""
+"""Every per-figure experiment harness at a tier-1 scale, each run checked
+against the paper's qualitative claim for its figure or table."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import pytest
 from repro.experiments.ablations import AblationConfig, marking_strategy_ablation, window_sweep
 from repro.experiments.fig02_motivation import Fig2Config, run_fig2
 from repro.experiments.fig09_tcp_sweep import (SweepConfig, improvement_table,
-                                               run_fig9)
+                                               run_fig9, run_fig24)
 from repro.experiments.fig10_breakdown import BreakdownConfig, run_fig10
 from repro.experiments.fig11_short_flows import ShortFlowConfig, run_fig11
 from repro.experiments.fig12_tcran import (TcRanComparisonConfig, run_fig12,
@@ -17,12 +18,15 @@ from repro.experiments.fig12_tcran import (TcRanComparisonConfig, run_fig12,
 from repro.experiments.fig13_interactive import InteractiveConfig, run_fig13
 from repro.experiments.fig14_fairness import FairnessConfig, jain_index, run_fig14
 from repro.experiments.fig15_shortcircuit import ShortCircuitConfig, run_fig15
-from repro.experiments.fig16_shared_drb import SharedDrbConfig, run_shared_drb_case
+from repro.experiments.fig16_shared_drb import (SHARED_DRB_STRATEGIES,
+                                                SharedDrbConfig, run_fig16)
 from repro.experiments.fig17_queue_cdf import QueueCdfConfig, run_fig17
 from repro.experiments.fig18_coherence import CoherenceConfig, run_fig18
 from repro.experiments.fig19_threshold import ThresholdSweepConfig, run_fig19
 from repro.experiments.fig20_rate_error import RateErrorConfig, run_fig20
 from repro.experiments.fig21_processing import ProcessingConfig, run_fig21
+from repro.experiments.scenario import build_scenario
+from repro.experiments.spec import ScenarioSpec
 from repro.experiments.table1_overhead import (OverheadConfig, overhead_summary,
                                                run_table1)
 
@@ -41,29 +45,75 @@ def test_fig2_motivation_shapes():
 
 
 def test_fig9_sweep_and_improvement_table():
-    cells = run_fig9(SweepConfig(cc_names=("prague",), channels=("static",),
+    cells = run_fig9(SweepConfig(cc_names=("prague",),
+                                 channels=("static", "mobile"),
                                  ue_counts=(2,), duration_s=3.0))
-    assert len(cells) == 2
+    assert len(cells) == 4
     rows = improvement_table(cells)
-    assert len(rows) == 1
-    assert rows[0]["owd_reduction_pct"] > 50
+    assert [row["channel"] for row in rows] == ["static", "mobile"]
+    # Prague's one-way delay drops by more than half under L4Span, on the
+    # static and on the mobile channel.
+    assert all(row["owd_reduction_pct"] > 50 for row in rows)
+
+
+def test_fig24_reno_owd_reduction():
+    cells = run_fig24(SweepConfig(channels=("static",), ue_counts=(4,),
+                                  duration_s=3.0))
+    rows = improvement_table(cells)
+    assert {row["cc"] for row in rows} == {"bbr", "reno"}
+    # Reno's one-way delay drops by more than half under L4Span (Fig. 24);
+    # at 2 UEs it does not -- see the strict xfail below.
+    reno = next(row for row in rows if row["cc"] == "reno")
+    assert reno["owd_reduction_pct"] > 50
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "Eq. 2 takes rtt = initial_rtt + predicted_sojourn, so a classic bearer "
+    "holding a deep slow-start queue gets p ~ 5e-6 and is never marked"))
+def test_fig24_two_ue_reno_marks_every_flow():
+    """The Fig. 24 cell at 2 UEs: UE 1's Reno flow gets no mark at all.
+
+    Its bearer overshoots in slow start (0.26 s sojourn at 3.0 MB/s), and
+    the classic probability falls as the standing queue it should drain
+    grows, so the run's median OWD is higher with L4Span than without.
+    """
+    built = build_scenario(ScenarioSpec(
+        num_ues=2, cc_name="reno", marker="l4span", channel_profile="static",
+        duration_s=4.0, seed=11))
+    built.run()
+    marks = built.flow_mark_counts()
+    assert all(marks.get(spec.flow_id, (0, 0))[0] > 0
+               for spec in built.flow_specs)
 
 
 def test_fig10_breakdown_rows():
-    rows = run_fig10(BreakdownConfig(schedulers=("rr",), ue_counts=(2,),
+    rows = run_fig10(BreakdownConfig(schedulers=("rr", "pf"), ue_counts=(2,),
                                      duration_s=2.5))
-    assert len(rows) == 2
+    assert len(rows) == 4
     for row in rows:
         assert row["total_ms"] > 0
         assert row["queuing_ms"] >= 0
+    for scheduler in ("rr", "pf"):
+        with_l4span = next(r for r in rows
+                           if r["scheduler"] == scheduler and r["l4span"])
+        without = next(r for r in rows
+                       if r["scheduler"] == scheduler and not r["l4span"])
+        # Queuing dominates the plain RAN; L4Span removes most of it.
+        assert with_l4span["queuing_ms"] < without["queuing_ms"]
 
 
 def test_fig11_short_flow_rows():
-    rows = run_fig11(ShortFlowConfig(cc_names=("prague",), duration_s=5.0,
-                                     slf_start=2.5))
-    assert len(rows) == 2
-    l4span_row = next(r for r in rows if r["l4span"])
-    assert l4span_row["slf_finish_time_ms"] is not None
+    rows = run_fig11(ShortFlowConfig(cc_names=("prague", "cubic"),
+                                     duration_s=5.0, slf_start=2.5))
+    assert len(rows) == 4
+    for cc in ("prague", "cubic"):
+        with_l4span = next(r for r in rows if r["cc"] == cc and r["l4span"])
+        without = next(r for r in rows if r["cc"] == cc and not r["l4span"])
+        # The short flow finishes no later behind an L4Span-managed long flow.
+        assert with_l4span["slf_finish_time_ms"] is not None
+        assert without["slf_finish_time_ms"] is not None
+        assert (with_l4span["slf_finish_time_ms"]
+                <= without["slf_finish_time_ms"] * 1.2)
 
 
 def test_fig12_tcran_comparison():
@@ -73,13 +123,17 @@ def test_fig12_tcran_comparison():
     assert len(rows) == 2
     improvements = throughput_improvement(rows)
     assert len(improvements) == 1
+    # Both in-RAN markers keep the one-way delay far below the unmanaged
+    # multi-second bloat.
+    assert all(row["owd_median_ms"] < 1000 for row in rows)
 
 
 def test_fig13_interactive_rows():
-    rows = run_fig13(InteractiveConfig(cc_names=("scream",),
+    rows = run_fig13(InteractiveConfig(cc_names=("scream", "udp_prague"),
                                        channels=("static",), num_ues=2,
                                        duration_s=3.0))
-    assert len(rows) == 2
+    assert len(rows) == 4
+    assert {row["cc"] for row in rows} == {"scream", "udp_prague"}
     assert all(row["per_ue_tput_mbps"] > 0 for row in rows)
 
 
@@ -88,6 +142,8 @@ def test_fig14_fairness_panels():
     assert len(panels) == 4
     for panel in panels:
         assert 0.0 <= panel.fairness_index <= 1.0
+    same_rtt = next(p for p in panels if "equal RTT" in p.name)
+    assert same_rtt.fairness_index > 0.6
     assert jain_index([1.0, 1.0, 1.0]) == pytest.approx(1.0)
     assert jain_index([1.0, 0.0, 0.0]) == pytest.approx(1 / 3)
 
@@ -99,10 +155,15 @@ def test_fig15_shortcircuit_rows():
     without_sc = next(r for r in rows if not r["shortcircuit"])
     assert with_sc["shortcircuited_acks"] > 0
     assert without_sc["shortcircuited_acks"] == 0
+    # Short-circuiting must not cost throughput (paper Fig. 15b).
+    assert with_sc["throughput_mbps"] > 0.5 * without_sc["throughput_mbps"]
 
 
 def test_fig16_shared_drb_coupled_strategy():
-    row = run_shared_drb_case("l4span", SharedDrbConfig(duration_s=4.0))
+    rows = run_fig16(SharedDrbConfig(duration_s=4.0))
+    assert [row["strategy"] for row in rows] == list(SHARED_DRB_STRATEGIES)
+    row = next(r for r in rows if r["strategy"] == "l4span")
+    # The coupled strategy keeps both flows alive on the shared bearer.
     assert 0.0 <= row["l4s_throughput_share"] <= 1.0
     assert row["l4s_tput_mbps"] > 0
     assert row["classic_tput_mbps"] > 0
@@ -113,6 +174,8 @@ def test_fig17_queue_cdf_rows():
                                     num_ues=2, duration_s=3.0))
     assert len(rows) == 1
     assert rows[0]["queue_summary"]["count"] > 0
+    # L4S queues stay small under L4Span (low occupancy, ultra-low delay).
+    assert rows[0]["queue_summary"]["p90"] < 200
 
 
 def test_fig18_coherence_validates_window_choice():
@@ -132,24 +195,32 @@ def test_fig19_threshold_sweep_shape():
     assert by_threshold[100.0]["rate_sum_mbps"] >= \
         by_threshold[1.0]["rate_sum_mbps"] * 0.9
     assert by_threshold[1.0]["rtt_mean_ms"] <= \
-        by_threshold[100.0]["rtt_mean_ms"] * 1.5
+        by_threshold[100.0]["rtt_mean_ms"]
+    # Throughput does not keep improving past the paper's 10 ms choice.
+    assert by_threshold[100.0]["rate_sum_mbps"] <= \
+        by_threshold[10.0]["rate_sum_mbps"] * 1.35
 
 
 def test_fig20_rate_error_rows():
-    rows = run_fig20(RateErrorConfig(channels=("static",), num_ues=2,
-                                     duration_s=3.0))
-    assert len(rows) == 1
-    assert rows[0]["error_summary"]["count"] > 0
-    assert abs(rows[0]["error_summary"]["median"]) < 50.0
+    rows = run_fig20(RateErrorConfig(
+        channels=("static", "pedestrian", "vehicular"), num_ues=2,
+        duration_s=3.0))
+    assert len(rows) == 3
+    # Errors centre near zero across channel conditions ("most of the time
+    # the errors are near 0%").
+    for row in rows:
+        assert row["error_summary"]["count"] > 0
+        assert abs(row["error_summary"]["median"]) < 40.0
 
 
 def test_fig21_processing_rows():
     rows = run_fig21(ProcessingConfig(num_ues=2, duration_s=2.0))
     events = {row["event"] for row in rows}
     assert events == {"downlink", "uplink", "feedback"}
+    # Every handler type was exercised and completes in bounded time.
     for row in rows:
-        if row["count"]:
-            assert row["median_us"] > 0
+        assert row["count"] > 0
+        assert 0 < row["median_us"] < 10_000
 
 
 def test_table1_overhead_rows():
@@ -157,6 +228,10 @@ def test_table1_overhead_rows():
     assert len(rows) == 4
     summary = overhead_summary(rows)
     assert {row["state"] for row in summary} == {"idle", "busy"}
+    busy = next(row for row in summary if row["state"] == "busy")
+    # L4Span's own handlers are a small share of the total work, mirroring
+    # the paper's <2% CPU overhead on srsRAN.
+    assert busy["handler_share_pct"] < 50.0
 
 
 def test_marking_strategy_ablation_rows():
@@ -167,6 +242,11 @@ def test_marking_strategy_ablation_rows():
     l4span_row = next(r for r in rows if r["marker"] == "l4span")
     none_row = next(r for r in rows if r["marker"] == "none")
     assert l4span_row["owd_median_ms"] < none_row["owd_median_ms"]
+    # The hard 1 ms threshold leaves throughput on the table compared with
+    # L4Span's error-aware marking (paper: 73% lower throughput).
+    dualpi2_row = next(r for r in rows if r["marker"] == "ran_dualpi2")
+    assert l4span_row["throughput_mbps"] >= \
+        0.9 * dualpi2_row["throughput_mbps"]
 
 
 def test_window_sweep_rows():

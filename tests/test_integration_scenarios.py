@@ -4,7 +4,7 @@ These are the end-to-end checks that the reproduction preserves the paper's
 qualitative results: L4Span slashes queueing delay while keeping throughput,
 for both L4S and classic senders, and the feedback short-circuiting and
 baseline markers behave sensibly.  Durations are kept short so the whole
-suite stays fast; the benchmarks run longer versions.
+suite stays fast; ``python -m repro experiment`` runs longer versions.
 """
 
 from __future__ import annotations

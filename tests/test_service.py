@@ -8,7 +8,9 @@ is only meaningful across the real serialization boundaries.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -18,6 +20,7 @@ from repro.experiments.options import RuntimeOptions, apply_runtime_options
 from repro.experiments.results import SCHEMA_VERSION, check_document
 from repro.experiments.spec import ScenarioSpec
 from repro.service import ScenarioService, spec_from_request
+from repro.service.archive import RunArchive
 
 
 # --------------------------------------------------------------------- #
@@ -227,6 +230,29 @@ class TestBadRequests:
             urllib.request.urlopen(request)
         assert info.value.code == 400
 
+    @pytest.mark.parametrize("header, expected", [
+        ("abc", 400), ("-1", 400), (None, 202)])
+    def test_content_length_is_validated(self, service, header, expected):
+        """A non-integer or negative length is a 400 naming the header,
+        answered at once (no read until the client hangs up), and the
+        handler thread survives."""
+        body = b""
+        if header is None:
+            body = json.dumps({"spec": {"num_ues": 1,
+                                        "duration_s": 0.1}}).encode("utf-8")
+            header = str(len(body))
+        with socket.create_connection(service.address, timeout=3.0) as conn:
+            conn.sendall(f"POST /runs HTTP/1.1\r\nHost: test\r\n"
+                         f"Content-Length: {header}\r\n\r\n".encode("ascii")
+                         + body)
+            response = http.client.HTTPResponse(conn)
+            response.begin()
+            reply = json.loads(response.read())
+        assert response.status == expected
+        if expected == 400:
+            assert "Content-Length" in reply["error"]
+        assert _get_json(service, "/health")[0] == 200
+
     def test_unknown_run_and_route_return_404(self, service):
         for path in ("/runs/run-9999-nope", "/runs/run-9999-nope/document",
                      "/nonsense"):
@@ -326,6 +352,26 @@ class TestConcurrency:
                 assert started >= finished
         finally:
             instance.close()
+
+
+# --------------------------------------------------------------------- #
+# The run archive
+# --------------------------------------------------------------------- #
+class TestArchive:
+    def test_torn_index_line_does_not_swallow_the_next_record(self, tmp_path):
+        archive = RunArchive(str(tmp_path))
+        archive.record({"run_id": "run-a", "status": "done"})
+        # A process that crashed mid-append left a partial final line.
+        with open(archive.index_path, "a", encoding="utf-8") as handle:
+            handle.write('{"run_id":"run-a","status":"runn')
+        restarted = RunArchive(str(tmp_path))
+        restarted.record({"run_id": "run-b", "status": "queued"})
+        restarted.record({"run_id": "run-b", "status": "done"})
+        entries = restarted.entries()
+        assert [entry["run_id"] for entry in entries] == ["run-a", "run-b"]
+        assert [entry["status"] for entry in entries] == ["done", "done"]
+        lines = archive.index_path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 4 and "" not in lines
 
 
 # --------------------------------------------------------------------- #
