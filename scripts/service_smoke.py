@@ -5,8 +5,9 @@ Boots the service as a subprocess, submits a preset over HTTP, follows
 the run to completion, and asserts the service's archived document is
 byte-identical to what ``repro scenario --preset ... --json`` prints for
 the same spec and seed — the contract docs/service.md promises.  Also
-exercises the SSE stream, the archive query route and malformed-request
-handling.  Stdlib only; exits non-zero with a diagnostic on any failure.
+exercises the SSE stream, the archive query route, malformed-request
+handling and a kept-alive connection (no request after the first may take
+over 20 ms).  Stdlib only; exits non-zero with a diagnostic on any failure.
 
 Usage: PYTHONPATH=src python scripts/service_smoke.py [--preset NAME]
 """
@@ -14,6 +15,7 @@ Usage: PYTHONPATH=src python scripts/service_smoke.py [--preset NAME]
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import os
 import re
@@ -24,9 +26,12 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
+from urllib.parse import urlparse
 
 REPO = Path(__file__).resolve().parent.parent
 ANNOUNCE = re.compile(r"listening on (http://[^ ]+) \(archive: (.+)\)")
+#: Slowest a kept-alive request after the first may be, seconds.
+KEEPALIVE_LIMIT_S = 0.020
 
 
 def fail(message: str) -> "NoReturn":  # noqa: F821 - py3.11 typing
@@ -73,6 +78,29 @@ def wait_for_announce(process: subprocess.Popen) -> tuple[str, str]:
     fail("serve never announced its address")
 
 
+def check_keepalive(base: str) -> None:
+    """10 x ``GET /health`` and one ``GET /runs`` on one connection."""
+    url = urlparse(base)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+    timings = []
+    try:
+        for path in ["/health"] * 10 + ["/runs"]:
+            start = time.perf_counter()
+            conn.request("GET", path)
+            response = conn.getresponse()
+            response.read()
+            timings.append(time.perf_counter() - start)
+            if response.status != 200:
+                fail(f"kept-alive GET {path} -> {response.status}")
+    finally:
+        conn.close()
+    slowest = max(timings[1:])
+    if slowest > KEEPALIVE_LIMIT_S:
+        fail(f"a kept-alive request took {slowest * 1e3:.1f} ms (limit "
+             f"{KEEPALIVE_LIMIT_S * 1e3:.0f} ms): "
+             f"{[round(t * 1e3, 1) for t in timings]}")
+
+
 def wait_done(base: str, run_id: str) -> dict:
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline:
@@ -104,6 +132,7 @@ def main() -> int:
             health = json.loads(get(f"{base}/health"))
             if health["status"] != "ok":
                 fail(f"health reported {health}")
+            check_keepalive(base)
 
             # Malformed requests must 400, not crash the service.
             post_json(f"{base}/runs", {"preset": "no-such-preset"},

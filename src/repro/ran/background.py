@@ -55,12 +55,14 @@ BETA_L4S = 0.85
 class BackgroundPopulation:
     """All background UEs of one cell, as contiguous numpy state arrays.
 
-    The MAC calls :meth:`on_slot` once per slot with the PRBs granted to the
-    background aggregate; every ``update_interval_s`` worth of slots the
-    kernel advances the whole population in one vectorized step: churn flips,
-    new arrivals into the per-UE backlogs, service of the accumulated PRB
-    budget, and an AIMD window update (classic beta 0.7, L4S beta 0.85,
-    mixed per ``cc_mix``).
+    Once per slot the MAC hands over the PRBs granted to the background
+    aggregate (:meth:`on_slot`); every ``update_interval_s`` worth of slots
+    the kernel advances the whole population in one vectorized step: churn
+    flips, new arrivals into the per-UE backlogs, service of the accumulated
+    PRB budget, and an AIMD window update (classic beta 0.7, L4S beta 0.85,
+    mixed per ``cc_mix``).  The step touches only the active UEs' compact
+    working set; the full-length ``backlog`` and ``cwnd`` are brought up to
+    date when read.
     """
 
     def __init__(self, sim, cell_id: int, cell: CellConfig, spec,
@@ -84,8 +86,8 @@ class BackgroundPopulation:
         self.bytes_per_prb = cell.bytes_per_prb(1.0) * self.efficiency
 
         self.active = rng.random(self.n) < spec.activity
-        self.cwnd = np.full(self.n, float(BACKGROUND_INITIAL_CWND))
-        self.backlog = np.zeros(self.n)
+        self._cwnd = np.full(self.n, float(BACKGROUND_INITIAL_CWND))
+        self._backlog = np.zeros(self.n)
         self.beta = self._beta_array(spec.cc_mix)
         if spec.workload == "rate":
             # Exponentially distributed offered rates around the mean keep a
@@ -95,7 +97,7 @@ class BackgroundPopulation:
         else:
             self.offered_rate = None
             # Bulk senders start with a full window queued in the RAN.
-            self.backlog[self.active] = self.cwnd[self.active]
+            self._backlog[self.active] = self._cwnd[self.active]
 
         # Batched-step bookkeeping.
         slot = cell.slot_duration
@@ -111,25 +113,31 @@ class BackgroundPopulation:
         self.active_ue_seconds = 0.0
         self.kernel_steps = 0
 
-        # Kernel working set: scratch the fused step writes through
-        # ``out=``, and the values that depend only on ``active`` (its count,
-        # its 0/1 float mask, ``where(active, bytes_per_prb, 0)``), refreshed
-        # only when a churn flip writes ``active``.
-        self._float_scratch = (np.empty(self.n), np.empty(self.n))
-        self._bool_scratch = np.empty(self.n, dtype=bool)
-        self._active_mask = np.empty(self.n)
-        self._active_bpp = np.empty(self.n)
-        self._refresh_active()
+        # Kernel working set: the per-UE state of the active UEs only, as
+        # compact arrays over ``_index = flatnonzero(active)``, plus the
+        # scratch the step writes through ``out=``; regathered only when a
+        # churn flip writes ``active``.  ``_sum_scratch`` is full-length and
+        # zero off the index, so every sum sees each value at its own
+        # position (see :meth:`_step`).  ``_synced`` says whether the
+        # full-length ``backlog`` / ``cwnd`` mirror the compact arrays.
+        self._sum_scratch = np.zeros(self.n)
+        self._synced = True
+        self._gather_active()
 
         #: O(1) view the MAC reads every slot: number of background UEs
         #: currently demanding air time (refreshed at each batched step).
-        self.demand_count = int(np.count_nonzero(self.backlog > 0))
+        self.demand_count = int(np.count_nonzero(self._backlog > 0))
 
     # ------------------------------------------------------------------ #
     # MAC-facing hot path (called once per slot; must stay O(1))
     # ------------------------------------------------------------------ #
     def on_slot(self, served_prbs: int) -> None:
-        """Account one MAC slot; advance the kernel on batch boundaries."""
+        """Account one MAC slot; advance the kernel on batch boundaries.
+
+        The MAC performs this hand-off inline (``MacScheduler._on_slot`` and
+        ``_quiet_bulk``); this method states the same contract for a
+        population advanced without a MAC.
+        """
         if served_prbs:
             self._pending_prb_slots += served_prbs
         self._slot_count += 1
@@ -142,57 +150,66 @@ class BackgroundPopulation:
     def _step(self, now: float) -> None:
         """Advance the whole population by one batched interval.
 
-        One fused pass: every expression writes through ``out=`` into one of
-        three preallocated scratch arrays, so the steady path allocates
-        nothing.  Each masked form of the textbook kernel is replaced by an
-        unmasked one that is elementwise identical under the two standing
-        invariants -- *inactive => backlog == 0.0* and *MSS <= cwnd <= cap* --
-        and every reduction runs over the full-length array, because numpy's
-        pairwise summation depends on element position.  The textbook form
-        lives on as the oracle in ``tests/reference_population_kernel.py``.
+        One fused pass over the active UEs only: every elementwise expression
+        runs on the compact working set and writes through ``out=`` into
+        preallocated scratch, so the steady path allocates nothing.  Each
+        masked form of the textbook kernel is replaced by an unmasked one
+        that is elementwise identical under the two standing invariants --
+        *inactive => backlog == 0.0* and *MSS <= cwnd <= cap* -- and an
+        inactive UE's state is never written outside a churn flip.  Every
+        sum, though, is taken over the full-length ``_sum_scratch`` written
+        at the index: numpy's pairwise summation depends on element
+        position, so summing the compact array would move the low bits.  The
+        textbook form lives on as the oracle in
+        ``tests/reference_population_kernel.py``.
         """
         dt = now - self._last_step_time
         self._last_step_time = now
         if dt <= 0:
             return
         rng = self._rng
-        active = self.active
-        backlog = self.backlog
-        cwnd = self.cwnd
         bulk = self.offered_rate is None
-        f0, f1 = self._float_scratch
-        flags = self._bool_scratch
 
         # Arrival/departure churn: Poisson flips, uniformly across the
-        # population.  A flip resets the UE's transport state.
+        # population.  A flip resets the UE's transport state.  Flips index
+        # the full arrays (a UE drawn twice flips once), so the compact state
+        # is written back first and regathered after.
         churn = self.spec.churn_rate_per_s
         if churn > 0:
             flips = int(rng.poisson(churn * dt))
             if flips:
                 idx = rng.integers(0, self.n, size=flips)
-                active[idx] = ~active[idx]
-                backlog[idx] = 0.0
-                cwnd[idx] = float(BACKGROUND_INITIAL_CWND)
-                self._refresh_active()
+                self._sync()
+                self.active[idx] = ~self.active[idx]
+                self._backlog[idx] = 0.0
+                self._cwnd[idx] = float(BACKGROUND_INITIAL_CWND)
+                self._gather_active()
+
+        index = self._index
+        backlog = self._active_backlog
+        cwnd = self._active_cwnd
+        f0, f1 = self._float_scratch
+        flags = self._bool_scratch
+        total = self._sum_scratch
 
         # New arrivals into the RAN backlogs.  Bulk senders keep a full
         # window outstanding; rate senders offer rate*dt, still window-capped.
-        # Window room is never negative, so the 0/1 mask zeroes inactive UEs.
         room = np.subtract(cwnd, backlog, out=f0)
         np.maximum(room, 0.0, out=room)
         if not bulk:
-            offered = np.multiply(self.offered_rate, dt, out=f1)
+            offered = np.take(self.offered_rate, index, out=f1)
+            offered *= dt
             np.minimum(offered, room, out=room)
-        arrivals = np.multiply(room, self._active_mask, out=f0)
+        arrivals = room
         backlog += arrivals
-        arrival_bytes = float(np.add.reduce(arrivals))
+        total[index] = arrivals
+        arrival_bytes = float(np.add.reduce(total))
         self.arrival_bytes_total += arrival_bytes
 
-        # Who demands air time.  An inactive UE holds nothing, so neither
-        # workload needs the AND with ``active``; an active bulk sender now
-        # holds at least one MSS, so for bulk the mask *is* ``active``.
+        # Who demands air time.  An active bulk sender now holds at least
+        # one MSS, so for bulk every active UE demands.
         if bulk:
-            demand, demanding = active, self._active_count
+            demand, demanding = self._all_active, self._active_count
         else:
             demand = np.greater(backlog, 0.0, out=flags)
             demanding = int(np.count_nonzero(demand))
@@ -204,14 +221,13 @@ class BackgroundPopulation:
         step_served = 0.0
         if demanding and self._pending_prb_slots > 0:
             share = self._pending_prb_slots / demanding
-            if bulk:
-                capacity = np.multiply(self._active_bpp, share, out=f1)
-            else:
-                capacity = np.multiply(self.bytes_per_prb, share, out=f1)
+            capacity = np.multiply(self._active_bpp, share, out=f1)
+            if not bulk:
                 capacity *= demand
             served = np.minimum(backlog, capacity, out=f0)
             unused = np.subtract(capacity, served, out=f1)
-            leftover = float(np.add.reduce(unused))
+            total[index] = unused
+            leftover = float(np.add.reduce(total))
             if leftover > 0:
                 # Whoever still holds bytes was demanding.  A drained UE has
                 # backlog == served exactly, so its remainder is 0.0 and the
@@ -223,7 +239,8 @@ class BackgroundPopulation:
                     np.minimum(extra, leftover / still_count, out=extra)
                     served += extra
             backlog -= served
-            step_served = float(np.add.reduce(served))
+            total[index] = served
+            step_served = float(np.add.reduce(total))
             self.served_bytes_total += step_served
             # More than half a window (>= MSS/2 > 0) left: it was demanding.
             half_window = np.multiply(cwnd, 0.5, out=f1)
@@ -233,17 +250,17 @@ class BackgroundPopulation:
         self._pending_prb_slots = 0.0
 
         # AIMD window update: senders that kept more than half a window
-        # queued back off (their class beta); the other active ones grow
-        # additively.  Both candidates come unmasked from the old windows
-        # and are selected per UE (``np.putmask`` costs a fraction of a
-        # ``where=`` ufunc); inactive windows are never written.
-        backed_off = np.multiply(cwnd, self.beta, out=f1)
+        # queued back off (their class beta); the others grow additively.
+        # Both candidates come unmasked from the old windows and are
+        # selected per UE (``np.putmask`` costs a fraction of a ``where=``
+        # ufunc).
+        backed_off = np.multiply(cwnd, self._active_beta, out=f1)
         grown = np.add(cwnd, BACKGROUND_MSS * (dt / BACKGROUND_NOMINAL_RTT),
                        out=f0)
         np.putmask(grown, congested, backed_off)
-        np.putmask(cwnd, active, grown)
-        np.maximum(cwnd, BACKGROUND_MSS, out=cwnd)
+        np.maximum(grown, BACKGROUND_MSS, out=cwnd)
         np.minimum(cwnd, BACKGROUND_CWND_CAP, out=cwnd)
+        self._synced = False
 
         self.active_ue_seconds += self._active_count * dt
         self.kernel_steps += 1
@@ -257,12 +274,39 @@ class BackgroundPopulation:
             self._marker_hook(arrival_bytes=arrival_bytes,
                               served_bytes=step_served, now=now)
 
-    def _refresh_active(self) -> None:
-        """Recompute what depends only on ``active`` (build, churn flips)."""
-        self._active_count = int(np.count_nonzero(self.active))
-        np.copyto(self._active_mask, self.active)
-        np.multiply(self.bytes_per_prb, self._active_mask,
-                    out=self._active_bpp)
+    def _gather_active(self) -> None:
+        """Rebuild the compact working set from ``active`` (build, flips)."""
+        index = np.flatnonzero(self.active)
+        count = index.size
+        self._index = index
+        self._active_count = count
+        self._active_backlog = self._backlog[index]
+        self._active_cwnd = self._cwnd[index]
+        self._active_bpp = self.bytes_per_prb[index]
+        self._active_beta = self.beta[index]
+        self._all_active = np.ones(count, dtype=bool)
+        self._float_scratch = (np.empty(count), np.empty(count))
+        self._bool_scratch = np.empty(count, dtype=bool)
+        self._sum_scratch.fill(0.0)
+
+    def _sync(self) -> None:
+        """Write the compact backlogs and windows back to the full arrays."""
+        if not self._synced:
+            self._backlog[self._index] = self._active_backlog
+            self._cwnd[self._index] = self._active_cwnd
+            self._synced = True
+
+    @property
+    def backlog(self) -> "np.ndarray":
+        """Per-UE RAN backlog, bytes (full length; zero for inactive UEs)."""
+        self._sync()
+        return self._backlog
+
+    @property
+    def cwnd(self) -> "np.ndarray":
+        """Per-UE congestion window, bytes (full length)."""
+        self._sync()
+        return self._cwnd
 
     # ------------------------------------------------------------------ #
     # Reporting

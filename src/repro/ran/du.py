@@ -8,6 +8,7 @@ delivery-status reports that feed L4Span's packet profile table.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.net.packet import Packet
@@ -97,7 +98,7 @@ class DistributedUnit:
         self.mac.register_ue(
             ue.ue_id, ue.channel,
             backlog_bytes=backlog,
-            pull=lambda grant, ue_id=ue.ue_id: self.pull_for_ue(ue_id, grant))
+            pull=partial(self.pull_for_ue, ue.ue_id))
 
     def detach_ue(self, ue_id: UeId) -> list[tuple[DrbId, RlcEntity]]:
         """Remove a UE's bearers and MAC registration (handover departure).

@@ -18,7 +18,8 @@ policies.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.channel.base import ChannelModel
@@ -61,6 +62,10 @@ class _UeSchedulingState:
     slot_served: int = 0
 
 
+#: Sort key of the round-robin claimant order.
+_BY_UE_ID = attrgetter("ue_id")
+
+
 class MacScheduler:
     """The cell's downlink scheduler.
 
@@ -92,10 +97,13 @@ class MacScheduler:
         #: Registration-ordered view of the states; the slot loop iterates
         #: this list instead of allocating a ``dict.values()`` view per slot.
         self._ue_states: list[_UeSchedulingState] = []
+        #: Whether ``_ue_states`` is in ue_id order (a handover appends
+        #: out of order), so the round-robin claimant order is the
+        #: backlogged subset as scanned, without a per-slot sort.
+        self._in_id_order = True
         #: Aggregated background population sharing the cell, or None.
         self._background = None
         self._rr_offset = 0
-        self._quiet_active_count = 0
         self.slots = 0
         self.busy_slots = 0
         #: Slots the run loop took as null ticks (a diagnostic, not a result).
@@ -127,6 +135,7 @@ class MacScheduler:
         else:
             self._ue_states.append(state)
         self._ues[ue_id] = state
+        self._note_order()
 
     def unregister_ue(self, ue_id: UeId) -> None:
         """Stop scheduling a UE (it detached or handed over away)."""
@@ -134,6 +143,16 @@ class MacScheduler:
         state = self._ues.pop(ue_id, None)
         if state is not None:
             self._ue_states.remove(state)
+            self._note_order()
+
+    def _note_order(self) -> None:
+        """Refresh :attr:`_in_id_order` after (un)registration."""
+        ids = [state.ue_id for state in self._ue_states]
+        self._in_id_order = ids == sorted(ids)
+
+    def _by_ue_id(self, active: list) -> list:
+        """``active`` (a subset of ``_ue_states``) in ue_id order."""
+        return active if self._in_id_order else sorted(active, key=_BY_UE_ID)
 
     def attach_background(self, population) -> None:
         """Attach the cell's aggregated background population.
@@ -212,20 +231,26 @@ class MacScheduler:
         # A predicted run of zero-service ticks (see
         # :meth:`_quiet_run_length`) is executed wholesale by
         # :meth:`_quiet_bulk`; everything else goes through the exact
-        # per-slot path.  The prediction is recomputed at batch start,
-        # after every serving slot and after each population kernel-step
-        # boundary; heap events fire only between batches, so any state
-        # they change (RLC enqueues, attach/detach) naturally invalidates
-        # it.
+        # per-slot path, handed the backlog scan the prediction made.  The
+        # prediction is recomputed at batch start, after every serving slot
+        # and after each population kernel-step boundary; heap events fire
+        # only between batches, so any state they change (RLC enqueues,
+        # attach/detach) naturally invalidates it.
         predictable = self._background is not None
+        states = self._ue_states
         while True:
             if predictable:
-                quiet = self._quiet_run_length()
+                active = [state for state in states
+                          if state.backlog_bytes() > 0]
+                quiet = self._quiet_run_length(len(active))
                 if quiet > 0:
-                    if self._quiet_bulk(quiet, barrier_time, barrier_seq):
+                    if self._quiet_bulk(quiet, len(active), barrier_time,
+                                        barrier_seq):
                         return
                     continue
-            self._on_slot()
+                self._on_slot(active)
+            else:
+                self._on_slot()
             # Each tick counts as one processed event, keeping event totals
             # identical to the heap-driven clock.
             sim._processed += 1
@@ -245,7 +270,7 @@ class MacScheduler:
                     return
             sim.now = nxt
 
-    def _quiet_run_length(self) -> int:
+    def _quiet_run_length(self, n_active: int) -> int:
         """Upcoming ticks guaranteed to grant zero foreground service.
 
         Inside a slot batch no heap events fire, so foreground backlogs can
@@ -260,17 +285,13 @@ class MacScheduler:
         The run is capped at the population's next kernel-step boundary
         (``demand_count`` may change there) and is zero whenever any
         foreground UE would be granted or under proportional fair with
-        backlogged UEs.  Only called with a background population attached
-        (without one every slot takes the per-slot path).
+        backlogged UEs.  ``n_active`` counts the backlogged foreground UEs.
+        Only called with a background population attached (without one
+        every slot takes the per-slot path).
         """
         background = self._background
         boundary = (background._slots_per_step
                     - background._slot_count % background._slots_per_step)
-        n_active = 0
-        for state in self._ue_states:
-            if state.backlog_bytes() > 0:
-                n_active += 1
-        self._quiet_active_count = n_active
         if n_active == 0:
             # The idle-foreground branch of _on_slot is policy-independent
             # and constant until the boundary refreshes demand_count.
@@ -294,7 +315,7 @@ class MacScheduler:
                 quiet = until_grant
         return quiet
 
-    def _quiet_bulk(self, quiet: int, barrier_time: float,
+    def _quiet_bulk(self, quiet: int, n_active: int, barrier_time: float,
                     barrier_seq) -> bool:
         """Run up to ``quiet`` predicted zero-service ticks in one pass.
 
@@ -353,9 +374,9 @@ class MacScheduler:
         background = self._background
         bg_demand = background.demand_count
         self.slots += count
-        if self._quiet_active_count:
+        if n_active:
             self.busy_slots += count
-            total = self._quiet_active_count + bg_demand
+            total = n_active + bg_demand
             self._rr_offset = (self._rr_offset + count) % total
             prbs = self.cell.num_prb
         elif bg_demand:
@@ -389,22 +410,26 @@ class MacScheduler:
         sim.now = nxt
         return False
 
-    def _on_slot(self) -> None:
+    def _on_slot(self, active: Optional[list] = None) -> None:
         """One TTI: sample channels, allocate PRBs, drain RLC queues.
 
         This fires at the slot rate (2 kHz for 30 kHz SCS) for every cell, so
         the loop avoids per-slot dict building where it can: the common
         single-backlogged-UE case takes a direct path, and the PF throughput
         EWMA reads a scratch field instead of a per-slot ``served`` dict.
+        ``active`` is the backlogged subset of the registered UEs, in
+        registration order, when the caller has just scanned it.
         """
         self.slots += 1
         now = self._sim.now
         states = self._ue_states
-        active = [state for state in states if state.backlog_bytes() > 0]
+        if active is None:
+            active = [state for state in states if state.backlog_bytes() > 0]
         decay = self._decay
         keep = 1.0 - decay
         background = self._background
         bg_demand = background.demand_count if background is not None else 0
+        bg_prbs = 0
         if not active:
             if background is None:
                 # Nothing to do until something calls wake().
@@ -412,61 +437,67 @@ class MacScheduler:
             elif bg_demand:
                 # The background aggregate owns the whole cell this slot.
                 self.busy_slots += 1
-                background.on_slot(self.cell.num_prb)
-            else:
-                background.on_slot(0)
+                bg_prbs = self.cell.num_prb
             for state in states:
                 average = state.average_throughput * keep
                 state.average_throughput = average if average > 1.0 else 1.0
-            return
-        self.busy_slots += 1
-        cell = self.cell
-        if bg_demand:
-            self._serve_with_background(active, bg_demand, now)
-        elif len(active) == 1:
-            # Fast path: one backlogged UE owns the whole cell this slot.
-            # Mirrors the generic policies exactly: RR (and PF's zero-weight
-            # fallback to RR) resets the rotation offset, ``(x + 1) % 1 == 0``.
-            state = active[0]
-            grant = cell.slot_capacity_bytes(state.channel.efficiency(now))
-            if self._round_robin or grant <= 0:
-                self._rr_offset = 0
-            used = state.pull(grant) if grant > 0 else 0
-            state.served_bytes_total += used
-            state.scheduled_slots += 1
-            state.slot_served = used
         else:
-            efficiencies = {s.ue_id: s.channel.efficiency(now)
-                            for s in active}
-            allocations = self._allocate_prbs(active, efficiencies)
-            for state in active:
-                prbs = allocations.get(state.ue_id, 0)
-                if prbs <= 0:
-                    continue
-                grant = cell.slot_capacity_bytes(
-                    efficiencies[state.ue_id], num_prb=prbs)
+            self.busy_slots += 1
+            cell = self.cell
+            if bg_demand:
+                bg_prbs = self._serve_with_background(active, bg_demand, now)
+            elif len(active) == 1:
+                # Fast path: one backlogged UE owns the whole cell this slot.
+                # Mirrors the generic policies exactly: RR (and PF's
+                # zero-weight fallback to RR) resets the rotation offset,
+                # ``(x + 1) % 1 == 0``.
+                state = active[0]
+                grant = cell.slot_capacity_bytes(state.channel.efficiency(now))
+                if self._round_robin or grant <= 0:
+                    self._rr_offset = 0
                 used = state.pull(grant) if grant > 0 else 0
                 state.served_bytes_total += used
                 state.scheduled_slots += 1
                 state.slot_served = used
-        if background is not None and not bg_demand:
-            # Keep the kernel's batch clock ticking even in idle slots.
-            background.on_slot(0)
-        inv_slot = self._inv_slot_duration
-        for state in states:
-            average = (keep * state.average_throughput
-                       + decay * (state.slot_served * inv_slot))
-            state.average_throughput = average if average > 1.0 else 1.0
-            state.slot_served = 0
+            else:
+                efficiencies = {s.ue_id: s.channel.efficiency(now)
+                                for s in active}
+                allocations = self._allocate_prbs(active, efficiencies)
+                for state in active:
+                    prbs = allocations.get(state.ue_id, 0)
+                    if prbs <= 0:
+                        continue
+                    grant = cell.slot_capacity_bytes(
+                        efficiencies[state.ue_id], num_prb=prbs)
+                    used = state.pull(grant) if grant > 0 else 0
+                    state.served_bytes_total += used
+                    state.scheduled_slots += 1
+                    state.slot_served = used
+            inv_slot = self._inv_slot_duration
+            for state in states:
+                average = (keep * state.average_throughput
+                           + decay * (state.slot_served * inv_slot))
+                state.average_throughput = average if average > 1.0 else 1.0
+                state.slot_served = 0
+        if background is not None:
+            # The background PRB hand-off (``BackgroundPopulation.on_slot``)
+            # inline, as in :meth:`_quiet_bulk`: every slot, idle ones
+            # included, ticks the kernel's batch clock.
+            if bg_prbs:
+                background._pending_prb_slots += bg_prbs
+            background._slot_count += 1
+            if background._slot_count % background._slots_per_step == 0:
+                background._step(now)
 
     def _serve_with_background(self, active: list[_UeSchedulingState],
-                               bg_demand: int, now: float) -> None:
+                               bg_demand: int, now: float) -> int:
         """Split the slot between foreground UEs and the background aggregate.
 
         Round robin treats the population as ``bg_demand`` extra equal-share
         claimants rotating through the same remainder offset as the
         foreground UEs.  Proportional fair first carves out the background's
         equal aggregate share, then runs PF over the remaining budget.
+        Returns the PRBs left to the background aggregate.
         """
         cell = self.cell
         num_prb = cell.num_prb
@@ -476,9 +507,7 @@ class MacScheduler:
             remainder = num_prb - base * total_claimants
             offset = self._rr_offset
             fg_prbs = 0
-            ordered = active if len(active) == 1 \
-                else sorted(active, key=lambda s: s.ue_id)
-            for index, state in enumerate(ordered):
+            for index, state in enumerate(self._by_ue_id(active)):
                 extra = 1 if ((index + offset) % total_claimants
                               < remainder) else 0
                 prbs = base + extra
@@ -492,8 +521,7 @@ class MacScheduler:
                 state.scheduled_slots += 1
                 state.slot_served = used
             self._rr_offset = (offset + 1) % total_claimants
-            self._background.on_slot(num_prb - fg_prbs)
-            return
+            return num_prb - fg_prbs
         bg_prbs = (num_prb * bg_demand) // total_claimants
         fg_budget = num_prb - bg_prbs
         efficiencies = {s.ue_id: s.channel.efficiency(now) for s in active}
@@ -509,7 +537,7 @@ class MacScheduler:
             state.served_bytes_total += used
             state.scheduled_slots += 1
             state.slot_served = used
-        self._background.on_slot(bg_prbs)
+        return bg_prbs
 
     # ------------------------------------------------------------------ #
     # PRB allocation policies
@@ -528,8 +556,7 @@ class MacScheduler:
         base = total // n
         remainder = total - base * n
         allocations: dict[UeId, int] = {}
-        ordered = sorted(active, key=lambda s: s.ue_id)
-        for index, state in enumerate(ordered):
+        for index, state in enumerate(self._by_ue_id(active)):
             extra = 1 if (index + self._rr_offset) % n < remainder else 0
             allocations[state.ue_id] = base + extra
         self._rr_offset = (self._rr_offset + 1) % max(1, n)

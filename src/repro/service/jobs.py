@@ -236,16 +236,25 @@ class JobManager:
         with state.condition:
             state.status = "running"
             state.condition.notify_all()
-        self._record(state, started_at=time.time())
+        # Archive writes sit inside the try: nobody reads this thread's
+        # future, so an escaping OSError would leave the run "running" and
+        # its event streams polling forever.  The final status is archived
+        # before the run settles, so whoever sees it settled finds it there.
         try:
+            self._record(state, started_at=time.time())
             result = run_scenario(
                 state.spec, progress=state.push_snapshot,
                 progress_interval_s=self.progress_interval_s)
             document = dump_document(result_document(result))
+            self.archive.write_document(state.run_id, document)
+            self._record(state, status="done", finished_at=time.time())
         except Exception as exc:  # noqa: BLE001 - surfaced via the API
-            state.finish("failed", error=f"{type(exc).__name__}: {exc}")
-            self._record(state, finished_at=time.time())
+            error = f"{type(exc).__name__}: {exc}"
+            try:
+                self._record(state, status="failed", error=error,
+                             finished_at=time.time())
+            except OSError:
+                pass  # the archive itself failed; the run state says why
+            state.finish("failed", error=error)
             return
-        self.archive.write_document(state.run_id, document)
         state.finish("done", document=document)
-        self._record(state, finished_at=time.time())

@@ -45,6 +45,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-scenario-service"
+    # TCP_NODELAY: headers and body leave as separate sends, and on a
+    # kept-alive connection Nagle would hold the body for the client's
+    # delayed ACK (~40 ms per request).
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ #
     # plumbing

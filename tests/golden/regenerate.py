@@ -13,8 +13,9 @@ reviewed as a diff of named blocks, not as a new hex string.
 The catalogue is every preset of ``experiments/presets.py`` at 1 simulated
 second (``dense-cell`` 5 s; ``handover`` 2.5 s, so that its first scheduled
 handover at t = 2 s is inside), the five ledger workload specs at
-tier-1-affordable durations, and the three multi-cell presets split over two
-in-process shards, each at seeds 7 and 1234.
+tier-1-affordable durations, the three multi-cell presets split over two
+in-process shards, and the ``tests/corpus/population-*.json`` specs at their
+own durations, each at seeds 7 and 1234.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import repro.api as api
 from repro.experiments.sharded import run_scenario_sharded
 
 GOLDEN_PATH = Path(__file__).with_name("doc_sha256.json")
+CORPUS_DIR = Path(__file__).parent.parent / "corpus"
 SEEDS = (7, 1234)
 SHARDED_PRESETS = ("coupled-core", "handover", "eight-cell")
 PRESET_DURATION_S = {"dense-cell": 5.0, "handover": 2.5}
@@ -59,6 +61,11 @@ def catalogue() -> list[tuple[str, api.ScenarioSpec, int]]:
     for preset in SHARDED_PRESETS:
         add(f"shards2/{preset}", api.load_spec(preset),
             PRESET_DURATION_S.get(preset, 1.0), shards=2)
+    # The population branches dense-cell does not reach (PF, the rate
+    # workload, a MAC whose registration order is not ue_id order).
+    for path in sorted(CORPUS_DIR.glob("population-*.json")):
+        spec = api.ScenarioSpec.from_dict(json.loads(path.read_text())["spec"])
+        add(f"corpus/{path.stem}", spec, spec.duration_s)
     return entries
 
 

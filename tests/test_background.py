@@ -241,6 +241,26 @@ _GRANT_FRACTIONS = st.one_of(st.floats(0.0, 0.2), st.floats(0.2, 1.5),
                              st.floats(1.5, 4.0))
 
 
+def _assert_working_set_mirrors(population, reference) -> None:
+    """The compact working set is the active subset of the full state.
+
+    Reads only the compact arrays and ``active``, never the synced
+    ``backlog`` / ``cwnd`` views, so a population checked only here keeps
+    its full arrays stale between churn flips.
+    """
+    index = np.flatnonzero(reference.active)
+    assert np.array_equal(population.active, reference.active)
+    assert np.array_equal(population._index, index)
+    assert population._active_count == index.size
+    for compact, full in ((population._active_backlog, reference.backlog),
+                          (population._active_cwnd, reference.cwnd),
+                          (population._active_bpp, population.bytes_per_prb),
+                          (population._active_beta, population.beta)):
+        assert np.array_equal(compact, full[index])
+    # Zero off the index: each full-length sum sees only active values.
+    assert not np.delete(population._sum_scratch, index).any()
+
+
 class TestFusedKernelAgainstReference:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
@@ -263,6 +283,9 @@ class TestFusedKernelAgainstReference:
             churn_rate_per_s=churn_rate_per_s)
         ref_sim, reference = _standalone(ReferencePopulation, spec, seed)
         sim, fused = _standalone(BackgroundPopulation, spec, seed)
+        # Never read through ``backlog`` / ``cwnd`` until the end, so its
+        # churn flips start from compact state the full arrays lack.
+        lazy_sim, lazy = _standalone(BackgroundPopulation, spec, seed)
         per_prb = max(float(fused.bytes_per_prb.mean()), 1.0)
         queued_at_build = float(fused.backlog.sum())
         zeroed_by_churn = 0.0
@@ -281,6 +304,8 @@ class TestFusedKernelAgainstReference:
                     zeroed_by_churn += float(fused.backlog[flipped].sum())
             _advance(ref_sim, reference, grant)
             _advance(sim, fused, grant)
+            _advance(lazy_sim, lazy, grant)
+            _assert_working_set_mirrors(lazy, reference)
 
             # Differential: state, counters and stream position.
             assert np.array_equal(fused.active, reference.active)
@@ -308,5 +333,9 @@ class TestFusedKernelAgainstReference:
                 float(fused.backlog.sum()),
                 rel_tol=1e-9, abs_tol=1e-9 * max(offered, 1.0))
             assert probe.bit_generator.state == fused._rng.bit_generator.state
+            _assert_working_set_mirrors(fused, reference)
 
         assert fused.summary() == reference.summary()
+        assert lazy.summary() == reference.summary()
+        assert np.array_equal(lazy.backlog, reference.backlog)
+        assert np.array_equal(lazy.cwnd, reference.cwnd)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -48,8 +49,6 @@ def _post(service, payload):
 
 
 def _wait_done(service, run_id: str, timeout_s: float = 60.0) -> dict:
-    import time
-
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
         _, status = _get_json(service, f"/runs/{run_id}")
@@ -373,6 +372,29 @@ class TestArchive:
         lines = archive.index_path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 4 and "" not in lines
 
+    def test_archive_error_fails_the_run_and_ends_its_stream(
+            self, service, monkeypatch):
+        """An OSError while archiving (disk full, runs directory removed)
+        settles the run as failed, and its event stream ends instead of
+        polling forever; the read timeout bounds the test."""
+        def disk_full(run_id, text):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(service.archive, "write_document", disk_full)
+        _, submitted = _post(
+            service, {"spec": {"num_ues": 1, "duration_s": 0.1}})
+        run_id = submitted["run_id"]
+        with urllib.request.urlopen(f"{service.url}/runs/{run_id}/events",
+                                    timeout=10.0) as response:
+            stream = response.read().decode("utf-8")
+        final = json.loads(stream.rsplit("event: end\ndata: ", 1)[1])
+        assert final["status"] == "failed"
+        assert final["error"].startswith("OSError: ")
+        _, status = _get_json(service, f"/runs/{run_id}")
+        assert status["status"] == "failed"
+        assert status["error"] == final["error"]
+        assert service.archive.get(run_id)["status"] == "failed"
+
 
 # --------------------------------------------------------------------- #
 # Service metadata endpoints
@@ -390,3 +412,17 @@ class TestMetadata:
 
         _, served = _get_json(service, "/schema")
         assert served == result_schema()
+
+    def test_kept_alive_connection_does_not_stall(self, service):
+        """Headers and body leave as two sends; without TCP_NODELAY every
+        request after the first waits ~40 ms for a delayed ACK."""
+        conn = http.client.HTTPConnection(*service.address, timeout=5.0)
+        try:
+            for _ in range(10):
+                start = time.perf_counter()
+                conn.request("GET", "/health")
+                response = conn.getresponse()
+                assert json.loads(response.read())["status"] == "ok"
+                assert time.perf_counter() - start < 0.010
+        finally:
+            conn.close()

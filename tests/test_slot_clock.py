@@ -749,9 +749,9 @@ def test_default_backend_collapses_quiet_slots(monkeypatch):
     on_slot = MacScheduler._on_slot
     push = EventQueue.push
 
-    def counting_on_slot(self):
+    def counting_on_slot(self, *args):
         counts["on_slot"] += 1
-        on_slot(self)
+        on_slot(self, *args)
 
     def counting_push(self, time, callback, args=()):
         counts["push"] += 1
