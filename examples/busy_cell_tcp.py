@@ -15,24 +15,22 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments.fig09_tcp_sweep import SweepConfig, improvement_table, run_fig9
+from repro.experiments.comparisons import improvement_table
+from repro.experiments.figures import run_figure
 from repro.experiments.report import format_table
 
 
 def main() -> None:
     num_ues = int(sys.argv[1]) if len(sys.argv) > 1 else 4
     duration = float(sys.argv[2]) if len(sys.argv) > 2 else 5.0
-    config = SweepConfig(cc_names=("prague", "cubic"),
-                         channels=("static", "mobile"),
-                         ue_counts=(num_ues,), duration_s=duration)
-    cells = run_fig9(config)
-    rows = [cell.as_row() for cell in cells]
+    rows = run_figure("fig9", cc_names=("prague", "cubic"),
+                      ue_counts=(num_ues,), duration_s=duration)
     print(f"Concurrent downloads, {num_ues} UEs, {duration:.0f} s per run\n")
     print(format_table(rows, columns=["cc", "channel", "l4span",
                                       "owd_median_ms", "owd_p90_ms",
                                       "per_ue_tput_median_mbps"]))
     print("\nL4Span improvement per configuration:\n")
-    print(format_table(improvement_table(cells)))
+    print(format_table(improvement_table(rows)))
 
 
 if __name__ == "__main__":

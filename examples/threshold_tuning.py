@@ -13,14 +13,13 @@ Run with::
 
 from __future__ import annotations
 
-from repro.experiments.fig19_threshold import ThresholdSweepConfig, run_fig19
+from repro.experiments.figures import run_figure
 from repro.experiments.report import format_table
 
 
 def main() -> None:
-    config = ThresholdSweepConfig(thresholds_ms=(1.0, 5.0, 10.0, 50.0),
-                                  duration_s=5.0)
-    rows = run_fig19(config)
+    rows = run_figure("fig19", thresholds_ms=(1.0, 5.0, 10.0, 50.0),
+                      duration_s=5.0)
     print("Sojourn-threshold sweep (TCP Prague, 1 UE)\n")
     print(format_table(rows))
     best = min(rows, key=lambda r: (r["rtt_mean_ms"]

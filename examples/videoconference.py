@@ -16,16 +16,14 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments.fig13_interactive import InteractiveConfig, run_fig13
+from repro.experiments.figures import run_figure
 from repro.experiments.report import format_table
 
 
 def main() -> None:
     num_ues = int(sys.argv[1]) if len(sys.argv) > 1 else 4
-    config = InteractiveConfig(num_ues=num_ues,
-                               channels=("static", "vehicular"),
-                               duration_s=5.0)
-    rows = run_fig13(config)
+    rows = run_figure("fig13", num_ues=num_ues,
+                      channels=("static", "vehicular"), duration_s=5.0)
     print(f"Interactive video, {num_ues} UEs per run\n")
     print(format_table(rows, columns=["cc", "channel", "l4span",
                                       "rtt_median_ms", "rtt_p90_ms",

@@ -12,7 +12,7 @@ pure-Python, discrete-event simulation:
 * :mod:`repro.cc` -- congestion-control senders (Prague, CUBIC, BBRv2, ...).
 * :mod:`repro.core` -- the L4Span layer itself and its in-RAN baselines.
 * :mod:`repro.workloads`, :mod:`repro.metrics`, :mod:`repro.experiments` --
-  traffic generators, measurement collectors and the per-figure harnesses.
+  traffic generators, measurement collectors and the paper's figure table.
 
 Quickstart (the stable public surface is :mod:`repro.api`)::
 

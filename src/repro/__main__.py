@@ -111,62 +111,24 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     return 0
 
 
-_EXPERIMENTS = {
-    "fig2": ("repro.experiments.fig02_motivation", "run_fig2", "rows"),
-    "fig9": ("repro.experiments.fig09_tcp_sweep", "run_fig9", "as_row"),
-    "fig10": ("repro.experiments.fig10_breakdown", "run_fig10", None),
-    "fig11": ("repro.experiments.fig11_short_flows", "run_fig11", None),
-    "fig12": ("repro.experiments.fig12_tcran", "run_fig12", None),
-    "fig13": ("repro.experiments.fig13_interactive", "run_fig13", None),
-    "fig14": ("repro.experiments.fig14_fairness", "run_fig14", "fig14"),
-    "fig15": ("repro.experiments.fig15_shortcircuit", "run_fig15", None),
-    "fig16": ("repro.experiments.fig16_shared_drb", "run_fig16", None),
-    "fig17": ("repro.experiments.fig17_queue_cdf", "run_fig17", None),
-    "fig18": ("repro.experiments.fig18_coherence", "run_fig18", None),
-    "fig19": ("repro.experiments.fig19_threshold", "run_fig19", None),
-    "fig20": ("repro.experiments.fig20_rate_error", "run_fig20", None),
-    "fig21": ("repro.experiments.fig21_processing", "run_fig21", None),
-    "fig24": ("repro.experiments.fig09_tcp_sweep", "run_fig24", "as_row"),
-    "table1": ("repro.experiments.table1_overhead", "run_table1", None),
-}
+#: Distribution columns a table cannot show; ``--json`` keeps them.
+_SERIES_COLUMNS = {"rtt_cdf", "queue_cdf", "error_cdf", "period_cdf", "cdf",
+                   "summary", "error_summary", "queue_summary"}
 
 
 def _run_experiment_command(args: argparse.Namespace) -> int:
-    import importlib
-    import inspect
+    from repro.experiments.figures import run_figure
 
-    module_name, function_name, row_adapter = _EXPERIMENTS[args.experiment]
-    module = importlib.import_module(module_name)
-    function = getattr(module, function_name)
-    kwargs = {}
-    if "workers" in inspect.signature(function).parameters:
-        kwargs["workers"] = args.workers
-        if args.workers > 1:
-            kwargs["progress"] = lambda done, total: print(
-                f"[{args.experiment}] {done}/{total} cells", file=sys.stderr)
-    elif args.workers > 1:
-        print(f"note: {args.experiment} is not a sweep grid; "
-              "--workers ignored", file=sys.stderr)
-    output = function(**kwargs)
-    if row_adapter == "rows":
-        rows = output.rows()
-    elif row_adapter == "as_row":
-        rows = [cell.as_row() for cell in output]
-    elif row_adapter == "fig14":
-        rows = [{"panel": panel.name,
-                 "fairness_index": panel.fairness_index,
-                 "mean_throughputs_mbps": panel.mean_throughputs_mbps}
-                for panel in output]
-    else:
-        rows = output
-    drop = {"rtt_cdf", "queue_cdf", "error_cdf", "period_cdf", "cdf", "summary",
-            "error_summary", "queue_summary"}
-    printable = [{k: v for k, v in row.items() if k not in drop}
-                 for row in rows]
+    def progress(done: int, total: int) -> None:
+        print(f"[{args.experiment}] {done}/{total} cells", file=sys.stderr)
+
+    rows = run_figure(args.experiment, workers=args.workers,
+                      progress=progress if args.workers > 1 else None)
     if args.json:
-        print(json.dumps(printable, indent=2, sort_keys=True, default=str))
+        print(json.dumps(rows, indent=2, sort_keys=True, default=str))
     else:
-        print(format_table(printable))
+        print(format_table([{k: v for k, v in row.items()
+                             if k not in _SERIES_COLUMNS} for row in rows]))
     return 0
 
 
@@ -175,6 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     # Importing the spec module pulls in every component family's defining
     # modules, so all registries are populated before choices are derived.
     import repro.experiments.spec  # noqa: F401
+    from repro.experiments.figures import FIGURES
     from repro.experiments.options import add_runtime_arguments
     from repro.experiments.presets import preset_names
     from repro.registry import (CC_SENDERS, CHANNEL_PROFILES, MARKERS,
@@ -237,10 +200,10 @@ def main(argv: list[str] | None = None) -> int:
 
     experiment = subparsers.add_parser(
         "experiment", help="regenerate one of the paper's figures/tables")
-    experiment.add_argument("experiment", choices=sorted(_EXPERIMENTS))
+    experiment.add_argument("experiment", choices=sorted(FIGURES))
     experiment.add_argument(
         "--workers", type=int, default=default_workers(),
-        help="worker processes for grid experiments (default: "
+        help="worker processes for the figure's cells (default: "
              f"$REPRO_SWEEP_WORKERS or 1; this host has {os.cpu_count()} "
              "CPUs)")
     experiment.add_argument("--json", action="store_true",

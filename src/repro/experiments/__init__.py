@@ -1,14 +1,14 @@
-"""Experiment harnesses: one module per figure/table of the paper.
+"""Scenario building, running and sweeping, and the paper's figure table.
 
 :mod:`repro.experiments.scenario` provides the generic scenario builder
 (server <-> WAN <-> 5G core <-> gNB(+marker) <-> UEs <-> flows) that every
-harness configures; the ``figXX_*`` modules encode each experiment's workload
-and produce the rows/series the paper reports.
+experiment configures; :mod:`repro.experiments.figures` holds the paper's
+figures and tables as one table of sweep grids, each run through
+:class:`~repro.experiments.runner.SweepRunner` by ``run_figure``.
 """
 
 from repro.experiments.presets import make_preset, preset_names
-from repro.experiments.runner import (SweepRunner, derive_cell_seed,
-                                      run_cells)
+from repro.experiments.runner import SweepRunner, derive_cell_seed
 from repro.experiments.scenario import (FlowResult, ScenarioResult,
                                         build_scenario, run_scenario,
                                         run_scenario_dict)
@@ -36,7 +36,6 @@ __all__ = [
     "build_scenario",
     "run_scenario",
     "SweepRunner",
-    "run_cells",
     "derive_cell_seed",
     "WiredScenarioConfig",
     "run_wired_scenario",

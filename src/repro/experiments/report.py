@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def format_table(rows: Sequence[dict], columns: Sequence[str] | None = None,
@@ -39,13 +39,3 @@ def format_table(rows: Sequence[dict], columns: Sequence[str] | None = None,
                                for i in range(len(columns)))
                      for line in table)
     return "\n".join([header, separator, body])
-
-
-def format_sections(sections: Iterable[tuple[str, Sequence[dict]]]) -> str:
-    """Render several (title, rows) sections into one report string."""
-    parts = []
-    for title, rows in sections:
-        parts.append(f"== {title} ==")
-        parts.append(format_table(rows))
-        parts.append("")
-    return "\n".join(parts)

@@ -1,12 +1,11 @@
 """Parallel execution of experiment sweep grids.
 
-Every grid-style harness in this package (the Fig. 9/24 TCP sweeps, the
-Table 1 overhead grid, the threshold / rate-error / ablation sweeps) is a list
-of *independent* simulation cells: a pure function of the cell description and
-a seed.  :class:`SweepRunner` fans those cells out over a pool of worker
-processes -- the same move a real testbed harness makes when it distributes
-scenario files across machines -- and collects the results in grid order, so
-a parallel sweep is bit-identical to a sequential one.
+Every figure and table of the paper (:data:`repro.experiments.figures.FIGURES`)
+is a list of *independent* simulation cells: a pure function of the cell
+description and a seed.  :class:`SweepRunner` fans those cells out over a
+pool of worker processes -- the same move a real testbed harness makes when
+it distributes scenario files across machines -- and collects the results in
+grid order, so a parallel sweep is bit-identical to a sequential one.
 
 Design constraints:
 
@@ -171,9 +170,6 @@ class SweepRunner:
                 "this process too.", RuntimeWarning, stacklevel=2)
             return self._map_sequential(cell_fn, cells, seeds)
 
-    # Backwards-friendly alias: a runner "runs" a sweep.
-    run = map
-
     # ------------------------------------------------------------------ #
     def _map_sequential(self, cell_fn: Callable, cells: list,
                         seeds: list) -> list:
@@ -233,11 +229,3 @@ class SweepRunner:
                 os.environ.pop(ACTIVE_WORKERS_ENV, None)
             else:
                 os.environ[ACTIVE_WORKERS_ENV] = previous
-
-
-def run_cells(cell_fn: Callable, cells: Iterable, workers: Optional[int] = 1,
-              master_seed: Optional[int] = None,
-              progress: Optional[Callable[[int, int], None]] = None) -> list:
-    """Convenience wrapper: one-shot :class:`SweepRunner` invocation."""
-    return SweepRunner(workers=workers, master_seed=master_seed,
-                       progress=progress).map(cell_fn, cells)

@@ -14,7 +14,6 @@ from typing import Optional
 from repro.aqm.dualpi2 import DualPi2Router
 from repro.cc.factory import make_receiver, make_sender
 from repro.metrics.collectors import ThroughputCollector, TimeSeries
-from repro.metrics.stats import summarize
 from repro.net.addresses import FiveTuple
 from repro.net.packet import Packet
 from repro.net.pipe import DelayPipe
@@ -31,7 +30,6 @@ class WiredScenarioConfig:
     rtt: float = ms(20)
     duration_s: float = 5.0
     seed: int = 1
-    use_dualpi2: bool = True
 
 
 @dataclass
@@ -42,9 +40,6 @@ class WiredFlowResult:
     rtt_samples: list[float]
     goodput_mbps: float
     throughput_series: TimeSeries
-
-    def rtt_summary(self) -> dict:
-        return summarize(self.rtt_samples)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Every per-figure experiment harness at a tier-1 scale, each run checked
+"""Every figure of the paper's table at a tier-1 scale, each run checked
 against the paper's qualitative claim for its figure or table."""
 
 from __future__ import annotations
@@ -7,35 +7,18 @@ import math
 
 import pytest
 
-from repro.experiments.ablations import AblationConfig, marking_strategy_ablation, window_sweep
-from repro.experiments.fig02_motivation import Fig2Config, run_fig2
-from repro.experiments.fig09_tcp_sweep import (SweepConfig, improvement_table,
-                                               run_fig9, run_fig24)
-from repro.experiments.fig10_breakdown import BreakdownConfig, run_fig10
-from repro.experiments.fig11_short_flows import ShortFlowConfig, run_fig11
-from repro.experiments.fig12_tcran import (TcRanComparisonConfig, run_fig12,
+from repro.core.shared_drb import SHARED_DRB_STRATEGIES
+from repro.experiments.comparisons import (improvement_table, overhead_summary,
                                            throughput_improvement)
-from repro.experiments.fig13_interactive import InteractiveConfig, run_fig13
-from repro.experiments.fig14_fairness import FairnessConfig, jain_index, run_fig14
-from repro.experiments.fig15_shortcircuit import ShortCircuitConfig, run_fig15
-from repro.experiments.fig16_shared_drb import (SHARED_DRB_STRATEGIES,
-                                                SharedDrbConfig, run_fig16)
-from repro.experiments.fig17_queue_cdf import QueueCdfConfig, run_fig17
-from repro.experiments.fig18_coherence import CoherenceConfig, run_fig18
-from repro.experiments.fig19_threshold import ThresholdSweepConfig, run_fig19
-from repro.experiments.fig20_rate_error import RateErrorConfig, run_fig20
-from repro.experiments.fig21_processing import ProcessingConfig, run_fig21
+from repro.experiments.figures import jain_index, run_figure
 from repro.experiments.scenario import build_scenario
 from repro.experiments.spec import ScenarioSpec
-from repro.experiments.table1_overhead import (OverheadConfig, overhead_summary,
-                                               run_table1)
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
 
 def test_fig2_motivation_shapes():
-    result = run_fig2(Fig2Config(duration_s=4.0, bottleneck_shift=False))
-    rows = result.rows()
+    rows = run_figure("fig2", duration_s=4.0, bottleneck_shift=False)
     panels = {row["panel"] for row in rows}
     assert panels == {"wired+dualpi2", "5g", "5g+l4span"}
     plain = next(r for r in rows if r["panel"] == "5g" and r["cc"] == "prague")
@@ -45,11 +28,10 @@ def test_fig2_motivation_shapes():
 
 
 def test_fig9_sweep_and_improvement_table():
-    cells = run_fig9(SweepConfig(cc_names=("prague",),
-                                 channels=("static", "mobile"),
-                                 ue_counts=(2,), duration_s=3.0))
-    assert len(cells) == 4
-    rows = improvement_table(cells)
+    sweep = run_figure("fig9", cc_names=("prague",), ue_counts=(2,),
+                       duration_s=3.0)
+    assert len(sweep) == 4
+    rows = improvement_table(sweep)
     assert [row["channel"] for row in rows] == ["static", "mobile"]
     # Prague's one-way delay drops by more than half under L4Span, on the
     # static and on the mobile channel.
@@ -57,9 +39,8 @@ def test_fig9_sweep_and_improvement_table():
 
 
 def test_fig24_reno_owd_reduction():
-    cells = run_fig24(SweepConfig(channels=("static",), ue_counts=(4,),
-                                  duration_s=3.0))
-    rows = improvement_table(cells)
+    sweep = run_figure("fig24", channels=("static",), duration_s=3.0)
+    rows = improvement_table(sweep)
     assert {row["cc"] for row in rows} == {"bbr", "reno"}
     # Reno's one-way delay drops by more than half under L4Span (Fig. 24);
     # at 2 UEs it does not -- see the strict xfail below.
@@ -87,8 +68,7 @@ def test_fig24_two_ue_reno_marks_every_flow():
 
 
 def test_fig10_breakdown_rows():
-    rows = run_fig10(BreakdownConfig(schedulers=("rr", "pf"), ue_counts=(2,),
-                                     duration_s=2.5))
+    rows = run_figure("fig10", ue_counts=(2,), duration_s=2.5)
     assert len(rows) == 4
     for row in rows:
         assert row["total_ms"] > 0
@@ -103,8 +83,8 @@ def test_fig10_breakdown_rows():
 
 
 def test_fig11_short_flow_rows():
-    rows = run_fig11(ShortFlowConfig(cc_names=("prague", "cubic"),
-                                     duration_s=5.0, slf_start=2.5))
+    rows = run_figure("fig11", cc_names=("prague", "cubic"), duration_s=5.0,
+                      slf_start=2.5)
     assert len(rows) == 4
     for cc in ("prague", "cubic"):
         with_l4span = next(r for r in rows if r["cc"] == cc and r["l4span"])
@@ -117,9 +97,8 @@ def test_fig11_short_flow_rows():
 
 
 def test_fig12_tcran_comparison():
-    rows = run_fig12(TcRanComparisonConfig(cc_names=("prague",),
-                                           channels=("static",),
-                                           duration_s=3.0))
+    rows = run_figure("fig12", cc_names=("prague",), channels=("static",),
+                      duration_s=3.0)
     assert len(rows) == 2
     improvements = throughput_improvement(rows)
     assert len(improvements) == 1
@@ -129,27 +108,25 @@ def test_fig12_tcran_comparison():
 
 
 def test_fig13_interactive_rows():
-    rows = run_fig13(InteractiveConfig(cc_names=("scream", "udp_prague"),
-                                       channels=("static",), num_ues=2,
-                                       duration_s=3.0))
+    rows = run_figure("fig13", channels=("static",), num_ues=2, duration_s=3.0)
     assert len(rows) == 4
     assert {row["cc"] for row in rows} == {"scream", "udp_prague"}
     assert all(row["per_ue_tput_mbps"] > 0 for row in rows)
 
 
 def test_fig14_fairness_panels():
-    panels = run_fig14(FairnessConfig(duration_s=5.0, stagger_s=1.0))
+    panels = run_figure("fig14", duration_s=5.0, stagger_s=1.0)
     assert len(panels) == 4
     for panel in panels:
-        assert 0.0 <= panel.fairness_index <= 1.0
-    same_rtt = next(p for p in panels if "equal RTT" in p.name)
-    assert same_rtt.fairness_index > 0.6
+        assert 0.0 <= panel["fairness_index"] <= 1.0
+    same_rtt = next(p for p in panels if "equal RTT" in p["panel"])
+    assert same_rtt["fairness_index"] > 0.6
     assert jain_index([1.0, 1.0, 1.0]) == pytest.approx(1.0)
     assert jain_index([1.0, 0.0, 0.0]) == pytest.approx(1 / 3)
 
 
 def test_fig15_shortcircuit_rows():
-    rows = run_fig15(ShortCircuitConfig(cc_names=("prague",), duration_s=3.0))
+    rows = run_figure("fig15", cc_names=("prague",), duration_s=3.0)
     assert len(rows) == 2
     with_sc = next(r for r in rows if r["shortcircuit"])
     without_sc = next(r for r in rows if not r["shortcircuit"])
@@ -160,7 +137,7 @@ def test_fig15_shortcircuit_rows():
 
 
 def test_fig16_shared_drb_coupled_strategy():
-    rows = run_fig16(SharedDrbConfig(duration_s=4.0))
+    rows = run_figure("fig16", duration_s=4.0)
     assert [row["strategy"] for row in rows] == list(SHARED_DRB_STRATEGIES)
     row = next(r for r in rows if r["strategy"] == "l4span")
     # The coupled strategy keeps both flows alive on the shared bearer.
@@ -170,8 +147,8 @@ def test_fig16_shared_drb_coupled_strategy():
 
 
 def test_fig17_queue_cdf_rows():
-    rows = run_fig17(QueueCdfConfig(cc_names=("prague",), channels=("static",),
-                                    num_ues=2, duration_s=3.0))
+    rows = run_figure("fig17", cc_names=("prague",), channels=("static",),
+                      num_ues=2, duration_s=3.0)
     assert len(rows) == 1
     assert rows[0]["queue_summary"]["count"] > 0
     # L4S queues stay small under L4Span (low occupancy, ultra-low delay).
@@ -179,7 +156,7 @@ def test_fig17_queue_cdf_rows():
 
 
 def test_fig18_coherence_validates_window_choice():
-    rows = run_fig18(CoherenceConfig(duration_s=20.0))
+    rows = run_figure("fig18", duration_s=20.0)
     assert len(rows) == 2
     for row in rows:
         assert row["num_periods"] > 10
@@ -187,8 +164,7 @@ def test_fig18_coherence_validates_window_choice():
 
 
 def test_fig19_threshold_sweep_shape():
-    rows = run_fig19(ThresholdSweepConfig(thresholds_ms=(1.0, 10.0, 100.0),
-                                          duration_s=3.0))
+    rows = run_figure("fig19", thresholds_ms=(1.0, 10.0, 100.0), duration_s=3.0)
     assert len(rows) == 3
     by_threshold = {row["threshold_ms"]: row for row in rows}
     # A tiny threshold sacrifices throughput; a huge one sacrifices latency.
@@ -202,9 +178,7 @@ def test_fig19_threshold_sweep_shape():
 
 
 def test_fig20_rate_error_rows():
-    rows = run_fig20(RateErrorConfig(
-        channels=("static", "pedestrian", "vehicular"), num_ues=2,
-        duration_s=3.0))
+    rows = run_figure("fig20", num_ues=2, duration_s=3.0)
     assert len(rows) == 3
     # Errors centre near zero across channel conditions ("most of the time
     # the errors are near 0%").
@@ -214,7 +188,7 @@ def test_fig20_rate_error_rows():
 
 
 def test_fig21_processing_rows():
-    rows = run_fig21(ProcessingConfig(num_ues=2, duration_s=2.0))
+    rows = run_figure("fig21", num_ues=2, duration_s=2.0)
     events = {row["event"] for row in rows}
     assert events == {"downlink", "uplink", "feedback"}
     # Every handler type was exercised and completes in bounded time.
@@ -224,7 +198,7 @@ def test_fig21_processing_rows():
 
 
 def test_table1_overhead_rows():
-    rows = run_table1(OverheadConfig(busy_ues=2, duration_s=1.5))
+    rows = run_figure("table1", busy_ues=2, duration_s=1.5)
     assert len(rows) == 4
     summary = overhead_summary(rows)
     assert {row["state"] for row in summary} == {"idle", "busy"}
@@ -235,8 +209,7 @@ def test_table1_overhead_rows():
 
 
 def test_marking_strategy_ablation_rows():
-    rows = marking_strategy_ablation(AblationConfig(duration_s=3.0,
-                                                    channel="static"))
+    rows = run_figure("ablation-marking", duration_s=3.0, channel="static")
     markers = {row["marker"] for row in rows}
     assert "l4span" in markers and "ran_dualpi2" in markers
     l4span_row = next(r for r in rows if r["marker"] == "l4span")
@@ -250,7 +223,7 @@ def test_marking_strategy_ablation_rows():
 
 
 def test_window_sweep_rows():
-    rows = window_sweep(AblationConfig(duration_s=2.5, channel="static"),
-                        windows_ms=(6.0, 12.45))
+    rows = run_figure("ablation-window", duration_s=2.5, channel="static",
+                      windows_ms=(6.0, 12.45))
     assert len(rows) == 2
     assert all(not math.isnan(row["owd_median_ms"]) for row in rows)

@@ -358,14 +358,13 @@ class TestHeterogeneousScenarios:
 # --------------------------------------------------------------------------- #
 class TestFig14DistinctRtt:
     def test_panel_flows_carry_rtts(self):
-        from repro.experiments.fig14_fairness import (FairnessConfig,
-                                                      _panel_flows)
-        config = FairnessConfig()
-        flows = _panel_flows(["prague"] * 3, config,
-                             rtts=[ms(18), ms(38), ms(78)])
-        assert [f.wan_rtt for f in flows] == [ms(18), ms(38), ms(78)]
-        equal = _panel_flows(["prague"] * 3, config)
-        assert all(f.wan_rtt is None for f in equal)
+        from repro.experiments.figures import FIGURES
+        fig14 = FIGURES["fig14"]
+        panels = dict(fig14.cells(fig14.grid))
+        distinct = ScenarioSpec.from_dict(panels["3x prague (distinct RTT)"])
+        assert [f.wan_rtt for f in distinct.flows] == [ms(18), ms(38), ms(78)]
+        equal = ScenarioSpec.from_dict(panels["3x prague (equal RTT)"])
+        assert all(f.wan_rtt is None for f in equal.flows)
 
 
 # --------------------------------------------------------------------------- #
@@ -373,12 +372,10 @@ class TestFig14DistinctRtt:
 # --------------------------------------------------------------------------- #
 class TestSpecSweepDeterminism:
     def test_threshold_sweep_identical_across_worker_counts(self):
-        from repro.experiments.fig19_threshold import (ThresholdSweepConfig,
-                                                       run_fig19)
-        config = ThresholdSweepConfig(thresholds_ms=(1.0, 10.0),
-                                      duration_s=1.0)
-        sequential = run_fig19(config, workers=1)
-        parallel = run_fig19(config, workers=2)
+        from repro.experiments.figures import run_figure
+        grid = {"thresholds_ms": (1.0, 10.0), "duration_s": 1.0}
+        sequential = run_figure("fig19", workers=1, **grid)
+        parallel = run_figure("fig19", workers=2, **grid)
         assert json.dumps(sequential, sort_keys=True) == \
             json.dumps(parallel, sort_keys=True)
 
@@ -452,3 +449,23 @@ class TestCli:
                      "--marker", "tcran", "--dump-spec"]) == 0
         spec = ScenarioSpec.from_json(capsys.readouterr().out)
         assert spec.resolved_marker() == "tcran"
+
+    def test_experiment_choices_are_the_figure_table(self, capsys):
+        import re
+
+        from repro.__main__ import main
+        from repro.experiments.figures import FIGURES
+        with pytest.raises(SystemExit):
+            main(["experiment", "--help"])
+        usage = capsys.readouterr().out
+        choices = re.search(r"\{([^}]*)\}", usage).group(1).split(",")
+        assert choices == sorted(FIGURES)
+        assert {"ablation-marking", "ablation-window"} <= set(choices)
+
+    def test_experiment_json_keeps_distribution_columns(self, capsys):
+        # Only the table drops the CDF columns; --json emits whole rows.
+        from repro.__main__ import main
+        assert main(["experiment", "fig18", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["cell"] for row in rows] == ["fdd_600mhz", "tdd_2.5ghz"]
+        assert all(row["period_cdf"] for row in rows)

@@ -6,10 +6,8 @@ import json
 
 import pytest
 
-from repro.experiments.fig09_tcp_sweep import (SweepConfig, run_fig9,
-                                               sweep_cells)
-from repro.experiments.runner import (SweepRunner, derive_cell_seed,
-                                      run_cells)
+from repro.experiments.figures import FIGURES, run_figure
+from repro.experiments.runner import SweepRunner, derive_cell_seed
 
 
 # --------------------------------------------------------------------------- #
@@ -49,9 +47,6 @@ class TestSweepRunner:
 
     def test_empty_grid(self):
         assert SweepRunner(workers=4).map(square_cell, []) == []
-
-    def test_run_alias(self):
-        assert SweepRunner(workers=1).run(square_cell, [2]) == [4]
 
     def test_master_seed_derives_per_cell_seeds(self):
         results = SweepRunner(workers=1, master_seed=7).map(
@@ -107,9 +102,6 @@ class TestSweepRunner:
         # silently re-run the whole grid sequentially).
         with pytest.raises(FileNotFoundError, match="lost its trace file"):
             SweepRunner(workers=2).map(os_error_cell, [0, 1])
-
-    def test_run_cells_convenience(self):
-        assert run_cells(square_cell, [4], workers=1) == [16]
 
 
 # --------------------------------------------------------------------------- #
@@ -192,32 +184,46 @@ class TestCoreBudget:
 # --------------------------------------------------------------------------- #
 # Determinism regression: parallel sweeps must be bit-identical to sequential
 # --------------------------------------------------------------------------- #
-MINI_SWEEP = SweepConfig(cc_names=("prague",), channels=("static", "mobile"),
-                         duration_s=1.0, seed=11)
+MINI_SWEEP = {"cc_names": ("prague",), "duration_s": 1.0}
+
+
+def _mini_cells() -> list:
+    return FIGURES["fig9"].cells({**FIGURES["fig9"].grid, **MINI_SWEEP})
 
 
 class TestSweepDeterminism:
     def test_fig9_rows_identical_across_worker_counts(self):
-        sequential = run_fig9(MINI_SWEEP, workers=1)
-        parallel = run_fig9(MINI_SWEEP, workers=4)
-        seq_rows = json.dumps([c.as_row() for c in sequential], sort_keys=True)
-        par_rows = json.dumps([c.as_row() for c in parallel], sort_keys=True)
-        assert seq_rows == par_rows
+        sequential = run_figure("fig9", workers=1, **MINI_SWEEP)
+        parallel = run_figure("fig9", workers=4, **MINI_SWEEP)
+        assert json.dumps(sequential, sort_keys=True) == \
+            json.dumps(parallel, sort_keys=True)
 
     def test_fig9_grid_order_preserved(self):
-        cells = sweep_cells(MINI_SWEEP)
-        results = run_fig9(MINI_SWEEP, workers=4)
-        assert [(r.cc_name, r.channel, r.marker) for r in results] == \
-            [(c["cc_name"], c["channel_profile"], c["marker"])
-             for c in cells]
+        results = run_figure("fig9", workers=4, **MINI_SWEEP)
+        assert [(r["cc"], r["channel"], r["l4span"]) for r in results] == \
+            [(c["cc_name"], c["channel_profile"], c["marker"] == "l4span")
+             for c in _mini_cells()]
 
     def test_fig9_cells_are_picklable_spec_dicts(self):
         import pickle
 
         from repro.experiments.spec import ScenarioSpec
 
-        cells = sweep_cells(MINI_SWEEP)
-        for cell in cells:
+        for cell in _mini_cells():
             assert isinstance(cell, dict)
             restored = ScenarioSpec.from_dict(pickle.loads(pickle.dumps(cell)))
             assert restored.to_dict() == cell
+
+    def test_formerly_serial_figure_identical_across_worker_counts(self):
+        grid = {"ue_counts": (2,), "duration_s": 1.0}
+        sequential = run_figure("fig10", workers=1, **grid)
+        parallel = run_figure("fig10", workers=2, **grid)
+        assert len(sequential) == 4
+        assert json.dumps(sequential, sort_keys=True) == \
+            json.dumps(parallel, sort_keys=True)
+
+    def test_unknown_figure_or_grid_key_raises(self):
+        with pytest.raises(ValueError, match="unknown grid key"):
+            run_figure("fig9", seed=3)
+        with pytest.raises(KeyError):
+            run_figure("fig99")

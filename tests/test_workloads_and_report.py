@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.report import format_sections, format_table
+from repro.experiments.report import format_table
 from repro.workloads.flows import bulk_download_flows, mixed_share_flows
 from repro.workloads.short_flows import DEFAULT_SLF_BYTES, short_flow, short_long_mix
 from repro.workloads.video import interactive_video_flows
@@ -62,7 +62,3 @@ class TestReport:
     def test_missing_keys_render_as_dash(self):
         text = format_table([{"a": 1}, {"b": 2}], columns=["a", "b"])
         assert "-" in text
-
-    def test_format_sections(self):
-        text = format_sections([("first", [{"x": 1}]), ("second", [])])
-        assert "== first ==" in text and "== second ==" in text
