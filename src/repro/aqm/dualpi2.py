@@ -26,7 +26,6 @@ from repro.net.ecn import ECN, FlowClass
 from repro.net.packet import Packet
 from repro.net.queueing import DropTailQueue
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess
 from repro.sim.randomness import chance
 from repro.units import ms, transmission_time
 
@@ -118,8 +117,7 @@ class DualPi2Router:
         # instead of rebuilding the "<name>-lmark"/"<name>-cmark" keys.
         self._lmark_rng = sim.random.stream(f"{name}-lmark")
         self._cmark_rng = sim.random.stream(f"{name}-cmark")
-        self._updater = PeriodicProcess(sim, self.core.tupdate, self._update,
-                                        name=f"{name}-pi")
+        self._updater = sim.every(self.core.tupdate, self._update)
 
     # ------------------------------------------------------------------ #
     # Enqueue path

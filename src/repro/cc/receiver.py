@@ -14,7 +14,6 @@ from typing import Callable, Optional
 from repro.net.ecn import ECN
 from repro.net.packet import AccEcnCounters, Packet, make_ack_packet
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess
 from repro.units import ms
 
 
@@ -215,9 +214,7 @@ class ScreamReceiver:
         self.highest_seq = 0
         self._last_packet: Optional[Packet] = None
         self._new_data = False
-        self._process = PeriodicProcess(sim, feedback_interval,
-                                        self._emit_feedback,
-                                        name=f"scream-fb-{flow_id}")
+        self._timer = sim.every(feedback_interval, self._emit_feedback)
 
     def export_state(self) -> dict:
         """Snapshot the feedback state a handover carries to the target.
@@ -267,4 +264,4 @@ class ScreamReceiver:
 
     def stop(self) -> None:
         """Stop the periodic feedback process."""
-        self._process.stop()
+        self._timer.stop()

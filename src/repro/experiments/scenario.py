@@ -470,7 +470,7 @@ class BuiltScenario:
             # Instrumentation must be invisible in the result document:
             # identical runs with and without a progress hook report the
             # same event count (the reporter's own ticks are not workload).
-            events -= self.progress_reporter.ticks
+            events -= self.progress_reporter.snapshots
         self.stop_collectors()
         return self.collect(events)
 

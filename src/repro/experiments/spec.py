@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import typing
 import warnings
 from dataclasses import dataclass, field
@@ -51,6 +52,13 @@ from repro.workloads.flows import FlowSpec
 
 #: RLC modes understood by the RAN layer.
 RLC_MODES = ("am", "um")
+
+
+def _require_positive(name: str, value: float) -> None:
+    """Reject a time or period that is not a finite number > 0: a NaN key
+    corrupts the event order and a NaN horizon never ends the run."""
+    if not 0.0 < value < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass
@@ -204,8 +212,8 @@ class MobilitySpec:
         if self.interruption_s <= 0:
             raise ValueError("mobility.interruption_s must be positive")
         if self.mode == "snr":
-            if self.check_interval_s <= 0:
-                raise ValueError("mobility.check_interval_s must be positive")
+            _require_positive("mobility.check_interval_s",
+                              self.check_interval_s)
             if self.handovers:
                 raise ValueError("mobility.handovers requires mode "
                                  "'schedule'; the 'snr' monitor decides its "
@@ -292,8 +300,8 @@ class PopulationSpec:
             raise ValueError("population.activity must be within [0, 1]")
         if self.churn_rate_per_s < 0:
             raise ValueError("population.churn_rate_per_s must be >= 0")
-        if self.update_interval_s <= 0:
-            raise ValueError("population.update_interval_s must be positive")
+        _require_positive("population.update_interval_s",
+                          self.update_interval_s)
         for name, share in self.cc_mix.items():
             CC_SENDERS.resolve(name)
             if share <= 0:
@@ -472,6 +480,12 @@ class ScenarioSpec:
         names and :class:`ValueError` for structural mistakes (duplicate
         ids, dangling cell references).
         """
+        for name in ("duration_s", "queue_sample_interval",
+                     "throughput_window"):
+            _require_positive(name, getattr(self, name))
+        if not 0.0 <= self.warmup_s < math.inf:  # NaN fails both comparisons
+            raise ValueError(
+                f"warmup_s must be a finite number >= 0, got {self.warmup_s!r}")
         MARKERS.resolve(self.resolved_marker() or "none")
         self.sharding.validate()
         self.population.validate()

@@ -15,7 +15,6 @@ from repro.metrics.breakdown import breakdown_from_packet
 from repro.metrics.stats import box_stats, summarize
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess
 from repro.units import to_mbps
 
 
@@ -272,8 +271,7 @@ class QueueSampler:
         self.byte_samples: dict[str, list[int]] = defaultdict(list)
         self.times: list[float] = []
         self._bearers: Optional[list[tuple[str, object]]] = None
-        self._process = PeriodicProcess(sim, interval, self._sample,
-                                        name="queue-sampler")
+        self._timer = sim.every(interval, self._sample)
 
     def _bearer_list(self) -> list[tuple[str, object]]:
         """(name, entity) pairs, cached -- per-tick DrbKey lookups and
@@ -308,7 +306,7 @@ class QueueSampler:
         return merged
 
     def stop(self) -> None:
-        self._process.stop()
+        self._timer.stop()
 
 
 class RateEstimationProbe:
@@ -327,8 +325,7 @@ class RateEstimationProbe:
         self.interval = interval
         self._last_tx_bytes: dict[str, int] = {}
         self.errors_percent: list[float] = []
-        self._process = PeriodicProcess(sim, interval, self._sample,
-                                        name="rate-probe")
+        self._timer = sim.every(interval, self._sample)
 
     def _sample(self) -> None:
         for key, state in list(self._l4span.drb_states.items()):
@@ -352,7 +349,7 @@ class RateEstimationProbe:
             self.errors_percent.append(error)
 
     def stop(self) -> None:
-        self._process.stop()
+        self._timer.stop()
 
 
 class ProgressReporter:
@@ -384,8 +381,7 @@ class ProgressReporter:
         self.snapshots = 0
         self._last_bytes: dict[int, int] = {}
         self._last_time = sim.now
-        self._process = PeriodicProcess(sim, interval, self._tick,
-                                        name="progress-reporter")
+        self._timer = sim.every(interval, self._tick)
 
     def _tick(self) -> None:
         now = self._sim.now
@@ -403,10 +399,5 @@ class ProgressReporter:
                         "events": self._sim.processed_events,
                         "flows": flows})
 
-    @property
-    def ticks(self) -> int:
-        """Reporter events executed so far (instrumentation overhead)."""
-        return self._process.ticks
-
     def stop(self) -> None:
-        self._process.stop()
+        self._timer.stop()

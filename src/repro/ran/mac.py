@@ -79,7 +79,7 @@ class MacScheduler:
 
     Every scheduler ticks on the simulator's timer wheel
     (:meth:`_run_slot_batch`).  A cell with no backlog and no background
-    population parks its timer (:class:`~repro.sim.engine.SlotTimer`); while
+    population parks its timer (:class:`~repro.sim.timers.SlotTimer`); while
     parked, :attr:`slots`, :attr:`null_ticks` and ``average_throughput`` lag
     by ``timer.skipped`` ticks, so a mid-run reader calls :meth:`wake` first
     (:meth:`stop` does).
@@ -212,16 +212,16 @@ class MacScheduler:
     def _run_slot_batch(self, barrier_time: float, barrier_seq) -> None:
         """Timer-wheel callback: run consecutive slot ticks up to a barrier.
 
-        Mirrors a self-rescheduling heap callback (the periodic process of
-        :mod:`repro.sim.process`, the tests' reference) exactly -- the slot
-        body runs first, then the re-arm consumes one tie-break sequence
-        number -- so events a slot schedules at precisely the next tick
-        time still fire before that tick.  The batch ends when the
-        next tick's ``(time, seq)`` key would not be the globally next
-        event: another wheel timer (the ``barrier_*`` arguments), the heap
-        head (a cancelled head conservatively ends the batch too; the
-        engine loop discards it and re-enters), the run window, or a
-        ``stop()`` -- or the slot just run parked the clock.
+        Mirrors a self-rescheduling heap callback (the tests' reference
+        clock) exactly -- the slot body runs first, then the re-arm
+        consumes one tie-break sequence number -- so events a slot
+        schedules at precisely the next tick time still fire before that
+        tick.  The batch ends when the next tick's ``(time, seq)`` key
+        would not be the globally next event: another wheel timer (a
+        sampler or probe too, via ``Simulator.every``; the ``barrier_*``
+        arguments), the heap head (a cancelled head conservatively ends
+        the batch too; the engine loop discards it and re-enters), the run
+        window, or a ``stop()`` -- or the slot just run parked the clock.
         """
         sim = self._sim
         queue = sim.events

@@ -48,7 +48,7 @@ from typing import Callable, Optional
 
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess
+from repro.sim.timers import SlotTimer
 
 
 @dataclass(frozen=True)
@@ -247,7 +247,7 @@ class MobilityManager:
         #: (the broadcast dedup).
         self._pending_commits: set[int] = set()
         self._adopted: set[tuple[int, float]] = set()
-        self._snr_process: Optional[PeriodicProcess] = None
+        self._snr_timer: Optional[SlotTimer] = None
         self._install()
 
     # ------------------------------------------------------------------ #
@@ -271,14 +271,13 @@ class MobilityManager:
             if self._is_local(tr.from_cell) or self._is_local(tr.to_cell):
                 self._sim.schedule_at(tr.time, self._execute_transition, tr)
         if self.config.mode == "snr":
-            self._snr_process = PeriodicProcess(
-                self._sim, self.config.check_interval_s, self._snr_check,
-                name="mobility-snr")
+            self._snr_timer = self._sim.every(self.config.check_interval_s,
+                                              self._snr_check)
 
     def stop(self) -> None:
         """Stop periodic machinery (the SNR monitor)."""
-        if self._snr_process is not None:
-            self._snr_process.stop()
+        if self._snr_timer is not None:
+            self._snr_timer.stop()
 
     # ------------------------------------------------------------------ #
     # Handover execution

@@ -2,13 +2,11 @@
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue
-from repro.sim.process import PeriodicProcess
 from repro.sim.randomness import RandomStreams
 
 __all__ = [
     "Simulator",
     "Event",
     "EventQueue",
-    "PeriodicProcess",
     "RandomStreams",
 ]

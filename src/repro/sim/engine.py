@@ -2,21 +2,25 @@
 
 Every component in the library receives a :class:`Simulator` and schedules
 work on it.  One-shot callbacks go through the heap (:meth:`Simulator.schedule`);
-the MAC slot clocks, the dominant recurring events of every RAN scenario,
-live off-heap on the timer wheel (:class:`SlotTimer`) and are merged with the
-heap by one run loop in exact ``(time, sequence)`` order.  The engine is
-deliberately small -- the interesting behaviour lives in the network, RAN
-and congestion-control components.
+every recurring timer -- the MAC slot clocks, the dominant recurring events
+of every RAN scenario, and the samplers, AQM updaters, feedback clocks and
+monitors started with :meth:`Simulator.every` -- lives off-heap on the timer
+wheel (:class:`SlotTimer`) and is merged with the heap by one run loop in
+exact ``(time, sequence)`` order.  The engine is deliberately small -- the
+interesting behaviour lives in the network, RAN and congestion-control
+components.
 """
 
 from __future__ import annotations
 
+from bisect import insort as _insort
 from heapq import heappop as _heappop
 from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.randomness import RandomStreams
+from repro.sim.timers import SlotTimer
 
 
 class SimulationError(RuntimeError):
@@ -25,67 +29,6 @@ class SimulationError(RuntimeError):
 
 #: The wheel's sort key.
 _timer_key = attrgetter("time", "seq")
-
-class SlotTimer:
-    """A recurring timer on the simulator's timer wheel.
-
-    The wheel exists for the *dominant periodic* event class -- the MAC slot
-    clock, which fires every 0.5 ms for every cell and would otherwise
-    account for the majority of heap pushes/pops in slot-bound scenarios.
-    A wheel timer never touches the heap: the run loop compares its
-    ``(time, seq)`` key directly against the heap head.
-
-    Determinism contract: a wheel timer consumes sequence numbers from the
-    same :class:`~repro.sim.events.EventQueue` counter a heap push would, at
-    the same logical points -- one at creation (where ``PeriodicProcess``
-    pushes its first tick) and one after each firing (where the periodic
-    callback re-schedules itself).  Same-instant ordering against heap
-    events is therefore bit-identical to the heap-based implementation.
-
-    The callback is invoked as ``callback(barrier_time, barrier_seq)`` with
-    ``sim.now == timer.time``.  It must fire at least the current tick and
-    call :meth:`advance` after every tick it processes; it *may* process
-    further ticks (batching) while its next ``(time, seq)`` key stays below
-    both the barrier key and the heap head.
-
-    A *parked* timer's owner (an idle cell's MAC, ``MacScheduler.wake``) has
-    nothing to do until some heap event says otherwise.  Its ticks are still
-    taken, at their own ``(time, seq)`` keys, but by the run loop: a *null
-    tick* sets the clock, consumes the sequence number, advances ``time`` by
-    ``period`` and counts one processed event and one ``skipped`` tick -- no
-    callback.  The owner alone sets and clears ``parked`` and replays the
-    ``skipped`` ticks when it wakes.  Exact because (1) only a heap event
-    can end the owner's idleness, and heap events fire only between ticks;
-    (2) a null tick does to the queue's counter, the clock and the event
-    total exactly what the idle callback's re-arm does, so every tick, run
-    or null, keeps its key and every heap event its sequence number; (3) the
-    replay commutes with whatever ran in between, because an idle tick
-    touches nothing but its owner's private counters.
-    """
-
-    __slots__ = ("time", "seq", "period", "callback", "stopped", "parked",
-                 "skipped")
-
-    def __init__(self, time: float, seq: int, period: float,
-                 callback) -> None:
-        self.time = time
-        self.seq = seq
-        self.period = period
-        self.callback = callback
-        self.stopped = False
-        self.parked = False
-        self.skipped = 0
-
-    def advance(self, queue) -> None:
-        """Move to the next tick, consuming one tie-break sequence number."""
-        seq = queue._next_seq
-        queue._next_seq = seq + 1
-        self.seq = seq
-        self.time += self.period
-
-    def stop(self) -> None:
-        """Stop firing; the run loop drops stopped timers lazily."""
-        self.stopped = True
 
 
 class Simulator:
@@ -145,14 +88,14 @@ class Simulator:
 
         ``callback(barrier_time, barrier_seq)`` fires at ``start_at``
         (default: now) and then every ``period`` seconds, interleaved with
-        heap events in exact ``(time, sequence)`` order by both :meth:`run`
-        and :meth:`step`.
+        heap events in exact ``(time, sequence)`` order by :meth:`run`.
         """
-        if period <= 0:
-            raise SimulationError("slot timer period must be positive")
+        if not 0.0 < period < float("inf"):  # NaN fails both comparisons
+            raise SimulationError(
+                f"timer period must be finite and positive, got {period!r}")
         first = self.now if start_at is None else max(start_at, self.now)
-        # Consume the tie-break sequence number exactly where a heap-based
-        # PeriodicProcess would push its first tick.
+        # Consume the tie-break sequence number exactly where a
+        # self-rescheduling heap callback would push its first tick.
         queue = self.events
         seq = queue._next_seq
         queue._next_seq = seq + 1
@@ -162,53 +105,31 @@ class Simulator:
         self._epoch += 1
         return timer
 
+    def every(self, period: float, callback: Callable[[], None],
+              start_at: Optional[float] = None) -> SlotTimer:
+        """Call ``callback()`` every ``period`` seconds until the returned
+        timer is stopped; the first call is at ``start_at`` (default: one
+        period from now).
+
+        Each call is one processed event, and the re-arm after it consumes
+        one sequence number -- unless the callback stopped the timer, as a
+        self-rescheduling heap callback would not re-schedule then.
+        """
+        def fire(barrier_time: float, barrier_seq) -> None:
+            callback()
+            self._processed += 1
+            if not timer.stopped:
+                timer.advance(self.events)
+
+        timer = self.add_slot_timer(
+            period, fire, self.now + period if start_at is None else start_at)
+        return timer
+
     # ------------------------------------------------------------------ #
     # Running
     # ------------------------------------------------------------------ #
-    def _head_timer(self) -> Optional[SlotTimer]:
-        """The next live wheel timer to fire (drops stopped heads)."""
-        wheel = self._wheel
-        while wheel and wheel[0].stopped:
-            del wheel[0]
-        return wheel[0] if wheel else None
-
-    def step(self) -> bool:
-        """Fire the next heap event or wheel tick, whichever is due first.
-
-        The heap head and the wheel's head timer compete on their ``(time,
-        seq)`` keys exactly as in :meth:`run`.  A timer is handed its own
-        key as the barrier, so it processes one tick and never batches; a
-        parked timer's null tick is one step.  Returns ``False`` when
-        nothing is left to fire.
-        """
-        self.events.peek_time()  # drops cancelled heads
-        heap = self.events.heap
-        timer = self._head_timer()
-        if timer is not None and (
-                not heap or timer.time < heap[0][0]
-                or (timer.time == heap[0][0] and timer.seq < heap[0][1])):
-            self.now = timer.time
-            if timer.parked:
-                timer.advance(self.events)
-                timer.skipped += 1
-                self._processed += 1
-            else:
-                timer.callback(timer.time, timer.seq)
-            self._wheel.sort(key=_timer_key)
-            return True
-        event = self.events.pop_pending()
-        if event is None:
-            return False
-        if event.time < self.now:
-            raise SimulationError("event queue returned an event in the past")
-        self.now = event.time
-        event.callback(*event.args)
-        self._processed += 1
-        return True
-
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> int:
-        """Run until nothing is left, ``until`` is reached, or ``max_events`` fire.
+    def run(self, until: Optional[float] = None) -> int:
+        """Run until nothing is left or ``until`` is reached.
 
         Returns the number of events processed by this call (a wheel tick
         counts as one event, like the heap event it stands for).
@@ -221,48 +142,38 @@ class Simulator:
         work is one cancellation check, one key comparison against a cached
         stop key (the head timer, capped by ``until``) and one staleness
         check.  The wheel is kept ordered, so a timer *firing* reads the
-        head, hands its callback the second entry's key (capped by
-        ``until``) as the barrier it may batch ticks up to, and re-seats
-        that one timer afterwards; a parked head's ticks are taken by the
-        loop itself (null ticks, see :class:`SlotTimer`).  The cached keys
-        can only go stale through :meth:`add_slot_timer` (a new timer may
-        be earlier) or :meth:`stop`, both of which bump ``_epoch`` and end
-        the drain; a timer *stopped* by a heap callback is simply not
-        fired, and a stopped second entry merely leaves the barrier
-        conservative.
-
-        A ``max_events`` budget forbids batching, so that (rare) variant
-        advances one :meth:`step` at a time.
+        head and hands its callback the second entry's key (capped by
+        ``until``) as the barrier it may batch ticks up to; a parked head's
+        ticks are taken by the loop itself (null ticks, see
+        :class:`SlotTimer`).  Either way only the head's key moved, and one
+        rule re-seats it: if its new key passed the second entry's, it is
+        taken out and insorted into the (still ordered) rest.  The cached
+        keys can only go stale through :meth:`add_slot_timer` (a new timer
+        may be earlier) or :meth:`stop`, both of which bump ``_epoch`` and
+        end the drain -- mid-firing, the wheel is then sorted whole; a
+        timer *stopped* by a heap callback is simply not fired, and a
+        stopped second entry merely leaves the barrier conservative.
         """
         self._running = True
         processed_before = self._processed
         try:
-            if max_events is not None:
-                while self._running and (self._processed - processed_before
-                                         < max_events):
-                    next_time = self.peek_time()
-                    if next_time is None:
-                        break
-                    if until is not None and next_time > until:
-                        self.now = until
-                        break
-                    self.step()
-            else:
-                self._run_merged(until)
+            self._run_merged(until)
         finally:
             self._running = False
         return self._processed - processed_before
 
     def _run_merged(self, until: Optional[float]) -> None:
-        """The batching loop of :meth:`run` (documented there)."""
+        """The loop of :meth:`run` (documented there)."""
         queue = self.events
         heap = queue.heap
         wheel = self._wheel
         heappop = _heappop
+        insort = _insort
+        timer_key = _timer_key
         inf = float("inf")
         limit = inf if until is None else until
         while self._running:
-            while wheel and wheel[0].stopped:  # _head_timer(), inlined
+            while wheel and wheel[0].stopped:
                 del wheel[0]
             # Events and ticks exactly at ``until`` still fire, hence the
             # +inf sequence of the window's end key.
@@ -312,10 +223,16 @@ class Simulator:
                     barrier_seq = inf
                 self.now = stop_time
                 timer.callback(barrier_time, barrier_seq)
-                if count > 1 or self._epoch != epoch:
-                    # The timer moved (or one was added mid-firing); the
-                    # list is short and all but sorted.
-                    wheel.sort(key=_timer_key)
+                if self._epoch != epoch:
+                    # A timer added mid-firing may precede the fired one.
+                    wheel.sort(key=timer_key)
+                elif len(wheel) > 1:
+                    other = wheel[1]
+                    time = timer.time
+                    if time > other.time or (time == other.time
+                                             and timer.seq > other.seq):
+                        del wheel[0]
+                        insort(wheel, timer, key=timer_key)
                 continue
             # Null ticks (see SlotTimer), for as long as the next head is
             # parked too and neither a heap entry (a cancelled one counts,
@@ -334,20 +251,16 @@ class Simulator:
                 timer.skipped += 1
                 processed += 1
                 if count > 1:
-                    # Re-seat the head: a rotation to the tail when periods
-                    # are equal, a sort when they are not.
-                    other = wheel[-1]
+                    other = wheel[1]
                     if time > other.time or (time == other.time
                                              and seq > other.seq):
                         del wheel[0]
-                        wheel.append(timer)
-                    else:
-                        wheel.sort(key=_timer_key)
-                    timer = wheel[0]
-                    time = timer.time
-                    seq = timer.seq
-                    if not timer.parked or timer.stopped:
-                        break
+                        insort(wheel, timer, key=timer_key)
+                        timer = wheel[0]
+                        time = timer.time
+                        seq = timer.seq
+                        if not timer.parked or timer.stopped:
+                            break
                 if time > limit:
                     break
                 if heap:
@@ -378,11 +291,11 @@ class Simulator:
         is its slot clock must not look idle to the barrier synchronizer.
         """
         heap_time = self.events.peek_time()
-        timer = self._head_timer()
-        if timer is None:
-            return heap_time
-        if heap_time is None or timer.time < heap_time:
-            return timer.time
+        wheel = self._wheel
+        while wheel and wheel[0].stopped:
+            del wheel[0]
+        if wheel and (heap_time is None or wheel[0].time < heap_time):
+            return wheel[0].time
         return heap_time
 
     @property

@@ -16,7 +16,7 @@ run.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 
 class Event:
@@ -87,11 +87,6 @@ class EventQueue:
                 return event
         return None
 
-    # ``pop`` already skips cancelled entries in a single scan; the alias
-    # exists so call sites can say what they mean (satellite of the old
-    # pop/peek_time double-scan API).
-    pop_pending = pop
-
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the earliest live event, or ``None``."""
         heap = self.heap
@@ -100,11 +95,3 @@ class EventQueue:
         if not heap:
             return None
         return heap[0][0]
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        self.heap.clear()
-
-
-def never(*_args: Any) -> None:
-    """A no-op callback, useful as a placeholder in tests."""

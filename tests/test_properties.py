@@ -230,7 +230,7 @@ def test_event_queue_peek_time_matches_next_pop(times, cancel_mask):
             event.cancel()
     while True:
         peeked = queue.peek_time()
-        event = queue.pop_pending()
+        event = queue.pop()
         if event is None:
             assert peeked is None
             break

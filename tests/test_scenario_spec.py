@@ -173,7 +173,37 @@ class TestSpecSerialization:
             ScenarioSpec.from_dict({"engine": block})
 
 
+NAN, INF = float("nan"), float("inf")
+
+#: Timing fields outside their domain: each must fail ``validate()`` by
+#: name instead of hanging the run (a NaN horizon), silently dropping
+#: events (a NaN key) or failing at build time (a zero period).
+BAD_TIMING = [
+    ({"duration_s": NAN}, "duration_s"),
+    ({"duration_s": 0.0}, "duration_s"),
+    ({"duration_s": INF}, "duration_s"),
+    ({"queue_sample_interval": NAN}, "queue_sample_interval"),
+    ({"queue_sample_interval": 0.0}, "queue_sample_interval"),
+    ({"throughput_window": NAN}, "throughput_window"),
+    ({"throughput_window": 0.0}, "throughput_window"),
+    ({"warmup_s": NAN}, "warmup_s"),
+    ({"warmup_s": -0.1}, "warmup_s"),
+    ({"mobility": {"mode": "snr", "check_interval_s": NAN}},
+     "mobility.check_interval_s"),
+    ({"population": {"update_interval_s": NAN}},
+     "population.update_interval_s"),
+]
+
+
 class TestSpecValidation:
+    @pytest.mark.parametrize("fields, name", BAD_TIMING)
+    def test_bad_timing_rejected(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite"):
+            ScenarioSpec.from_dict(dict(num_ues=1, **fields)).validate()
+
+    def test_zero_warmup_is_legal(self):
+        ScenarioSpec(warmup_s=0.0).validate()
+
     def test_unknown_cc_rejected(self):
         with pytest.raises(UnknownComponentError, match="congestion"):
             ScenarioSpec(cc_name="vegas").validate()

@@ -184,6 +184,8 @@ class TestBadRequests:
         ({"spec": {"num_ues": 1}, "overrides": {"engine": "numpy"}},
          "override(s) ['engine']"),
         ({"bogus": 1}, "unknown request key"),
+        ({"spec": {"num_ues": 1, "duration_s": float("nan")}},
+         "duration_s must be a finite number > 0"),
     ])
     def test_bad_payloads_return_400(self, service, payload, fragment):
         status, body = _post(service, payload)

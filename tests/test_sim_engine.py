@@ -97,13 +97,6 @@ class TestSimulator:
         sim.run()
         assert sim.now == 1.0
 
-    def test_max_events_limits_processing(self):
-        sim = Simulator()
-        for i in range(10):
-            sim.schedule(i + 1.0, lambda: None)
-        processed = sim.run(max_events=4)
-        assert processed == 4
-
     def test_processed_events_accumulates(self):
         sim = Simulator()
         sim.schedule(0.1, lambda: None)

@@ -1,54 +1,66 @@
-"""Tests for periodic processes and named random streams."""
+"""Tests for periodic timers (``Simulator.every``) and named random streams."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.randomness import RandomStreams
 
 
-class TestPeriodicProcess:
+class TestEvery:
     def test_ticks_at_fixed_period(self):
         sim = Simulator()
         ticks = []
-        PeriodicProcess(sim, 0.5, lambda: ticks.append(sim.now), start_at=0.5)
+        sim.every(0.5, lambda: ticks.append(sim.now), start_at=0.5)
         sim.run(until=2.4)
         assert ticks == [0.5, 1.0, 1.5, 2.0]
+        # The first tick defaults to one period from now.
+        later = []
+        sim.every(0.5, lambda: later.append(sim.now))
+        sim.run(until=3.5)
+        assert later == [2.9, 3.4]
 
     def test_stop_prevents_future_ticks(self):
         sim = Simulator()
         ticks = []
-        process = PeriodicProcess(sim, 0.5, lambda: ticks.append(sim.now),
-                                  start_at=0.5)
-        sim.schedule(1.2, process.stop)
+        timer = sim.every(0.5, lambda: ticks.append(sim.now), start_at=0.5)
+        sim.schedule(1.2, timer.stop)
         sim.run(until=5.0)
         assert ticks == [0.5, 1.0]
 
     def test_zero_period_rejected(self):
         sim = Simulator()
-        with pytest.raises(ValueError):
-            PeriodicProcess(sim, 0.0, lambda: None)
+        for period in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(SimulationError, match="finite and positive"):
+                sim.every(period, lambda: None)
 
     def test_tick_counter(self):
+        """Each tick is one processed event and one sequence number (the
+        one at creation stands for the first tick's push)."""
         sim = Simulator()
-        process = PeriodicProcess(sim, 1.0, lambda: None, start_at=1.0)
-        sim.run(until=3.5)
-        assert process.ticks == 3
+        sim.every(1.0, lambda: None, start_at=1.0)
+        assert sim.events._next_seq == 1
+        assert sim.run(until=3.5) == 3
+        assert sim.processed_events == 3 and sim.events._next_seq == 4
 
     def test_callback_can_stop_process(self):
         sim = Simulator()
         calls = []
+        seqs = []
 
         def callback():
             calls.append(sim.now)
+            seqs.append(sim.events._next_seq)
             if len(calls) == 2:
-                process.stop()
+                timer.stop()
 
-        process = PeriodicProcess(sim, 1.0, callback, start_at=1.0)
+        timer = sim.every(1.0, callback, start_at=1.0)
         sim.run(until=10.0)
-        assert len(calls) == 2
+        assert len(calls) == 2 and sim.processed_events == 2
+        # Stopped inside its callback: no re-arm, no sequence number.
+        assert sim.events._next_seq == seqs[-1]
+        assert sim.peek_time() is None
 
 
 class TestRandomStreams:

@@ -1,10 +1,12 @@
 """The MAC slot clock: timer wheel, slot batching and quiet-run collapse.
 
 Every MAC scheduler ticks on the simulator's off-heap timer wheel
-(:class:`repro.sim.engine.SlotTimer`).  The reference these tests compare
-against is the clock it replaced: a :class:`~repro.sim.process.PeriodicProcess`
-pushing one heap event per tick.  Firing order, tie-break sequence numbers,
-event counts and every MAC counter must be identical under both.
+(:class:`repro.sim.timers.SlotTimer`), and so does every slower periodic
+process (``Simulator.every``: samplers, probes, AQM updaters, feedback
+clocks).  The reference these tests compare against is the clock the wheel
+replaced: a self-rescheduling heap callback (:class:`HeapClock`) pushing one
+heap event per tick.  Firing order, tie-break sequence numbers, event counts
+and every MAC counter must be identical under both.
 """
 
 from __future__ import annotations
@@ -30,17 +32,41 @@ from repro.ran.phy import AirInterfaceConfig
 from repro.ran.ue import UeConfig, UeContext
 from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue
-from repro.sim.process import PeriodicProcess
 
 PERIOD = 0.0005
 
 
+class HeapClock:
+    """The reference clock: a self-rescheduling heap callback, one heap
+    event per tick.  ``parked`` and ``skipped`` are inert, so a MAC driven
+    by it runs every slot body and has nothing to replay when it wakes."""
+
+    parked = property(lambda self: False, lambda self, value: None)
+    skipped = 0
+
+    def __init__(self, sim: Simulator, period: float, body,
+                 start_at: float) -> None:
+        self.sim, self.period, self.body, self.ticks = sim, period, body, 0
+        self.pending = sim.schedule_at(max(start_at, sim.now), self.tick)
+
+    def tick(self) -> None:
+        self.ticks += 1
+        self.body()
+        if self.pending is not None:  # not stopped by its own body
+            self.pending = self.sim.schedule(self.period, self.tick)
+
+    def stop(self) -> None:
+        if self.pending is not None:
+            self.pending.cancel()
+            self.pending = None
+
+
 # --------------------------------------------------------------------- #
-# (a) The wheel against a PeriodicProcess on a bare simulator
+# (a) The wheel against the heap reference on a bare simulator
 # --------------------------------------------------------------------- #
 def heap_clock(sim: Simulator, body, start_at: float, period: float = PERIOD):
     """The reference: one heap event per tick."""
-    return PeriodicProcess(sim, period, body, start_at=start_at)
+    return HeapClock(sim, period, body, start_at)
 
 
 def wheel_clock(sim: Simulator, body, start_at: float,
@@ -66,7 +92,13 @@ def wheel_clock(sim: Simulator, body, start_at: float,
     return timer
 
 
-CLOCKS = {"heap": heap_clock, "wheel": wheel_clock}
+def every_clock(sim: Simulator, body, start_at: float,
+                period: float = PERIOD):
+    """``Simulator.every``: a wheel timer firing one tick per call."""
+    return sim.every(period, body, start_at=start_at)
+
+
+CLOCKS = {"heap": heap_clock, "wheel": wheel_clock, "every": every_clock}
 
 
 def tick_time(index: int, start: float = 0.0) -> float:
@@ -195,17 +227,6 @@ def script_until_on_tick(clock: str) -> tuple:
     return run.outcome()
 
 
-def script_max_events(clock: str) -> tuple:
-    """A budget is exact: no batch may overshoot it."""
-    run = Script(clock)
-    sim = run.sim
-    run.clock("tick")
-    sim.schedule_at(tick_time(2), run.note, "event@2")
-    counts = [sim.run(max_events=3), sim.run(max_events=1),
-              sim.run(until=tick_time(7), max_events=100)]
-    return run.outcome(), counts
-
-
 def script_stop_inside_tick(clock: str) -> tuple:
     run = Script(clock)
     sim = run.sim
@@ -221,30 +242,14 @@ def script_stop_inside_tick(clock: str) -> tuple:
     return run.outcome()
 
 
-def script_step(clock: str) -> tuple:
-    run = Script(clock)
-    sim = run.sim
-    run.clock("a")
-    run.clock("b", start_at=PERIOD / 2)
-    sim.schedule_at(tick_time(2), run.note, "event@2")
-    cancelled = sim.schedule_at(tick_time(1), run.note, "cancelled")
-    cancelled.cancel()
-    steps = 0
-    while sim.peek_time() <= tick_time(4):
-        assert sim.step()
-        steps += 1
-    return run.outcome(), steps
-
-
 SCRIPTS = [script_same_instant_events, script_two_clocks,
            script_stop_from_heap, script_stop_only_clock, script_add_mid_run,
-           script_until_on_tick, script_max_events, script_stop_inside_tick,
-           script_step]
+           script_until_on_tick, script_stop_inside_tick]
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda s: s.__name__)
 def test_wheel_fires_like_periodic_process(script):
-    assert script("wheel") == script("heap")
+    assert script("wheel") == script("heap") == script("every")
 
 
 def test_scripts_exercise_what_they_claim():
@@ -268,12 +273,6 @@ def test_scripts_exercise_what_they_claim():
     assert labels[end - 2:end + 2] == ["event@6", "tick", "window-end",
                                        "empty-window"]
 
-    (log, _, processed, _), counts = script_max_events("wheel")
-    assert counts == [3, 1, 5] and processed == 9
-
-    (log, _, _, _), steps = script_step("wheel")
-    assert steps == len(log) and "cancelled" not in [e[0] for e in log]
-
 
 def test_wheel_callback_batches_between_heap_events():
     """The engine lets a lone timer run ahead to the heap head: far fewer
@@ -292,15 +291,28 @@ def test_wheel_callback_batches_between_heap_events():
     assert sim.processed_events == 101
 
 
-def test_step_returns_false_when_idle():
-    sim = Simulator()
-    assert not sim.step()
-    timer = sim.add_slot_timer(PERIOD, lambda *barrier: timer.advance(
-        sim.events))
-    assert sim.step() and timer.time == PERIOD
-    timer.stop()
-    assert not sim.step()
-    assert sim.peek_time() is None
+def test_timer_added_by_a_callback_after_it_advanced():
+    """A callback that re-arms before starting a new, earlier timer leaves
+    the firing timer off the head: the loop re-sorts the wheel instead of
+    re-seating the head."""
+    sim = Simulator(seed=1)
+    fired = []
+
+    def fire(barrier_time, barrier_seq) -> None:
+        fired.append(("a", sim.now))
+        sim._processed += 1
+        timer.advance(sim.events)
+        if len(fired) == 1:
+            sim.every(PERIOD, lambda: fired.append(("b", sim.now)),
+                      start_at=PERIOD / 2)
+
+    timer = sim.add_slot_timer(PERIOD, fire)
+    sim.every(PERIOD, lambda: fired.append(("c", sim.now)),
+              start_at=0.75 * PERIOD)
+    sim.run(until=2 * PERIOD)
+    assert fired == [("a", 0.0), ("b", PERIOD / 2), ("c", 0.75 * PERIOD),
+                     ("a", PERIOD), ("b", 1.5 * PERIOD),
+                     ("c", 1.75 * PERIOD), ("a", 2 * PERIOD)]
 
 
 # --------------------------------------------------------------------- #
@@ -311,7 +323,7 @@ def parked_clocks(clock: str, labels: list, parked: set, events: list,
     """``labels`` clocks, the ``parked`` ones with no body; all start at 0
     with period ``PERIOD`` unless ``grid`` gives a ``(start_at, period)``.
 
-    On the heap a parked clock is a PeriodicProcess doing nothing; on the
+    On the heap a parked clock is a HeapClock doing nothing; on the
     wheel it is a parked timer the loop null-ticks.  Every live firing and
     every heap event records the clock, the event total and the queue's
     sequence counter, which together pin the firing order; each clock's
@@ -342,8 +354,7 @@ def parked_clocks(clock: str, labels: list, parked: set, events: list,
             finals[label] = (made.time, made.seq, ticks)
         else:
             ticks = made.ticks if label in parked else None
-            finals[label] = (made._pending.time, made._pending.sequence,
-                             ticks)
+            finals[label] = (made.pending.time, made.pending.sequence, ticks)
     return run.outcome(), finals
 
 
@@ -368,18 +379,22 @@ def test_parked_timers_keep_every_key(count):
 
 def test_parked_timers_on_unequal_grids_keep_every_key():
     """Periods and phases that make a fired timer belong mid-wheel, not at
-    the tail -- or leave it the head, when a heap event cuts ``f`` short."""
-    labels = ["a", "b", "c", "d", "e", "f"]
+    the tail -- or leave it the head, when a heap event cuts ``f`` short.
+    ``g`` is a sampler-like clock 100 slots slow: after each of its ticks it
+    is the tail, and every faster tick re-seats ahead of it."""
+    labels = ["a", "b", "c", "d", "e", "f", "g"]
     grid = {"c": (0.0, 2.5 * PERIOD), "d": (PERIOD / 2, PERIOD),
-            "e": (PERIOD / 3, 1.75 * PERIOD), "f": (0.0, PERIOD / 4)}
+            "e": (PERIOD / 3, 1.75 * PERIOD), "f": (0.0, PERIOD / 4),
+            "g": (PERIOD / 5, 100 * PERIOD)}
     events = [(tick_time(index) + PERIOD / 5, f"event{index}")
-              for index in (3, 11, 12, 29)]
+              for index in (3, 11, 12, 29, 150)]
 
     def drive(sim, note):
-        for window in (7, 7, 20, 33):
+        for window in (7, 7, 20, 33, 120, 230):
             sim.run(until=tick_time(window) + PERIOD / 7)
 
-    for parked in ({"a", "c", "e"}, {"b", "c", "d", "f"}, set(labels), set()):
+    for parked in ({"a", "c", "e"}, {"b", "c", "d", "f"}, {"a", "g"},
+                   set(labels), set()):
         wheel = parked_clocks("wheel", labels, parked, events, drive, grid)
         assert wheel == parked_clocks("heap", labels, parked, events, drive,
                                       grid)
@@ -405,56 +420,21 @@ def test_heap_event_at_a_null_tick_keeps_its_side():
     assert at_six == {"early@6": 13, "late@6": 16}
 
 
-def test_budget_and_steps_across_a_parked_stretch():
-    """``run(max_events=k)`` and ``step()`` count a null tick as the one
-    event it is, and land where ``run()`` lands."""
-    labels, parked = ["a", "b", "c"], {"a", "c"}
-    events = [(tick_time(7), "event@7"), (tick_time(30) + PERIOD / 2, "e30")]
-    end = tick_time(50)
-
-    def plain(sim, note):
-        sim.run(until=end)
-
-    def budgeted(sim, note):
-        for budget in (1, 2, 5, 40, 3):
-            assert sim.run(max_events=budget) == budget
-        assert sim.processed_events == 51
-        sim.run(until=end)
-
-    def stepped(sim, note):
-        while sim.peek_time() <= end:
-            before = sim.processed_events
-            assert sim.step()
-            assert sim.processed_events == before + 1
-        sim.now = end  # what run(until=) does with work left past the window
-
-    reference = parked_clocks("heap", labels, parked, events, plain)
-    for drive in (plain, budgeted, stepped):
-        assert parked_clocks("wheel", labels, parked, events,
-                             drive) == reference
-
-
 # --------------------------------------------------------------------- #
 # (b) MacScheduler on the wheel against _on_slot driven from the heap
 # --------------------------------------------------------------------- #
-class NeverParked(PeriodicProcess):
-    """The reference slot clock: every tick is a heap event and runs the
-    slot body, so a MAC that asks to park is ignored and has nothing to
-    replay when it wakes."""
-
-    skipped = 0
-    parked = property(lambda self: False, lambda self, value: None)
-
-
 def heap_driven_mac(monkeypatch) -> None:
-    """Drive ``MacScheduler._on_slot`` from a PeriodicProcess: the clock the
-    wheel replaced, kept here as the reference implementation."""
+    """Drive ``MacScheduler._on_slot`` from a :class:`HeapClock`: the clock
+    the wheel replaced, kept here as the reference implementation.  Every
+    other timer (``Simulator.every``) stays on the real wheel."""
+    wheel_timer = Simulator.add_slot_timer
 
     def add_slot_timer(sim, period, callback, start_at=None):
-        mac = callback.__self__
+        mac = getattr(callback, "__self__", None)
+        if not isinstance(mac, MacScheduler):
+            return wheel_timer(sim, period, callback, start_at)
         assert callback == mac._run_slot_batch
-        return NeverParked(sim, period, mac._on_slot,
-                           start_at=start_at, name="mac-slot")
+        return HeapClock(sim, period, mac._on_slot, start_at)
 
     monkeypatch.setattr(Simulator, "add_slot_timer", add_slot_timer)
 
@@ -766,29 +746,3 @@ def test_default_backend_collapses_quiet_slots(monkeypatch):
     assert mac.slots >= 4000
     assert counts["on_slot"] < mac.slots
     assert counts["push"] < 0.25 * result.events_processed
-
-
-# --------------------------------------------------------------------- #
-# step() drives the slot clocks too
-# --------------------------------------------------------------------- #
-def test_step_loop_equals_run():
-    spec = ScenarioSpec(num_ues=2, duration_s=0.2, cc_name="prague",
-                        marker="l4span", seed=3, warmup_s=0.05)
-    ran = build_scenario(spec)
-    ran_result = ran.run()
-
-    stepped = build_scenario(spec)
-    sim = stepped.sim
-    while sim.peek_time() <= spec.duration_s:
-        assert sim.step()
-    stepped.stop_collectors()
-    stepped_result = stepped.collect(sim.processed_events)
-
-    assert sim.processed_events == ran.sim.processed_events
-    assert stepped.gnb.du.mac.slots == ran.gnb.du.mac.slots >= 400
-    assert len(stepped_result.flows) == len(ran_result.flows) == 2
-    for mine, theirs in zip(stepped_result.flows, ran_result.flows):
-        assert mine.owd_samples == theirs.owd_samples != []
-        assert mine.marked_fraction == theirs.marked_fraction
-        assert mine.rtt_samples == theirs.rtt_samples
-        assert mine.goodput_bytes_per_s == theirs.goodput_bytes_per_s
