@@ -13,9 +13,10 @@ reviewed as a diff of named blocks, not as a new hex string.
 The catalogue is every preset of ``experiments/presets.py`` at 1 simulated
 second (``dense-cell`` 5 s; ``handover`` 2.5 s, so that its first scheduled
 handover at t = 2 s is inside), the five ledger workload specs at
-tier-1-affordable durations, the three multi-cell presets split over two
-in-process shards, and the ``tests/corpus/population-*.json`` specs at their
-own durations, each at seeds 7 and 1234.
+tier-1-affordable durations, ``mixed-cc`` under the ``ran_dualpi2`` marker,
+the three multi-cell presets split over two in-process shards, and the
+``tests/corpus/population-*.json`` specs at their own durations, each at
+seeds 7 and 1234.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ def catalogue() -> list[tuple[str, api.ScenarioSpec, int]]:
         dataclasses.replace(mixed, marker="none"), 1.5)
     add("ledger/marker_contrast/l4span", mixed, 1.5)
     add("ledger/service_short_jobs", api.load_spec("coupled-core"), 0.125)
+    # The RAN-DualPi2 marker's coin, which no preset or workload runs.
+    add("marker/ran_dualpi2", dataclasses.replace(mixed, marker="ran_dualpi2"),
+        1.5)
     for preset in SHARDED_PRESETS:
         add(f"shards2/{preset}", api.load_spec(preset),
             PRESET_DURATION_S.get(preset, 1.0), shards=2)
