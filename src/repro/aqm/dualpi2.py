@@ -26,7 +26,7 @@ from repro.net.ecn import ECN, FlowClass
 from repro.net.packet import Packet
 from repro.net.queueing import DropTailQueue
 from repro.sim.engine import Simulator
-from repro.sim.randomness import chance
+from repro.sim.randomness import block_draws, chance
 from repro.units import ms, transmission_time
 
 
@@ -114,9 +114,9 @@ class DualPi2Router:
         self.marked_classic = 0
         self.dropped_classic = 0
         # Marking runs once per dequeued packet; look the streams up once
-        # instead of rebuilding the "<name>-lmark"/"<name>-cmark" keys.
-        self._lmark_rng = sim.random.stream(f"{name}-lmark")
-        self._cmark_rng = sim.random.stream(f"{name}-cmark")
+        # and read them in blocks.
+        self._lmark_draw = block_draws(sim.random.stream(f"{name}-lmark"))
+        self._cmark_draw = block_draws(sim.random.stream(f"{name}-cmark"))
         self._updater = sim.every(self.core.tupdate, self._update)
 
     # ------------------------------------------------------------------ #
@@ -171,11 +171,11 @@ class DualPi2Router:
         if queue is self.l_queue:
             p_mark = self.core.l4s_mark_probability(
                 max(0.0, now - packet.timestamps.get("link_enqueue", now)))
-            if chance(self._lmark_rng, p_mark):
+            if chance(self._lmark_draw, p_mark):
                 if packet.mark_ce(by=self.name):
                     self.marked_l4s += 1
         else:
-            if chance(self._cmark_rng, self.core.p_classic):
+            if chance(self._cmark_draw, self.core.p_classic):
                 if packet.ecn == ECN.NOT_ECT:
                     self.dropped_classic += 1
                     self._sim.call_soon(self._transmit_next)

@@ -21,12 +21,14 @@ over an advance of ``dt`` use the exact Poisson arrival probability
 under-triggers fades for UEs whose channel is sampled sparsely (large ``dt``).
 
 Hot-path note: the MAC scheduler samples every backlogged UE's channel once
-per slot (2 kHz), so the innovations and fade decisions are pre-generated in
-vectorized blocks -- one ``standard_normal(n)`` / ``random(n)`` call per
-block, covering many coherence windows -- instead of one scalar numpy call
-per ``sample()``.  The variates consumed are drawn from the same per-UE
-stream; only their interleaving differs from the scalar implementation, so
-drift is confined to the channel stream.
+per slot (2 kHz), so the innovations and fade decisions are read through two
+:func:`~repro.sim.randomness.block_draws` readers (standard normal, uniform)
+of the UE's one stream -- one vectorized call per 256-value block, covering
+many coherence windows -- instead of one scalar numpy call per ``sample()``.
+The 256-value blocks of the two readers, interleaved on one generator with
+the scalar deep-fade duration draw, define this channel's variate sequence:
+changing the block size or reading the stream any other way moves every
+fading document.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import numpy as np
 
 from repro.channel.base import ChannelModel, ChannelSample
 from repro.channel.mcs import efficiency_from_snr, mcs_from_snr_array
+from repro.sim.randomness import block_draws
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -92,32 +95,8 @@ class FadingChannel(ChannelModel):
         self._last_time = 0.0
         self._state_db = mean_snr_db
         self._fade_until = -1.0
-        # Pre-generated variate blocks (refilled with one vectorized call).
-        self._normals: list[float] = []
-        self._normal_index = 0
-        self._uniforms: list[float] = []
-        self._uniform_index = 0
-
-    # ------------------------------------------------------------------ #
-    # Batched variate supply
-    # ------------------------------------------------------------------ #
-    def _next_normal(self) -> float:
-        index = self._normal_index
-        if index >= len(self._normals):
-            # tolist() converts once to machine floats so the AR(1) update
-            # below runs on Python floats, not numpy scalars.
-            self._normals = self._rng.standard_normal(_DRAW_BLOCK).tolist()
-            index = 0
-        self._normal_index = index + 1
-        return self._normals[index]
-
-    def _next_uniform(self) -> float:
-        index = self._uniform_index
-        if index >= len(self._uniforms):
-            self._uniforms = self._rng.random(_DRAW_BLOCK).tolist()
-            index = 0
-        self._uniform_index = index + 1
-        return self._uniforms[index]
+        self._next_normal = block_draws(self._rng, "normal", _DRAW_BLOCK)
+        self._next_uniform = block_draws(self._rng, "uniform", _DRAW_BLOCK)
 
     # ------------------------------------------------------------------ #
     def _advance(self, now: float) -> None:

@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.channel.base import ChannelModel, ChannelSample
 from repro.channel.mcs import efficiency_from_snr
+from repro.sim.randomness import block_draws
 
 
 class StaticChannel(ChannelModel):
@@ -29,17 +30,18 @@ class StaticChannel(ChannelModel):
                  rng: np.random.Generator | None = None) -> None:
         self.snr_db = snr_db
         self.noise_std_db = noise_std_db
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        self._normal = block_draws(
+            rng if rng is not None else np.random.default_rng(0), "normal")
 
     def sample(self, now: float) -> ChannelSample:
         snr = self.snr_db
         if self.noise_std_db > 0:
-            snr += float(self._rng.normal(0.0, self.noise_std_db))
+            snr += self.noise_std_db * self._normal()
         return ChannelSample.from_snr(now, snr)
 
     def efficiency(self, now: float) -> float:
         """Per-slot MAC fast path: same draw, no ChannelSample construction."""
         snr = self.snr_db
         if self.noise_std_db > 0:
-            snr += float(self._rng.normal(0.0, self.noise_std_db))
+            snr += self.noise_std_db * self._normal()
         return efficiency_from_snr(snr)

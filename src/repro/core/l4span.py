@@ -39,7 +39,7 @@ from repro.ran.f1u import DeliveryStatus
 from repro.ran.identifiers import DrbId, DrbKey, UeId
 from repro.registry import MARKERS
 from repro.sim.engine import Simulator
-from repro.sim.randomness import chance
+from repro.sim.randomness import block_draws, chance
 
 
 @dataclass
@@ -59,9 +59,10 @@ class DrbState:
     feedback_count: int = 0
     marks_l4s: int = 0
     marks_classic: int = 0
-    #: Cached generator of the bearer's marking stream -- the per-packet
-    #: marking decision must not rebuild/hash the stream name every time.
-    mark_rng: object = None
+    #: Uniform block draws of the bearer's marking stream -- the per-packet
+    #: marking decision must neither rebuild/hash the stream name nor pay a
+    #: scalar numpy call every time.
+    mark_draw: object = None
 
 
 class L4SpanLayer:
@@ -120,8 +121,8 @@ class L4SpanLayer:
                              profile=DrbProfile(self.config.profile_horizon),
                              estimator=EgressRateEstimator(
                                  self.config.estimation_window),
-                             mark_rng=self._sim.random.stream(
-                                 f"l4span-mark-{key}{tag}"))
+                             mark_draw=block_draws(self._sim.random.stream(
+                                 f"l4span-mark-{key}{tag}")))
             self._drbs[key] = state
         return state
 
@@ -235,7 +236,7 @@ class L4SpanLayer:
     def _maybe_mark(self, packet: Packet, state: DrbState, flow: FlowRecord,
                     now: float) -> None:
         probability = self.mark_probability(state, flow)
-        if probability <= 0 or not chance(state.mark_rng, probability):
+        if probability <= 0 or not chance(state.mark_draw, probability):
             flow.record_unmarked(packet.size)
             return
         self.marked_packets += 1

@@ -27,7 +27,7 @@ from repro.ran.f1u import DeliveryStatus
 from repro.ran.identifiers import DrbId, DrbKey, UeId
 from repro.registry import MARKERS
 from repro.sim.engine import Simulator
-from repro.sim.randomness import chance
+from repro.sim.randomness import block_draws, chance
 from repro.units import ms
 
 
@@ -39,7 +39,8 @@ class _DualPi2DrbState:
     core: DualPi2Core = field(default_factory=DualPi2Core)
     last_update: float = 0.0
     marks: int = 0
-    rng: object = None  # cached marking stream; set by RanDualPi2Marker._state
+    #: Uniform block draws of the marking stream; set by ``_state``.
+    mark_draw: object = None
 
 
 class RanDualPi2Marker:
@@ -70,9 +71,9 @@ class RanDualPi2Marker:
             state = _DualPi2DrbState()
             state.core.l4s_threshold = self.l4s_threshold
             state.core.target = self.classic_target
-            state.rng = self._sim.random.stream(
+            state.mark_draw = block_draws(self._sim.random.stream(
                 f"ran-dualpi2-{ue_id}-{drb_id}"
-                f"{self._ue_stream_tags.get(ue_id, '')}")
+                f"{self._ue_stream_tags.get(ue_id, '')}"))
             self._drbs[DrbKey(ue_id, drb_id)] = state
         return state
 
@@ -89,7 +90,7 @@ class RanDualPi2Marker:
             probability = state.core.l4s_mark_probability(sojourn)
         else:
             probability = state.core.p_classic
-        if chance(state.rng, probability):
+        if chance(state.mark_draw, probability):
             mark_ce_with_checksum(packet, by=self.name)
             state.marks += 1
             self.marked_packets += 1

@@ -83,8 +83,9 @@ class DistributedUnit:
     def register_with_mac(self, ue: UeContext) -> None:
         """Give the MAC this UE's backlog/pull callbacks (start of service)."""
         entities = self._ue_entities[ue.ue_id]
+        pull = partial(self.pull_for_ue, ue.ue_id)
         # The MAC polls the backlog every slot for every UE; give it the
-        # cheapest possible callable for the dominant bearer layouts.
+        # cheapest possible callables for the dominant bearer layouts.
         if len(entities) == 1:
             only = entities[0]
             backlog = (lambda e=only: e.backlog_bytes)
@@ -92,13 +93,32 @@ class DistributedUnit:
             first, second = entities
             backlog = (lambda a=first, b=second:
                        a.backlog_bytes + b.backlog_bytes)
+            pull = self._two_bearer_pull(ue.ue_id, first, second, pull)
         else:
             backlog = (lambda es=tuple(entities):
                        sum(e.backlog_bytes for e in es))
-        self.mac.register_ue(
-            ue.ue_id, ue.channel,
-            backlog_bytes=backlog,
-            pull=partial(self.pull_for_ue, ue.ue_id))
+        self.mac.register_ue(ue.ue_id, ue.channel, backlog_bytes=backlog,
+                             pull=pull)
+
+    def _two_bearer_pull(self, ue_id: UeId, first: RlcEntity,
+                         second: RlcEntity, split):
+        """:meth:`pull_for_ue` for a two-bearer UE: a grant reaching one
+        backlogged bearer goes to it directly (same rotation bookkeeping);
+        ``split`` (``pull_for_ue``) serves two backlogged bearers."""
+        rotation = self._pull_rotation
+
+        def pull(grant_bytes: int) -> int:
+            if first.backlog_bytes > 0:
+                if second.backlog_bytes > 0:
+                    return split(grant_bytes)
+                only = first
+            elif second.backlog_bytes > 0:
+                only = second
+            else:
+                return 0
+            rotation[ue_id] += 1
+            return only.pull(grant_bytes)
+        return pull
 
     def detach_ue(self, ue_id: UeId) -> list[tuple[DrbId, RlcEntity]]:
         """Remove a UE's bearers and MAC registration (handover departure).

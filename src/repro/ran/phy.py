@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.sim.engine import Simulator
-from repro.sim.randomness import chance
+from repro.sim.randomness import block_draws, chance
 from repro.units import ms
 
 
@@ -44,9 +44,9 @@ class AirInterface:
         self._sim = sim
         self.config = config if config is not None else AirInterfaceConfig()
         self._stream_name = stream_name
-        # Per-UE (harq, jitter) generator cache: transmit() runs once per
-        # transport block, so it must not rebuild stream-name strings and
-        # re-hash them on every call.
+        # Per-UE (harq, jitter) uniform block draws: transmit() runs once
+        # per transport block, so it must neither rebuild stream-name
+        # strings nor pay a scalar numpy call per draw.
         self._ue_streams: dict[int, tuple] = {}
         self.transmitted_blocks = 0
         self.harq_retransmissions = 0
@@ -55,11 +55,14 @@ class AirInterface:
     def _streams_for(self, ue_id: int) -> tuple:
         streams = self._ue_streams.get(ue_id)
         if streams is None:
-            base = f"{self._stream_name}-ue{ue_id}"
-            streams = (self._sim.random.stream(base),
-                       self._sim.random.stream(f"{base}-jitter"))
+            streams = self._draws(f"{self._stream_name}-ue{ue_id}")
             self._ue_streams[ue_id] = streams
         return streams
+
+    def _draws(self, label: str) -> tuple:
+        random = self._sim.random
+        return (block_draws(random.stream(label)),
+                block_draws(random.stream(f"{label}-jitter")))
 
     def rebind_ue(self, ue_id: int, label: str) -> None:
         """Point a UE's HARQ/jitter draws at a fresh named stream.
@@ -69,9 +72,7 @@ class AirInterface:
         sequence is identical whether that cell runs in the shared loop or
         on its own shard (where the old stream's draws never happened).
         """
-        self._ue_streams[ue_id] = (
-            self._sim.random.stream(label),
-            self._sim.random.stream(f"{label}-jitter"))
+        self._ue_streams[ue_id] = self._draws(label)
 
     def transmit(self, ue_id: int,
                  on_delivered: Callable[..., None],
@@ -87,19 +88,19 @@ class AirInterface:
         """
         cfg = self.config
         self.transmitted_blocks += 1
-        harq_rng, jitter_rng = self._streams_for(ue_id)
+        harq_draw, jitter_draw = self._streams_for(ue_id)
         bler = cfg.target_bler
         attempts = 1
-        while attempts < cfg.max_harq_attempts and chance(harq_rng, bler):
+        while attempts < cfg.max_harq_attempts and chance(harq_draw, bler):
             attempts += 1
             self.harq_retransmissions += 1
         delay = cfg.base_delay + (attempts - 1) * cfg.harq_rtt
         if cfg.delivery_jitter > 0:
-            delay += float(jitter_rng.random()) * cfg.delivery_jitter
+            delay += jitter_draw() * cfg.delivery_jitter
         # Only blocks that used up every HARQ attempt can still fail; do not
         # consume a draw from the stream on the common success path.
         final_attempt_failed = (attempts >= cfg.max_harq_attempts
-                                and chance(harq_rng, bler))
+                                and chance(harq_draw, bler))
         if final_attempt_failed:
             self.failed_blocks += 1
             callback = on_failed

@@ -19,6 +19,7 @@ from repro.net.packet import Packet
 from repro.ran.identifiers import (DrbConfig, DrbServiceClass, RlcMode, UeId,
                                    DEFAULT_RLC_QUEUE_SDUS)
 from repro.sim.engine import Simulator
+from repro.sim.randomness import block_draws
 from repro.units import ms
 
 
@@ -80,9 +81,10 @@ class UplinkModel:
         # is identical whether its new cell runs in the shared loop or on a
         # different shard (the sharded determinism contract).
         self._stream = stream_label or f"uplink-ue{ue_id}"
-        # One uplink draw happens per ACK; cache the generator instead of a
-        # name lookup per call (same stream, same variate sequence).
-        self._rng = sim.random.stream(self._stream)
+        # One uplink draw happens per ACK: read the stream's standard
+        # exponentials in blocks (same variate sequence as scalar draws).
+        self._exponential = block_draws(sim.random.stream(self._stream),
+                                        "exponential")
         self.base_delay = base_delay
         self.jitter = jitter
         self.per_ue_load = per_ue_load
@@ -90,8 +92,7 @@ class UplinkModel:
 
     def delay(self) -> float:
         """Draw one uplink traversal delay."""
-        jitter = (float(self._rng.exponential(self.jitter))
-                  if self.jitter > 0 else 0.0)
+        jitter = self.jitter * self._exponential() if self.jitter > 0 else 0.0
         load = self.per_ue_load * max(0, self.active_ue_count() - 1)
         return self.base_delay + jitter + load
 

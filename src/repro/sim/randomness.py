@@ -10,6 +10,9 @@ discrete-event network simulators.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
+from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -26,20 +29,50 @@ def derive_seed(master_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def chance(rng: np.random.Generator, probability: float) -> bool:
-    """Bernoulli draw against a *cached* generator.
+#: Values one block draw takes from its generator per refill.  Small enough
+#: that a stream read only a few times in a short run does not pay for a
+#: long block up front.
+DRAW_BLOCK = 64
 
-    Hot paths that have already looked their stream up (to avoid rebuilding
-    name keys per event) must keep :meth:`RandomStreams.bernoulli`'s exact
-    draw-count semantics -- no variate is consumed when the probability is
-    degenerate -- or seeded runs stop being bit-reproducible.  This helper is
-    the single home of that edge-case logic.
+#: The ``Generator`` method that fills a block of each kind of draw.
+_FILLS = {"uniform": "random", "normal": "standard_normal",
+          "exponential": "standard_exponential"}
+
+
+def block_draws(rng: np.random.Generator, kind: str = "uniform",
+                block: int = DRAW_BLOCK) -> Callable[[], float]:
+    """A zero-argument callable reading one kind of variate from ``rng``.
+
+    ``kind`` is ``"uniform"`` (``rng.random()``), ``"normal"`` (standard
+    normal) or ``"exponential"`` (standard exponential).  Values are drawn
+    ``block`` at a time with one vectorized call and handed out as Python
+    floats, in order; the next block is drawn only when a value past the
+    current one is asked for.  numpy fills an array by calling the same
+    per-value routine the scalar call uses, ``rng.normal(loc, s)`` computes
+    ``loc + s * z`` and ``rng.exponential(s)`` computes ``s * e``, so the
+    values equal the scalar draws bit for bit -- as long as nothing else
+    reads ``rng`` in between, which is why each hot stream has exactly one
+    reader.  A per-packet or per-slot draw through this costs a fraction of
+    a scalar numpy call.
+    """
+    fill = getattr(rng, _FILLS[kind])
+    blocks = iter(lambda: fill(block).tolist(), None)
+    return partial(next, chain.from_iterable(blocks))
+
+
+def chance(draw: Callable[[], float], probability: float) -> bool:
+    """Bernoulli trial against a uniform draw (a :func:`block_draws` reader
+    or a generator's ``random``).
+
+    No variate is consumed when the probability is degenerate (``<= 0`` or
+    ``>= 1``) -- seeded runs depend on that draw count, and this helper is
+    the single home of the rule.
     """
     if probability <= 0.0:
         return False
     if probability >= 1.0:
         return True
-    return float(rng.random()) < probability
+    return draw() < probability
 
 
 class RandomStreams:
@@ -60,23 +93,3 @@ class RandomStreams:
             self._streams[name] = np.random.default_rng(
                 derive_seed(self._seed, name))
         return self._streams[name]
-
-    def uniform(self, name: str) -> float:
-        """Draw a single uniform(0, 1) variate from the named stream."""
-        return float(self.stream(name).random())
-
-    def normal(self, name: str, loc: float = 0.0, scale: float = 1.0) -> float:
-        """Draw a single Gaussian variate from the named stream."""
-        if scale <= 0:
-            return float(loc)
-        return float(self.stream(name).normal(loc, scale))
-
-    def exponential(self, name: str, mean: float) -> float:
-        """Draw a single exponential variate with the given mean."""
-        if mean <= 0:
-            return 0.0
-        return float(self.stream(name).exponential(mean))
-
-    def bernoulli(self, name: str, probability: float) -> bool:
-        """Return ``True`` with the given probability."""
-        return chance(self.stream(name), probability)

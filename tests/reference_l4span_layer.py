@@ -591,7 +591,7 @@ class ReferenceL4SpanLayer:
     def _maybe_mark(self, packet: Packet, state: ReferenceDrbState, flow: FlowRecord,
                     now: float) -> None:
         probability = self.mark_probability(state, flow)
-        if probability <= 0 or not chance(state.mark_rng, probability):
+        if probability <= 0 or not chance(state.mark_rng.random, probability):
             flow.record_unmarked(packet.size)
             return
         self.marked_packets += 1

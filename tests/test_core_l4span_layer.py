@@ -275,6 +275,10 @@ def _record(value):
             else dataclasses.astuple(value))
 
 
+#: Marking draws compared per bearer after every event.
+_MARK_PROBES = 2
+
+
 def _assert_layers_agree(layer, oracle) -> None:
     assert layer.summary() == oracle.summary()
     assert layer.flows == oracle.flows  # every FlowRecord field, in order
@@ -302,8 +306,11 @@ def _assert_layers_agree(layer, oracle) -> None:
                     old_profile.total_packets, old_profile.total_bytes))
         assert (profile.measured_queueing_delays()
                 == old_profile.measured_queueing_delays())
-        assert (state.mark_rng.bit_generator.state
-                == old.mark_rng.bit_generator.state)
+        # Same marking-stream position: the layer's block reader and the
+        # oracle's scalar generator hand out the same next values (reading
+        # them advances both by the same count, so lockstep is kept).
+        assert ([state.mark_draw() for _ in range(_MARK_PROBES)]
+                == [old.mark_rng.random() for _ in range(_MARK_PROBES)])
 
 
 def _assert_packets_agree(packet, twin, must_verify: bool) -> None:

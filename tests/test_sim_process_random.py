@@ -1,11 +1,15 @@
-"""Tests for periodic timers (``Simulator.every``) and named random streams."""
+"""Tests for periodic timers (``Simulator.every``), named random streams and
+their block draws."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.randomness import RandomStreams
+from repro.sim.randomness import DRAW_BLOCK, RandomStreams, block_draws, chance
 
 
 class TestEvery:
@@ -65,42 +69,101 @@ class TestEvery:
 
 class TestRandomStreams:
     def test_same_seed_and_name_reproduces_sequence(self):
-        a = RandomStreams(7)
-        b = RandomStreams(7)
-        assert [a.uniform("x") for _ in range(5)] == \
-            [b.uniform("x") for _ in range(5)]
+        a = block_draws(RandomStreams(7).stream("x"))
+        b = block_draws(RandomStreams(7).stream("x"))
+        assert [a() for _ in range(5)] == [b() for _ in range(5)]
 
     def test_different_names_are_independent(self):
         streams = RandomStreams(7)
-        seq_x = [streams.uniform("x") for _ in range(5)]
-        seq_y = [streams.uniform("y") for _ in range(5)]
-        assert seq_x != seq_y
+        x, y = block_draws(streams.stream("x")), block_draws(streams.stream("y"))
+        assert [x() for _ in range(5)] != [y() for _ in range(5)]
 
     def test_different_seeds_differ(self):
-        assert RandomStreams(1).uniform("x") != RandomStreams(2).uniform("x")
+        assert (block_draws(RandomStreams(1).stream("x"))()
+                != block_draws(RandomStreams(2).stream("x"))())
 
-    def test_bernoulli_extremes(self):
+    def test_stream_is_cached_per_name(self):
         streams = RandomStreams(3)
-        assert streams.bernoulli("s", 0.0) is False
-        assert streams.bernoulli("s", 1.0) is True
+        assert streams.stream("s") is streams.stream("s")
+        assert streams.stream("s") is not streams.stream("t")
 
-    def test_bernoulli_rate_roughly_matches_probability(self):
-        streams = RandomStreams(3)
-        hits = sum(streams.bernoulli("s", 0.3) for _ in range(2000))
+    def test_chance_rate_roughly_matches_probability(self):
+        draw = block_draws(RandomStreams(3).stream("s"))
+        hits = sum(chance(draw, 0.3) for _ in range(2000))
         assert 450 <= hits <= 750
 
-    def test_normal_with_zero_scale_returns_mean(self):
-        streams = RandomStreams(3)
-        assert streams.normal("n", loc=5.0, scale=0.0) == 5.0
-
     def test_exponential_mean_is_positive(self):
-        streams = RandomStreams(3)
-        samples = [streams.exponential("e", 2.0) for _ in range(500)]
+        draw = block_draws(RandomStreams(3).stream("e"), "exponential")
+        samples = [2.0 * draw() for _ in range(500)]
         assert all(s >= 0 for s in samples)
         assert 1.5 < sum(samples) / len(samples) < 2.6
 
     def test_uniform_in_unit_interval(self):
-        streams = RandomStreams(9)
-        for _ in range(100):
-            value = streams.uniform("u")
-            assert 0.0 <= value < 1.0
+        draw = block_draws(RandomStreams(9).stream("u"))
+        assert all(0.0 <= draw() < 1.0 for _ in range(300))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(KeyError):
+            block_draws(RandomStreams(9).stream("u"), "poisson")
+
+
+#: The scalar ``Generator`` call each kind of block draw stands for, with the
+#: scale (``loc`` for the normal) a caller applies to the block value.
+_SCALAR = {
+    "uniform": (lambda rng, loc, scale: rng.random(),
+                lambda value, loc, scale: value),
+    "normal": (lambda rng, loc, scale: rng.normal(loc, scale),
+               lambda value, loc, scale: loc + scale * value),
+    "exponential": (lambda rng, loc, scale: rng.exponential(scale),
+                    lambda value, loc, scale: scale * value),
+}
+
+
+class TestBlockDraws:
+    """Block draws equal the scalar ``Generator`` calls, value for value."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1),
+           kind=st.sampled_from(sorted(_SCALAR)),
+           count=st.integers(0, 5 * DRAW_BLOCK + 3),
+           block=st.sampled_from([1, 7, DRAW_BLOCK, 256]),
+           loc=st.floats(-50.0, 50.0),
+           scale=st.floats(1e-3, 20.0))
+    def test_equal_to_scalar_draws(self, seed, kind, count, block, loc, scale):
+        scalar, apply = _SCALAR[kind]
+        reference = np.random.default_rng(seed)
+        draw = block_draws(np.random.default_rng(seed), kind, block)
+        expected = [float(scalar(reference, loc, scale)) for _ in range(count)]
+        got = [apply(draw(), loc, scale) for _ in range(count)]
+        assert got == expected
+        assert all(type(value) is float for value in got)
+
+    def test_refills_lazily(self):
+        """A reader takes a block from its generator only when asked for a
+        value past the current one: up to then the generator is free for
+        scalar draws (fading's deep-fade duration relies on this)."""
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        draw = block_draws(rng, "uniform", 4)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        draw()
+        twin.random(4)
+        for _ in range(3):
+            draw()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.exponential(2.0) == twin.exponential(2.0)
+        assert draw() == twin.random(4)[0]
+
+    def test_degenerate_chance_consumes_nothing(self):
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        draw = block_draws(rng)
+        for probability, outcome in ((0.0, False), (-0.5, False),
+                                     (1.0, True), (1.5, True)):
+            assert all(chance(draw, probability) is outcome
+                       for _ in range(10))
+        assert draw() == twin.random()
+
+    def test_chance_takes_a_generator_method_too(self):
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        draw = block_draws(twin)
+        assert ([chance(rng.random, 0.4) for _ in range(200)]
+                == [chance(draw, 0.4) for _ in range(200)])
