@@ -93,7 +93,7 @@ class DistributedUnit:
             first, second = entities
             backlog = (lambda a=first, b=second:
                        a.backlog_bytes + b.backlog_bytes)
-            pull = self._two_bearer_pull(ue.ue_id, first, second, pull)
+            pull = self._two_bearer_pull(ue.ue_id, first, second)
         else:
             backlog = (lambda es=tuple(entities):
                        sum(e.backlog_bytes for e in es))
@@ -101,16 +101,16 @@ class DistributedUnit:
                              pull=pull)
 
     def _two_bearer_pull(self, ue_id: UeId, first: RlcEntity,
-                         second: RlcEntity, split):
+                         second: RlcEntity):
         """:meth:`pull_for_ue` for a two-bearer UE: a grant reaching one
-        backlogged bearer goes to it directly (same rotation bookkeeping);
-        ``split`` (``pull_for_ue``) serves two backlogged bearers."""
+        backlogged bearer goes to it directly, with the same rotation
+        bookkeeping; two backlogged bearers share it by ``pull_for_ue``."""
         rotation = self._pull_rotation
 
         def pull(grant_bytes: int) -> int:
             if first.backlog_bytes > 0:
                 if second.backlog_bytes > 0:
-                    return split(grant_bytes)
+                    return self.pull_for_ue(ue_id, grant_bytes)
                 only = first
             elif second.backlog_bytes > 0:
                 only = second

@@ -60,9 +60,9 @@ class AirInterface:
         return streams
 
     def _draws(self, label: str) -> tuple:
-        random = self._sim.random
-        return (block_draws(random.stream(label)),
-                block_draws(random.stream(f"{label}-jitter")))
+        streams = self._sim.random
+        return (block_draws(streams.stream(label)),
+                block_draws(streams.stream(f"{label}-jitter")))
 
     def rebind_ue(self, ue_id: int, label: str) -> None:
         """Point a UE's HARQ/jitter draws at a fresh named stream.

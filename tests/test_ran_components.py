@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.channel.static import StaticChannel
 from repro.net.ecn import ECN
 from repro.net.packet import make_data_packet
 from repro.ran.cell import CellConfig
+from repro.ran.du import DistributedUnit
 from repro.ran.f1u import DeliveryStatus, F1UInterface
 from repro.ran.identifiers import DrbConfig, DrbServiceClass
 from repro.ran.mac import MacScheduler, SchedulerPolicy
 from repro.ran.pdcp import PdcpEntity
 from repro.ran.phy import AirInterface, AirInterfaceConfig
 from repro.ran.sdap import SdapEntity
+from repro.ran.ue import UeConfig, UeContext
+from repro.sim.engine import Simulator
 
 
 class TestCellConfig:
@@ -214,3 +219,38 @@ class TestMacScheduler:
         scheduler.stop()
         report = scheduler.throughput_report()
         assert set(report) == {0, 1}
+
+
+class TestTwoBearerPull:
+    def _du(self):
+        sim = Simulator(seed=1)
+        du = DistributedUnit(sim, CellConfig(), F1UInterface(sim),
+                             air_config=AirInterfaceConfig(target_bler=0.0))
+        du.attach_ue(UeContext(sim, UeConfig(ue_id=0),
+                               StaticChannel(snr_db=22)))
+        return du
+
+    def test_mac_pull_matches_pull_for_ue(self, five_tuple):
+        """The pull the MAC holds for a two-bearer UE and ``pull_for_ue``
+        move the same bytes from the same bearers and keep the same
+        rotation, over grants that reach none, one or both bearers."""
+        rng = random.Random(5)
+        fast, reference = self._du(), self._du()
+        pull = fast.mac._ues[0].pull
+        next_sn = {1: 0, 2: 0}
+        for step in range(400):
+            for drb_id in (1, 2):
+                for _ in range(rng.choice([0, 0, 0, 1, 3])):
+                    size = rng.choice([40, 700, 1400])
+                    for du in (fast, reference):
+                        du.handle_downlink_sdu(0, drb_id, next_sn[drb_id],
+                                               make_data_packet(
+                                                   0, five_tuple, step, size,
+                                                   ECN.ECT1, 0.0))
+                    next_sn[drb_id] += 1
+            grant = rng.choice([100, 700, 1500, 4000])
+            assert pull(grant) == reference.pull_for_ue(0, grant)
+            assert ([fast.rlc_entity(0, d).backlog_bytes for d in (1, 2)]
+                    == [reference.rlc_entity(0, d).backlog_bytes
+                        for d in (1, 2)])
+            assert fast._pull_rotation == reference._pull_rotation

@@ -102,10 +102,6 @@ class TestRandomStreams:
         draw = block_draws(RandomStreams(9).stream("u"))
         assert all(0.0 <= draw() < 1.0 for _ in range(300))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(KeyError):
-            block_draws(RandomStreams(9).stream("u"), "poisson")
-
 
 #: The scalar ``Generator`` call each kind of block draw stands for, with the
 #: scale (``loc`` for the normal) a caller applies to the block value.
