@@ -14,8 +14,7 @@ state first (``python -m compileall -q src benchmarks/ledger`` in each).
 
 Usage:
     python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR dense_cell 10
-    python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR prague_fading 6 \\
-        --seconds 6 --json pairs.json
+    python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR dense_cell 10 --seed 1234
 """
 
 from __future__ import annotations
@@ -31,20 +30,20 @@ from statistics import median, quantiles
 METRICS = ("wall_us_per_event", "setup_s", "peak_rss_mb")
 
 
-def run_driver(checkout: str, workload: str, seed: int,
-               seconds: float | None) -> dict:
-    """One driver run in ``checkout``: ``{metric: value}`` plus its status."""
+def run_driver(checkout: str, workload: str, seed: int) -> dict:
+    """One driver run in ``checkout``: ``{metric: value}`` plus its failed
+    operations.  The driver exits 1 when an operation failed but still
+    prints its report; only a run without a report stops the pairs."""
     command = [sys.executable, os.path.join("benchmarks", "ledger", "run.py"),
                "--workload", workload, "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        command += ["--seconds", str(seconds)]
     done = subprocess.run(command, cwd=checkout, capture_output=True,
                           text=True)
     lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
-        raise SystemExit(f"{checkout}: driver exited {done.returncode}: "
-                         f"{done.stderr.strip()[-400:]}")
-    report = json.loads(lines[-1])
+    try:
+        report = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        raise SystemExit(f"{checkout}: driver exited {done.returncode} "
+                         f"without a report: {done.stderr.strip()[-400:]}")
     values = {key: entry["value"] for key, entry in report["metrics"].items()}
     values["failed"] = report["failed"]
     return values
@@ -76,16 +75,12 @@ def main(argv=None) -> int:
     parser.add_argument("workload", help="ledger workload name")
     parser.add_argument("n", type=int, help="number of pairs")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="measuring time per driver run (driver default)")
-    parser.add_argument("--json", default="",
-                        help="also write the pairs and summary here")
     args = parser.parse_args(argv)
     pairs = []
     for index in range(args.n):
         sides = ["parent", "change"] if index % 2 == 0 else ["change", "parent"]
         result = {side: run_driver(getattr(args, side), args.workload,
-                                   args.seed, args.seconds)
+                                   args.seed)
                   for side in sides}
         pairs.append((result["parent"], result["change"]))
         print(f"pair {index + 1:>2} ({sides[0]} first): " + "  ".join(
@@ -102,10 +97,6 @@ def main(argv=None) -> int:
               f"{parent[2]:.4g}]  change {change[1]:.4g} [{change[0]:.4g}-"
               f"{change[2]:.4g}]  median ratio {row['median_ratio']:.3f}  "
               f"change ahead in {row['wins']}/{row['pairs']}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump({"workload": args.workload, "seed": args.seed,
-                       "pairs": pairs, "summary": summary}, handle, indent=1)
     return 1 if failed else 0
 
 

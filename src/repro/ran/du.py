@@ -8,7 +8,6 @@ delivery-status reports that feed L4Span's packet profile table.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Optional
 
 from repro.net.packet import Packet
@@ -83,9 +82,8 @@ class DistributedUnit:
     def register_with_mac(self, ue: UeContext) -> None:
         """Give the MAC this UE's backlog/pull callbacks (start of service)."""
         entities = self._ue_entities[ue.ue_id]
-        pull = partial(self.pull_for_ue, ue.ue_id)
         # The MAC polls the backlog every slot for every UE; give it the
-        # cheapest possible callables for the dominant bearer layouts.
+        # cheapest possible callable for the dominant bearer layouts.
         if len(entities) == 1:
             only = entities[0]
             backlog = (lambda e=only: e.backlog_bytes)
@@ -93,28 +91,27 @@ class DistributedUnit:
             first, second = entities
             backlog = (lambda a=first, b=second:
                        a.backlog_bytes + b.backlog_bytes)
-            pull = self._two_bearer_pull(ue.ue_id, first, second)
         else:
             backlog = (lambda es=tuple(entities):
                        sum(e.backlog_bytes for e in es))
         self.mac.register_ue(ue.ue_id, ue.channel, backlog_bytes=backlog,
-                             pull=pull)
+                             pull=self._mac_pull(ue.ue_id, entities))
 
-    def _two_bearer_pull(self, ue_id: UeId, first: RlcEntity,
-                         second: RlcEntity):
-        """:meth:`pull_for_ue` for a two-bearer UE: a grant reaching one
+    def _mac_pull(self, ue_id: UeId, entities: tuple[RlcEntity, ...]):
+        """:meth:`pull_for_ue` as the MAC holds it: a grant reaching a single
         backlogged bearer goes to it directly, with the same rotation
-        bookkeeping; two backlogged bearers share it by ``pull_for_ue``."""
+        bookkeeping; several backlogged bearers share it by ``pull_for_ue``."""
         rotation = self._pull_rotation
+        pull_for_ue = self.pull_for_ue
 
         def pull(grant_bytes: int) -> int:
-            if first.backlog_bytes > 0:
-                if second.backlog_bytes > 0:
-                    return self.pull_for_ue(ue_id, grant_bytes)
-                only = first
-            elif second.backlog_bytes > 0:
-                only = second
-            else:
+            only = None
+            for entity in entities:
+                if entity.backlog_bytes > 0:
+                    if only is not None:
+                        return pull_for_ue(ue_id, grant_bytes)
+                    only = entity
+            if only is None:
                 return 0
             rotation[ue_id] += 1
             return only.pull(grant_bytes)

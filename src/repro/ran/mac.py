@@ -66,25 +66,6 @@ class _UeSchedulingState:
 _BY_UE_ID = attrgetter("ue_id")
 
 
-class _BytesPerPrb(dict):
-    """``efficiency -> cell.bytes_per_prb(efficiency)``, filled on first use.
-
-    Every channel's efficiency comes from the CQI table's column, so the
-    table holds at most 16 entries; a grant is ``int(prbs * table[eff])``,
-    exactly :meth:`CellConfig.slot_capacity_bytes` without its two calls.
-    """
-
-    __slots__ = ("_cell",)
-
-    def __init__(self, cell: CellConfig) -> None:
-        super().__init__()
-        self._cell = cell
-
-    def __missing__(self, efficiency: float) -> float:
-        value = self[efficiency] = self._cell.bytes_per_prb(efficiency)
-        return value
-
-
 class MacScheduler:
     """The cell's downlink scheduler.
 
@@ -131,7 +112,6 @@ class MacScheduler:
         self._decay = cell.slot_duration / pf_time_constant
         self._inv_slot_duration = 1.0 / cell.slot_duration
         self._round_robin = policy == SchedulerPolicy.ROUND_ROBIN
-        self._bytes_per_prb = _BytesPerPrb(cell)
         self._timer = sim.add_slot_timer(
             cell.slot_duration, self._run_slot_batch,
             start_at=start if start is not None else sim.now)
@@ -463,7 +443,7 @@ class MacScheduler:
                 state.average_throughput = average if average > 1.0 else 1.0
         else:
             self.busy_slots += 1
-            bytes_per_prb = self._bytes_per_prb
+            cell = self.cell
             if bg_demand:
                 bg_prbs = self._serve_with_background(active, bg_demand, now)
             elif len(active) == 1:
@@ -472,8 +452,7 @@ class MacScheduler:
                 # zero-weight fallback to RR) resets the rotation offset,
                 # ``(x + 1) % 1 == 0``.
                 state = active[0]
-                grant = int(self.cell.num_prb
-                            * bytes_per_prb[state.channel.efficiency(now)])
+                grant = cell.slot_capacity_bytes(state.channel.efficiency(now))
                 if self._round_robin or grant <= 0:
                     self._rr_offset = 0
                 used = state.pull(grant) if grant > 0 else 0
@@ -488,7 +467,8 @@ class MacScheduler:
                     prbs = allocations.get(state.ue_id, 0)
                     if prbs <= 0:
                         continue
-                    grant = int(prbs * bytes_per_prb[efficiencies[state.ue_id]])
+                    grant = cell.slot_capacity_bytes(
+                        efficiencies[state.ue_id], num_prb=prbs)
                     used = state.pull(grant) if grant > 0 else 0
                     state.served_bytes_total += used
                     state.scheduled_slots += 1
@@ -519,8 +499,8 @@ class MacScheduler:
         equal aggregate share, then runs PF over the remaining budget.
         Returns the PRBs left to the background aggregate.
         """
-        num_prb = self.cell.num_prb
-        bytes_per_prb = self._bytes_per_prb
+        cell = self.cell
+        num_prb = cell.num_prb
         total_claimants = len(active) + bg_demand
         if self._round_robin:
             base = num_prb // total_claimants
@@ -534,7 +514,8 @@ class MacScheduler:
                 if prbs <= 0:
                     continue
                 fg_prbs += prbs
-                grant = int(prbs * bytes_per_prb[state.channel.efficiency(now)])
+                grant = cell.slot_capacity_bytes(
+                    state.channel.efficiency(now), num_prb=prbs)
                 used = state.pull(grant) if grant > 0 else 0
                 state.served_bytes_total += used
                 state.scheduled_slots += 1
@@ -550,7 +531,8 @@ class MacScheduler:
             prbs = allocations.get(state.ue_id, 0)
             if prbs <= 0:
                 continue
-            grant = int(prbs * bytes_per_prb[efficiencies[state.ue_id]])
+            grant = cell.slot_capacity_bytes(
+                efficiencies[state.ue_id], num_prb=prbs)
             used = state.pull(grant) if grant > 0 else 0
             state.served_bytes_total += used
             state.scheduled_slots += 1
@@ -584,14 +566,11 @@ class MacScheduler:
             self, active: list[_UeSchedulingState],
             efficiencies: dict[UeId, float],
             total_prb: Optional[int] = None) -> dict[UeId, int]:
-        num_prb = self.cell.num_prb
-        budget = num_prb if total_prb is None else total_prb
-        bytes_per_prb = self._bytes_per_prb
-        slot_duration = self.cell.slot_duration
+        budget = self.cell.num_prb if total_prb is None else total_prb
         weights: dict[UeId, float] = {}
         for state in active:
-            instantaneous = int(num_prb * bytes_per_prb[
-                efficiencies[state.ue_id]]) / slot_duration
+            instantaneous = self.cell.slot_capacity_bytes(
+                efficiencies[state.ue_id]) / self.cell.slot_duration
             weights[state.ue_id] = instantaneous / state.average_throughput
         total_weight = sum(weights.values())
         if total_weight <= 0:

@@ -221,25 +221,28 @@ class TestMacScheduler:
         assert set(report) == {0, 1}
 
 
-class TestTwoBearerPull:
-    def _du(self):
+class TestMacPull:
+    def _du(self, separate_drbs):
         sim = Simulator(seed=1)
         du = DistributedUnit(sim, CellConfig(), F1UInterface(sim),
                              air_config=AirInterfaceConfig(target_bler=0.0))
-        du.attach_ue(UeContext(sim, UeConfig(ue_id=0),
+        du.attach_ue(UeContext(sim, UeConfig(ue_id=0,
+                                             separate_drbs=separate_drbs),
                                StaticChannel(snr_db=22)))
         return du
 
-    def test_mac_pull_matches_pull_for_ue(self, five_tuple):
-        """The pull the MAC holds for a two-bearer UE and ``pull_for_ue``
-        move the same bytes from the same bearers and keep the same
-        rotation, over grants that reach none, one or both bearers."""
+    @pytest.mark.parametrize("drb_ids", [(1,), (1, 2)])
+    def test_mac_pull_matches_pull_for_ue(self, five_tuple, drb_ids):
+        """The pull the MAC holds for a UE and ``pull_for_ue`` move the same
+        bytes from the same bearers and keep the same rotation, over grants
+        that reach none, one or every bearer."""
         rng = random.Random(5)
-        fast, reference = self._du(), self._du()
+        fast = self._du(len(drb_ids) > 1)
+        reference = self._du(len(drb_ids) > 1)
         pull = fast.mac._ues[0].pull
-        next_sn = {1: 0, 2: 0}
+        next_sn = dict.fromkeys(drb_ids, 0)
         for step in range(400):
-            for drb_id in (1, 2):
+            for drb_id in drb_ids:
                 for _ in range(rng.choice([0, 0, 0, 1, 3])):
                     size = rng.choice([40, 700, 1400])
                     for du in (fast, reference):
@@ -250,7 +253,7 @@ class TestTwoBearerPull:
                     next_sn[drb_id] += 1
             grant = rng.choice([100, 700, 1500, 4000])
             assert pull(grant) == reference.pull_for_ue(0, grant)
-            assert ([fast.rlc_entity(0, d).backlog_bytes for d in (1, 2)]
+            assert ([fast.rlc_entity(0, d).backlog_bytes for d in drb_ids]
                     == [reference.rlc_entity(0, d).backlog_bytes
-                        for d in (1, 2)])
+                        for d in drb_ids])
             assert fast._pull_rotation == reference._pull_rotation
