@@ -7,7 +7,7 @@ that exercise them.  This module draws small random but always *legal*
 :class:`~repro.experiments.spec.ScenarioSpec` instances spanning the
 coupled features (shared wired middlebox with zero-rate schedule steps,
 SNR-triggered mobility, scheduled handovers with short interruptions,
-wrapped >250-UE address spaces, fading channels, background populations)
+UE ids past the first client /24, fading channels, background populations)
 and checks them against pluggable invariant suites:
 
 * **conservation** — per-flow and per-UE byte accounting agree, every
@@ -74,25 +74,19 @@ def random_spec(rng: random.Random, duration_s: float = 0.4) -> ScenarioSpec:
     spec, so one integer seed reproduces any failure.  Axis draws are
     consumed unconditionally, in a fixed order.
 
-    The spec's name records the drawn axes (``fuzz-mbx+stall+wrap``
+    The spec's name records the drawn axes (``fuzz-mbx+high-id+stall``
     style), so campaign reports and corpus entries are self-describing.
     """
     coupling = rng.choice(_COUPLINGS)
     # Axis draws — always consumed, in a fixed order.
-    # The retired engine-backend axis: its draw stays consumed so every
-    # seed still names the spec shape it named before the axis was deleted.
-    rng.choice(("python", "python", "numpy"))
     fading = rng.random() < 0.25
     fading_profile = rng.choice(_FADING_PROFILES)
     population = rng.random() < 0.2
     n_background = rng.choice((40, 80, 120))
-    wrapped = rng.random() < 0.25
-    n_wrapped = rng.randint(1, 2)
+    high_ids = rng.random() < 0.25
+    n_high = rng.randint(1, 2)
     stall = rng.random() < 0.35
     stall_resumes = rng.random() < 0.7
-    # Wrapped addresses require every colliding UE to stay non-mobile
-    # (sharding_blockers): restrict them to the immobile couplings.
-    wrapped = wrapped and coupling in ("plain", "mbx")
     stall = stall and "mbx" in coupling
 
     n_cells = rng.randint(2, 3)
@@ -111,18 +105,16 @@ def random_spec(rng: random.Random, duration_s: float = 0.4) -> ScenarioSpec:
                       start_time=round(0.015 * i + rng.random() * 0.01, 6),
                       wan_rtt=ms(rng.choice((18, 28, 38, 58)) + 2 * i))
              for i in range(n_ues)]
-    if wrapped:
-        # UE 250+i shares UE i's client address (10.45.0.{i+2}); the
-        # higher id wins the shared core's routing table and the lower
-        # id's flow degrades to a receiver-less trickle — on the single
-        # loop and sharded alike.
-        for i in range(n_wrapped):
-            winner = 250 + i
-            ues.append(UeSpec(ue_id=winner, cell_id=(i + 1) % n_cells))
+    if high_ids:
+        # UE 250+i lives in the next client /24 (10.45.1.{i+2}), the same
+        # host byte as UE i: every address stays its own UE's.
+        for i in range(n_high):
+            ue_id = 250 + i
+            ues.append(UeSpec(ue_id=ue_id, cell_id=(i + 1) % n_cells))
             flows.append(FlowSpec(
-                flow_id=n_ues + i, ue_id=winner,
+                flow_id=n_ues + i, ue_id=ue_id,
                 cc_name=rng.choice(_CC_NAMES),
-                label=f"fuzz-wrap-{winner}",
+                label=f"fuzz-ue-{ue_id}",
                 start_time=round(0.015 * (n_ues + i) + rng.random() * 0.01, 6),
                 wan_rtt=ms(rng.choice((18, 28, 38, 58)) + 2 * (n_ues + i))))
     mobility = MobilitySpec()
@@ -153,7 +145,7 @@ def random_spec(rng: random.Random, duration_s: float = 0.4) -> ScenarioSpec:
             schedule = [(duration_s / 2, wired * 0.5)]
     name = "fuzz-" + coupling
     for tag, active in (("fading", fading), ("pop", population),
-                        ("wrap", wrapped), ("stall", stall)):
+                        ("high-id", high_ids), ("stall", stall)):
         if active:
             name += f"+{tag}"
     return ScenarioSpec(

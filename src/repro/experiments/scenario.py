@@ -40,7 +40,7 @@ from repro.metrics.collectors import (DelayBreakdownAccumulator,
                                       ThroughputCollector, TimeSeries,
                                       merge_numeric_summaries)
 from repro.metrics.stats import box_stats, summarize
-from repro.net.addresses import FiveTuple
+from repro.net.addresses import FiveTuple, ue_ip_address
 from repro.net.packet import Packet
 from repro.net.pipe import DelayPipe
 from repro.net.router import BottleneckRouter
@@ -195,15 +195,6 @@ class ScenarioResult:
         }
 
 
-def ue_ip_address(ue_id: int) -> str:
-    """The deterministic client IP a UE's flows terminate at.
-
-    A pure function of the UE id, so the sharded runtime's boundary router
-    can rebuild the address map without building the scenarios.
-    """
-    return f"10.45.0.{(ue_id % 250) + 2}"
-
-
 #: Drop-tail buffer of the wired middlebox (``_insert_wired_bottleneck``);
 #: the sharded runtime's hosted queue and its egress predictor share it.
 WIRED_MIDDLEBOX_QUEUE_BYTES = 1_500_000
@@ -282,9 +273,6 @@ class BuiltScenario:
             self._insert_wired_bottleneck()
 
     # ------------------------------------------------------------------ #
-    def _ue_ip(self, ue_id: int) -> str:
-        return ue_ip_address(ue_id)
-
     def build_mobile_ue(self, ue_spec: UeSpec, cell_id: int,
                         stream_tag: str = "") -> UeContext:
         """Build a UE context attached to ``cell_id``'s radio environment.
@@ -313,7 +301,7 @@ class BuiltScenario:
 
     def register_ue_route(self, ue_id: int, gnb: GNodeB) -> None:
         """(Re-)point the core's downlink route for a UE at ``gnb``."""
-        self.core.register_ue_address(self._ue_ip(ue_id), gnb, ue_id)
+        self.core.register_ue_address(ue_ip_address(ue_id), gnb, ue_id)
 
     def invalidate_samplers(self) -> None:
         """Topology changed (handover): periodic samplers must re-scan."""
@@ -351,7 +339,7 @@ class BuiltScenario:
             one_way = legs[spec.flow_id]
             protocol = "udp" if is_udp_algorithm(spec.cc_name) else "tcp"
             five_tuple = FiveTuple(src_ip="10.0.0.1", src_port=443,
-                                   dst_ip=self._ue_ip(spec.ue_id),
+                                   dst_ip=ue_ip_address(spec.ue_id),
                                    dst_port=50_000 + spec.flow_id,
                                    protocol=protocol)
             forward = DelayPipe(self.sim, one_way, sink=self.core,

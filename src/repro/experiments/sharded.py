@@ -55,7 +55,7 @@ fixed shard map, reproducible across repeats and shard counts, and produces
 
 Coupled topologies
 ------------------
-Five couplings the barrier once refused are now first-class protocol:
+Four couplings the barrier once refused are now first-class protocol:
 
 * **A shared wired middlebox** belongs to no cell and is hosted on shard
   0, the coordinator's own; every shard cuts its senders at WAN entry
@@ -84,23 +84,14 @@ Five couplings the barrier once refused are now first-class protocol:
   times into *commit points* (:func:`schedule_commit_points`): the barrier
   lands exactly on the handover and the transfer crosses with a
   same-instant stamp instead of one lookahead late.
-* **Wrapped >250-UE address spaces** are routed address-space-aware: the
-  single core resolves a client-IP collision last-registration-wins (the
-  highest ue_id sharing the address receives — and mis-receives — every
-  packet for it), so every shard unregisters losing addresses and re-cuts
-  losing senders at WAN entry toward the winner's shard
-  (:class:`_AliasRouting`), reproducing the misdelivery byte-for-byte.
-  No schedule bounds such traffic, so the split runs always-coupled.
 * **Zero-rate middlebox schedule steps** stall the shared queue; the
   predictor restarts the head packet at the schedule's next positive-rate
   step, or — with no resume left — never releases it, exactly mirroring
   the single loop's stalled link.
 
-Scenarios a split genuinely cannot reproduce exactly are still refused up
-front by :func:`sharding_blockers` and fall back (with a warning) to the
-single loop: explicitly-undersized SNR commit lags, and wrapped address
-spaces whose colliding UEs are potentially mobile (mobility re-registers
-addresses mid-run, so the winner would change unreproducibly).
+An explicitly undersized SNR commit lag, which a split genuinely cannot
+reproduce exactly, is still refused up front by :func:`sharding_blockers`
+and falls back (with a warning) to the single loop.
 
 The per-shard collector outputs are recombined by the merge helpers in
 :mod:`repro.metrics.collectors` into the exact single-loop report schema;
@@ -128,13 +119,14 @@ from repro.experiments.scenario import (WIRED_MIDDLEBOX_QUEUE_BYTES,
                                         attach_data_gaps, boundary_lookahead,
                                         build_scenario, min_snr_commit_lag,
                                         mobility_topology, snr_commit_lag,
-                                        ue_ip_address, wan_one_way_legs)
+                                        wan_one_way_legs)
 from repro.experiments.runner import active_sweep_workers, core_budget
 from repro.experiments.spec import MobilitySpec, ShardingSpec
 from repro.metrics.collectors import (DelayBreakdownAccumulator,
                                       ThroughputCollector, TimeSeries,
                                       merge_numeric_summaries,
                                       merge_sample_dicts)
+from repro.net.addresses import ue_ip_address
 from repro.net.packet import Packet
 from repro.net.router import BottleneckRouter
 from repro.ran.mobility import (HandoverDecision, HandoverTransfer,
@@ -193,28 +185,6 @@ class ShardPlan:
         return [cell for cell, s in self.assignment.items() if s == shard]
 
 
-def wrapped_address_aliases(spec: ScenarioSpec) -> dict[str, int]:
-    """Wrapped client addresses mapped to their *winning* UE id (empty=none).
-
-    The /24 client address space wraps past 250 UEs
-    (:func:`~repro.experiments.scenario.ue_ip_address`).  The single loop
-    registers UE addresses in ascending ue_id order and the core's routing
-    table is last-write-wins, so every packet addressed to a wrapped
-    address is delivered (and mis-delivered) to the **highest ue_id**
-    sharing it — that UE is the address's winner.  A pure function of the
-    spec, so the boundary router, the per-shard alias runtime and the merge
-    step all derive the same verdict without building scenarios.
-    """
-    last: dict[str, int] = {}
-    conflicts: set[str] = set()
-    for ue in spec.resolved_ues():  # ascending ue_id — registration order
-        address = ue_ip_address(ue.ue_id)
-        if address in last:
-            conflicts.add(address)
-        last[address] = ue.ue_id
-    return {address: last[address] for address in sorted(conflicts)}
-
-
 def sharding_blockers(spec: ScenarioSpec) -> list[str]:
     """Human-readable reasons why ``spec`` cannot be sharded (empty = can).
 
@@ -222,27 +192,14 @@ def sharding_blockers(spec: ScenarioSpec) -> list[str]:
     wired middlebox is hosted on one shard with its traffic exchanged as
     boundary items, SNR-triggered handovers run the two-phase
     decide-then-commit protocol, interruptions shorter than the lookahead
-    force a barrier at the commit time, wrapped >250-UE address spaces are
-    routed address-space-aware at the winner's shard, and zero-rate
-    middlebox schedule steps stall the predicted queue like the real one.
+    force a barrier at the commit time, and zero-rate middlebox schedule
+    steps stall the predicted queue like the real one.
     What remains unshardable is what a split genuinely cannot reproduce
     byte-for-byte.
     """
     blockers = []
     if len(spec.resolved_cells()) < 2:
         blockers.append("fewer than two cells")
-    aliases = wrapped_address_aliases(spec)
-    if aliases:
-        # The single loop resolves a wrapped address last-registration-wins
-        # — a *static* property the alias runtime reproduces exactly.  A
-        # potentially mobile collider re-registers its address at every
-        # handover, making the winner a function of handover timing the
-        # split cannot reproduce; refuse rather than silently diverge.
-        wrapped_ues = {ue.ue_id for ue in spec.resolved_ues()
-                       if ue_ip_address(ue.ue_id) in aliases}
-        if wrapped_ues & potentially_mobile_ues(spec):
-            blockers.append("a potentially mobile UE shares a wrapped "
-                            "client address")
     if (spec.mobility.mode == "snr"
             and spec.mobility.commit_lag_s is not None
             and spec.mobility.commit_lag_s
@@ -446,10 +403,10 @@ class _SyncPlan:
     an arrival its host does not know yet lands at ``K`` or later, and the
     egresses predicted up to ``K`` cross in the barrier that computed it.
 
-    ``always_coupled`` (SNR mobility, a middlebox, cross-shard address
-    aliases) disables schedule jumps — there is no schedule proving any
-    phase boundary-free.  A split with neither that nor a coupling interval
-    is boundary-free (:attr:`coupled` is false) and runs a single window.
+    ``always_coupled`` (SNR mobility, a middlebox) disables schedule
+    jumps — there is no schedule proving any phase boundary-free.  A split
+    with neither that nor a coupling interval is boundary-free
+    (:attr:`coupled` is false) and runs a single window.
     """
 
     def __init__(self, horizon: float, lookahead: float,
@@ -535,32 +492,18 @@ class _SyncPlan:
 
 @dataclass(frozen=True)
 class _CouplingPlan:
-    """What couples the shards of one split: built once by :meth:`of`, read
-    by the synchronizer and pickled to every shard host."""
+    """What couples the shards of one split: built once by the coordinator,
+    read by the synchronizer and pickled to every shard host."""
 
     #: The full (unsplit) spec; sub-specs carry mobility and the middlebox
     #: stripped.
     spec: ScenarioSpec
     plan: ShardPlan
-    #: The shared wired middlebox's shard: 0, the coordinator's, or None.
-    mbx_shard: Optional[int]
-    #: Wrapped client address -> its winner's shard, for the addresses
-    #: whose colliding UEs span shards (the others resolve locally).
-    alias_shard: dict[str, int]
 
-    @classmethod
-    def of(cls, spec: ScenarioSpec, plan: ShardPlan) -> "_CouplingPlan":
-        mbx_shard = None if spec.wired_bottleneck_mbps is None else 0
-        aliases = wrapped_address_aliases(spec)
-        ue_shard = {ue.ue_id: plan.assignment[ue.cell_id]
-                    for ue in spec.resolved_ues()}
-        alias_shard = {}
-        for ue_id, shard in ue_shard.items():
-            address = ue_ip_address(ue_id)
-            winner = aliases.get(address)
-            if winner is not None and shard != ue_shard[winner]:
-                alias_shard[address] = ue_shard[winner]
-        return cls(spec, plan, mbx_shard, alias_shard)
+    @property
+    def mbx_shard(self) -> Optional[int]:
+        """The shared wired middlebox's shard: 0, the coordinator's, or None."""
+        return None if self.spec.wired_bottleneck_mbps is None else 0
 
     def sync_plan(self) -> _SyncPlan:
         """The window policy over what each coupling contributes: mobility
@@ -571,8 +514,7 @@ class _CouplingPlan:
             coupling=mobility_coupling_intervals(self.spec, self.plan),
             commit_points=schedule_commit_points(self.spec, self.plan),
             always_coupled=((mobility.enabled and mobility.mode == "snr")
-                            or self.mbx_shard is not None
-                            or bool(self.alias_shard)))
+                            or self.mbx_shard is not None))
 
 
 # --------------------------------------------------------------------- #
@@ -613,8 +555,8 @@ class ShardResult:
 class _CouplingRuntime:
     """The seam between :class:`ShardHost` and one coupling's shard side.
 
-    The host keeps a list of these and knows nothing else about mobility,
-    aliases or the middlebox; the defaults are a coupling that takes no
+    The host keeps a list of these and knows nothing else about mobility
+    or the middlebox; the defaults are a coupling that takes no
     boundary items, may always emit some and adds nothing to the result.
     """
 
@@ -674,11 +616,10 @@ class _WanEntryCut:
     middlebox's host (``mbx_in``) even when that is this very shard, so
     simultaneous arrivals from different shards share one router-sorted
     injection order (flow declaration order, the single loop's tie order)
-    instead of local-first; or towards an aliased address's winner
-    (``core_dl``).  An ``itinerary`` routes a mobile UE's packet by its
-    core-arrival time instead, which reproduces exactly the single loop's
-    route-at-core-ingress behaviour: scheduled handovers are known up
-    front, SNR commits are appended when their decisions are adopted —
+    instead of local-first.  An ``itinerary`` routes a mobile UE's packet
+    by its core-arrival time instead, which reproduces exactly the single
+    loop's route-at-core-ingress behaviour: scheduled handovers are known
+    up front, SNR commits are appended when their decisions are adopted —
     always before any lookup at or past the commit time.
     """
 
@@ -849,42 +790,6 @@ class _ShardMobility(_CouplingRuntime):
         self.manager.stop()
         result.handover_records = [dict(record)
                                    for record in self.manager.records]
-
-
-# --------------------------------------------------------------------- #
-# Wrapped (>250-UE) address spaces: route aliases at the winner's shard
-# --------------------------------------------------------------------- #
-class _AliasRouting(_CouplingRuntime):
-    """Address-space-aware boundary routing of wrapped client addresses.
-
-    The single shared core resolves a wrapped address collision
-    last-registration-wins: the highest ue_id sharing the address receives
-    every packet for it, and the losing UEs' flows are mis-delivered into
-    the winner's bearers (counted, then dropped at the UE for lack of a
-    receiver — no ACKs, so the losing senders retransmit a trickle).
-
-    Per shard this runtime makes the split reproduce exactly that: shards
-    not hosting an address's winner drop their losing registration from the
-    local core, and :meth:`ShardHost._cut_wan_entry` aims local senders
-    whose destination address wins remotely at the winner's shard.  Shards
-    hosting both a loser and the winner already resolve locally —
-    registration order is ascending ue_id, so the local last write is the
-    global winner.
-
-    Wrapped UEs are validated non-mobile (:func:`sharding_blockers`), so
-    the winner map is static for the whole run.  A shared middlebox's
-    egress tables resolve wrapped addresses to the winner's cell by the
-    same last-write-wins construction.
-    """
-
-    def __init__(self, host: "ShardHost", coupling: _CouplingPlan) -> None:
-        core = host.scenario.core
-        for address, shard in coupling.alias_shard.items():
-            if shard != host.shard_index and core.knows_ue_address(address):
-                # This shard hosts only losing UEs of the address: the
-                # local registration must go, like the single core's table
-                # after the winner's (later) registration overwrote it.
-                core.unregister_ue_address(address)
 
 
 # --------------------------------------------------------------------- #
@@ -1105,8 +1010,6 @@ class ShardHost:
             if coupling.spec.mobility.enabled:
                 mobility = _ShardMobility(self, coupling)
                 self.couplings.append(mobility)
-            if coupling.alias_shard:
-                self.couplings.append(_AliasRouting(self, coupling))
             if coupling.mbx_shard is not None:
                 self.couplings.append(
                     _SharedMiddlebox(self, coupling, mobility))
@@ -1120,10 +1023,9 @@ class ShardHost:
 
         One precedence, by what sits at the far end of the WAN pipe: a
         shared middlebox lies between *every* pipe and the core, so it
-        takes every sender (mobile and aliased ones included — its egress
-        routes those); else a wrapped destination address won on another
-        shard (such UEs are validated non-mobile); else a potentially
-        mobile UE, whose flows live on this, its home shard.
+        takes every sender (mobile ones included — its egress routes
+        those); else a potentially mobile UE, whose flows live on this,
+        its home shard.
         """
         assignment = coupling.plan.assignment
         legs = wan_one_way_legs(coupling.spec)
@@ -1131,12 +1033,8 @@ class ShardHost:
             sender = self.scenario.senders.get(flow.flow_id)
             if sender is None:
                 continue
-            winner = coupling.alias_shard.get(ue_ip_address(flow.ue_id),
-                                              self.shard_index)
             if coupling.mbx_shard is not None:
                 cut = {"mode": "mbx_in", "target": coupling.mbx_shard}
-            elif winner != self.shard_index:
-                cut = {"mode": "core_dl", "target": winner}
             elif mobility is not None and flow.ue_id in mobility.mobile_ues:
                 cut = {"mode": "core_dl",
                        "itinerary": mobility.itinerary_of(flow.ue_id)}
@@ -1341,12 +1239,6 @@ def merge_shard_results(config: ScenarioSpec, plan: ShardPlan,
             entry = mark_counts.setdefault(flow_id, [0, 0])
             entry[0] += marked
             entry[1] += downlink
-    # A wrapped address's losing flows are marked on the *winner's* shard
-    # (their packets ride the winner's bearers there); re-derive their
-    # marked_fraction from the cross-shard sums, like mobile flows.
-    aliases = wrapped_address_aliases(config)
-    aliased_flow_ids = {spec.flow_id for spec in resolved_flows
-                        if ue_ip_address(spec.ue_id) in aliases}
     merged_owd_times: dict[int, list[float]] = {}
     mobile_flow_bytes: dict[int, int] = {}
     replay = ThroughputCollector(window=config.throughput_window)
@@ -1382,11 +1274,6 @@ def merge_shard_results(config: ScenarioSpec, plan: ShardPlan,
                 marked_fraction=marked / downlink if downlink else 0.0,
                 throughput_series=replay.series.get(spec.flow_id,
                                                     TimeSeries()))
-        elif spec.flow_id in aliased_flow_ids:
-            marked, downlink = mark_counts.get(spec.flow_id, [0, 0])
-            flow = dataclasses.replace(
-                flow,
-                marked_fraction=marked / downlink if downlink else 0.0)
         ordered_flows.append(flow)
 
     bearer_names: dict[int, list[str]] = {}
@@ -1661,9 +1548,9 @@ def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
     """Run ``config`` with cells sharded across processes; merged result.
 
     Falls back with a warning naming the blockers: the few specs a split
-    cannot reproduce byte-for-byte (single cell, too-small SNR commit lag,
-    a mobile UE on a wrapped address) run on the classic single loop, and
-    the result's ``sharding_stats`` records why.
+    cannot reproduce byte-for-byte (single cell, too-small SNR commit lag)
+    run on the classic single loop, and the result's ``sharding_stats``
+    records why.
     The coordinator hosts shard 0 itself and starts one worker process per
     further shard; ``inprocess=True``, ``$REPRO_SHARD_INPROCESS`` or a
     platform without worker processes keeps every shard in this process,
@@ -1688,7 +1575,7 @@ def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
     if plan.num_shards <= 1:
         return _run_single_loop(config, progress, progress_interval_s)
     sub_specs = split_spec(config, plan)
-    coupling = _CouplingPlan.of(config, plan)
+    coupling = _CouplingPlan(config, plan)
     sync = coupling.sync_plan()
     router = _BoundaryRouter(
         num_shards=plan.num_shards,
@@ -1743,5 +1630,4 @@ __all__ = [
     "schedule_commit_points",
     "sharding_blockers",
     "split_spec",
-    "wrapped_address_aliases",
 ]

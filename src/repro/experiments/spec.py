@@ -41,6 +41,7 @@ from repro.cc.factory import is_l4s_algorithm, is_udp_algorithm  # noqa: F401
 from repro.channel.profiles import make_channel  # noqa: F401  (registration)
 from repro.core.config import L4SpanConfig
 from repro.core.factory import make_marker  # noqa: F401  (registration)
+from repro.net.addresses import UE_ADDRESS_SPACE
 from repro.ran.cell import CellConfig
 from repro.ran.identifiers import DEFAULT_RLC_QUEUE_SDUS
 from repro.ran.mac import resolve_scheduler  # noqa: F401  (registration)
@@ -505,6 +506,10 @@ class ScenarioSpec:
             SCHEDULERS.resolve(cell.scheduler)
         ues = self.resolved_ues()
         for ue in ues:
+            if not 0 <= ue.ue_id < UE_ADDRESS_SPACE:
+                raise ValueError(
+                    f"ue_id must be in [0, {UE_ADDRESS_SPACE}) to get its "
+                    f"own client address, got {ue.ue_id}")
             CHANNEL_PROFILES.resolve(ue.channel_profile)
             if ue.rlc_mode.lower() not in RLC_MODES:
                 raise ValueError(f"unknown rlc_mode {ue.rlc_mode!r} for "

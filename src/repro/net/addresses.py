@@ -33,14 +33,28 @@ class FiveTuple(NamedTuple):
                 f"{self.dst_ip}:{self.dst_port}")
 
 
-def make_flow_tuple(flow_id: int, protocol: str = "tcp",
-                    server_ip: str = "10.0.0.1",
-                    ue_subnet: str = "10.45.0") -> FiveTuple:
+#: UE ids the client address space holds: 250 hosts (``.2`` - ``.251``) in
+#: each of the 256 ``10.45.x.0/24`` subnets.
+UE_ADDRESS_SPACE = 250 * 256
+
+
+def ue_ip_address(ue_id: int) -> str:
+    """The client IP a UE's flows terminate at: ``10.45.0.{ue_id + 2}`` for
+    ids below 250, the next /24 for the next 250, and so on.
+
+    Injective on ``[0, UE_ADDRESS_SPACE)`` — like a 5G core handing every
+    PDU session its own address — and a pure function of the UE id, so the
+    sharded runtime can rebuild the address map without building scenarios.
+    """
+    return f"10.45.{ue_id // 250}.{ue_id % 250 + 2}"
+
+
+def make_flow_tuple(flow_id: int, protocol: str = "tcp") -> FiveTuple:
     """Build a deterministic downlink five-tuple for a synthetic flow.
 
     The server always uses port 443; each flow gets its own UE address and
     client port derived from ``flow_id`` so tuples never collide.
     """
-    return FiveTuple(src_ip=server_ip, src_port=443,
-                     dst_ip=f"{ue_subnet}.{(flow_id % 250) + 2}",
+    return FiveTuple(src_ip="10.0.0.1", src_port=443,
+                     dst_ip=ue_ip_address(flow_id),
                      dst_port=50_000 + flow_id, protocol=protocol)

@@ -54,16 +54,6 @@ class FiveGCore:
         """Route downlink packets destined to ``ip_address`` to ``gnb``/``ue_id``."""
         self._downlink_routes[ip_address] = (gnb, ue_id)
 
-    def unregister_ue_address(self, ip_address: str) -> None:
-        """Drop the downlink route for ``ip_address`` (no-op when absent).
-
-        The sharded runtime's alias routing uses this on shards hosting a
-        *losing* UE of a wrapped (>250-UE) address space: the single shared
-        core resolves the collision last-registration-wins, so a shard that
-        does not host the winning UE must treat the address as remote.
-        """
-        self._downlink_routes.pop(ip_address, None)
-
     def register_uplink_route(self, flow_id: int, sink: PacketSink) -> None:
         """Route uplink packets of ``flow_id`` (ACKs) onto their WAN return path."""
         self._uplink_routes[flow_id] = sink
@@ -71,10 +61,6 @@ class FiveGCore:
     def set_default_uplink(self, sink: PacketSink) -> None:
         """Fallback WAN sink for uplink packets of unregistered flows."""
         self._default_uplink = sink
-
-    def knows_ue_address(self, ip_address: str) -> bool:
-        """True when a downlink route for ``ip_address`` is registered here."""
-        return ip_address in self._downlink_routes
 
     # ------------------------------------------------------------------ #
     # Data plane

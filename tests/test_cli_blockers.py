@@ -1,11 +1,11 @@
 """One test per remaining sharding blocker: CLI note == sharding_stats.
 
-Only three spec shapes still refuse to shard (single cell, a too-small
-SNR commit lag, a mobile UE on a wrapped client address).  Each test
-pins the blocker's exact message on both user-facing surfaces — the
-``RuntimeWarning`` + stderr note the CLI prints and the
-``result.sharding_stats["blockers"]`` list the result document carries —
-so retiring or rewording a blocker has to update the tests too.
+Only two spec shapes still refuse to shard (single cell, a too-small
+SNR commit lag).  Each test pins the blocker's exact message on both
+user-facing surfaces — the ``RuntimeWarning`` + stderr note the CLI
+prints and the ``result.sharding_stats["blockers"]`` list the result
+document carries — so retiring or rewording a blocker has to update the
+tests too.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.__main__ import main
-from repro.experiments.spec import (CellSpec, HandoverSpec, MobilitySpec,
-                                    ScenarioSpec, ShardingSpec, UeSpec)
+from repro.experiments.spec import (CellSpec, MobilitySpec, ScenarioSpec,
+                                    ShardingSpec, UeSpec)
 from repro.experiments.scenario import run_scenario
 from repro.workloads.flows import FlowSpec
 
@@ -67,18 +67,3 @@ def test_undersized_commit_lag_blocker_message(tmp_path, capsys):
         tmp_path, capsys, spec,
         "mobility.commit_lag_s is below the safe minimum")
 
-
-def test_wrapped_plus_mobile_blocker_message(tmp_path, capsys):
-    spec = _base_spec(
-        ues=[UeSpec(ue_id=0, cell_id=0), UeSpec(ue_id=1, cell_id=1),
-             UeSpec(ue_id=250, cell_id=1)],
-        flows=[FlowSpec(flow_id=0, ue_id=0, cc_name="prague"),
-               FlowSpec(flow_id=1, ue_id=1, cc_name="prague"),
-               FlowSpec(flow_id=2, ue_id=250, cc_name="prague")],
-        duration_s=0.1,
-        mobility=MobilitySpec(
-            mode="schedule",
-            handovers=[HandoverSpec(time=0.04, ue_id=250, target_cell=0)]))
-    _assert_blocker_everywhere(
-        tmp_path, capsys, spec,
-        "a potentially mobile UE shares a wrapped client address")

@@ -33,7 +33,7 @@ def test_random_spec_is_seed_reproducible(seed):
 
 
 #: Axis suffixes random_spec appends after the coupling mode.
-_AXES = {"fading", "pop", "wrap", "stall"}
+_AXES = {"fading", "pop", "high-id", "stall"}
 
 
 def _coupling_of(name: str) -> str:
@@ -52,7 +52,7 @@ def test_generator_covers_every_coupling_mode():
 
 def test_generator_covers_every_axis():
     """The same sweep also draws every orthogonal spec axis at least once
-    (fading channels, population blocks, wrapped addresses, zero-rate
+    (fading channels, population blocks, UE ids past 250, zero-rate
     stalls)."""
     names = [random_spec(random.Random(seed)).name for seed in range(40)]
     drawn = {axis for name in names

@@ -9,7 +9,8 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.addresses import FiveTuple, make_flow_tuple
+from repro.net.addresses import (UE_ADDRESS_SPACE, FiveTuple, make_flow_tuple,
+                                 ue_ip_address)
 from repro.net.ecn import ECN, FlowClass, classify_ecn, is_ecn_capable
 from repro.net.packet import (AccEcnCounters, HEADER_BYTES, Packet,
                               make_ack_packet, make_data_packet)
@@ -49,6 +50,16 @@ class TestFiveTuple:
     def test_make_flow_tuple_unique_per_flow(self):
         tuples = {make_flow_tuple(i) for i in range(50)}
         assert len(tuples) == 50
+        assert make_flow_tuple(0) == FiveTuple("10.0.0.1", 443, "10.45.0.2",
+                                               50_000, "tcp")
+
+    def test_ue_addresses_are_one_per_ue(self):
+        """Ids below 250 keep ``10.45.0.{id+2}``; past that the next /24
+        takes over, so no two UEs in the address space share an address."""
+        assert all(ue_ip_address(i) == f"10.45.0.{i + 2}" for i in range(250))
+        assert ue_ip_address(250) == "10.45.1.2"
+        assert UE_ADDRESS_SPACE == 64_000
+        assert len({ue_ip_address(i) for i in range(64_000)}) == 64_000
 
 
 class TestPacket:

@@ -201,6 +201,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"^{name} must be a finite"):
             ScenarioSpec.from_dict(dict(num_ues=1, **fields)).validate()
 
+    @pytest.mark.parametrize("ue_id", [-1, 64_000])
+    def test_ue_id_outside_the_address_space_rejected(self, ue_id):
+        """A UE the client address space cannot hold would share another
+        UE's address (the core then routes one UE's packets to the other)."""
+        with pytest.raises(ValueError, match=r"^ue_id must be in \[0, 64000\)"):
+            ScenarioSpec.from_dict(dict(num_ues=1,
+                                        ues=[{"ue_id": ue_id}])).validate()
+
     def test_zero_warmup_is_legal(self):
         ScenarioSpec(warmup_s=0.0).validate()
 

@@ -186,6 +186,7 @@ class TestBadRequests:
         ({"bogus": 1}, "unknown request key"),
         ({"spec": {"num_ues": 1, "duration_s": float("nan")}},
          "duration_s must be a finite number > 0"),
+        ({"spec": {"ues": [{"ue_id": -1}]}}, "ue_id must be in [0, 64000)"),
     ])
     def test_bad_payloads_return_400(self, service, payload, fragment):
         status, body = _post(service, payload)

@@ -20,15 +20,15 @@ from hypothesis import strategies as st
 from repro.experiments.presets import make_preset
 from repro.experiments.scenario import (WIRED_MIDDLEBOX_QUEUE_BYTES,
                                         min_snr_commit_lag, run_scenario,
-                                        ue_ip_address, wan_one_way_legs)
+                                        wan_one_way_legs)
 from repro.experiments.sharded import (ConservativeSyncError, ShardHost,
                                        ShardPlanError, boundary_lookahead,
                                        build_shard_plan, merge_shard_results,
                                        run_scenario_sharded, sharding_blockers,
-                                       split_spec, wrapped_address_aliases)
+                                       split_spec)
 from repro.experiments.spec import (CellSpec, HandoverSpec, MobilitySpec,
                                     ScenarioSpec, ShardingSpec, UeSpec)
-from repro.net.addresses import FiveTuple
+from repro.net.addresses import FiveTuple, ue_ip_address
 from repro.net.ecn import ECN
 from repro.net.packet import make_data_packet
 from repro.ran.core import CORE_PROCESSING_DELAY
@@ -44,10 +44,11 @@ def _two_cell_static(duration: float = 1.5) -> ScenarioSpec:
              for ue in base.ues])
 
 
-def _wrapped_address_spec(duration: float = 0.6) -> ScenarioSpec:
-    """Two colliding address pairs (0/250, 1/251), winners cross-shard."""
+def _high_ue_id_spec(duration: float = 0.6) -> ScenarioSpec:
+    """UEs 250/251 share UEs 0/1's host byte (``.2``/``.3``) in the next
+    client /24, each on the other cell."""
     return ScenarioSpec(
-        name="wrapped", duration_s=duration, num_ues=0, marker="l4span",
+        name="high-ue-ids", duration_s=duration, num_ues=0, marker="l4span",
         cells=[CellSpec(cell_id=0), CellSpec(cell_id=1)],
         ues=[UeSpec(ue_id=0, cell_id=0, channel_profile="static"),
              UeSpec(ue_id=1, cell_id=1, channel_profile="static"),
@@ -187,44 +188,47 @@ class TestShardPlanning:
         # A matching override is redundant but legal.
         assert build_shard_plan(spec, shards=2).num_shards == 2
 
-    def test_wrapped_ue_address_space_shards_bit_identically(self):
-        """>250 UEs alias client IPs; the single loop resolves each
-        collision last-registration-wins (the losing flow degrades to a
-        receiver-less trickle), and the alias-routing runtime reproduces
-        that byte-for-byte across shards."""
-        spec = _wrapped_address_spec()
-        assert wrapped_address_aliases(spec) == {"10.45.0.2": 250,
-                                                "10.45.0.3": 251}
+    @pytest.mark.parametrize("same_shard", [False, True],
+                             ids=["cross-shard", "same-shard"])
+    def test_high_ue_ids_shard_in_one_window(self, same_shard):
+        """Ids past 250 move to the next client /24 instead of wrapping
+        onto a lower id's address: every flow is delivered, nothing couples
+        the cells, and the split runs one window equal to the single loop —
+        with the host-byte twins on two shards or on one."""
+        spec = _high_ue_id_spec()
+        if same_shard:
+            spec = dataclasses.replace(spec, ues=[
+                dataclasses.replace(ue, cell_id=ue.ue_id % 250)
+                for ue in spec.ues])
         assert sharding_blockers(spec) == []
-        assert sharding_blockers(_two_cell_static()) == []
         single = run_scenario(
             dataclasses.replace(spec, sharding=ShardingSpec(mode="off")))
         sharded = run_scenario_sharded(spec, shards=2, inprocess=True)
-        assert not sharded.sharding_stats.get("fallback")
+        stats = sharded.sharding_stats
+        assert not stats.get("fallback")
+        assert stats["windows"] == 1 and not stats["boundary_required"]
+        assert all(flow.goodput_bytes_per_s > 0 for flow in single.flows)
         assert all(_flows_equal(a, b)
                    for a, b in zip(single.flows, sharded.flows))
         assert single.per_ue_throughput == sharded.per_ue_throughput
-        # The losing flows' senders get no ACKs: zero delivered goodput,
-        # on both execution paths.
-        assert single.flows[0].goodput_bytes_per_s == 0.0
-        assert single.flows[1].goodput_bytes_per_s == 0.0
-        assert single.flows[2].goodput_bytes_per_s > 0.0
 
-    def test_wrapped_plus_mobile_ue_still_blocks(self):
-        """A mobile UE on a wrapped address would need a *dynamic* winner
-        map; that combination stays refused."""
+    def test_mobile_high_ue_id_shards_bit_identically(self):
+        """A UE past id 250 hands over like any other: no blocker, and the
+        sharded run equals the single loop, handover record included."""
         spec = dataclasses.replace(
-            _wrapped_address_spec(),
+            _high_ue_id_spec(),
             mobility=MobilitySpec(mode="schedule", handovers=[
-                HandoverSpec(time=0.2, ue_id=250, target_cell=0)]))
-        assert any("wrapped" in reason and "mobile" in reason
-                   for reason in sharding_blockers(spec))
-        with pytest.raises(ShardPlanError, match="wrapped"):
-            run_scenario_sharded(
-                dataclasses.replace(
-                    spec, sharding=ShardingSpec(mode="explicit",
-                                                map={0: 0, 1: 1})),
-                inprocess=True)
+                HandoverSpec(time=0.2, ue_id=250, target_cell=0)]),
+            sharding=ShardingSpec(mode="explicit", map={0: 0, 1: 1}))
+        assert sharding_blockers(spec) == []
+        single = run_scenario(
+            dataclasses.replace(spec, sharding=ShardingSpec(mode="off")))
+        sharded = run_scenario_sharded(spec, inprocess=True)
+        assert not sharded.sharding_stats.get("fallback")
+        assert len(single.handovers) == 1
+        assert single.handovers == sharded.handovers
+        assert all(_flows_equal(a, b)
+                   for a, b in zip(single.flows, sharded.flows))
 
     def test_split_spec_partitions_cells_ues_flows(self):
         spec = make_preset("eight-cell").validate()
@@ -582,34 +586,6 @@ class TestBarrierWindows:
             assert bounds["commit"] >= 1 and bounds["jump"] == 0
         else:
             assert bounds["jump"] >= 1
-
-
-    def test_alias_coupling_runs_the_one_window_policy(self):
-        """A wrapped address whose colliders span shards has no schedule to
-        jump by: always-coupled, every window bounded by the frontier."""
-        spec = _wrapped_address_spec()
-        sharding = run_scenario_sharded(spec, shards=2,
-                                        inprocess=True).sharding_stats
-        bounds = sharding["window_bounds"]
-        assert sharding["boundary_required"] and sharding["windows"] > 1
-        assert sum(bounds.values()) == sharding["windows"]
-        assert bounds["jump"] == bounds["commit"] == 0
-
-    def test_same_shard_alias_split_is_boundary_free(self):
-        """Coupling is derived from what crosses: colliding UEs that share
-        a shard resolve at their local core, so the split runs one window —
-        and still equals the single loop."""
-        base = _wrapped_address_spec()
-        spec = dataclasses.replace(base, ues=[
-            dataclasses.replace(ue, cell_id=ue.ue_id % 250)
-            for ue in base.ues])
-        single = run_scenario(
-            dataclasses.replace(spec, sharding=ShardingSpec(mode="off")))
-        sharded = run_scenario_sharded(spec, shards=2, inprocess=True)
-        assert sharded.sharding_stats["windows"] == 1
-        assert not sharded.sharding_stats["boundary_required"]
-        assert all(_flows_equal(a, b)
-                   for a, b in zip(single.flows, sharded.flows))
 
 
 class TestWorkerDeath:
