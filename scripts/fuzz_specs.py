@@ -2,20 +2,19 @@
 """Bounded differential-fuzz campaign over random scenario specs.
 
 Replays :func:`repro.experiments.fuzz.random_spec` over ``--count``
-sequential seeds starting at ``--seed`` and checks every invariant suite
+consecutive seeds starting at ``--seed`` and checks every invariant suite
 (byte/packet conservation, sharded ≡ single loop,
 determinism across repeats, result-document validity, no
 ``ConservativeSyncError``).  Exit status 1 if any spec violates an
 invariant; the failing seed is printed so
 ``random_spec(random.Random(seed))`` reproduces it exactly.
 
-Two modes:
-
-* the default smoke loop checks seeds sequentially and prints one line
-  per seed — the CI ``fuzz-smoke`` job runs the 50-spec fixed-seed form;
-* ``--campaign`` fans seeds across worker processes under the
-  ``REPRO_CORE_BUDGET`` arbiter, honours a wall-clock budget, and can
-  write a JSON campaign report — the nightly job's form.
+Seeds run through the sweep runner (``run_campaign``) in chunks of a few
+seeds per worker: ``--workers`` (default: the ``REPRO_CORE_BUDGET``
+arbiter) sets the process count without changing any verdict,
+``--time-budget`` stops before the next chunk once the wall clock is
+spent, and ``--report`` writes the JSON campaign report.  CI's
+``fuzz-smoke`` job and the nightly campaign run this same loop.
 
 ``--minimize`` shrinks every failing spec with the delta-debugging
 minimizer and appends the result to ``--corpus-dir`` (default
@@ -23,8 +22,9 @@ minimizer and appends the result to ``--corpus-dir`` (default
 
 Usage:
     PYTHONPATH=src python scripts/fuzz_specs.py --count 50 --seed 0
-    PYTHONPATH=src python scripts/fuzz_specs.py --campaign --count 200
-    PYTHONPATH=src python scripts/fuzz_specs.py --campaign --count 5000 \\
+    PYTHONPATH=src python scripts/fuzz_specs.py --count 40 --seed 1000 \\
+        --shards 3 4 --workers 1
+    PYTHONPATH=src python scripts/fuzz_specs.py --count 5000 \\
         --time-budget 3600 --report campaign.json --minimize
 """
 
@@ -35,7 +35,6 @@ import json
 import random
 import re
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -69,25 +68,6 @@ def _write_corpus_entry(corpus_dir: Path, seed: int, shard_counts,
     }
     path.write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def _run_smoke(args) -> int:
-    started = time.time()
-    failures: list[tuple[int, list[str]]] = []
-    for seed in range(args.seed, args.seed + args.count):
-        spec = random_spec(random.Random(seed), duration_s=args.duration)
-        violations = check_spec(spec, shard_counts=args.shards)
-        if violations:
-            failures.append((seed, violations))
-            print(f"FAIL seed={seed} ({spec.name}):")
-            for reason in violations:
-                print(f"  - {reason}")
-        else:
-            print(f"ok   seed={seed} ({spec.name})")
-    elapsed = time.time() - started
-    print(f"{args.count} specs, {len(failures)} failing, {elapsed:.1f}s")
-    _minimize_failures(args, failures)
-    return 1 if failures else 0
 
 
 def _run_campaign(args) -> int:
@@ -133,33 +113,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--count", type=int, default=50,
                         help="number of specs to draw (default 50)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="first seed of the sequential range (default 0)")
+                        help="first seed of the consecutive range (default 0)")
     parser.add_argument("--shards", type=int, nargs="+", default=[2],
                         help="shard counts each spec is run at (default: 2)")
     parser.add_argument("--duration", type=float, default=0.4,
                         help="simulated seconds per spec (default 0.4)")
-    parser.add_argument("--campaign", action="store_true",
-                        help="parallel campaign mode: worker processes under "
-                             "the REPRO_CORE_BUDGET arbiter + JSON report")
     parser.add_argument("--workers", type=int, default=None,
-                        help="campaign worker processes (default: the core "
-                             "budget)")
+                        help="worker processes (default: the core budget)")
     parser.add_argument("--time-budget", type=float, default=None,
                         help="stop dispatching new seeds after this many "
                              "wall-clock seconds")
     parser.add_argument("--report", type=str, default=None,
-                        help="write the JSON campaign report here "
-                             "(--campaign only)")
+                        help="write the JSON campaign report here")
     parser.add_argument("--minimize", action="store_true",
                         help="shrink every failing spec and append it to the "
                              "corpus directory")
     parser.add_argument("--corpus-dir", type=str, default=str(DEFAULT_CORPUS),
                         help="corpus directory --minimize appends to "
                              "(default: tests/corpus/)")
-    args = parser.parse_args(argv)
-    if args.campaign:
-        return _run_campaign(args)
-    return _run_smoke(args)
+    return _run_campaign(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -195,11 +195,6 @@ class DualPi2Router:
         self._transmit_next()
 
     # ------------------------------------------------------------------ #
-    @property
-    def queued_bytes(self) -> int:
-        """Total bytes across both queues."""
-        return self.l_queue.bytes + self.c_queue.bytes
-
     def stop(self) -> None:
         """Stop the periodic PI controller (call at the end of a scenario)."""
         self._updater.stop()

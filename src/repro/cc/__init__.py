@@ -25,8 +25,7 @@ from repro.cc.bbr import BbrSender
 from repro.cc.bbrv2 import Bbr2Sender
 from repro.cc.scream import ScreamSender
 from repro.cc.udp_prague import UdpPragueSender
-from repro.cc.factory import (CC_REGISTRY, is_l4s_algorithm, make_receiver,
-                              make_sender)
+from repro.cc.factory import is_l4s_algorithm, make_receiver, make_sender
 
 __all__ = [
     "FlowStats",
@@ -43,7 +42,6 @@ __all__ = [
     "Bbr2Sender",
     "ScreamSender",
     "UdpPragueSender",
-    "CC_REGISTRY",
     "make_sender",
     "make_receiver",
     "is_l4s_algorithm",

@@ -64,19 +64,6 @@ class FlowStats:
     rate_samples: list[tuple[float, float]] = field(
         default_factory=lambda: SampleReservoir(TRACE_SAMPLE_CAP))
 
-    @property
-    def mean_rtt(self) -> Optional[float]:
-        """Mean of the collected RTT samples, or None when there are none."""
-        if not self.rtt_samples:
-            return None
-        return sum(self.rtt_samples) / len(self.rtt_samples)
-
-    def goodput_bytes_per_s(self, now: float) -> float:
-        """Acked bytes divided by elapsed flow lifetime."""
-        end = self.completion_time if self.completion_time is not None else now
-        elapsed = max(end - self.start_time, 1e-9)
-        return self.acked_bytes / elapsed
-
 
 class Sender(abc.ABC):
     """Base class for every content-server sender.

@@ -124,8 +124,7 @@ class BbrSender(WindowSender):
                 self.PACING_GAIN_CYCLE)
 
     def on_loss(self) -> None:
-        # BBR v1 does not reduce its model on isolated losses.
-        self.stats.loss_events += 0
+        """BBR v1 does not reduce its model on isolated losses."""
 
     def on_timeout(self) -> None:
         self._bw_samples.clear()

@@ -32,20 +32,11 @@ from repro.net.packet import Packet
 from repro.registry import CC_SENDERS
 from repro.sim.engine import Simulator
 
-#: Backwards-compatible alias: membership tests (``"prague" in CC_REGISTRY``)
-#: and name listings keep working against the registry object.
-CC_REGISTRY = CC_SENDERS
-
 #: Receiver kinds selectable through the ``receiver`` registry flag.
 _RECEIVERS = {
     "scream": ScreamReceiver,
     "udp": UdpFeedbackReceiver,
 }
-
-
-def algorithm_names() -> list[str]:
-    """Registered algorithm names (CLI ``choices=``, spec validation)."""
-    return CC_SENDERS.names()
 
 
 def is_l4s_algorithm(name: str) -> bool:

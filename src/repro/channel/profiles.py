@@ -18,11 +18,6 @@ from repro.channel.static import StaticChannel
 from repro.registry import CHANNEL_PROFILES
 
 
-def profile_names() -> list[str]:
-    """Registered profile names (CLI ``choices=``, spec validation)."""
-    return CHANNEL_PROFILES.names()
-
-
 @CHANNEL_PROFILES.register("static")
 def _static_profile(rng: np.random.Generator, mean_snr_db: float = 22.0,
                     carrier_ghz: float = 3.75, ue_index: int = 0

@@ -12,7 +12,6 @@ from bisect import bisect_right
 from typing import Iterable, Sequence
 
 from repro.channel.base import ChannelModel, ChannelSample
-from repro.channel.mcs import snr_for_cqi
 
 
 class TraceChannel(ChannelModel):
@@ -33,13 +32,6 @@ class TraceChannel(ChannelModel):
         self.coherence_time = (min((self._times[i + 1] - self._times[i]
                                     for i in range(len(self._times) - 1)),
                                    default=float("inf")))
-
-    @classmethod
-    def from_cqi_trace(cls, breakpoints: Iterable[tuple[float, int]],
-                       loop_period: float | None = None) -> "TraceChannel":
-        """Build a trace from (time, CQI) pairs using the CQI SNR thresholds."""
-        return cls(((t, snr_for_cqi(cqi) + 0.1) for t, cqi in breakpoints),
-                   loop_period=loop_period)
 
     def sample(self, now: float) -> ChannelSample:
         t = now

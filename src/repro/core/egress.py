@@ -78,11 +78,6 @@ class RateEstimate(NamedTuple):
     error_std: float           # e_hat, bytes per second
     samples_in_window: int
 
-    @property
-    def is_valid(self) -> bool:
-        """True once at least one transmission has been observed."""
-        return self.samples_in_window > 0
-
 
 class EgressRateEstimator:
     """Sliding-window dequeue-rate estimator for one bearer.

@@ -28,10 +28,6 @@ def marker_names() -> list[str]:
     return MARKERS.names()
 
 
-#: Marker names understood by :func:`make_marker` (kept for compatibility).
-MARKER_NAMES = tuple(MARKERS.names())
-
-
 def make_marker(name: str, sim: Simulator,
                 l4span_config: Optional[L4SpanConfig] = None) -> RanMarker:
     """Instantiate the marker registered under ``name`` ("none" when empty)."""

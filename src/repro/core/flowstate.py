@@ -68,10 +68,3 @@ class FlowRecord:
         """Update the initial-RTT estimate from the first uplink packet seen."""
         if self.initial_rtt is None and self.first_downlink_time is not None:
             self.initial_rtt = max(1e-4, now - self.first_downlink_time)
-
-    @property
-    def mark_fraction(self) -> float:
-        """Fraction of this flow's downlink packets that were marked."""
-        if self.downlink_packets == 0:
-            return 0.0
-        return self.marked_packets / self.downlink_packets

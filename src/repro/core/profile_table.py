@@ -35,11 +35,6 @@ class ProfileEntry:
     transmitted_time: Optional[float] = None
     delivered_time: Optional[float] = None
 
-    @property
-    def queued(self) -> bool:
-        """True while the packet is still waiting in the RLC."""
-        return self.transmitted_time is None
-
     def queueing_delay(self) -> Optional[float]:
         """Measured queueing (sojourn) delay, once transmitted."""
         if self.transmitted_time is None:

@@ -10,8 +10,7 @@ figures and tables as one table of sweep grids, each run through
 from repro.experiments.presets import make_preset, preset_names
 from repro.experiments.runner import SweepRunner, derive_cell_seed
 from repro.experiments.scenario import (FlowResult, ScenarioResult,
-                                        build_scenario, run_scenario,
-                                        run_scenario_dict)
+                                        build_scenario, run_scenario)
 from repro.experiments.sharded import (ShardPlan, build_shard_plan,
                                        run_scenario_sharded, split_spec)
 from repro.experiments.spec import (CellSpec, ScenarioSpec, ShardingSpec,
@@ -30,7 +29,6 @@ __all__ = [
     "split_spec",
     "make_preset",
     "preset_names",
-    "run_scenario_dict",
     "ScenarioResult",
     "FlowResult",
     "build_scenario",

@@ -27,9 +27,9 @@ and checks them against pluggable invariant suites:
 ``random_spec`` is a pure function of the :class:`random.Random`
 instance it is handed, so a seed fully reproduces a failing spec.  The
 property tests in ``tests/test_fuzz_spec.py`` drive it through hypothesis,
-the CI smoke job replays fixed seeds via ``scripts/fuzz_specs.py``, and
-:func:`run_campaign` fans seed ranges across worker processes under the
-``REPRO_CORE_BUDGET`` arbiter for the nightly campaign.
+and :func:`run_campaign` -- the one runner behind ``scripts/fuzz_specs.py``,
+for the CI smoke job and the nightly campaign alike -- checks seed ranges
+through the sweep runner under the ``REPRO_CORE_BUDGET`` arbiter.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from typing import Callable, Optional, Sequence
 from repro.api import ScenarioResult, run
 from repro.experiments.results import (check_document, dump_document,
                                        result_document)
+from repro.experiments.runner import SweepRunner, core_budget
 from repro.experiments.sharded import run_scenario_sharded, sharding_blockers
 from repro.experiments.spec import (CellSpec, HandoverSpec, MobilitySpec,
                                     PopulationSpec, ScenarioSpec,
@@ -283,6 +284,12 @@ def _suite_sharding(runs: SpecRuns) -> list[str]:
             violations.append(f"shards={shards} silently fell back: "
                               f"{sharded.sharding_stats}")
             continue
+        # A plan gets at most one shard per cell; anything else it runs
+        # short (a core-budget clamp, say) hides the requested split.
+        expected = min(shards, len(runs.spec.resolved_cells()))
+        ran = sharded.sharding_stats.get("shards", 1)
+        if ran != expected:
+            violations.append(f"shards={shards} ran {ran} shards")
         if not flows_identical(single, sharded):
             violations.append(f"shards={shards} per-flow metrics differ "
                               "from single loop")
@@ -358,8 +365,13 @@ def check_spec(spec: ScenarioSpec,
 # --------------------------------------------------------------------------- #
 # Campaign runner
 # --------------------------------------------------------------------------- #
-def _campaign_one(item: tuple) -> dict:
-    """Check one seed (top-level so worker pools can pickle it)."""
+#: Seeds per worker in one campaign chunk: the time budget is checked
+#: between chunks, so a chunk bounds how far a campaign overruns it.
+_CHUNK_SEEDS_PER_WORKER = 4
+
+
+def _check_seed(item: tuple) -> dict:
+    """Check one seed (module-level so sweep workers can pickle it)."""
     seed, duration_s, shard_counts, suites = item
     spec = random_spec(random.Random(seed), duration_s=duration_s)
     started = time.monotonic()
@@ -367,54 +379,6 @@ def _campaign_one(item: tuple) -> dict:
     return {"seed": seed, "name": spec.name,
             "elapsed_s": round(time.monotonic() - started, 3),
             "violations": violations}
-
-
-def _campaign_parallel(items: list, workers: int, out_of_time,
-                       progress) -> tuple[list[dict], bool, int]:
-    """Fan items across a process pool; ``workers == 1`` signals fallback.
-
-    Mirrors the sweep runner's degradation contract: only pool *creation*
-    failures (sandboxed platforms) and worker deaths fall back — they
-    return ``workers=1`` so the caller re-runs sequentially; check
-    failures are data, never exceptions.
-    """
-    import multiprocessing
-    from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
-                                    wait)
-    from concurrent.futures.process import BrokenProcessPool
-    try:
-        pool = ProcessPoolExecutor(max_workers=workers,
-                                   mp_context=multiprocessing.get_context())
-    except (ImportError, NotImplementedError, OSError,
-            PermissionError) as exc:
-        warnings.warn(f"campaign process pool unavailable ({exc!r}); "
-                      "checking seeds sequentially in this process",
-                      RuntimeWarning, stacklevel=3)
-        return [], False, 1
-    records: list[dict] = []
-    stopped_early = False
-    try:
-        with pool:
-            pending = {pool.submit(_campaign_one, item) for item in items}
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    record = future.result()
-                    records.append(record)
-                    if progress is not None:
-                        progress(record)
-                if pending and out_of_time():
-                    stopped_early = True
-                    for future in pending:
-                        future.cancel()
-                    break
-    except BrokenProcessPool as exc:
-        warnings.warn(f"campaign worker died ({exc!r}); re-checking all "
-                      "seeds sequentially in this process",
-                      RuntimeWarning, stacklevel=3)
-        return [], False, 1
-    records.sort(key=lambda record: record["seed"])
-    return records, stopped_early, workers
 
 
 def run_campaign(count: int, seed: int = 0, duration_s: float = 0.4,
@@ -425,53 +389,47 @@ def run_campaign(count: int, seed: int = 0, duration_s: float = 0.4,
                  progress: Optional[Callable[[dict], None]] = None) -> dict:
     """Fuzz ``count`` consecutive seeds; return the campaign report.
 
-    Workers default to (and are always clamped by) the host's
-    ``REPRO_CORE_BUDGET`` arbiter — a campaign shares the machine with
-    whatever else runs under that budget.  ``time_budget_s`` stops the
-    campaign early once the wall clock is spent (seeds already dispatched
-    still finish); the report records how far it got.  Platforms without
-    multiprocessing fall back to in-process checking, same report.
+    Seeds run through :class:`~repro.experiments.runner.SweepRunner` in
+    consecutive chunks of a few seeds per worker, so records arrive in
+    seed order whatever the worker count, and a platform without worker
+    processes degrades to checking in this process.  Workers default to
+    (and are always clamped by) the host's ``REPRO_CORE_BUDGET`` arbiter.
+    ``time_budget_s`` stops the campaign before the next chunk once the
+    wall clock is spent; the report records how far it got.
+    ``progress(record)`` is called per seed as each chunk completes.
     """
-    from repro.experiments.runner import core_budget
     budget = core_budget()
-    if workers is None:
-        workers = budget
-    workers = max(1, min(int(workers), budget, count))
-    items = [(seed + i, duration_s, tuple(shard_counts),
-              tuple(suites) if suites is not None else None)
-             for i in range(count)]
+    workers = max(1, min(budget if workers is None else int(workers),
+                         budget, count))
+    runner = SweepRunner(workers=workers)
+    chunk = _CHUNK_SEEDS_PER_WORKER * workers
+    suites = tuple(suites) if suites is not None else None
     started = time.monotonic()
     records: list[dict] = []
     stopped_early = False
-
-    def out_of_time() -> bool:
-        return (time_budget_s is not None
-                and time.monotonic() - started >= time_budget_s)
-
-    if workers > 1:
-        records, stopped_early, workers = _campaign_parallel(
-            items, workers, out_of_time, progress)
-    if workers <= 1:
-        for item in items:
-            if out_of_time():
-                stopped_early = True
-                break
-            record = _campaign_one(item)
+    for first in range(seed, seed + count, chunk):
+        if (time_budget_s is not None
+                and time.monotonic() - started >= time_budget_s):
+            stopped_early = True
+            break
+        items = [(item_seed, duration_s, tuple(shard_counts), suites)
+                 for item_seed in range(first, min(first + chunk,
+                                                   seed + count))]
+        for record in runner.map(_check_seed, items):
             records.append(record)
             if progress is not None:
                 progress(record)
-    failures = [record for record in records if record["violations"]]
     return {
         "schema": 1,
         "params": {"count": count, "seed": seed, "duration_s": duration_s,
                    "shard_counts": list(shard_counts),
-                   "suites": list(suites) if suites is not None else
-                             list(INVARIANT_SUITES),
+                   "suites": list(INVARIANT_SUITES if suites is None
+                                  else suites),
                    "time_budget_s": time_budget_s},
         "workers": workers,
         "seeds_checked": len(records),
         "stopped_early": stopped_early,
         "elapsed_s": round(time.monotonic() - started, 3),
-        "failures": failures,
+        "failures": [record for record in records if record["violations"]],
         "names": sorted({record["name"] for record in records}),
     }

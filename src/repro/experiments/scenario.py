@@ -80,10 +80,6 @@ class FlowResult:
         """Box statistics (median/quartiles/whiskers) of the one-way delay."""
         return box_stats(self.owd_samples)
 
-    def rtt_box(self):
-        """Box statistics of the RTT samples."""
-        return box_stats(self.rtt_samples)
-
 
 @dataclass
 class ScenarioResult:
@@ -165,13 +161,6 @@ class ScenarioResult:
         background = self.config.population.n_background * cells
         return (foreground + background) * self.duration_s
 
-    def mean_per_ue_throughput_mbps(self) -> float:
-        """Mean per-UE average received rate in Mbit/s."""
-        if not self.per_ue_throughput:
-            return 0.0
-        return to_mbps(sum(self.per_ue_throughput.values())
-                       / len(self.per_ue_throughput))
-
     def summary(self) -> dict:
         """Compact dictionary summary used by reports and the quickstart."""
         owd = summarize(self.all_owd_samples())
@@ -227,7 +216,7 @@ class BuiltScenario:
         self.marker = self.markers[first_cell]
         self.core = FiveGCore(self.sim)
         for gnb in self.gnbs.values():
-            gnb.uplink_sink = _UplinkAdapter(self.core)
+            gnb.cu.uplink_sink = _UplinkAdapter(self.core)
         #: Per-cell aggregated background populations; empty when the spec's
         #: population block is disabled (the numpy kernel is never imported).
         self.backgrounds: dict[int, object] = {}
@@ -314,10 +303,6 @@ class BuiltScenario:
             self.register_ue_route(ue_spec.ue_id, self.gnbs[ue_spec.cell_id])
             self.ues[ue_spec.ue_id] = ue
 
-    def _forward_entry_sink(self):
-        """The component WAN pipes feed into (wired middlebox or the core)."""
-        return self._wired if self._wired is not None else self.core
-
     def _insert_wired_bottleneck(self) -> None:
         config = self.config
         self._wired = BottleneckRouter(
@@ -350,7 +335,7 @@ class BuiltScenario:
                                  flow_bytes=spec.flow_bytes)
             self.senders[spec.flow_id] = sender
             self.attach_flow_endpoint(spec, self.ues[spec.ue_id])
-            reverse = DelayPipe(self.sim, one_way, sink=_SenderAdapter(sender),
+            reverse = DelayPipe(self.sim, one_way, sink=sender,
                                 name=f"wan-ul-{spec.flow_id}")
             self.core.register_uplink_route(spec.flow_id, reverse)
             self.sim.schedule_at(spec.start_time, sender.start)
@@ -386,10 +371,6 @@ class BuiltScenario:
         return callback
 
     # ------------------------------------------------------------------ #
-    def _marker_for_flow(self, spec: FlowSpec):
-        """The marker of the cell serving the flow's UE."""
-        return self.markers[self.ue_specs[spec.ue_id].cell_id]
-
     def flow_mark_counts(self) -> dict[int, tuple[int, int]]:
         """Per-flow ``(marked, downlink)`` packet counts across *all* cells.
 
@@ -609,16 +590,6 @@ def attach_data_gaps(handovers: list[dict],
         record["data_gap_s"] = gaps
 
 
-class _SenderAdapter:
-    """Adapts a sender's ``receive`` to the PacketSink protocol."""
-
-    def __init__(self, sender: Sender) -> None:
-        self._sender = sender
-
-    def receive(self, packet: Packet) -> None:
-        self._sender.receive(packet)
-
-
 class _UplinkAdapter:
     """Routes uplink packets leaving a gNB into the shared core."""
 
@@ -657,8 +628,3 @@ def run_scenario(config: ScenarioSpec, progress=None,
     if progress is not None:
         built.attach_progress(progress, interval=progress_interval_s)
     return built.run()
-
-
-def run_scenario_dict(spec_dict: dict) -> ScenarioResult:
-    """Build and run a scenario from a plain spec dict (sweep-cell form)."""
-    return run_scenario(ScenarioSpec.from_dict(spec_dict))

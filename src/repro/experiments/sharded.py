@@ -221,6 +221,13 @@ def build_shard_plan(spec: ScenarioSpec,
     Auto mode distributes cells round-robin in declaration order; explicit
     mode uses the block's map with shard indices renumbered densely.
     """
+    return _shard_plan(spec, shards, active_sweep_workers())
+
+
+def _shard_plan(spec: ScenarioSpec, shards: Optional[int],
+                active: int) -> ShardPlan:
+    """:func:`build_shard_plan` with ``active`` sweep workers sharing the
+    host's core budget; ``active == 1`` never clamps."""
     sharding = spec.sharding
     cell_ids = [cell.cell_id for cell in spec.resolved_cells()]
     if sharding.mode == "explicit":
@@ -235,7 +242,6 @@ def build_shard_plan(spec: ScenarioSpec,
             raise ShardPlanError(
                 f"--shards {shards} conflicts with the explicit map's "
                 f"{num_shards} shard(s); drop one of the two")
-        active = active_sweep_workers()
         if active > 1 and num_shards * active > core_budget():
             # An explicit map cannot be clamped without breaking the
             # requested placement; warn about the oversubscription instead.
@@ -243,13 +249,12 @@ def build_shard_plan(spec: ScenarioSpec,
                 f"{active} sweep workers x {num_shards} explicit shards "
                 f"exceeds the host's core budget {core_budget()}; consider "
                 "fewer workers or REPRO_CORE_BUDGET",
-                RuntimeWarning, stacklevel=2)
+                RuntimeWarning, stacklevel=3)
     else:
         num_shards = shards if shards is not None else sharding.shards
         if num_shards is None:
             num_shards = min(len(cell_ids), os.cpu_count() or 1)
         num_shards = max(1, min(int(num_shards), len(cell_ids)))
-        active = active_sweep_workers()
         if active > 1:
             # Nested parallelism: this scenario runs inside a sweep worker,
             # so workers x shards must stay within the host's core budget.
@@ -259,7 +264,7 @@ def build_shard_plan(spec: ScenarioSpec,
                     f"{active} sweep workers x {num_shards} shards exceeds "
                     f"the host's core budget {core_budget()}; clamping to "
                     f"{allowed} shard(s) per scenario (override with "
-                    "REPRO_CORE_BUDGET)", RuntimeWarning, stacklevel=2)
+                    "REPRO_CORE_BUDGET)", RuntimeWarning, stacklevel=3)
                 num_shards = allowed
         assignment = {cell: index % num_shards
                       for index, cell in enumerate(cell_ids)}
@@ -1571,7 +1576,12 @@ def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
         result.sharding_stats = {"fallback": "single-loop",
                                  "blockers": list(blockers)}
         return result
-    plan = build_shard_plan(config, shards=shards)
+    if inprocess is None:
+        inprocess = bool(os.environ.get(INPROCESS_ENV))
+    # In-process shards start no processes, so they take no share of the
+    # core budget that sweep workers divide.
+    plan = _shard_plan(config, shards,
+                       1 if inprocess else active_sweep_workers())
     if plan.num_shards <= 1:
         return _run_single_loop(config, progress, progress_interval_s)
     sub_specs = split_spec(config, plan)
@@ -1591,8 +1601,6 @@ def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
                       "time_s": min(window_end, config.duration_s),
                       "windows": sync.windows,
                       "shards": plan.num_shards})
-    if inprocess is None:
-        inprocess = bool(os.environ.get(INPROCESS_ENV))
     transports: list = ([] if inprocess else
                         _start_workers(sub_specs, coupling, start_method))
     try:

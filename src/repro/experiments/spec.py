@@ -33,7 +33,6 @@ import functools
 import json
 import math
 import typing
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -594,13 +593,9 @@ class ScenarioSpec:
         """Rebuild a spec from :meth:`to_dict` output (or hand-written data).
 
         Unknown keys raise ``ValueError`` — a typo in a JSON spec fails
-        loudly instead of silently running the default scenario.  The one
-        exception is the retired ``engine`` block (see
-        :func:`_drop_retired_engine_block`), which every spec dumped before
-        the engine-backend axis was deleted still carries.
+        loudly instead of silently running the default scenario.
         """
         data = dict(data)
-        _drop_retired_engine_block(data.pop("engine", None))
         parsed: dict[str, Any] = {}
         nested = {
             "cell": CellConfig,
@@ -638,35 +633,6 @@ class ScenarioSpec:
         if not isinstance(data, dict):
             raise ValueError("a scenario spec must be a JSON object")
         return cls.from_dict(data)
-
-
-def _drop_retired_engine_block(block: Any) -> None:
-    """Accept, and ignore, the ``engine`` block of a pre-PR-15 spec.
-
-    Archived documents, ``--dump-spec`` files and the fuzz corpus all carry
-    ``"engine": {"backend": ..., "channel_block": ...}``; there is one
-    engine now, so a well-formed block is dropped (warning once when it
-    asked for the numpy backend, whose run now takes the one path) and a
-    malformed one fails as loudly as any other unknown field.
-    """
-    if block is None:
-        return
-    if not isinstance(block, dict):
-        raise ValueError(
-            f"engine: expected an object, got {type(block).__name__}")
-    unknown = sorted(set(block) - {"backend", "channel_block"})
-    if unknown:
-        raise ValueError(f"engine: unknown field(s) {unknown}; the engine "
-                         "block is retired and may simply be removed")
-    backend = block.get("backend")
-    if backend not in (None, "python", "py", "numpy", "np"):
-        raise ValueError(f"engine: unknown backend {backend!r}; the engine "
-                         "block is retired and may simply be removed")
-    if backend in ("numpy", "np"):
-        warnings.warn(
-            "the spec's engine block selects the numpy backend, which no "
-            "longer exists; the run uses the single engine path (remove the "
-            "block to silence this)", DeprecationWarning, stacklevel=3)
 
 
 #: JSON types accepted for a field annotated with the key.

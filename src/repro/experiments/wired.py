@@ -56,14 +56,6 @@ class WiredScenarioResult:
         raise KeyError(cc_name)
 
 
-class _Adapter:
-    def __init__(self, fn) -> None:
-        self._fn = fn
-
-    def receive(self, packet: Packet) -> None:
-        self._fn(packet)
-
-
 def run_wired_scenario(config: Optional[WiredScenarioConfig] = None
                        ) -> WiredScenarioResult:
     """Run the wired-bottleneck topology and return per-flow results."""
@@ -90,7 +82,7 @@ def run_wired_scenario(config: Optional[WiredScenarioConfig] = None
                                protocol="tcp")
         forward = DelayPipe(sim, 0.0, sink=router, name=f"fwd-{index}")
         sender = make_sender(cc_name, sim, index, five_tuple, path=forward)
-        reverse = DelayPipe(sim, one_way, sink=_Adapter(sender.receive),
+        reverse = DelayPipe(sim, one_way, sink=sender,
                             name=f"rev-{index}")
 
         def make_cb(flow_id: int):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.metrics.breakdown import breakdown_from_packet
-from repro.metrics.stats import box_stats, summarize
+from repro.metrics.stats import summarize
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.units import to_mbps
@@ -111,10 +111,6 @@ class OwdCollector:
     def flow_summary(self, flow_id: int) -> dict:
         """Summary statistics of one flow's one-way delay."""
         return summarize(self.samples.get(flow_id, []))
-
-    def flow_box(self, flow_id: int):
-        """Box statistics of one flow's one-way delay."""
-        return box_stats(self.samples.get(flow_id, []))
 
     def all_samples(self) -> list[float]:
         """Every sample across all flows."""

@@ -32,12 +32,6 @@ class BoxStats:
     mean: float
     count: int
 
-    def as_dict(self) -> dict:
-        """Dictionary form, convenient for report tables."""
-        return {"median": self.median, "p25": self.p25, "p75": self.p75,
-                "p10": self.p10, "p90": self.p90, "mean": self.mean,
-                "count": self.count}
-
 
 def box_stats(values: Sequence[float]) -> BoxStats:
     """Compute the paper's box-plot statistics for a sample."""

@@ -47,9 +47,6 @@ class CollectorSink:
     def __len__(self) -> int:
         return len(self.received)
 
-    def clear(self) -> None:
-        self.received.clear()
-
 
 class Tap:
     """Pass-through element that invokes a callback on every packet.

@@ -122,11 +122,6 @@ class Packet:
         """Service class derived from the ECN codepoint."""
         return classify_ecn(self.ecn)
 
-    @property
-    def is_ce(self) -> bool:
-        """True when the packet carries a congestion-experienced mark."""
-        return self.ecn == ECN.CE
-
     def mark_ce(self, by: str = "") -> bool:
         """Set the CE codepoint if the packet is ECN-capable.
 

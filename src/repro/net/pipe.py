@@ -44,27 +44,3 @@ class DelayPipe:
         if self.sink is not None:
             self.sink.receive(packet)
 
-
-class VariableDelayPipe(DelayPipe):
-    """A delay pipe whose latency can be changed while the simulation runs.
-
-    Packets in flight keep the delay that was current when they entered, so
-    reordering cannot be introduced by lowering the delay mid-run unless the
-    caller wants exactly that behaviour (``allow_reorder=True``).
-    """
-
-    def __init__(self, sim: Simulator, delay: float,
-                 sink: Optional[PacketSink] = None,
-                 name: str = "vpipe", allow_reorder: bool = False) -> None:
-        super().__init__(sim, delay, sink, name)
-        self._allow_reorder = allow_reorder
-        self._last_delivery = 0.0
-
-    def receive(self, packet: Packet) -> None:
-        self.forwarded_packets += 1
-        self.forwarded_bytes += packet.size
-        delivery = self._sim.now + self.delay
-        if not self._allow_reorder:
-            delivery = max(delivery, self._last_delivery)
-        self._last_delivery = delivery
-        self._sim.schedule_at(delivery, self._deliver, packet)

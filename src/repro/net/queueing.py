@@ -7,7 +7,7 @@ inside the RLC entity's transmission queue.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.net.packet import Packet
 
@@ -31,12 +31,6 @@ class DropTailQueue:
         self.dropped_packets = 0
         self.dropped_bytes = 0
         self.enqueued_packets = 0
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __iter__(self) -> Iterator[Packet]:
-        return iter(self._queue)
 
     @property
     def empty(self) -> bool:

@@ -34,20 +34,6 @@ class BottleneckRouter:
                          queue_bytes=queue_bytes, queue_packets=queue_packets,
                          aqm=aqm, name=f"{name}-out")
 
-    @property
-    def sink(self) -> Optional[PacketSink]:
-        """Downstream component fed by the output link."""
-        return self.link.sink
-
-    @sink.setter
-    def sink(self, value: Optional[PacketSink]) -> None:
-        self.link.sink = value
-
-    @property
-    def aqm(self):
-        """The active-queue-management object attached to the output link."""
-        return self.link.aqm
-
     def receive(self, packet: Packet) -> None:
         packet.stamp("router_ingress", self._sim.now)
         self.link.receive(packet)

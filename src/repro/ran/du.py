@@ -232,11 +232,6 @@ class DistributedUnit:
         return [(f"{key}{tags.get(key.ue_id, '')}", entity)
                 for key, entity in self._rlc.items()]
 
-    def queue_length_report(self) -> dict[DrbKey, int]:
-        """RLC queue length (in SDUs) of every bearer."""
-        return {key: entity.queue_length_sdus
-                for key, entity in self._rlc.items()}
-
     def stop(self) -> None:
         """Stop the MAC slot clock."""
         self.mac.stop()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.net.base import PacketSink
 from repro.net.packet import Packet
 from repro.ran.cell import CellConfig
 from repro.ran.cu import CentralUnitUserPlane
@@ -85,15 +84,6 @@ class GNodeB:
         """The currently attached marking layer."""
         return self.cu.marker
 
-    @property
-    def uplink_sink(self) -> Optional[PacketSink]:
-        """Where uplink packets go after the CU (normally the 5G core)."""
-        return self.cu.uplink_sink
-
-    @uplink_sink.setter
-    def uplink_sink(self, sink: Optional[PacketSink]) -> None:
-        self.cu.uplink_sink = sink
-
     # ------------------------------------------------------------------ #
     # Data plane entry points
     # ------------------------------------------------------------------ #
@@ -104,10 +94,6 @@ class GNodeB:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def ue(self, ue_id: UeId) -> UeContext:
-        """Look up an attached UE."""
-        return self._ues[ue_id]
-
     @property
     def ue_ids(self) -> list[UeId]:
         """Identifiers of every attached UE."""

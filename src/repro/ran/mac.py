@@ -165,11 +165,6 @@ class MacScheduler:
         self.wake()
         self._background = population
 
-    @property
-    def num_ues(self) -> int:
-        """Number of attached UEs."""
-        return len(self._ues)
-
     def stop(self) -> None:
         """Stop the slot clock (end of scenario)."""
         self.wake()

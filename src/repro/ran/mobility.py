@@ -42,7 +42,6 @@ because the stream is born at the attach in both cases.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -154,36 +153,6 @@ class MobilityTopology:
         """UEs with at least one handover in their itinerary."""
         return {ue_id for ue_id, itin in self.itineraries.items()
                 if len(itin) > 1}
-
-
-def serving_cell(itinerary: list[tuple[float, int]], t: float) -> int:
-    """The cell serving the UE at time ``t`` under ``itinerary``.
-
-    A handover at time ``h`` serves from the target cell for all ``t >= h``
-    -- mirroring the single loop, where the core's route switches the
-    instant the handover event fires.  Per-packet callers should use
-    :class:`ItineraryLookup` instead, which caches the bisect arrays.
-    """
-    return ItineraryLookup(itinerary).cell_at(t)
-
-
-class ItineraryLookup:
-    """Pre-split (times, cells) arrays for per-packet serving-cell lookups.
-
-    Itineraries are immutable once a scenario is built, but the serving
-    shard of a mobile flow is resolved once per downlink packet -- this
-    caches the bisect arrays so the hot path allocates nothing.
-    """
-
-    __slots__ = ("_times", "_cells")
-
-    def __init__(self, itinerary: list[tuple[float, int]]) -> None:
-        self._times = [entry[0] for entry in itinerary]
-        self._cells = [entry[1] for entry in itinerary]
-
-    def cell_at(self, t: float) -> int:
-        """The serving cell at time ``t`` (handover boundaries inclusive)."""
-        return self._cells[max(bisect_right(self._times, t) - 1, 0)]
 
 
 class MobilityManager:

@@ -265,11 +265,6 @@ class RlcEntity:
         self._released = True
         return packets, pending_dropped
 
-    @property
-    def released(self) -> bool:
-        """True once :meth:`release` detached this entity from service."""
-        return self._released
-
     # ------------------------------------------------------------------ #
     # Transmission outcome handling
     # ------------------------------------------------------------------ #

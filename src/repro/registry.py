@@ -135,10 +135,6 @@ class Registry:
         """The component registered under ``name`` (or one of its aliases)."""
         return self._entries[self.resolve(name)]
 
-    def metadata(self, name: str) -> dict[str, Any]:
-        """A copy of the metadata attached at registration time."""
-        return dict(self._metadata[self.resolve(name)])
-
     def flag(self, name: str, flag: str, default: Any = False) -> Any:
         """One metadata value, defaulting when the key was never set."""
         return self._metadata[self.resolve(name)].get(flag, default)
@@ -164,13 +160,6 @@ class Registry:
 
     def __iter__(self) -> Iterator[str]:
         return iter(sorted(self._entries))
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def items(self) -> list[tuple[str, Any]]:
-        """(primary name, component) pairs, sorted by name."""
-        return [(name, self._entries[name]) for name in sorted(self._entries)]
 
     def __repr__(self) -> str:
         return f"Registry({self.kind!r}, {self.names()})"

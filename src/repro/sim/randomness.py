@@ -82,11 +82,6 @@ class RandomStreams:
         self._seed = int(seed)
         self._streams: dict[str, np.random.Generator] = {}
 
-    @property
-    def seed(self) -> int:
-        """The master seed supplied at construction."""
-        return self._seed
-
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it deterministically."""
         if name not in self._streams:

@@ -10,6 +10,7 @@ from repro.aqm.dualpi2 import DualPi2Core, DualPi2Router
 from repro.aqm.step import StepMarker
 from repro.net.base import CollectorSink
 from repro.net.ecn import ECN
+from repro.net.link import Link
 from repro.net.packet import make_data_packet
 from repro.net.queueing import DropTailQueue
 from repro.sim.engine import Simulator
@@ -93,6 +94,18 @@ class TestCoDel:
                                               sojourn=0.001)
         assert codel.dropped == 0
         assert all(keep is not False for _, keep in outcomes)
+
+    def test_link_runs_both_hooks(self, sim, five_tuple):
+        """As a link's AQM, ECN-CoDel admits every packet and marks the
+        ones that waited behind a standing queue."""
+        sink = CollectorSink()
+        codel = EcnCoDel(target=ms(5), interval=ms(100))
+        link = Link(sim, rate=20_000, sink=sink, aqm=codel)  # 50 ms/packet
+        for _ in range(20):
+            link.receive(_packet(five_tuple))
+        sim.run()
+        assert len(sink.received) == 20
+        assert codel.marked > 0 and codel.dropped == 0
 
     def test_marking_rate_increases_over_time(self, five_tuple):
         codel = EcnCoDel(target=ms(5), interval=ms(100))

@@ -14,7 +14,7 @@ from repro.aqm.step import StepMarker
 from repro.cc.bbr import BbrSender
 from repro.cc.bbrv2 import Bbr2Sender
 from repro.cc.cubic import CubicSender
-from repro.cc.factory import CC_REGISTRY, is_l4s_algorithm, make_receiver, make_sender
+from repro.cc.factory import is_l4s_algorithm, make_receiver, make_sender
 from repro.cc.prague import PragueSender
 from repro.cc.receiver import TcpReceiver
 from repro.cc.reno import RenoSender
@@ -22,6 +22,7 @@ from repro.net.ecn import ECN
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.pipe import DelayPipe
+from repro.registry import CC_SENDERS
 from repro.units import mbps, ms
 
 
@@ -29,13 +30,13 @@ class LoopbackPath:
     """Server -> (link with optional AQM) -> delay -> receiver -> delay -> server."""
 
     def __init__(self, sim, sender_cls, rtt=0.04, rate_mbps=20.0, aqm=None,
-                 flow_bytes=None, five_tuple=None):
+                 flow_bytes=None, five_tuple=None, queue_packets=None):
         from repro.net.addresses import FiveTuple
         self.sim = sim
         five_tuple = five_tuple or FiveTuple("10.0.0.1", 443, "10.1.0.2",
                                              50_000, "tcp")
         self.link = Link(sim, rate=mbps(rate_mbps), aqm=aqm,
-                         name="bottleneck")
+                         queue_packets=queue_packets, name="bottleneck")
         forward_delay = DelayPipe(sim, rtt / 2)
         self.sender = sender_cls(sim, 0, five_tuple, path=self.link,
                                  flow_bytes=flow_bytes)
@@ -167,6 +168,48 @@ class TestGenericWindowMachinery:
         assert not violations
 
 
+class TestFastRetransmit:
+    """A few-packet drop-tail queue overflows in slow start; three dupACKs
+    then trigger each sender's ``on_loss`` reaction."""
+
+    @pytest.mark.parametrize("sender_cls, beta, queue_packets", [
+        (RenoSender, RenoSender.BETA, 8),
+        (CubicSender, CubicSender.BETA, 8),
+        # BBR v1 keeps its model on isolated losses; the shorter queue also
+        # drops once the model is built.
+        (BbrSender, None, 6),
+    ])
+    def test_loss_reaction(self, sim, sender_cls, beta, queue_packets):
+        path = LoopbackPath(sim, sender_cls, rate_mbps=10,
+                            queue_packets=queue_packets)
+        sender = path.sender
+        reactions = []
+        react = sender.on_loss
+
+        def state():
+            return sender.cwnd, sender.ssthresh, getattr(sender, "btl_bw", None)
+
+        def recording_on_loss():
+            before = state()
+            react()
+            reactions.append((before, state()))
+
+        sender.on_loss = recording_on_loss
+        path.run(2.0)
+        assert path.link.queue.dropped_packets > 0
+        assert reactions and len(reactions) == sender.stats.loss_events
+        for before, after in reactions:
+            if beta is None:
+                assert after == before
+            else:
+                cut = max(before[0] * beta, sender.MIN_CWND_SEGMENTS * sender.mss)
+                assert after[:2] == (pytest.approx(cut), pytest.approx(cut))
+        if beta is None:
+            assert any(btl_bw > 0 for (_, _, btl_bw), _ in reactions)
+        assert sender.stats.congestion_events == (
+            0 if beta is None else len(reactions))
+
+
 class TestEcnResponses:
     def _run_with_marking(self, sim, sender_cls, threshold_ms=1.0):
         aqm = StepMarker(threshold=ms(threshold_ms))
@@ -234,7 +277,7 @@ class TestFactory:
     def test_registry_contains_all_paper_algorithms(self):
         for name in ("prague", "cubic", "reno", "bbr", "bbr2", "scream",
                      "udp_prague"):
-            assert name in CC_REGISTRY
+            assert name in CC_SENDERS
 
     def test_is_l4s_algorithm(self):
         assert is_l4s_algorithm("prague")

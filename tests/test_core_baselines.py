@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.factory import MARKER_NAMES, make_marker
+from repro.core.factory import make_marker, marker_names
 from repro.core.l4span import L4SpanLayer
 from repro.core.ran_dualpi2 import RanDualPi2Marker
 from repro.core.tcran import TcRanMarker
@@ -89,7 +89,7 @@ class TestRanDualPi2:
 
 class TestMarkerFactory:
     def test_all_names_construct(self, sim):
-        for name in MARKER_NAMES:
+        for name in marker_names():
             marker = make_marker(name, sim)
             assert hasattr(marker, "on_downlink_packet")
 

@@ -177,7 +177,7 @@ def test_architecture_doc_covers_every_invariant_suite(architecture_md):
 def test_architecture_doc_covers_fuzz_workflow(architecture_md):
     """Campaign runner, minimizer and corpus policy are all documented."""
     section = architecture_md.split("## Differential fuzzing", 1)[1]
-    for token in ("scripts/fuzz_specs.py", "--campaign", "--time-budget",
+    for token in ("scripts/fuzz_specs.py", "SweepRunner", "--time-budget",
                   "--minimize", "tests/corpus/", "tests/test_corpus.py",
                   "failure_signature", "fuzz-nightly.yml",
                   "REPRO_CORE_BUDGET"):

@@ -75,3 +75,50 @@ def test_check_spec_reports_instead_of_raising():
                                      handovers=[]))
     violations = check_spec(lone)
     assert violations and "blocker" in violations[0]
+
+
+def test_sharding_suite_reports_a_short_split(monkeypatch):
+    """A sharded run on fewer shards than asked (here: the core-budget
+    clamp of a sweep worker, reached by dropping the in-process flag) is a
+    violation, not a silent pass."""
+    from repro.experiments import fuzz, sharded
+
+    monkeypatch.setenv("REPRO_CORE_BUDGET", "2")
+    monkeypatch.setenv("REPRO_SWEEP_ACTIVE_WORKERS", "2")
+    monkeypatch.setattr(
+        fuzz, "run_scenario_sharded",
+        lambda spec, shards, inprocess: sharded.run_scenario_sharded(
+            spec, shards=shards))
+    spec = random_spec(random.Random(0), duration_s=0.2)
+    assert "sharding: shards=2 ran 1 shards" in check_spec(
+        spec, suites=["sharding"])
+
+
+def test_campaign_verdicts_do_not_depend_on_workers(monkeypatch):
+    """The campaign runs on the sweep runner: per-seed names and verdicts
+    match across worker counts, and a worker's in-process shards are not
+    clamped by the core budget the sweep divides."""
+    from repro.experiments.fuzz import run_campaign
+
+    monkeypatch.setenv("REPRO_CORE_BUDGET", "2")
+    verdicts = {1: [], 2: []}
+    for workers, seen in verdicts.items():
+        report = run_campaign(
+            count=3, seed=0, duration_s=0.2, shard_counts=(3,),
+            workers=workers,
+            progress=lambda record, seen=seen: seen.append(
+                (record["seed"], record["name"], record["violations"])))
+        assert report["workers"] == workers
+        assert report["seeds_checked"] == 3 and not report["stopped_early"]
+    assert verdicts[1] == verdicts[2]
+    assert [seed for seed, _, _ in verdicts[1]] == [0, 1, 2]
+    assert all(violations == [] for _, _, violations in verdicts[1])
+
+
+def test_campaign_time_budget_stops_before_the_next_chunk():
+    from repro.experiments.fuzz import run_campaign
+
+    report = run_campaign(count=100, time_budget_s=0.0, workers=1)
+    assert report["stopped_early"] and report["seeds_checked"] == 0
+    assert set(report) == {"schema", "params", "workers", "seeds_checked",
+                           "stopped_early", "elapsed_s", "failures", "names"}

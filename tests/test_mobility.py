@@ -21,7 +21,7 @@ import math
 import pytest
 
 from repro.experiments.presets import make_preset
-from repro.experiments.scenario import run_scenario
+from repro.experiments.scenario import build_scenario, run_scenario
 from repro.experiments.sharded import (boundary_lookahead,
                                        build_shard_plan,
                                        mobility_coupling_intervals,
@@ -145,6 +145,41 @@ class TestHandoverExecution:
             # The interruption window is visible as a delivery gap at
             # least as long as the configured interruption.
             assert record["data_gap_s"][0] >= 0.020
+
+    @pytest.mark.parametrize("cc_name", ["udp_prague", "scream"])
+    def test_udp_receiver_state_survives_handover(self, cc_name):
+        """The arrival receiver adopts the departed one's feedback state, so
+        its counters cover the whole flow, not just the time since the
+        handover."""
+        spec = _mobility_spec(
+            [HandoverSpec(time=0.5, ue_id=0, target_cell=1)],
+            duration=1.0, warmup_s=0.0,
+            flows=[FlowSpec(flow_id=0, ue_id=0, cc_name=cc_name)])
+        built = build_scenario(spec)
+        departed = []
+        built.sim.schedule_at(0.5 - 1e-6,
+                              lambda: departed.append(built.receivers[0]))
+        result = built.run()
+        arrived = built.receivers[0]
+        assert len(result.handovers) == 1 and arrived is not departed[0]
+        assert departed[0].received_packets > 0
+        # Every delivered packet produced one OWD sample (no warm-up).
+        assert arrived.received_packets == len(result.flow(0).owd_samples)
+        assert arrived.highest_seq >= departed[0].highest_seq
+
+    def test_ran_dualpi2_marking_stream_follows_the_attach(self):
+        """Under RAN-DualPi2 the arrival cell marks a mobile UE from a
+        stream born at the attach (``#a1``), not from the departed cell's
+        stream, which a shard hosting only the target cell could not
+        reproduce; the split stays bit-identical to the single loop."""
+        spec = dataclasses.replace(_ping_pong(), marker="ran_dualpi2")
+        built = build_scenario(spec)
+        single = built.run()
+        assert built.markers[1].marked_packets > 0
+        assert any(name.startswith("ran-dualpi2-0-") and name.endswith("#a1")
+                   for name in built.sim.random._streams)
+        sharded = run_scenario_sharded(spec, shards=2, inprocess=True)
+        assert _results_equal(single, sharded)
 
     def test_handover_of_idle_ue(self):
         """A UE with no flows moves cells without touching any transport."""
@@ -275,7 +310,6 @@ class TestShardedMobility:
         both the marks and the downlink packets.
         """
         from repro.core.l4span import L4SpanLayer
-        from repro.experiments.scenario import build_scenario
 
         spec = _ping_pong()
         built = build_scenario(spec)

@@ -6,7 +6,7 @@ from repro.net.base import CollectorSink, NullSink, Tap
 from repro.net.ecn import ECN
 from repro.net.link import Link
 from repro.net.packet import make_data_packet
-from repro.net.pipe import DelayPipe, VariableDelayPipe
+from repro.net.pipe import DelayPipe
 from repro.net.queueing import DropTailQueue
 from repro.net.router import BottleneckRouter
 from repro.units import mbps
@@ -67,17 +67,6 @@ class TestDelayPipe:
         sink = CollectorSink()
         DelayPipe(sim, 0.0, sink=sink).receive(_packet(five_tuple))
         assert len(sink) == 1
-
-    def test_variable_pipe_avoids_reordering(self, sim, five_tuple):
-        sink = CollectorSink()
-        pipe = VariableDelayPipe(sim, 0.5, sink=sink)
-        first = _packet(five_tuple, 0)
-        pipe.receive(first)
-        pipe.delay = 0.1
-        second = _packet(five_tuple, 1000)
-        pipe.receive(second)
-        sim.run()
-        assert sink.received == [first, second]
 
 
 class TestLink:

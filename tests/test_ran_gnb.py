@@ -63,7 +63,7 @@ class TestGnbDataPath:
         ue = _attach_ue(sim, gnb)
         sink = CollectorSink()
         ue.register_receiver(0, sink)
-        gnb.uplink_sink = CollectorSink()
+        gnb.cu.uplink_sink = CollectorSink()
         data = make_data_packet(0, five_tuple, 0, 1400, ECN.ECT1, 0.0)
         gnb.receive_downlink(data, 0)
         sim.run(until=0.2)

@@ -9,7 +9,6 @@ from repro.net.packet import make_data_packet
 from repro.ran.identifiers import DrbConfig, RlcMode
 from repro.ran.phy import AirInterface, AirInterfaceConfig
 from repro.ran.rlc import RlcEntity
-from repro.units import ms
 
 
 class RlcHarness:

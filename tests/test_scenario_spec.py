@@ -4,7 +4,6 @@ heterogeneous (multi-cell / per-UE / per-flow) scenarios and the CLI."""
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -54,6 +53,16 @@ class TestRegistry:
             reg.get("bar")
         with pytest.raises(ValueError):
             reg.get("bar")
+
+    def test_unknown_name_error_survives_pickling(self):
+        """A sweep worker's lookup error reaches the coordinator intact."""
+        import pickle
+        error = UnknownComponentError("widget", "bar", ["foo", "baz"])
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is UnknownComponentError
+        assert (copy.kind, copy.name, copy.choices) == (
+            "widget", "bar", ["foo", "baz"])
+        assert str(copy) == str(error)
 
     def test_duplicate_registration_rejected(self):
         reg = Registry("widget")
@@ -146,30 +155,13 @@ class TestSpecSerialization:
         with pytest.raises(ValueError):
             ScenarioSpec.from_json("[1, 2, 3]")
 
-    def test_retired_engine_block_is_accepted_and_not_emitted(self):
-        """Specs dumped before the engine axis was deleted still load."""
-        spec = heterogeneous_spec()
-        assert "engine" not in spec.to_dict()
-        old = dict(spec.to_dict(),
-                   engine={"backend": None, "channel_block": 256})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert ScenarioSpec.from_dict(old) == spec
-            assert ScenarioSpec.from_dict(dict(old, engine=None)) == spec
-            assert ScenarioSpec.from_dict(
-                dict(old, engine={"backend": "py"})) == spec
-
-    def test_retired_numpy_backend_warns_once(self):
-        old = dict(ScenarioSpec().to_dict(), engine={"backend": "numpy"})
-        with pytest.warns(DeprecationWarning, match="numpy") as caught:
-            assert ScenarioSpec.from_dict(old) == ScenarioSpec()
-        assert len(caught) == 1
-
     @pytest.mark.parametrize("block", [
         {"backend": "fortran"}, "numpy", ["numpy"],
-        {"backend": None, "channel_block": 256, "threads": 4}])
+        {"backend": None, "channel_block": 256, "threads": 4},
+        {"backend": None, "channel_block": 256}])
     def test_malformed_engine_block_rejected(self, block):
-        with pytest.raises(ValueError, match="engine"):
+        """The retired ``engine`` block, in any shape, is an unknown field."""
+        with pytest.raises(ValueError, match=r"unknown field.*'engine'"):
             ScenarioSpec.from_dict({"engine": block})
 
 
@@ -507,3 +499,8 @@ class TestCli:
         rows = json.loads(capsys.readouterr().out)
         assert [row["cell"] for row in rows] == ["fdd_600mhz", "tdd_2.5ghz"]
         assert all(row["period_cdf"] for row in rows)
+
+    def test_parallel_experiment_reports_progress(self, capsys):
+        from repro.__main__ import main
+        assert main(["experiment", "fig18", "--workers", "2"]) == 0
+        assert "[fig18] 2/2 cells" in capsys.readouterr().err

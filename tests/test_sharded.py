@@ -32,7 +32,7 @@ from repro.net.addresses import FiveTuple, ue_ip_address
 from repro.net.ecn import ECN
 from repro.net.packet import make_data_packet
 from repro.ran.core import CORE_PROCESSING_DELAY
-from repro.units import mbps, ms, transmission_time
+from repro.units import mbps, ms
 from repro.workloads.flows import FlowSpec
 
 
