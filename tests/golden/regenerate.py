@@ -13,10 +13,11 @@ reviewed as a diff of named blocks, not as a new hex string.
 The catalogue is every preset of ``experiments/presets.py`` at 1 simulated
 second (``dense-cell`` 5 s; ``handover`` 2.5 s, so that its first scheduled
 handover at t = 2 s is inside), the five ledger workload specs at
-tier-1-affordable durations, ``mixed-cc`` under the ``ran_dualpi2`` marker,
-the three multi-cell presets split over two in-process shards, and the
-``tests/corpus/population-*.json`` specs at their own durations, each at
-seeds 7 and 1234.
+tier-1-affordable durations, ``mixed-cc`` under the ``ran_dualpi2`` marker
+and under PF, a two-cell round-robin run whose handovers leave a MAC's
+registration order off ue_id order, the three multi-cell presets split
+over two in-process shards, and the ``tests/corpus/population-*.json``
+specs at their own durations, each at seeds 7 and 1234.
 """
 
 from __future__ import annotations
@@ -62,6 +63,17 @@ def catalogue() -> list[tuple[str, api.ScenarioSpec, int]]:
     # The RAN-DualPi2 marker's coin, which no preset or workload runs.
     add("marker/ran_dualpi2", dataclasses.replace(mixed, marker="ran_dualpi2"),
         1.5)
+    # The MAC grant branches no population-free entry reaches: PF, and
+    # round robin over a cell whose registration order is not ue_id order.
+    add("mac/pf", dataclasses.replace(mixed, scheduler="pf"), 1.5)
+    add("mac/out-of-order", api.load_spec({
+        "cc_name": "cubic", "scheduler": "rr", "num_ues": 4,
+        "cells": [{"cell_id": 0}, {"cell_id": 1}],
+        "ues": [{"ue_id": ue_id, "cell_id": ue_id % 2}
+                for ue_id in range(4)],
+        "mobility": {"mode": "schedule", "handovers": [
+            {"time": 0.4, "ue_id": 0, "target_cell": 1},
+            {"time": 0.8, "ue_id": 2, "target_cell": 1}]}}), 1.5)
     for preset in SHARDED_PRESETS:
         add(f"shards2/{preset}", api.load_spec(preset),
             PRESET_DURATION_S.get(preset, 1.0), shards=2)
