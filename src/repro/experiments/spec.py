@@ -595,36 +595,7 @@ class ScenarioSpec:
         Unknown keys raise ``ValueError`` — a typo in a JSON spec fails
         loudly instead of silently running the default scenario.
         """
-        data = dict(data)
-        parsed: dict[str, Any] = {}
-        nested = {
-            "cell": CellConfig,
-            "air": AirInterfaceConfig,
-            "l4span_config": L4SpanConfig,
-            "sharding": ShardingSpec,
-            "population": PopulationSpec,
-        }
-        for key, nested_cls in nested.items():
-            if key in data and data[key] is not None:
-                parsed[key] = _dataclass_from_dict(nested_cls,
-                                                   data.pop(key), key)
-        if data.get("mobility") is not None:
-            parsed["mobility"] = _mobility_spec_from_dict(data.pop("mobility"))
-        data.pop("mobility", None)
-        if data.get("flows") is not None:
-            parsed["flows"] = [_dataclass_from_dict(FlowSpec, entry,
-                                                    "flows[]")
-                               for entry in data.pop("flows")]
-        if data.get("cells") is not None:
-            parsed["cells"] = [_cell_spec_from_dict(entry)
-                               for entry in data.pop("cells")]
-        if data.get("ues") is not None:
-            parsed["ues"] = [_dataclass_from_dict(UeSpec, entry, "ues[]")
-                             for entry in data.pop("ues")]
-        data.pop("cells", None)
-        data.pop("ues", None)
-        data.pop("flows", None)
-        return _dataclass_from_dict(cls, data, "scenario", extra=parsed)
+        return _dataclass_from_dict(cls, data, "scenario", prefix="")
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
@@ -642,10 +613,12 @@ _JSON_TYPES = {int: (int,), float: (float, int), str: (str,), bool: (bool,),
 
 @functools.lru_cache(maxsize=None)
 def _field_types(cls) -> dict:
-    """``field -> (accepted types, accepted element types or None)`` for
-    every field of ``cls``, or ``None`` for a field not annotated with a
-    plain JSON type; ``NoneType`` is accepted where the annotation is
-    ``Optional``."""
+    """``field -> (accepted types, accepted element types or None, nested)``
+    for every field of ``cls``, or ``None`` for a field annotated with
+    neither a plain JSON type nor a dataclass.  ``nested`` is the dataclass
+    a dataclass (``accepted`` is ``dict``) or ``list[dataclass]``
+    (``list``) field decodes into, else None; ``NoneType`` is accepted
+    where the annotation is ``Optional``."""
     types = {}
     hints = typing.get_type_hints(cls)
     for field_ in dataclasses.fields(cls):
@@ -653,10 +626,17 @@ def _field_types(cls) -> dict:
         args = typing.get_args(hint)
         optional = (type(None),) if type(None) in args else ()
         hint = args[0] if optional else hint
-        accepted = _JSON_TYPES.get(typing.get_origin(hint) or hint)
+        origin = typing.get_origin(hint) or hint
         inner = typing.get_args(hint)
-        types[field_.name] = accepted and (
-            accepted + optional, _JSON_TYPES.get(inner[-1]) if inner else None)
+        element = inner[-1] if inner else None
+        if dataclasses.is_dataclass(hint):
+            types[field_.name] = ((dict,) + optional, None, hint)
+        elif origin is list and dataclasses.is_dataclass(element):
+            types[field_.name] = ((list,) + optional, None, element)
+        else:
+            accepted = _JSON_TYPES.get(origin)
+            types[field_.name] = accepted and (
+                accepted + optional, _JSON_TYPES.get(element), None)
     return types
 
 
@@ -667,59 +647,41 @@ def _is_a(value: Any, accepted: tuple) -> bool:
 
 
 def _dataclass_from_dict(cls, data: Any, where: str,
-                         extra: Optional[dict] = None):
-    """Strictly construct dataclass ``cls`` from a plain dict."""
+                         prefix: Optional[str] = None):
+    """Strictly construct dataclass ``cls`` from a plain dict.
+
+    ``where`` names the object in errors.  Dataclass and ``list[dataclass]``
+    fields decode by recursion, named ``prefix + field`` (``prefix``
+    defaults to ``where + "."``; list entries add ``[]``).
+    """
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected an object, got {type(data).__name__}")
+    if prefix is None:
+        prefix = f"{where}."
     types = _field_types(cls)
     unknown = sorted(set(data) - types.keys())
     if unknown:
         raise ValueError(f"{where}: unknown field(s) {unknown}; "
                          f"valid fields: {sorted(types)}")
+    kwargs = dict(data)
     for name, value in data.items():
         if types[name] is None:
             continue
-        accepted, inner = types[name]
-        valid = _is_a(value, accepted)
-        if valid and inner and value is not None:
-            valid = all(_is_a(item, inner) for item in (
-                value.values() if isinstance(value, dict) else value))
-        if not valid:
-            raise ValueError(
-                f"{where}.{name}: expected {accepted[0].__name__}"
-                f"{' of ' + inner[0].__name__ if inner else ''}, "
-                f"got {value!r}")
-    kwargs = dict(data)
-    if extra:
-        kwargs.update(extra)
+        accepted, inner, nested = types[name]
+        if nested is None or value is None:
+            valid = _is_a(value, accepted)
+            if valid and inner and value is not None:
+                valid = all(_is_a(item, inner) for item in (
+                    value.values() if isinstance(value, dict) else value))
+            if not valid:
+                raise ValueError(
+                    f"{where}.{name}: expected {accepted[0].__name__}"
+                    f"{' of ' + inner[0].__name__ if inner else ''}, "
+                    f"got {value!r}")
+        elif accepted[0] is list:
+            kwargs[name] = [_dataclass_from_dict(nested, item,
+                                                 f"{prefix}{name}[]")
+                            for item in value]
+        else:
+            kwargs[name] = _dataclass_from_dict(nested, value, prefix + name)
     return cls(**kwargs)
-
-
-def _mobility_spec_from_dict(data: dict) -> MobilitySpec:
-    data = dict(data) if isinstance(data, dict) else data
-    extra = {}
-    if isinstance(data, dict):
-        if data.get("handovers") is not None:
-            extra["handovers"] = [
-                _dataclass_from_dict(HandoverSpec, entry,
-                                     "mobility.handovers[]")
-                for entry in data.pop("handovers")]
-        data.pop("handovers", None)
-    return _dataclass_from_dict(MobilitySpec, data, "mobility", extra=extra)
-
-
-def _cell_spec_from_dict(data: dict) -> CellSpec:
-    data = dict(data) if isinstance(data, dict) else data
-    extra = {}
-    if isinstance(data, dict):
-        if data.get("radio") is not None:
-            extra["radio"] = _dataclass_from_dict(CellConfig,
-                                                  data.pop("radio"),
-                                                  "cells[].radio")
-        if data.get("air") is not None:
-            extra["air"] = _dataclass_from_dict(AirInterfaceConfig,
-                                                data.pop("air"),
-                                                "cells[].air")
-        data.pop("radio", None)
-        data.pop("air", None)
-    return _dataclass_from_dict(CellSpec, data, "cells[]", extra=extra)

@@ -56,7 +56,7 @@ class BackgroundPopulation:
     """All background UEs of one cell, as contiguous numpy state arrays.
 
     Once per slot the MAC hands over the PRBs granted to the background
-    aggregate (:meth:`on_slot`); every ``update_interval_s`` worth of slots
+    aggregate (:meth:`on_slots`); every ``update_interval_s`` worth of slots
     the kernel advances the whole population in one vectorized step: churn
     flips, new arrivals into the per-UE backlogs, service of the accumulated
     PRB budget, and an AIMD window update (classic beta 0.7, L4S beta 0.85,
@@ -129,20 +129,21 @@ class BackgroundPopulation:
         self.demand_count = int(np.count_nonzero(self._backlog > 0))
 
     # ------------------------------------------------------------------ #
-    # MAC-facing hot path (called once per slot; must stay O(1))
+    # MAC-facing hot path (called once per slot or quiet run; O(1))
     # ------------------------------------------------------------------ #
-    def on_slot(self, served_prbs: int) -> None:
-        """Account one MAC slot; advance the kernel on batch boundaries.
-
-        The MAC performs this hand-off inline (``MacScheduler._on_slot`` and
-        ``_quiet_bulk``); this method states the same contract for a
-        population advanced without a MAC.
-        """
-        if served_prbs:
-            self._pending_prb_slots += served_prbs
-        self._slot_count += 1
+    def on_slots(self, prbs: int, count: int, now: float) -> None:
+        """Account ``count`` MAC slots that each left ``prbs`` PRBs to the
+        population; the slot ending a batch interval runs the kernel step
+        at ``now``, so ``count`` never exceeds :meth:`slots_to_step`."""
+        if prbs:
+            self._pending_prb_slots += prbs * count
+        self._slot_count += count
         if self._slot_count % self._slots_per_step == 0:
-            self._step(self.sim.now)
+            self._step(now)
+
+    def slots_to_step(self) -> int:
+        """MAC slots up to and including the next kernel step's."""
+        return self._slots_per_step - self._slot_count % self._slots_per_step
 
     # ------------------------------------------------------------------ #
     # Batched vectorized step

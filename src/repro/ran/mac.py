@@ -150,17 +150,13 @@ class MacScheduler:
         ids = [state.ue_id for state in self._ue_states]
         self._in_id_order = ids == sorted(ids)
 
-    def _by_ue_id(self, active: list) -> list:
-        """``active`` (a subset of ``_ue_states``) in ue_id order."""
-        return active if self._in_id_order else sorted(active, key=_BY_UE_ID)
-
     def attach_background(self, population) -> None:
         """Attach the cell's aggregated background population.
 
         The population (see :class:`repro.ran.background.BackgroundPopulation`)
-        enters every slot as ``population.demand_count`` extra round-robin
-        claimants; the PRBs not granted to foreground UEs are accumulated via
-        ``population.on_slot`` and served by its next batched kernel step.
+        enters every slot of :meth:`_grant` as ``population.demand_count``
+        extra claimants; the PRBs left to it go to ``population.on_slots``
+        and are served by its next batched kernel step.
         """
         self.wake()
         self._background = population
@@ -190,7 +186,7 @@ class MacScheduler:
     def _decay_idle(self, count: int) -> None:
         """``count`` idle slots of PF-EWMA decay, as sequential multiplies
         (``keep * average + 0.0 == keep * average`` bit-exactly, matching
-        both per-slot forms in :meth:`_on_slot`)."""
+        the serving slot's form in :meth:`_on_slot`)."""
         keep = 1.0 - self._decay
         for state in self._ue_states:
             average = state.average_throughput
@@ -285,12 +281,10 @@ class MacScheduler:
         every slot takes the per-slot path).
         """
         background = self._background
-        boundary = (background._slots_per_step
-                    - background._slot_count % background._slots_per_step)
         if n_active == 0:
             # The idle-foreground branch of _on_slot is policy-independent
             # and constant until the boundary refreshes demand_count.
-            return boundary
+            return background.slots_to_step()
         bg_demand = background.demand_count
         if not bg_demand or not self._round_robin:
             return 0
@@ -300,7 +294,7 @@ class MacScheduler:
             return 0  # every backlogged UE gets PRBs every slot
         remainder = num_prb  # base == 0
         offset = self._rr_offset
-        quiet = boundary
+        quiet = total
         for i in range(n_active):
             pos = (i + offset) % total
             if pos < remainder:
@@ -308,7 +302,7 @@ class MacScheduler:
             until_grant = total - pos  # wraps to 0, which is < remainder
             if until_grant < quiet:
                 quiet = until_grant
-        return quiet
+        return min(quiet, background.slots_to_step())
 
     def _quiet_bulk(self, quiet: int, n_active: int, barrier_time: float,
                     barrier_seq) -> bool:
@@ -369,23 +363,14 @@ class MacScheduler:
         background = self._background
         bg_demand = background.demand_count
         self.slots += count
+        if bg_demand:  # a quiet run with backlogged UEs implies bg_demand
+            self.busy_slots += count
         if n_active:
-            self.busy_slots += count
-            total = n_active + bg_demand
-            self._rr_offset = (self._rr_offset + count) % total
-            prbs = self.cell.num_prb
-        elif bg_demand:
-            self.busy_slots += count
-            prbs = self.cell.num_prb
-        else:
-            prbs = 0
-        if prbs:
-            background._pending_prb_slots += prbs * count
-        background._slot_count += count
-        if background._slot_count % background._slots_per_step == 0:
-            # ``quiet <= boundary`` caps the run, so the only possible
-            # kernel step is at the final tick, whose time is ``t``.
-            background._step(t)
+            self._rr_offset = ((self._rr_offset + count)
+                               % (n_active + bg_demand))
+        # ``quiet <= boundary`` caps the run, so the only possible kernel
+        # step is at the final tick, whose time is ``t``.
+        background.on_slots(self.cell.num_prb if bg_demand else 0, count, t)
         self._decay_idle(count)
         sim.now = t
         sim._processed += count
@@ -408,181 +393,117 @@ class MacScheduler:
     def _on_slot(self, active: Optional[list] = None) -> None:
         """One TTI: sample channels, allocate PRBs, drain RLC queues.
 
-        This fires at the slot rate (2 kHz for 30 kHz SCS) for every cell, so
-        the loop avoids per-slot dict building where it can: the common
-        single-backlogged-UE case takes a direct path, and the PF throughput
-        EWMA reads a scratch field instead of a per-slot ``served`` dict.
         ``active`` is the backlogged subset of the registered UEs, in
-        registration order, when the caller has just scanned it.
+        registration order, when the caller has just scanned it.  The PF
+        throughput EWMA reads each UE's ``slot_served`` scratch field.
         """
         self.slots += 1
         now = self._sim.now
         states = self._ue_states
         if active is None:
             active = [state for state in states if state.backlog_bytes() > 0]
-        decay = self._decay
-        keep = 1.0 - decay
         background = self._background
         bg_demand = background.demand_count if background is not None else 0
-        bg_prbs = 0
-        if not active:
-            if background is None:
-                # Nothing to do until something calls wake().
-                self._timer.parked = True
-            elif bg_demand:
-                # The background aggregate owns the whole cell this slot.
-                self.busy_slots += 1
-                bg_prbs = self.cell.num_prb
-            for state in states:
-                average = state.average_throughput * keep
-                state.average_throughput = average if average > 1.0 else 1.0
-        else:
+        if active:
             self.busy_slots += 1
-            cell = self.cell
-            if bg_demand:
-                bg_prbs = self._serve_with_background(active, bg_demand, now)
-            elif len(active) == 1:
-                # Fast path: one backlogged UE owns the whole cell this slot.
-                # Mirrors the generic policies exactly: RR (and PF's
-                # zero-weight fallback to RR) resets the rotation offset,
-                # ``(x + 1) % 1 == 0``.
-                state = active[0]
-                grant = cell.slot_capacity_bytes(state.channel.efficiency(now))
-                if self._round_robin or grant <= 0:
-                    self._rr_offset = 0
-                used = state.pull(grant) if grant > 0 else 0
-                state.served_bytes_total += used
-                state.scheduled_slots += 1
-                state.slot_served = used
-            else:
-                efficiencies = {s.ue_id: s.channel.efficiency(now)
-                                for s in active}
-                allocations = self._allocate_prbs(active, efficiencies)
-                for state in active:
-                    prbs = allocations.get(state.ue_id, 0)
-                    if prbs <= 0:
-                        continue
-                    grant = cell.slot_capacity_bytes(
-                        efficiencies[state.ue_id], num_prb=prbs)
-                    used = state.pull(grant) if grant > 0 else 0
-                    state.served_bytes_total += used
-                    state.scheduled_slots += 1
-                    state.slot_served = used
+            bg_prbs = self._grant(active, bg_demand, now)
+            decay = self._decay
+            keep = 1.0 - decay
             inv_slot = self._inv_slot_duration
             for state in states:
                 average = (keep * state.average_throughput
                            + decay * (state.slot_served * inv_slot))
                 state.average_throughput = average if average > 1.0 else 1.0
                 state.slot_served = 0
+        else:
+            if background is None:
+                # Nothing to do until something calls wake().
+                self._timer.parked = True
+            elif bg_demand:
+                # The background aggregate owns the whole cell this slot.
+                self.busy_slots += 1
+            bg_prbs = self.cell.num_prb if bg_demand else 0
+            self._decay_idle(1)
         if background is not None:
-            # The background PRB hand-off (``BackgroundPopulation.on_slot``)
-            # inline, as in :meth:`_quiet_bulk`: every slot, idle ones
-            # included, ticks the kernel's batch clock.
-            if bg_prbs:
-                background._pending_prb_slots += bg_prbs
-            background._slot_count += 1
-            if background._slot_count % background._slots_per_step == 0:
-                background._step(now)
+            background.on_slots(bg_prbs, 1, now)
 
-    def _serve_with_background(self, active: list[_UeSchedulingState],
-                               bg_demand: int, now: float) -> int:
-        """Split the slot between foreground UEs and the background aggregate.
+    def _grant(self, active: list[_UeSchedulingState], bg_demand: int,
+               now: float) -> int:
+        """Split one slot among the backlogged UEs and ``bg_demand``
+        background claimants; return the PRBs left to the background.
 
-        Round robin treats the population as ``bg_demand`` extra equal-share
-        claimants rotating through the same remainder offset as the
-        foreground UEs.  Proportional fair first carves out the background's
-        equal aggregate share, then runs PF over the remaining budget.
-        Returns the PRBs left to the background aggregate.
+        Round robin gives every claimant ``num_prb // claimants`` PRBs and
+        rotates the remainder by :attr:`_rr_offset` over the foreground in
+        ue_id order; a UE's channel is sampled only when its share is
+        non-zero (a fading channel draws on every new sample).  Proportional
+        fair first carves out the background's aggregate share, samples
+        every channel, then splits the rest by ``instantaneous_rate /
+        average_throughput`` (highest weight takes the rounding leftover),
+        or equally with the rotation when no UE can carry a byte.
         """
-        cell = self.cell
-        num_prb = cell.num_prb
-        total_claimants = len(active) + bg_demand
+        num_prb = self.cell.num_prb
+        claimants = len(active) + bg_demand
+        serve = self._serve
         if self._round_robin:
-            base = num_prb // total_claimants
-            remainder = num_prb - base * total_claimants
+            base = num_prb // claimants
+            remainder = num_prb - base * claimants
             offset = self._rr_offset
-            fg_prbs = 0
-            for index, state in enumerate(self._by_ue_id(active)):
-                extra = 1 if ((index + offset) % total_claimants
-                              < remainder) else 0
-                prbs = base + extra
-                if prbs <= 0:
-                    continue
-                fg_prbs += prbs
-                grant = cell.slot_capacity_bytes(
-                    state.channel.efficiency(now), num_prb=prbs)
-                used = state.pull(grant) if grant > 0 else 0
-                state.served_bytes_total += used
-                state.scheduled_slots += 1
-                state.slot_served = used
-            self._rr_offset = (offset + 1) % total_claimants
-            return num_prb - fg_prbs
-        bg_prbs = (num_prb * bg_demand) // total_claimants
-        fg_budget = num_prb - bg_prbs
-        efficiencies = {s.ue_id: s.channel.efficiency(now) for s in active}
-        allocations = self._allocate_proportional_fair(
-            active, efficiencies, total_prb=fg_budget)
-        for state in active:
-            prbs = allocations.get(state.ue_id, 0)
-            if prbs <= 0:
-                continue
-            grant = cell.slot_capacity_bytes(
-                efficiencies[state.ue_id], num_prb=prbs)
-            used = state.pull(grant) if grant > 0 else 0
-            state.served_bytes_total += used
-            state.scheduled_slots += 1
-            state.slot_served = used
+            self._rr_offset = (offset + 1) % claimants
+            left = num_prb
+            for index, state in enumerate(
+                    active if self._in_id_order
+                    else sorted(active, key=_BY_UE_ID)):
+                prbs = (base + 1 if (index + offset) % claimants < remainder
+                        else base)
+                if prbs > 0:
+                    left -= prbs
+                    serve(state, state.channel.efficiency(now), prbs)
+            return left
+        cell = self.cell
+        n = len(active)
+        bg_prbs = num_prb * bg_demand // claimants
+        budget = num_prb - bg_prbs
+        efficiencies = [state.channel.efficiency(now) for state in active]
+        weights = [cell.slot_capacity_bytes(efficiency) / cell.slot_duration
+                   / state.average_throughput
+                   for state, efficiency in zip(active, efficiencies)]
+        total_weight = sum(weights)
+        shares = [0] * n
+        if total_weight <= 0:
+            # No UE can carry a byte: split the budget equally, rotating
+            # over the UEs in ue_id order as round robin does.
+            base = budget // n
+            remainder = budget - base * n
+            offset = self._rr_offset
+            self._rr_offset = (offset + 1) % n
+            by_id = sorted(range(n), key=lambda i: active[i].ue_id)
+            for index, i in enumerate(by_id):
+                shares[i] = (base + 1 if (index + offset) % n < remainder
+                             else base)
+        else:
+            ranked = sorted(range(n), key=lambda i: -weights[i])
+            assigned = 0
+            for i in ranked:
+                share = min(int(round(budget * weights[i] / total_weight)),
+                            budget - assigned)
+                shares[i] = share
+                assigned += share
+            shares[ranked[0]] += budget - assigned
+        for state, efficiency, prbs in zip(active, efficiencies, shares):
+            if prbs > 0:
+                serve(state, efficiency, prbs)
         return bg_prbs
 
-    # ------------------------------------------------------------------ #
-    # PRB allocation policies
-    # ------------------------------------------------------------------ #
-    def _allocate_prbs(self, active: list[_UeSchedulingState],
-                       efficiencies: dict[UeId, float]) -> dict[UeId, int]:
-        if self.policy == SchedulerPolicy.ROUND_ROBIN:
-            return self._allocate_round_robin(active)
-        return self._allocate_proportional_fair(active, efficiencies)
-
-    def _allocate_round_robin(
-            self, active: list[_UeSchedulingState],
-            total_prb: Optional[int] = None) -> dict[UeId, int]:
-        total = self.cell.num_prb if total_prb is None else total_prb
-        n = len(active)
-        base = total // n
-        remainder = total - base * n
-        allocations: dict[UeId, int] = {}
-        for index, state in enumerate(self._by_ue_id(active)):
-            extra = 1 if (index + self._rr_offset) % n < remainder else 0
-            allocations[state.ue_id] = base + extra
-        self._rr_offset = (self._rr_offset + 1) % max(1, n)
-        return allocations
-
-    def _allocate_proportional_fair(
-            self, active: list[_UeSchedulingState],
-            efficiencies: dict[UeId, float],
-            total_prb: Optional[int] = None) -> dict[UeId, int]:
-        budget = self.cell.num_prb if total_prb is None else total_prb
-        weights: dict[UeId, float] = {}
-        for state in active:
-            instantaneous = self.cell.slot_capacity_bytes(
-                efficiencies[state.ue_id]) / self.cell.slot_duration
-            weights[state.ue_id] = instantaneous / state.average_throughput
-        total_weight = sum(weights.values())
-        if total_weight <= 0:
-            return self._allocate_round_robin(active, total_prb=total_prb)
-        allocations: dict[UeId, int] = {}
-        assigned = 0
-        ordered = sorted(active, key=lambda s: -weights[s.ue_id])
-        for state in ordered:
-            share = int(round(budget * weights[state.ue_id]
-                              / total_weight))
-            share = min(share, budget - assigned)
-            allocations[state.ue_id] = share
-            assigned += share
-        leftover = budget - assigned
-        if leftover > 0 and ordered:
-            allocations[ordered[0].ue_id] += leftover
-        return allocations
+    def _serve(self, state: _UeSchedulingState, efficiency: float,
+               prbs: int) -> None:
+        """Grant ``prbs`` PRBs at ``efficiency`` and drain that many bytes
+        (``cell.slot_capacity_bytes(efficiency, num_prb=prbs)``, less one
+        call on the slot path)."""
+        grant = int(prbs * self.cell.bytes_per_prb(efficiency))
+        used = state.pull(grant) if grant > 0 else 0
+        state.served_bytes_total += used
+        state.scheduled_slots += 1
+        state.slot_served = used
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -187,7 +187,7 @@ def _standalone(kernel, spec: PopulationSpec, seed: int):
 def _slot_times(sim, population) -> list:
     """The clock readings of the next batched interval's MAC slots."""
     times = [sim.now + population.cell.slot_duration]
-    while len(times) < population._slots_per_step:
+    while len(times) < population.slots_to_step():
         times.append(times[-1] + population.cell.slot_duration)
     return times
 
@@ -196,7 +196,7 @@ def _advance(sim, population, granted_prbs: int) -> None:
     """One batched interval of MAC slots; the grant lands in its first."""
     for now in _slot_times(sim, population):
         sim.now = now
-        population.on_slot(granted_prbs)
+        population.on_slots(granted_prbs, 1, now)
         granted_prbs = 0
 
 

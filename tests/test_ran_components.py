@@ -157,6 +157,30 @@ class TestAirInterface:
         assert max(times) > config.base_delay + config.harq_rtt
 
 
+class _FixedChannel:
+    """A channel at one efficiency that counts its samples."""
+
+    def __init__(self, value):
+        self.value = value
+        self.reads = 0
+
+    def efficiency(self, now):
+        self.reads += 1
+        return self.value
+
+
+class _StubPopulation:
+    """A background population with a fixed demand that records the
+    ``(prbs, count)`` hand-offs the MAC makes to it."""
+
+    def __init__(self, demand_count):
+        self.demand_count = demand_count
+        self.handed = []
+
+    def on_slots(self, prbs, count, now):
+        self.handed.append((prbs, count))
+
+
 class TestMacScheduler:
     def _scheduler_with_ues(self, sim, num_ues, policy, backlogs):
         cell = CellConfig()
@@ -210,6 +234,81 @@ class TestMacScheduler:
         sim.run(until=0.2)
         scheduler.stop()
         assert all(sum(pulls[ue]) > 0 for ue in range(4))
+
+    #: ``policy -> background claimants -> (PRBs per ue_id, PRBs left to
+    #: the population, _rr_offset after the slot)`` for one slot over four
+    #: UEs with :data:`_EFFICIENCY`, starting from ``_rr_offset == 1``.
+    #: RR: ``51 // claimants`` each, the remainder rotated over ue_id order.
+    #: PF: the population takes ``51 * 3 // 7``, the UEs round their
+    #: weight share of the rest; with none it is 8/22/4/16 = 50, so the
+    #: top weight (UE 1) takes the leftover; with three it is 5/13/3/10 =
+    #: 31, so the lowest weight (UE 2) is clamped to what is left.
+    _SPLIT = {
+        "rr": {0: ({0: 13, 1: 13, 2: 12, 3: 13}, 0, 2),
+               3: ({0: 8, 1: 7, 2: 7, 3: 7}, 22, 2)},
+        "pf": {0: ({0: 8, 1: 23, 2: 4, 3: 16}, 0, 1),
+               3: ({0: 5, 1: 13, 2: 2, 3: 10}, 21, 1)},
+    }
+    _EFFICIENCY = {0: 1.9, 1: 4.9, 2: 1.0, 3: 3.7}
+
+    def _one_slot(self, sim, policy, bg_demand, order, efficiency):
+        """Register UEs in ``order`` with fixed channels and stub pulls,
+        attach a stub population and run one slot."""
+        scheduler = MacScheduler(sim, CellConfig(),
+                                 policy=SchedulerPolicy(policy))
+        pulls = []
+        population = _StubPopulation(bg_demand)
+        for ue_id in order:
+            scheduler.register_ue(
+                ue_id, _FixedChannel(efficiency[ue_id]),
+                backlog_bytes=lambda: 10**7,
+                pull=lambda grant, ue_id=ue_id: pulls.append(
+                    (ue_id, grant)) or grant)
+        scheduler.attach_background(population)
+        scheduler._rr_offset = 1
+        return scheduler, pulls, population
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (2, 0, 3, 1)],
+                             ids=["id-order", "out-of-order"])
+    @pytest.mark.parametrize("bg_demand", [0, 3])
+    @pytest.mark.parametrize("policy", ["rr", "pf"])
+    def test_one_slot_split_in_closed_form(self, sim, policy, bg_demand,
+                                           order):
+        scheduler, pulls, population = self._one_slot(
+            sim, policy, bg_demand, order, self._EFFICIENCY)
+        scheduler._on_slot()
+        prbs, bg_prbs, offset = self._SPLIT[policy][bg_demand]
+        cell = scheduler.cell
+        assert sum(prbs.values()) + bg_prbs == cell.num_prb
+        # RR pulls in ue_id order, PF in registration order.
+        assert [ue_id for ue_id, _ in pulls] == (
+            sorted(order) if policy == "rr" else list(order))
+        assert dict(pulls) == {
+            ue_id: cell.slot_capacity_bytes(self._EFFICIENCY[ue_id],
+                                            num_prb=k)
+            for ue_id, k in prbs.items()}
+        assert population.handed == [(bg_prbs, 1)]
+        assert scheduler._rr_offset == offset
+        # Every channel was sampled once: every share is non-zero.
+        assert all(state.channel.reads == 1
+                   for state in scheduler._ue_states)
+
+    @pytest.mark.parametrize("bg_demand, prbs, bg_prbs", [
+        (0, {0: 13, 1: 13, 2: 12, 3: 13}, 0),
+        (3, {0: 8, 1: 7, 2: 7, 3: 8}, 21)])
+    def test_pf_without_capacity_splits_equally(self, sim, bg_demand, prbs,
+                                                bg_prbs):
+        """No UE can carry a byte: PF splits its budget (all PRBs less the
+        population's share) equally with the rotation over the four UEs."""
+        scheduler, pulls, population = self._one_slot(
+            sim, "pf", bg_demand, (2, 0, 3, 1), dict.fromkeys(range(4), 0.0))
+        served = {}
+        scheduler._serve = (
+            lambda state, efficiency, k: served.__setitem__(state.ue_id, k))
+        scheduler._on_slot()
+        assert served == prbs and not pulls
+        assert population.handed == [(bg_prbs, 1)]
+        assert scheduler._rr_offset == 2  # (1 + 1) % 4 UEs
 
     def test_throughput_report_covers_all_ues(self, sim):
         backlogs = {0: 10**7, 1: 10**7}

@@ -4,6 +4,7 @@ heterogeneous (multi-cell / per-UE / per-flow) scenarios and the CLI."""
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -154,6 +155,41 @@ class TestSpecSerialization:
     def test_non_object_rejected(self):
         with pytest.raises(ValueError):
             ScenarioSpec.from_json("[1, 2, 3]")
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"sharding": None}, "scenario.sharding"),
+        ({"population": None}, "scenario.population"),
+        ({"cell": None}, "scenario.cell"),
+        ({"air": None}, "scenario.air"),
+        ({"l4span_config": None}, "scenario.l4span_config"),
+        ({"cells": None}, "scenario.cells"),
+        ({"mobility": {"handovers": None}}, "mobility.handovers"),
+    ])
+    def test_null_block_rejected_by_name(self, fields, name):
+        """A ``null`` block that has no ``None`` meaning fails at decode
+        time by name, as a ``null`` scalar does."""
+        with pytest.raises(ValueError, match=f"^{name}: expected"):
+            ScenarioSpec.from_dict(fields)
+
+    def test_optional_blocks_accept_null(self):
+        spec = ScenarioSpec.from_dict(
+            {"flows": None, "cells": [{"cell_id": 0, "radio": None,
+                                       "air": None}]})
+        assert spec.flows is None and spec.cells == [CellSpec(cell_id=0)]
+
+    @pytest.mark.parametrize("fields, where", [
+        ({"ues": [{"ue_id": 0, "bogus": 1}]}, "ues[]"),
+        ({"cells": [{"cell_id": 0, "radio": {"bogus": 1}}]}, "cells[].radio"),
+        ({"cells": [{"cell_id": 0, "air": 3}]}, "cells[].air"),
+        ({"mobility": {"handovers": [{"time": 1.0, "bogus": 1}]}},
+         "mobility.handovers[]"),
+        ({"mobility": {"handovers": [{"time": "x", "ue_id": 0,
+                                      "target_cell": 1}]}},
+         "mobility.handovers[].time"),
+    ])
+    def test_nested_errors_name_their_path(self, fields, where):
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}: "):
+            ScenarioSpec.from_dict(fields)
 
     @pytest.mark.parametrize("block", [
         {"backend": "fortran"}, "numpy", ["numpy"],

@@ -187,6 +187,9 @@ class TestBadRequests:
         ({"spec": {"num_ues": 1, "duration_s": float("nan")}},
          "duration_s must be a finite number > 0"),
         ({"spec": {"ues": [{"ue_id": -1}]}}, "ue_id must be in [0, 64000)"),
+        # Once an AttributeError from validate(): "malformed scenario spec".
+        ({"spec": {"population": None}},
+         "scenario.population: expected dict, got None"),
     ])
     def test_bad_payloads_return_400(self, service, payload, fragment):
         status, body = _post(service, payload)
