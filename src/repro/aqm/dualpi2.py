@@ -123,7 +123,7 @@ class DualPi2Router:
     # Enqueue path
     # ------------------------------------------------------------------ #
     def receive(self, packet: Packet) -> None:
-        packet.stamp_override("link_enqueue", self._sim.now)
+        packet.timestamps["link_enqueue"] = self._sim.now
         queue = (self.l_queue if packet.flow_class == FlowClass.L4S
                  else self.c_queue)
         queue.enqueue(packet)

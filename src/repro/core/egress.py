@@ -12,61 +12,15 @@ the window is the error estimate ``e_hat`` used by the L4S marking rule.
 
 from __future__ import annotations
 
-import math
 from collections import deque
+from math import sqrt
 from typing import Iterable, NamedTuple, Optional
 
 from repro.core.profile_table import ProfileEntry
 
 
-class WindowedMeanVariance:
-    """Streaming mean/variance over a sliding window (Welford add/remove).
-
-    Maintains the running mean and the centred sum of squares ``M2`` under
-    both insertion and removal, so the smoothing pass over the
-    instantaneous-rate window costs O(1) per update instead of the two
-    O(window) ``sum()`` scans it replaces -- at feedback rates the scans
-    were the estimator's dominant cost.  Welford's centred recurrences are
-    used (rather than a raw sum-of-squares) for numerical robustness at
-    rate magnitudes around 1e7 bytes/s.
-    """
-
-    __slots__ = ("count", "mean", "_m2")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, value: float) -> None:
-        """Insert ``value`` into the window."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-
-    def remove(self, value: float) -> None:
-        """Remove a ``value`` previously inserted (inverse Welford step)."""
-        if self.count <= 1:
-            self.count = 0
-            self.mean = 0.0
-            self._m2 = 0.0
-            return
-        old_mean = self.mean
-        self.count -= 1
-        self.mean = old_mean + (old_mean - value) / self.count
-        self._m2 -= (value - old_mean) * (value - self.mean)
-
-    def variance(self) -> float:
-        """Population variance of the window (0 for fewer than two values)."""
-        if self.count < 2:
-            return 0.0
-        # Removal can leave M2 a hair below zero through float cancellation.
-        return max(self._m2, 0.0) / self.count
-
-    def std(self) -> float:
-        """Population standard deviation of the window."""
-        return math.sqrt(self.variance())
+#: Builds a record without the named tuple's Python-level ``__new__``.
+_tuple_new = tuple.__new__
 
 
 class RateEstimate(NamedTuple):
@@ -103,12 +57,17 @@ class EgressRateEstimator:
         #: the sum is exact and the per-update window re-scan the estimator
         #: used to do (its dominant cost at feedback rates) is unnecessary.
         self._window_bytes = 0
-        # Instantaneous-rate history with a running Welford accumulator, so
-        # the smoothed mean and error std are O(1) per update instead of a
-        # full-window ``sum()`` pass for each.
+        # Instantaneous-rate history with a running Welford accumulator
+        # (count, mean and the centred sum of squares M2, updated under both
+        # insertion and removal), so the smoothed mean and error std are
+        # O(1) per update instead of a full-window ``sum()`` pass for each.
+        # The centred recurrences (rather than a raw sum of squares) keep
+        # the variance robust at rate magnitudes around 1e7 bytes/s.
         self._inst_times: deque[float] = deque()
         self._inst_rates: deque[float] = deque()
-        self._inst_stats = WindowedMeanVariance()
+        self._count = 0
+        self._mean = 0.0
+        self._m2 = 0.0
         self._last_estimate: Optional[RateEstimate] = None
 
     # ------------------------------------------------------------------ #
@@ -116,44 +75,60 @@ class EgressRateEstimator:
                               ) -> Optional[RateEstimate]:
         """Feed newly transmitted profile entries; returns the new estimate.
 
-        Returns None when the update carried no new transmissions.
+        Returns the previous estimate (None before the first) when the
+        update carried no new transmissions.
         """
-        newest_time: Optional[float] = None
+        now: Optional[float] = None
         transmissions = self._transmissions
+        window_bytes = self._window_bytes
         for entry in entries:
             if entry.transmitted_time is None:
                 continue
             transmissions.append((entry.transmitted_time, entry.size))
-            self._window_bytes += entry.size
-            newest_time = entry.transmitted_time
-        if newest_time is None:
+            window_bytes += entry.size
+            now = entry.transmitted_time
+        if now is None:
             return self._last_estimate
-        return self._update(newest_time)
-
-    def _update(self, now: float) -> RateEstimate:
-        self._expire(now)
-        instantaneous = self._window_bytes / self.window
+        window = self.window
+        cutoff = now - window
+        # Eq. 3: bytes transmitted in the trailing window ending at ``now``.
+        while transmissions and transmissions[0][0] <= cutoff:
+            window_bytes -= transmissions.popleft()[1]
+        self._window_bytes = window_bytes
+        instantaneous = window_bytes / window
+        # Eq. 4: add the sample to the smoothing window (Welford step) ...
         inst_times = self._inst_times
         inst_rates = self._inst_rates
-        stats = self._inst_stats
         inst_times.append(now)
         inst_rates.append(instantaneous)
-        stats.add(instantaneous)
-        cutoff = now - self.window
+        count = self._count + 1
+        mean = self._mean
+        delta = instantaneous - mean
+        mean += delta / count
+        m2 = self._m2 + delta * (instantaneous - mean)
+        # ... and remove the samples that left it (inverse Welford step).
         while inst_times[0] <= cutoff:
             inst_times.popleft()
-            stats.remove(inst_rates.popleft())
-        estimate = RateEstimate(now, stats.mean, instantaneous, stats.std(),
-                                stats.count)
+            value = inst_rates.popleft()
+            if count <= 1:
+                count = 0
+                mean = 0.0
+                m2 = 0.0
+                continue
+            old_mean = mean
+            count -= 1
+            mean = old_mean + (old_mean - value) / count
+            m2 -= (value - old_mean) * (value - mean)
+        self._count = count
+        self._mean = mean
+        self._m2 = m2
+        # Population std of the window; removal can leave M2 a hair below
+        # zero through float cancellation.
+        error_std = sqrt(max(m2, 0.0) / count) if count >= 2 else 0.0
+        estimate = _tuple_new(RateEstimate, (now, mean, instantaneous,
+                                             error_std, count))
         self._last_estimate = estimate
         return estimate
-
-    def _expire(self, now: float) -> None:
-        """Drop transmissions outside the trailing window (exact running sum)."""
-        cutoff = now - self.window
-        transmissions = self._transmissions
-        while transmissions and transmissions[0][0] <= cutoff:
-            self._window_bytes -= transmissions.popleft()[1]
 
     # ------------------------------------------------------------------ #
     @property

@@ -148,8 +148,10 @@ class L4SpanLayer:
         measure = self._measure
         start = time.perf_counter() if measure else 0.0
         self.downlink_packets += 1
-        state = self.drb_state(ue_id, drb_id)
-        flow = self._get_or_create_flow(packet, ue_id, drb_id, now)
+        state = (self._drbs.get((ue_id, drb_id))
+                 or self.drb_state(ue_id, drb_id))
+        flow = (self._flows.get(packet.five_tuple)
+                or self._create_flow(packet, ue_id, drb_id))
         if flow.flow_class not in state.classes_seen:
             state.classes_seen.append(flow.flow_class)
             state.is_shared = (FlowClass.L4S in state.classes_seen
@@ -167,17 +169,16 @@ class L4SpanLayer:
             self.processing_times["downlink"].append(
                 time.perf_counter() - start)
 
-    def _get_or_create_flow(self, packet: Packet, ue_id: UeId, drb_id: DrbId,
-                            now: float) -> FlowRecord:
-        flow = self._flows.get(packet.five_tuple)
-        if flow is None:
-            flow = FlowRecord(five_tuple=packet.five_tuple, ue_id=ue_id,
-                              drb_id=drb_id, flow_class=packet.flow_class,
-                              protocol=packet.protocol,
-                              uses_accecn=packet.protocol == "tcp"
-                              and packet.flow_class == FlowClass.L4S)
-            self._flows[packet.five_tuple] = flow
-            self._uplink_flows[packet.five_tuple.reversed()] = flow
+    def _create_flow(self, packet: Packet, ue_id: UeId,
+                     drb_id: DrbId) -> FlowRecord:
+        """The record of a flow's first downlink packet."""
+        flow = FlowRecord(five_tuple=packet.five_tuple, ue_id=ue_id,
+                          drb_id=drb_id, flow_class=packet.flow_class,
+                          protocol=packet.protocol,
+                          uses_accecn=packet.protocol == "tcp"
+                          and packet.flow_class == FlowClass.L4S)
+        self._flows[packet.five_tuple] = flow
+        self._uplink_flows[packet.five_tuple.reversed()] = flow
         return flow
 
     # ------------------------------------------------------------------ #
@@ -259,13 +260,14 @@ class L4SpanLayer:
         measure = self._measure
         start = time.perf_counter() if measure else 0.0
         self.feedback_messages += 1
-        state = self.drb_state(status.ue_id, status.drb_id)
+        ue_id, drb_id, txed_sn, delivered_sn, timestamp, _ = status
+        state = (self._drbs.get((ue_id, drb_id))
+                 or self.drb_state(ue_id, drb_id))
         state.feedback_count += 1
-        newly = state.profile.on_feedback(status.highest_txed_sn,
-                                          status.highest_delivered_sn,
-                                          status.timestamp)
-        estimate = state.estimator.observe_transmissions(newly)
-        state.prediction = self.predictor.predict(state.profile.queued_bytes,
+        profile = state.profile
+        estimate = state.estimator.observe_transmissions(
+            profile.on_feedback(txed_sn, delivered_sn, timestamp))
+        state.prediction = self.predictor.predict(profile.queued_bytes,
                                                   estimate)
         if measure:
             self.processing_times["feedback"].append(

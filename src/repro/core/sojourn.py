@@ -14,6 +14,9 @@ from typing import NamedTuple, Optional
 
 from repro.core.egress import RateEstimate
 
+#: Builds a prediction without the named tuple's Python-level ``__new__``.
+_tuple_new = tuple.__new__
+
 
 class SojournPrediction(NamedTuple):
     """A sojourn-time prediction together with the inputs that produced it."""
@@ -41,13 +44,13 @@ class SojournPredictor:
         if queued_bytes <= 0:
             rate = estimate.smoothed_rate if estimate is not None else 0.0
             err = estimate.error_std if estimate is not None else 0.0
-            return SojournPrediction(0.0, 0, rate, err)
+            return _tuple_new(SojournPrediction, (0.0, 0, rate, err))
         if estimate is None or estimate.smoothed_rate <= 0:
-            return SojournPrediction(self.UNKNOWN_RATE_SOJOURN, queued_bytes,
-                                     0.0, 0.0)
-        sojourn = queued_bytes / estimate.smoothed_rate
-        return SojournPrediction(sojourn, queued_bytes,
-                                 estimate.smoothed_rate, estimate.error_std)
+            return _tuple_new(SojournPrediction, (
+                self.UNKNOWN_RATE_SOJOURN, queued_bytes, 0.0, 0.0))
+        rate = estimate.smoothed_rate
+        return _tuple_new(SojournPrediction, (
+            queued_bytes / rate, queued_bytes, rate, estimate.error_std))
 
 
 def rtt_cost_of_overestimate(rt_prop: float, true_rate: float,

@@ -216,7 +216,7 @@ class BuiltScenario:
         self.marker = self.markers[first_cell]
         self.core = FiveGCore(self.sim)
         for gnb in self.gnbs.values():
-            gnb.cu.uplink_sink = _UplinkAdapter(self.core)
+            gnb.cu.uplink_sink = self.core.receive_uplink
         #: Per-cell aggregated background populations; empty when the spec's
         #: population block is disabled (the numpy kernel is never imported).
         self.backgrounds: dict[int, object] = {}
@@ -588,16 +588,6 @@ def attach_data_gaps(handovers: list[dict],
             if before is not None and after is not None:
                 gaps[flow_id] = after - before
         record["data_gap_s"] = gaps
-
-
-class _UplinkAdapter:
-    """Routes uplink packets leaving a gNB into the shared core."""
-
-    def __init__(self, core: FiveGCore) -> None:
-        self._core = core
-
-    def receive(self, packet: Packet) -> None:
-        self._core.receive_uplink(packet)
 
 
 def build_scenario(config: ScenarioSpec) -> BuiltScenario:

@@ -13,29 +13,21 @@ traversed.  The breakdown splits its one-way delay into:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.net.packet import Packet
 
+#: Builds a breakdown without the named tuple's Python-level ``__new__``.
+_tuple_new = tuple.__new__
 
-@dataclass
-class DelayBreakdown:
+
+class DelayBreakdown(NamedTuple):
     """Component delays of one packet (seconds)."""
 
     propagation: float
     queuing: float
     scheduling: float
     other: float
-
-    @property
-    def total(self) -> float:
-        """Sum of the components."""
-        return self.propagation + self.queuing + self.scheduling + self.other
-
-    def as_dict(self) -> dict:
-        return {"propagation": self.propagation, "queuing": self.queuing,
-                "scheduling": self.scheduling, "other": self.other,
-                "total": self.total}
 
 
 def breakdown_from_packet(packet: Packet,
@@ -58,5 +50,5 @@ def breakdown_from_packet(packet: Packet,
     queuing = max(0.0, rlc_head - rlc_enqueue)
     scheduling = max(0.0, rlc_dequeue - rlc_head)
     other = max(0.0, (delivered - rlc_dequeue) + (rlc_enqueue - cu_ingress))
-    return DelayBreakdown(propagation=propagation, queuing=queuing,
-                          scheduling=scheduling, other=other)
+    return _tuple_new(DelayBreakdown,
+                      (propagation, queuing, scheduling, other))

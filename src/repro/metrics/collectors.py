@@ -183,9 +183,11 @@ class DelayBreakdownAccumulator:
         if breakdown is None:
             return
         self.count += 1
-        for key, value in breakdown.as_dict().items():
-            if key in self.sums:
-                self.sums[key] += value
+        sums = self.sums
+        sums["propagation"] += breakdown[0]
+        sums["queuing"] += breakdown[1]
+        sums["scheduling"] += breakdown[2]
+        sums["other"] += breakdown[3]
 
     def averages(self) -> dict:
         """Mean of each component in seconds (zeros when nothing recorded)."""

@@ -52,7 +52,7 @@ class Link:
 
     # ------------------------------------------------------------------ #
     def receive(self, packet: Packet) -> None:
-        packet.stamp("link_enqueue", self._sim.now)
+        packet.timestamps.setdefault("link_enqueue", self._sim.now)
         if self.aqm is not None:
             verdict = self.aqm.on_enqueue(packet, self.queue, self._sim.now)
             if verdict is False:

@@ -74,7 +74,9 @@ class Packet:
         sent_time: transport-layer send timestamp at the server.
         timestamps: free-form measurement points stamped by components
             (``"core_ingress"``, ``"rlc_enqueue"``, ``"rlc_head"``,
-            ``"rlc_dequeue"``, ``"ue_delivered"``, ...).
+            ``"rlc_dequeue"``, ``"ue_delivered"``, ...).  Components write
+            the dict directly: ``setdefault`` where the first stamp of a
+            name wins, item assignment where a later one overrides it.
         marked_by: name of the component that set CE, for accounting.
         retransmission: True when the transport re-sent these bytes.
     """
@@ -92,7 +94,7 @@ class Packet:
     cwr: bool = False
     accecn: Optional[AccEcnCounters] = None
     sent_time: float = 0.0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
     timestamps: dict = field(default_factory=dict)
     marked_by: Optional[str] = None
     retransmission: bool = False
@@ -134,14 +136,6 @@ class Packet:
             self.ecn = ECN.CE
             self.marked_by = by or self.marked_by
         return True
-
-    def stamp(self, name: str, time: float) -> None:
-        """Record a measurement timestamp; the first stamp of a name wins."""
-        self.timestamps.setdefault(name, time)
-
-    def stamp_override(self, name: str, time: float) -> None:
-        """Record a measurement timestamp, overwriting any previous value."""
-        self.timestamps[name] = time
 
     def elapsed(self, start: str, end: str) -> Optional[float]:
         """Seconds between two stamps, or None when either is missing."""

@@ -18,6 +18,9 @@ class DelayPipe:
     """Deliver each packet to ``sink`` after a constant delay.
 
     The pipe has infinite capacity: it models propagation, not queueing.
+    The sink may be assigned after construction, but it must be bound when
+    a packet enters: the pipe schedules that sink's ``receive`` directly,
+    and a packet entering a pipe with no sink raises.
     """
 
     def __init__(self, sim: Simulator, delay: float,
@@ -33,14 +36,13 @@ class DelayPipe:
         self.forwarded_bytes = 0
 
     def receive(self, packet: Packet) -> None:
+        sink = self.sink
+        if sink is None:
+            raise RuntimeError(f"{self.name}: a packet entered a pipe with "
+                               f"no sink")
         self.forwarded_packets += 1
         self.forwarded_bytes += packet.size
         if self.delay == 0:
-            self._deliver(packet)
+            sink.receive(packet)
         else:
-            self._sim.schedule(self.delay, self._deliver, packet)
-
-    def _deliver(self, packet: Packet) -> None:
-        if self.sink is not None:
-            self.sink.receive(packet)
-
+            self._sim.schedule(self.delay, sink.receive, packet)

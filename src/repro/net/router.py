@@ -35,7 +35,7 @@ class BottleneckRouter:
                          aqm=aqm, name=f"{name}-out")
 
     def receive(self, packet: Packet) -> None:
-        packet.stamp("router_ingress", self._sim.now)
+        packet.timestamps.setdefault("router_ingress", self._sim.now)
         self.link.receive(packet)
 
     def set_rate(self, rate: float) -> None:

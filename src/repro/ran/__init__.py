@@ -30,7 +30,7 @@ from repro.ran.pdcp import PdcpEntity
 from repro.ran.sdap import SdapEntity
 from repro.ran.phy import AirInterface, AirInterfaceConfig
 from repro.ran.mac import MacScheduler, SchedulerPolicy
-from repro.ran.ue import UeConfig, UeContext, UplinkModel
+from repro.ran.ue import UeConfig, UeContext
 from repro.ran.marker import NoopMarker, RanMarker
 from repro.ran.mobility import (HandoverTransfer, MobilityManager,
                                 MobilityTopology, Transition)
@@ -58,7 +58,6 @@ __all__ = [
     "SchedulerPolicy",
     "UeConfig",
     "UeContext",
-    "UplinkModel",
     "NoopMarker",
     "RanMarker",
     "HandoverTransfer",

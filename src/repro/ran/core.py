@@ -15,7 +15,7 @@ like the single shared core of the unsharded run.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.net.base import PacketSink
 from repro.net.packet import Packet
@@ -38,7 +38,8 @@ class FiveGCore:
         self._sim = sim
         self.name = name
         self.processing_delay = processing_delay
-        self._downlink_routes: dict[str, tuple[object, UeId]] = {}
+        #: Destination IP -> (the serving CU's ``receive_downlink``, UE id).
+        self._downlink_routes: dict[str, tuple[Callable, UeId]] = {}
         self._uplink_routes: dict[int, PacketSink] = {}
         self._default_uplink: Optional[PacketSink] = None
         #: Where uplink packets with no local route go; ``None`` (the
@@ -51,8 +52,12 @@ class FiveGCore:
     # Routing table management
     # ------------------------------------------------------------------ #
     def register_ue_address(self, ip_address: str, gnb, ue_id: UeId) -> None:
-        """Route downlink packets destined to ``ip_address`` to ``gnb``/``ue_id``."""
-        self._downlink_routes[ip_address] = (gnb, ue_id)
+        """Route downlink packets destined to ``ip_address`` to ``gnb``/``ue_id``.
+
+        The route holds the gNB's CU entry itself, so a routed packet costs
+        one call into the RAN.
+        """
+        self._downlink_routes[ip_address] = (gnb.cu.receive_downlink, ue_id)
 
     def register_uplink_route(self, flow_id: int, sink: PacketSink) -> None:
         """Route uplink packets of ``flow_id`` (ACKs) onto their WAN return path."""
@@ -71,10 +76,10 @@ class FiveGCore:
         if route is None:
             raise KeyError(
                 f"no UE registered for {packet.five_tuple.dst_ip}")
-        gnb, ue_id = route
+        receive_downlink, ue_id = route
         self.downlink_packets += 1
-        packet.stamp("core_ingress", self._sim.now)
-        self._sim.schedule(self.processing_delay, gnb.receive_downlink,
+        packet.timestamps.setdefault("core_ingress", self._sim.now)
+        self._sim.schedule(self.processing_delay, receive_downlink,
                            packet, ue_id)
 
     def deliver_downlink(self, packet: Packet) -> None:
@@ -90,9 +95,9 @@ class FiveGCore:
         if route is None:
             raise KeyError(
                 f"no UE registered for {packet.five_tuple.dst_ip}")
-        gnb, ue_id = route
+        receive_downlink, ue_id = route
         self.downlink_packets += 1
-        gnb.receive_downlink(packet, ue_id)
+        receive_downlink(packet, ue_id)
 
     def receive_uplink(self, packet: Packet) -> None:
         """Uplink entry point (the gNB's CU feeds packets here)."""

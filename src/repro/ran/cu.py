@@ -9,11 +9,10 @@ where feedback short-circuiting happens.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.net.base import PacketSink
 from repro.net.packet import Packet
-from repro.ran.f1u import DeliveryStatus, F1UInterface
+from repro.ran.f1u import F1UInterface
 from repro.ran.identifiers import DrbId, UeId
 from repro.ran.marker import NoopMarker, RanMarker
 from repro.ran.pdcp import PdcpEntity
@@ -34,8 +33,9 @@ class CentralUnitUserPlane:
         self.marker: RanMarker = marker if marker is not None else NoopMarker()
         self._sdap: dict[UeId, SdapEntity] = {}
         self._pdcp: dict[tuple[UeId, DrbId], PdcpEntity] = {}
-        #: uplink packets leave the RAN through this sink (towards the UPF).
-        self.uplink_sink: Optional[PacketSink] = None
+        #: Uplink packets leave the RAN through this callable (the core's
+        #: ``receive_uplink``).
+        self.uplink_sink: Optional[Callable[[Packet], None]] = None
         #: Mobility sets this: downlink datagrams racing a detach through the
         #: core's processing pipeline are dropped (and counted) instead of
         #: raising for the departed UE.
@@ -43,7 +43,8 @@ class CentralUnitUserPlane:
         self.unknown_ue_packets = 0
         self.downlink_packets = 0
         self.uplink_packets = 0
-        f1u.connect_cu(self._on_delivery_status)
+        # F1-U delivers each delivery-status report straight to the marker.
+        f1u.connect_cu(self.marker.on_ran_feedback)
 
     # ------------------------------------------------------------------ #
     # Attachment
@@ -64,8 +65,13 @@ class CentralUnitUserPlane:
                 self._pdcp.pop((ue_id, drb_id), None)
 
     def set_marker(self, marker: RanMarker) -> None:
-        """Attach (or replace) the in-RAN marking layer."""
+        """Attach (or replace) the in-RAN marking layer.
+
+        F1-U reports already in flight still reach the marker that was
+        attached when the DU sent them.
+        """
         self.marker = marker
+        self.f1u.connect_cu(marker.on_ran_feedback)
 
     # ------------------------------------------------------------------ #
     # Downlink
@@ -79,9 +85,10 @@ class CentralUnitUserPlane:
                 return
             raise KeyError(f"UE {ue_id} is not attached to {self.name}")
         self.downlink_packets += 1
-        packet.stamp("cu_ingress", self._sim.now)
-        drb_id = sdap.drb_for_packet(packet)
-        self.marker.on_downlink_packet(packet, ue_id, drb_id, self._sim.now)
+        now = self._sim.now
+        packet.timestamps.setdefault("cu_ingress", now)
+        drb_id = sdap.drb_by_codepoint[packet.ecn]
+        self.marker.on_downlink_packet(packet, ue_id, drb_id, now)
         self._pdcp[(ue_id, drb_id)].submit(packet)
 
     def resubmit_downlink(self, ue_id: UeId, drb_id: DrbId,
@@ -97,7 +104,7 @@ class CentralUnitUserPlane:
         if pdcp is None:
             self.unknown_ue_packets += 1
             return
-        packet.stamp("cu_ingress", self._sim.now)
+        packet.timestamps.setdefault("cu_ingress", self._sim.now)
         pdcp.submit(packet)
 
     # ------------------------------------------------------------------ #
@@ -108,10 +115,4 @@ class CentralUnitUserPlane:
         self.uplink_packets += 1
         self.marker.on_uplink_packet(packet, self._sim.now)
         if self.uplink_sink is not None:
-            self.uplink_sink.receive(packet)
-
-    # ------------------------------------------------------------------ #
-    # F1-U feedback
-    # ------------------------------------------------------------------ #
-    def _on_delivery_status(self, status: DeliveryStatus) -> None:
-        self.marker.on_ran_feedback(status, self._sim.now)
+            self.uplink_sink(packet)

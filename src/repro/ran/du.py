@@ -12,7 +12,7 @@ from typing import Optional
 
 from repro.net.packet import Packet
 from repro.ran.cell import CellConfig
-from repro.ran.f1u import DeliveryStatus, F1UInterface
+from repro.ran.f1u import F1UInterface
 from repro.ran.identifiers import DrbId, DrbKey, UeId
 from repro.ran.mac import MacScheduler, SchedulerPolicy
 from repro.ran.phy import AirInterface, AirInterfaceConfig
@@ -66,8 +66,8 @@ class DistributedUnit:
             entity = RlcEntity(
                 self._sim, ue.ue_id, drb_config, self.air,
                 deliver=ue.deliver,
-                send_status=self._make_status_sender(ue.ue_id,
-                                                     drb_config.drb_id))
+                send_status=self.f1u.status_sender(ue.ue_id,
+                                                   drb_config.drb_id))
             entity.mac = self.mac
             self._rlc[key] = entity
             drb_ids.append(drb_config.drb_id)
@@ -132,13 +132,6 @@ class DistributedUnit:
             self._rlc.pop(DrbKey(ue_id, drb_id), None)
         self.mac.unregister_ue(ue_id)
         return list(zip(drb_ids, entities))
-
-    def _make_status_sender(self, ue_id: UeId, drb_id: DrbId):
-        def send_status(highest_txed_sn, highest_delivered_sn, timestamp):
-            self.f1u.send_delivery_status(DeliveryStatus(
-                ue_id, drb_id, highest_txed_sn, highest_delivered_sn,
-                timestamp))
-        return send_status
 
     # ------------------------------------------------------------------ #
     # Downlink ingress (from CU over F1-U)

@@ -39,6 +39,10 @@ class DeliveryStatus(NamedTuple):
     desired_buffer_size: int = 0
 
 
+#: Builds a report without the named tuple's Python-level ``__new__``.
+_tuple_new = tuple.__new__
+
+
 class F1UInterface:
     """A bidirectional CU<->DU conduit with a small, configurable latency.
 
@@ -53,7 +57,8 @@ class F1UInterface:
         self.latency = latency
         self.name = name
         self._downlink_handler: Optional[Callable] = None
-        self._status_handler: Optional[Callable[[DeliveryStatus], None]] = None
+        self._status_handler: Optional[
+            Callable[[DeliveryStatus, float], None]] = None
         self.downlink_sdus = 0
         self.status_messages = 0
 
@@ -64,8 +69,14 @@ class F1UInterface:
         """Register the DU-side handler for downlink SDUs."""
         self._downlink_handler = downlink_handler
 
-    def connect_cu(self, status_handler: Callable[[DeliveryStatus], None]) -> None:
-        """Register the CU-side handler for delivery-status feedback."""
+    def connect_cu(self,
+                   status_handler: Callable[[DeliveryStatus, float], None]
+                   ) -> None:
+        """Register the CU-side handler for delivery-status feedback.
+
+        It is called as ``status_handler(status, arrival_time)``; the CU
+        registers its marker's ``on_ran_feedback`` here.
+        """
         self._status_handler = status_handler
 
     # ------------------------------------------------------------------ #
@@ -80,9 +91,28 @@ class F1UInterface:
         self._sim.schedule(self.latency, self._downlink_handler,
                            ue_id, drb_id, sn, packet)
 
-    def send_delivery_status(self, status: DeliveryStatus) -> None:
-        """Carry a DDDS report from the DU to the CU (and its marker)."""
-        if self._status_handler is None:
-            return
-        self.status_messages += 1
-        self._sim.schedule(self.latency, self._status_handler, status)
+    def status_sender(self, ue_id: UeId, drb_id: DrbId
+                      ) -> Callable[[Optional[int], Optional[int], float],
+                                    None]:
+        """The DU side of one bearer's DDDS reports.
+
+        The returned ``send_status(highest_txed_sn, highest_delivered_sn,
+        timestamp)`` is the bearer's RLC reporting callback: it builds the
+        :class:`DeliveryStatus` and schedules the CU's handler, with the
+        arrival time, one latency later.  Without a CU the report is
+        dropped uncounted.
+        """
+        sim = self._sim
+
+        def send_status(highest_txed_sn: Optional[int],
+                        highest_delivered_sn: Optional[int],
+                        timestamp: float) -> None:
+            handler = self._status_handler
+            if handler is None:
+                return
+            self.status_messages += 1
+            arrival = sim.now + self.latency
+            sim.schedule_at(arrival, handler, _tuple_new(DeliveryStatus, (
+                ue_id, drb_id, highest_txed_sn, highest_delivered_sn,
+                timestamp, 0)), arrival)
+        return send_status

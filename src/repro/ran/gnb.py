@@ -62,7 +62,7 @@ class GNodeB:
         self.cu.attach_ue(ue)
         self.du.attach_ue(ue, bearer_tag=bearer_tag, register_mac=register_mac)
         ue.uplink_sink = self.cu.receive_uplink
-        ue.uplink.active_ue_count = lambda: len(self._ues)
+        ue.cell_ues = self._ues
 
     def detach_ue(self, ue_id: UeId) -> list:
         """Detach a UE (handover departure); returns its released bearers.

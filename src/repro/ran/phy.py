@@ -53,10 +53,9 @@ class AirInterface:
         self.failed_blocks = 0
 
     def _streams_for(self, ue_id: int) -> tuple:
-        streams = self._ue_streams.get(ue_id)
-        if streams is None:
-            streams = self._draws(f"{self._stream_name}-ue{ue_id}")
-            self._ue_streams[ue_id] = streams
+        """Create a UE's draws on its first transport block."""
+        streams = self._ue_streams[ue_id] = self._draws(
+            f"{self._stream_name}-ue{ue_id}")
         return streams
 
     def _draws(self, label: str) -> tuple:
@@ -88,7 +87,8 @@ class AirInterface:
         """
         cfg = self.config
         self.transmitted_blocks += 1
-        harq_draw, jitter_draw = self._streams_for(ue_id)
+        harq_draw, jitter_draw = (self._ue_streams.get(ue_id)
+                                  or self._streams_for(ue_id))
         bler = cfg.target_bler
         attempts = 1
         while attempts < cfg.max_harq_attempts and chance(harq_draw, bler):

@@ -31,7 +31,7 @@ transport block):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.net.packet import Packet
@@ -49,14 +49,11 @@ class RlcSdu:
     packet: Packet
     size: int
     ingress_time: float
-    remaining: int = field(default=0)
+    #: Bytes still to transmit: ``size`` on enqueue and on every re-queue.
+    remaining: int
     retransmissions: int = 0
     transmitted_time: Optional[float] = None
     delivered_time: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.remaining == 0:
-            self.remaining = self.size
 
 
 class RlcEntity:
@@ -144,12 +141,14 @@ class RlcEntity:
             self.dropped_sdus += 1
             return False
         now = self._sim.now
-        packet.stamp("rlc_enqueue", now)
-        sdu = RlcSdu(sn=sn, packet=packet, size=packet.size, ingress_time=now)
+        size = packet.size
+        stamps = packet.timestamps
+        stamps.setdefault("rlc_enqueue", now)
+        sdu = RlcSdu(sn, packet, size, now, size)
         if not self._tx_queue and not self._retx_queue:
-            packet.stamp("rlc_head", now)
+            stamps.setdefault("rlc_head", now)
         self._tx_queue.append(sdu)
-        self.backlog_bytes += sdu.size
+        self.backlog_bytes += size
         self.enqueued_sdus += 1
         if self.mac is not None and self.mac._timer.parked:
             self.mac.wake()
@@ -213,11 +212,18 @@ class RlcEntity:
             sdu.remaining = 0
             queue.popleft()
             self.backlog_bytes -= sdu.size
-            self._on_sdu_transmitted(sdu)
+            # The SDU's last segment left: hand it to the air interface.
+            sdu.transmitted_time = now
+            sdu.packet.timestamps["rlc_dequeue"] = now
+            sn = sdu.sn
+            if self.highest_txed_sn is None or sn > self.highest_txed_sn:
+                self.highest_txed_sn = sn
+            self._air.transmit(self.ue_id, self._on_sdu_delivered,
+                               self._on_sdu_failed, sdu)
             transmitted_any = True
             nxt = retx[0] if retx else (tx[0] if tx else None)
             if nxt is not None:
-                nxt.packet.stamp_override("rlc_head", now)
+                nxt.packet.timestamps["rlc_head"] = now
         self.transmitted_bytes += used
         if transmitted_any:
             if report:
@@ -268,15 +274,6 @@ class RlcEntity:
     # ------------------------------------------------------------------ #
     # Transmission outcome handling
     # ------------------------------------------------------------------ #
-    def _on_sdu_transmitted(self, sdu: RlcSdu) -> None:
-        now = self._sim.now
-        sdu.transmitted_time = now
-        sdu.packet.stamp_override("rlc_dequeue", now)
-        if self.highest_txed_sn is None or sdu.sn > self.highest_txed_sn:
-            self.highest_txed_sn = sdu.sn
-        self._air.transmit(self.ue_id, self._on_sdu_delivered,
-                           self._on_sdu_failed, sdu)
-
     def _on_sdu_delivered(self, sdu: RlcSdu, delivery_time: float) -> None:
         if self._released:
             self.abandoned_sdus += 1
@@ -292,7 +289,7 @@ class RlcEntity:
             # ``_pending_delivery`` would leak it forever.
             self._skipped_sns.discard(sn)
             now = self._sim.now
-            sdu.packet.stamp("ue_delivered", now)
+            sdu.packet.timestamps.setdefault("ue_delivered", now)
             self._deliver(sdu.packet, now)
         elif sn == next_sn:
             self._pending_delivery[sn] = (sdu, delivery_time)
@@ -325,9 +322,9 @@ class RlcEntity:
             item = pending.pop(next_sn, None)
             if item is None:
                 break
-            sdu = item[0]
-            sdu.packet.stamp("ue_delivered", now)
-            self._deliver(sdu.packet, now)
+            packet = item[0].packet
+            packet.timestamps.setdefault("ue_delivered", now)
+            self._deliver(packet, now)
             next_sn += 1
         self._next_delivery_sn = next_sn
 
@@ -358,7 +355,7 @@ class RlcEntity:
                 # The re-queued SDU takes over the head (the re-tx queue has
                 # priority): give it a fresh head stamp so head-of-line wait
                 # is not inflated by its first pass through the queue.
-                sdu.packet.stamp_override("rlc_head", self._sim.now)
+                sdu.packet.timestamps["rlc_head"] = self._sim.now
             self._retx_queue.append(sdu)
             self.backlog_bytes += sdu.size
             if self.mac is not None and self.mac._timer.parked:

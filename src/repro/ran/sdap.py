@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.net.ecn import FlowClass
+from repro.net.ecn import ECN, FlowClass, classify_ecn
 from repro.net.packet import Packet
 from repro.ran.identifiers import DrbConfig, DrbId, DrbServiceClass, QosFlowId, UeId
 
@@ -25,11 +25,32 @@ class SdapEntity:
             raise ValueError("a UE needs at least one DRB")
         self.ue_id = ue_id
         self.drb_configs = {cfg.drb_id: cfg for cfg in drb_configs}
-        self._by_class: dict[DrbServiceClass, DrbId] = {}
+        by_class: dict[DrbServiceClass, DrbId] = {}
         for cfg in drb_configs:
-            self._by_class.setdefault(cfg.service_class, cfg.drb_id)
-        self._default_drb = drb_configs[0].drb_id
+            by_class.setdefault(cfg.service_class, cfg.drb_id)
+        #: The bearer of each ECN codepoint, indexed by its value: the
+        #: classification rule resolved once here, so the CU maps a packet
+        #: with one tuple index.
+        self.drb_by_codepoint: tuple[DrbId, ...] = tuple(
+            self._drb_for_class(classify_ecn(codepoint), by_class,
+                                drb_configs[0].drb_id)
+            for codepoint in sorted(ECN))
         self._qfi_map: dict[QosFlowId, DrbId] = {}
+
+    @staticmethod
+    def _drb_for_class(flow_class: FlowClass,
+                       by_class: dict[DrbServiceClass, DrbId],
+                       default_drb: DrbId) -> DrbId:
+        """A bearer provisioned for the traffic class, else the mixed
+        bearer, else the default bearer."""
+        if flow_class == FlowClass.L4S and DrbServiceClass.L4S in by_class:
+            return by_class[DrbServiceClass.L4S]
+        if (flow_class == FlowClass.CLASSIC
+                and DrbServiceClass.CLASSIC in by_class):
+            return by_class[DrbServiceClass.CLASSIC]
+        if DrbServiceClass.MIXED in by_class:
+            return by_class[DrbServiceClass.MIXED]
+        return default_drb
 
     # ------------------------------------------------------------------ #
     def map_qfi(self, qfi: QosFlowId, drb_id: DrbId) -> None:
@@ -42,20 +63,12 @@ class SdapEntity:
                        qfi: Optional[QosFlowId] = None) -> DrbId:
         """Choose the bearer for a downlink packet.
 
-        Preference order: an explicit QFI pin, then a bearer provisioned for
-        the packet's traffic class, then the default bearer.
+        An explicit QFI pin wins; otherwise the packet's ECN codepoint picks
+        its entry of :attr:`drb_by_codepoint`.
         """
         if qfi is not None and qfi in self._qfi_map:
             return self._qfi_map[qfi]
-        flow_class = packet.flow_class
-        if flow_class == FlowClass.L4S and DrbServiceClass.L4S in self._by_class:
-            return self._by_class[DrbServiceClass.L4S]
-        if (flow_class == FlowClass.CLASSIC
-                and DrbServiceClass.CLASSIC in self._by_class):
-            return self._by_class[DrbServiceClass.CLASSIC]
-        if DrbServiceClass.MIXED in self._by_class:
-            return self._by_class[DrbServiceClass.MIXED]
-        return self._default_drb
+        return self.drb_by_codepoint[packet.ecn]
 
     @property
     def drb_ids(self) -> list[DrbId]:

@@ -2,10 +2,10 @@
 
 The UE is where downlink SDUs terminate (they are handed to the client-side
 transport receiver of their flow) and where uplink ACK/feedback packets are
-born.  The uplink traverses a :class:`UplinkModel` -- a stochastic delay
-accounting for the scheduling request / buffer-status-report / grant cycle --
-before re-entering the gNB, where the marker may rewrite it
-(feedback short-circuiting).
+born.  An uplink packet waits a stochastic delay accounting for the
+scheduling request / buffer-status-report / grant cycle
+(:meth:`UeContext.send_uplink`) before re-entering the gNB, where the marker
+may rewrite it (feedback short-circuiting).
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from repro.ran.identifiers import (DrbConfig, DrbServiceClass, RlcMode, UeId,
 from repro.sim.engine import Simulator
 from repro.sim.randomness import block_draws
 from repro.units import ms
+
+#: Uplink delay added per further UE attached to the same gNB.
+UPLINK_PER_UE_LOAD = ms(0.05)
 
 
 @dataclass
@@ -63,42 +66,15 @@ class UeConfig:
                           service_class=DrbServiceClass.MIXED)]
 
 
-class UplinkModel:
-    """Stochastic uplink latency from the UE to the gNB's CU.
-
-    The delay is ``base + Exp(jitter) + load * active_ues``: a fixed
-    grant-cycle floor, exponential jitter from contention, and a mild
-    per-active-UE component reflecting the shared uplink control channel.
-    """
-
-    def __init__(self, sim: Simulator, ue_id: UeId,
-                 base_delay: float = ms(4.0), jitter: float = ms(2.0),
-                 per_ue_load: float = ms(0.05),
-                 stream_label: str = "") -> None:
-        self._sim = sim
-        # ``stream_label`` overrides the default stream name: a handed-over
-        # UE draws from a fresh attach-qualified stream so the draw sequence
-        # is identical whether its new cell runs in the shared loop or on a
-        # different shard (the sharded determinism contract).
-        self._stream = stream_label or f"uplink-ue{ue_id}"
-        # One uplink draw happens per ACK: read the stream's standard
-        # exponentials in blocks (same variate sequence as scalar draws).
-        self._exponential = block_draws(sim.random.stream(self._stream),
-                                        "exponential")
-        self.base_delay = base_delay
-        self.jitter = jitter
-        self.per_ue_load = per_ue_load
-        self.active_ue_count: Callable[[], int] = lambda: 1
-
-    def delay(self) -> float:
-        """Draw one uplink traversal delay."""
-        jitter = self.jitter * self._exponential() if self.jitter > 0 else 0.0
-        load = self.per_ue_load * max(0, self.active_ue_count() - 1)
-        return self.base_delay + jitter + load
-
-
 class UeContext:
-    """Run-time state of one UE attached to the gNB."""
+    """Run-time state of one UE attached to the gNB.
+
+    An uplink packet's delay is ``base + Exp(jitter) + UPLINK_PER_UE_LOAD *
+    (active_ues - 1)``: a fixed grant-cycle floor, exponential jitter from
+    contention, and a mild per-active-UE component reflecting the shared
+    uplink control channel (``active_ues`` counts the UEs attached to the
+    serving gNB).
+    """
 
     def __init__(self, sim: Simulator, config: UeConfig,
                  channel: ChannelModel, stream_tag: str = "") -> None:
@@ -107,14 +83,21 @@ class UeContext:
         self.ue_id: UeId = config.ue_id
         self.channel = channel
         #: "" for the initial attach, "#aN" after the N-th handover: every
-        #: per-UE random stream of this context is qualified by it.
+        #: per-UE random stream of this context is qualified by it (so a
+        #: handed-over UE draws the same uplink sequence whether its new
+        #: cell runs in the shared loop or on another shard).
         self.stream_tag = stream_tag
-        self.uplink = UplinkModel(
-            sim, config.ue_id,
-            base_delay=config.uplink_base_delay,
-            jitter=config.uplink_jitter,
-            stream_label=(f"uplink-ue{config.ue_id}{stream_tag}"
-                          if stream_tag else ""))
+        # Read on every ACK, so copied out of the config once.
+        self.uplink_base_delay = config.uplink_base_delay
+        self.uplink_jitter = config.uplink_jitter
+        # One uplink draw happens per ACK: read the stream's standard
+        # exponentials in blocks (same variate sequence as scalar draws).
+        self._exponential = block_draws(
+            sim.random.stream(f"uplink-ue{config.ue_id}{stream_tag}"),
+            "exponential")
+        #: The serving gNB's attached UEs (set on attach); their count
+        #: scales the uplink load term.
+        self.cell_ues: dict[UeId, "UeContext"] = {}
         self._receivers: dict[int, PacketSink] = {}
         self._default_receiver: Optional[PacketSink] = None
         #: set by the gNB when the UE attaches; carries uplink packets back in.
@@ -156,7 +139,11 @@ class UeContext:
         if self.uplink_sink is None:
             raise RuntimeError(f"UE {self.ue_id} is not attached to a gNB")
         self.inflight_uplinks += 1
-        self._sim.schedule(self.uplink.delay(), self._uplink_arrive, packet)
+        jitter = (self.uplink_jitter * self._exponential()
+                  if self.uplink_jitter > 0 else 0.0)
+        load = UPLINK_PER_UE_LOAD * max(0, len(self.cell_ues) - 1)
+        self._sim.schedule(self.uplink_base_delay + jitter + load,
+                           self._uplink_arrive, packet)
 
     def _uplink_arrive(self, packet: Packet) -> None:
         self.inflight_uplinks -= 1

@@ -20,7 +20,7 @@ from repro.units import mbps, ms
 def _packet(five_tuple, ecn=ECN.ECT1, enqueue_time=None, payload=1000):
     packet = make_data_packet(0, five_tuple, 0, payload, ecn, 0.0)
     if enqueue_time is not None:
-        packet.stamp("link_enqueue", enqueue_time)
+        packet.timestamps["link_enqueue"] = enqueue_time
     return packet
 
 

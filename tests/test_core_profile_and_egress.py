@@ -186,23 +186,26 @@ class TestEgressRateEstimator:
             assert estimate.error_std == pytest.approx(math.sqrt(variance),
                                                        rel=1e-6, abs=1e-6)
 
-    def test_welford_accumulator_add_remove_exact(self):
-        """Unit check of the accumulator itself against statistics.pvariance."""
+    def test_welford_window_matches_pvariance(self):
+        """The estimator's running window against statistics.pvariance:
+        its smoothed rate is the window's mean and its error std the
+        window's population std, across insertions and expiries of
+        instantaneous rates around 1e7 bytes/s."""
         import statistics
 
-        from repro.core.egress import WindowedMeanVariance
-
-        stats = WindowedMeanVariance()
-        values = [1e7, 1.2e7, 0.3e7, 5e7, 4.99e7, 0.01e7, 2.5e7]
-        for value in values:
-            stats.add(value)
-        for expect_window in (values[2:], values[4:]):
-            while stats.count > len(expect_window):
-                stats.remove(values[len(values) - stats.count])
-            assert stats.mean == pytest.approx(
-                statistics.fmean(expect_window), rel=1e-12)
-            assert stats.variance() == pytest.approx(
-                statistics.pvariance(expect_window), rel=1e-9)
+        estimator = EgressRateEstimator(window=0.01)
+        sizes = [100_000, 120_000, 30_000, 500_000, 499_000, 1_000, 250_000]
+        samples: list[tuple[float, float]] = []
+        for index, size in enumerate(sizes * 3):
+            now = (index + 1) * 0.003
+            estimate = estimator.observe_transmissions([_Entry(now, size)])
+            samples.append((now, estimate.instantaneous_rate))
+            window = [rate for t, rate in samples if t > now - 0.01]
+            assert estimate.samples_in_window == len(window)
+            assert estimate.smoothed_rate == pytest.approx(
+                statistics.fmean(window), rel=1e-12)
+            assert estimate.error_std ** 2 == pytest.approx(
+                statistics.pvariance(window), rel=1e-9)
 
 
 class TestSojournPredictor:

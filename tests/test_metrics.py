@@ -139,11 +139,9 @@ class TestCollectors:
 class TestBreakdown:
     def _stamped_packet(self, five_tuple):
         packet = make_data_packet(0, five_tuple, 0, 1400, ECN.ECT1, 0.0)
-        packet.stamp("cu_ingress", 0.020)
-        packet.stamp("rlc_enqueue", 0.021)
-        packet.stamp("rlc_head", 0.030)
-        packet.stamp_override("rlc_dequeue", 0.045)
-        packet.stamp("ue_delivered", 0.050)
+        packet.timestamps.update(cu_ingress=0.020, rlc_enqueue=0.021,
+                                 rlc_head=0.030, rlc_dequeue=0.045,
+                                 ue_delivered=0.050)
         return packet
 
     def test_components_sum_to_total_delay(self, five_tuple):
@@ -152,7 +150,7 @@ class TestBreakdown:
         assert breakdown.propagation == pytest.approx(0.020)
         assert breakdown.queuing == pytest.approx(0.009)
         assert breakdown.scheduling == pytest.approx(0.015)
-        assert breakdown.total == pytest.approx(0.050)
+        assert sum(breakdown) == pytest.approx(0.050)
 
     def test_packet_without_ran_stamps_returns_none(self, five_tuple):
         packet = make_data_packet(0, five_tuple, 0, 1400, ECN.ECT1, 0.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.net.base import CollectorSink, NullSink, Tap
 from repro.net.ecn import ECN
 from repro.net.link import Link
@@ -67,6 +69,22 @@ class TestDelayPipe:
         sink = CollectorSink()
         DelayPipe(sim, 0.0, sink=sink).receive(_packet(five_tuple))
         assert len(sink) == 1
+
+    def test_sinkless_pipe_raises_naming_the_pipe(self, sim, five_tuple):
+        pipe = DelayPipe(sim, 0.25, name="wan-dl-3")
+        with pytest.raises(RuntimeError, match="wan-dl-3"):
+            pipe.receive(_packet(five_tuple))
+        assert pipe.forwarded_packets == 0
+        assert sim.run() == 0
+
+    def test_sink_assigned_before_traffic_receives_it(self, sim, five_tuple):
+        pipe = DelayPipe(sim, 0.25)
+        sink = CollectorSink()
+        pipe.sink = sink
+        pipe.receive(_packet(five_tuple))
+        sim.run()
+        assert len(sink) == 1
+        assert pipe.forwarded_packets == 1
 
 
 class TestLink:

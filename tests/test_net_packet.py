@@ -85,18 +85,10 @@ class TestPacket:
         assert not packet.mark_ce(by="test")
         assert packet.ecn == ECN.NOT_ECT
 
-    def test_stamp_keeps_first_value(self, five_tuple):
-        packet = make_data_packet(0, five_tuple, 0, 100, ECN.ECT1, 0.0)
-        packet.stamp("x", 1.0)
-        packet.stamp("x", 2.0)
-        assert packet.timestamps["x"] == 1.0
-        packet.stamp_override("x", 3.0)
-        assert packet.timestamps["x"] == 3.0
-
     def test_elapsed_between_stamps(self, five_tuple):
         packet = make_data_packet(0, five_tuple, 0, 100, ECN.ECT1, 0.0)
-        packet.stamp("a", 1.0)
-        packet.stamp("b", 1.5)
+        packet.timestamps["a"] = 1.0
+        packet.timestamps["b"] = 1.5
         assert packet.elapsed("a", "b") == 0.5
         assert packet.elapsed("a", "missing") is None
 

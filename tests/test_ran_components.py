@@ -64,11 +64,37 @@ class TestSdap:
             packet = make_data_packet(0, five_tuple, 0, 100, ecn, 0.0)
             assert sdap.drb_for_packet(packet) == 1
 
+    @pytest.mark.parametrize("configs, expected", [
+        # L4S + classic: ECT(1) and CE ride the L4S bearer, ECT(0) the
+        # classic one, Not-ECT falls back to the first (default) bearer.
+        ([DrbConfig(1, service_class=DrbServiceClass.L4S),
+          DrbConfig(2, service_class=DrbServiceClass.CLASSIC)],
+         {ECN.NOT_ECT: 1, ECN.ECT1: 1, ECN.ECT0: 2, ECN.CE: 1}),
+        # One mixed bearer carries every class.
+        ([DrbConfig(3, service_class=DrbServiceClass.MIXED)],
+         {ECN.NOT_ECT: 3, ECN.ECT1: 3, ECN.ECT0: 3, ECN.CE: 3}),
+        # Only an L4S bearer: what it is not provisioned for takes the
+        # default bearer, which is the same one.
+        ([DrbConfig(4, service_class=DrbServiceClass.L4S)],
+         {ECN.NOT_ECT: 4, ECN.ECT1: 4, ECN.ECT0: 4, ECN.CE: 4}),
+    ], ids=["l4s+classic", "mixed-only", "default-only"])
+    def test_codepoint_table_follows_the_classification_rule(
+            self, five_tuple, configs, expected):
+        sdap = SdapEntity(0, configs)
+        assert sdap.drb_by_codepoint == tuple(
+            expected[codepoint] for codepoint in sorted(ECN))
+        for codepoint, drb_id in expected.items():
+            packet = make_data_packet(0, five_tuple, 0, 100, codepoint, 0.0)
+            assert sdap.drb_for_packet(packet) == drb_id
+
     def test_explicit_qfi_pin_wins(self, five_tuple):
         sdap = self._sdap_with_split_drbs()
         sdap.map_qfi(9, 2)
         packet = make_data_packet(0, five_tuple, 0, 100, ECN.ECT1, 0.0)
         assert sdap.drb_for_packet(packet, qfi=9) == 2
+        # The pin overrides the table only for its own QFI.
+        assert sdap.drb_for_packet(packet) == 1
+        assert sdap.drb_for_packet(packet, qfi=8) == 1
 
     def test_pinning_unknown_drb_rejected(self):
         sdap = self._sdap_with_split_drbs()
@@ -108,10 +134,11 @@ class TestF1U:
     def test_status_report_reaches_cu(self, sim):
         reports = []
         f1u = F1UInterface(sim, latency=0.001)
-        f1u.connect_cu(reports.append)
-        f1u.send_delivery_status(DeliveryStatus(0, 1, 7, 3, 0.0))
+        f1u.connect_cu(lambda status, now: reports.append((status, now)))
+        f1u.status_sender(0, 1)(7, 3, 0.0)
         sim.run()
-        assert reports[0].highest_txed_sn == 7
+        assert reports == [(DeliveryStatus(0, 1, 7, 3, 0.0), 0.001)]
+        assert f1u.status_messages == 1
 
     def test_downlink_without_du_raises(self, sim, five_tuple):
         f1u = F1UInterface(sim)
@@ -121,8 +148,9 @@ class TestF1U:
 
     def test_status_without_cu_is_dropped_silently(self, sim):
         f1u = F1UInterface(sim)
-        f1u.send_delivery_status(DeliveryStatus(0, 1, 1, None, 0.0))
+        f1u.status_sender(0, 1)(1, None, 0.0)
         assert f1u.status_messages == 0
+        assert sim.run() == 0
 
 
 class TestAirInterface:

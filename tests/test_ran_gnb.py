@@ -11,7 +11,7 @@ from repro.net.packet import make_ack_packet, make_data_packet
 from repro.ran.core import FiveGCore
 from repro.ran.gnb import GNodeB
 from repro.ran.marker import NoopMarker
-from repro.ran.ue import UeConfig, UeContext, UplinkModel
+from repro.ran.ue import UeConfig, UeContext
 
 
 def _attach_ue(sim, gnb, ue_id=0, separate_drbs=True):
@@ -63,7 +63,7 @@ class TestGnbDataPath:
         ue = _attach_ue(sim, gnb)
         sink = CollectorSink()
         ue.register_receiver(0, sink)
-        gnb.cu.uplink_sink = CollectorSink()
+        gnb.cu.uplink_sink = CollectorSink().receive
         data = make_data_packet(0, five_tuple, 0, 1400, ECN.ECT1, 0.0)
         gnb.receive_downlink(data, 0)
         sim.run(until=0.2)
@@ -97,12 +97,26 @@ class TestUeContext:
         with pytest.raises(RuntimeError):
             ue.send_uplink(make_ack_packet(data, 100, 0.0))
 
-    def test_uplink_delay_is_positive_and_load_dependent(self, sim):
-        model = UplinkModel(sim, ue_id=0, base_delay=0.004, jitter=0.002)
-        model.active_ue_count = lambda: 1
-        single = [model.delay() for _ in range(100)]
-        model.active_ue_count = lambda: 64
-        loaded = [model.delay() for _ in range(100)]
+    def test_uplink_delay_is_positive_and_load_dependent(self, sim,
+                                                         five_tuple):
+        def uplink_delays(cell_ues):
+            gnb = GNodeB(sim, name=f"gnb{cell_ues}")
+            ue = _attach_ue(sim, gnb)
+            for ue_id in range(1, cell_ues):
+                _attach_ue(sim, gnb, ue_id=ue_id)
+            arrivals = []
+            ue.uplink_sink = lambda packet, ue_id: arrivals.append(sim.now)
+            data = make_data_packet(0, five_tuple, 0, 100, ECN.ECT1, 0.0)
+            start = sim.now
+            for _ in range(100):
+                ue.send_uplink(make_ack_packet(data, 100, start))
+            sim.run(until=start + 1.0)
+            gnb.stop()
+            return [arrival - start for arrival in arrivals]
+
+        single = uplink_delays(1)
+        loaded = uplink_delays(64)
+        assert len(single) == len(loaded) == 100
         assert all(d >= 0.004 for d in single)
         assert (sum(loaded) / len(loaded)) > (sum(single) / len(single))
 

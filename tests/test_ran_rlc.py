@@ -144,6 +144,23 @@ class TestRlcRetransmissionAccounting:
         assert entity.backlog_bytes == 0
         assert harness.delivered == []
 
+    def test_reenqueued_packet_keeps_first_enqueue_stamp(self, sim,
+                                                         five_tuple):
+        """A packet entering a second RLC queue (a handover-forwarded SDU)
+        keeps its first ``rlc_enqueue`` and ``rlc_head`` stamps; leaving the
+        queue overrides ``rlc_dequeue``."""
+        first, second = RlcHarness(sim).entity, RlcHarness(sim).entity
+        packet = make_data_packet(0, five_tuple, 0, 1400, ECN.ECT1, 0.0)
+        first.enqueue(0, packet)
+        first.pull(1440)
+        sim.schedule(0.001, lambda: None)
+        sim.run()
+        second.enqueue(0, packet)
+        second.pull(1440)
+        assert packet.timestamps["rlc_enqueue"] == 0.0
+        assert packet.timestamps["rlc_head"] == 0.0
+        assert packet.timestamps["rlc_dequeue"] == sim.now > 0.0
+
     def test_requeued_sdu_gets_fresh_head_stamp(self, sim, five_tuple):
         """After a HARQ failure the re-queued SDU must not report a
         head-of-line wait inflated by its first pass through the queue."""
