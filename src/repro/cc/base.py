@@ -26,7 +26,6 @@ from repro.net.base import PacketSink
 from repro.net.ecn import ECN
 from repro.net.packet import DEFAULT_MSS, HEADER_BYTES, Packet, make_data_packet
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
 from repro.units import ms
 
 #: Reservoir capacities for the per-flow sample streams.  RTT samples feed
@@ -160,7 +159,7 @@ class WindowSender(Sender):
         self.rto = 1.0
         self._dupacks = 0
         self._last_ack_seq = -1
-        self._rto_event: Optional[Event] = None
+        self._rto_event: Optional[list] = None
         self._rto_deadline: Optional[float] = None
         self._rto_event_time = 0.0
         self._cwr_pending = False
@@ -170,7 +169,7 @@ class WindowSender(Sender):
         self._last_accecn_ce_packets = 0
         self._recovery_until = 0
         self._in_fast_recovery = False
-        self._pacing_timer: Optional[Event] = None
+        self._pacing_timer: Optional[list] = None
         self._next_send_time = 0.0
         self._min_rtt_seen: Optional[float] = None
         self._round_min_rtt: Optional[float] = None
@@ -189,10 +188,10 @@ class WindowSender(Sender):
         super().stop()
         self._rto_deadline = None
         if self._rto_event is not None:
-            self._rto_event.cancel()
+            self._sim.cancel(self._rto_event)
             self._rto_event = None
         if self._pacing_timer is not None:
-            self._pacing_timer.cancel()
+            self._sim.cancel(self._pacing_timer)
             self._pacing_timer = None
 
     # ------------------------------------------------------------------ #
@@ -428,7 +427,7 @@ class WindowSender(Sender):
             self._rto_event = self._sim.schedule(rto, self._rto_timer)
             self._rto_event_time = deadline
         elif deadline < self._rto_event_time:
-            self._rto_event.cancel()
+            self._sim.cancel(self._rto_event)
             self._rto_event = self._sim.schedule(rto, self._rto_timer)
             self._rto_event_time = deadline
 
@@ -475,7 +474,7 @@ class WindowSender(Sender):
             self.running = False
             self._rto_deadline = None
             if self._rto_event is not None:
-                self._rto_event.cancel()
+                self._sim.cancel(self._rto_event)
                 self._rto_event = None
 
     # ------------------------------------------------------------------ #
@@ -521,7 +520,7 @@ class RateSender(Sender):
         self.max_rate = max_rate
         self.protocol = protocol
         self.next_seq = 0
-        self._send_event: Optional[Event] = None
+        self._send_event: Optional[list] = None
 
     # ------------------------------------------------------------------ #
     def start(self) -> None:
@@ -532,7 +531,7 @@ class RateSender(Sender):
     def stop(self) -> None:
         super().stop()
         if self._send_event is not None:
-            self._send_event.cancel()
+            self._sim.cancel(self._send_event)
             self._send_event = None
 
     def set_rate(self, rate: float) -> None:

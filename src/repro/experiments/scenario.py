@@ -47,7 +47,7 @@ from repro.net.router import BottleneckRouter
 from repro.ran.core import CORE_PROCESSING_DELAY, FiveGCore
 from repro.ran.gnb import GNodeB
 from repro.ran.identifiers import RlcMode
-from repro.ran.mac import resolve_scheduler
+from repro.ran.scheduling import resolve_scheduler
 from repro.ran.mobility import MobilityManager, MobilityTopology
 from repro.ran.ue import UeConfig, UeContext
 from repro.sim.engine import Simulator

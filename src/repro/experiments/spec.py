@@ -43,7 +43,7 @@ from repro.core.factory import make_marker  # noqa: F401  (registration)
 from repro.net.addresses import UE_ADDRESS_SPACE
 from repro.ran.cell import CellConfig
 from repro.ran.identifiers import DEFAULT_RLC_QUEUE_SDUS
-from repro.ran.mac import resolve_scheduler  # noqa: F401  (registration)
+from repro.ran.scheduling import resolve_scheduler  # noqa: F401  (registration)
 from repro.ran.phy import AirInterfaceConfig
 from repro.registry import (CC_SENDERS, CHANNEL_PROFILES, MARKERS, SCHEDULERS,
                             UnknownComponentError)

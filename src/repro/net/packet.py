@@ -22,6 +22,7 @@ DEFAULT_MSS = 1400
 HEADER_BYTES = 40
 
 _packet_ids = itertools.count(1)
+_next_packet_id = _packet_ids.__next__
 
 
 @dataclass(slots=True)
@@ -94,7 +95,7 @@ class Packet:
     cwr: bool = False
     accecn: Optional[AccEcnCounters] = None
     sent_time: float = 0.0
-    packet_id: int = field(default_factory=_packet_ids.__next__)
+    packet_id: int = field(default_factory=_next_packet_id)
     timestamps: dict = field(default_factory=dict)
     marked_by: Optional[str] = None
     retransmission: bool = False
@@ -149,10 +150,11 @@ def make_data_packet(flow_id: int, five_tuple: FiveTuple, seq: int,
                      protocol: str = "tcp",
                      retransmission: bool = False) -> Packet:
     """Create a downlink data segment carrying ``payload`` bytes starting at ``seq``."""
-    return Packet(flow_id=flow_id, five_tuple=five_tuple,
-                  size=payload + HEADER_BYTES, ecn=ecn, protocol=protocol,
-                  seq=seq, end_seq=seq + payload, sent_time=now,
-                  retransmission=retransmission)
+    # Positional, in field order (see Packet.__reduce__): no keyword
+    # matching and no default factories on the per-packet path.
+    return Packet(flow_id, five_tuple, payload + HEADER_BYTES, ecn, protocol,
+                  seq, seq + payload, False, 0, False, False, None, now,
+                  _next_packet_id(), {}, None, retransmission, {})
 
 
 def make_ack_packet(data_packet: Packet, ack_seq: int, now: float,
@@ -164,16 +166,17 @@ def make_ack_packet(data_packet: Packet, ack_seq: int, now: float,
     ``ack_tuple`` is the reversed five-tuple when the caller already holds
     it (a receiver reverses its flow's tuple once, not per ACK).
     """
-    ack = Packet(flow_id=data_packet.flow_id,
-                 five_tuple=(ack_tuple if ack_tuple is not None
-                             else data_packet.five_tuple.reversed()),
-                 size=HEADER_BYTES, ecn=ECN.NOT_ECT,
-                 protocol=data_packet.protocol, is_ack=True,
-                 ack_seq=ack_seq, ece=ece,
-                 accecn=accecn.copy() if accecn is not None else None,
-                 sent_time=now)
-    ack.payload_info["data_sent_time"] = data_packet.sent_time
-    ack.payload_info["data_packet_id"] = data_packet.packet_id
-    if "app" in data_packet.payload_info:
-        ack.payload_info["app"] = data_packet.payload_info["app"]
-    return ack
+    payload_info = {"data_sent_time": data_packet.sent_time,
+                    "data_packet_id": data_packet.packet_id}
+    data_info = data_packet.payload_info
+    if "app" in data_info:
+        payload_info["app"] = data_info["app"]
+    if accecn is not None:
+        accecn = AccEcnCounters(accecn.ce_packets, accecn.ce_bytes,
+                                accecn.ect1_bytes, accecn.ect0_bytes)
+    return Packet(data_packet.flow_id,
+                  (ack_tuple if ack_tuple is not None
+                   else data_packet.five_tuple.reversed()),
+                  HEADER_BYTES, ECN.NOT_ECT, data_packet.protocol, 0, 0, True,
+                  ack_seq, ece, False, accecn, now, _next_packet_id(), {},
+                  None, False, payload_info)

@@ -29,7 +29,8 @@ from repro.ran.rlc import RlcEntity, RlcSdu
 from repro.ran.pdcp import PdcpEntity
 from repro.ran.sdap import SdapEntity
 from repro.ran.phy import AirInterface, AirInterfaceConfig
-from repro.ran.mac import MacScheduler, SchedulerPolicy
+from repro.ran.mac import MacScheduler
+from repro.ran.scheduling import SchedulerPolicy
 from repro.ran.ue import UeConfig, UeContext
 from repro.ran.marker import NoopMarker, RanMarker
 from repro.ran.mobility import (HandoverTransfer, MobilityManager,

@@ -14,9 +14,10 @@ from repro.net.packet import Packet
 from repro.ran.cell import CellConfig
 from repro.ran.f1u import F1UInterface
 from repro.ran.identifiers import DrbId, DrbKey, UeId
-from repro.ran.mac import MacScheduler, SchedulerPolicy
+from repro.ran.mac import MacScheduler
 from repro.ran.phy import AirInterface, AirInterfaceConfig
 from repro.ran.rlc import RlcEntity
+from repro.ran.scheduling import SchedulerPolicy
 from repro.ran.ue import UeContext
 from repro.sim.engine import Simulator
 

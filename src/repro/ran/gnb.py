@@ -10,7 +10,7 @@ from repro.ran.cu import CentralUnitUserPlane
 from repro.ran.du import DistributedUnit
 from repro.ran.f1u import F1UInterface
 from repro.ran.identifiers import UeId
-from repro.ran.mac import SchedulerPolicy
+from repro.ran.scheduling import SchedulerPolicy
 from repro.ran.marker import RanMarker
 from repro.ran.phy import AirInterfaceConfig
 from repro.ran.ue import UeContext

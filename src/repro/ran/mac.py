@@ -17,7 +17,6 @@ policies.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Optional
@@ -25,26 +24,8 @@ from typing import Callable, Optional
 from repro.channel.base import ChannelModel
 from repro.ran.cell import CellConfig
 from repro.ran.identifiers import UeId
-from repro.registry import SCHEDULERS
+from repro.ran.scheduling import SchedulerPolicy
 from repro.sim.engine import Simulator
-
-
-class SchedulerPolicy(enum.Enum):
-    """Supported MAC scheduling policies."""
-
-    ROUND_ROBIN = "rr"
-    PROPORTIONAL_FAIR = "pf"
-
-
-SCHEDULERS.add("rr", SchedulerPolicy.ROUND_ROBIN, "round_robin")
-SCHEDULERS.add("pf", SchedulerPolicy.PROPORTIONAL_FAIR, "proportional_fair")
-
-
-def resolve_scheduler(name) -> SchedulerPolicy:
-    """Map a policy name (or a policy member) onto :class:`SchedulerPolicy`."""
-    if isinstance(name, SchedulerPolicy):
-        return name
-    return SCHEDULERS.get(name)
 
 
 @dataclass(slots=True)
@@ -215,8 +196,7 @@ class MacScheduler:
         window, or a ``stop()`` -- or the slot just run parked the clock.
         """
         sim = self._sim
-        queue = sim.events
-        heap = queue.heap
+        heap = sim.heap
         timer = self._timer
         slot = timer.period
         # A predicted run of zero-service ticks (see
@@ -245,8 +225,8 @@ class MacScheduler:
             # Each tick counts as one processed event, keeping event totals
             # identical to the heap-driven clock.
             sim._processed += 1
-            seq = queue._next_seq
-            queue._next_seq = seq + 1
+            seq = sim._next_seq
+            sim._next_seq = seq + 1
             nxt = sim.now + slot
             timer.time = nxt
             timer.seq = seq
@@ -329,8 +309,7 @@ class MacScheduler:
         timer was stopped).
         """
         sim = self._sim
-        queue = sim.events
-        heap = queue.heap
+        heap = sim.heap
         timer = self._timer
         slot = timer.period
         if heap:
@@ -340,7 +319,7 @@ class MacScheduler:
         else:
             head_time = None
             head_seq = 0
-        seq0 = queue._next_seq
+        seq0 = sim._next_seq
         t = sim.now
         count = 1  # the tick at sim.now is due unconditionally
         over = False
@@ -374,7 +353,7 @@ class MacScheduler:
         self._decay_idle(count)
         sim.now = t
         sim._processed += count
-        queue._next_seq = seq0 + count
+        sim._next_seq = seq0 + count
         seq = seq0 + count - 1
         nxt = t + slot
         timer.time = nxt

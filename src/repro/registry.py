@@ -185,7 +185,7 @@ MARKERS = Registry("marker")
 #: Registered in ``repro.channel.profiles``.
 CHANNEL_PROFILES = Registry("channel profile")
 
-#: MAC scheduler policies (``repro.ran.mac.SchedulerPolicy`` members).
+#: MAC scheduler policies (``repro.ran.scheduling.SchedulerPolicy`` members).
 SCHEDULERS = Registry("scheduler")
 
 #: Workload generators returning ``list[FlowSpec]``.  Registered in

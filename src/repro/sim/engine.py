@@ -1,4 +1,4 @@
-"""The simulation engine: a clock, an event queue and a timer wheel.
+"""The simulation engine: a clock, an event heap and a timer wheel.
 
 Every component in the library receives a :class:`Simulator` and schedules
 work on it.  One-shot callbacks go through the heap (:meth:`Simulator.schedule`);
@@ -6,19 +6,27 @@ every recurring timer -- the MAC slot clocks, the dominant recurring events
 of every RAN scenario, and the samplers, AQM updaters, feedback clocks and
 monitors started with :meth:`Simulator.every` -- lives off-heap on the timer
 wheel (:class:`SlotTimer`) and is merged with the heap by one run loop in
-exact ``(time, sequence)`` order.  The engine is deliberately small -- the
-interesting behaviour lives in the network, RAN and congestion-control
-components.
+exact ``(time, sequence)`` order.
+
+A heap entry *is* the event: the list ``[time, seq, callback, args]``,
+built and pushed in the scheduling call's own frame and returned as the
+handle.  The heap orders entries by ``(time, seq)`` -- ``seq`` comes from
+one counter shared with the wheel and is unique, so the comparison never
+reaches the callback and two events at the same instant fire in the order
+they were scheduled.  :meth:`Simulator.cancel` clears the callback slot;
+the entry stays queued and is discarded lazily when it reaches the head.
+The engine is deliberately small -- the interesting behaviour lives in the
+network, RAN and congestion-control components.
 """
 
 from __future__ import annotations
 
 from bisect import insort as _insort
 from heapq import heappop as _heappop
+from heapq import heappush as _heappush
 from operator import attrgetter
 from typing import Callable, Optional
 
-from repro.sim.events import Event, EventQueue
 from repro.sim.randomness import RandomStreams
 from repro.sim.timers import SlotTimer
 
@@ -48,7 +56,10 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
-        self.events = EventQueue()
+        #: The event heap of ``[time, seq, callback, args]`` entries, and
+        #: the tie-break counter it shares with the wheel.
+        self.heap: list[list] = []
+        self._next_seq = 0
         self.random = RandomStreams(seed)
         self._running = False
         self._processed = 0
@@ -64,23 +75,46 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------ #
     def schedule(self, delay: float, callback: Callable[..., None],
-                 *args) -> Event:
-        """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
+                 *args) -> list:
+        """Schedule ``callback(*args)`` to fire ``delay`` seconds from now.
+
+        Returns the heap entry, the handle :meth:`cancel` takes.
+        """
+        if not delay >= 0.0:  # NaN fails the comparison too
             raise SimulationError(f"cannot schedule {delay} s in the past")
-        return self.events.push(self.now + delay, callback, args)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        entry = [self.now + delay, seq, callback, args]
+        _heappush(self.heap, entry)
+        return entry
 
     def schedule_at(self, time: float, callback: Callable[..., None],
-                    *args) -> Event:
+                    *args) -> list:
         """Schedule ``callback(*args)`` at an absolute simulation time."""
-        if time < self.now:
+        if not time >= self.now:  # NaN fails the comparison too
             raise SimulationError(
                 f"cannot schedule at {time:.6f} s, current time is {self.now:.6f} s")
-        return self.events.push(time, callback, args)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        entry = [time, seq, callback, args]
+        _heappush(self.heap, entry)
+        return entry
 
-    def call_soon(self, callback: Callable[..., None], *args) -> Event:
+    def call_soon(self, callback: Callable[..., None], *args) -> list:
         """Schedule a callback for the current instant (after pending same-time events)."""
-        return self.events.push(self.now, callback, args)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        entry = [self.now, seq, callback, args]
+        _heappush(self.heap, entry)
+        return entry
+
+    def cancel(self, handle: list) -> None:
+        """Cancel a scheduled event; a no-op once it has fired.
+
+        The entry stays on the heap with no callback: the run loop and
+        :meth:`peek_time` discard it when it reaches the head.
+        """
+        handle[2] = None
 
     def add_slot_timer(self, period: float, callback,
                        start_at: Optional[float] = None) -> SlotTimer:
@@ -96,9 +130,8 @@ class Simulator:
         first = self.now if start_at is None else max(start_at, self.now)
         # Consume the tie-break sequence number exactly where a
         # self-rescheduling heap callback would push its first tick.
-        queue = self.events
-        seq = queue._next_seq
-        queue._next_seq = seq + 1
+        seq = self._next_seq
+        self._next_seq = seq + 1
         timer = SlotTimer(first, seq, period, callback)
         self._wheel.append(timer)
         self._wheel.sort(key=_timer_key)
@@ -119,7 +152,7 @@ class Simulator:
             callback()
             self._processed += 1
             if not timer.stopped:
-                timer.advance(self.events)
+                timer.advance(self)
 
         timer = self.add_slot_timer(
             period, fire, self.now + period if start_at is None else start_at)
@@ -139,12 +172,15 @@ class Simulator:
         bit-identical to scheduling every tick through the heap.  This is
         the hottest code in the library: every simulated packet, timer and
         channel update funnels through the inner drain, whose per-event
-        work is one cancellation check, one key comparison against a cached
-        stop key (the head timer, capped by ``until``) and one staleness
-        check.  The wheel is kept ordered, so a timer *firing* reads the
-        head and hands its callback the second entry's key (capped by
-        ``until``) as the barrier it may batch ticks up to; a parked head's
-        ticks are taken by the loop itself (null ticks, see
+        work is one key comparison of the heap head against a cached stop
+        key (the head timer, capped by ``until``), one pop, one
+        cancellation check (a cancelled entry is popped, neither fired nor
+        counted) and one staleness check.  A cancelled entry past the stop
+        key stays queued until it is reached; as a head it merely ends a
+        slot batch early.  The wheel is kept ordered, so a timer *firing*
+        reads the head and hands its callback the second entry's key
+        (capped by ``until``) as the barrier it may batch ticks up to; a
+        parked head's ticks are taken by the loop itself (null ticks, see
         :class:`SlotTimer`).  Either way only the head's key moved, and one
         rule re-seats it: if its new key passed the second entry's, it is
         taken out and insorted into the (still ordered) rest.  The cached
@@ -164,8 +200,7 @@ class Simulator:
 
     def _run_merged(self, until: Optional[float]) -> None:
         """The loop of :meth:`run` (documented there)."""
-        queue = self.events
-        heap = queue.heap
+        heap = self.heap
         wheel = self._wheel
         heappop = _heappop
         insort = _insort
@@ -189,17 +224,16 @@ class Simulator:
             # Heap events ahead of the stop key.
             while heap:
                 head = heap[0]
-                event = head[2]
-                if event.cancelled:
-                    heappop(heap)
-                    continue
                 head_time = head[0]
-                if head_time > stop_time or (head_time == stop_time
-                                             and head[1] > stop_seq):
+                if head_time >= stop_time and (head_time > stop_time
+                                               or head[1] > stop_seq):
                     break
                 heappop(heap)
+                callback = head[2]
+                if callback is None:  # cancelled
+                    continue
                 self.now = head_time
-                event.callback(*event.args)
+                callback(*head[3])
                 # Per-event update keeps processed_events live for callbacks
                 # (watchdog patterns read it mid-run).
                 self._processed += 1
@@ -208,6 +242,8 @@ class Simulator:
             if self._epoch != epoch:
                 continue
             if timer is None:
+                while heap and heap[0][2] is None:
+                    heappop(heap)
                 if heap or wheel:
                     self.now = until  # work remains, all of it past the window
                 return
@@ -240,7 +276,7 @@ class Simulator:
             # key.  Nothing else runs in here, so ``now``, the event total
             # and the sequence counter are written back once.
             processed = self._processed
-            next_seq = queue._next_seq
+            next_seq = self._next_seq
             while True:
                 now = timer.time
                 seq = next_seq
@@ -269,7 +305,7 @@ class Simulator:
                         break
             self.now = now
             self._processed = processed
-            queue._next_seq = next_seq
+            self._next_seq = next_seq
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
@@ -290,7 +326,10 @@ class Simulator:
         Live wheel timers count as work: a shard whose only future activity
         is its slot clock must not look idle to the barrier synchronizer.
         """
-        heap_time = self.events.peek_time()
+        heap = self.heap
+        while heap and heap[0][2] is None:
+            _heappop(heap)
+        heap_time = heap[0][0] if heap else None
         wheel = self._wheel
         while wheel and wheel[0].stopped:
             del wheel[0]
@@ -299,9 +338,18 @@ class Simulator:
         return heap_time
 
     @property
+    def events(self) -> "Simulator":
+        """The simulator itself, which owns the heap and its counter.
+
+        ``benchmarks/ledger/drivers.py`` (pinned) still hands
+        ``sim.events`` to :meth:`SlotTimer.advance`.
+        """
+        return self
+
+    @property
     def pending_events(self) -> int:
         """Number of heap entries still queued (including cancelled ones)."""
-        return len(self.events)
+        return len(self.heap)
 
     @property
     def processed_events(self) -> int:

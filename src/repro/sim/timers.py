@@ -16,7 +16,7 @@ class SlotTimer:
     its ``(time, seq)`` key directly against the heap head.
 
     Determinism contract: a wheel timer consumes sequence numbers from the
-    same :class:`~repro.sim.events.EventQueue` counter a heap push would, at
+    same :class:`~repro.sim.engine.Simulator` counter a heap push would, at
     the same logical points -- one at creation (where a self-rescheduling
     heap callback pushes its first tick) and one after each firing (where
     it re-schedules itself).  Same-instant ordering against heap events is
@@ -56,10 +56,11 @@ class SlotTimer:
         self.parked = False
         self.skipped = 0
 
-    def advance(self, queue) -> None:
-        """Move to the next tick, consuming one tie-break sequence number."""
-        seq = queue._next_seq
-        queue._next_seq = seq + 1
+    def advance(self, sim) -> None:
+        """Move to the next tick, consuming one of ``sim``'s tie-break
+        sequence numbers."""
+        seq = sim._next_seq
+        sim._next_seq = seq + 1
         self.seq = seq
         self.time += self.period
 

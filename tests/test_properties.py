@@ -18,7 +18,7 @@ from repro.net.packet import AccEcnCounters
 from repro.net.queueing import DropTailQueue
 from repro.net.packet import make_data_packet
 from repro.net.addresses import FiveTuple
-from repro.sim.events import EventQueue
+from repro.sim.engine import Simulator
 
 
 # --------------------------------------------------------------------------- #
@@ -169,15 +169,11 @@ def test_droptail_byte_accounting_invariant(payloads, max_bytes):
 
 @given(times=st.lists(st.floats(0, 1000), max_size=80))
 def test_event_queue_pops_in_nondecreasing_time_order(times):
-    queue = EventQueue()
-    for t in times:
-        queue.push(t, lambda: None)
+    sim = Simulator()
     popped = []
-    while True:
-        event = queue.pop()
-        if event is None:
-            break
-        popped.append(event.time)
+    for t in times:
+        sim.schedule_at(t, lambda: popped.append(sim.now))
+    sim.run()
     assert popped == sorted(popped)
     assert len(popped) == len(times)
 
@@ -186,55 +182,58 @@ def test_event_queue_pops_in_nondecreasing_time_order(times):
        cancel_mask=st.lists(st.booleans(), max_size=80))
 def test_event_queue_cancellation_preserves_order_of_survivors(times,
                                                                cancel_mask):
-    queue = EventQueue()
-    events = [queue.push(t, lambda: None) for t in times]
-    for event, do_cancel in zip(events, cancel_mask):
-        if do_cancel:
-            event.cancel()
-    survivors = sorted((e for e in events if not e.cancelled),
-                       key=lambda e: (e.time, e.sequence))
+    sim = Simulator()
     popped = []
-    while True:
-        event = queue.pop()
-        if event is None:
-            break
-        popped.append(event)
+    events = [sim.schedule_at(t, popped.append, index)
+              for index, t in enumerate(times)]
+    cancelled = set()
+    for index, (event, do_cancel) in enumerate(zip(events, cancel_mask)):
+        if do_cancel:
+            sim.cancel(event)
+            cancelled.add(index)
+    survivors = sorted((index for index in range(len(events))
+                        if index not in cancelled),
+                       key=lambda index: (events[index][0], events[index][1]))
+    sim.run()
     assert popped == survivors
 
 
 @given(times=st.lists(st.sampled_from([0.0, 1.0, 2.0]), max_size=60))
 def test_event_queue_ties_break_in_scheduling_order(times):
-    queue = EventQueue()
-    events = [queue.push(t, lambda: None) for t in times]
-    expected = sorted(events, key=lambda e: (e.time, e.sequence))
+    sim = Simulator()
     popped = []
-    while True:
-        event = queue.pop()
-        if event is None:
-            break
-        popped.append(event)
+    events = [sim.schedule_at(t, popped.append, index)
+              for index, t in enumerate(times)]
+    expected = sorted(range(len(events)),
+                      key=lambda index: (events[index][0], events[index][1]))
+    sim.run()
     assert popped == expected
     # Sequence numbers within a tie must reflect scheduling order.
     for earlier, later in zip(popped, popped[1:]):
-        if earlier.time == later.time:
-            assert earlier.sequence < later.sequence
+        if times[earlier] == times[later]:
+            assert events[earlier][1] < events[later][1]
 
 
 @given(times=st.lists(st.floats(0, 100), max_size=40),
        cancel_mask=st.lists(st.booleans(), max_size=40))
 def test_event_queue_peek_time_matches_next_pop(times, cancel_mask):
-    queue = EventQueue()
-    events = [queue.push(t, lambda: None) for t in times]
+    sim = Simulator()
+    fired = []
+
+    def fire():
+        fired.append(sim.now)
+        sim.stop()  # one event per run() call
+
+    events = [sim.schedule_at(t, fire) for t in times]
     for event, do_cancel in zip(events, cancel_mask):
         if do_cancel:
-            event.cancel()
+            sim.cancel(event)
     while True:
-        peeked = queue.peek_time()
-        event = queue.pop()
-        if event is None:
+        peeked = sim.peek_time()
+        if sim.run() == 0:
             assert peeked is None
             break
-        assert peeked == event.time
+        assert peeked == fired[-1]
 
 
 # --------------------------------------------------------------------------- #

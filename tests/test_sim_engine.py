@@ -5,45 +5,85 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.events import EventQueue
 
 
 class TestEventQueue:
+    """The simulator's event heap, driven through schedule/cancel/run."""
+
     def test_pop_returns_events_in_time_order(self):
-        queue = EventQueue()
-        fired = []
-        queue.push(2.0, lambda: fired.append(2))
-        queue.push(1.0, lambda: fired.append(1))
-        queue.push(3.0, lambda: fired.append(3))
-        order = [queue.pop().time for _ in range(3)]
+        sim = Simulator()
+        order = []
+        for time in (2.0, 1.0, 3.0):
+            sim.schedule_at(time, lambda: order.append(sim.now))
+        sim.run()
         assert order == [1.0, 2.0, 3.0]
 
     def test_same_time_events_fire_in_scheduling_order(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        second = queue.push(1.0, lambda: None)
-        assert queue.pop() is first
-        assert queue.pop() is second
+        sim = Simulator()
+        fired = []
+        first = sim.schedule_at(1.0, lambda: fired.append(first))
+        second = sim.schedule_at(1.0, lambda: fired.append(second))
+        sim.run()
+        assert fired[0] is first
+        assert fired[1] is second
 
     def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        keeper = queue.push(2.0, lambda: None)
-        event.cancel()
-        assert queue.pop() is keeper
+        sim = Simulator()
+        fired = []
+        event = sim.schedule_at(1.0, fired.append, "event")
+        sim.schedule_at(2.0, fired.append, "keeper")
+        sim.cancel(event)
+        sim.run()
+        assert fired == ["keeper"]
 
     def test_peek_time_ignores_cancelled_head(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(5.0, lambda: None)
-        event.cancel()
-        assert queue.peek_time() == 5.0
+        sim = Simulator()
+        event = sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(5.0, lambda: None)
+        sim.cancel(event)
+        assert sim.peek_time() == 5.0
 
     def test_len_counts_pending(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        assert len(queue) == 2
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
+        assert sim.pending_events == 2
+
+    def test_cancelled_entry_past_the_window_is_not_fired_or_counted(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(0.5, fired.append, "a")
+        doomed = sim.schedule(2.0, fired.append, "doomed")
+        sim.schedule(3.0, fired.append, "b")
+        sim.cancel(doomed)
+        assert sim.run(until=1.0) == 1
+        assert sim.now == 1.0
+        assert sim.peek_time() == 3.0
+        assert sim.run(until=2.5) == 0
+        assert sim.now == 2.5
+        assert sim.run() == 1
+        assert fired == ["a", "b"]
+        assert sim.processed_events == 2
+
+    def test_only_cancelled_entries_left_do_not_advance_the_clock(self):
+        sim = Simulator()
+        sim.schedule(0.5, lambda: None)
+        sim.cancel(sim.schedule(2.0, lambda: None))
+        assert sim.run(until=1.0) == 1
+        assert sim.now == 0.5
+        assert sim.pending_events == 0
+
+    def test_cancelling_a_fired_handle_is_a_noop(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule(1.0, fired.append, 1)
+        sim.schedule(2.0, fired.append, 2)
+        sim.run(until=1.5)
+        sim.cancel(handle)
+        assert sim.pending_events == 1
+        assert sim.run() == 1
+        assert fired == [1, 2]
+        assert sim.processed_events == 2
 
 
 class TestSimulator:
@@ -76,6 +116,28 @@ class TestSimulator:
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
+
+    def test_nan_time_is_rejected_and_leaves_the_clock_finite(self):
+        sim = Simulator()
+        nan = float("nan")
+        fired = []
+
+        def probe():
+            with pytest.raises(SimulationError):
+                sim.schedule(nan, fired.append, "nan delay")
+            with pytest.raises(SimulationError):
+                sim.schedule_at(nan, fired.append, "nan time")
+            sim.call_soon(lambda: fired.append(sim.now))
+
+        for index in range(1, 11):
+            sim.schedule_at(0.5 * index, probe)
+        with pytest.raises(SimulationError):
+            sim.schedule(nan, fired.append, "nan delay")
+        with pytest.raises(SimulationError):
+            sim.schedule_at(nan, fired.append, "nan time")
+        sim.run()
+        assert fired == [0.5 * index for index in range(1, 11)]
+        assert sim.now == 5.0
 
     def test_events_scheduled_during_run_are_processed(self):
         sim = Simulator()
@@ -133,7 +195,7 @@ class TestSimulator:
         doomed = sim.schedule(0.5, lambda: None)
         sim.schedule(2.0, lambda: None)
         assert sim.peek_time() == 0.5
-        doomed.cancel()
+        sim.cancel(doomed)
         assert sim.peek_time() == 2.0
         assert sim.pending_events == 1
 

@@ -44,9 +44,9 @@ class TestEvery:
         one at creation stands for the first tick's push)."""
         sim = Simulator()
         sim.every(1.0, lambda: None, start_at=1.0)
-        assert sim.events._next_seq == 1
+        assert sim._next_seq == 1
         assert sim.run(until=3.5) == 3
-        assert sim.processed_events == 3 and sim.events._next_seq == 4
+        assert sim.processed_events == 3 and sim._next_seq == 4
 
     def test_callback_can_stop_process(self):
         sim = Simulator()
@@ -55,7 +55,7 @@ class TestEvery:
 
         def callback():
             calls.append(sim.now)
-            seqs.append(sim.events._next_seq)
+            seqs.append(sim._next_seq)
             if len(calls) == 2:
                 timer.stop()
 
@@ -63,7 +63,7 @@ class TestEvery:
         sim.run(until=10.0)
         assert len(calls) == 2 and sim.processed_events == 2
         # Stopped inside its callback: no re-arm, no sequence number.
-        assert sim.events._next_seq == seqs[-1]
+        assert sim._next_seq == seqs[-1]
         assert sim.peek_time() is None
 
 

@@ -31,7 +31,6 @@ from repro.ran.mac import MacScheduler, SchedulerPolicy
 from repro.ran.phy import AirInterfaceConfig
 from repro.ran.ue import UeConfig, UeContext
 from repro.sim.engine import Simulator
-from repro.sim.events import EventQueue
 
 PERIOD = 0.0005
 
@@ -57,7 +56,7 @@ class HeapClock:
 
     def stop(self) -> None:
         if self.pending is not None:
-            self.pending.cancel()
+            self.sim.cancel(self.pending)
             self.pending = None
 
 
@@ -77,14 +76,14 @@ def wheel_clock(sim: Simulator, body, start_at: float,
         while True:
             body()
             sim._processed += 1
-            timer.advance(sim.events)
+            timer.advance(sim)
             if timer.stopped or not sim._running:
                 return
             key = (timer.time, timer.seq)
             if key > (barrier_time, barrier_seq):
                 return
-            heap = sim.events.heap
-            if heap and heap[0][:2] < key:
+            heap = sim.heap
+            if heap and (heap[0][0], heap[0][1]) < key:
                 return
             sim.now = timer.time
 
@@ -130,7 +129,7 @@ class Script:
     def outcome(self) -> tuple:
         sim = self.sim
         return (self.log, sim.now, sim.processed_events,
-                sim.events._next_seq)
+                sim._next_seq)
 
 
 def script_same_instant_events(clock: str) -> tuple:
@@ -301,7 +300,7 @@ def test_timer_added_by_a_callback_after_it_advanced():
     def fire(barrier_time, barrier_seq) -> None:
         fired.append(("a", sim.now))
         sim._processed += 1
-        timer.advance(sim.events)
+        timer.advance(sim)
         if len(fired) == 1:
             sim.every(PERIOD, lambda: fired.append(("b", sim.now)),
                       start_at=PERIOD / 2)
@@ -334,7 +333,7 @@ def parked_clocks(clock: str, labels: list, parked: set, events: list,
 
     def note(label: str) -> None:
         run.log.append((label, sim.now, sim.processed_events,
-                        sim.events._next_seq))
+                        sim._next_seq))
 
     for time, label in events:
         sim.schedule_at(time, note, label)
@@ -354,7 +353,7 @@ def parked_clocks(clock: str, labels: list, parked: set, events: list,
             finals[label] = (made.time, made.seq, ticks)
         else:
             ticks = made.ticks if label in parked else None
-            finals[label] = (made.pending.time, made.pending.sequence, ticks)
+            finals[label] = (made.pending[0], made.pending[1], ticks)
     return run.outcome(), finals
 
 
@@ -456,7 +455,7 @@ def mac_fingerprint(spec: ScenarioSpec) -> dict:
     return {
         "cells": cells,
         "processed_events": built.sim.processed_events,
-        "next_seq": built.sim.events._next_seq,
+        "next_seq": built.sim._next_seq,
         "flows": [(flow.flow_id, flow.goodput_bytes_per_s,
                    flow.congestion_events, flow.marked_fraction,
                    tuple(flow.owd_samples), tuple(flow.rtt_samples))
@@ -578,7 +577,7 @@ class MacRig:
         state = mac._ues[cell]
         self.log.append((label, cell, self.sim.now, mac.slots, mac.busy_slots,
                          state.average_throughput, state.served_bytes_total,
-                         self.sim.processed_events, self.sim.events._next_seq))
+                         self.sim.processed_events, self.sim._next_seq))
 
     def outcome(self) -> tuple:
         for cell, mac in enumerate(self.macs):
@@ -727,18 +726,22 @@ def test_am_requeue_wakes_a_parked_cell(sim, five_tuple):
 def test_default_backend_collapses_quiet_slots(monkeypatch):
     counts = {"on_slot": 0, "push": 0}
     on_slot = MacScheduler._on_slot
-    push = EventQueue.push
 
     def counting_on_slot(self, *args):
         counts["on_slot"] += 1
         on_slot(self, *args)
 
-    def counting_push(self, time, callback, args=()):
-        counts["push"] += 1
-        return push(self, time, callback, args)
+    def counting(method):
+        def push(self, *args):
+            counts["push"] += 1
+            return method(self, *args)
+        return push
 
     monkeypatch.setattr(MacScheduler, "_on_slot", counting_on_slot)
-    monkeypatch.setattr(EventQueue, "push", counting_push)
+    # Every heap push goes through one of the three scheduling calls.
+    for name in ("schedule", "schedule_at", "call_soon"):
+        monkeypatch.setattr(Simulator, name,
+                            counting(getattr(Simulator, name)))
     built = build_scenario(
         dataclasses.replace(make_preset("dense-cell"), duration_s=2.0))
     result = built.run()
