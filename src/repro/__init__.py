@@ -19,10 +19,8 @@ Quickstart (the stable public surface is :mod:`repro.api`)::
     import repro.api as api
 
     result = api.run(api.ScenarioSpec(num_ues=4, duration_s=5.0,
-                                      cc_name="prague", l4span=True))
+                                      cc_name="prague", marker="l4span"))
     print(result.summary())
 """
 
-from repro.version import __version__
-
-__all__ = ["__version__"]
+from repro.version import __version__  # noqa: F401

@@ -28,7 +28,6 @@ import os
 import sys
 
 from repro.experiments.report import format_table
-from repro.experiments.runner import default_workers
 
 
 def _build_spec(args: argparse.Namespace):
@@ -53,10 +52,6 @@ def _build_spec(args: argparse.Namespace):
                  "seed": args.seed}
     overrides = {key: value for key, value in overrides.items()
                  if value is not None}
-    if args.marker is not None:
-        # The spec's legacy ``l4span`` boolean would otherwise outrank the
-        # explicitly requested marker.
-        overrides["l4span"] = None
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
     # The shared runtime flags (--shards/--workers) go
@@ -163,13 +158,13 @@ def main(argv: list[str] | None = None) -> int:
     scenario.add_argument("--ues", type=int, default=None)
     scenario.add_argument("--duration", type=float, default=None)
     scenario.add_argument("--cc", default=None,
-                          choices=CC_SENDERS.names(include_aliases=True))
+                          choices=CC_SENDERS.names())
     scenario.add_argument("--marker", default=None,
-                          choices=MARKERS.names(include_aliases=True))
+                          choices=MARKERS.names())
     scenario.add_argument("--channel", default=None,
-                          choices=CHANNEL_PROFILES.names(include_aliases=True))
+                          choices=CHANNEL_PROFILES.names())
     scenario.add_argument("--scheduler", default=None,
-                          choices=SCHEDULERS.names(include_aliases=True))
+                          choices=SCHEDULERS.names())
     scenario.add_argument("--seed", type=int, default=None)
     scenario.add_argument("--json", action="store_true",
                           help="print the canonical result document as JSON "
@@ -202,10 +197,9 @@ def main(argv: list[str] | None = None) -> int:
         "experiment", help="regenerate one of the paper's figures/tables")
     experiment.add_argument("experiment", choices=sorted(FIGURES))
     experiment.add_argument(
-        "--workers", type=int, default=default_workers(),
-        help="worker processes for the figure's cells (default: "
-             f"$REPRO_SWEEP_WORKERS or 1; this host has {os.cpu_count()} "
-             "CPUs)")
+        "--workers", type=int, default=1,
+        help="worker processes for the figure's cells (default: 1; this "
+             f"host has {os.cpu_count()} CPUs)")
     experiment.add_argument("--json", action="store_true",
                             help="print rows as JSON instead of a table")
     experiment.set_defaults(handler=_run_experiment_command)

@@ -11,18 +11,3 @@ baselines:
   "DualPi2 with a sojourn threshold" strategy that §6.3.1 shows is unsuitable
   for the RAN.
 """
-
-from repro.aqm.base import AQMHooks, PassthroughAQM
-from repro.aqm.codel import CoDel, EcnCoDel
-from repro.aqm.dualpi2 import DualPi2Core, DualPi2Router
-from repro.aqm.step import StepMarker
-
-__all__ = [
-    "AQMHooks",
-    "PassthroughAQM",
-    "CoDel",
-    "EcnCoDel",
-    "DualPi2Core",
-    "DualPi2Router",
-    "StepMarker",
-]

@@ -15,7 +15,7 @@ from repro.net.ecn import ECN
 from repro.registry import CC_SENDERS
 
 
-@CC_SENDERS.register("bbr2", "bbrv2", is_l4s=True)
+@CC_SENDERS.register("bbr2", is_l4s=True)
 class Bbr2Sender(BbrSender):
     """BBRv2 with ECN-triggered in-flight bounding."""
 

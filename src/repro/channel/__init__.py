@@ -17,28 +17,3 @@ package provides:
 * :mod:`repro.channel.coherence` -- the "channel stable period" analysis of
   Fig. 18 (periods over which the MCS index deviates by at most 5).
 """
-
-from repro.channel.base import ChannelModel, ChannelSample
-from repro.channel.static import StaticChannel
-from repro.channel.fading import FadingChannel, coherence_time_for_speed
-from repro.channel.trace import TraceChannel
-from repro.channel.mcs import (CQI_TABLE, MCS_TABLE, cqi_from_snr,
-                               efficiency_from_cqi, mcs_from_snr)
-from repro.channel.coherence import stable_periods
-from repro.channel.profiles import make_channel
-
-__all__ = [
-    "ChannelModel",
-    "ChannelSample",
-    "StaticChannel",
-    "FadingChannel",
-    "TraceChannel",
-    "coherence_time_for_speed",
-    "CQI_TABLE",
-    "MCS_TABLE",
-    "cqi_from_snr",
-    "efficiency_from_cqi",
-    "mcs_from_snr",
-    "stable_periods",
-    "make_channel",
-]

@@ -9,33 +9,3 @@
   into the RAN" baseline of §6.3.1 (hard sojourn threshold, PI² for classic).
 * :func:`~repro.core.factory.make_marker` -- build any of the above by name.
 """
-
-from repro.core.config import L4SpanConfig
-from repro.core.profile_table import DrbProfile, ProfileEntry
-from repro.core.egress import EgressRateEstimator, RateEstimate
-from repro.core.sojourn import SojournPredictor
-from repro.core.marking import (classic_mark_probability, coupled_l4s_probability,
-                                l4s_mark_probability, tcp_model_constant)
-from repro.core.flowstate import FlowRecord
-from repro.core.l4span import L4SpanLayer
-from repro.core.tcran import TcRanMarker
-from repro.core.ran_dualpi2 import RanDualPi2Marker
-from repro.core.factory import make_marker
-
-__all__ = [
-    "L4SpanConfig",
-    "DrbProfile",
-    "ProfileEntry",
-    "EgressRateEstimator",
-    "RateEstimate",
-    "SojournPredictor",
-    "l4s_mark_probability",
-    "classic_mark_probability",
-    "coupled_l4s_probability",
-    "tcp_model_constant",
-    "FlowRecord",
-    "L4SpanLayer",
-    "TcRanMarker",
-    "RanDualPi2Marker",
-    "make_marker",
-]

@@ -30,6 +30,6 @@ def marker_names() -> list[str]:
 
 def make_marker(name: str, sim: Simulator,
                 l4span_config: Optional[L4SpanConfig] = None) -> RanMarker:
-    """Instantiate the marker registered under ``name`` ("none" when empty)."""
-    builder = MARKERS.get(name or "none")
+    """Instantiate the marker registered under ``name``."""
+    builder = MARKERS.get(name)
     return builder(sim, l4span_config=l4span_config)

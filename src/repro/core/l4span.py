@@ -350,7 +350,7 @@ class L4SpanLayer:
         }
 
 
-@MARKERS.register("l4span", is_l4span=True)
+@MARKERS.register("l4span")
 def _build_l4span_layer(sim: Simulator,
                         l4span_config: Optional[L4SpanConfig] = None
                         ) -> L4SpanLayer:

@@ -79,7 +79,7 @@ def two_cell_imbalance() -> ScenarioSpec:
              UeSpec(ue_id=3, cell_id=1, channel_profile="static")])
 
 
-@SCENARIO_PRESETS.register("eight-cell", "8cell")
+@SCENARIO_PRESETS.register("eight-cell")
 def eight_cell() -> ScenarioSpec:
     """Eight static-channel cells sharing one core, one Prague UE each.
 
@@ -94,7 +94,7 @@ def eight_cell() -> ScenarioSpec:
         ues=[UeSpec(ue_id=ue, cell_id=ue) for ue in range(8)])
 
 
-@SCENARIO_PRESETS.register("handover", "ho")
+@SCENARIO_PRESETS.register("handover")
 def handover() -> ScenarioSpec:
     """A UE handing over mid-transfer between two cells, and back again.
 
@@ -121,7 +121,7 @@ def handover() -> ScenarioSpec:
                        HandoverSpec(time=4.0, ue_id=0, target_cell=0)]))
 
 
-@SCENARIO_PRESETS.register("coupled-core", "coupled")
+@SCENARIO_PRESETS.register("coupled-core")
 def coupled_core() -> ScenarioSpec:
     """Four cells behind one shared wired bottleneck, with SNR mobility.
 

@@ -33,10 +33,6 @@ from typing import Callable, Iterable, Optional
 
 from repro.sim.randomness import derive_seed
 
-#: Environment variable consulted for the default worker count
-#: (``python -m repro experiment --workers N`` overrides it).
-WORKERS_ENV = "REPRO_SWEEP_WORKERS"
-
 #: Environment variable overriding the multiprocessing start method.
 START_METHOD_ENV = "REPRO_SWEEP_START_METHOD"
 
@@ -49,14 +45,6 @@ CORE_BUDGET_ENV = "REPRO_CORE_BUDGET"
 #: sharded scenarios (see :func:`repro.experiments.sharded.build_shard_plan`)
 #: can divide the core budget by the number of sweep workers already active.
 ACTIVE_WORKERS_ENV = "REPRO_SWEEP_ACTIVE_WORKERS"
-
-
-def default_workers() -> int:
-    """Worker count from :data:`WORKERS_ENV`, defaulting to 1 (sequential)."""
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def core_budget() -> int:

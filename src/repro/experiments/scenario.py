@@ -195,12 +195,11 @@ class BuiltScenario:
     def __init__(self, config: ScenarioSpec) -> None:
         self.config = config.validate()
         self.sim = Simulator(seed=config.seed)
-        marker_name = config.resolved_marker()
         self.cell_specs: list[CellSpec] = config.resolved_cells()
         self.markers: dict[int, object] = {}
         self.gnbs: dict[int, GNodeB] = {}
         for cell_spec in self.cell_specs:
-            marker = make_marker(marker_name, self.sim,
+            marker = make_marker(config.marker, self.sim,
                                  l4span_config=config.l4span_config)
             name = ("gnb" if cell_spec.cell_id == 0
                     else f"gnb{cell_spec.cell_id}")
@@ -279,7 +278,7 @@ class BuiltScenario:
             mean_snr_db=ue_spec.mean_snr_db,
             carrier_ghz=gnb.cell.carrier_ghz,
             ue_index=ue_spec.ue_id)
-        rlc_mode = (RlcMode.AM if ue_spec.rlc_mode.lower() == "am"
+        rlc_mode = (RlcMode.AM if ue_spec.rlc_mode == "am"
                     else RlcMode.UM)
         ue_config = UeConfig(ue_id=ue_spec.ue_id,
                              channel_profile=ue_spec.channel_profile,

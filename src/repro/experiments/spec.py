@@ -36,17 +36,17 @@ import typing
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.cc.factory import is_l4s_algorithm, is_udp_algorithm  # noqa: F401
-from repro.channel.profiles import make_channel  # noqa: F401  (registration)
+# Importing the factories registers every component a spec can name.
+import repro.cc.factory  # noqa: F401
+import repro.channel.profiles  # noqa: F401
+import repro.core.factory  # noqa: F401
+import repro.ran.scheduling  # noqa: F401
 from repro.core.config import L4SpanConfig
-from repro.core.factory import make_marker  # noqa: F401  (registration)
 from repro.net.addresses import UE_ADDRESS_SPACE
 from repro.ran.cell import CellConfig
 from repro.ran.identifiers import DEFAULT_RLC_QUEUE_SDUS
-from repro.ran.scheduling import resolve_scheduler  # noqa: F401  (registration)
 from repro.ran.phy import AirInterfaceConfig
-from repro.registry import (CC_SENDERS, CHANNEL_PROFILES, MARKERS, SCHEDULERS,
-                            UnknownComponentError)
+from repro.registry import CC_SENDERS, CHANNEL_PROFILES, MARKERS, SCHEDULERS
 from repro.units import ms
 from repro.workloads.flows import FlowSpec
 
@@ -59,6 +59,41 @@ def _require_positive(name: str, value: float) -> None:
     corrupts the event order and a NaN horizon never ends the run."""
     if not 0.0 < value < math.inf:  # NaN fails both comparisons
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
+def _require_non_negative(name: str, value: float) -> None:
+    """Reject a delay or start time that is not a finite number >= 0."""
+    if not 0.0 <= value < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
+#: Value types that hold no float: skipped without a call.
+_LEAVES = frozenset((int, str, bool, type(None)))
+
+
+def _nan_path(value: Any) -> Optional[str]:
+    """Where the first NaN float inside ``value`` sits (``".population.x"``,
+    ``"[2]"``), or None when there is none.  Searches dataclass fields,
+    list and tuple items and dict values."""
+    if hasattr(value, "__dataclass_fields__"):
+        keys = list(value.__dataclass_fields__)
+        items = [getattr(value, key) for key in keys]
+        label = ".{}".format
+    elif isinstance(value, (list, tuple)):
+        keys, items, label = range(len(value)), value, "[{}]".format
+    elif isinstance(value, dict):
+        keys, items, label = list(value), list(value.values()), "[{!r}]".format
+    else:
+        return None
+    for key, item in zip(keys, items):
+        if isinstance(item, float):
+            if item != item:
+                return label(key)
+        elif item.__class__ not in _LEAVES:
+            found = _nan_path(item)
+            if found is not None:
+                return label(key) + found
+    return None
 
 
 @dataclass
@@ -303,7 +338,7 @@ class PopulationSpec:
         _require_positive("population.update_interval_s",
                           self.update_interval_s)
         for name, share in self.cc_mix.items():
-            CC_SENDERS.resolve(name)
+            CC_SENDERS.get(name)
             if share <= 0:
                 raise ValueError(
                     f"population.cc_mix share for {name!r} must be positive")
@@ -348,7 +383,6 @@ class ScenarioSpec:
     duration_s: float = 5.0
     cc_name: str = "prague"
     marker: str = "l4span"          # "none", "l4span", "tcran", "ran_dualpi2"
-    l4span: Optional[bool] = None   # convenience alias: True -> "l4span", False -> "none"
     channel_profile: str = "static"
     wan_rtt: float = ms(38)
     scheduler: str = "rr"
@@ -393,18 +427,12 @@ class ScenarioSpec:
     # ------------------------------------------------------------------ #
     # Convenience views
     # ------------------------------------------------------------------ #
-    def resolved_marker(self) -> str:
-        """Resolve the ``l4span`` boolean alias onto the marker name."""
-        if self.l4span is None:
-            return self.marker
-        return "l4span" if self.l4span else "none"
-
     def label(self) -> str:
         """Short human-readable description used in reports."""
         if self.name:
             return self.name
         return (f"{self.cc_name}/{self.channel_profile}/{self.num_ues}ue/"
-                f"{self.resolved_marker()}")
+                f"{self.marker}")
 
     # ------------------------------------------------------------------ #
     # Resolution: fill every override with its scenario-level default
@@ -478,15 +506,14 @@ class ScenarioSpec:
 
         Raises :class:`repro.registry.UnknownComponentError` for unknown
         names and :class:`ValueError` for structural mistakes (duplicate
-        ids, dangling cell references).
+        ids, dangling cell references) and for a NaN anywhere in the spec.
         """
         for name in ("duration_s", "queue_sample_interval",
                      "throughput_window"):
             _require_positive(name, getattr(self, name))
-        if not 0.0 <= self.warmup_s < math.inf:  # NaN fails both comparisons
-            raise ValueError(
-                f"warmup_s must be a finite number >= 0, got {self.warmup_s!r}")
-        MARKERS.resolve(self.resolved_marker() or "none")
+        _require_non_negative("warmup_s", self.warmup_s)
+        _require_non_negative("wan_rtt", self.wan_rtt)
+        MARKERS.get(self.marker)
         self.sharding.validate()
         self.population.validate()
         cells = self.resolved_cells()
@@ -502,15 +529,15 @@ class ScenarioSpec:
                     f"explicit sharding map names unknown cell(s) {unknown}; "
                     f"declared cells: {sorted(cell_ids)}")
         for cell in cells:
-            SCHEDULERS.resolve(cell.scheduler)
+            SCHEDULERS.get(cell.scheduler)
         ues = self.resolved_ues()
         for ue in ues:
             if not 0 <= ue.ue_id < UE_ADDRESS_SPACE:
                 raise ValueError(
                     f"ue_id must be in [0, {UE_ADDRESS_SPACE}) to get its "
                     f"own client address, got {ue.ue_id}")
-            CHANNEL_PROFILES.resolve(ue.channel_profile)
-            if ue.rlc_mode.lower() not in RLC_MODES:
+            CHANNEL_PROFILES.get(ue.channel_profile)
+            if ue.rlc_mode not in RLC_MODES:
                 raise ValueError(f"unknown rlc_mode {ue.rlc_mode!r} for "
                                  f"ue {ue.ue_id}; choose from {RLC_MODES}")
             if ue.cell_id not in cell_ids:
@@ -518,8 +545,10 @@ class ScenarioSpec:
                     f"ue {ue.ue_id} attaches to unknown cell "
                     f"{ue.cell_id}; declared cells: {sorted(cell_ids)}")
         flow_ids: set[int] = set()
-        for flow in self.resolved_flows():
-            CC_SENDERS.resolve(flow.cc_name)
+        for index, flow in enumerate(self.resolved_flows()):
+            CC_SENDERS.get(flow.cc_name)
+            if flow.wan_rtt is not None:
+                _require_non_negative(f"flows[{index}].wan_rtt", flow.wan_rtt)
             if flow.flow_id in flow_ids:
                 raise ValueError(f"duplicate flow_id {flow.flow_id}")
             flow_ids.add(flow.flow_id)
@@ -528,12 +557,18 @@ class ScenarioSpec:
         if (self.wired_bottleneck_mbps is not None
                 and self.wired_bottleneck_mbps < 0):
             raise ValueError("wired_bottleneck_mbps must be >= 0")
-        for start_time, rate in self.wired_bottleneck_schedule:
+        for index, (start_time, rate) in enumerate(
+                self.wired_bottleneck_schedule):
+            _require_non_negative(f"wired_bottleneck_schedule[{index}][0]",
+                                  start_time)
             if rate < 0:
                 raise ValueError(
                     f"wired_bottleneck_schedule sets a negative rate "
                     f"({rate}) at t={start_time}")
         self._validate_mobility(cell_ids, {ue.ue_id: ue.cell_id for ue in ues})
+        nan_at = _nan_path(self)
+        if nan_at is not None:
+            raise ValueError(f"{nan_at[1:]} must be a number, got nan")
         return self
 
     def _validate_mobility(self, cell_ids: set[int],

@@ -1,23 +1,1 @@
 """Measurement utilities: statistics, collectors and delay breakdowns."""
-
-from repro.metrics.stats import (BoxStats, box_stats, cdf_points, percentile,
-                                 summarize)
-from repro.metrics.collectors import (DelayBreakdownAccumulator, OwdCollector,
-                                      QueueSampler, ThroughputCollector,
-                                      TimeSeries)
-from repro.metrics.breakdown import DelayBreakdown, breakdown_from_packet
-
-__all__ = [
-    "BoxStats",
-    "box_stats",
-    "cdf_points",
-    "percentile",
-    "summarize",
-    "OwdCollector",
-    "ThroughputCollector",
-    "QueueSampler",
-    "TimeSeries",
-    "DelayBreakdownAccumulator",
-    "DelayBreakdown",
-    "breakdown_from_packet",
-]

@@ -1,22 +1,1 @@
 """Packet model and wired network elements (links, queues, delay pipes)."""
-
-from repro.net.addresses import FiveTuple
-from repro.net.ecn import ECN, FlowClass, classify_ecn
-from repro.net.packet import AccEcnCounters, Packet
-from repro.net.link import Link
-from repro.net.pipe import DelayPipe
-from repro.net.queueing import DropTailQueue
-from repro.net.router import BottleneckRouter
-
-__all__ = [
-    "FiveTuple",
-    "ECN",
-    "FlowClass",
-    "classify_ecn",
-    "AccEcnCounters",
-    "Packet",
-    "Link",
-    "DelayPipe",
-    "DropTailQueue",
-    "BottleneckRouter",
-]

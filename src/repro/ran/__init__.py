@@ -21,52 +21,3 @@ The data path mirrors the split the paper targets (O-RAN 7.2x):
   detach/attach execution, RLC forwarding, receiver state transfer and the
   SNR-triggered mobility monitor.
 """
-
-from repro.ran.identifiers import DrbConfig, DrbId, QosFlowId, RlcMode, UeId
-from repro.ran.cell import CellConfig
-from repro.ran.f1u import DeliveryStatus, F1UInterface
-from repro.ran.rlc import RlcEntity, RlcSdu
-from repro.ran.pdcp import PdcpEntity
-from repro.ran.sdap import SdapEntity
-from repro.ran.phy import AirInterface, AirInterfaceConfig
-from repro.ran.mac import MacScheduler
-from repro.ran.scheduling import SchedulerPolicy
-from repro.ran.ue import UeConfig, UeContext
-from repro.ran.marker import NoopMarker, RanMarker
-from repro.ran.mobility import (HandoverTransfer, MobilityManager,
-                                MobilityTopology, Transition)
-from repro.ran.core import FiveGCore
-from repro.ran.cu import CentralUnitUserPlane
-from repro.ran.du import DistributedUnit
-from repro.ran.gnb import GNodeB
-
-__all__ = [
-    "DrbConfig",
-    "DrbId",
-    "QosFlowId",
-    "RlcMode",
-    "UeId",
-    "CellConfig",
-    "DeliveryStatus",
-    "F1UInterface",
-    "RlcEntity",
-    "RlcSdu",
-    "PdcpEntity",
-    "SdapEntity",
-    "AirInterface",
-    "AirInterfaceConfig",
-    "MacScheduler",
-    "SchedulerPolicy",
-    "UeConfig",
-    "UeContext",
-    "NoopMarker",
-    "RanMarker",
-    "HandoverTransfer",
-    "MobilityManager",
-    "MobilityTopology",
-    "Transition",
-    "FiveGCore",
-    "CentralUnitUserPlane",
-    "DistributedUnit",
-    "GNodeB",
-]

@@ -61,7 +61,7 @@ class NoopMarker:
         self.uplink_packets += 1
 
 
-@MARKERS.register("none", "off", "baseline")
+@MARKERS.register("none")
 def _build_noop_marker(sim, l4span_config=None) -> NoopMarker:
     """The "no in-RAN marking" baseline (``sim``/config are unused)."""
     return NoopMarker()

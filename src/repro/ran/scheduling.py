@@ -19,8 +19,8 @@ class SchedulerPolicy(enum.Enum):
     PROPORTIONAL_FAIR = "pf"
 
 
-SCHEDULERS.add("rr", SchedulerPolicy.ROUND_ROBIN, "round_robin")
-SCHEDULERS.add("pf", SchedulerPolicy.PROPORTIONAL_FAIR, "proportional_fair")
+SCHEDULERS.add("rr", SchedulerPolicy.ROUND_ROBIN)
+SCHEDULERS.add("pf", SchedulerPolicy.PROPORTIONAL_FAIR)
 
 
 def resolve_scheduler(name) -> SchedulerPolicy:

@@ -1,9 +1,9 @@
 """Named component registries: the extension points of the simulator.
 
 Every pluggable component family — congestion-control algorithms, in-RAN
-markers, channel profiles, MAC schedulers, workload generators and scenario
-presets — is published in a :class:`Registry`.  Components register
-themselves at definition time with the :meth:`Registry.register` decorator::
+markers, channel profiles, MAC schedulers and scenario presets — is
+published in a :class:`Registry`.  Components register themselves at
+definition time with the :meth:`Registry.register` decorator::
 
     @CC_SENDERS.register("prague", is_l4s=True)
     class PragueSender(Sender):
@@ -63,103 +63,68 @@ class UnknownComponentError(KeyError, ValueError):
 
 
 class Registry:
-    """A case-insensitive name -> component mapping with metadata.
+    """A name -> component mapping with metadata.
 
     Args:
         kind: human-readable component family name ("congestion control",
             "marker", ...), used in error messages.
 
     Components are any Python object — classes, factory callables, plain
-    functions.  Each primary name may carry aliases (which resolve to the
-    same entry) and arbitrary keyword metadata.
+    functions — each under exactly one name, matched exactly, with
+    arbitrary keyword metadata.
     """
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
         self._entries: dict[str, Any] = {}
         self._metadata: dict[str, dict[str, Any]] = {}
-        self._aliases: dict[str, str] = {}
 
-    # ------------------------------------------------------------------ #
-    # Registration
-    # ------------------------------------------------------------------ #
-    def register(self, name: str, *aliases: str,
-                 **metadata: Any) -> Callable[[T], T]:
+    def register(self, name: str, **metadata: Any) -> Callable[[T], T]:
         """Decorator: register the decorated object under ``name``.
 
         Example::
 
-            @MARKERS.register("none", "off", "baseline")
+            @MARKERS.register("none")
             def _build_noop(sim, **_):
                 return NoopMarker()
         """
         def decorator(obj: T) -> T:
-            self.add(name, obj, *aliases, **metadata)
+            self.add(name, obj, **metadata)
             return obj
         return decorator
 
-    def add(self, name: str, obj: Any, *aliases: str,
-            **metadata: Any) -> None:
-        """Imperatively register ``obj`` under ``name`` (plus aliases)."""
-        key = self._canonical(name)
-        if key in self._entries or key in self._aliases:
+    def add(self, name: str, obj: Any, **metadata: Any) -> None:
+        """Imperatively register ``obj`` under ``name``."""
+        if name in self._entries:
             raise ValueError(f"duplicate {self.kind} registration {name!r}")
-        self._entries[key] = obj
-        self._metadata[key] = dict(metadata)
-        for alias in aliases:
-            alias_key = self._canonical(alias)
-            if alias_key in self._entries or alias_key in self._aliases:
-                raise ValueError(
-                    f"duplicate {self.kind} registration {alias!r}")
-            self._aliases[alias_key] = key
+        self._entries[name] = obj
+        self._metadata[name] = dict(metadata)
 
-    # ------------------------------------------------------------------ #
-    # Lookup
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _canonical(name: str) -> str:
-        return str(name).strip().lower()
+    def _check(self, name: str) -> str:
+        if name not in self:
+            raise UnknownComponentError(self.kind, name, self.names())
+        return name
 
-    def resolve(self, name: str) -> str:
-        """The primary name ``name`` maps to (aliases resolved).
+    def get(self, name: str) -> Any:
+        """The component registered under ``name``.
 
         Raises :class:`UnknownComponentError` for unregistered names.
         """
-        key = self._canonical(name)
-        key = self._aliases.get(key, key)
-        if key not in self._entries:
-            raise UnknownComponentError(self.kind, name, self.names())
-        return key
-
-    def get(self, name: str) -> Any:
-        """The component registered under ``name`` (or one of its aliases)."""
-        return self._entries[self.resolve(name)]
+        return self._entries[self._check(name)]
 
     def flag(self, name: str, flag: str, default: Any = False) -> Any:
         """One metadata value, defaulting when the key was never set."""
-        return self._metadata[self.resolve(name)].get(flag, default)
+        return self._metadata[self._check(name)].get(flag, default)
 
-    def names(self, include_aliases: bool = False) -> list[str]:
+    def names(self) -> list[str]:
         """Sorted registered names — ready for ``argparse`` ``choices=``."""
-        names = set(self._entries)
-        if include_aliases:
-            names |= set(self._aliases)
-        return sorted(names)
-
-    def names_where(self, flag: str, value: Any = True) -> list[str]:
-        """Primary names whose metadata ``flag`` equals ``value``."""
-        return sorted(name for name, meta in self._metadata.items()
-                      if meta.get(flag) == value)
+        return sorted(self._entries)
 
     def __contains__(self, name: str) -> bool:
-        try:
-            self.resolve(name)
-        except UnknownComponentError:
-            return False
-        return True
+        return isinstance(name, str) and name in self._entries
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._entries))
+        return iter(self.names())
 
     def __repr__(self) -> str:
         return f"Registry({self.kind!r}, {self.names()})"
@@ -187,10 +152,6 @@ CHANNEL_PROFILES = Registry("channel profile")
 
 #: MAC scheduler policies (``repro.ran.scheduling.SchedulerPolicy`` members).
 SCHEDULERS = Registry("scheduler")
-
-#: Workload generators returning ``list[FlowSpec]``.  Registered in
-#: ``repro.workloads.*``.
-WORKLOADS = Registry("workload")
 
 #: Named scenario presets ``() -> ScenarioSpec`` (``repro.experiments.presets``).
 SCENARIO_PRESETS = Registry("scenario preset")

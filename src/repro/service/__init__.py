@@ -1,6 +1,7 @@
 """The scenario service: a long-lived HTTP front end over the runtime.
 
-``python -m repro serve`` boots :class:`ScenarioService`; clients submit
+``python -m repro serve`` boots
+:class:`~repro.service.server.ScenarioService`; clients submit
 :class:`~repro.experiments.spec.ScenarioSpec` documents (or preset names)
 over ``POST /runs``, poll ``GET /runs/{id}``, stream live progress from
 ``GET /runs/{id}/events`` and query past runs from the persistent archive
@@ -15,16 +16,3 @@ The package splits along responsibility lines:
 * :mod:`repro.service.server` — the stdlib HTTP layer mapping routes
   onto the two modules above.
 """
-
-from repro.service.archive import RunArchive, runs_dir
-from repro.service.jobs import JobManager, spec_from_request
-from repro.service.server import ScenarioService, serve
-
-__all__ = [
-    "JobManager",
-    "RunArchive",
-    "ScenarioService",
-    "runs_dir",
-    "serve",
-    "spec_from_request",
-]

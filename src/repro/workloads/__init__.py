@@ -1,14 +1,1 @@
 """Workload descriptions: which flows run on which UEs, and when."""
-
-from repro.workloads.flows import FlowSpec, bulk_download_flows, mixed_share_flows
-from repro.workloads.short_flows import short_flow, short_long_mix
-from repro.workloads.video import interactive_video_flows
-
-__all__ = [
-    "FlowSpec",
-    "bulk_download_flows",
-    "mixed_share_flows",
-    "short_flow",
-    "short_long_mix",
-    "interactive_video_flows",
-]

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.registry import WORKLOADS
-
 
 @dataclass
 class FlowSpec:
@@ -34,7 +32,6 @@ class FlowSpec:
     wan_rtt: Optional[float] = None
 
 
-@WORKLOADS.register("bulk")
 def bulk_download_flows(num_ues: int, cc_name: str,
                         start_time: float = 0.0) -> list[FlowSpec]:
     """One long-lived download per UE -- the Fig. 9 / Fig. 24 workload."""
@@ -43,7 +40,6 @@ def bulk_download_flows(num_ues: int, cc_name: str,
             for i in range(num_ues)]
 
 
-@WORKLOADS.register("mixed")
 def mixed_share_flows(cc_names: list[str],
                       staggered_start: float = 0.0,
                       stop_after: Optional[float] = None,

@@ -8,7 +8,6 @@ the long flow's rate the throughput-sensitive one.
 
 from __future__ import annotations
 
-from repro.registry import WORKLOADS
 from repro.workloads.flows import FlowSpec
 
 #: The paper's short-flow size.
@@ -22,7 +21,6 @@ def short_flow(flow_id: int, ue_id: int, cc_name: str, start_time: float,
                     start_time=start_time, flow_bytes=size_bytes, label="slf")
 
 
-@WORKLOADS.register("short_long_mix", "web")
 def short_long_mix(cc_name: str, ue_id: int = 0,
                    slf_start: float = 2.0,
                    slf_bytes: int = DEFAULT_SLF_BYTES,

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from repro.registry import WORKLOADS
 from repro.workloads.flows import FlowSpec
 
 
-@WORKLOADS.register("video")
 def interactive_video_flows(num_ues: int, cc_name: str = "scream",
                             start_time: float = 0.0) -> list[FlowSpec]:
     """One interactive video flow per UE (SCReAM or UDP Prague)."""

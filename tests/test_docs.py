@@ -17,7 +17,7 @@ import pytest
 import repro.experiments.presets  # noqa: F401  (preset registration)
 import repro.experiments.spec as spec_module
 from repro.registry import (CC_SENDERS, CHANNEL_PROFILES, MARKERS,
-                            SCENARIO_PRESETS, SCHEDULERS, WORKLOADS)
+                            SCENARIO_PRESETS, SCHEDULERS)
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -44,11 +44,10 @@ def test_docs_tree_exists():
 
 
 @pytest.mark.parametrize("registry", [
-    CC_SENDERS, MARKERS, CHANNEL_PROFILES, SCHEDULERS, WORKLOADS,
-    SCENARIO_PRESETS,
+    CC_SENDERS, MARKERS, CHANNEL_PROFILES, SCHEDULERS, SCENARIO_PRESETS,
 ], ids=lambda r: r.kind)
 def test_every_registered_name_documented(registry, scenarios_tokens):
-    for name in registry.names(include_aliases=True):
+    for name in registry.names():
         assert name in scenarios_tokens, (
             f"{registry.kind} {name!r} is registered but missing from "
             f"docs/scenarios.md")

@@ -29,18 +29,25 @@ class TestRegistry:
     def test_register_and_get(self):
         reg = Registry("widget")
 
-        @reg.register("foo", "foo_alias", shiny=True)
+        @reg.register("foo", shiny=True)
         class Foo:
             pass
 
         assert reg.get("foo") is Foo
-        assert reg.get("FOO") is Foo
-        assert reg.get("foo_alias") is Foo
         assert reg.flag("foo", "shiny") is True
         assert reg.flag("foo", "missing") is False
         assert reg.names() == ["foo"]
-        assert reg.names(include_aliases=True) == ["foo", "foo_alias"]
         assert "foo" in reg and "bar" not in reg
+
+    @pytest.mark.parametrize("spelling", ["FOO", " foo", "foo "])
+    def test_names_match_exactly(self, spelling):
+        reg = Registry("widget")
+        reg.add("foo", object(), shiny=True)
+        assert spelling not in reg
+        with pytest.raises(UnknownComponentError, match=r"\['foo'\]"):
+            reg.get(spelling)
+        with pytest.raises(UnknownComponentError):
+            reg.flag(spelling, "shiny")
 
     def test_unknown_name_raises_with_choices(self):
         reg = Registry("widget")
@@ -67,17 +74,9 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         reg = Registry("widget")
-        reg.add("foo", object(), "alias")
+        reg.add("foo", object())
         with pytest.raises(ValueError, match="duplicate"):
             reg.add("foo", object())
-        with pytest.raises(ValueError, match="duplicate"):
-            reg.add("alias", object())
-
-    def test_names_where(self):
-        reg = Registry("widget")
-        reg.add("a", object(), fast=True)
-        reg.add("b", object())
-        assert reg.names_where("fast") == ["a"]
 
 
 class TestComponentRegistries:
@@ -90,19 +89,74 @@ class TestComponentRegistries:
             assert name in MARKERS
         for name in ("static", "pedestrian", "vehicular", "mobile"):
             assert name in CHANNEL_PROFILES
-        for name in ("rr", "pf", "round_robin", "proportional_fair"):
-            assert name in SCHEDULERS
+        assert SCHEDULERS.names() == ["pf", "rr"]
 
     def test_l4s_flags_match_paper(self):
-        assert set(CC_SENDERS.names_where("is_l4s")) == \
+        assert {name for name in CC_SENDERS
+                if CC_SENDERS.flag(name, "is_l4s")} == \
             {"prague", "bbr2", "scream", "udp_prague"}
-        assert set(CC_SENDERS.names_where("is_udp")) == \
+        assert {name for name in CC_SENDERS
+                if CC_SENDERS.flag(name, "is_udp")} == \
             {"scream", "udp_prague"}
 
     def test_buildable_markers_are_selectable(self):
         # The CLI drift bug: ran_dualpi2_10ms was buildable but not offered.
         from repro.core.factory import marker_names
         assert "ran_dualpi2_10ms" in marker_names()
+
+
+#: Second spellings that no longer name anything: ``(spec field or None for
+#: a preset, CLI flag, spelling, the one name it used to stand for)``.
+FORMER_SPELLINGS = [
+    ("marker", "--marker", "off", "none"),
+    ("marker", "--marker", "baseline", "none"),
+    ("scheduler", "--scheduler", "round_robin", "rr"),
+    ("scheduler", "--scheduler", "proportional_fair", "pf"),
+    ("cc_name", "--cc", "bbrv2", "bbr2"),
+    ("cc_name", "--cc", "Prague", "prague"),
+    ("channel_profile", "--channel", "Static", "static"),
+    (None, "--preset", "8cell", "eight-cell"),
+    (None, "--preset", "ho", "handover"),
+    (None, "--preset", "coupled", "coupled-core"),
+]
+
+
+class TestOneSpelling:
+    """Every component has exactly one name, matched exactly: a former
+    alias or a case variant fails by name and lists the real choices."""
+
+    @pytest.mark.parametrize("field, flag, spelling, name", FORMER_SPELLINGS,
+                             ids=[row[2] for row in FORMER_SPELLINGS])
+    def test_spec_and_preset_lookup_reject(self, field, flag, spelling,
+                                           name):
+        with pytest.raises(UnknownComponentError) as exc_info:
+            if field is None:
+                make_preset(spelling)
+            else:
+                ScenarioSpec(**{field: spelling}).validate()
+        assert exc_info.value.name == spelling
+        assert name in exc_info.value.choices
+        assert spelling not in exc_info.value.choices
+        assert repr(name) in str(exc_info.value)
+
+    @pytest.mark.parametrize("field, flag, spelling, name", FORMER_SPELLINGS,
+                             ids=[row[2] for row in FORMER_SPELLINGS])
+    def test_cli_rejects(self, field, flag, spelling, name, capsys):
+        from repro.__main__ import main
+        with pytest.raises(SystemExit):
+            main(["scenario", flag, spelling, "--dump-spec"])
+        error = capsys.readouterr().err
+        assert f"invalid choice: '{spelling}'" in error
+        assert f"'{name}'" in error
+
+    def test_l4span_is_not_a_spec_field(self):
+        """``marker`` is the only marker switch."""
+        with pytest.raises(ValueError, match=r"unknown field.*'l4span'"):
+            ScenarioSpec.from_dict({"l4span": True})
+
+    def test_rlc_mode_matches_exactly(self):
+        with pytest.raises(ValueError, match="unknown rlc_mode 'AM'"):
+            ScenarioSpec(rlc_mode="AM").validate()
 
 
 # --------------------------------------------------------------------------- #
@@ -223,11 +277,43 @@ BAD_TIMING = [
 ]
 
 
+#: Values that once passed ``validate()`` and then ran with a NaN in the
+#: results or failed mid-run with an engine error naming no field.
+BAD_VALUES = [
+    ({"mean_snr_db": NAN}, "mean_snr_db"),
+    ({"population": {"churn_rate_per_s": NAN}},
+     "population.churn_rate_per_s"),
+    ({"mobility": {"interruption_s": NAN}}, "mobility.interruption_s"),
+    ({"mobility": {"commit_lag_s": NAN}}, "mobility.commit_lag_s"),
+    ({"ues": [{"ue_id": 0, "mean_snr_db": NAN}]}, "ues[0].mean_snr_db"),
+    ({"l4span_config": {"classic_beta": NAN}}, "l4span_config.classic_beta"),
+    ({"wired_bottleneck_mbps": NAN}, "wired_bottleneck_mbps"),
+    ({"wan_rtt": -0.01}, "wan_rtt"),
+    ({"wan_rtt": NAN}, "wan_rtt"),
+    ({"flows": [{"flow_id": 0, "ue_id": 0, "cc_name": "prague",
+                 "wan_rtt": -0.01}]}, "flows[0].wan_rtt"),
+    ({"wired_bottleneck_mbps": 50.0,
+      "wired_bottleneck_schedule": [[0.1, 10.0], [NAN, 30.0]]},
+     "wired_bottleneck_schedule[1][0]"),
+    ({"wired_bottleneck_mbps": 50.0,
+      "wired_bottleneck_schedule": [[-1.0, 30.0]]},
+     "wired_bottleneck_schedule[0][0]"),
+]
+
+
 class TestSpecValidation:
     @pytest.mark.parametrize("fields, name", BAD_TIMING)
     def test_bad_timing_rejected(self, fields, name):
         with pytest.raises(ValueError, match=f"^{name} must be a finite"):
             ScenarioSpec.from_dict(dict(num_ues=1, **fields)).validate()
+
+    @pytest.mark.parametrize("fields, name", BAD_VALUES)
+    def test_bad_value_rejected_by_name(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+            ScenarioSpec.from_dict(dict(num_ues=1, **fields)).validate()
+
+    def test_zero_wan_rtt_is_legal(self):
+        ScenarioSpec(wan_rtt=0.0).validate()
 
     @pytest.mark.parametrize("ue_id", [-1, 64_000])
     def test_ue_id_outside_the_address_space_rejected(self, ue_id):
@@ -490,31 +576,12 @@ class TestCli:
         assert main(["scenario", "--marker", "ran_dualpi2_10ms", "--ues", "1",
                      "--duration", "0.5", "--json"]) == 0
 
-    def test_cli_accepts_registered_aliases(self, capsys):
-        # Aliases (bbrv2, off, round_robin) are valid registry names and
-        # must stay valid CLI choices.
-        from repro.__main__ import main
-        assert main(["scenario", "--cc", "bbrv2", "--marker", "off",
-                     "--scheduler", "round_robin", "--ues", "1",
-                     "--duration", "0.5", "--json"]) == 0
-        json.loads(capsys.readouterr().out)
-
     def test_cc_override_applies_to_explicit_preset_flows(self, capsys):
         from repro.__main__ import main
         assert main(["scenario", "--preset", "mixed-cc", "--cc", "reno",
                      "--dump-spec"]) == 0
         spec = ScenarioSpec.from_json(capsys.readouterr().out)
         assert {flow.cc_name for flow in spec.flows} == {"reno"}
-
-    def test_marker_override_beats_spec_l4span_alias(self, capsys, tmp_path):
-        from repro.__main__ import main
-        spec_file = tmp_path / "scenario.json"
-        data = ScenarioSpec(l4span=True).to_dict()
-        spec_file.write_text(json.dumps(data))
-        assert main(["scenario", "--spec", str(spec_file),
-                     "--marker", "tcran", "--dump-spec"]) == 0
-        spec = ScenarioSpec.from_json(capsys.readouterr().out)
-        assert spec.resolved_marker() == "tcran"
 
     def test_experiment_choices_are_the_figure_table(self, capsys):
         import re

@@ -20,8 +20,9 @@ import pytest
 from repro.experiments.options import RuntimeOptions, apply_runtime_options
 from repro.experiments.results import SCHEMA_VERSION, check_document
 from repro.experiments.spec import ScenarioSpec
-from repro.service import ScenarioService, spec_from_request
 from repro.service.archive import RunArchive
+from repro.service.jobs import spec_from_request
+from repro.service.server import ScenarioService
 
 
 # --------------------------------------------------------------------- #
@@ -190,6 +191,10 @@ class TestBadRequests:
         # Once an AttributeError from validate(): "malformed scenario spec".
         ({"spec": {"population": None}},
          "scenario.population: expected dict, got None"),
+        ({"spec": {"num_ues": 1,
+                   "population": {"churn_rate_per_s": float("nan")}}},
+         "population.churn_rate_per_s must be a number, got nan"),
+        ({"preset": "ho"}, "unknown preset 'ho'"),
     ])
     def test_bad_payloads_return_400(self, service, payload, fragment):
         status, body = _post(service, payload)
