@@ -39,11 +39,6 @@ _RECEIVERS = {
 }
 
 
-def is_l4s_algorithm(name: str) -> bool:
-    """True when the named algorithm belongs to the L4S service."""
-    return bool(CC_SENDERS.flag(name, "is_l4s"))
-
-
 def is_udp_algorithm(name: str) -> bool:
     """True when the named algorithm runs over UDP."""
     return bool(CC_SENDERS.flag(name, "is_udp"))

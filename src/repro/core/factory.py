@@ -4,8 +4,8 @@ The marker builders themselves are registered in
 :data:`repro.registry.MARKERS`, each next to its implementation
 (``repro.ran.marker`` for the no-op baseline, ``repro.core.l4span`` /
 ``tcran`` / ``ran_dualpi2`` for the real strategies).  This module imports
-them all so registration has happened, and keeps the historical
-``make_marker`` entry point.
+them all so registration has happened, and provides ``make_marker``,
+the one call that builds a marker by name.
 """
 
 from __future__ import annotations

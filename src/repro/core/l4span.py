@@ -96,10 +96,6 @@ class L4SpanLayer:
         self.feedback_messages = 0
         self.marked_packets = 0
         self.shortcircuited_acks = 0
-        # Aggregate background-population arrivals/service observed through
-        # the on_background_aggregate hook (dense-cell scenarios).
-        self.background_arrival_bytes = 0.0
-        self.background_served_bytes = 0.0
         # Processing-time samples (seconds) per event type, for Fig. 21.
         self.processing_times: dict[str, list[float]] = {
             "downlink": [], "uplink": [], "feedback": []}
@@ -316,23 +312,6 @@ class L4SpanLayer:
         self.shortcircuited_acks += 1
 
     # ------------------------------------------------------------------ #
-    # Aggregate background load (dense-cell population kernel)
-    # ------------------------------------------------------------------ #
-    def on_background_aggregate(self, arrival_bytes: float,
-                                served_bytes: float, now: float) -> None:
-        """Observe one batched step of the cell's background population.
-
-        ``arrival_bytes`` / ``served_bytes`` are what the population queued
-        and drained over the step ending at ``now``.  The population's
-        contention effect reaches the marker through the shared MAC (reduced
-        foreground service shifts the measured egress rates and sojourn
-        predictions the marking laws react to); this hook only book-keeps
-        the aggregate arrival process for cell-level telemetry.
-        """
-        self.background_arrival_bytes += arrival_bytes
-        self.background_served_bytes += served_bytes
-
-    # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
     def summary(self) -> dict:
@@ -345,8 +324,6 @@ class L4SpanLayer:
             "shortcircuited_acks": self.shortcircuited_acks,
             "flows": len(self._flows),
             "drbs": len(self._drbs),
-            "background_arrival_bytes": self.background_arrival_bytes,
-            "background_served_bytes": self.background_served_bytes,
         }
 
 

@@ -1,9 +1,8 @@
 """Runtime execution options shared by every scenario-running surface.
 
-``--shards`` and ``--workers`` used to be wired ad-hoc
-per CLI subcommand, which is exactly how flag drift happens (``scenario``
-grew ``--shards`` while ``experiment`` only knew ``--workers``, and a served
-spec had neither).  This module is the single source of truth:
+``--shards`` and ``--workers`` mean the same on every surface -- the CLI
+subcommands and a served spec -- because this module is their single
+source of truth:
 
 * :func:`add_runtime_arguments` contributes the two flags to an argparse
   parser — ``python -m repro scenario`` (ad-hoc and ``--preset`` runs alike)

@@ -160,16 +160,16 @@ def dense_cell() -> ScenarioSpec:
     background UEs as one vectorized numpy state array synchronized with the
     MAC slot loop, so the scenario simulates over a thousand UE-seconds per
     second of wall clock while the two foreground flows keep packet-exact
-    L4Span marking under realistic cell load.
+    L4Span marking.  The background reaches them only as scheduler
+    contention for PRBs (see :class:`~repro.experiments.spec.PopulationSpec`
+    for what the population does not model).
     """
     return ScenarioSpec(
         name="dense-cell", num_ues=2, duration_s=6.0, marker="l4span",
         channel_profile="static", seed=7,
         population=PopulationSpec(
-            n_background=1000, workload="bulk",
-            cc_mix={"prague": 0.3, "cubic": 0.7},
-            snr_mean_db=18.0, snr_stddev_db=6.0, activity=0.25,
-            churn_rate_per_s=2.0))
+            n_background=1000, snr_mean_db=18.0, snr_stddev_db=6.0,
+            activity=0.25, churn_rate_per_s=2.0))
 
 
 @SCENARIO_PRESETS.register("video-plus-bulk")

@@ -224,8 +224,7 @@ class BuiltScenario:
             for cell_spec in self.cell_specs:
                 gnb = self.gnbs[cell_spec.cell_id]
                 population = BackgroundPopulation(
-                    self.sim, cell_spec.cell_id, gnb.cell, config.population,
-                    marker=self.markers[cell_spec.cell_id])
+                    self.sim, cell_spec.cell_id, gnb.cell, config.population)
                 gnb.du.mac.attach_background(population)
                 self.backgrounds[cell_spec.cell_id] = population
         self.ues: dict[int, UeContext] = {}

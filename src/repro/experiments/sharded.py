@@ -55,7 +55,7 @@ fixed shard map, reproducible across repeats and shard counts, and produces
 
 Coupled topologies
 ------------------
-Four couplings the barrier once refused are now first-class protocol:
+Four couplings between cells are part of the barrier protocol:
 
 * **A shared wired middlebox** belongs to no cell and is hosted on shard
   0, the coordinator's own; every shard cuts its senders at WAN entry
@@ -188,7 +188,7 @@ class ShardPlan:
 def sharding_blockers(spec: ScenarioSpec) -> list[str]:
     """Human-readable reasons why ``spec`` cannot be sharded (empty = can).
 
-    The coupled-topology protocol retired the historical blockers: a shared
+    The coupled-topology protocol shards these couplings: a shared
     wired middlebox is hosted on one shard with its traffic exchanged as
     boundary items, SNR-triggered handovers run the two-phase
     decide-then-commit protocol, interruptions shorter than the lookahead
@@ -740,9 +740,10 @@ class _ShardMobility(_CouplingRuntime):
             self.hand_off(deliver, packet, self.flow_home[flow_id], "wan_ul")
 
     def _transfer_stamp(self, transfer_time: float) -> float:
-        # Interruption >= lookahead: the classic PR-5 stamp, no barrier
-        # needed.  Shorter: the synchronizer barriers exactly at the commit
-        # time and the transfer crosses with a same-instant stamp.
+        # Interruption >= lookahead: stamp one lookahead after the
+        # transfer, no barrier needed.  Shorter: the synchronizer barriers
+        # exactly at the commit time and the transfer crosses with a
+        # same-instant stamp.
         if self.interruption >= self.lookahead - 1e-12:
             return transfer_time + self.lookahead
         return transfer_time

@@ -71,10 +71,10 @@ def _require_non_negative(name: str, value: float) -> None:
 _LEAVES = frozenset((int, str, bool, type(None)))
 
 
-def _nan_path(value: Any) -> Optional[str]:
-    """Where the first NaN float inside ``value`` sits (``".population.x"``,
-    ``"[2]"``), or None when there is none.  Searches dataclass fields,
-    list and tuple items and dict values."""
+def _non_finite(value: Any) -> Optional[tuple[str, float]]:
+    """The first NaN or infinite float inside ``value`` and where it sits
+    (``".population.x"``, ``"[2]"``), or None when there is none.  Searches
+    dataclass fields, list and tuple items and dict values."""
     if hasattr(value, "__dataclass_fields__"):
         keys = list(value.__dataclass_fields__)
         items = [getattr(value, key) for key in keys]
@@ -87,12 +87,12 @@ def _nan_path(value: Any) -> Optional[str]:
         return None
     for key, item in zip(keys, items):
         if isinstance(item, float):
-            if item != item:
-                return label(key)
+            if not -math.inf < item < math.inf:  # NaN fails both comparisons
+                return label(key), item
         elif item.__class__ not in _LEAVES:
-            found = _nan_path(item)
+            found = _non_finite(item)
             if found is not None:
-                return label(key) + found
+                return label(key) + found[0], found[1]
     return None
 
 
@@ -263,55 +263,37 @@ class MobilitySpec:
         return self
 
 
-#: Workload models understood by the background-population kernel.
-POPULATION_WORKLOADS = ("bulk", "rate")
-
-
 @dataclass
 class PopulationSpec:
     """Aggregated background-UE population attached to *every* cell.
 
     Instead of one Python object graph per UE, ``n_background`` UEs per cell
-    are modelled by one vectorized numpy state array (cwnd/backlog/SNR/rate)
+    are modelled by one vectorized numpy state array (cwnd/backlog/SNR)
     advanced in batched steps synchronized with the MAC slot loop -- see
-    :mod:`repro.ran.background`.  Foreground flows experience the population
-    only as scheduler contention (an aggregate demand/served-share term), so
-    dense cells (1000+ UEs) run without per-UE events.
+    :mod:`repro.ran.background`.  Every background UE is an always-backlogged
+    bulk sender, so dense cells (1000+ UEs) run without per-UE events.
+
+    What the population claims is scheduler contention: foreground flows
+    see it only through the MAC, which counts every active background UE as
+    one more round-robin claimant.  It claims no marking response (windows
+    back off on their own backlog, never on a mark) and no per-flow RTT
+    (every window grows against a fixed 50 ms nominal RTT).
 
     Attributes:
         n_background: background UEs attached to each cell (0 disables the
             population entirely; the kernel is never built).
-        workload: ``"bulk"`` (always-backlogged, window-limited senders) or
-            ``"rate"`` (each UE offers a finite rate drawn around
-            ``mean_rate_mbps``).
-        cc_mix: congestion-control mix, name -> share (normalised by the
-            kernel); classifies UEs into L4S/classic response classes for the
-            AIMD window dynamics.  Empty = all classic.
-        mean_rate_mbps: per-UE mean offered rate for the ``"rate"`` workload.
         snr_mean_db / snr_stddev_db: Gaussian SNR distribution the per-UE
             link qualities are drawn from (stddev 0 = homogeneous).
         activity: fraction of the population initially active (0..1).
         churn_rate_per_s: Poisson rate of arrival/departure flips per cell
             (0 = static population).
-        update_interval_s: batched kernel cadence; clamped to at least one
-            MAC slot by the kernel.
     """
 
     n_background: int = 0
-    workload: str = "bulk"
-    cc_mix: dict[str, float] = field(default_factory=dict)
-    mean_rate_mbps: float = 2.0
     snr_mean_db: float = 22.0
     snr_stddev_db: float = 0.0
     activity: float = 1.0
     churn_rate_per_s: float = 0.0
-    update_interval_s: float = 0.005
-
-    def __post_init__(self) -> None:
-        # JSON round-trip normalisation: keys arrive as strings already, but
-        # shares may arrive as ints; a deserialized spec must compare equal.
-        self.cc_mix = {str(name): float(share)
-                       for name, share in self.cc_mix.items()}
 
     @property
     def enabled(self) -> bool:
@@ -319,29 +301,15 @@ class PopulationSpec:
         return self.n_background > 0
 
     def validate(self) -> "PopulationSpec":
-        """Check counts, distribution parameters and the CC mix."""
+        """Check the count and the distribution parameters."""
         if self.n_background < 0:
             raise ValueError("population.n_background must be >= 0")
-        if self.workload not in POPULATION_WORKLOADS:
-            raise ValueError(
-                f"unknown population workload {self.workload!r}; "
-                f"choose from {POPULATION_WORKLOADS}")
-        if self.workload == "rate" and self.mean_rate_mbps <= 0:
-            raise ValueError("population.mean_rate_mbps must be positive "
-                             "for the 'rate' workload")
         if self.snr_stddev_db < 0:
             raise ValueError("population.snr_stddev_db must be >= 0")
         if not 0.0 <= self.activity <= 1.0:
             raise ValueError("population.activity must be within [0, 1]")
         if self.churn_rate_per_s < 0:
             raise ValueError("population.churn_rate_per_s must be >= 0")
-        _require_positive("population.update_interval_s",
-                          self.update_interval_s)
-        for name, share in self.cc_mix.items():
-            CC_SENDERS.get(name)
-            if share <= 0:
-                raise ValueError(
-                    f"population.cc_mix share for {name!r} must be positive")
         return self
 
 
@@ -506,7 +474,8 @@ class ScenarioSpec:
 
         Raises :class:`repro.registry.UnknownComponentError` for unknown
         names and :class:`ValueError` for structural mistakes (duplicate
-        ids, dangling cell references) and for a NaN anywhere in the spec.
+        ids, dangling cell references) and for a NaN or an infinity anywhere
+        in the spec.
         """
         for name in ("duration_s", "queue_sample_interval",
                      "throughput_window"):
@@ -549,6 +518,11 @@ class ScenarioSpec:
             CC_SENDERS.get(flow.cc_name)
             if flow.wan_rtt is not None:
                 _require_non_negative(f"flows[{index}].wan_rtt", flow.wan_rtt)
+            _require_non_negative(f"flows[{index}].start_time",
+                                  flow.start_time)
+            if flow.stop_time is not None:
+                _require_non_negative(f"flows[{index}].stop_time",
+                                      flow.stop_time)
             if flow.flow_id in flow_ids:
                 raise ValueError(f"duplicate flow_id {flow.flow_id}")
             flow_ids.add(flow.flow_id)
@@ -566,9 +540,11 @@ class ScenarioSpec:
                     f"wired_bottleneck_schedule sets a negative rate "
                     f"({rate}) at t={start_time}")
         self._validate_mobility(cell_ids, {ue.ue_id: ue.cell_id for ue in ues})
-        nan_at = _nan_path(self)
-        if nan_at is not None:
-            raise ValueError(f"{nan_at[1:]} must be a number, got nan")
+        found = _non_finite(self)
+        if found is not None:
+            path, value = found
+            kind = "a number" if value != value else "finite"
+            raise ValueError(f"{path[1:]} must be {kind}, got {value}")
         return self
 
     def _validate_mobility(self, cell_ids: set[int],

@@ -1,27 +1,24 @@
 """Vectorized background-UE population: dense cells without per-UE events.
 
-The north star is heavy traffic from very large user populations, but one
-Python object graph per UE (channel, RLC, F1-U, CC state machine) tops out at
-a handful of UEs per cell.  This module implements the hybrid approach: a few
-*foreground* UEs are simulated exactly, packet by packet, while the other
-``n_background`` UEs of the cell live in one :class:`BackgroundPopulation` --
-contiguous numpy arrays of per-UE cwnd/backlog/SNR/rate advanced in batched
-steps synchronized with the MAC slot loop.
+A few *foreground* UEs are simulated exactly, packet by packet, while the
+other ``n_background`` UEs of the cell live in one
+:class:`BackgroundPopulation` -- contiguous numpy arrays of per-UE
+cwnd/backlog/SNR advanced in batched steps synchronized with the MAC slot
+loop.  Every background UE is an always-backlogged bulk sender.
 
-Coupling into the exact simulation is deliberately narrow:
+The population claims one thing, scheduler contention, and couples into the
+exact simulation only through it: every slot the MAC reads the population's
+aggregate demand (``demand_count``, the active-UE count, O(1)) and treats it
+as that many extra round-robin claimants, so foreground UEs receive
+proportionally fewer PRBs; the background's share is accumulated (O(1)) for
+the next batched step.  Reduced foreground MAC service slows the RLC drain,
+which is all a marker sees of the population.
 
-* **Scheduler contention.**  Every slot the MAC asks the population for its
-  aggregate demand (an O(1) cached count) and treats it as that many extra
-  round-robin claimants: foreground UEs receive proportionally fewer PRBs and
-  the background's share is accumulated (O(1)) for the next batched step.
-* **Marking/egress.**  Reduced foreground MAC service slows the RLC drain,
-  which the F1-U delivery reports carry into the per-bearer egress-rate
-  estimates and sojourn predictions that DualPI2/L4Span mark from -- so
-  foreground flows see realistic congestion signals without the population
-  injecting per-packet traffic.  Markers that implement
-  ``on_background_aggregate(arrival_bytes, served_bytes, now)`` additionally
-  receive each batched step's arrival/served byte counts for cell-level
-  telemetry.
+It does not claim a marking response or a per-flow RTT: background windows
+back off on their own backlog ("more than half a window left queued"), never
+on a mark, and grow against one fixed nominal RTT of 50 ms.  Nothing in the
+window dynamics reaches ``demand_count``, so the foreground results do not
+depend on them.
 
 Everything random is drawn from the single per-cell named stream
 ``background-cell{cell_id}``, so a population is bit-identical across repeat
@@ -31,11 +28,8 @@ seed, and the population is cell-local state).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.cc.factory import is_l4s_algorithm
 from repro.channel.mcs import efficiency_from_snr_array
 from repro.ran.cell import CellConfig
 
@@ -47,26 +41,25 @@ BACKGROUND_INITIAL_CWND = 10 * BACKGROUND_MSS
 BACKGROUND_NOMINAL_RTT = 0.05
 #: Upper bound on a background sender's window, bytes.
 BACKGROUND_CWND_CAP = 4 * 1024 * 1024
-#: Multiplicative-decrease factors per response class.
-BETA_CLASSIC = 0.7
-BETA_L4S = 0.85
+#: Multiplicative-decrease factor of a backed-off window.
+BACKGROUND_BETA = 0.7
+#: Batched kernel cadence, seconds (rounded to whole MAC slots, at least one).
+BACKGROUND_STEP_S = 0.005
 
 
 class BackgroundPopulation:
     """All background UEs of one cell, as contiguous numpy state arrays.
 
     Once per slot the MAC hands over the PRBs granted to the background
-    aggregate (:meth:`on_slots`); every ``update_interval_s`` worth of slots
+    aggregate (:meth:`on_slots`); every ``BACKGROUND_STEP_S`` worth of slots
     the kernel advances the whole population in one vectorized step: churn
-    flips, new arrivals into the per-UE backlogs, service of the accumulated
-    PRB budget, and an AIMD window update (classic beta 0.7, L4S beta 0.85,
-    mixed per ``cc_mix``).  The step touches only the active UEs' compact
-    working set; the full-length ``backlog`` and ``cwnd`` are brought up to
-    date when read.
+    flips, window refills of the per-UE backlogs, service of the accumulated
+    PRB budget, and an AIMD window update (``BACKGROUND_BETA``).  The step
+    touches only the active UEs' compact working set; the full-length
+    ``backlog`` and ``cwnd`` are brought up to date when read.
     """
 
-    def __init__(self, sim, cell_id: int, cell: CellConfig, spec,
-                 marker: Optional[object] = None) -> None:
+    def __init__(self, sim, cell_id: int, cell: CellConfig, spec) -> None:
         spec.validate()
         self.sim = sim
         self.cell_id = cell_id
@@ -74,7 +67,6 @@ class BackgroundPopulation:
         self.spec = spec
         self.n = int(spec.n_background)
         self._rng = sim.random.stream(f"background-cell{cell_id}")
-        self._marker_hook = getattr(marker, "on_background_aggregate", None)
 
         rng = self._rng
         if spec.snr_stddev_db > 0:
@@ -88,20 +80,12 @@ class BackgroundPopulation:
         self.active = rng.random(self.n) < spec.activity
         self._cwnd = np.full(self.n, float(BACKGROUND_INITIAL_CWND))
         self._backlog = np.zeros(self.n)
-        self.beta = self._beta_array(spec.cc_mix)
-        if spec.workload == "rate":
-            # Exponentially distributed offered rates around the mean keep a
-            # heavy-ish tail without extra spec knobs.
-            mean_bytes = spec.mean_rate_mbps * 1e6 / 8.0
-            self.offered_rate = rng.exponential(mean_bytes, size=self.n)
-        else:
-            self.offered_rate = None
-            # Bulk senders start with a full window queued in the RAN.
-            self._backlog[self.active] = self._cwnd[self.active]
+        # Bulk senders start with a full window queued in the RAN.
+        self._backlog[self.active] = self._cwnd[self.active]
 
         # Batched-step bookkeeping.
-        slot = cell.slot_duration
-        self._slots_per_step = max(1, round(spec.update_interval_s / slot))
+        self._slots_per_step = max(
+            1, round(BACKGROUND_STEP_S / cell.slot_duration))
         self._slot_count = 0
         self._pending_prb_slots = 0.0
         self._last_step_time = float(sim.now)
@@ -125,8 +109,8 @@ class BackgroundPopulation:
         self._gather_active()
 
         #: O(1) view the MAC reads every slot: number of background UEs
-        #: currently demanding air time (refreshed at each batched step).
-        self.demand_count = int(np.count_nonzero(self._backlog > 0))
+        #: demanding air time -- every active one (refreshed at each step).
+        self.demand_count = self._active_count
 
     # ------------------------------------------------------------------ #
     # MAC-facing hot path (called once per slot or quiet run; O(1))
@@ -169,7 +153,6 @@ class BackgroundPopulation:
         if dt <= 0:
             return
         rng = self._rng
-        bulk = self.offered_rate is None
 
         # Arrival/departure churn: Poisson flips, uniformly across the
         # population.  A flip resets the UE's transport state.  Flips index
@@ -193,46 +176,29 @@ class BackgroundPopulation:
         flags = self._bool_scratch
         total = self._sum_scratch
 
-        # New arrivals into the RAN backlogs.  Bulk senders keep a full
-        # window outstanding; rate senders offer rate*dt, still window-capped.
-        room = np.subtract(cwnd, backlog, out=f0)
-        np.maximum(room, 0.0, out=room)
-        if not bulk:
-            offered = np.take(self.offered_rate, index, out=f1)
-            offered *= dt
-            np.minimum(offered, room, out=room)
-        arrivals = room
+        # Refill every backlog to a full window outstanding.
+        arrivals = np.subtract(cwnd, backlog, out=f0)
+        np.maximum(arrivals, 0.0, out=arrivals)
         backlog += arrivals
         total[index] = arrivals
-        arrival_bytes = float(np.add.reduce(total))
-        self.arrival_bytes_total += arrival_bytes
-
-        # Who demands air time.  An active bulk sender now holds at least
-        # one MSS, so for bulk every active UE demands.
-        if bulk:
-            demand, demanding = self._all_active, self._active_count
-        else:
-            demand = np.greater(backlog, 0.0, out=flags)
-            demanding = int(np.count_nonzero(demand))
+        self.arrival_bytes_total += float(np.add.reduce(total))
 
         # Serve the PRB budget the MAC granted over this interval: equal
-        # PRB shares across demanding UEs (round-robin in expectation), each
-        # converted through its own SNR-derived bytes-per-PRB; one
-        # redistribution pass hands leftovers of drained UEs to the rest.
-        step_served = 0.0
-        if demanding and self._pending_prb_slots > 0:
-            share = self._pending_prb_slots / demanding
+        # PRB shares across the active UEs (round-robin in expectation; each
+        # now holds at least one MSS), each converted through its own
+        # SNR-derived bytes-per-PRB; one redistribution pass hands leftovers
+        # of drained UEs to the rest.
+        count = self._active_count
+        if count and self._pending_prb_slots > 0:
+            share = self._pending_prb_slots / count
             capacity = np.multiply(self._active_bpp, share, out=f1)
-            if not bulk:
-                capacity *= demand
             served = np.minimum(backlog, capacity, out=f0)
             unused = np.subtract(capacity, served, out=f1)
             total[index] = unused
             leftover = float(np.add.reduce(total))
             if leftover > 0:
-                # Whoever still holds bytes was demanding.  A drained UE has
-                # backlog == served exactly, so its remainder is 0.0 and the
-                # scalar top-up needs no mask.
+                # A drained UE has backlog == served exactly, so its
+                # remainder is 0.0 and the scalar top-up needs no mask.
                 still_count = int(np.count_nonzero(
                     np.greater(backlog, served, out=flags)))
                 if still_count:
@@ -241,21 +207,19 @@ class BackgroundPopulation:
                     served += extra
             backlog -= served
             total[index] = served
-            step_served = float(np.add.reduce(total))
-            self.served_bytes_total += step_served
-            # More than half a window (>= MSS/2 > 0) left: it was demanding.
+            self.served_bytes_total += float(np.add.reduce(total))
+            # More than half a window (>= MSS/2 > 0) left queued.
             half_window = np.multiply(cwnd, 0.5, out=f1)
             congested = np.greater(backlog, half_window, out=flags)
         else:
-            congested = demand
+            congested = self._all_active
         self._pending_prb_slots = 0.0
 
         # AIMD window update: senders that kept more than half a window
-        # queued back off (their class beta); the others grow additively.
-        # Both candidates come unmasked from the old windows and are
-        # selected per UE (``np.putmask`` costs a fraction of a ``where=``
-        # ufunc).
-        backed_off = np.multiply(cwnd, self._active_beta, out=f1)
+        # queued back off; the others grow additively.  Both candidates come
+        # unmasked from the old windows and are selected per UE
+        # (``np.putmask`` costs a fraction of a ``where=`` ufunc).
+        backed_off = np.multiply(cwnd, BACKGROUND_BETA, out=f1)
         grown = np.add(cwnd, BACKGROUND_MSS * (dt / BACKGROUND_NOMINAL_RTT),
                        out=f0)
         np.putmask(grown, congested, backed_off)
@@ -263,17 +227,10 @@ class BackgroundPopulation:
         np.minimum(cwnd, BACKGROUND_CWND_CAP, out=cwnd)
         self._synced = False
 
-        self.active_ue_seconds += self._active_count * dt
+        self.active_ue_seconds += count * dt
         self.kernel_steps += 1
-        if bulk:
-            # Bulk UEs refill next step; an active bulk sender always demands.
-            self.demand_count = self._active_count
-        else:
-            self.demand_count = int(np.count_nonzero(
-                np.greater(backlog, 0.0, out=flags)))
-        if self._marker_hook is not None:
-            self._marker_hook(arrival_bytes=arrival_bytes,
-                              served_bytes=step_served, now=now)
+        # Every active UE refills next step, so every one demands.
+        self.demand_count = count
 
     def _gather_active(self) -> None:
         """Rebuild the compact working set from ``active`` (build, flips)."""
@@ -284,7 +241,6 @@ class BackgroundPopulation:
         self._active_backlog = self._backlog[index]
         self._active_cwnd = self._cwnd[index]
         self._active_bpp = self.bytes_per_prb[index]
-        self._active_beta = self.beta[index]
         self._all_active = np.ones(count, dtype=bool)
         self._float_scratch = (np.empty(count), np.empty(count))
         self._bool_scratch = np.empty(count, dtype=bool)
@@ -331,29 +287,6 @@ class BackgroundPopulation:
             "active_ue_seconds": self.active_ue_seconds,
             "kernel_steps": self.kernel_steps,
         }
-
-    # ------------------------------------------------------------------ #
-    def _beta_array(self, cc_mix: dict) -> "np.ndarray":
-        """Per-UE multiplicative-decrease factor from the CC mix.
-
-        The population is partitioned deterministically (by index, largest
-        remainder) across the mix entries in sorted-name order, so the class
-        assignment never consumes random variates.
-        """
-        beta = np.full(self.n, BETA_CLASSIC)
-        if not cc_mix or not self.n:
-            return beta
-        total = sum(cc_mix.values())
-        start = 0
-        names = sorted(cc_mix)
-        counts = [int(self.n * cc_mix[name] / total) for name in names]
-        for i in range(self.n - sum(counts)):
-            counts[i % len(counts)] += 1
-        for name, count in zip(names, counts):
-            if is_l4s_algorithm(name):
-                beta[start:start + count] = BETA_L4S
-            start += count
-        return beta
 
 
 def merge_background_summaries(summaries: list) -> dict:

@@ -39,10 +39,8 @@ T = TypeVar("T")
 class UnknownComponentError(KeyError, ValueError):
     """Lookup of a name no component registered under.
 
-    Subclasses both :class:`KeyError` and :class:`ValueError` so call sites
-    written against the historical factories (dict-backed ``KeyError`` for
-    algorithms/markers, ``ValueError`` for channel profiles) keep working
-    unchanged.
+    Subclasses both :class:`KeyError` and :class:`ValueError`, so a caller
+    may catch either: a failed lookup is a missing key and a bad value.
     """
 
     def __init__(self, kind: str, name: str, choices: list[str]) -> None:

@@ -77,8 +77,8 @@ def catalogue() -> list[tuple[str, api.ScenarioSpec, int]]:
     for preset in SHARDED_PRESETS:
         add(f"shards2/{preset}", api.load_spec(preset),
             PRESET_DURATION_S.get(preset, 1.0), shards=2)
-    # The population branches dense-cell does not reach (PF, the rate
-    # workload, a MAC whose registration order is not ue_id order).
+    # The population branches dense-cell does not reach (PF, a MAC whose
+    # registration order is not ue_id order).
     for path in sorted(CORPUS_DIR.glob("population-*.json")):
         spec = api.ScenarioSpec.from_dict(json.loads(path.read_text())["spec"])
         add(f"corpus/{path.stem}", spec, spec.duration_s)

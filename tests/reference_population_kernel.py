@@ -4,18 +4,20 @@
 with ``_step`` frozen verbatim as it stood before the fused rewrite (PR 17):
 one fresh temporary per expression, every mask spelled out (``active &
 (backlog > 0)``, ``demand & ...``, ``active & ~congested``), ``np.where`` /
-``.sum()`` / ``np.clip``.  The only edit is the marker hook call, which lost
-its unused ``backlog_bytes`` argument in the same PR.  The production kernel
-must stay bit-identical to this one -- state arrays, byte counters and the
-random stream position -- which ``tests/test_background.py`` checks step by
-step.  Do not optimise this file.
+``.sum()`` / ``np.clip``.  The only edits remove what the population lost
+since: the marker hook call, the ``rate`` workload's branches and the
+per-UE ``beta`` array (one ``BACKGROUND_BETA`` for every UE).  The
+production kernel must stay bit-identical to this one -- state arrays, byte
+counters and the random stream position -- which
+``tests/test_background.py`` checks step by step.  Do not optimise this
+file.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ran.background import (BACKGROUND_CWND_CAP,
+from repro.ran.background import (BACKGROUND_BETA, BACKGROUND_CWND_CAP,
                                   BACKGROUND_INITIAL_CWND, BACKGROUND_MSS,
                                   BACKGROUND_NOMINAL_RTT,
                                   BackgroundPopulation)
@@ -46,13 +48,9 @@ class ReferencePopulation(BackgroundPopulation):
                 cwnd[idx] = float(BACKGROUND_INITIAL_CWND)
 
         # New arrivals into the RAN backlogs.  Bulk senders keep a full
-        # window outstanding; rate senders offer rate*dt, still window-capped.
+        # window outstanding.
         window_room = np.maximum(cwnd - backlog, 0.0)
-        if self.offered_rate is None:
-            arrivals = np.where(active, window_room, 0.0)
-        else:
-            arrivals = np.where(
-                active, np.minimum(self.offered_rate * dt, window_room), 0.0)
+        arrivals = np.where(active, window_room, 0.0)
         backlog += arrivals
         arrival_bytes = float(arrivals.sum())
         self.arrival_bytes_total += arrival_bytes
@@ -85,11 +83,11 @@ class ReferencePopulation(BackgroundPopulation):
         self._pending_prb_slots = 0.0
 
         # AIMD window update: senders that kept more than half a window
-        # queued back off (their class beta); the rest grow additively.
+        # queued back off; the rest grow additively.
         # Masked in-place ufuncs compute the same elementwise values as
         # boolean fancy indexing without the gather/scatter copies.
         relieved = active & ~congested
-        np.multiply(cwnd, self.beta, out=cwnd, where=congested)
+        np.multiply(cwnd, BACKGROUND_BETA, out=cwnd, where=congested)
         np.add(cwnd, BACKGROUND_MSS * (dt / BACKGROUND_NOMINAL_RTT),
                out=cwnd, where=relieved)
         np.clip(cwnd, BACKGROUND_MSS, BACKGROUND_CWND_CAP, out=cwnd)
@@ -97,12 +95,5 @@ class ReferencePopulation(BackgroundPopulation):
         active_count = int(np.count_nonzero(active))
         self.active_ue_seconds += float(active_count) * dt
         self.kernel_steps += 1
-        if self.offered_rate is None:
-            # Bulk UEs refill next step; an active bulk sender always demands.
-            self.demand_count = active_count
-        else:
-            self.demand_count = int(
-                np.count_nonzero(active & (backlog > 0)))
-        if self._marker_hook is not None:
-            self._marker_hook(arrival_bytes=arrival_bytes,
-                              served_bytes=step_served, now=now)
+        # Bulk UEs refill next step; an active bulk sender always demands.
+        self.demand_count = active_count

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import importlib
 import math
 import sys
 import time
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from reference_population_kernel import ReferencePopulation
 from repro.experiments.presets import make_preset
+from repro.experiments.results import result_document
 from repro.experiments.scenario import build_scenario, run_scenario
 from repro.experiments.sharded import run_scenario_sharded
 from repro.experiments.spec import (CellSpec, PopulationSpec, ScenarioSpec,
@@ -38,13 +40,11 @@ from repro.workloads.flows import FlowSpec
 pytestmark = pytest.mark.filterwarnings("ignore")
 
 
-def _aggregate_spec(**population) -> ScenarioSpec:
-    defaults = dict(n_background=4, workload="bulk", cc_mix={"cubic": 1.0})
-    defaults.update(population)
+def _aggregate_spec(n_background: int = 4) -> ScenarioSpec:
     return ScenarioSpec(
         name="aggregate", num_ues=1, duration_s=4.0, cc_name="prague",
         marker="l4span", channel_profile="static", seed=5,
-        population=PopulationSpec(**defaults))
+        population=PopulationSpec(n_background=n_background))
 
 
 class TestKernelMechanics:
@@ -78,6 +78,26 @@ class TestKernelMechanics:
         loaded = run_scenario(_aggregate_spec(n_background=4))
         assert loaded.flows[0].goodput_mbps < 0.6 * quiet.flows[0].goodput_mbps
 
+    def test_foreground_sees_only_the_prb_share(self, monkeypatch):
+        """The population reaches the foreground only through the PRB
+        share: its window dynamics never touch ``demand_count``, so moving
+        the back-off factor moves the background's backlog and nothing of
+        the foreground's result."""
+        # Looked up at run time: another test may have re-imported it.
+        kernel = importlib.import_module("repro.ran.background")
+        spec = dataclasses.replace(_aggregate_spec(n_background=16),
+                                   duration_s=1.0)
+        documents = []
+        for beta in (0.5, 0.9):
+            monkeypatch.setattr(kernel, "BACKGROUND_BETA", beta)
+            documents.append(result_document(run_scenario(spec)))
+        low, high = documents
+        for key in ("flows", "per_ue_throughput_mbps", "delay_breakdown",
+                    "queue", "events_processed"):
+            assert low[key] == high[key], key
+        assert (low["background"]["backlog_bytes"]
+                != high["background"]["backlog_bytes"])
+
     def test_disabled_population_never_imports_kernel(self):
         sys.modules.pop("repro.ran.background", None)
         result = run_scenario(ScenarioSpec(
@@ -101,8 +121,7 @@ class TestAccuracyEnvelope:
             flows=[FlowSpec(flow_id=0, ue_id=0, cc_name="prague")] +
                   [FlowSpec(flow_id=i, ue_id=i, cc_name="cubic")
                    for i in range(1, 5)]))
-        aggregate = run_scenario(_aggregate_spec(
-            n_background=4, cc_mix={"cubic": 1.0}))
+        aggregate = run_scenario(_aggregate_spec(n_background=4))
         full_fg = full.flow(0).goodput_mbps
         aggregate_fg = aggregate.flows[0].goodput_mbps
         assert full_fg > 0 and aggregate_fg > 0
@@ -138,10 +157,8 @@ def _dense_two_cell_spec() -> ScenarioSpec:
         cells=[CellSpec(cell_id=0), CellSpec(cell_id=1)],
         ues=[UeSpec(ue_id=0, cell_id=0), UeSpec(ue_id=1, cell_id=1)],
         population=PopulationSpec(
-            n_background=50, workload="bulk",
-            cc_mix={"prague": 0.5, "cubic": 0.5},
-            snr_mean_db=20.0, snr_stddev_db=5.0, activity=0.6,
-            churn_rate_per_s=3.0))
+            n_background=50, snr_mean_db=20.0, snr_stddev_db=5.0,
+            activity=0.6, churn_rate_per_s=3.0))
 
 
 def _fingerprint(result) -> tuple:
@@ -172,7 +189,6 @@ class TestDeterminism:
             other = second.backgrounds[cell_id]
             assert np.array_equal(population.snr_db, other.snr_db)
             assert np.array_equal(population.active, other.active)
-            assert np.array_equal(population.beta, other.beta)
         # Different cells draw from different named streams.
         assert not np.array_equal(first.backgrounds[0].snr_db,
                                   first.backgrounds[1].snr_db)
@@ -201,40 +217,29 @@ def _advance(sim, population, granted_prbs: int) -> None:
 
 
 class TestServiceMechanics:
-    """The ``rate`` workload and the leftover hand-off, in closed form."""
-
-    def _two_rate_ues(self):
-        spec = PopulationSpec(n_background=2, workload="rate")
-        sim, population = _standalone(BackgroundPopulation, spec, seed=1)
-        return sim, population, float(population.bytes_per_prb[0])
-
-    def test_rate_arrivals_are_offered_rate_capped_by_the_window(self):
-        sim, population, _ = self._two_rate_ues()
-        interval = _slot_times(sim, population)[-1] - sim.now
-        population.offered_rate[:] = [1e5, 1e9]
-        _advance(sim, population, 0)
-        assert population.backlog == pytest.approx(
-            [1e5 * interval, BACKGROUND_INITIAL_CWND])
-        assert population.demand_count == 2
-        assert population.served_bytes_total == 0.0
+    """The leftover hand-off, in closed form."""
 
     def test_drained_ue_hands_its_leftover_to_the_rest(self):
-        sim, population, per_prb = self._two_rate_ues()
-        interval = _slot_times(sim, population)[-1] - sim.now
-        share = 50 * per_prb                  # 100 PRBs across two UEs
-        assert 2 * share < BACKGROUND_INITIAL_CWND
-        population.offered_rate[:] = [0.25 * share / interval, 1e9]
-        _advance(sim, population, 100)
-        # UE 0 drains a quarter share; UE 1 gets its share plus the rest.
+        spec = PopulationSpec(n_background=2)
+        sim, population = _standalone(BackgroundPopulation, spec, seed=1)
+        per_prb = float(population.bytes_per_prb[0])
+        # Two bulk UEs right after a refill: each holds its whole window,
+        # and UE 0's window is smaller than its half of the grant.
+        windows = [2 * BACKGROUND_MSS, BACKGROUND_INITIAL_CWND]
+        population.cwnd[:] = windows
+        population.backlog[:] = windows
+        population._gather_active()
+        share = 100 * per_prb                 # 200 PRBs across two UEs
+        assert windows[0] < share and 2 * share - windows[0] < windows[1]
+        _advance(sim, population, 200)
+        # UE 0 drains its window; UE 1 gets its share plus the rest.
+        assert population.arrival_bytes_total == 0.0
         assert population.backlog == pytest.approx(
-            [0.0, BACKGROUND_INITIAL_CWND - 1.75 * share], abs=1e-6)
+            [0.0, windows[1] - (2 * share - windows[0])], abs=1e-6)
         assert population.served_bytes_total == pytest.approx(2 * share)
-        assert population.demand_count == 1
+        assert population.demand_count == 2   # both refill next step
 
 
-_CC_MIXES = st.sampled_from([
-    {}, {"cubic": 1.0}, {"prague": 1.0}, {"prague": 0.5, "cubic": 0.5},
-    {"prague": 0.2, "bbr": 0.3, "cubic": 0.5}])
 #: Per-step grant as a fraction of what would drain the whole population:
 #: none or a trickle, about enough for some UEs, more than anyone holds.
 _GRANT_FRACTIONS = st.one_of(st.floats(0.0, 0.2), st.floats(0.2, 1.5),
@@ -254,8 +259,7 @@ def _assert_working_set_mirrors(population, reference) -> None:
     assert population._active_count == index.size
     for compact, full in ((population._active_backlog, reference.backlog),
                           (population._active_cwnd, reference.cwnd),
-                          (population._active_bpp, population.bytes_per_prb),
-                          (population._active_beta, population.beta)):
+                          (population._active_bpp, population.bytes_per_prb)):
         assert np.array_equal(compact, full[index])
     # Zero off the index: each full-length sum sees only active values.
     assert not np.delete(population._sum_scratch, index).any()
@@ -264,23 +268,18 @@ def _assert_working_set_mirrors(population, reference) -> None:
 class TestFusedKernelAgainstReference:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
-           workload=st.sampled_from(["bulk", "rate"]),
-           activity=st.floats(0.0, 1.0), cc_mix=_CC_MIXES,
+           activity=st.floats(0.0, 1.0),
            snr_mean_db=st.floats(0.0, 30.0),
            snr_stddev_db=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
-           mean_rate_mbps=st.floats(0.05, 20.0),
            churn_rate_per_s=st.one_of(st.just(0.0), st.floats(0.1, 2000.0)),
            grant_fractions=st.lists(_GRANT_FRACTIONS, min_size=5,
                                     max_size=40))
     def test_bit_identical_and_invariants_hold_after_every_step(
-            self, seed, n, workload, activity, cc_mix, snr_mean_db,
-            snr_stddev_db, mean_rate_mbps, churn_rate_per_s,
-            grant_fractions):
+            self, seed, n, activity, snr_mean_db, snr_stddev_db,
+            churn_rate_per_s, grant_fractions):
         spec = PopulationSpec(
-            n_background=n, workload=workload, activity=activity,
-            cc_mix=cc_mix, snr_mean_db=snr_mean_db,
-            snr_stddev_db=snr_stddev_db, mean_rate_mbps=mean_rate_mbps,
-            churn_rate_per_s=churn_rate_per_s)
+            n_background=n, activity=activity, snr_mean_db=snr_mean_db,
+            snr_stddev_db=snr_stddev_db, churn_rate_per_s=churn_rate_per_s)
         ref_sim, reference = _standalone(ReferencePopulation, spec, seed)
         sim, fused = _standalone(BackgroundPopulation, spec, seed)
         # Never read through ``backlog`` / ``cwnd`` until the end, so its

@@ -14,7 +14,7 @@ from repro.aqm.step import StepMarker
 from repro.cc.bbr import BbrSender
 from repro.cc.bbrv2 import Bbr2Sender
 from repro.cc.cubic import CubicSender
-from repro.cc.factory import is_l4s_algorithm, make_receiver, make_sender
+from repro.cc.factory import make_receiver, make_sender
 from repro.cc.prague import PragueSender
 from repro.cc.receiver import TcpReceiver
 from repro.cc.reno import RenoSender
@@ -278,11 +278,6 @@ class TestFactory:
         for name in ("prague", "cubic", "reno", "bbr", "bbr2", "scream",
                      "udp_prague"):
             assert name in CC_SENDERS
-
-    def test_is_l4s_algorithm(self):
-        assert is_l4s_algorithm("prague")
-        assert is_l4s_algorithm("bbr2")
-        assert not is_l4s_algorithm("cubic")
 
     def test_unknown_name_raises(self, sim, five_tuple):
         with pytest.raises(KeyError):

@@ -71,6 +71,23 @@ def test_flow_spec_fields_documented(scenarios_tokens):
         assert field.name in scenarios_tokens
 
 
+def test_field_tables_name_only_real_fields(scenarios_md):
+    """Reverse direction: every field-table row names a live spec field."""
+    from repro.workloads.flows import FlowSpec
+    section = scenarios_md.split("## ScenarioSpec fields", 1)[1]
+    section = section.split("## Component registries", 1)[0]
+    cells = re.findall(r"^\| ([^|]*`[^|]*) \|", section, flags=re.MULTILINE)
+    names = [name for cell in cells for name in re.findall(r"`([^`]+)`", cell)]
+    assert names, "no field table found in docs/scenarios.md"
+    fields = {field.name for cls in (
+        spec_module.ScenarioSpec, spec_module.CellSpec, spec_module.UeSpec,
+        FlowSpec, spec_module.ShardingSpec, spec_module.MobilitySpec,
+        spec_module.HandoverSpec, spec_module.PopulationSpec)
+        for field in dataclasses.fields(cls)}
+    stale = sorted(set(names) - fields)
+    assert not stale, f"docs/scenarios.md documents non-existent fields {stale}"
+
+
 def test_documented_presets_actually_exist(scenarios_md):
     """Reverse direction: the preset table only names real presets."""
     table = scenarios_md.split("**`SCENARIO_PRESETS`**", 1)[1]

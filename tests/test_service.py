@@ -195,6 +195,9 @@ class TestBadRequests:
                    "population": {"churn_rate_per_s": float("nan")}}},
          "population.churn_rate_per_s must be a number, got nan"),
         ({"preset": "ho"}, "unknown preset 'ho'"),
+        # An ``Infinity`` body once passed and ran with an engine error.
+        ({"spec": {"num_ues": 1, "cell": {"overhead": float("inf")}}},
+         "cell.overhead must be finite, got inf"),
     ])
     def test_bad_payloads_return_400(self, service, payload, fragment):
         status, body = _post(service, payload)
@@ -206,12 +209,12 @@ class TestBadRequests:
     #: scalar, to be accepted and fail inside the job thread.
     WRONG_TYPES = [
         ({"ues": [{"ue_id": "a"}]}, "ues[].ue_id: expected int"),
-        ({"population": {"cc_mix": [1]}}, "population.cc_mix: expected dict"),
+        ({"sharding": {"map": [1]}}, "sharding.map: expected dict"),
         ({"duration_s": "x"}, "scenario.duration_s: expected float"),
         ({"seed": True}, "scenario.seed: expected int"),
         ({"mobility": {"ues": ["0"]}}, "mobility.ues: expected list of int"),
-        ({"population": {"cc_mix": {"prague": "all"}}},
-         "population.cc_mix: expected dict of float"),
+        ({"sharding": {"map": {"0": "all"}}},
+         "sharding.map: expected dict of int"),
         ({"cells": [{"cell_id": 0}], "ues": [{"ue_id": 0, "cell_id": None}]},
          "ues[].cell_id: expected int"),
         # Where the field checks do not look:
