@@ -406,16 +406,30 @@ class TestPopulationSpec:
                 n_background=10, activity=1.5)).validate()
 
     @pytest.mark.parametrize("key", [
-        "workload", "cc_mix", "mean_rate_mbps", "update_interval_s"])
+        "workload", "mean_rate_mbps", "update_interval_s"])
     def test_removed_field_is_unknown(self, key):
         """Every background UE is a bulk sender with one back-off factor
         on a fixed cadence: no field selects another model."""
-        value = {"workload": "rate", "cc_mix": {"prague": 1.0},
-                 "mean_rate_mbps": 2.0, "update_interval_s": 0.005}[key]
+        value = {"workload": "rate", "mean_rate_mbps": 2.0,
+                 "update_interval_s": 0.005}[key]
         with pytest.raises(ValueError,
                            match=rf"^population: unknown field.*'{key}'"):
             ScenarioSpec.from_dict({"population": {"n_background": 10,
                                                    key: value}})
+
+    def test_unknown_cc_in_mix_rejected(self):
+        """The population has no cc mix; a spec naming one is refused
+        before its congestion controls are looked at."""
+        with pytest.raises(ValueError,
+                           match=r"^population: unknown field.*'cc_mix'"):
+            ScenarioSpec.from_dict({"population": {
+                "n_background": 10, "cc_mix": {"vegas": 1.0}}})
+
+    def test_non_positive_mix_share_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^population: unknown field.*'cc_mix'"):
+            ScenarioSpec.from_dict({"population": {
+                "n_background": 10, "cc_mix": {"prague": 0.0}}})
 
 
 # --------------------------------------------------------------------------- #
