@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the markdown docs for broken links and unread environment variables.
+"""Check the markdown docs for broken links, unread variables, missing paths.
 
 Scans ``docs/*.md``, ``README.md`` and ``ROADMAP.md`` for inline markdown
 links. External links (``http(s)://``) are not fetched — CI must not
@@ -9,11 +9,15 @@ headings (GitHub anchor style).
 
 ``README.md`` and ``docs/*.md`` may name a ``REPRO_*`` environment
 variable only if some module under ``src/`` spells it as a string literal
-(the name it reads the variable under).
+(the name it reads the variable under), and every repo path they name in
+backticks (such as ``tests/test_docs.py``, ``ran/mac.py::MacScheduler`` or
+``benchmarks/ledger/README.md:77``) must exist, resolved from the repo
+root, ``src/`` or ``src/repro/``.
 
 Usage:
-    python scripts/check_docs.py          # exit 1 on any broken link or
+    python scripts/check_docs.py          # exit 1 on any broken link,
                                           # documented-but-unread variable
+                                          # or missing backticked path
 
 No repro imports — runs on a bare CPython with nothing installed (the CI
 ``docs`` job uses it before any dependency install).
@@ -34,6 +38,11 @@ SOURCES = [REPO_ROOT / "README.md", REPO_ROOT / "ROADMAP.md",
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
+#: A backticked file path, optionally followed by ``:line`` or ``::name``.
+_PATH = re.compile(r"`([\w.-]*/[\w./-]*\.(?:py|md|json|ya?ml|toml|txt|sh))"
+                   r"(?::\d+|::[\w:.\[\]-]+)?`")
+#: Where a backticked path may be rooted.
+PATH_ROOTS = (REPO_ROOT, REPO_ROOT / "src", REPO_ROOT / "src" / "repro")
 
 
 def github_anchor(heading: str) -> str:
@@ -87,6 +96,21 @@ def unread_env_vars() -> list[str]:
     return errors
 
 
+def missing_paths() -> tuple[list[str], int]:
+    """Backticked repo paths in ``README.md`` / ``docs/*.md`` that exist
+    under none of :data:`PATH_ROOTS`, and how many paths were checked."""
+    errors, checked = [], 0
+    for source in SOURCES:
+        if source.name == "ROADMAP.md":
+            continue
+        for path in _PATH.findall(source.read_text(encoding="utf-8")):
+            checked += 1
+            if not any((root / path).exists() for root in PATH_ROOTS):
+                errors.append(f"{source.relative_to(REPO_ROOT)}: names "
+                              f"`{path}`, which does not exist")
+    return errors, checked
+
+
 def main() -> int:
     missing = [str(p) for p in SOURCES if not p.exists()]
     if missing:
@@ -98,12 +122,16 @@ def main() -> int:
     unread = unread_env_vars()
     for error in unread:
         print(f"UNREAD  {error}")
+    missing_files, paths = missing_paths()
+    for error in missing_files:
+        print(f"MISSING {error}")
     checked = len(SOURCES)
-    if errors or unread:
+    if errors or unread or missing_files:
         print(f"{len(errors)} broken link(s), {len(unread)} unread "
-              f"variable(s) across {checked} files")
+              f"variable(s), {len(missing_files)} missing path(s) across "
+              f"{checked} files")
         return 1
-    print(f"docs check OK ({checked} files)")
+    print(f"docs check OK ({checked} files, {paths} paths)")
     return 0
 
 

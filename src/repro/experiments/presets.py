@@ -156,13 +156,13 @@ def dense_cell() -> ScenarioSpec:
     """Two exact foreground Prague UEs sharing the cell with 1000 aggregated
     background UEs.
 
-    The population kernel (:mod:`repro.ran.background`) advances all 1000
-    background UEs as one vectorized numpy state array synchronized with the
-    MAC slot loop, so the scenario simulates over a thousand UE-seconds per
-    second of wall clock while the two foreground flows keep packet-exact
-    L4Span marking.  The background reaches them only as scheduler
-    contention for PRBs (see :class:`~repro.experiments.spec.PopulationSpec`
-    for what the population does not model).
+    The population (:mod:`repro.ran.background`) is one claimant count, the
+    active background UEs, which only churn flips change; so the scenario
+    simulates over a thousand UE-seconds per second of wall clock while the
+    two foreground flows keep packet-exact L4Span marking.  The background
+    reaches them only as scheduler contention for PRBs (see
+    :class:`~repro.experiments.spec.PopulationSpec` for what the population
+    does not model).
     """
     return ScenarioSpec(
         name="dense-cell", num_ues=2, duration_s=6.0, marker="l4span",

@@ -240,8 +240,11 @@ def result_schema() -> dict:
                                "single-loop runs"},
             "background": {
                 "type": "object",
-                "description": "background-population counters; empty "
-                               "without a population block"},
+                "description": "background-population counters summed "
+                               "over cells (n_background, granted_prb_slots, "
+                               "served_bytes, active_ue_seconds, "
+                               "kernel_steps); empty without a population "
+                               "block"},
             "duration_s": {"type": "number"},
             "events_processed": {"type": "integer"},
         },

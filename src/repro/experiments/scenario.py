@@ -103,8 +103,8 @@ class ScenarioResult:
     #: boundary exchanges); empty for single-loop runs.
     sharding_stats: dict = field(default_factory=dict)
     #: Aggregate background-population counters summed over cells
-    #: (``n_background``, ``arrival_bytes``, ``served_bytes``,
-    #: ``backlog_bytes``, ``active_ue_seconds``); empty without a population.
+    #: (``n_background``, ``granted_prb_slots``, ``served_bytes``,
+    #: ``active_ue_seconds``, ``kernel_steps``); empty without a population.
     background: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #

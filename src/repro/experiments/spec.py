@@ -268,16 +268,16 @@ class PopulationSpec:
     """Aggregated background-UE population attached to *every* cell.
 
     Instead of one Python object graph per UE, ``n_background`` UEs per cell
-    are modelled by one vectorized numpy state array (cwnd/backlog/SNR)
-    advanced in batched steps synchronized with the MAC slot loop -- see
-    :mod:`repro.ran.background`.  Every background UE is an always-backlogged
-    bulk sender, so dense cells (1000+ UEs) run without per-UE events.
+    are one claimant count: per-UE SNR and activity arrays stepped in batches
+    on the MAC slot clock -- see :mod:`repro.ran.background` -- so dense
+    cells (1000+ UEs) run without per-UE events.
 
     What the population claims is scheduler contention: foreground flows
     see it only through the MAC, which counts every active background UE as
-    one more round-robin claimant.  It claims no marking response (windows
-    back off on their own backlog, never on a mark) and no per-flow RTT
-    (every window grows against a fixed 50 ms nominal RTT).
+    one more round-robin claimant.  The PRBs left to it are reported
+    (``granted_prb_slots``) with the bytes they carry at the active UEs'
+    mean bytes-per-PRB (``served_bytes``).  It has no congestion window,
+    no RAN backlog, no marking response and no RTT.
 
     Attributes:
         n_background: background UEs attached to each cell (0 disables the
@@ -474,14 +474,28 @@ class ScenarioSpec:
 
         Raises :class:`repro.registry.UnknownComponentError` for unknown
         names and :class:`ValueError` for structural mistakes (duplicate
-        ids, dangling cell references) and for a NaN or an infinity anywhere
-        in the spec.
+        ids, dangling cell references), for a negative delay, a period that
+        is not > 0, and a NaN or an infinity anywhere in the spec.
         """
         for name in ("duration_s", "queue_sample_interval",
                      "throughput_window"):
             _require_positive(name, getattr(self, name))
         _require_non_negative("warmup_s", self.warmup_s)
         _require_non_negative("wan_rtt", self.wan_rtt)
+        _require_positive("l4span_config.coherence_time",
+                          self.l4span_config.coherence_time)
+        radios = [("cell", self.cell)] + [
+            (f"cells[{index}].radio", cell.radio)
+            for index, cell in enumerate(self.cells) if cell.radio is not None]
+        for path, radio in radios:
+            _require_positive(f"{path}.subcarrier_spacing_khz",
+                              radio.subcarrier_spacing_khz)
+        airs = [("air", self.air)] + [
+            (f"cells[{index}].air", cell.air)
+            for index, cell in enumerate(self.cells) if cell.air is not None]
+        for path, air in airs:
+            _require_non_negative(f"{path}.base_delay", air.base_delay)
+            _require_non_negative(f"{path}.harq_rtt", air.harq_rtt)
         MARKERS.get(self.marker)
         self.sharding.validate()
         self.population.validate()

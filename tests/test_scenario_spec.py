@@ -309,6 +309,20 @@ BAD_VALUES = [
     ({"mean_snr_db": -INF}, "mean_snr_db"),
     ({"l4span_config": {"sojourn_threshold": INF}},
      "l4span_config.sojourn_threshold"),
+    ({"cell": {"subcarrier_spacing_khz": -1}}, "cell.subcarrier_spacing_khz"),
+    ({"air": {"base_delay": -1.0}}, "air.base_delay"),
+    ({"air": {"harq_rtt": -1.0}}, "air.harq_rtt"),
+    ({"l4span_config": {"coherence_time": -1.0}},
+     "l4span_config.coherence_time"),
+]
+
+#: The smallest legal value of each field ``validate()`` bounds from below
+#: that once crashed mid-run: each must still run.
+BOUNDARY_VALUES = [
+    {"cell": {"subcarrier_spacing_khz": 1}},
+    {"air": {"base_delay": 0.0}},
+    {"air": {"harq_rtt": 0.0}},
+    {"l4span_config": {"coherence_time": 1e-9}},
 ]
 
 
@@ -322,6 +336,13 @@ class TestSpecValidation:
     def test_bad_value_rejected_by_name(self, fields, name):
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
             ScenarioSpec.from_dict(dict(num_ues=1, **fields)).validate()
+
+    @pytest.mark.parametrize("fields", BOUNDARY_VALUES)
+    def test_boundary_value_runs(self, fields):
+        spec = ScenarioSpec.from_dict(dict(
+            num_ues=2, marker="l4span", duration_s=0.3, seed=7,
+            population={"n_background": 20}, **fields))
+        assert run_scenario(spec.validate()).events_processed > 0
 
     def test_zero_wan_rtt_is_legal(self):
         ScenarioSpec(wan_rtt=0.0).validate()
