@@ -9,8 +9,10 @@ then prints every pair and, per bounded end-to-end metric, each side's median
 and quartiles, how many pairs the change won and the median change / parent
 ratio.
 
-Each checkout measures its own source tree, so give both the same bytecode
-state first (``python -m compileall -q src benchmarks/ledger`` in each).
+Each checkout measures its own source tree.  Before the first pair the
+script byte-compiles ``src`` and ``benchmarks/ledger`` in both (``python
+-m compileall``, with ``PYTHONDONTWRITEBYTECODE`` cleared), so neither side
+runs stale bytecode or pays for compiling in its first runs.
 
 Usage:
     python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR dense_cell 10
@@ -49,6 +51,19 @@ def run_driver(checkout: str, workload: str, seed: int) -> dict:
     return values
 
 
+def compile_tree(checkout: str) -> None:
+    """Byte-compile the sources a ledger run imports in ``checkout``."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONDONTWRITEBYTECODE"}
+    done = subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", "src",
+         os.path.join("benchmarks", "ledger")],
+        cwd=checkout, env=env, capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit(f"{checkout}: compileall exited {done.returncode}: "
+                         f"{(done.stdout + done.stderr).strip()[-400:]}")
+
+
 def _quartiles(values: list) -> list:
     return quantiles(values, n=4) if len(values) > 1 else values * 3
 
@@ -76,6 +91,8 @@ def main(argv=None) -> int:
     parser.add_argument("n", type=int, help="number of pairs")
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
+    for checkout in (args.parent, args.change):
+        compile_tree(checkout)
     pairs = []
     for index in range(args.n):
         sides = ["parent", "change"] if index % 2 == 0 else ["change", "parent"]

@@ -67,6 +67,13 @@ def _require_non_negative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
+def _require_at_least(name: str, value: int, minimum: int) -> None:
+    """Reject a count below ``minimum``: a negative PRB count or queue
+    bound runs to the end with nonsense counters instead of failing."""
+    if not value >= minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 #: Value types that hold no float: skipped without a call.
 _LEAVES = frozenset((int, str, bool, type(None)))
 
@@ -475,7 +482,8 @@ class ScenarioSpec:
         Raises :class:`repro.registry.UnknownComponentError` for unknown
         names and :class:`ValueError` for structural mistakes (duplicate
         ids, dangling cell references), for a negative delay, a period that
-        is not > 0, and a NaN or an infinity anywhere in the spec.
+        is not > 0, a count below its least value (PRBs, UEs, queue
+        bound), and a NaN or an infinity anywhere in the spec.
         """
         for name in ("duration_s", "queue_sample_interval",
                      "throughput_window"):
@@ -490,6 +498,13 @@ class ScenarioSpec:
         for path, radio in radios:
             _require_positive(f"{path}.subcarrier_spacing_khz",
                               radio.subcarrier_spacing_khz)
+            _require_at_least(f"{path}.num_prb", radio.num_prb, 1)
+        _require_at_least("num_ues", self.num_ues, 0)
+        _require_at_least("rlc_queue_sdus", self.rlc_queue_sdus, 1)
+        for index, ue in enumerate(self.ues):
+            if ue.rlc_queue_sdus is not None:
+                _require_at_least(f"ues[{index}].rlc_queue_sdus",
+                                  ue.rlc_queue_sdus, 1)
         airs = [("air", self.air)] + [
             (f"cells[{index}].air", cell.air)
             for index, cell in enumerate(self.cells) if cell.air is not None]

@@ -57,10 +57,13 @@ class BackgroundPopulation:
         self.demand_count = int(np.count_nonzero(self.active))
         # Zero off active UEs: a compact sum would move the low bits.
         self._active_bpp = np.where(self.active, self.bytes_per_prb, 0.0)
+        # Served bytes by PRB budget: the sum's only other input.
+        self._served_by_budget: dict = {}
 
     def on_slots(self, prbs: int, count: int, now: float) -> None:
         """Account ``count`` slots that each left ``prbs`` PRBs to the
-        population; ``count`` never exceeds :meth:`slots_to_step`."""
+        population, the last of them at ``now``; ``count`` never exceeds
+        :meth:`slots_to_step`."""
         self._pending_prb_slots += prbs * count
         self._slot_count += count
         if self._slot_count % self._slots_per_step == 0:
@@ -88,8 +91,11 @@ class BackgroundPopulation:
         self.granted_prb_slots += pending
         if count and pending:
             # Equal PRB shares across the active UEs, each at its own rate.
-            self.served_bytes_total += float(
-                np.add.reduce(self._active_bpp * (pending / count)))
+            served = self._served_by_budget.get(pending)
+            if served is None:
+                served = self._served_by_budget[pending] = float(
+                    np.add.reduce(self._active_bpp * (pending / count)))
+            self.served_bytes_total += served
         self._pending_prb_slots = 0
         self.active_ue_seconds += count * dt
         self.kernel_steps += 1

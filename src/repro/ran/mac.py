@@ -17,6 +17,8 @@ policies.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Optional
@@ -36,7 +38,9 @@ class _UeSchedulingState:
     channel: ChannelModel
     backlog_bytes: Callable[[], int]
     pull: Callable[[int], int]
-    average_throughput: float = 1.0  # bytes/s, seeded > 0 to avoid div-by-zero
+    #: PF throughput EWMA, bytes/s, seeded > 0 to avoid div-by-zero.  Only
+    #: PF's weights read it, so round robin leaves it at its seed.
+    average_throughput: float = 1.0
     served_bytes_total: int = 0
     scheduled_slots: int = 0
     #: Bytes served in the slot being processed (scratch for the EWMA pass).
@@ -150,8 +154,9 @@ class MacScheduler:
     def wake(self) -> None:
         """Unpark the slot clock and replay the ticks the run loop took.
 
-        Exact because an idle slot's only effects are ``slots += 1`` and one
-        clamped EWMA decay per UE, which nothing reads or writes in between.
+        Exact because an idle slot's only effects are ``slots += 1`` and,
+        under PF, one clamped EWMA decay per UE, which nothing reads or
+        writes in between.
         Called before anything an idle slot would have seen differently:
         backlog growth, a UE or population (de)registering, :meth:`stop`.
         """
@@ -167,7 +172,10 @@ class MacScheduler:
     def _decay_idle(self, count: int) -> None:
         """``count`` idle slots of PF-EWMA decay, as sequential multiplies
         (``keep * average + 0.0 == keep * average`` bit-exactly, matching
-        the serving slot's form in :meth:`_on_slot`)."""
+        the serving slot's form in :meth:`_on_slot`); nothing under round
+        robin, which never reads the EWMA."""
+        if self._round_robin:
+            return
         keep = 1.0 - self._decay
         for state in self._ue_states:
             average = state.average_throughput
@@ -203,16 +211,18 @@ class MacScheduler:
         # :meth:`_quiet_run_length`) is executed wholesale by
         # :meth:`_quiet_bulk`; everything else goes through the exact
         # per-slot path, handed the backlog scan the prediction made.  The
-        # prediction is recomputed at batch start, after every serving slot
-        # and after each population kernel-step boundary; heap events fire
-        # only between batches, so any state they change (RLC enqueues,
-        # attach/detach) naturally invalidates it.
+        # scan is redone at batch start and after every serving slot: quiet
+        # ticks pull nothing, and heap events (RLC enqueues, attach/detach)
+        # fire only between batches.  The prediction is redone after every
+        # quiet run, which ends where ``demand_count`` changes.
         predictable = self._background is not None
         states = self._ue_states
+        active = None
         while True:
             if predictable:
-                active = [state for state in states
-                          if state.backlog_bytes() > 0]
+                if active is None:
+                    active = [state for state in states
+                              if state.backlog_bytes() > 0]
                 quiet = self._quiet_run_length(len(active))
                 if quiet > 0:
                     if self._quiet_bulk(quiet, len(active), barrier_time,
@@ -220,6 +230,7 @@ class MacScheduler:
                         return
                     continue
                 self._on_slot(active)
+                active = None
             else:
                 self._on_slot()
             # Each tick counts as one processed event, keeping event totals
@@ -253,18 +264,19 @@ class MacScheduler:
         without executing them.  :meth:`_quiet_bulk` then replays only the
         bookkeeping those slots would have done, in one pass.
 
-        The run is capped at the population's next kernel-step boundary
-        (``demand_count`` may change there) and is zero whenever any
-        foreground UE would be granted or under proportional fair with
-        backlogged UEs.  ``n_active`` counts the backlogged foreground UEs.
-        Only called with a background population attached (without one
-        every slot takes the per-slot path).
+        The length holds while ``demand_count`` does (:meth:`_quiet_bulk`
+        stops at a population step that changes it); it is unbounded with
+        no foreground backlog, and zero whenever any foreground UE would be
+        granted or under proportional fair with backlogged UEs.
+        ``n_active`` counts the backlogged foreground UEs.  Only called
+        with a background population attached (without one every slot
+        takes the per-slot path).
         """
-        background = self._background
         if n_active == 0:
             # The idle-foreground branch of _on_slot is policy-independent
-            # and constant until the boundary refreshes demand_count.
-            return background.slots_to_step()
+            # and no grant ends it.
+            return sys.maxsize
+        background = self._background
         bg_demand = background.demand_count
         if not bg_demand or not self._round_robin:
             return 0
@@ -282,7 +294,7 @@ class MacScheduler:
             until_grant = total - pos  # wraps to 0, which is < remainder
             if until_grant < quiet:
                 quiet = until_grant
-        return min(quiet, background.slots_to_step())
+        return quiet
 
     def _quiet_bulk(self, quiet: int, n_active: int, barrier_time: float,
                     barrier_seq) -> bool:
@@ -294,14 +306,14 @@ class MacScheduler:
         foreground got nothing) and the PF throughput-EWMA decay -- and the
         batching collapses are all bit-exact:
 
-        * the tick count that fits before the barrier/heap head is decided
-          up front (quiet ticks push nothing onto the heap, so the head key
-          is fixed for the whole run);
+        * the run stops before the tick that would cross the barrier or
+          the heap head (quiet ticks push nothing onto the heap, so the head
+          key is fixed for the whole run) and after a population step that
+          changes ``demand_count``;
+        * the population gets its PRBs one step at a time, each step at its
+          own tick's time, as ``count`` single-slot hand-offs would;
         * rotating the offset by ``count`` equals ``count`` single steps
-          (modular arithmetic; ``demand_count`` is constant up to the
-          kernel-step boundary the run is capped at);
-        * the background PRB accumulator adds ``prbs * count`` -- all
-          integer-valued floats, so repeated ``+= prbs`` sums identically;
+          (modular arithmetic over the run's constant claimant count);
         * the EWMA is :meth:`_decay_idle`.
 
         Returns ``True`` when the slot batch is over (the tick after the
@@ -312,60 +324,51 @@ class MacScheduler:
         heap = sim.heap
         timer = self._timer
         slot = timer.period
-        if heap:
-            head = heap[0]
-            head_time = head[0]
-            head_seq = head[1]
-        else:
-            head_time = None
-            head_seq = 0
+        head_time, head_seq = heap[0][:2] if heap else (math.inf, 0)
+        background = self._background
+        bg_demand = background.demand_count
+        prbs = self.cell.num_prb if bg_demand else 0
         seq0 = sim._next_seq
         t = sim.now
         count = 1  # the tick at sim.now is due unconditionally
-        over = False
-        while count < quiet:
+        handed = 0  # ticks already handed to the population
+        step_at = background.slots_to_step()  # the tick that ends a step
+        last = False  # whether tick ``count`` ends the run
+        while True:
+            if count == step_at:
+                background.on_slots(prbs, count - handed, t)
+                handed = count
+                last = background.demand_count != bg_demand
+                step_at = count + background.slots_to_step()
             # Re-arm check of tick ``count``: would tick ``count + 1`` at
             # ``nxt`` with sequence ``seq`` still be the globally next
             # event?  Identical comparisons to the per-tick loop.
             nxt = t + slot
             seq = seq0 + count - 1
-            if nxt > barrier_time or (nxt == barrier_time
-                                      and seq > barrier_seq):
-                over = True
-                break
-            if head_time is not None and (
-                    head_time < nxt or (head_time == nxt and head_seq < seq)):
-                over = True
+            over = (nxt > barrier_time
+                    or (nxt == barrier_time and seq > barrier_seq)
+                    or head_time < nxt
+                    or (head_time == nxt and head_seq < seq))
+            if over or last or count >= quiet:
                 break
             t = nxt
             count += 1
-        background = self._background
-        bg_demand = background.demand_count
+        if count > handed:
+            background.on_slots(prbs, count - handed, t)
         self.slots += count
         if bg_demand:  # a quiet run with backlogged UEs implies bg_demand
             self.busy_slots += count
         if n_active:
             self._rr_offset = ((self._rr_offset + count)
                                % (n_active + bg_demand))
-        # ``quiet <= boundary`` caps the run, so the only possible kernel
-        # step is at the final tick, whose time is ``t``.
-        background.on_slots(self.cell.num_prb if bg_demand else 0, count, t)
         self._decay_idle(count)
-        sim.now = t
         sim._processed += count
         sim._next_seq = seq0 + count
-        seq = seq0 + count - 1
-        nxt = t + slot
         timer.time = nxt
         timer.seq = seq
         if over or timer.stopped or not sim._running:
+            sim.now = t
             return True
-        if nxt > barrier_time or (nxt == barrier_time and seq > barrier_seq):
-            return True
-        if heap:
-            head = heap[0]
-            if head[0] < nxt or (head[0] == nxt and head[1] < seq):
-                return True
         sim.now = nxt
         return False
 
@@ -386,14 +389,16 @@ class MacScheduler:
         if active:
             self.busy_slots += 1
             bg_prbs = self._grant(active, bg_demand, now)
-            decay = self._decay
-            keep = 1.0 - decay
-            inv_slot = self._inv_slot_duration
-            for state in states:
-                average = (keep * state.average_throughput
-                           + decay * (state.slot_served * inv_slot))
-                state.average_throughput = average if average > 1.0 else 1.0
-                state.slot_served = 0
+            if not self._round_robin:
+                decay = self._decay
+                keep = 1.0 - decay
+                inv_slot = self._inv_slot_duration
+                for state in states:
+                    average = (keep * state.average_throughput
+                               + decay * (state.slot_served * inv_slot))
+                    state.average_throughput = (average if average > 1.0
+                                                else 1.0)
+                    state.slot_served = 0
         else:
             if background is None:
                 # Nothing to do until something calls wake().

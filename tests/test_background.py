@@ -249,3 +249,51 @@ class TestClaimantCount:
             counts.add(population.demand_count)
         assert len(counts) > 1  # churn moved the count
         assert rng.random() == population._rng.random()
+
+    def test_served_bytes_equal_a_per_step_reduce_bit_for_bit(self):
+        """A step reuses the served bytes of a PRB budget it has already
+        summed over the same active set; the total stays equal, with no
+        tolerance, to an ``np.add.reduce`` recomputed every step over a
+        replay of the cell's stream -- 300 churning steps whose PRBs arrive
+        in hand-offs of varying size and length."""
+        spec = PopulationSpec(n_background=80, snr_mean_db=18.0,
+                              snr_stddev_db=6.0, activity=0.5,
+                              churn_rate_per_s=60.0)
+        seed = 4
+        sim, population = _standalone(spec, seed)
+        rng = Simulator(seed=seed).random.stream("background-cell0")
+        rng.normal(spec.snr_mean_db, spec.snr_stddev_db, size=spec.n_background)
+        active = rng.random(spec.n_background) < spec.activity
+        hand_offs = np.random.default_rng(0)  # this test's own choices
+        expected = 0.0
+        last = sim.now
+        budgets: set = set()  # budgets seen since the active set last moved
+        repeats = recounts = 0
+        for _ in range(300):
+            pending = 0
+            while True:
+                to_step = population.slots_to_step()
+                count = int(hand_offs.integers(1, to_step + 1))
+                prbs = int(hand_offs.choice([0, 51, 51]))
+                sim.now += count * _SLOT_S
+                population.on_slots(prbs, count, sim.now)
+                pending += prbs * count
+                if count == to_step:
+                    break
+            flips = int(rng.poisson(spec.churn_rate_per_s * (sim.now - last)))
+            last = sim.now
+            if flips:
+                idx = rng.integers(0, spec.n_background, size=flips)
+                active[idx] = ~active[idx]
+                budgets.clear()
+                recounts += 1
+            n_active = np.count_nonzero(active)
+            if n_active and pending:
+                repeats += pending in budgets
+                budgets.add(pending)
+                expected += float(np.add.reduce(
+                    np.where(active, population.bytes_per_prb, 0.0)
+                    * (pending / n_active)))
+            assert population.served_bytes_total == expected
+        assert population.kernel_steps == 300
+        assert repeats > 50 and recounts > 50  # both paths ran

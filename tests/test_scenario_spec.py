@@ -314,6 +314,14 @@ BAD_VALUES = [
     ({"air": {"harq_rtt": -1.0}}, "air.harq_rtt"),
     ({"l4span_config": {"coherence_time": -1.0}},
      "l4span_config.coherence_time"),
+    ({"cell": {"num_prb": -1}}, "cell.num_prb"),
+    ({"cell": {"num_prb": 0}}, "cell.num_prb"),
+    ({"cells": [{"cell_id": 0, "radio": {"num_prb": 0}}]},
+     "cells[0].radio.num_prb"),
+    ({"num_ues": -1}, "num_ues"),
+    ({"rlc_queue_sdus": -1}, "rlc_queue_sdus"),
+    ({"rlc_queue_sdus": 0}, "rlc_queue_sdus"),
+    ({"ues": [{"ue_id": 0, "rlc_queue_sdus": -1}]}, "ues[0].rlc_queue_sdus"),
 ]
 
 #: The smallest legal value of each field ``validate()`` bounds from below
@@ -335,7 +343,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("fields, name", BAD_VALUES)
     def test_bad_value_rejected_by_name(self, fields, name):
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
-            ScenarioSpec.from_dict(dict(num_ues=1, **fields)).validate()
+            ScenarioSpec.from_dict({"num_ues": 1, **fields}).validate()
 
     @pytest.mark.parametrize("fields", BOUNDARY_VALUES)
     def test_boundary_value_runs(self, fields):

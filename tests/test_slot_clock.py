@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 from repro.channel.static import StaticChannel
 from repro.experiments.presets import make_preset
 from repro.experiments.scenario import build_scenario
-from repro.experiments.spec import HandoverSpec, ScenarioSpec
+from repro.experiments.spec import HandoverSpec, PopulationSpec, ScenarioSpec
 from repro.net.ecn import ECN
 from repro.net.packet import make_data_packet
+from repro.ran.background import BackgroundPopulation
 from repro.ran.cell import CellConfig
 from repro.ran.du import DistributedUnit
 from repro.ran.f1u import F1UInterface
@@ -469,6 +470,22 @@ def _dense() -> ScenarioSpec:
     return dataclasses.replace(make_preset("dense-cell"), duration_s=0.5)
 
 
+def _rr_high_churn() -> ScenarioSpec:
+    """Round robin with 60 background UEs at 400 flips/s on a 28-PRB cell:
+    the claimant count wanders across ``num_prb`` (slots with a PRB for
+    every claimant between quiet runs), and flips land inside quiet runs."""
+    return ScenarioSpec(
+        num_ues=2, duration_s=1.0, marker="l4span", channel_profile="static",
+        seed=3, cell=CellConfig(num_prb=28),
+        population=PopulationSpec(n_background=60, snr_stddev_db=4.0,
+                                  activity=0.5, churn_rate_per_s=400.0))
+
+
+def _pf_population() -> ScenarioSpec:
+    return dataclasses.replace(_rr_high_churn(), scheduler="pf",
+                               channel_profile="pedestrian")
+
+
 def _fading() -> ScenarioSpec:
     return ScenarioSpec(num_ues=2, duration_s=1.0, cc_name="prague",
                         marker="l4span", channel_profile="pedestrian", seed=5)
@@ -500,10 +517,11 @@ def _handover_into_idle_cell() -> ScenarioSpec:
 
 @pytest.mark.parametrize(
     "make_spec, parks",
-    [(_dense, False), (_fading, True), (_two_cells, True), (_coupled, True),
+    [(_dense, False), (_rr_high_churn, False), (_pf_population, False),
+     (_fading, True), (_two_cells, True), (_coupled, True),
      (_handover, True), (_handover_into_idle_cell, True)],
-    ids=["dense-cell", "fading-2ue", "two-cell", "coupled-core", "handover",
-         "handover-into-idle-cell"])
+    ids=["dense-cell", "rr-high-churn", "pf-population", "fading-2ue",
+         "two-cell", "coupled-core", "handover", "handover-into-idle-cell"])
 def test_mac_on_wheel_equals_heap_driven_slots(make_spec, parks, monkeypatch):
     wheel = mac_fingerprint(make_spec())
     with monkeypatch.context() as patch:
@@ -517,6 +535,23 @@ def test_mac_on_wheel_equals_heap_driven_slots(make_spec, parks, monkeypatch):
     # scenario here has idle stretches that take it.
     assert all(count > 0 for count in null_ticks.values()) == parks
     assert parks or not any(null_ticks.values())
+
+
+def test_quiet_runs_cross_population_steps(monkeypatch):
+    """In a loaded round-robin cell a quiet run outlasts the population's
+    5 ms step: fewer bulk passes than population steps."""
+    bulks = []
+    quiet_bulk = MacScheduler._quiet_bulk
+
+    def counting(mac, *args):
+        bulks.append(mac)
+        return quiet_bulk(mac, *args)
+
+    monkeypatch.setattr(MacScheduler, "_quiet_bulk", counting)
+    built = build_scenario(dataclasses.replace(make_preset("dense-cell"),
+                                               duration_s=2.0))
+    result = built.run()
+    assert 0 < len(bulks) < result.background["kernel_steps"]
 
 
 def test_handover_target_was_parked_until_the_ue_arrived():
@@ -539,23 +574,29 @@ def test_handover_target_was_parked_until_the_ue_arrived():
 # (b') One MAC, scripted backlog: park, wake and the counters in between
 # --------------------------------------------------------------------- #
 class MacRig:
-    """``cells`` schedulers on one simulator, one scripted UE each.
+    """``cells`` schedulers on one simulator, one scripted UE each, and a
+    background population per cell when ``population`` is given.
 
     ``arrive`` is the rig's RLC: backlog grows, and whatever makes it grow
-    wakes a parked scheduler (the contract of ``register_ue``).
+    wakes a parked scheduler (the contract of ``register_ue``).  A pull
+    schedules nothing, so one slot batch can drain a backlog and run on.
     """
 
-    def __init__(self, cells: int = 1) -> None:
+    def __init__(self, cells: int = 1,
+                 policy=SchedulerPolicy.PROPORTIONAL_FAIR,
+                 population: PopulationSpec | None = None) -> None:
         self.sim = Simulator(seed=1)
         self.backlog = [0] * cells
         self.log: list = []
         self.macs = []
         for cell in range(cells):
-            mac = MacScheduler(self.sim, CellConfig(),
-                               policy=SchedulerPolicy.PROPORTIONAL_FAIR)
+            mac = MacScheduler(self.sim, CellConfig(), policy=policy)
             mac.register_ue(cell, StaticChannel(snr_db=22),
                             backlog_bytes=lambda cell=cell: self.backlog[cell],
                             pull=lambda grant, cell=cell: self.pull(cell, grant))
+            if population is not None:
+                mac.attach_background(BackgroundPopulation(
+                    self.sim, cell, CellConfig(), population))
             self.macs.append(mac)
 
     def pull(self, cell: int, grant: int) -> int:
@@ -649,6 +690,31 @@ def test_counters_are_exact_after_wake_and_after_stop():
     assert (mac._ues[0].average_throughput
             == reference.macs[0]._ues[0].average_throughput)
     assert mac.busy_slots == reference.macs[0].busy_slots
+
+
+@pytest.mark.parametrize("policy", list(SchedulerPolicy))
+@pytest.mark.parametrize("n_background, activity", [(10, 0.5), (200, 1.0)],
+                         ids=["light", "loaded"])
+def test_backlog_drained_inside_a_batch_leaves_the_claimants(
+        policy, n_background, activity):
+    """Bursts drained within one slot batch, beside a light population
+    (a PRB for every claimant, every slot) and a loaded one (quiet runs
+    between grants): the slots after the drain see the UE gone, as on the
+    heap-driven clock."""
+    population = PopulationSpec(n_background=n_background, activity=activity,
+                                snr_stddev_db=4.0, churn_rate_per_s=400.0)
+
+    def script(make_rig):
+        rig = make_rig(policy=policy, population=population)
+        for tick, size in ((5, 30_000), (300, 2_000), (310, 90_000)):
+            rig.sim.schedule_at(tick_time(tick), rig.arrive, 0, size)
+        rig.sim.run(until=tick_time(900))
+        mac = rig.macs[0]
+        return (rig.outcome(), mac._rr_offset, mac._ues[0].scheduled_slots,
+                mac._background.summary())
+
+    wheel, heap = on_both_clocks(script)
+    assert wheel == heap
 
 
 @settings(max_examples=40, deadline=None)
