@@ -6,8 +6,9 @@ the run to completion, and asserts the service's archived document is
 byte-identical to what ``repro scenario --preset ... --json`` prints for
 the same spec and seed — the contract docs/service.md promises.  Also
 exercises the SSE stream, the archive query route, malformed-request
-handling and a kept-alive connection (no request after the first may take
-over 20 ms).  Stdlib only; exits non-zero with a diagnostic on any failure.
+handling (an out-of-domain field must 400 by name) and a kept-alive
+connection (no request after the first may take over 20 ms).  Stdlib
+only; exits non-zero with a diagnostic on any failure.
 
 Usage: PYTHONPATH=src python scripts/service_smoke.py [--preset NAME]
 """
@@ -140,6 +141,15 @@ def main() -> int:
             post_json(f"{base}/runs", {"preset": args.preset,
                                        "overrides": {"bogus": 1}},
                       expect=400)
+            # A value outside its field's declared domain is a 400 that
+            # names the field by dotted path.
+            rejected = post_json(
+                f"{base}/runs",
+                {"spec": {"num_ues": 1, "cell": {"tdd_dl_fraction": -1.0}}},
+                expect=400)
+            if "cell.tdd_dl_fraction" not in rejected.get("error", ""):
+                fail(f"out-of-domain spec rejected without naming "
+                     f"cell.tdd_dl_fraction: {rejected}")
 
             accepted = post_json(f"{base}/runs", {"preset": args.preset})
             run_id = accepted["run_id"]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.units import ms
+from repro.units import ms, non_negative, positive, unit_interval
 
 
 @dataclass
@@ -33,14 +33,14 @@ class L4SpanConfig:
             before purging, bounding memory use.
     """
 
-    sojourn_threshold: float = ms(10)
-    coherence_time: float = ms(24.9)
+    sojourn_threshold: float = non_negative(ms(10))
+    coherence_time: float = positive(ms(24.9))
     enable_shortcircuit: bool = True
-    classic_beta: float = 0.5
+    classic_beta: float = unit_interval(0.5, low_open=True, high_open=True)
     mark_udp_downlink: bool = True
     drop_non_ecn: bool = False
     measure_processing: bool = False
-    profile_horizon: float = 2.0
+    profile_horizon: float = positive(2.0)
 
     @property
     def estimation_window(self) -> float:

@@ -20,7 +20,8 @@ Three properties make it the currency of the whole experiment layer:
   one-liners.
 * **Validated.**  Component names are checked against the registries in
   :mod:`repro.registry`, so a typo fails fast with the list of choices
-  instead of deep inside the build.
+  instead of deep inside the build, and every numeric field against the
+  domain declared beside it (:class:`repro.units.Domain`), by dotted path.
 
 Every field the pre-spec configuration class had keeps its exact default,
 which is why pre-spec experiment outputs are bit-identical.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import typing
@@ -47,43 +49,33 @@ from repro.ran.cell import CellConfig
 from repro.ran.identifiers import DEFAULT_RLC_QUEUE_SDUS
 from repro.ran.phy import AirInterfaceConfig
 from repro.registry import CC_SENDERS, CHANNEL_PROFILES, MARKERS, SCHEDULERS
-from repro.units import ms
+from repro.units import (FINITE, at_least, ms, non_negative, positive,
+                         unit_interval)
 from repro.workloads.flows import FlowSpec
 
 #: RLC modes understood by the RAN layer.
 RLC_MODES = ("am", "um")
 
-
-def _require_positive(name: str, value: float) -> None:
-    """Reject a time or period that is not a finite number > 0: a NaN key
-    corrupts the event order and a NaN horizon never ends the run."""
-    if not 0.0 < value < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-
-
-def _require_non_negative(name: str, value: float) -> None:
-    """Reject a delay or start time that is not a finite number >= 0."""
-    if not 0.0 <= value < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-
-
-def _require_at_least(name: str, value: int, minimum: int) -> None:
-    """Reject a count below ``minimum``: a negative PRB count or queue
-    bound runs to the end with nonsense counters instead of failing."""
-    if not value >= minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
-
-
 #: Value types that hold no float: skipped without a call.
 _LEAVES = frozenset((int, str, bool, type(None)))
 
 
-def _non_finite(value: Any) -> Optional[tuple[str, float]]:
-    """The first NaN or infinite float inside ``value`` and where it sits
-    (``".population.x"``, ``"[2]"``), or None when there is none.  Searches
-    dataclass fields, list and tuple items and dict values."""
+@functools.lru_cache(maxsize=None)
+def _domains(cls) -> tuple[tuple, tuple]:
+    """The field names of dataclass ``cls`` and their declared domains."""
+    fields = dataclasses.fields(cls)
+    return (tuple(field_.name for field_ in fields),
+            tuple(field_.metadata.get("domain") for field_ in fields))
+
+
+def _out_of_domain(value: Any) -> Optional[tuple[str, Any, str]]:
+    """The first value inside ``value`` outside its domain, where it sits
+    (``".population.activity"``, ``"[2]"``) and the domain's text, or None:
+    a dataclass field against its declared domain, any float against
+    ``FINITE``.  Searches dataclass fields, list/tuple items, dict values."""
+    domains = itertools.repeat(None)
     if hasattr(value, "__dataclass_fields__"):
-        keys = list(value.__dataclass_fields__)
+        keys, domains = _domains(value.__class__)
         items = [getattr(value, key) for key in keys]
         label = ".{}".format
     elif isinstance(value, (list, tuple)):
@@ -92,14 +84,17 @@ def _non_finite(value: Any) -> Optional[tuple[str, float]]:
         keys, items, label = list(value), list(value.values()), "[{!r}]".format
     else:
         return None
-    for key, item in zip(keys, items):
-        if isinstance(item, float):
+    for key, item, domain in zip(keys, items, domains):
+        if domain is not None:
+            if item not in domain:
+                return label(key), item, domain.text
+        elif isinstance(item, float):
             if not -math.inf < item < math.inf:  # NaN fails both comparisons
-                return label(key), item
+                return label(key), item, FINITE
         elif item.__class__ not in _LEAVES:
-            found = _non_finite(item)
+            found = _out_of_domain(item)
             if found is not None:
-                return label(key) + found[0], found[1]
+                return (label(key) + found[0],) + found[1:]
     return None
 
 
@@ -139,7 +134,7 @@ class ShardingSpec:
     """
 
     mode: str = "off"
-    shards: Optional[int] = None
+    shards: Optional[int] = at_least(1, None)
     map: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -157,12 +152,10 @@ class ShardingSpec:
         return True
 
     def validate(self) -> "ShardingSpec":
-        """Check mode/worker-count/map consistency."""
+        """Check mode/map consistency."""
         if self.mode not in SHARDING_MODES:
             raise ValueError(f"unknown sharding mode {self.mode!r}; "
                              f"choose from {SHARDING_MODES}")
-        if self.shards is not None and self.shards < 1:
-            raise ValueError("sharding.shards must be >= 1")
         if self.mode == "explicit" and not self.map:
             raise ValueError("explicit sharding requires a cell->shard map")
         for cell, shard in self.map.items():
@@ -189,7 +182,7 @@ class HandoverSpec:
         target_cell: the cell it moves to.
     """
 
-    time: float
+    time: float = positive()
     ue_id: int
     target_cell: int
 
@@ -228,13 +221,13 @@ class MobilitySpec:
 
     mode: str = "off"
     handovers: list[HandoverSpec] = field(default_factory=list)
-    interruption_s: float = 0.020
+    interruption_s: float = positive(0.020)
     ho_mode: str = "forward"
-    check_interval_s: float = 0.05
+    check_interval_s: float = positive(0.05)
     snr_threshold_db: float = 10.0
-    min_stay_s: float = 0.5
+    min_stay_s: float = non_negative(0.5)
     ues: list[int] = field(default_factory=list)
-    commit_lag_s: Optional[float] = None
+    commit_lag_s: Optional[float] = positive(None)
 
     @property
     def enabled(self) -> bool:
@@ -251,22 +244,9 @@ class MobilitySpec:
         if self.ho_mode not in HO_MODES:
             raise ValueError(f"unknown ho_mode {self.ho_mode!r}; "
                              f"choose from {HO_MODES}")
-        if self.interruption_s <= 0:
-            raise ValueError("mobility.interruption_s must be positive")
-        if self.mode == "snr":
-            _require_positive("mobility.check_interval_s",
-                              self.check_interval_s)
-            if self.handovers:
-                raise ValueError("mobility.handovers requires mode "
-                                 "'schedule'; the 'snr' monitor decides its "
-                                 "own handovers")
-        if self.commit_lag_s is not None and self.commit_lag_s <= 0:
-            raise ValueError("mobility.commit_lag_s must be positive")
-        for ho in self.handovers:
-            if ho.time <= 0:
-                raise ValueError(
-                    f"handover of ue {ho.ue_id} at t={ho.time} must be "
-                    "scheduled after time zero")
+        if self.mode == "snr" and self.handovers:
+            raise ValueError("mobility.handovers requires mode 'schedule'; "
+                             "the 'snr' monitor decides its own handovers")
         return self
 
 
@@ -296,28 +276,16 @@ class PopulationSpec:
             (0 = static population).
     """
 
-    n_background: int = 0
+    n_background: int = at_least(0, 0)
     snr_mean_db: float = 22.0
-    snr_stddev_db: float = 0.0
-    activity: float = 1.0
-    churn_rate_per_s: float = 0.0
+    snr_stddev_db: float = non_negative(0.0)
+    activity: float = unit_interval(1.0)
+    churn_rate_per_s: float = non_negative(0.0)
 
     @property
     def enabled(self) -> bool:
         """True when this block asks for a background population."""
         return self.n_background > 0
-
-    def validate(self) -> "PopulationSpec":
-        """Check the count and the distribution parameters."""
-        if self.n_background < 0:
-            raise ValueError("population.n_background must be >= 0")
-        if self.snr_stddev_db < 0:
-            raise ValueError("population.snr_stddev_db must be >= 0")
-        if not 0.0 <= self.activity <= 1.0:
-            raise ValueError("population.activity must be within [0, 1]")
-        if self.churn_rate_per_s < 0:
-            raise ValueError("population.churn_rate_per_s must be >= 0")
-        return self
 
 
 @dataclass
@@ -336,7 +304,7 @@ class UeSpec:
     channel_profile: Optional[str] = None
     mean_snr_db: Optional[float] = None
     rlc_mode: Optional[str] = None
-    rlc_queue_sdus: Optional[int] = None
+    rlc_queue_sdus: Optional[int] = at_least(1, None)
     separate_drbs: Optional[bool] = None
 
 
@@ -354,14 +322,14 @@ class ScenarioSpec:
     inherits the scalar defaults.
     """
 
-    num_ues: int = 1
-    duration_s: float = 5.0
+    num_ues: int = at_least(0, 1)
+    duration_s: float = positive(5.0)
     cc_name: str = "prague"
     marker: str = "l4span"          # "none", "l4span", "tcran", "ran_dualpi2"
     channel_profile: str = "static"
-    wan_rtt: float = ms(38)
+    wan_rtt: float = non_negative(ms(38))
     scheduler: str = "rr"
-    rlc_queue_sdus: int = DEFAULT_RLC_QUEUE_SDUS
+    rlc_queue_sdus: int = at_least(1, DEFAULT_RLC_QUEUE_SDUS)
     rlc_mode: str = "am"
     separate_drbs: bool = True
     seed: int = 1
@@ -370,14 +338,14 @@ class ScenarioSpec:
     cell: CellConfig = field(default_factory=CellConfig)
     air: AirInterfaceConfig = field(default_factory=AirInterfaceConfig)
     l4span_config: L4SpanConfig = field(default_factory=L4SpanConfig)
-    queue_sample_interval: float = 0.05
-    throughput_window: float = 0.25
+    queue_sample_interval: float = positive(0.05)
+    throughput_window: float = positive(0.25)
     rate_probe: bool = False
-    # Optional wired middlebox between the WAN and the 5G core whose rate can
-    # be throttled during the run (Fig. 2's bottleneck shift).
-    wired_bottleneck_mbps: Optional[float] = None
+    # Optional wired middlebox between the WAN and the 5G core, throttled by
+    # the schedule (Fig. 2's bottleneck shift); at rate 0 the link stalls.
+    wired_bottleneck_mbps: Optional[float] = non_negative(None)
     wired_bottleneck_schedule: list = field(default_factory=list)
-    warmup_s: float = 0.5
+    warmup_s: float = non_negative(0.5)
     # Heterogeneous-topology extensions (empty = single default cell,
     # homogeneous UE population).
     name: str = ""
@@ -477,43 +445,21 @@ class ScenarioSpec:
     # Validation
     # ------------------------------------------------------------------ #
     def validate(self) -> "ScenarioSpec":
-        """Check every component name against its registry; return self.
+        """Check every field against its domain and every component name
+        against its registry; return self.
 
         Raises :class:`repro.registry.UnknownComponentError` for unknown
-        names and :class:`ValueError` for structural mistakes (duplicate
-        ids, dangling cell references), for a negative delay, a period that
-        is not > 0, a count below its least value (PRBs, UEs, queue
-        bound), and a NaN or an infinity anywhere in the spec.
+        names and :class:`ValueError` for a value outside its field's
+        declared domain (a NaN or an infinity anywhere) and for structural
+        mistakes (duplicate ids, dangling cell references, a flow that
+        stops before it starts).
         """
-        for name in ("duration_s", "queue_sample_interval",
-                     "throughput_window"):
-            _require_positive(name, getattr(self, name))
-        _require_non_negative("warmup_s", self.warmup_s)
-        _require_non_negative("wan_rtt", self.wan_rtt)
-        _require_positive("l4span_config.coherence_time",
-                          self.l4span_config.coherence_time)
-        radios = [("cell", self.cell)] + [
-            (f"cells[{index}].radio", cell.radio)
-            for index, cell in enumerate(self.cells) if cell.radio is not None]
-        for path, radio in radios:
-            _require_positive(f"{path}.subcarrier_spacing_khz",
-                              radio.subcarrier_spacing_khz)
-            _require_at_least(f"{path}.num_prb", radio.num_prb, 1)
-        _require_at_least("num_ues", self.num_ues, 0)
-        _require_at_least("rlc_queue_sdus", self.rlc_queue_sdus, 1)
-        for index, ue in enumerate(self.ues):
-            if ue.rlc_queue_sdus is not None:
-                _require_at_least(f"ues[{index}].rlc_queue_sdus",
-                                  ue.rlc_queue_sdus, 1)
-        airs = [("air", self.air)] + [
-            (f"cells[{index}].air", cell.air)
-            for index, cell in enumerate(self.cells) if cell.air is not None]
-        for path, air in airs:
-            _require_non_negative(f"{path}.base_delay", air.base_delay)
-            _require_non_negative(f"{path}.harq_rtt", air.harq_rtt)
+        found = _out_of_domain(self)
+        if found is not None:
+            path, value, text = found
+            raise ValueError(f"{path[1:]} must be {text}, got {value!r}")
         MARKERS.get(self.marker)
         self.sharding.validate()
-        self.population.validate()
         cells = self.resolved_cells()
         cell_ids = {cell.cell_id for cell in cells}
         if self.sharding.mode == "explicit":
@@ -545,35 +491,26 @@ class ScenarioSpec:
         flow_ids: set[int] = set()
         for index, flow in enumerate(self.resolved_flows()):
             CC_SENDERS.get(flow.cc_name)
-            if flow.wan_rtt is not None:
-                _require_non_negative(f"flows[{index}].wan_rtt", flow.wan_rtt)
-            _require_non_negative(f"flows[{index}].start_time",
-                                  flow.start_time)
-            if flow.stop_time is not None:
-                _require_non_negative(f"flows[{index}].stop_time",
-                                      flow.stop_time)
+            # A sender stopped before it starts runs to the end.
+            stop = flow.stop_time
+            if stop is not None and stop <= flow.start_time:
+                raise ValueError(
+                    f"flows[{index}].stop_time must be after its start_time "
+                    f"{flow.start_time!r}, got {stop!r}")
             if flow.flow_id in flow_ids:
                 raise ValueError(f"duplicate flow_id {flow.flow_id}")
             flow_ids.add(flow.flow_id)
-        # A zero rate is legal (the link stalls until the schedule resumes
-        # it); a negative one is meaningless on both execution paths.
-        if (self.wired_bottleneck_mbps is not None
-                and self.wired_bottleneck_mbps < 0):
-            raise ValueError("wired_bottleneck_mbps must be >= 0")
         for index, (start_time, rate) in enumerate(
                 self.wired_bottleneck_schedule):
-            _require_non_negative(f"wired_bottleneck_schedule[{index}][0]",
-                                  start_time)
+            if start_time not in non_negative:
+                raise ValueError(
+                    f"wired_bottleneck_schedule[{index}][0] must be "
+                    f"{non_negative.text}, got {start_time!r}")
             if rate < 0:
                 raise ValueError(
                     f"wired_bottleneck_schedule sets a negative rate "
                     f"({rate}) at t={start_time}")
         self._validate_mobility(cell_ids, {ue.ue_id: ue.cell_id for ue in ues})
-        found = _non_finite(self)
-        if found is not None:
-            path, value = found
-            kind = "a number" if value != value else "finite"
-            raise ValueError(f"{path[1:]} must be {kind}, got {value}")
         return self
 
     def _validate_mobility(self, cell_ids: set[int],

@@ -30,7 +30,6 @@ class BackgroundPopulation:
     """All background UEs of one cell: a claimant count and its counters."""
 
     def __init__(self, sim, cell_id: int, cell: CellConfig, spec) -> None:
-        spec.validate()
         self._sim = sim
         self._churn_rate = spec.churn_rate_per_s
         self.n = int(spec.n_background)

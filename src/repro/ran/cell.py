@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.units import to_mbps
+from repro.units import at_least, positive, to_mbps, unit_interval
 
 
 @dataclass
@@ -19,7 +19,7 @@ class CellConfig:
     """Static configuration of the simulated cell.
 
     Attributes:
-        bandwidth_mhz: carrier bandwidth.
+        bandwidth_mhz: carrier bandwidth, a :meth:`describe` label only.
         subcarrier_spacing_khz: numerology (30 kHz -> 0.5 ms slots).
         num_prb: physical resource blocks available per slot (51 for
             20 MHz / 30 kHz).
@@ -34,13 +34,13 @@ class CellConfig:
         slot_duration: derived slot length in seconds.
     """
 
-    bandwidth_mhz: float = 20.0
-    subcarrier_spacing_khz: int = 30
-    num_prb: int = 51
-    tdd_dl_fraction: float = 0.6
-    overhead: float = 0.14
-    efficiency_backoff: float = 0.65
-    carrier_ghz: float = 3.75
+    bandwidth_mhz: float = positive(20.0)
+    subcarrier_spacing_khz: int = at_least(1, 30)
+    num_prb: int = at_least(1, 51)
+    tdd_dl_fraction: float = unit_interval(0.6, low_open=True)
+    overhead: float = unit_interval(0.14, high_open=True)
+    efficiency_backoff: float = positive(0.65)
+    carrier_ghz: float = positive(3.75)
 
     #: Resource elements per PRB per slot: 12 subcarriers x 14 OFDM symbols.
     RE_PER_PRB_PER_SLOT = 12 * 14

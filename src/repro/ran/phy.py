@@ -19,18 +19,18 @@ from typing import Callable
 
 from repro.sim.engine import Simulator
 from repro.sim.randomness import block_draws, chance
-from repro.units import ms
+from repro.units import at_least, ms, non_negative, unit_interval
 
 
 @dataclass
 class AirInterfaceConfig:
     """Tunable constants of the transmission-delay model."""
 
-    base_delay: float = ms(2.0)
-    harq_rtt: float = ms(8.0)
-    max_harq_attempts: int = 4
-    target_bler: float = 0.10
-    delivery_jitter: float = ms(0.5)
+    base_delay: float = non_negative(ms(2.0))
+    harq_rtt: float = non_negative(ms(8.0))
+    max_harq_attempts: int = at_least(1, 4)
+    target_bler: float = unit_interval(0.10, high_open=True)
+    delivery_jitter: float = non_negative(ms(0.5))
 
 
 class AirInterface:

@@ -8,6 +8,10 @@ constants.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+from typing import Any, Optional
+
 BYTES_PER_KILOBYTE = 1_000
 BYTES_PER_MEGABYTE = 1_000_000
 BITS_PER_BYTE = 8
@@ -67,3 +71,60 @@ def transmission_time(size_bytes: int, rate_bytes_per_s: float) -> float:
     if rate_bytes_per_s <= 0:
         return float("inf")
     return size_bytes / rate_bytes_per_s
+
+
+#: What a float field without a declared domain must be.
+FINITE = "a finite number"
+
+
+class Domain:
+    """The legal values of one numeric spec field: ``low`` to ``high``,
+    each edge open or closed (an infinite one is open: NaN and ±inf fall
+    outside), and None if ``nullable`` (a field whose default is None).
+    Calling it declares a field; ``text`` is its error and doc text."""
+
+    __slots__ = ("low", "high", "low_open", "high_open", "integer", "nullable")
+
+    def __init__(self, low: float, high: float = math.inf,
+                 low_open: bool = False, high_open: bool = True,
+                 integer: bool = False, nullable: bool = False) -> None:
+        self.low, self.high, self.low_open = low, high, low_open
+        self.high_open, self.integer, self.nullable = (
+            high_open, integer, nullable)
+
+    def __contains__(self, value: Optional[float]) -> bool:
+        if value is None:
+            return self.nullable
+        return ((self.low < value if self.low_open else self.low <= value)
+                and (value < self.high if self.high_open
+                     else value <= self.high))
+
+    def __call__(self, default: Any = dataclasses.MISSING) -> Any:
+        domain = Domain(self.low, self.high, self.low_open, self.high_open,
+                        self.integer, nullable=default is None)
+        return dataclasses.field(default=default, metadata={"domain": domain})
+
+    @property
+    def text(self) -> str:
+        if self.integer:
+            return f"an integer >= {self.low}"
+        if self.high == math.inf:
+            return f"{FINITE} {'>' if self.low_open else '>='} {self.low:g}"
+        return (f"{FINITE} in {'(' if self.low_open else '['}{self.low:g}, "
+                f"{self.high:g}{')' if self.high_open else ']'}")
+
+
+#: Declare a field as ``duration_s: float = positive(5.0)``.
+positive = Domain(0.0, low_open=True)
+non_negative = Domain(0.0)
+
+
+def unit_interval(default: float, low_open: bool = False,
+                  high_open: bool = False) -> Any:
+    """A dataclass field that takes a fraction in [0, 1], edges as given."""
+    return Domain(0.0, 1.0, low_open, high_open)(default)
+
+
+def at_least(minimum: int, default: Any = dataclasses.MISSING) -> Any:
+    """A dataclass field that takes an integer >= ``minimum``."""
+    return Domain(minimum, integer=True)(default)

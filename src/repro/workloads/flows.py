@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.units import at_least, non_negative, positive
+
 
 @dataclass
 class FlowSpec:
@@ -25,11 +27,11 @@ class FlowSpec:
     flow_id: int
     ue_id: int
     cc_name: str
-    start_time: float = 0.0
-    stop_time: Optional[float] = None
-    flow_bytes: Optional[int] = None
+    start_time: float = non_negative(0.0)
+    stop_time: Optional[float] = positive(None)
+    flow_bytes: Optional[int] = at_least(1, None)
     label: str = ""
-    wan_rtt: Optional[float] = None
+    wan_rtt: Optional[float] = non_negative(None)
 
 
 def bulk_download_flows(num_ues: int, cc_name: str,

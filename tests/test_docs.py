@@ -10,16 +10,29 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import typing
 from pathlib import Path
 
 import pytest
 
 import repro.experiments.presets  # noqa: F401  (preset registration)
 import repro.experiments.spec as spec_module
+from repro.core.config import L4SpanConfig
+from repro.ran.cell import CellConfig
+from repro.ran.phy import AirInterfaceConfig
 from repro.registry import (CC_SENDERS, CHANNEL_PROFILES, MARKERS,
                             SCENARIO_PRESETS, SCHEDULERS)
+from repro.units import FINITE
+from repro.workloads.flows import FlowSpec
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+#: Every class whose fields docs/scenarios.md tabulates.
+FIELD_CLASSES = (
+    spec_module.ScenarioSpec, spec_module.CellSpec, spec_module.UeSpec,
+    FlowSpec, spec_module.ShardingSpec, spec_module.MobilitySpec,
+    spec_module.HandoverSpec, spec_module.PopulationSpec, CellConfig,
+    AirInterfaceConfig, L4SpanConfig)
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +66,7 @@ def test_every_registered_name_documented(registry, scenarios_tokens):
             f"docs/scenarios.md")
 
 
-@pytest.mark.parametrize("cls", [
-    spec_module.ScenarioSpec, spec_module.CellSpec, spec_module.UeSpec,
-    spec_module.ShardingSpec, spec_module.MobilitySpec,
-    spec_module.HandoverSpec, spec_module.PopulationSpec,
-], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", FIELD_CLASSES, ids=lambda c: c.__name__)
 def test_every_spec_field_documented(cls, scenarios_tokens):
     for field in dataclasses.fields(cls):
         assert field.name in scenarios_tokens, (
@@ -65,27 +74,60 @@ def test_every_spec_field_documented(cls, scenarios_tokens):
             f"docs/scenarios.md")
 
 
-def test_flow_spec_fields_documented(scenarios_tokens):
-    from repro.workloads.flows import FlowSpec
-    for field in dataclasses.fields(FlowSpec):
-        assert field.name in scenarios_tokens
-
-
 def test_field_tables_name_only_real_fields(scenarios_md):
     """Reverse direction: every field-table row names a live spec field."""
-    from repro.workloads.flows import FlowSpec
     section = scenarios_md.split("## ScenarioSpec fields", 1)[1]
     section = section.split("## Component registries", 1)[0]
     cells = re.findall(r"^\| ([^|]*`[^|]*) \|", section, flags=re.MULTILINE)
     names = [name for cell in cells for name in re.findall(r"`([^`]+)`", cell)]
     assert names, "no field table found in docs/scenarios.md"
-    fields = {field.name for cls in (
-        spec_module.ScenarioSpec, spec_module.CellSpec, spec_module.UeSpec,
-        FlowSpec, spec_module.ShardingSpec, spec_module.MobilitySpec,
-        spec_module.HandoverSpec, spec_module.PopulationSpec)
-        for field in dataclasses.fields(cls)}
+    fields = {field.name for cls in FIELD_CLASSES
+              for field in dataclasses.fields(cls)}
     stale = sorted(set(names) - fields)
     assert not stale, f"docs/scenarios.md documents non-existent fields {stale}"
+
+
+def _domain_texts() -> dict[str, str]:
+    """Field name -> its domain as the doc states it: the declared text,
+    ``FINITE`` for a float without one, else a dash.  A name several
+    classes share must carry one domain in all of them."""
+    texts: dict[str, set] = {}
+    for cls in FIELD_CLASSES:
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            domain = field.metadata.get("domain")
+            is_float = hints[field.name] in (float, typing.Optional[float])
+            text = (domain.text if domain is not None
+                    else FINITE if is_float else "—")
+            texts.setdefault(field.name, set()).add(text)
+    shared = {name: sorted(found) for name, found in texts.items()
+              if len(found) > 1}
+    assert not shared, f"one field name, several domains: {shared}"
+    return {name: found.pop() for name, found in texts.items()}
+
+
+def test_field_table_domains_match_the_declarations(scenarios_md):
+    """Every field table has a domain column, and each row's domain is the
+    one its field declares (both ways: a changed declaration or a changed
+    row fails)."""
+    section = scenarios_md.split("## ScenarioSpec fields", 1)[1]
+    section = section.split("## Component registries", 1)[0]
+    texts = _domain_texts()
+    tables = re.findall(r"^\| field \|.*\n\|[-|]+\n(?:\|.*\n?)+", section,
+                        flags=re.MULTILINE)
+    assert tables and len(tables) == section.count("\n| field |"), (
+        "a field table the domain check does not parse")
+    for table in tables:
+        lines = table.strip().splitlines()
+        header = [cell.strip() for cell in lines[0].strip("|").split("|")]
+        assert "domain" in header, f"field table without a domain: {lines[0]}"
+        column = header.index("domain")
+        for line in lines[2:]:
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            for name in re.findall(r"`([^`]+)`", cells[0]):
+                assert cells[column] == texts[name], (
+                    f"docs/scenarios.md gives {name} the domain "
+                    f"{cells[column]!r}; the code declares {texts[name]!r}")
 
 
 def test_documented_presets_actually_exist(scenarios_md):

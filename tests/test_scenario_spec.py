@@ -3,16 +3,23 @@ heterogeneous (multi-cell / per-UE / per-flow) scenarios and the CLI."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
+import math
 import re
+import typing
 
 import pytest
 
+from repro.core.config import L4SpanConfig
 from repro.experiments.presets import make_preset, preset_names
 from repro.experiments.scenario import build_scenario, run_scenario
-from repro.experiments.spec import (CellSpec, PopulationSpec, ScenarioSpec,
-                                    UeSpec)
+from repro.experiments.spec import (CellSpec, HandoverSpec, MobilitySpec,
+                                    PopulationSpec, ScenarioSpec,
+                                    ShardingSpec, UeSpec)
 from repro.ran.cell import CellConfig
+from repro.ran.phy import AirInterfaceConfig
 from repro.registry import (CC_SENDERS, CHANNEL_PROFILES, MARKERS, Registry,
                             SCENARIO_PRESETS, SCHEDULERS,
                             UnknownComponentError)
@@ -322,6 +329,12 @@ BAD_VALUES = [
     ({"rlc_queue_sdus": -1}, "rlc_queue_sdus"),
     ({"rlc_queue_sdus": 0}, "rlc_queue_sdus"),
     ({"ues": [{"ue_id": 0, "rlc_queue_sdus": -1}]}, "ues[0].rlc_queue_sdus"),
+    # A sender whose stop fires before its start ran to the end and
+    # reported its bytes over a 1e-9 s lifetime (10^8 Mbit/s).
+    ({"flows": [{"flow_id": 0, "ue_id": 0, "cc_name": "prague",
+                 "start_time": 0.2, "stop_time": 0.1}]}, "flows[0].stop_time"),
+    ({"flows": [{"flow_id": 0, "ue_id": 0, "cc_name": "prague",
+                 "start_time": 0.1, "stop_time": 0.1}]}, "flows[0].stop_time"),
 ]
 
 #: The smallest legal value of each field ``validate()`` bounds from below
@@ -332,6 +345,99 @@ BOUNDARY_VALUES = [
     {"air": {"harq_rtt": 0.0}},
     {"l4span_config": {"coherence_time": 1e-9}},
 ]
+
+
+def _bare(hint):
+    """``hint`` without ``Optional``."""
+    args = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    return args[0] if typing.get_origin(hint) is typing.Union else hint
+
+
+def _declared_paths(cls=ScenarioSpec, prefix=""):
+    """``(dotted path, domain)`` of every field with a declared domain that
+    a spec reaches; a list of blocks is reached through its first entry."""
+    hints = typing.get_type_hints(cls)
+    for field in dataclasses.fields(cls):
+        hint = _bare(hints[field.name])
+        element = (typing.get_args(hint) or [None])[-1]
+        if "domain" in field.metadata:
+            yield prefix + field.name, field.metadata["domain"]
+        elif dataclasses.is_dataclass(hint):
+            yield from _declared_paths(hint, f"{prefix}{field.name}.")
+        elif dataclasses.is_dataclass(element):
+            yield from _declared_paths(element, f"{prefix}{field.name}[0].")
+
+
+def _outside(domain):
+    """Values just outside ``domain`` at each edge, and NaN (which no int
+    field can hold: the decoder refuses it by type)."""
+    if domain.integer:
+        return [domain.low - 1]
+    return [domain.low if domain.low_open else domain.low - 1e-9,
+            domain.high if domain.high_open else domain.high + 1e-9, NAN]
+
+
+def _edges(domain):
+    """The closed edges of ``domain``, or 1e-9 inside an open one."""
+    if domain.integer:
+        return [domain.low]
+    values = [domain.low + 1e-9 if domain.low_open else domain.low]
+    if domain.high != math.inf:
+        values.append(domain.high - 1e-9 if domain.high_open
+                      else domain.high)
+    return values
+
+
+#: The spec every generated case alters: 2 L4Span UEs next to a 20-UE
+#: population, 0.3 s.
+PROBE = dict(num_ues=2, marker="l4span", duration_s=0.3, seed=7,
+             population={"n_background": 20})
+
+#: The least entry of each list of blocks; a handover needs two cells.
+ENTRIES = {"cells": {"cell_id": 0}, "ues": {"ue_id": 0},
+           "flows": {"flow_id": 0, "ue_id": 0, "cc_name": "prague"},
+           "handovers": {"time": 0.1, "ue_id": 0, "target_cell": 1}}
+
+
+def _probe_with(path, value):
+    """:data:`PROBE` as a dict with ``value`` at the dotted ``path``."""
+    data = copy.deepcopy(PROBE)
+    if ".handovers[" in path:
+        data.update(cells=[{"cell_id": 0}, {"cell_id": 1}],
+                    mobility={"mode": "schedule"})
+    node = data
+    *parents, leaf = path.split(".")
+    for part in parents:
+        name, _, index = part.partition("[")
+        node = (node.setdefault(name, [dict(ENTRIES[name])])[0] if index
+                else node.setdefault(name, {}))
+    node[leaf] = value
+    return data
+
+
+#: A period the sampler fires at over the whole run: 1e-9 is legal but
+#: would take 3e8 samples of every bearer in 0.3 s.
+EDGE_OVERRIDES = {"queue_sample_interval": [1e-3]}
+
+DECLARED = list(_declared_paths())
+OUT_OF_DOMAIN = [(path, value) for path, domain in DECLARED
+                 for value in _outside(domain)]
+DOMAIN_EDGES = [(path, value) for path, domain in DECLARED
+                for value in EDGE_OVERRIDES.get(path, _edges(domain))]
+
+#: Every class whose numeric fields a spec carries.
+DOMAIN_CLASSES = (ScenarioSpec, CellSpec, UeSpec, FlowSpec, HandoverSpec,
+                  MobilitySpec, PopulationSpec, ShardingSpec, CellConfig,
+                  AirInterfaceConfig, L4SpanConfig)
+
+#: Numeric fields with no declared domain: ids, which the hand-written
+#: reference rules check, and values any finite number of which is legal
+#: (a seed, an SNR in dB).
+UNDECLARED = {
+    "CellSpec.cell_id", "UeSpec.ue_id", "UeSpec.cell_id", "FlowSpec.flow_id",
+    "FlowSpec.ue_id", "HandoverSpec.ue_id", "HandoverSpec.target_cell",
+    "ScenarioSpec.seed", "ScenarioSpec.mean_snr_db", "UeSpec.mean_snr_db",
+    "PopulationSpec.snr_mean_db", "MobilitySpec.snr_threshold_db"}
 
 
 class TestSpecValidation:
@@ -351,6 +457,45 @@ class TestSpecValidation:
             num_ues=2, marker="l4span", duration_s=0.3, seed=7,
             population={"n_background": 20}, **fields))
         assert run_scenario(spec.validate()).events_processed > 0
+
+    @pytest.mark.parametrize("path, value", OUT_OF_DOMAIN,
+                             ids=[f"{path}={value!r}"
+                                  for path, value in OUT_OF_DOMAIN])
+    def test_out_of_domain_value_rejected_by_path(self, path, value):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(path)} must be "):
+            ScenarioSpec.from_dict(_probe_with(path, value)).validate()
+
+    @pytest.mark.parametrize("path, value", DOMAIN_EDGES,
+                             ids=[f"{path}={value!r}"
+                                  for path, value in DOMAIN_EDGES])
+    def test_domain_edge_runs(self, path, value):
+        spec = ScenarioSpec.from_dict(_probe_with(path, value)).validate()
+        assert run_scenario(spec).events_processed > 0
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"duration_s": None}, "duration_s"),
+        ({"cell": CellConfig(overhead=None)}, "cell.overhead")])
+    def test_none_outside_an_optional_field_rejected_by_name(self, fields,
+                                                             name):
+        """A spec built in Python can hold None where JSON cannot; a None
+        horizon never ends the run."""
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(name)} must be .*, got None$"):
+            ScenarioSpec(**fields).validate()
+
+    @pytest.mark.parametrize("cls", DOMAIN_CLASSES, ids=lambda c: c.__name__)
+    def test_every_numeric_field_declares_a_domain(self, cls):
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            name = f"{cls.__name__}.{field.name}"
+            declared = "domain" in field.metadata
+            if _bare(hints[field.name]) in (int, float):
+                assert declared != (name in UNDECLARED), (
+                    f"{name} must declare a domain (repro.units) or be "
+                    "listed in UNDECLARED")
+            else:
+                assert not declared, f"{name} is not numeric"
 
     def test_zero_wan_rtt_is_legal(self):
         ScenarioSpec(wan_rtt=0.0).validate()

@@ -193,11 +193,12 @@ class TestBadRequests:
          "scenario.population: expected dict, got None"),
         ({"spec": {"num_ues": 1,
                    "population": {"churn_rate_per_s": float("nan")}}},
-         "population.churn_rate_per_s must be a number, got nan"),
+         "population.churn_rate_per_s must be a finite number >= 0, "
+         "got nan"),
         ({"preset": "ho"}, "unknown preset 'ho'"),
         # An ``Infinity`` body once passed and ran with an engine error.
         ({"spec": {"num_ues": 1, "cell": {"overhead": float("inf")}}},
-         "cell.overhead must be finite, got inf"),
+         "cell.overhead must be a finite number in [0, 1), got inf"),
     ])
     def test_bad_payloads_return_400(self, service, payload, fragment):
         status, body = _post(service, payload)
