@@ -4,7 +4,10 @@
 Boots the service as a subprocess, submits a preset over HTTP, follows
 the run to completion, and asserts the service's archived document is
 byte-identical to what ``repro scenario --preset ... --json`` prints for
-the same spec and seed — the contract docs/service.md promises.  Also
+the same spec and seed — the contract docs/service.md promises.  A second
+submission with ``"overrides": {"shards": 2}`` runs over real shard worker
+processes and must equal ``repro scenario ... --shards 2 --json`` byte for
+byte, with a ``sharding`` block reporting 2 shards and no fallback.  Also
 exercises the SSE stream, the archive query route, malformed-request
 handling (an out-of-domain field must 400 by name) and a kept-alive
 connection (no request after the first may take over 20 ms).  Stdlib
@@ -171,6 +174,15 @@ def main() -> int:
             if not any(entry["run_id"] == run_id
                        for entry in listed["runs"]):
                 fail("archive query did not list the finished run")
+
+            # The same preset over two shard worker processes.
+            sharded_id = post_json(
+                f"{base}/runs",
+                {"preset": args.preset, "overrides": {"shards": 2}})["run_id"]
+            print(f"submitted {args.preset} at 2 shards as {sharded_id}")
+            wait_done(base, sharded_id)
+            sharded = (Path(runs_dir) / f"{sharded_id}.json").read_text(
+                encoding="utf-8")
         finally:
             process.terminate()
             try:
@@ -178,23 +190,35 @@ def main() -> int:
             except subprocess.TimeoutExpired:
                 process.kill()
 
-        cli = subprocess.run(
-            [sys.executable, "-m", "repro", "scenario",
-             "--preset", args.preset, "--json"],
-            cwd=REPO, env={**os.environ, "PYTHONPATH": "src"},
-            capture_output=True, text=True)
-        if cli.returncode != 0:
-            fail(f"CLI run failed: {cli.stderr[-500:]}")
-        if cli.stdout != archived:
+        if cli_document(args.preset) != archived:
             fail("CLI --json output is not byte-identical to the "
                  "service-archived document")
+        if cli_document(args.preset, "--shards", "2") != sharded:
+            fail("CLI --shards 2 --json output is not byte-identical to "
+                 "the service-archived 2-shard document")
+        sharding = json.loads(sharded)["sharding"]
+        if sharding.get("shards") != 2 or "fallback" in sharding:
+            fail(f"the 2-shard run did not run 2 shards: {sharding}")
 
         document = json.loads(archived)
-        print(f"OK: service, archive and CLI agree byte-for-byte "
+        print(f"OK: service, archive and CLI agree byte-for-byte, "
+              f"single loop and 2 shards "
               f"(schema_version={document['schema_version']}, "
               f"{len(archived)} bytes, "
               f"{document['events_processed']} events)")
     return 0
+
+
+def cli_document(preset: str, *flags: str) -> str:
+    """What ``repro scenario --preset PRESET --json [FLAGS]`` prints."""
+    cli = subprocess.run(
+        [sys.executable, "-m", "repro", "scenario", "--preset", preset,
+         "--json", *flags],
+        cwd=REPO, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True)
+    if cli.returncode != 0:
+        fail(f"CLI run failed: {cli.stderr[-500:]}")
+    return cli.stdout
 
 
 if __name__ == "__main__":

@@ -38,7 +38,8 @@ from repro.metrics.collectors import (DelayBreakdownAccumulator,
                                       OwdCollector, ProgressReporter,
                                       QueueSampler, RateEstimationProbe,
                                       ThroughputCollector, TimeSeries,
-                                      merge_numeric_summaries)
+                                      merge_numeric_summaries,
+                                      merge_sample_dicts)
 from repro.metrics.stats import box_stats, summarize
 from repro.net.addresses import FiveTuple, ue_ip_address
 from repro.net.packet import Packet
@@ -48,7 +49,8 @@ from repro.ran.core import CORE_PROCESSING_DELAY, FiveGCore
 from repro.ran.gnb import GNodeB
 from repro.ran.identifiers import RlcMode
 from repro.ran.scheduling import resolve_scheduler
-from repro.ran.mobility import MobilityManager, MobilityTopology
+from repro.ran.mobility import (MobilityManager, MobilityTopology,
+                                merge_handover_records)
 from repro.ran.ue import UeConfig, UeContext
 from repro.sim.engine import Simulator
 from repro.units import mbps, to_mbps
@@ -399,10 +401,6 @@ class BuiltScenario:
         return [(cell.cell_id, one(self.markers[cell.cell_id]))
                 for cell in self.cell_specs]
 
-    def _marker_summary(self) -> dict:
-        return merge_numeric_summaries(
-            [summary for _cell, summary in self.marker_cell_summaries()])
-
     def attach_progress(self, callback,
                         interval: float = 0.25) -> ProgressReporter:
         """Emit live per-flow metric snapshots to ``callback`` while running.
@@ -431,7 +429,7 @@ class BuiltScenario:
             self.progress_reporter.stop()
 
     def run(self) -> ScenarioResult:
-        """Run the simulation and collect results."""
+        """Run the simulation and assemble its result (a one-part merge)."""
         events = self.sim.run(until=self.config.duration_s)
         if self.progress_reporter is not None:
             # Instrumentation must be invisible in the result document:
@@ -439,64 +437,199 @@ class BuiltScenario:
             # same event count (the reporter's own ticks are not workload).
             events -= self.progress_reporter.snapshots
         self.stop_collectors()
-        return self.collect(events)
+        return assemble_result(self.config, [self.part(events)])
 
-    def collect(self, events: int) -> ScenarioResult:
-        """Package the collectors' measurements into a ScenarioResult."""
-        config = self.config
-        flow_results: list[FlowResult] = []
-        mark_counts = self.flow_mark_counts()
+    def part(self, events: int) -> RunPart:
+        """This loop's measurements, packaged for :func:`assemble_result`."""
+        flows = {}
         for spec in self.flow_specs:
-            sender = self.senders[spec.flow_id]
-            owd_samples = self.owd.samples.get(spec.flow_id, [])
-            duration = config.duration_s - spec.start_time
-            if spec.stop_time is not None:
-                duration = min(duration, spec.stop_time - spec.start_time)
-            goodput = self.throughput.average_rate(
-                spec.flow_id, duration=max(duration, 1e-9))
-            marked, downlink = mark_counts.get(spec.flow_id, (0, 0))
-            marked_fraction = marked / downlink if downlink else 0.0
-            flow_results.append(FlowResult(
-                flow_id=spec.flow_id, ue_id=spec.ue_id, cc_name=spec.cc_name,
-                label=spec.label, owd_samples=owd_samples,
-                rtt_samples=list(sender.stats.rtt_samples),
-                goodput_bytes_per_s=goodput,
-                completion_time=sender.stats.completion_time,
-                congestion_events=sender.stats.congestion_events,
-                marked_fraction=marked_fraction,
-                throughput_series=self.throughput.series.get(spec.flow_id,
-                                                             TimeSeries())))
-        per_ue: dict[int, float] = {}
-        for spec in self.flow_specs:
-            per_ue.setdefault(spec.ue_id, 0.0)
-            per_ue[spec.ue_id] += self.throughput.total_bytes.get(
-                spec.flow_id, 0) / max(config.duration_s, 1e-9)
-        handovers = []
-        if self.mobility is not None:
-            handovers = [dict(record) for record in self.mobility.records]
-            attach_data_gaps(
-                handovers, self.owd.sample_times,
-                {spec.flow_id: spec.ue_id for spec in self.flow_specs})
-        background: dict = {}
-        if self.backgrounds:
-            from repro.ran.background import merge_background_summaries
-            background = merge_background_summaries(
-                [population.summary()
-                 for population in self.backgrounds.values()])
-        return ScenarioResult(
-            config=config,
-            flows=flow_results,
-            queue_length_samples=self.queue_sampler.all_length_samples(),
-            queue_length_by_drb=dict(self.queue_sampler.length_samples),
-            delay_breakdown=self.breakdown.averages(),
-            marker_summary=self._marker_summary(),
-            per_ue_throughput=per_ue,
-            rate_estimation_errors=(self.rate_probe.errors_percent
-                                    if self.rate_probe is not None else []),
-            duration_s=config.duration_s,
+            stats = self.senders[spec.flow_id].stats
+            flows[spec.flow_id] = (
+                self.owd.samples.get(spec.flow_id, []),
+                list(stats.rtt_samples), stats.completion_time,
+                stats.congestion_events,
+                self.throughput.series.get(spec.flow_id, TimeSeries()))
+        part = RunPart(
+            flows=flows,
+            flow_bytes=self.throughput.total_bytes,
+            flow_mark_counts=self.flow_mark_counts(),
+            queue_lengths=self.queue_sampler.length_samples,
+            bearer_order=[(cell_id,
+                           [label for label, _ in gnb.du.labeled_rlc_items()])
+                          for cell_id, gnb in self.gnbs.items()],
+            breakdown_count=self.breakdown.count,
+            breakdown_sums=self.breakdown.sums,
+            marker_summaries=self.marker_cell_summaries(),
+            rate_errors=(self.rate_probe.errors_percent
+                         if self.rate_probe is not None else []),
             events_processed=events,
-            handovers=handovers,
-            background=background)
+            backgrounds=[(cell_id, population.summary())
+                         for cell_id, population in self.backgrounds.items()])
+        if self.mobility is not None:
+            part.handover_records = self.mobility.records
+            part.owd_times = self.owd.sample_times
+        return part
+
+
+@dataclass
+class RunPart:
+    """One event loop's share of a run, for :func:`assemble_result`.
+
+    A single-loop run is one part; a sharded run has one per shard, which a
+    worker process ships back pickled.
+    """
+
+    #: Flow id -> ``(owd samples, rtt samples, completion time, congestion
+    #: events, throughput series)`` of each flow whose sender ran here.
+    flows: dict[int, tuple]
+    #: Received bytes and ``(marked, downlink)`` packets by flow id, for
+    #: every flow this loop delivered or marked; summed over the parts.
+    flow_bytes: dict[int, int]
+    flow_mark_counts: dict[int, tuple[int, int]]
+    #: Queue-length samples by bearer; each cell's bearers at the end.
+    queue_lengths: dict[str, list[int]]
+    bearer_order: list[tuple[int, list[str]]]
+    breakdown_count: int
+    breakdown_sums: dict[str, float]
+    marker_summaries: list[tuple[int, dict]]
+    rate_errors: list[float]
+    events_processed: int
+    #: Per-cell ``(cell_id, background counters)``; empty without a
+    #: population.
+    backgrounds: list[tuple[int, dict]]
+    shard_index: int = 0
+    #: Handover records executed here, and the one-way-delay sample times
+    #: of this loop's flows that their data gaps are measured on.
+    handover_records: list[dict] = field(default_factory=list)
+    owd_times: dict[int, list[float]] = field(default_factory=dict)
+    #: Fragments of a flow served by several loops, by flow id: one-way
+    #: delay ``(times, samples)`` and delivery ``(times, sizes)``.  Only
+    #: the sharded mobility coupling retains them.
+    owd_fragments: dict[int, tuple[list[float], list[float]]] = \
+        field(default_factory=dict)
+    rate_fragments: dict[int, tuple[list[float], list[int]]] = \
+        field(default_factory=dict)
+
+
+def _time_ordered(fragments: list[dict], flow_id: int) -> list[tuple]:
+    """One flow's ``(time, value)`` pairs from every part's fragments, in
+    delivery-time order (ties keep the shard order)."""
+    pairs = [pair for by_flow in fragments
+             for pair in zip(*by_flow.get(flow_id, ((), ())))]
+    pairs.sort(key=lambda pair: pair[0])
+    return pairs
+
+
+def assemble_result(config: ScenarioSpec, parts: list[RunPart],
+                    sharding_stats: Optional[dict] = None) -> ScenarioResult:
+    """Build a run's :class:`ScenarioResult` from its parts.
+
+    The only result assembler: a single-loop run is a merge of one part, a
+    sharded run a merge of one part per shard, and the two agree to the
+    bit.  Orderings the result makes observable come from the spec and the
+    shard index, never from the order the parts arrive in: flows in
+    declared order, queue samples cell by cell in declaration order (a
+    bearer released mid-run by a handover departure is listed by no cell
+    at the end and comes last), marker summaries merged over cells in
+    declaration order, and so are the background counters.  Goodput,
+    marked fraction and per-UE throughput are
+    computed here from byte and mark counts summed over the parts.  A flow
+    whose parts carry fragments has its one-way delays re-merged in
+    delivery-time order and its throughput series replayed from the merged
+    deliveries (the rate windows are event-anchored, so per-part series
+    cannot be concatenated); every other flow is taken as collected.  One
+    quantity is deterministic but not the single loop's:
+    ``events_processed`` is summed over the parts' loops, and each shard
+    ticks its own queue sampler.
+    """
+    parts = sorted(parts, key=lambda part: part.shard_index)
+    resolved_flows = config.resolved_flows()
+    cells = [cell.cell_id for cell in config.resolved_cells()]
+    collected = {flow_id: flow for part in parts
+                 for flow_id, flow in part.flows.items()}
+    flow_bytes: dict[int, int] = {}
+    mark_counts: dict[int, tuple[int, int]] = {}
+    for part in parts:
+        for flow_id, size in part.flow_bytes.items():
+            flow_bytes[flow_id] = flow_bytes.get(flow_id, 0) + size
+        for flow_id, (marked, downlink) in part.flow_mark_counts.items():
+            total = mark_counts.get(flow_id, (0, 0))
+            mark_counts[flow_id] = (total[0] + marked, total[1] + downlink)
+    owd_times = {flow_id: times for part in parts
+                 for flow_id, times in part.owd_times.items()}
+    replay = ThroughputCollector(window=config.throughput_window)
+    flows: list[FlowResult] = []
+    per_ue: dict[int, float] = {}
+    for spec in resolved_flows:
+        owd, rtt, completion, congestion, series = collected[spec.flow_id]
+        pairs = _time_ordered([part.owd_fragments for part in parts],
+                              spec.flow_id)
+        if pairs:
+            owd_times[spec.flow_id] = [t for t, _v in pairs]
+            owd = [v for _t, v in pairs]
+        deliveries = _time_ordered([part.rate_fragments for part in parts],
+                                   spec.flow_id)
+        if deliveries:
+            for now, size in deliveries:
+                replay.record(spec.flow_id, size, now)
+            series = replay.series.get(spec.flow_id, TimeSeries())
+        duration = config.duration_s - spec.start_time
+        if spec.stop_time is not None:
+            duration = min(duration, spec.stop_time - spec.start_time)
+        received = flow_bytes.get(spec.flow_id, 0)
+        marked, downlink = mark_counts.get(spec.flow_id, (0, 0))
+        flows.append(FlowResult(
+            flow_id=spec.flow_id, ue_id=spec.ue_id, cc_name=spec.cc_name,
+            label=spec.label, owd_samples=owd, rtt_samples=rtt,
+            goodput_bytes_per_s=received / max(duration, 1e-9),
+            completion_time=completion, congestion_events=congestion,
+            marked_fraction=marked / downlink if downlink else 0.0,
+            throughput_series=series))
+        per_ue[spec.ue_id] = (per_ue.get(spec.ue_id, 0.0)
+                              + received / max(config.duration_s, 1e-9))
+
+    bearer_names = {cell_id: names for part in parts
+                    for cell_id, names in part.bearer_order}
+    all_lengths = merge_sample_dicts(part.queue_lengths for part in parts)
+    queue_by_drb = {name: all_lengths[name] for cell in cells
+                    for name in bearer_names.get(cell, [])
+                    if name in all_lengths}
+    for name, values in all_lengths.items():
+        queue_by_drb.setdefault(name, values)
+
+    breakdown = DelayBreakdownAccumulator()
+    for part in parts:
+        breakdown.merge_from(part.breakdown_count, part.breakdown_sums)
+    summaries = {cell_id: summary for part in parts
+                 for cell_id, summary in part.marker_summaries}
+    backgrounds = {cell_id: counters for part in parts
+                   for cell_id, counters in part.backgrounds}
+    background: dict = {}
+    if backgrounds:
+        from repro.ran.background import merge_background_summaries
+        background = merge_background_summaries(
+            [backgrounds[cell] for cell in cells if cell in backgrounds])
+    handovers = merge_handover_records(part.handover_records
+                                       for part in parts)
+    attach_data_gaps(handovers, owd_times,
+                     {flow.flow_id: flow.ue_id for flow in resolved_flows})
+    return ScenarioResult(
+        config=config,
+        flows=flows,
+        queue_length_samples=[sample for values in queue_by_drb.values()
+                              for sample in values],
+        queue_length_by_drb=queue_by_drb,
+        delay_breakdown=breakdown.averages(),
+        marker_summary=merge_numeric_summaries(
+            [summaries[cell] for cell in cells if cell in summaries]),
+        per_ue_throughput=per_ue,
+        rate_estimation_errors=[error for part in parts
+                                for error in part.rate_errors],
+        duration_s=config.duration_s,
+        events_processed=sum(part.events_processed for part in parts),
+        handovers=handovers,
+        sharding_stats=dict(sharding_stats or {}),
+        background=background)
 
 
 def wan_one_way_legs(spec: ScenarioSpec) -> dict[int, float]:

@@ -93,10 +93,11 @@ An explicitly undersized SNR commit lag, which a split genuinely cannot
 reproduce exactly, is still refused up front by :func:`sharding_blockers`
 and falls back (with a warning) to the single loop.
 
-The per-shard collector outputs are recombined by the merge helpers in
-:mod:`repro.metrics.collectors` into the exact single-loop report schema;
-a mobile flow's samples, collected on every shard that served it, are
-re-merged in delivery-time order.
+Each shard packages a :class:`~repro.experiments.scenario.RunPart`, and
+:func:`~repro.experiments.scenario.assemble_result` — the assembler that
+also builds every single-loop result, as a merge of one part — recombines
+them; a mobile flow's samples, collected on every shard that served it,
+are re-merged in delivery-time order.
 """
 
 from __future__ import annotations
@@ -114,23 +115,19 @@ from itertools import count
 from typing import Optional
 
 from repro.experiments.scenario import (WIRED_MIDDLEBOX_QUEUE_BYTES,
-                                        BuiltScenario, FlowResult,
+                                        BuiltScenario, RunPart,
                                         ScenarioResult, ScenarioSpec,
-                                        attach_data_gaps, boundary_lookahead,
+                                        assemble_result, boundary_lookahead,
                                         build_scenario, min_snr_commit_lag,
-                                        mobility_topology, snr_commit_lag,
-                                        wan_one_way_legs)
+                                        mobility_topology, run_scenario,
+                                        snr_commit_lag, wan_one_way_legs)
 from repro.experiments.runner import active_sweep_workers, core_budget
 from repro.experiments.spec import MobilitySpec, ShardingSpec
-from repro.metrics.collectors import (DelayBreakdownAccumulator,
-                                      ThroughputCollector, TimeSeries,
-                                      merge_numeric_summaries,
-                                      merge_sample_dicts)
 from repro.net.addresses import ue_ip_address
 from repro.net.packet import Packet
 from repro.net.router import BottleneckRouter
 from repro.ran.mobility import (HandoverDecision, HandoverTransfer,
-                                MobilityManager, merge_handover_records)
+                                MobilityManager)
 from repro.units import mbps, transmission_time
 
 #: Environment variable keeping every shard in the coordinator process (no
@@ -320,7 +317,8 @@ def potentially_mobile_ues(spec: ScenarioSpec) -> set[int]:
     move any watched UE (``mobility.ues``, or every UE when empty), so a
     sharded run treats the whole watched set as mobile — their flows are
     entry-routed by the dynamic itinerary and their samples re-merged by
-    :func:`merge_shard_results`, whether or not a handover actually fires.
+    :func:`~repro.experiments.scenario.assemble_result`, whether or not a
+    handover actually fires.
     """
     if not spec.mobility.enabled:
         return set()
@@ -525,38 +523,6 @@ class _CouplingPlan:
 # --------------------------------------------------------------------- #
 # One shard: a built sub-scenario advanced window by window
 # --------------------------------------------------------------------- #
-@dataclass
-class ShardResult:
-    """Everything one shard ships back for the merge step (picklable)."""
-
-    shard_index: int
-    flows: list[FlowResult]
-    queue_lengths: dict[str, list[int]]
-    bearer_order: list[tuple[int, list[str]]]
-    breakdown_count: int
-    breakdown_sums: dict[str, float]
-    marker_summaries: list[tuple[int, dict]]
-    per_ue_throughput: dict[int, float]
-    rate_errors: list[float]
-    events_processed: int
-    #: Mobile-flow sample fragments: a flow served by several shards has
-    #: its one-way delays and raw delivery events re-merged in
-    #: delivery-time order by :func:`merge_shard_results` (the throughput
-    #: series is replayed from the merged events — its rate windows are
-    #: event-anchored, so per-shard series cannot be concatenated).
-    mobile_owd: dict[int, tuple[list[float], list[float]]] = \
-        field(default_factory=dict)
-    mobile_rate_events: dict[int, tuple[list[float], list[int]]] = \
-        field(default_factory=dict)
-    handover_records: list[dict] = field(default_factory=list)
-    #: Per-flow ``(marked, downlink)`` packet counts over this shard's
-    #: markers — a mobile flow's ``marked_fraction`` is recomputed at merge
-    #: time from the counts summed across every shard that served it.
-    flow_mark_counts: dict[int, tuple[int, int]] = field(default_factory=dict)
-    #: Aggregate background-population counters of this shard's cells.
-    background: dict = field(default_factory=dict)
-
-
 class _CouplingRuntime:
     """The seam between :class:`ShardHost` and one coupling's shard side.
 
@@ -576,8 +542,8 @@ class _CouplingRuntime:
     def release(self, frontier: float) -> None:
         """Shard 0's barrier hook, its batch injected: the frontier ``K``."""
 
-    def finish(self, result: ShardResult) -> None:
-        """Add this coupling's share to the shard's packaged result."""
+    def finish(self, part: RunPart) -> None:
+        """Add this coupling's share to the shard's part."""
 
 
 class _DynamicItinerary:
@@ -782,20 +748,18 @@ class _ShardMobility(_CouplingRuntime):
     def boundary_idle(self) -> bool:
         return self.manager.boundary_idle()
 
-    def finish(self, result: ShardResult) -> None:
+    def finish(self, part: RunPart) -> None:
         """Sample fragments of the mobile flows, and the handover records."""
-        scenario = self.scenario
+        owd = self.scenario.owd
+        rate_events = self.scenario.throughput.raw_events
         for flow_id in self.flow_home:
-            times = scenario.owd.sample_times.get(flow_id)
-            samples = scenario.owd.samples.get(flow_id)
+            times = owd.sample_times.get(flow_id)
             if times:
-                result.mobile_owd[flow_id] = (list(times), list(samples))
-            events = scenario.throughput.raw_events.get(flow_id)
-            if events and events[0]:
-                result.mobile_rate_events[flow_id] = events
+                part.owd_fragments[flow_id] = (times, owd.samples[flow_id])
+            if flow_id in rate_events:
+                part.rate_fragments[flow_id] = rate_events[flow_id]
         self.manager.stop()
-        result.handover_records = [dict(record)
-                                   for record in self.manager.records]
+        part.handover_records = self.manager.records
 
 
 # --------------------------------------------------------------------- #
@@ -1104,30 +1068,15 @@ class ShardHost:
         batch, self._outbound = self._outbound, []
         return batch
 
-    def finish(self) -> ShardResult:
-        """Stop collectors and package this shard's results for the merge."""
+    def finish(self) -> RunPart:
+        """Stop collectors; the scenario's part plus each coupling's share."""
         scenario = self.scenario
         scenario.stop_collectors()
-        result = scenario.collect(scenario.sim.processed_events)
-        packaged = ShardResult(
-            shard_index=self.shard_index,
-            flows=result.flows,
-            queue_lengths={name: list(values) for name, values
-                           in scenario.queue_sampler.length_samples.items()},
-            bearer_order=[(cell_id,
-                           [label for label, _ in gnb.du.labeled_rlc_items()])
-                          for cell_id, gnb in scenario.gnbs.items()],
-            breakdown_count=scenario.breakdown.count,
-            breakdown_sums=dict(scenario.breakdown.sums),
-            marker_summaries=scenario.marker_cell_summaries(),
-            per_ue_throughput=result.per_ue_throughput,
-            rate_errors=result.rate_estimation_errors,
-            events_processed=result.events_processed,
-            flow_mark_counts=scenario.flow_mark_counts(),
-            background=result.background)
+        part = scenario.part(scenario.sim.processed_events)
+        part.shard_index = self.shard_index
         for runtime in self.couplings:
-            runtime.finish(packaged)
-        return packaged
+            runtime.finish(part)
+        return part
 
 
 # --------------------------------------------------------------------- #
@@ -1209,150 +1158,6 @@ class _BoundaryRouter:
 
 
 # --------------------------------------------------------------------- #
-# Result merge: per-shard collector outputs -> single-loop report schema
-# --------------------------------------------------------------------- #
-def merge_shard_results(config: ScenarioSpec, plan: ShardPlan,
-                        results: list[ShardResult],
-                        sharding_stats: Optional[dict] = None
-                        ) -> ScenarioResult:
-    """Recombine shard results into the exact single-loop result schema.
-
-    Orderings the single loop makes observable are reconstructed from the
-    full spec: flows in declared flow order, queue samples cell by cell in
-    declaration order, marker summaries merged over cells in declaration
-    order.  A mobile flow's samples — collected by every shard that served
-    its UE — are re-merged in delivery-time order, its throughput series
-    replayed from the merged delivery events and its goodput recomputed
-    from the summed byte counts, reproducing the single loop's values
-    exactly.  Two quantities are deterministic but *not* order-identical to
-    the single loop: ``events_processed`` is the sum over shard loops (each
-    shard ticks its own queue sampler), and in mobility runs the key order
-    of ``queue_length_by_drb`` — bearers released mid-run by a departure
-    are appended after the finish-time bearers rather than in
-    first-appearance order (the dict compares equal; only the flattened
-    ``queue_length_samples`` concatenation order differs).
-    """
-    results = sorted(results, key=lambda r: r.shard_index)
-    flows_by_id = {flow.flow_id: flow for r in results for flow in r.flows}
-    resolved_flows = config.resolved_flows()
-    mobile_ues = potentially_mobile_ues(config)
-    # A mobile flow leaves flow records behind in every cell (shard) it
-    # visited; sum the per-shard mark counts so its merged marked_fraction
-    # covers them all, exactly like the single loop's cross-cell merge.
-    mark_counts: dict[int, list[int]] = {}
-    for r in results:
-        for flow_id, (marked, downlink) in r.flow_mark_counts.items():
-            entry = mark_counts.setdefault(flow_id, [0, 0])
-            entry[0] += marked
-            entry[1] += downlink
-    merged_owd_times: dict[int, list[float]] = {}
-    mobile_flow_bytes: dict[int, int] = {}
-    replay = ThroughputCollector(window=config.throughput_window)
-    ordered_flows = []
-    for spec in resolved_flows:
-        flow = flows_by_id[spec.flow_id]
-        if spec.ue_id in mobile_ues:
-            pairs = [pair for r in results
-                     for pair in zip(*r.mobile_owd.get(spec.flow_id,
-                                                       ((), ())))]
-            pairs.sort(key=lambda pair: pair[0])
-            merged_owd_times[spec.flow_id] = [t for t, _v in pairs]
-            # Replay the merged delivery events through a fresh collector:
-            # its rate windows are event-anchored, so this — not a
-            # concatenation of per-shard series — reproduces the single
-            # loop's throughput series (and byte totals) exactly.
-            events = [event for r in results
-                      for event in
-                      zip(*r.mobile_rate_events.get(spec.flow_id, ((), ())))]
-            events.sort(key=lambda event: event[0])
-            for now, size in events:
-                replay.record(spec.flow_id, size, now)
-            total_bytes = replay.total_bytes.get(spec.flow_id, 0)
-            mobile_flow_bytes[spec.flow_id] = total_bytes
-            duration = config.duration_s - spec.start_time
-            if spec.stop_time is not None:
-                duration = min(duration, spec.stop_time - spec.start_time)
-            marked, downlink = mark_counts.get(spec.flow_id, [0, 0])
-            flow = dataclasses.replace(
-                flow,
-                owd_samples=[v for _t, v in pairs],
-                goodput_bytes_per_s=total_bytes / max(duration, 1e-9),
-                marked_fraction=marked / downlink if downlink else 0.0,
-                throughput_series=replay.series.get(spec.flow_id,
-                                                    TimeSeries()))
-        ordered_flows.append(flow)
-
-    bearer_names: dict[int, list[str]] = {}
-    for r in results:
-        for cell_id, names in r.bearer_order:
-            bearer_names[cell_id] = names
-    all_lengths = merge_sample_dicts(r.queue_lengths for r in results)
-    queue_by_drb: dict[str, list[int]] = {}
-    for cell in config.resolved_cells():
-        for name in bearer_names.get(cell.cell_id, []):
-            if name in all_lengths:
-                queue_by_drb[name] = all_lengths[name]
-    # Bearers released mid-run (handover departures) are no longer listed
-    # by any DU at finish time; their samples still belong in the report.
-    for name, values in all_lengths.items():
-        queue_by_drb.setdefault(name, values)
-    queue_samples = [sample for values in queue_by_drb.values()
-                     for sample in values]
-
-    breakdown = DelayBreakdownAccumulator()
-    for r in results:
-        breakdown.merge_from(r.breakdown_count, r.breakdown_sums)
-
-    summaries: dict[int, dict] = {}
-    for r in results:
-        for cell_id, summary in r.marker_summaries:
-            summaries[cell_id] = summary
-    marker_summary = merge_numeric_summaries(
-        [summaries[cell.cell_id] for cell in config.resolved_cells()
-         if cell.cell_id in summaries])
-
-    merged_ue = {}
-    for r in results:
-        merged_ue.update(r.per_ue_throughput)
-    per_ue: dict[int, float] = {}
-    for flow in resolved_flows:
-        if flow.ue_id in mobile_ues:
-            per_ue.setdefault(flow.ue_id, 0.0)
-            per_ue[flow.ue_id] += (mobile_flow_bytes.get(flow.flow_id, 0)
-                                   / max(config.duration_s, 1e-9))
-        else:
-            per_ue.setdefault(flow.ue_id, merged_ue.get(flow.ue_id, 0.0))
-
-    handovers = merge_handover_records(r.handover_records for r in results)
-    if handovers:
-        attach_data_gaps(handovers, merged_owd_times,
-                         {flow.flow_id: flow.ue_id
-                          for flow in resolved_flows})
-
-    background: dict = {}
-    if any(r.background for r in results):
-        from repro.ran.background import merge_background_summaries
-        background = merge_background_summaries(
-            [r.background for r in results])
-
-    return ScenarioResult(
-        config=config,
-        flows=ordered_flows,
-        queue_length_samples=queue_samples,
-        queue_length_by_drb=queue_by_drb,
-        delay_breakdown=breakdown.averages(),
-        marker_summary=marker_summary,
-        per_ue_throughput=per_ue,
-        rate_estimation_errors=[error for r in results
-                                for error in r.rate_errors],
-        duration_s=config.duration_s,
-        events_processed=sum(r.events_processed for r in results),
-        handovers=handovers,
-        sharding_stats=dict(sharding_stats or {}),
-        background=background)
-
-
-# --------------------------------------------------------------------- #
 # Shard transports and the one barrier loop
 # --------------------------------------------------------------------- #
 class _LocalShard:
@@ -1378,7 +1183,7 @@ class _LocalShard:
         host = self.host
         return host.advance(self._window_end), host.peek(), host.boundary_idle()
 
-    def result(self) -> ShardResult:
+    def result(self) -> RunPart:
         # Dropped with the packaging: the merge never overlaps a live host.
         host, self.host = self.host, None
         return host.finish()
@@ -1395,7 +1200,7 @@ def _shard_worker(conn, shard_index: int, spec: dict,
     block for ``("proceed", (inbound_batch, window_end))``, inject, advance,
     send ``("window", (outbound_batch, peek_time, boundary_idle))``.  The
     proceed answering the horizon window has no window end and is answered
-    with ``("result", ShardResult)``.  An exception is shipped back as
+    with ``("result", RunPart)``.  An exception is shipped back as
     ``("error", traceback_text)`` instead of dying silently.
     """
     try:
@@ -1459,7 +1264,7 @@ class _PipeShard:
         self.window += 1
         return self._recv()
 
-    def result(self) -> ShardResult:
+    def result(self) -> RunPart:
         result = self._recv()
         self.worker.join(timeout=5.0)
         return result
@@ -1498,7 +1303,7 @@ def _start_workers(sub_specs: list[ScenarioSpec], coupling: _CouplingPlan,
 
 
 def _run_shards(shards: list, router: _BoundaryRouter, sync: _SyncPlan,
-                on_window=None) -> list[ShardResult]:
+                on_window=None) -> list[RunPart]:
     """The barrier loop: drive every shard, local or piped, window by window.
 
     Every ``proceed`` of a window precedes its first ``collect``, so the
@@ -1535,16 +1340,6 @@ def _run_shards(shards: list, router: _BoundaryRouter, sync: _SyncPlan,
 # --------------------------------------------------------------------- #
 # Entry point
 # --------------------------------------------------------------------- #
-def _run_single_loop(config: ScenarioSpec, progress,
-                     progress_interval_s: float) -> ScenarioResult:
-    """Single-event-loop execution used by the sharded fallback paths."""
-    built = build_scenario(
-        dataclasses.replace(config, sharding=ShardingSpec(mode="off")))
-    if progress is not None:
-        built.attach_progress(progress, interval=progress_interval_s)
-    return built.run()
-
-
 def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
                          inprocess: Optional[bool] = None,
                          start_method: Optional[str] = None,
@@ -1564,6 +1359,9 @@ def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
     differs).  ``shards`` overrides the spec's shard count.
     """
     config.validate()
+    # What every fallback runs: the same spec on the single event loop.
+    single_loop = dataclasses.replace(config,
+                                      sharding=ShardingSpec(mode="off"))
     blockers = sharding_blockers(config)
     if blockers:
         if config.sharding.mode == "explicit":
@@ -1573,7 +1371,7 @@ def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
             "spec cannot be sharded (" + "; ".join(blockers) + "); "
             "running on the single event loop instead",
             RuntimeWarning, stacklevel=2)
-        result = _run_single_loop(config, progress, progress_interval_s)
+        result = run_scenario(single_loop, progress, progress_interval_s)
         result.sharding_stats = {"fallback": "single-loop",
                                  "blockers": list(blockers)}
         return result
@@ -1584,7 +1382,7 @@ def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
     plan = _shard_plan(config, shards,
                        1 if inprocess else active_sweep_workers())
     if plan.num_shards <= 1:
-        return _run_single_loop(config, progress, progress_interval_s)
+        return run_scenario(single_loop, progress, progress_interval_s)
     sub_specs = split_spec(config, plan)
     coupling = _CouplingPlan(config, plan)
     sync = coupling.sync_plan()
@@ -1620,7 +1418,7 @@ def run_scenario_sharded(config: ScenarioSpec, shards: Optional[int] = None,
              "boundary_required": sync.coupled,
              "routed_packets": router.routed_packets,
              "shards": plan.num_shards}
-    return merge_shard_results(config, plan, results, sharding_stats=stats)
+    return assemble_result(config, results, sharding_stats=stats)
 
 
 __all__ = [
@@ -1628,11 +1426,9 @@ __all__ = [
     "ShardHost",
     "ShardPlan",
     "ShardPlanError",
-    "ShardResult",
     "ShardingSpec",
     "boundary_lookahead",
     "build_shard_plan",
-    "merge_shard_results",
     "mobility_coupling_intervals",
     "potentially_mobile_ues",
     "run_scenario_sharded",

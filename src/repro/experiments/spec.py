@@ -49,8 +49,8 @@ from repro.ran.cell import CellConfig
 from repro.ran.identifiers import DEFAULT_RLC_QUEUE_SDUS
 from repro.ran.phy import AirInterfaceConfig
 from repro.registry import CC_SENDERS, CHANNEL_PROFILES, MARKERS, SCHEDULERS
-from repro.units import (FINITE, at_least, ms, non_negative, positive,
-                         unit_interval)
+from repro.units import (FINITE, Domain, at_least, ms, non_negative,
+                         positive, unit_interval)
 from repro.workloads.flows import FlowSpec
 
 #: RLC modes understood by the RAN layer.
@@ -223,7 +223,7 @@ class MobilitySpec:
     handovers: list[HandoverSpec] = field(default_factory=list)
     interruption_s: float = positive(0.020)
     ho_mode: str = "forward"
-    check_interval_s: float = positive(0.05)
+    check_interval_s: float = Domain(1e-3)(0.05)
     snr_threshold_db: float = 10.0
     min_stay_s: float = non_negative(0.5)
     ues: list[int] = field(default_factory=list)
@@ -338,7 +338,7 @@ class ScenarioSpec:
     cell: CellConfig = field(default_factory=CellConfig)
     air: AirInterfaceConfig = field(default_factory=AirInterfaceConfig)
     l4span_config: L4SpanConfig = field(default_factory=L4SpanConfig)
-    queue_sample_interval: float = positive(0.05)
+    queue_sample_interval: float = Domain(1e-3)(0.05)
     throughput_window: float = positive(0.25)
     rate_probe: bool = False
     # Optional wired middlebox between the WAN and the 5G core, throttled by

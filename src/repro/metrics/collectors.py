@@ -208,13 +208,13 @@ class DelayBreakdownAccumulator:
 
 
 # --------------------------------------------------------------------- #
-# Shard merge helpers
+# Result merge helpers
 #
-# A sharded scenario produces one collector set per shard process; these
-# functions recombine their outputs into the exact schema (and, where the
-# single loop's iteration order is observable, the exact ordering) of an
-# unsharded run.  They live here, next to the collectors whose outputs they
-# merge, so the collection and recombination logic evolve together.
+# A run produces one collector set per event loop (one for the single
+# loop, one per shard); the result assembler
+# (:func:`repro.experiments.scenario.assemble_result`) recombines them with
+# these functions.  They live here, next to the collectors whose outputs
+# they merge, so the collection and recombination logic evolve together.
 # --------------------------------------------------------------------- #
 def merge_sample_dicts(parts) -> dict:
     """Concatenate ``{key: [samples]}`` dicts with disjoint sample streams.
@@ -222,7 +222,7 @@ def merge_sample_dicts(parts) -> dict:
     Keys are expected to be unique per part (bearer names are scenario-global
     because UE ids are); a key appearing in several parts — a bearer whose
     samples were split across result fragments — is concatenated in the order
-    the parts are given.
+    the parts are given.  A key found in one part keeps its own list.
     """
     merged: dict = {}
     for part in parts:
@@ -230,7 +230,7 @@ def merge_sample_dicts(parts) -> dict:
             if key in merged:
                 merged[key] = list(merged[key]) + list(values)
             else:
-                merged[key] = list(values)
+                merged[key] = values
     return merged
 
 
@@ -295,13 +295,6 @@ class QueueSampler:
         for name, entity in self._bearer_list():
             self.length_samples[name].append(entity.queue_length_sdus)
             self.byte_samples[name].append(entity.backlog_bytes)
-
-    def all_length_samples(self) -> list[int]:
-        """Every queue-length sample across bearers."""
-        merged: list[int] = []
-        for values in self.length_samples.values():
-            merged.extend(values)
-        return merged
 
     def stop(self) -> None:
         self._timer.stop()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.net.packet import Packet
 from repro.ran.cell import CellConfig
 from repro.ran.cu import CentralUnitUserPlane
 from repro.ran.du import DistributedUnit
@@ -83,13 +82,6 @@ class GNodeB:
     def marker(self) -> RanMarker:
         """The currently attached marking layer."""
         return self.cu.marker
-
-    # ------------------------------------------------------------------ #
-    # Data plane entry points
-    # ------------------------------------------------------------------ #
-    def receive_downlink(self, packet: Packet, ue_id: UeId) -> None:
-        """Downlink datagram from the core destined to ``ue_id``."""
-        self.cu.receive_downlink(packet, ue_id)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -51,18 +51,18 @@ class TestSdap:
     def test_l4s_packet_maps_to_l4s_drb(self, five_tuple):
         sdap = self._sdap_with_split_drbs()
         packet = make_data_packet(0, five_tuple, 0, 100, ECN.ECT1, 0.0)
-        assert sdap.drb_for_packet(packet) == 1
+        assert sdap.drb_by_codepoint[packet.ecn] == 1
 
     def test_classic_packet_maps_to_classic_drb(self, five_tuple):
         sdap = self._sdap_with_split_drbs()
         packet = make_data_packet(0, five_tuple, 0, 100, ECN.ECT0, 0.0)
-        assert sdap.drb_for_packet(packet) == 2
+        assert sdap.drb_by_codepoint[packet.ecn] == 2
 
     def test_single_drb_catches_everything(self, five_tuple):
         sdap = SdapEntity(0, [DrbConfig(1)])
         for ecn in (ECN.ECT0, ECN.ECT1, ECN.NOT_ECT):
             packet = make_data_packet(0, five_tuple, 0, 100, ecn, 0.0)
-            assert sdap.drb_for_packet(packet) == 1
+            assert sdap.drb_by_codepoint[packet.ecn] == 1
 
     @pytest.mark.parametrize("configs, expected", [
         # L4S + classic: ECT(1) and CE ride the L4S bearer, ECT(0) the
@@ -85,21 +85,7 @@ class TestSdap:
             expected[codepoint] for codepoint in sorted(ECN))
         for codepoint, drb_id in expected.items():
             packet = make_data_packet(0, five_tuple, 0, 100, codepoint, 0.0)
-            assert sdap.drb_for_packet(packet) == drb_id
-
-    def test_explicit_qfi_pin_wins(self, five_tuple):
-        sdap = self._sdap_with_split_drbs()
-        sdap.map_qfi(9, 2)
-        packet = make_data_packet(0, five_tuple, 0, 100, ECN.ECT1, 0.0)
-        assert sdap.drb_for_packet(packet, qfi=9) == 2
-        # The pin overrides the table only for its own QFI.
-        assert sdap.drb_for_packet(packet) == 1
-        assert sdap.drb_for_packet(packet, qfi=8) == 1
-
-    def test_pinning_unknown_drb_rejected(self):
-        sdap = self._sdap_with_split_drbs()
-        with pytest.raises(KeyError):
-            sdap.map_qfi(9, 99)
+            assert sdap.drb_by_codepoint[packet.ecn] == drb_id
 
     def test_needs_at_least_one_drb(self):
         with pytest.raises(ValueError):

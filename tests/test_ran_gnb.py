@@ -28,7 +28,7 @@ class TestGnbDataPath:
         sink = CollectorSink()
         ue.register_receiver(0, sink)
         packet = make_data_packet(0, five_tuple, 0, 1400, ECN.ECT1, 0.0)
-        gnb.receive_downlink(packet, ue_id=0)
+        gnb.cu.receive_downlink(packet, ue_id=0)
         sim.run(until=0.2)
         gnb.stop()
         assert len(sink) == 1
@@ -40,8 +40,8 @@ class TestGnbDataPath:
         ue.set_default_receiver(CollectorSink())
         l4s = make_data_packet(0, five_tuple, 0, 1400, ECN.ECT1, 0.0)
         classic = make_data_packet(1, five_tuple, 0, 1400, ECN.ECT0, 0.0)
-        gnb.receive_downlink(l4s, 0)
-        gnb.receive_downlink(classic, 0)
+        gnb.cu.receive_downlink(l4s, 0)
+        gnb.cu.receive_downlink(classic, 0)
         sim.run(until=0.005)
         lengths = gnb.rlc_queue_lengths()
         gnb.stop()
@@ -52,7 +52,7 @@ class TestGnbDataPath:
         ue = _attach_ue(sim, gnb, separate_drbs=False)
         ue.set_default_receiver(CollectorSink())
         packet = make_data_packet(0, five_tuple, 0, 1400, ECN.ECT0, 0.0)
-        gnb.receive_downlink(packet, 0)
+        gnb.cu.receive_downlink(packet, 0)
         assert list(gnb.rlc_queue_lengths()) == ["ue0/drb1"]
         gnb.stop()
 
@@ -65,7 +65,7 @@ class TestGnbDataPath:
         ue.register_receiver(0, sink)
         gnb.cu.uplink_sink = CollectorSink().receive
         data = make_data_packet(0, five_tuple, 0, 1400, ECN.ECT1, 0.0)
-        gnb.receive_downlink(data, 0)
+        gnb.cu.receive_downlink(data, 0)
         sim.run(until=0.2)
         ack = make_ack_packet(data, 1400, sim.now)
         ue.send_uplink(ack)
@@ -79,7 +79,7 @@ class TestGnbDataPath:
         gnb = GNodeB(sim)
         packet = make_data_packet(0, five_tuple, 0, 1400, ECN.ECT1, 0.0)
         with pytest.raises(KeyError):
-            gnb.receive_downlink(packet, ue_id=99)
+            gnb.cu.receive_downlink(packet, ue_id=99)
         gnb.stop()
 
     def test_duplicate_attach_rejected(self, sim):
@@ -126,7 +126,7 @@ class TestUeContext:
         default = CollectorSink()
         ue.set_default_receiver(default)
         packet = make_data_packet(42, five_tuple, 0, 1400, ECN.ECT1, 0.0)
-        gnb.receive_downlink(packet, 0)
+        gnb.cu.receive_downlink(packet, 0)
         sim.run(until=0.2)
         gnb.stop()
         assert len(default) == 1

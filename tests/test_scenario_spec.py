@@ -335,6 +335,10 @@ BAD_VALUES = [
                  "start_time": 0.2, "stop_time": 0.1}]}, "flows[0].stop_time"),
     ({"flows": [{"flow_id": 0, "ue_id": 0, "cc_name": "prague",
                  "start_time": 0.1, "stop_time": 0.1}]}, "flows[0].stop_time"),
+    # A sampler period below 1 ms: at 1e-9 a 0.3 s run asks for 3e8 firings.
+    ({"queue_sample_interval": 5e-4}, "queue_sample_interval"),
+    ({"mobility": {"mode": "snr", "check_interval_s": 5e-4}},
+     "mobility.check_interval_s"),
 ]
 
 #: The smallest legal value of each field ``validate()`` bounds from below
@@ -415,15 +419,11 @@ def _probe_with(path, value):
     return data
 
 
-#: A period the sampler fires at over the whole run: 1e-9 is legal but
-#: would take 3e8 samples of every bearer in 0.3 s.
-EDGE_OVERRIDES = {"queue_sample_interval": [1e-3]}
-
 DECLARED = list(_declared_paths())
 OUT_OF_DOMAIN = [(path, value) for path, domain in DECLARED
                  for value in _outside(domain)]
 DOMAIN_EDGES = [(path, value) for path, domain in DECLARED
-                for value in EDGE_OVERRIDES.get(path, _edges(domain))]
+                for value in _edges(domain)]
 
 #: Every class whose numeric fields a spec carries.
 DOMAIN_CLASSES = (ScenarioSpec, CellSpec, UeSpec, FlowSpec, HandoverSpec,

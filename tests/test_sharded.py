@@ -18,16 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.presets import make_preset
+from repro.experiments.results import dump_document, result_document
 from repro.experiments.scenario import (WIRED_MIDDLEBOX_QUEUE_BYTES,
-                                        min_snr_commit_lag, run_scenario,
-                                        wan_one_way_legs)
+                                        assemble_result, min_snr_commit_lag,
+                                        run_scenario, wan_one_way_legs)
 from repro.experiments.sharded import (ConservativeSyncError, ShardHost,
                                        ShardPlanError, boundary_lookahead,
-                                       build_shard_plan, merge_shard_results,
-                                       run_scenario_sharded, sharding_blockers,
-                                       split_spec)
+                                       build_shard_plan, run_scenario_sharded,
+                                       sharding_blockers, split_spec)
 from repro.experiments.spec import (CellSpec, HandoverSpec, MobilitySpec,
-                                    ScenarioSpec, ShardingSpec, UeSpec)
+                                    PopulationSpec, ScenarioSpec,
+                                    ShardingSpec, UeSpec)
 from repro.net.addresses import FiveTuple, ue_ip_address
 from repro.net.ecn import ECN
 from repro.net.packet import make_data_packet
@@ -276,6 +277,25 @@ class TestShardDeterminism:
             assert _flows_equal(a, b)
         assert single.queue_length_by_drb == sharded.queue_length_by_drb
 
+    def test_population_counters_merge_like_the_single_loop(self):
+        """Two population cells per shard: the background counters are
+        summed cell by cell in declaration order, as the single loop sums
+        them, not shard by shard (which moved the last bits of
+        ``served_bytes``)."""
+        spec = ScenarioSpec(
+            name="population-cells", duration_s=0.4, num_ues=0,
+            marker="l4span", seed=0,
+            cells=[CellSpec(cell_id=cell) for cell in range(4)],
+            ues=[UeSpec(ue_id=ue, cell_id=ue, channel_profile="static")
+                 for ue in range(4)],
+            flows=[FlowSpec(flow_id=ue, ue_id=ue, cc_name="prague")
+                   for ue in range(4)],
+            population=PopulationSpec(n_background=40,
+                                      churn_rate_per_s=50.0))
+        single = run_scenario(spec)
+        sharded = run_scenario_sharded(spec, shards=2, inprocess=True)
+        assert sharded.background == single.background
+
     def test_sharded_run_reproducible_across_repeats_and_shard_counts(self):
         spec = dataclasses.replace(make_preset("eight-cell"), duration_s=1.0)
         runs = [run_scenario_sharded(spec, shards=n, inprocess=True)
@@ -432,15 +452,18 @@ class TestMergeStep:
         hosts = [ShardHost(sub, i) for i, sub in enumerate(subs)]
         for host in hosts:  # boundary-free: one window to the horizon
             assert host.advance(spec.duration_s) == []
-        # Merge with the shard results deliberately reversed: ordering must
-        # come from the spec, not from worker completion order.
-        results = [host.finish() for host in hosts][::-1]
-        merged = merge_shard_results(spec, plan, results)
+        # Merge with the shard parts deliberately reversed: ordering must
+        # come from the spec and the shard index, not from worker
+        # completion order — over the whole document, byte for byte.
+        parts = [host.finish() for host in hosts]
+        merged = assemble_result(spec, parts[::-1])
         assert [f.flow_id for f in merged.flows] == \
             [f.flow_id for f in spec.resolved_flows()]
         single = run_scenario(spec)
         assert list(merged.queue_length_by_drb) == \
             list(single.queue_length_by_drb)
+        assert dump_document(result_document(merged)) == \
+            dump_document(result_document(assemble_result(spec, parts)))
 
 
 def _packet(seq: int, payload: int = 1200):
