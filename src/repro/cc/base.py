@@ -28,22 +28,20 @@ from repro.net.packet import DEFAULT_MSS, HEADER_BYTES, Packet, make_data_packet
 from repro.sim.engine import Simulator
 from repro.units import ms
 
-#: Reservoir capacities for the per-flow sample streams.  RTT samples feed
-#: experiment medians/boxes, so their cap is generous enough that every
-#: CI-scale run stays below it (bit-identical to unbounded); cwnd/rate traces
-#: are debugging aids and get a tighter bound.  One sample arrives per ACK,
-#: so an unbounded list grows without limit in long-lived runs.
+#: Reservoir capacity of the per-flow RTT samples.  They feed experiment
+#: medians/boxes, so the cap is generous enough that every CI-scale run stays
+#: below it (bit-identical to unbounded).  One sample arrives per ACK, so an
+#: unbounded list grows without limit in long-lived runs.
 RTT_SAMPLE_CAP = 1 << 18
-TRACE_SAMPLE_CAP = 1 << 16
 
 
 @dataclass
 class FlowStats:
     """Counters and samples accumulated by a sender over its lifetime.
 
-    The sample streams are :class:`~repro.metrics.collectors.SampleReservoir`
-    lists: bounded, uniformly representative, and exactly equal to the raw
-    stream until their capacity is reached.
+    The RTT samples are a :class:`~repro.metrics.collectors.SampleReservoir`
+    list: bounded, uniformly representative, and exactly equal to the raw
+    stream until its capacity is reached.
     """
 
     sent_packets: int = 0
@@ -58,10 +56,6 @@ class FlowStats:
     completion_time: Optional[float] = None
     rtt_samples: list[float] = field(
         default_factory=lambda: SampleReservoir(RTT_SAMPLE_CAP))
-    cwnd_samples: list[tuple[float, float]] = field(
-        default_factory=lambda: SampleReservoir(TRACE_SAMPLE_CAP))
-    rate_samples: list[tuple[float, float]] = field(
-        default_factory=lambda: SampleReservoir(TRACE_SAMPLE_CAP))
 
 
 class Sender(abc.ABC):
@@ -323,7 +317,6 @@ class WindowSender(Sender):
             self.on_round_end()
             self._ce_in_round = False
             self._round_end_seq = self.snd_nxt
-        stats.cwnd_samples.append((now, self.cwnd))
         self._check_completion()
         # Send before arming: if this ACK emptied the pipe, the deadline must
         # cover the burst _try_send is about to transmit, not be cleared for
@@ -537,7 +530,6 @@ class RateSender(Sender):
     def set_rate(self, rate: float) -> None:
         """Clamp and apply a new sending rate."""
         self.rate = min(self.max_rate, max(self.min_rate, rate))
-        self.stats.rate_samples.append((self._sim.now, self.rate))
 
     # ------------------------------------------------------------------ #
     def _schedule_next_send(self, delay: float) -> None:

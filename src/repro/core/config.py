@@ -29,8 +29,6 @@ class L4SpanConfig:
             (disabled by default; the evaluation uses ECN-capable senders).
         measure_processing: record wall-clock processing time of each handler
             invocation (used by the Fig. 21 / Table 1 harnesses).
-        profile_horizon: seconds of completed profile-table entries retained
-            before purging, bounding memory use.
     """
 
     sojourn_threshold: float = non_negative(ms(10))
@@ -40,7 +38,6 @@ class L4SpanConfig:
     mark_udp_downlink: bool = True
     drop_non_ecn: bool = False
     measure_processing: bool = False
-    profile_horizon: float = positive(2.0)
 
     @property
     def estimation_window(self) -> float:

@@ -85,7 +85,6 @@ class L4SpanLayer:
         #: The same records under each flow's *uplink* tuple, filled when the
         #: flow is created, so an ACK finds its flow with one lookup.
         self._uplink_flows: dict[FiveTuple, FlowRecord] = {}
-        self._last_purge = 0.0
         # Attach tag per UE ("#a1" after its first handover): qualifies the
         # marking stream of bearers created after a UE arrives here, so the
         # draw sequence matches between single-loop and sharded runs.
@@ -114,7 +113,7 @@ class L4SpanLayer:
             key = DrbKey(ue_id, drb_id)
             tag = self._ue_stream_tags.get(ue_id, "")
             state = DrbState(key=key,
-                             profile=DrbProfile(self.config.profile_horizon),
+                             profile=DrbProfile(),
                              estimator=EgressRateEstimator(
                                  self.config.estimation_window),
                              mark_draw=block_draws(self._sim.random.stream(
@@ -157,10 +156,6 @@ class L4SpanLayer:
         state.profile.add_packet(packet.size, now)
         flow.record_downlink(packet.size, now)
         self._maybe_mark(packet, state, flow, now)
-        if now - self._last_purge > self.config.profile_horizon:
-            self._last_purge = now
-            for drb in self._drbs.values():
-                drb.profile.purge(now)
         if measure:
             self.processing_times["downlink"].append(
                 time.perf_counter() - start)
@@ -256,13 +251,13 @@ class L4SpanLayer:
         measure = self._measure
         start = time.perf_counter() if measure else 0.0
         self.feedback_messages += 1
-        ue_id, drb_id, txed_sn, delivered_sn, timestamp, _ = status
+        ue_id, drb_id, txed_sn, _, timestamp, _ = status
         state = (self._drbs.get((ue_id, drb_id))
                  or self.drb_state(ue_id, drb_id))
         state.feedback_count += 1
         profile = state.profile
         estimate = state.estimator.observe_transmissions(
-            profile.on_feedback(txed_sn, delivered_sn, timestamp))
+            profile.on_feedback(txed_sn, timestamp))
         state.prediction = self.predictor.predict(profile.queued_bytes,
                                                   estimate)
         if measure:

@@ -98,10 +98,7 @@ class RanDualPi2Marker:
     def on_ran_feedback(self, status: DeliveryStatus, now: float) -> None:
         self.feedback_messages += 1
         state = self._state(status.ue_id, status.drb_id)
-        state.profile.on_feedback(status.highest_txed_sn,
-                                  status.highest_delivered_sn,
-                                  status.timestamp)
-        state.profile.purge(now)
+        state.profile.on_feedback(status.highest_txed_sn, status.timestamp)
         # Advance the PI controller at its nominal cadence using the measured
         # head sojourn as the classic queue-delay signal.
         if now - state.last_update >= state.core.tupdate:

@@ -86,13 +86,11 @@ class TcRanMarker:
         self.feedback_messages += 1
         state = self._state(status.ue_id, status.drb_id)
         newly = state.profile.on_feedback(status.highest_txed_sn,
-                                          status.highest_delivered_sn,
                                           status.timestamp)
         for entry in newly:
             delay = entry.queueing_delay()
             if delay is not None:
                 state.recent_sojourn = delay
-        state.profile.purge(now)
         self._update_control_law(state, now)
 
     def _update_control_law(self, state: _CodelDrbState, now: float) -> None:

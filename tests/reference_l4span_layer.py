@@ -11,7 +11,10 @@ tuple, ``config`` read on every use, and ``_shortcircuit_ack`` capturing the
 pre-rewrite words unconditionally.  Only the class names changed (a
 ``Reference`` prefix), the registry decorator is gone, and the background
 population's byte-counting hook and its two summary keys went with the
-production ones.  What the PR did
+production ones, and the retention horizon is this file's own
+``PROFILE_HORIZON`` since the production table stopped keeping transmitted
+entries (it holds only the standing queue, which the differential compares
+with this table's untransmitted entries).  What the PR did
 not touch is imported from ``src``: ``FlowRecord``, the marking laws, the
 checksum helpers, ``DrbKey`` / ``FiveTuple``.
 
@@ -42,6 +45,9 @@ from repro.ran.f1u import DeliveryStatus
 from repro.ran.identifiers import DrbId, DrbKey, UeId
 from repro.sim.engine import Simulator
 from repro.sim.randomness import chance
+
+#: Seconds a transmitted entry is kept before the purge drops it.
+PROFILE_HORIZON = 2.0
 
 
 # --------------------------------------------------------------------- #
@@ -476,7 +482,7 @@ class ReferenceL4SpanLayer:
         if state is None:
             tag = self._ue_stream_tags.get(ue_id, "")
             state = ReferenceDrbState(key=key,
-                             profile=ReferenceDrbProfile(self.config.profile_horizon),
+                             profile=ReferenceDrbProfile(PROFILE_HORIZON),
                              estimator=ReferenceEgressRateEstimator(
                                  self.config.estimation_window),
                              mark_rng=self._sim.random.stream(
@@ -513,7 +519,7 @@ class ReferenceL4SpanLayer:
         state.profile.add_packet(packet.size, now)
         flow.record_downlink(packet.size, now)
         self._maybe_mark(packet, state, flow, now)
-        if now - self._last_purge > self.config.profile_horizon:
+        if now - self._last_purge > PROFILE_HORIZON:
             self._last_purge = now
             for drb in self._drbs.values():
                 drb.profile.purge(now)

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from reference_l4span_layer import ReferenceL4SpanLayer
 from repro.core.config import L4SpanConfig
 from repro.core.l4span import L4SpanLayer
+from repro.experiments.scenario import run_scenario
+from repro.experiments.spec import ScenarioSpec
 from repro.net.addresses import FiveTuple
 from repro.net.checksum import (checksums_equal, checksums_valid,
                                 ip_checksum_of, recompute_checksums,
@@ -243,15 +245,24 @@ class TestHousekeeping:
         assert summary["flows"] == 1
         assert summary["drbs"] == 1
 
-    def test_profile_purged_over_time(self, sim, five_tuple):
-        layer = L4SpanLayer(sim, config=L4SpanConfig(profile_horizon=0.05))
-        for i in range(400):
-            now = i * 0.001
-            packet = make_data_packet(0, five_tuple, i * 1440, 1400, ECN.ECT1,
-                                      now)
-            layer.on_downlink_packet(packet, 0, 1, now)
-            layer.on_ran_feedback(DeliveryStatus(0, 1, i, None, now), now)
-        assert len(layer.drb_state(0, 1).profile) < 400
+    def test_profile_holds_exactly_the_standing_queue(self, monkeypatch):
+        """After every F1-U report of a real run, each bearer's table holds
+        one entry per untransmitted packet and nothing else."""
+        reports = []
+        report = L4SpanLayer.on_ran_feedback
+
+        def checked(layer, status, now):
+            report(layer, status, now)
+            reports.append([(len(state.profile), state.profile.queued_packets)
+                            for state in layer.drb_states.values()])
+
+        monkeypatch.setattr(L4SpanLayer, "on_ran_feedback", checked)
+        run_scenario(ScenarioSpec(num_ues=2, cc_name="prague",
+                                  marker="l4span", duration_s=2.0, seed=7))
+        assert len(reports) > 1000
+        assert all(held == queued for bearers in reports
+                   for held, queued in bearers)
+        assert any(queued > 0 for bearers in reports for _, queued in bearers)
 
     def test_processing_times_recorded_when_enabled(self, sim, five_tuple):
         layer = L4SpanLayer(sim, config=L4SpanConfig(measure_processing=True))
@@ -295,17 +306,18 @@ def _assert_layers_agree(layer, oracle) -> None:
                 == (old.is_shared, old.classes_seen, old.feedback_count,
                     old.marks_l4s, old.marks_classic))
         profile, old_profile = state.profile, old.profile
+        # The layer keeps only the standing queue; the oracle also retains
+        # transmitted entries (with their delivery times) until its purge.
         assert ([dataclasses.astuple(entry) for entry in profile]
-                == [dataclasses.astuple(entry) for entry in old_profile])
+                == [(entry.sn, entry.size, entry.ingress_time, None)
+                    for entry in old_profile
+                    if entry.transmitted_time is None])
         assert ((profile.queued_bytes, profile.queued_packets,
-                 profile.highest_txed_sn, profile.highest_delivered_sn,
+                 profile.highest_txed_sn,
                  profile.total_packets, profile.total_bytes)
                 == (old_profile.queued_bytes, old_profile.queued_packets,
                     old_profile.highest_txed_sn,
-                    old_profile.highest_delivered_sn,
                     old_profile.total_packets, old_profile.total_bytes))
-        assert (profile.measured_queueing_delays()
-                == old_profile.measured_queueing_delays())
         # Same marking-stream position: the layer's block reader and the
         # oracle's scalar generator hand out the same next values (reading
         # them advances both by the same count, so lockstep is kept).
@@ -344,8 +356,7 @@ def _differential_run(rng, steps: int) -> dict:
                       rng.choice([ECN.ECT1, ECN.ECT1, ECN.ECT0, ECN.NOT_ECT])))
     config = L4SpanConfig(enable_shortcircuit=rng.random() < 0.7,
                           drop_non_ecn=rng.random() < 0.4,
-                          sojourn_threshold=rng.choice([ms(1), ms(10)]),
-                          profile_horizon=rng.choice([0.004, 0.05]))
+                          sojourn_threshold=rng.choice([ms(1), ms(10)]))
     seed = rng.randrange(2**32)
     layer = L4SpanLayer(Simulator(seed=seed), config=config)
     oracle = ReferenceL4SpanLayer(Simulator(seed=seed),
@@ -418,8 +429,8 @@ def _differential_run(rng, steps: int) -> dict:
     seen.update(
         marked=layer.marked_packets,  # every mark is a marking-stream draw
         shared=sum(state.is_shared for state in states),
-        purged=sum(state.profile.total_packets - len(state.profile)
-                   for state in states))
+        transmitted=sum(state.profile.total_packets - len(state.profile)
+                        for state in states))
     return seen
 
 
@@ -434,7 +445,7 @@ class TestAgainstReferenceLayer:
 
     def test_the_interleavings_reach_every_branch(self):
         """The generator is only worth its comparisons if it marks, drops,
-        rewrites, purges and shares bearers -- count that it does."""
+        rewrites, drains tables and shares bearers -- count that it does."""
         total: dict = {}
         for seed in range(12):
             for name, count in _differential_run(random.Random(seed),

@@ -20,8 +20,7 @@ class TestDrbProfile:
         profile = DrbProfile()
         for i in range(5):
             profile.add_packet(1000, i * 0.001)
-        newly = profile.on_feedback(highest_txed_sn=2,
-                                    highest_delivered_sn=None, timestamp=0.01)
+        newly = profile.on_feedback(highest_txed_sn=2, timestamp=0.01)
         assert [e.sn for e in newly] == [0, 1, 2]
         assert profile.queued_packets == 2
         assert profile.queued_bytes == 2000
@@ -30,27 +29,16 @@ class TestDrbProfile:
         profile = DrbProfile()
         for i in range(3):
             profile.add_packet(1000, 0.0)
-        profile.on_feedback(1, None, 0.01)
-        newly = profile.on_feedback(1, None, 0.02)
+        profile.on_feedback(1, 0.01)
+        newly = profile.on_feedback(1, 0.02)
         assert newly == []
         assert profile.queued_bytes == 1000
-
-    def test_delivery_feedback_fills_delivered_time(self):
-        profile = DrbProfile()
-        profile.add_packet(1000, 0.0)
-        profile.on_feedback(0, None, 0.01)
-        profile.on_feedback(0, 0, 0.03)
-        entry = profile.entry(0)
-        assert entry.transmitted_time == 0.01
-        assert entry.delivered_time == 0.03
-        assert entry.queueing_delay() == pytest.approx(0.01)
-        assert entry.retransmission_delay() == pytest.approx(0.02)
 
     def test_head_sojourn_of_standing_queue(self):
         profile = DrbProfile()
         profile.add_packet(1000, 0.0)
         profile.add_packet(1000, 0.005)
-        profile.on_feedback(0, None, 0.006)
+        profile.on_feedback(0, 0.006)
         assert profile.oldest_queued_entry().sn == 1
         assert profile.head_sojourn(0.02) == pytest.approx(0.015)
 
@@ -58,39 +46,24 @@ class TestDrbProfile:
         profile = DrbProfile()
         assert profile.head_sojourn(1.0) == 0.0
         profile.add_packet(1000, 0.0)
-        profile.on_feedback(0, None, 0.001)
+        profile.on_feedback(0, 0.001)
         assert profile.head_sojourn(1.0) == 0.0
 
-    def test_purge_keeps_standing_queue(self):
-        profile = DrbProfile(horizon=0.5)
+    def test_feedback_pops_transmitted_entries(self):
+        profile = DrbProfile()
         for i in range(10):
             profile.add_packet(1000, i * 0.01)
-        profile.on_feedback(4, None, 0.1)
-        purged = profile.purge(now=5.0)
-        assert purged == 5
-        assert profile.queued_packets == 5
-        assert len(profile) == 5
-
-    def test_purge_respects_horizon(self):
-        profile = DrbProfile(horizon=10.0)
-        profile.add_packet(1000, 0.0)
-        profile.on_feedback(0, None, 0.01)
-        assert profile.purge(now=1.0) == 0
+        newly = profile.on_feedback(4, 0.1)
+        assert [entry.transmitted_time for entry in newly] == [0.1] * 5
+        assert newly[0].queueing_delay() == pytest.approx(0.1)
+        assert [entry.sn for entry in profile] == list(range(5, 10))
+        assert profile.queued_packets == len(profile) == 5
 
     def test_queued_bytes_never_negative(self):
         profile = DrbProfile()
         profile.add_packet(1000, 0.0)
-        profile.on_feedback(5, None, 0.01)  # feedback beyond what exists
+        profile.on_feedback(5, 0.01)  # feedback beyond what exists
         assert profile.queued_bytes == 0
-
-    def test_measured_queueing_delays(self):
-        profile = DrbProfile()
-        profile.add_packet(1000, 0.0)
-        profile.add_packet(1000, 0.0)
-        profile.on_feedback(1, None, 0.02)
-        delays = profile.measured_queueing_delays()
-        assert len(delays) == 2
-        assert all(d == pytest.approx(0.02) for d in delays)
 
 
 class _Entry:

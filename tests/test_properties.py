@@ -72,7 +72,7 @@ def test_profile_queued_bytes_matches_untransmitted_sum(sizes, txed_fraction):
         profile.add_packet(size, i * 0.001)
     highest = int(len(sizes) * txed_fraction) - 1
     if highest >= 0:
-        profile.on_feedback(highest, None, 1.0)
+        profile.on_feedback(highest, 1.0)
     expected = sum(sizes[highest + 1:]) if highest >= 0 else sum(sizes)
     assert profile.queued_bytes == expected
     assert profile.queued_packets == len(sizes) - (highest + 1)
@@ -87,7 +87,7 @@ def test_profile_feedback_idempotent_and_monotone(sizes, feedback_points):
     transmitted = set()
     for point in feedback_points:
         highest = min(point, len(sizes) - 1)
-        newly = profile.on_feedback(highest, None, 1.0)
+        newly = profile.on_feedback(highest, 1.0)
         new_sns = {e.sn for e in newly}
         assert not (new_sns & transmitted), "an SN was reported twice"
         transmitted |= new_sns

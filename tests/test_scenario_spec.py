@@ -261,6 +261,13 @@ class TestSpecSerialization:
         with pytest.raises(ValueError, match=r"unknown field.*'engine'"):
             ScenarioSpec.from_dict({"engine": block})
 
+    def test_profile_horizon_is_unknown(self):
+        """The profile table holds only the standing queue, so no field
+        says how long transmitted entries stay."""
+        with pytest.raises(ValueError, match=r"^l4span_config: unknown "
+                                             r"field.*'profile_horizon'"):
+            ScenarioSpec.from_dict({"l4span_config": {"profile_horizon": 2.0}})
+
 
 NAN, INF = float("nan"), float("inf")
 
