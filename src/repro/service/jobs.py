@@ -98,9 +98,10 @@ def spec_from_request(payload, defaults: Optional[RuntimeOptions] = None):
 
 
 class RunState:
-    """One submitted run: status, live snapshots and the final document.
+    """One submitted run: its status and live snapshots.
 
-    The condition variable lets SSE streams block for the next snapshot
+    A finished run's document is kept only in the archive, which is
+    written before the run reports ``done``.  The condition variable lets SSE streams block for the next snapshot
     instead of polling; every mutation happens under the lock and
     notifies.
     """
@@ -111,7 +112,6 @@ class RunState:
         self.meta = meta
         self.status = "queued"
         self.error: Optional[str] = None
-        self.document: Optional[str] = None
         self.snapshots: list[dict] = []
         self.condition = threading.Condition()
 
@@ -130,11 +130,9 @@ class RunState:
             self.snapshots.append(dict(snapshot))
             self.condition.notify_all()
 
-    def finish(self, status: str, document: Optional[str] = None,
-               error: Optional[str] = None) -> None:
+    def finish(self, status: str, error: Optional[str] = None) -> None:
         with self.condition:
             self.status = status
-            self.document = document
             self.error = error
             self.condition.notify_all()
 
@@ -245,8 +243,8 @@ class JobManager:
             result = run_scenario(
                 state.spec, progress=state.push_snapshot,
                 progress_interval_s=self.progress_interval_s)
-            document = dump_document(result_document(result))
-            self.archive.write_document(state.run_id, document)
+            self.archive.write_document(
+                state.run_id, dump_document(result_document(result)))
             self._record(state, status="done", finished_at=time.time())
         except Exception as exc:  # noqa: BLE001 - surfaced via the API
             error = f"{type(exc).__name__}: {exc}"
@@ -257,4 +255,4 @@ class JobManager:
                 pass  # the archive itself failed; the run state says why
             state.finish("failed", error=error)
             return
-        state.finish("done", document=document)
+        state.finish("done")

@@ -185,16 +185,17 @@ class _Handler(BaseHTTPRequestHandler):
             return
         envelope = state.to_entry()
         envelope["snapshots"] = len(state.snapshots)
-        if state.document is not None:
-            envelope["document"] = json.loads(state.document)
+        if state.status == "done":
+            document = self.service.archive.read_document(run_id)
+            if document is not None:
+                envelope["document"] = json.loads(document)
         self._send_json(envelope)
 
     def _get_run_document(self, run_id: str) -> None:
         state = self.service.jobs.get(run_id)
-        document = state.document if state is not None else None
-        if document is None:
-            # Fall back to the archive so documents survive a restart.
-            document = self.service.archive.read_document(run_id)
+        # The archive is the one copy of a finished document, so documents
+        # of past service runs are served too.
+        document = self.service.archive.read_document(run_id)
         if document is None:
             status = "no finished document for run"
             if state is not None:

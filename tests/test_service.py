@@ -102,6 +102,28 @@ class TestRoundTrip:
         assert final["document"]["schema_version"] == SCHEMA_VERSION
         assert final["document"]["summary"]["total_goodput_mbps"] > 0
 
+    def test_finished_document_is_served_from_the_archive_only(
+            self, service):
+        """A done run's state keeps no document text; both routes read
+        the archive file, byte for byte."""
+        _, submitted = _post(
+            service, {"spec": {"num_ues": 1, "duration_s": 0.3}})
+        run_id = submitted["run_id"]
+        assert _wait_done(service, run_id)["status"] == "done"
+        archived = service.archive.read_document(run_id)
+        state = service.jobs.get(run_id)
+        assert archived and not hasattr(state, "document")
+        assert archived not in [value for value in vars(state).values()
+                                if isinstance(value, str)]
+        _, served = _get(service, f"/runs/{run_id}/document")
+        assert served == archived
+        # Replace the archive file: both routes follow it.
+        probe = '{"probe": [1, 2.5]}\n'
+        service.archive.write_document(run_id, probe)
+        assert _get(service, f"/runs/{run_id}/document")[1] == probe
+        assert _get_json(service, f"/runs/{run_id}")[1]["document"] == {
+            "probe": [1, 2.5]}
+
     def test_archive_query_by_preset_and_status(self, service):
         _, submitted = _post(service, {"preset": "coupled-core"})
         _wait_done(service, submitted["run_id"])
