@@ -215,7 +215,10 @@ class L4SpanLayer:
         if state.prediction.queued_bytes < 2 * self.mss:
             return 0.0
         if flow.initial_rtt is not None:
-            rtt = flow.initial_rtt + predicted_sojourn
+            # Eq. 2 targets the RTT the sender sees once the queue is held at
+            # tau_s.  Adding the predicted sojourn instead would lower p as
+            # the standing queue it should drain grows.
+            rtt = flow.initial_rtt + self.config.sojourn_threshold
         elif flow.protocol != "tcp":
             rtt = 2.0 * max(predicted_sojourn, self.config.sojourn_threshold)
         else:

@@ -68,7 +68,8 @@ def classic_mark_probability(mss: float, rtt: float, rate_estimate: float,
 
     Args:
         mss: maximum segment size in bytes.
-        rtt: the RTT estimate (initial handshake RTT plus predicted sojourn).
+        rtt: the RTT estimate; the layer passes the handshake RTT plus the
+            sojourn target tau_s, the RTT once the queue is held there.
         rate_estimate: predicted bearer egress rate (bytes/s).
         beta: multiplicative-decrease factor of the classic sender.
     """

@@ -11,10 +11,11 @@ tuple, ``config`` read on every use, and ``_shortcircuit_ack`` capturing the
 pre-rewrite words unconditionally.  Only the class names changed (a
 ``Reference`` prefix), the registry decorator is gone, and the background
 population's byte-counting hook and its two summary keys went with the
-production ones, and the retention horizon is this file's own
-``PROFILE_HORIZON`` since the production table stopped keeping transmitted
-entries (it holds only the standing queue, which the differential compares
-with this table's untransmitted entries).  What the PR did
+production ones.  Two later edits followed the production layer: the
+retention horizon is this file's own ``PROFILE_HORIZON``, because the
+production table keeps only the standing queue (the differential compares
+it with this table's untransmitted entries), and Eq. 2 takes
+``rtt = initial_rtt + sojourn_threshold``.  What the PR did
 not touch is imported from ``src``: ``FlowRecord``, the marking laws, the
 checksum helpers, ``DrbKey`` / ``FiveTuple``.
 
@@ -582,7 +583,10 @@ class ReferenceL4SpanLayer:
         if state.prediction.queued_bytes < 2 * self.mss:
             return 0.0
         if flow.initial_rtt is not None:
-            rtt = flow.initial_rtt + predicted_sojourn
+            # Eq. 2 targets the RTT the sender sees once the queue is held at
+            # tau_s.  Adding the predicted sojourn instead would lower p as
+            # the standing queue it should drain grows.
+            rtt = flow.initial_rtt + self.config.sojourn_threshold
         elif flow.protocol != "tcp":
             rtt = 2.0 * max(predicted_sojourn, self.config.sojourn_threshold)
         else:

@@ -42,29 +42,42 @@ def test_fig24_reno_owd_reduction():
     sweep = run_figure("fig24", channels=("static",), duration_s=3.0)
     rows = improvement_table(sweep)
     assert {row["cc"] for row in rows} == {"bbr", "reno"}
-    # Reno's one-way delay drops by more than half under L4Span (Fig. 24);
-    # at 2 UEs it does not -- see the strict xfail below.
+    # Reno's one-way delay drops by more than half under L4Span (Fig. 24).
     reno = next(row for row in rows if row["cc"] == "reno")
     assert reno["owd_reduction_pct"] > 50
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "Eq. 2 takes rtt = initial_rtt + predicted_sojourn, so a classic bearer "
-    "holding a deep slow-start queue gets p ~ 5e-6 and is never marked"))
-def test_fig24_two_ue_reno_marks_every_flow():
-    """The Fig. 24 cell at 2 UEs: UE 1's Reno flow gets no mark at all.
-
-    Its bearer overshoots in slow start (0.26 s sojourn at 3.0 MB/s), and
-    the classic probability falls as the standing queue it should drain
-    grows, so the run's median OWD is higher with L4Span than without.
-    """
+def _every_flow_marked(num_ues: int, cc_name: str, seed: int) -> bool:
     built = build_scenario(ScenarioSpec(
-        num_ues=2, cc_name="reno", marker="l4span", channel_profile="static",
-        duration_s=4.0, seed=11))
+        num_ues=num_ues, cc_name=cc_name, marker="l4span",
+        channel_profile="static", duration_s=4.0, seed=seed))
     built.run()
     marks = built.flow_mark_counts()
-    assert all(marks.get(spec.flow_id, (0, 0))[0] > 0
+    return all(marks.get(spec.flow_id, (0, 0))[0] > 0
                for spec in built.flow_specs)
+
+
+def test_fig24_two_ue_reno_marks_every_flow():
+    """The Fig. 24 cell at 2 UEs: UE 1's Reno flow is marked too.
+
+    Its bearer overshoots in slow start (0.26 s sojourn at 3.0 MB/s).  With
+    Eq. 2 fed ``initial_rtt + predicted_sojourn`` the classic probability
+    fell as that queue grew (p ~ 5e-6), so the flow got no mark at all and
+    the run's median OWD was higher with L4Span than without.
+    """
+    assert _every_flow_marked(2, "reno", seed=11)
+
+
+def test_three_ue_cubic_marks_every_flow():
+    """The same slow-start overshoot at 3 CUBIC UEs, seed 11 (UE 1 reached
+    Eq. 2 on 7,164 packets at a median p of 4e-6 with 821 kB queued)."""
+    assert _every_flow_marked(3, "cubic", seed=11)
+
+
+def test_two_ue_cubic_seed1234_marks_every_flow():
+    """At 2 CUBIC UEs, seed 1234, L4Span once cut no delay at all (marked
+    fractions 0.0 and 0.00013)."""
+    assert _every_flow_marked(2, "cubic", seed=1234)
 
 
 def test_fig10_breakdown_rows():
