@@ -101,9 +101,9 @@ class RunState:
     """One submitted run: its status and live snapshots.
 
     A finished run's document is kept only in the archive, which is
-    written before the run reports ``done``.  The condition variable lets SSE streams block for the next snapshot
-    instead of polling; every mutation happens under the lock and
-    notifies.
+    written before the run reports ``done``.  The condition variable lets
+    SSE streams block for the next snapshot instead of polling; every
+    mutation happens under the lock and notifies.
     """
 
     def __init__(self, run_id: str, spec: ScenarioSpec, meta: dict) -> None:
