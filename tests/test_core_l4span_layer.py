@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from reference_l4span_layer import ReferenceL4SpanLayer
 from repro.core.config import L4SpanConfig
 from repro.core.l4span import L4SpanLayer
+from repro.core.marking import classic_mark_probability
 from repro.experiments.scenario import run_scenario
 from repro.experiments.spec import ScenarioSpec
 from repro.net.addresses import FiveTuple
@@ -189,6 +190,33 @@ class TestUplinkHandler:
         layer.on_downlink_packet(cwr_packet, 0, 1, 0.21)
         assert not flow.ece_latched
 
+    def test_classic_probability_targets_rtt_at_sojourn_threshold(self, sim):
+        """Eq. 2 takes the handshake RTT plus tau_s, not plus the predicted
+        sojourn, so a queue deeper than the target is still marked in full."""
+        layer = L4SpanLayer(sim)
+        classic_tuple = FiveTuple("10.0.0.1", 443, "10.45.0.2", 50_002, "tcp")
+        for i in range(150):
+            now = i * 0.001
+            packet = make_data_packet(0, classic_tuple, i * 1440, 1400,
+                                      ECN.ECT0, now)
+            layer.on_downlink_packet(packet, 0, 1, now)
+            if i == 0:
+                data = packet
+            if i >= 100:
+                layer.on_ran_feedback(DeliveryStatus(0, 1, i - 100, None, now),
+                                      now)
+            if i == 5:
+                layer.on_uplink_packet(make_ack_packet(data, 1440, now), now)
+        state = layer.drb_state(0, 1)
+        flow = layer.flow_record(classic_tuple)
+        config = layer.config
+        assert state.prediction.sojourn > config.sojourn_threshold
+        expected = classic_mark_probability(
+            layer.mss, flow.initial_rtt + config.sojourn_threshold,
+            state.prediction.rate, config.classic_beta)
+        assert expected > 0
+        assert layer.mark_probability(state, flow) == pytest.approx(expected)
+
     def test_uplink_establishes_initial_rtt(self, layer, five_tuple):
         packet = make_data_packet(0, five_tuple, 0, 1400, ECN.ECT1, 0.0)
         layer.on_downlink_packet(packet, 0, 1, 0.0)
@@ -263,6 +291,25 @@ class TestHousekeeping:
         assert all(held == queued for bearers in reports
                    for held, queued in bearers)
         assert any(queued > 0 for bearers in reports for _, queued in bearers)
+
+    def test_delivered_sn_leaves_the_table_alone(self, five_tuple):
+        """Only the highest transmitted SN drains the table: reports that also
+        carry a delivered SN leave it, and the prediction, as without one."""
+        layers = [L4SpanLayer(Simulator(seed=1)) for _ in range(2)]
+        for i in range(60):
+            now = i * 0.001
+            for layer, delivered in zip(layers, (None, max(0, i - 8))):
+                packet = make_data_packet(0, five_tuple, i * 1440, 1400,
+                                          ECN.ECT1, now)
+                layer.on_downlink_packet(packet, 0, 1, now)
+                if i >= 4:
+                    layer.on_ran_feedback(
+                        DeliveryStatus(0, 1, i - 4, delivered, now), now)
+        plain, delivered = (layer.drb_state(0, 1) for layer in layers)
+        assert ([dataclasses.astuple(entry) for entry in delivered.profile]
+                == [dataclasses.astuple(entry) for entry in plain.profile])
+        assert len(delivered.profile) == delivered.profile.queued_packets == 4
+        assert delivered.prediction == plain.prediction
 
     def test_processing_times_recorded_when_enabled(self, sim, five_tuple):
         layer = L4SpanLayer(sim, config=L4SpanConfig(measure_processing=True))

@@ -59,6 +59,21 @@ class TestDrbProfile:
         assert [entry.sn for entry in profile] == list(range(5, 10))
         assert profile.queued_packets == len(profile) == 5
 
+    def test_stale_feedback_is_ignored(self):
+        """A report older than one already applied pops nothing; the next
+        newer one pops only the SNs above the last reported."""
+        profile = DrbProfile()
+        for i in range(8):
+            profile.add_packet(1000, i * 0.01)
+        profile.on_feedback(4, 0.1)
+        assert profile.on_feedback(2, 0.11) == []
+        assert profile.highest_txed_sn == 4
+        assert [entry.sn for entry in profile] == [5, 6, 7]
+        newly = profile.on_feedback(6, 0.12)
+        assert [entry.sn for entry in newly] == [5, 6]
+        assert [entry.sn for entry in profile] == [7]
+        assert profile.queued_bytes == 1000
+
     def test_queued_bytes_never_negative(self):
         profile = DrbProfile()
         profile.add_packet(1000, 0.0)
