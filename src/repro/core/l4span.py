@@ -5,13 +5,15 @@ and is attached to a :class:`repro.ran.gnb.GNodeB`.  It reacts to the three
 events of the paper's pseudocode (Appendix A):
 
 * **downlink datagram** -- classify the flow by its ECN codepoint, record the
-  packet in the per-bearer profile table, and make a marking decision using
-  the class-specific probability (Eq. 1 / Eq. 2 / the coupled rule).  For UDP
-  flows (or when short-circuiting is disabled) the mark is applied to the
-  packet's IP ECN field; for TCP flows with short-circuiting the mark is only
-  *book-kept* so it can be injected into the next uplink ACK.
+  packet in the per-bearer profile table under its PDCP SN, and make a
+  marking decision using the class-specific probability (Eq. 1 / Eq. 2 / the
+  coupled rule).  For UDP flows (or when short-circuiting is disabled) the
+  mark is applied to the packet's IP ECN field; for TCP flows with
+  short-circuiting the mark is only *book-kept* so it can be injected into
+  the next uplink ACK.
 * **RAN feedback** -- update the profile table from the F1-U delivery-status
-  report, refresh the egress-rate estimate and the sojourn prediction.
+  report, refresh the egress-rate estimate and the sojourn prediction (a
+  report of a released bearer finds no state and is discarded).
 * **uplink packet** -- for TCP ACKs, rewrite the AccECN counters or the
   ECE flag from the book-kept marks, short-circuiting the radio leg of the
   feedback loop.
@@ -37,6 +39,7 @@ from repro.net.ecn import ECN, FlowClass
 from repro.net.packet import Packet
 from repro.ran.f1u import DeliveryStatus
 from repro.ran.identifiers import DrbId, DrbKey, UeId
+from repro.ran.marker import RanMarker
 from repro.registry import MARKERS
 from repro.sim.engine import Simulator
 from repro.sim.randomness import block_draws, chance
@@ -65,13 +68,14 @@ class DrbState:
     mark_draw: object = None
 
 
-class L4SpanLayer:
+class L4SpanLayer(RanMarker):
     """The in-RAN congestion-signalling layer."""
 
     name = "l4span"
 
     def __init__(self, sim: Simulator, config: Optional[L4SpanConfig] = None,
                  mss: int = 1440) -> None:
+        super().__init__()
         self._sim = sim
         self.config = config if config is not None else L4SpanConfig()
         # The handlers' per-packet switches are read here, once: the config
@@ -80,20 +84,10 @@ class L4SpanLayer:
         self._shortcircuit = self.config.enable_shortcircuit
         self.mss = mss
         self.predictor = SojournPredictor()
-        self._drbs: dict[DrbKey, DrbState] = {}
         self._flows: dict[FiveTuple, FlowRecord] = {}
         #: The same records under each flow's *uplink* tuple, filled when the
         #: flow is created, so an ACK finds its flow with one lookup.
         self._uplink_flows: dict[FiveTuple, FlowRecord] = {}
-        # Attach tag per UE ("#a1" after its first handover): qualifies the
-        # marking stream of bearers created after a UE arrives here, so the
-        # draw sequence matches between single-loop and sharded runs.
-        self._ue_stream_tags: dict[UeId, str] = {}
-        # Aggregate statistics.
-        self.downlink_packets = 0
-        self.uplink_packets = 0
-        self.feedback_messages = 0
-        self.marked_packets = 0
         self.shortcircuited_acks = 0
         # Processing-time samples (seconds) per event type, for Fig. 21.
         self.processing_times: dict[str, list[float]] = {
@@ -102,22 +96,19 @@ class L4SpanLayer:
     # ------------------------------------------------------------------ #
     # State accessors
     # ------------------------------------------------------------------ #
-    def set_ue_stream_tag(self, ue_id: UeId, tag: str) -> None:
-        """Qualify future marking streams of ``ue_id`` (handover arrival)."""
-        self._ue_stream_tags[ue_id] = tag
-
-    def drb_state(self, ue_id: UeId, drb_id: DrbId) -> DrbState:
-        """Get or create the per-bearer state."""
-        state = self._drbs.get((ue_id, drb_id))
+    def drb_state(self, ue_id: UeId, drb_id: DrbId,
+                  attach_tag: str = "") -> DrbState:
+        """Get or create the per-bearer state (its marking stream is named
+        after the key, so single-loop and sharded runs draw alike)."""
+        state = self._drbs.get((ue_id, drb_id, attach_tag))
         if state is None:
-            key = DrbKey(ue_id, drb_id)
-            tag = self._ue_stream_tags.get(ue_id, "")
+            key = DrbKey(ue_id, drb_id, attach_tag)
             state = DrbState(key=key,
                              profile=DrbProfile(),
                              estimator=EgressRateEstimator(
                                  self.config.estimation_window),
                              mark_draw=block_draws(self._sim.random.stream(
-                                 f"l4span-mark-{key}{tag}")))
+                                 f"l4span-mark-{key}")))
             self._drbs[key] = state
         return state
 
@@ -139,12 +130,12 @@ class L4SpanLayer:
     # Event 1: downlink datagram from the 5G core
     # ------------------------------------------------------------------ #
     def on_downlink_packet(self, packet: Packet, ue_id: UeId, drb_id: DrbId,
-                           now: float) -> None:
+                           sn: int, now: float, attach_tag: str = "") -> None:
         measure = self._measure
         start = time.perf_counter() if measure else 0.0
         self.downlink_packets += 1
-        state = (self._drbs.get((ue_id, drb_id))
-                 or self.drb_state(ue_id, drb_id))
+        state = (self._drbs.get((ue_id, drb_id, attach_tag))
+                 or self.drb_state(ue_id, drb_id, attach_tag))
         flow = (self._flows.get(packet.five_tuple)
                 or self._create_flow(packet, ue_id, drb_id))
         if flow.flow_class not in state.classes_seen:
@@ -153,7 +144,7 @@ class L4SpanLayer:
                                and FlowClass.CLASSIC in state.classes_seen)
         if packet.cwr and not flow.uses_accecn:
             flow.ece_latched = False
-        state.profile.add_packet(packet.size, now)
+        state.profile.add_packet(sn, packet.size, now)
         flow.record_downlink(packet.size, now)
         self._maybe_mark(packet, state, flow, now)
         if measure:
@@ -254,9 +245,10 @@ class L4SpanLayer:
         measure = self._measure
         start = time.perf_counter() if measure else 0.0
         self.feedback_messages += 1
-        ue_id, drb_id, txed_sn, _, timestamp, _ = status
-        state = (self._drbs.get((ue_id, drb_id))
-                 or self.drb_state(ue_id, drb_id))
+        ue_id, drb_id, txed_sn, _, timestamp, attach_tag = status
+        state = self._drbs.get((ue_id, drb_id, attach_tag))
+        if state is None:
+            return  # a released bearer's report: another PDCP's SNs
         state.feedback_count += 1
         profile = state.profile
         estimate = state.estimator.observe_transmissions(

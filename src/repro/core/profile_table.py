@@ -1,8 +1,8 @@
 """The packet profile table (paper §4.3.2, Fig. 5).
 
-The table of a bearer holds exactly its standing queue: one entry per
-downlink packet that entered the CU-UP L4Span layer (stamped with its
-**ingress** time) and that the RLC has not yet reported as handed to MAC/PHY.
+The table of one attachment of a bearer holds exactly its standing queue:
+one entry per SDU its PDCP entity numbered (keyed by that SN, stamped with
+its **ingress** time) that the RLC has not yet reported as handed to MAC/PHY.
 
 Because the F1-U delivery-status report carries only the *highest*
 transmitted PDCP sequence number, a report at time *t* pops every entry with
@@ -11,10 +11,6 @@ egress-rate estimator (Eqs. 3-4).  The byte total of what remains is the
 ``N_queue`` used by the marking equations.  Transmitted entries and delivery
 times are not kept, because nothing reads them: memory follows the queue,
 not the rate times the run length.
-
-The table mirrors PDCP's sequence numbering by assigning SNs in arrival
-order, which is valid because the CU submits packets to PDCP in the same
-order it showed them to L4Span.
 """
 
 from __future__ import annotations
@@ -46,24 +42,20 @@ class DrbProfile:
         #: SN -> entry of the standing queue, in SN order (dicts keep
         #: insertion order).
         self._entries: dict[int, ProfileEntry] = {}
-        self._next_sn = 0
         self.highest_txed_sn: Optional[int] = None
-        self._queued_bytes = 0
+        self.queued_bytes = 0  # N_queue: the bytes the entries hold
         self.total_packets = 0
         self.total_bytes = 0
 
     # ------------------------------------------------------------------ #
     # Ingress
     # ------------------------------------------------------------------ #
-    def add_packet(self, size: int, now: float) -> int:
-        """Record a packet entering the bearer; returns its (mirrored) SN."""
-        sn = self._next_sn
-        self._next_sn += 1
+    def add_packet(self, sn: int, size: int, now: float) -> None:
+        """Record an SDU that PDCP numbered ``sn`` entering the bearer."""
         self._entries[sn] = ProfileEntry(sn, size, now)
-        self._queued_bytes += size
+        self.queued_bytes += size
         self.total_packets += 1
         self.total_bytes += size
-        return sn
 
     # ------------------------------------------------------------------ #
     # F1-U feedback
@@ -88,7 +80,7 @@ class DrbProfile:
             if entry is None:
                 continue
             entry.transmitted_time = timestamp
-            self._queued_bytes -= entry.size
+            self.queued_bytes -= entry.size
             newly_transmitted.append(entry)
         self.highest_txed_sn = highest_txed_sn
         return newly_transmitted
@@ -97,16 +89,9 @@ class DrbProfile:
     # Queue state
     # ------------------------------------------------------------------ #
     @property
-    def queued_bytes(self) -> int:
-        """Bytes of the standing queue (entries not yet transmitted)."""
-        return max(0, self._queued_bytes)
-
-    @property
     def queued_packets(self) -> int:
         """Number of packets still waiting for transmission."""
-        if self.highest_txed_sn is None:
-            return len(self._entries)
-        return max(0, self._next_sn - (self.highest_txed_sn + 1))
+        return len(self._entries)
 
     def oldest_queued_entry(self) -> Optional[ProfileEntry]:
         """The head of the standing queue (oldest untransmitted entry).

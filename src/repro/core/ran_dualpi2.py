@@ -25,6 +25,7 @@ from repro.net.ecn import ECN, FlowClass
 from repro.net.packet import Packet
 from repro.ran.f1u import DeliveryStatus
 from repro.ran.identifiers import DrbId, DrbKey, UeId
+from repro.ran.marker import RanMarker
 from repro.registry import MARKERS
 from repro.sim.engine import Simulator
 from repro.sim.randomness import block_draws, chance
@@ -39,50 +40,41 @@ class _DualPi2DrbState:
     core: DualPi2Core = field(default_factory=DualPi2Core)
     last_update: float = 0.0
     marks: int = 0
-    #: Uniform block draws of the marking stream; set by ``_state``.
+    #: Uniform block draws of the marking stream; set by ``drb_state``.
     mark_draw: object = None
 
 
-class RanDualPi2Marker:
+class RanDualPi2Marker(RanMarker):
     """Wired DualPi2 semantics applied at the CU, for the §6.3.1 ablation."""
 
     name = "ran_dualpi2"
 
     def __init__(self, sim: Simulator, l4s_threshold: float = ms(1),
                  classic_target: float = ms(15)) -> None:
+        super().__init__()
         self._sim = sim
         self.l4s_threshold = l4s_threshold
         self.classic_target = classic_target
-        self._drbs: dict[DrbKey, _DualPi2DrbState] = {}
-        self._ue_stream_tags: dict[UeId, str] = {}
-        self.downlink_packets = 0
-        self.uplink_packets = 0
-        self.feedback_messages = 0
-        self.marked_packets = 0
-
-    def set_ue_stream_tag(self, ue_id: UeId, tag: str) -> None:
-        """Qualify future marking streams of ``ue_id`` (handover arrival)."""
-        self._ue_stream_tags[ue_id] = tag
 
     # ------------------------------------------------------------------ #
-    def _state(self, ue_id: UeId, drb_id: DrbId) -> _DualPi2DrbState:
-        state = self._drbs.get((ue_id, drb_id))
+    def drb_state(self, ue_id: UeId, drb_id: DrbId,
+                  attach_tag: str = "") -> _DualPi2DrbState:
+        state = self._drbs.get((ue_id, drb_id, attach_tag))
         if state is None:
             state = _DualPi2DrbState()
             state.core.l4s_threshold = self.l4s_threshold
             state.core.target = self.classic_target
             state.mark_draw = block_draws(self._sim.random.stream(
-                f"ran-dualpi2-{ue_id}-{drb_id}"
-                f"{self._ue_stream_tags.get(ue_id, '')}"))
-            self._drbs[DrbKey(ue_id, drb_id)] = state
+                f"ran-dualpi2-{ue_id}-{drb_id}{attach_tag}"))
+            self._drbs[DrbKey(ue_id, drb_id, attach_tag)] = state
         return state
 
     # ------------------------------------------------------------------ #
     def on_downlink_packet(self, packet: Packet, ue_id: UeId, drb_id: DrbId,
-                           now: float) -> None:
+                           sn: int, now: float, attach_tag: str = "") -> None:
         self.downlink_packets += 1
-        state = self._state(ue_id, drb_id)
-        state.profile.add_packet(packet.size, now)
+        state = self.drb_state(ue_id, drb_id, attach_tag)
+        state.profile.add_packet(sn, packet.size, now)
         if packet.ecn == ECN.NOT_ECT:
             return
         sojourn = state.profile.head_sojourn(now)
@@ -97,16 +89,16 @@ class RanDualPi2Marker:
 
     def on_ran_feedback(self, status: DeliveryStatus, now: float) -> None:
         self.feedback_messages += 1
-        state = self._state(status.ue_id, status.drb_id)
+        state = self._drbs.get((status.ue_id, status.drb_id,
+                                status.attach_tag))
+        if state is None:
+            return  # a released bearer's report: another PDCP's SNs
         state.profile.on_feedback(status.highest_txed_sn, status.timestamp)
         # Advance the PI controller at its nominal cadence using the measured
         # head sojourn as the classic queue-delay signal.
         if now - state.last_update >= state.core.tupdate:
             state.core.update(state.profile.head_sojourn(now))
             state.last_update = now
-
-    def on_uplink_packet(self, packet: Packet, now: float) -> None:
-        self.uplink_packets += 1
 
 
 @MARKERS.register("ran_dualpi2")

@@ -22,6 +22,7 @@ from repro.net.ecn import ECN
 from repro.net.packet import Packet
 from repro.ran.f1u import DeliveryStatus
 from repro.ran.identifiers import DrbId, DrbKey, UeId
+from repro.ran.marker import RanMarker
 from repro.registry import MARKERS
 from repro.sim.engine import Simulator
 from repro.units import ms
@@ -40,36 +41,33 @@ class _CodelDrbState:
     marks: int = 0
 
 
-class TcRanMarker:
+class TcRanMarker(RanMarker):
     """CoDel-with-marking between SDAP and PDCP."""
 
     name = "tcran"
 
     def __init__(self, sim: Simulator, target: float = ms(5),
                  interval: float = ms(100)) -> None:
+        super().__init__()
         self._sim = sim
         self.target = target
         self.interval = interval
-        self._drbs: dict[DrbKey, _CodelDrbState] = {}
-        self.downlink_packets = 0
-        self.uplink_packets = 0
-        self.feedback_messages = 0
-        self.marked_packets = 0
 
     # ------------------------------------------------------------------ #
-    def _state(self, ue_id: UeId, drb_id: DrbId) -> _CodelDrbState:
-        state = self._drbs.get((ue_id, drb_id))
+    def drb_state(self, ue_id: UeId, drb_id: DrbId,
+                  attach_tag: str = "") -> _CodelDrbState:
+        state = self._drbs.get((ue_id, drb_id, attach_tag))
         if state is None:
             state = _CodelDrbState()
-            self._drbs[DrbKey(ue_id, drb_id)] = state
+            self._drbs[DrbKey(ue_id, drb_id, attach_tag)] = state
         return state
 
     # ------------------------------------------------------------------ #
     def on_downlink_packet(self, packet: Packet, ue_id: UeId, drb_id: DrbId,
-                           now: float) -> None:
+                           sn: int, now: float, attach_tag: str = "") -> None:
         self.downlink_packets += 1
-        state = self._state(ue_id, drb_id)
-        state.profile.add_packet(packet.size, now)
+        state = self.drb_state(ue_id, drb_id, attach_tag)
+        state.profile.add_packet(sn, packet.size, now)
         if not state.marking:
             return
         if now < state.next_mark_time:
@@ -84,13 +82,14 @@ class TcRanMarker:
 
     def on_ran_feedback(self, status: DeliveryStatus, now: float) -> None:
         self.feedback_messages += 1
-        state = self._state(status.ue_id, status.drb_id)
+        state = self._drbs.get((status.ue_id, status.drb_id,
+                                status.attach_tag))
+        if state is None:
+            return  # a released bearer's report: another PDCP's SNs
         newly = state.profile.on_feedback(status.highest_txed_sn,
                                           status.timestamp)
-        for entry in newly:
-            delay = entry.queueing_delay()
-            if delay is not None:
-                state.recent_sojourn = delay
+        if newly:  # the sojourn of the newest transmission
+            state.recent_sojourn = newly[-1].queueing_delay()
         self._update_control_law(state, now)
 
     def _update_control_law(self, state: _CodelDrbState, now: float) -> None:
@@ -106,9 +105,6 @@ class TcRanMarker:
             state.marking = True
             state.count = max(1, state.count - 2) if state.count > 2 else 1
             state.next_mark_time = now
-
-    def on_uplink_packet(self, packet: Packet, now: float) -> None:
-        self.uplink_packets += 1
 
 
 @MARKERS.register("tcran")

@@ -263,10 +263,10 @@ class BuiltScenario:
 
     # ------------------------------------------------------------------ #
     def build_mobile_ue(self, ue_spec: UeSpec, cell_id: int,
-                        stream_tag: str = "") -> UeContext:
+                        attach_tag: str = "") -> UeContext:
         """Build a UE context attached to ``cell_id``'s radio environment.
 
-        ``stream_tag`` qualifies every per-UE random stream; the initial
+        ``attach_tag`` qualifies every per-UE random stream; the initial
         attach uses ``""`` (the historical names), handover re-attachments
         use ``"#aN"`` so the draw sequences are identical between the
         single loop and any shard split.
@@ -275,7 +275,7 @@ class BuiltScenario:
         channel = make_channel(
             ue_spec.channel_profile,
             rng=self.sim.random.stream(
-                f"channel-ue{ue_spec.ue_id}{stream_tag}"),
+                f"channel-ue{ue_spec.ue_id}{attach_tag}"),
             mean_snr_db=ue_spec.mean_snr_db,
             carrier_ghz=gnb.cell.carrier_ghz,
             ue_index=ue_spec.ue_id)
@@ -286,7 +286,7 @@ class BuiltScenario:
                              rlc_mode=rlc_mode,
                              rlc_queue_sdus=ue_spec.rlc_queue_sdus,
                              separate_drbs=ue_spec.separate_drbs)
-        return UeContext(self.sim, ue_config, channel, stream_tag=stream_tag)
+        return UeContext(self.sim, ue_config, channel, attach_tag=attach_tag)
 
     def register_ue_route(self, ue_id: int, gnb: GNodeB) -> None:
         """(Re-)point the core's downlink route for a UE at ``gnb``."""

@@ -324,7 +324,7 @@ class RateEstimationProbe:
             if estimate is None or estimate.smoothed_rate <= 0:
                 continue
             try:
-                entity = self._gnb.du.rlc_entity(key.ue_id, key.drb_id)
+                entity = self._gnb.du.rlc_entity(*key)
             except KeyError:
                 continue
             name = str(key)

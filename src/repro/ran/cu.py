@@ -1,8 +1,9 @@
 """The Central Unit user plane: SDAP + PDCP per UE, plus the marker hook.
 
-Downlink packets from the 5G core enter here.  The CU asks the attached
-marker (L4Span, a baseline, or the no-op) to observe/mark the packet, maps it
-to a bearer via SDAP, numbers it in PDCP and ships it to the DU over F1-U.
+Downlink packets from the 5G core enter here.  The CU maps each to a bearer
+via SDAP, asks the attached marker (L4Span, a baseline, or the no-op) to
+observe/mark it under the SN PDCP is about to give it, numbers it in PDCP
+and ships it to the DU over F1-U.
 Uplink packets pass through the marker on their way back to the core, which is
 where feedback short-circuiting happens.
 """
@@ -55,14 +56,15 @@ class CentralUnitUserPlane:
         self._sdap[ue.ue_id] = SdapEntity(ue.ue_id, drb_configs)
         for config in drb_configs:
             self._pdcp[(ue.ue_id, config.drb_id)] = PdcpEntity(
-                ue.ue_id, config, self.f1u.send_downlink_sdu)
+                ue.ue_id, config, self.f1u.send_downlink_sdu, ue.attach_tag)
 
     def detach_ue(self, ue_id: UeId) -> None:
-        """Drop a UE's SDAP/PDCP state (handover departure)."""
+        """Drop a UE's SDAP/PDCP/marker state (handover departure)."""
         sdap = self._sdap.pop(ue_id, None)
         if sdap is not None:
             for drb_id in sdap.drb_ids:
                 self._pdcp.pop((ue_id, drb_id), None)
+        self.marker.release_ue(ue_id)
 
     def set_marker(self, marker: RanMarker) -> None:
         """Attach (or replace) the in-RAN marking layer.
@@ -88,23 +90,29 @@ class CentralUnitUserPlane:
         now = self._sim.now
         packet.timestamps.setdefault("cu_ingress", now)
         drb_id = sdap.drb_by_codepoint[packet.ecn]
-        self.marker.on_downlink_packet(packet, ue_id, drb_id, now)
-        self._pdcp[(ue_id, drb_id)].submit(packet)
+        pdcp = self._pdcp[(ue_id, drb_id)]
+        self.marker.on_downlink_packet(packet, ue_id, drb_id, pdcp.next_sn,
+                                       now, pdcp.attach_tag)
+        pdcp.submit(packet)
 
     def resubmit_downlink(self, ue_id: UeId, drb_id: DrbId,
                           packet: Packet) -> None:
         """Enqueue a handover-forwarded SDU on the target cell's bearer.
 
         Forwarded SDUs were already observed (and possibly marked) by the
-        source cell's marker, so they enter PDCP directly -- the Xn
-        data-forwarding path, not a second trip through SDAP/marking.  SDUs
-        racing a further detach are dropped like any unknown-UE packet.
+        source cell's marker, so they enter PDCP, and the marker's table,
+        directly -- the Xn data-forwarding path, not a second trip through
+        SDAP/marking.  SDUs racing a further detach are dropped like any
+        unknown-UE packet.
         """
         pdcp = self._pdcp.get((ue_id, drb_id))
         if pdcp is None:
             self.unknown_ue_packets += 1
             return
-        packet.timestamps.setdefault("cu_ingress", self._sim.now)
+        now = self._sim.now
+        packet.timestamps.setdefault("cu_ingress", now)
+        self.marker.on_forwarded_sdu(packet, ue_id, drb_id, pdcp.next_sn, now,
+                                     pdcp.attach_tag)
         pdcp.submit(packet)
 
     # ------------------------------------------------------------------ #

@@ -34,14 +34,11 @@ class DistributedUnit:
         self.air = AirInterface(sim, air_config)
         self.mac = MacScheduler(sim, cell, policy=scheduler_policy)
         self._rlc: dict[DrbKey, RlcEntity] = {}
-        self._ue_drbs: dict[UeId, list[DrbId]] = {}
+        self._ue_keys: dict[UeId, list[DrbKey]] = {}
         #: Per-UE RLC entities in DRB order -- the grant/backlog hot path
         #: iterates these directly instead of hashing DrbKeys per slot.
         self._ue_entities: dict[UeId, tuple[RlcEntity, ...]] = {}
         self._pull_rotation: dict[UeId, int] = {}
-        #: Reporting suffix per UE ("#a2" after the second attach of a mobile
-        #: UE) so bearer sample streams stay unique across re-attachments.
-        self._bearer_tags: dict[UeId, str] = {}
         #: Mobility sets this: downlink SDUs racing a detach over F1-U are
         #: dropped (and counted) instead of raising for the missing entity.
         self.drop_orphan_sdus = False
@@ -51,32 +48,28 @@ class DistributedUnit:
     # ------------------------------------------------------------------ #
     # UE attachment
     # ------------------------------------------------------------------ #
-    def attach_ue(self, ue: UeContext, *, bearer_tag: str = "",
-                  register_mac: bool = True) -> None:
+    def attach_ue(self, ue: UeContext, *, register_mac: bool = True) -> None:
         """Create the RLC entities for a UE and register it with the MAC.
 
-        ``bearer_tag`` suffixes the UE's bearer labels in queue reports (a
-        handed-over UE's fresh bearers must not alias its old sample
-        streams); ``register_mac=False`` defers MAC service -- the handover
+        The bearer keys carry the context's ``attach_tag``, so a handed-over
+        UE's fresh bearers never alias its old sample streams, SDUs or F1-U
+        reports.  ``register_mac=False`` defers MAC service -- the handover
         interruption window -- until :meth:`register_with_mac` is called.
         """
-        drb_ids: list[DrbId] = []
+        keys: list[DrbKey] = []
         entities: list[RlcEntity] = []
         for drb_config in ue.config.drb_configs():
-            key = DrbKey(ue.ue_id, drb_config.drb_id)
+            key = DrbKey(ue.ue_id, drb_config.drb_id, ue.attach_tag)
             entity = RlcEntity(
                 self._sim, ue.ue_id, drb_config, self.air,
-                deliver=ue.deliver,
-                send_status=self.f1u.status_sender(ue.ue_id,
-                                                   drb_config.drb_id))
+                deliver=ue.deliver, send_status=self.f1u.status_sender(*key))
             entity.mac = self.mac
             self._rlc[key] = entity
-            drb_ids.append(drb_config.drb_id)
+            keys.append(key)
             entities.append(entity)
-        self._ue_drbs[ue.ue_id] = drb_ids
+        self._ue_keys[ue.ue_id] = keys
         self._ue_entities[ue.ue_id] = tuple(entities)
         self._pull_rotation[ue.ue_id] = 0
-        self._bearer_tags[ue.ue_id] = bearer_tag
         if register_mac:
             self.register_with_mac(ue)
 
@@ -125,36 +118,38 @@ class DistributedUnit:
         caller (the mobility manager) decides whether their queued SDUs are
         forwarded to the target cell or flushed.
         """
-        drb_ids = self._ue_drbs.pop(ue_id, [])
+        keys = self._ue_keys.pop(ue_id, [])
         entities = self._ue_entities.pop(ue_id, ())
         self._pull_rotation.pop(ue_id, None)
-        self._bearer_tags.pop(ue_id, None)
-        for drb_id in drb_ids:
-            self._rlc.pop(DrbKey(ue_id, drb_id), None)
+        for key in keys:
+            del self._rlc[key]
         self.mac.unregister_ue(ue_id)
-        return list(zip(drb_ids, entities))
+        return [(key.drb_id, entity) for key, entity in zip(keys, entities)]
 
     # ------------------------------------------------------------------ #
     # Downlink ingress (from CU over F1-U)
     # ------------------------------------------------------------------ #
     def handle_downlink_sdu(self, ue_id: UeId, drb_id: DrbId, sn: int,
-                            packet: Packet) -> None:
+                            packet: Packet, attach_tag: str = "") -> None:
         """Enqueue a PDCP SDU into its bearer's RLC queue."""
-        entity = self._rlc.get((ue_id, drb_id))
+        entity = self._rlc.get((ue_id, drb_id, attach_tag))
         if entity is None:
             if self.drop_orphan_sdus:
-                # The UE detached while this SDU was crossing F1-U.
+                # The UE detached while this SDU was crossing F1-U (it may be
+                # back already, on a bearer of a later attachment).
                 self.orphan_sdus += 1
                 return
-            raise KeyError(f"no RLC entity for ue{ue_id}/drb{drb_id}")
+            raise KeyError(f"no RLC entity for ue{ue_id}/drb{drb_id}"
+                           f"{attach_tag}")
         entity.enqueue(sn, packet)
 
     # ------------------------------------------------------------------ #
     # Queue state and MAC grants
     # ------------------------------------------------------------------ #
-    def rlc_entity(self, ue_id: UeId, drb_id: DrbId) -> RlcEntity:
+    def rlc_entity(self, ue_id: UeId, drb_id: DrbId,
+                   attach_tag: str = "") -> RlcEntity:
         """Direct access to a bearer's RLC entity (probes and tests)."""
-        return self._rlc[DrbKey(ue_id, drb_id)]
+        return self._rlc[DrbKey(ue_id, drb_id, attach_tag)]
 
     def ue_backlog_bytes(self, ue_id: UeId) -> int:
         """Total RLC backlog across all bearers of one UE."""
@@ -216,15 +211,13 @@ class DistributedUnit:
         return self._rlc.items()
 
     def labeled_rlc_items(self) -> list[tuple[str, RlcEntity]]:
-        """(label, entity) for every bearer, attach tags applied.
+        """(label, entity) for every bearer.
 
-        Labels are ``"ueX/drbY"`` plus the UE's attach tag (``"#a1"`` after
-        its first handover), so a mobile UE's fresh bearers report under
+        Labels are the keys' ``"ueX/drbY"`` plus the attach tag (``"#a1"``
+        after a handover), so a mobile UE's fresh bearers report under
         names distinct from the ones it had before moving.
         """
-        tags = self._bearer_tags
-        return [(f"{key}{tags.get(key.ue_id, '')}", entity)
-                for key, entity in self._rlc.items()]
+        return [(str(key), entity) for key, entity in self._rlc.items()]
 
     def stop(self) -> None:
         """Stop the MAC slot clock."""

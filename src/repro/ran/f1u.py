@@ -1,10 +1,11 @@
 """The F1-U interface between CU-UP and DU (3GPP TS 38.425).
 
 Downlink user data flows CU -> DU; *downlink data delivery status* (DDDS)
-messages flow DU -> CU.  L4Span consumes only the two mandatory DDDS fields:
+messages flow DU -> CU.  A report carries the two mandatory DDDS fields,
 the highest PDCP sequence number transmitted to the lower layers and the
-highest PDCP sequence number successfully delivered to the UE, each with the
-timestamp at which the RLC generated the report (paper §4.3.1).
+highest PDCP sequence number successfully delivered to the UE, with the
+timestamp at which the RLC generated it (paper §4.3.1), and the attach tag
+of the bearer it describes.  The markers read the transmitted SN.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ class DeliveryStatus(NamedTuple):
             (None in RLC UM, which provides no delivery feedback).
         timestamp: DU-side time at which the event that triggered the report
             happened.
-        desired_buffer_size: optional flow-control hint (bytes) -- carried by
-            the real message; unused by L4Span but kept for completeness.
+        attach_tag: names the bearer's attachment, whose PDCP numbered the
+            SNs (see :class:`~repro.ran.identifiers.DrbKey`).
     """
 
     ue_id: UeId
@@ -36,7 +37,7 @@ class DeliveryStatus(NamedTuple):
     highest_txed_sn: Optional[int]
     highest_delivered_sn: Optional[int]
     timestamp: float
-    desired_buffer_size: int = 0
+    attach_tag: str = ""
 
 
 #: Builds a report without the named tuple's Python-level ``__new__``.
@@ -83,15 +84,15 @@ class F1UInterface:
     # Data plane
     # ------------------------------------------------------------------ #
     def send_downlink_sdu(self, ue_id: UeId, drb_id: DrbId, sn: int,
-                          packet) -> None:
+                          packet, attach_tag: str = "") -> None:
         """Carry one PDCP SDU from the CU to the DU's RLC entity."""
         if self._downlink_handler is None:
             raise RuntimeError("F1-U has no DU connected")
         self.downlink_sdus += 1
         self._sim.schedule(self.latency, self._downlink_handler,
-                           ue_id, drb_id, sn, packet)
+                           ue_id, drb_id, sn, packet, attach_tag)
 
-    def status_sender(self, ue_id: UeId, drb_id: DrbId
+    def status_sender(self, ue_id: UeId, drb_id: DrbId, attach_tag: str = ""
                       ) -> Callable[[Optional[int], Optional[int], float],
                                     None]:
         """The DU side of one bearer's DDDS reports.
@@ -114,5 +115,5 @@ class F1UInterface:
             arrival = sim.now + self.latency
             sim.schedule_at(arrival, handler, _tuple_new(DeliveryStatus, (
                 ue_id, drb_id, highest_txed_sn, highest_delivered_sn,
-                timestamp, 0)), arrival)
+                timestamp, attach_tag)), arrival)
         return send_status

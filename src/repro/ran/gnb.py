@@ -46,20 +46,18 @@ class GNodeB:
     # ------------------------------------------------------------------ #
     # Attachment and wiring
     # ------------------------------------------------------------------ #
-    def attach_ue(self, ue: UeContext, *, bearer_tag: str = "",
-                  register_mac: bool = True) -> None:
+    def attach_ue(self, ue: UeContext, *, register_mac: bool = True) -> None:
         """Attach a UE: creates CU and DU state and wires the uplink path.
 
-        ``bearer_tag`` and ``register_mac`` support handover re-attachment:
-        the tag keeps the fresh bearers' report labels unique, and deferring
-        MAC registration models the interruption window (see
+        The bearers are keyed by the context's ``attach_tag``; deferring MAC
+        registration models a handover's interruption window (see
         :meth:`repro.ran.du.DistributedUnit.attach_ue`).
         """
         if ue.ue_id in self._ues:
             raise ValueError(f"UE {ue.ue_id} already attached to {self.name}")
         self._ues[ue.ue_id] = ue
         self.cu.attach_ue(ue)
-        self.du.attach_ue(ue, bearer_tag=bearer_tag, register_mac=register_mac)
+        self.du.attach_ue(ue, register_mac=register_mac)
         ue.uplink_sink = self.cu.receive_uplink
         ue.cell_ues = self._ues
 

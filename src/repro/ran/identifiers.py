@@ -1,8 +1,8 @@
 """Identifiers and per-bearer configuration used across the RAN.
 
 A *Data Radio Bearer* (DRB) is the logical channel spanning 5GC -> SDAP ->
-PDCP -> RLC -> UE.  Each UE owns one or more DRBs; L4Span indexes its packet
-profile table by (UE, DRB).
+PDCP -> RLC -> UE.  Each UE owns one or more DRBs per attachment; RLC
+entities and L4Span's profile tables are indexed by (UE, DRB, attach tag).
 """
 
 from __future__ import annotations
@@ -64,14 +64,18 @@ class DrbConfig:
 
 
 class DrbKey(NamedTuple):
-    """Dictionary key addressing one DRB of one UE.
+    """Dictionary key addressing one DRB of one UE in one attachment.
 
-    A named tuple, so it hashes in C and equals the bare ``(ue_id, drb_id)``
-    pair: per-packet lookups pass that pair instead of building a key.
+    ``attach_tag`` is ``""`` for a UE's first attachment and ``"#aN"`` after
+    its N-th handover, whose fresh PDCP numbers from 0 again: SDUs and F1-U
+    reports still in flight for a released bearer find no entry under the
+    new key.  A named tuple, so it hashes in C and equals the bare triple:
+    per-packet lookups pass that instead of building a key.
     """
 
     ue_id: UeId
     drb_id: DrbId
+    attach_tag: str = ""
 
     def __str__(self) -> str:
-        return f"ue{self.ue_id}/drb{self.drb_id}"
+        return f"ue{self.ue_id}/drb{self.drb_id}{self.attach_tag}"

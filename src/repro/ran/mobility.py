@@ -12,7 +12,9 @@ monitor below.
 Execution timeline of one handover at time ``t``:
 
 1. **Detach** (source cell, at ``t``): the UE's MAC registration, RLC
-   entities and SDAP/PDCP state are removed.  RLC SDUs still waiting for a
+   entities, SDAP/PDCP state and marker state are removed (SDUs and F1-U
+   reports in flight for them carry the attach tag, so they never reach a
+   later attachment's bearer).  RLC SDUs still waiting for a
    grant are *released*: forwarded to the target cell (``ho_mode
    "forward"``, the Xn data-forwarding path, arriving ``interruption_s``
    later) or flushed (``"flush"``, loss the transport must recover from).
@@ -28,8 +30,10 @@ Execution timeline of one handover at time ``t``:
 3. **Attach** (target cell, at ``t``): a fresh :class:`UeContext` is built
    with **attach-qualified random streams** (``"air-ue3#a1"``,
    ``"channel-ue3#a1"``, ...), fresh bearers are created (buffering arriving
-   downlink data), fresh receivers adopt the transferred state, and the 5G
-   core re-routes the UE's address to the target gNB.
+   downlink data, numbered from 0 under the attach tag), fresh receivers
+   adopt the transferred state, and the 5G core re-routes the UE's address
+   to the target gNB.  Forwarded SDUs enter the target PDCP and marker
+   table unmarked.
 4. **Service resumes** at ``t + interruption_s``: only then does the target
    MAC grant the UE air time (RACH + path switch), which is what makes the
    interruption observable as a per-flow delay spike.
@@ -65,8 +69,8 @@ class Transition:
     attach_index: int
 
     @property
-    def stream_tag(self) -> str:
-        """Suffix qualifying the new attachment's random streams."""
+    def attach_tag(self) -> str:
+        """Suffix naming the new attachment: its random streams and bearers."""
         return f"#a{self.attach_index}"
 
 
@@ -300,14 +304,11 @@ class MobilityManager:
     def _arrive(self, tr: Transition) -> None:
         scenario = self._scenario
         gnb = scenario.gnbs[tr.to_cell]
-        tag = tr.stream_tag
+        tag = tr.attach_tag
         ue_spec = self.topology.ue_specs[tr.ue_id]
         ue = scenario.build_mobile_ue(ue_spec, tr.to_cell, tag)
-        gnb.attach_ue(ue, bearer_tag=tag, register_mac=False)
+        gnb.attach_ue(ue, register_mac=False)
         gnb.du.air.rebind_ue(tr.ue_id, f"air-ue{tr.ue_id}{tag}")
-        tagger = getattr(gnb.marker, "set_ue_stream_tag", None)
-        if tagger is not None:
-            tagger(tr.ue_id, tag)
         scenario.register_ue_route(tr.ue_id, gnb)
         scenario.ues[tr.ue_id] = ue
         for flow in self.topology.flows_by_ue.get(tr.ue_id, []):

@@ -15,25 +15,23 @@ from repro.ran.identifiers import DrbConfig, DrbId, UeId
 
 
 class PdcpEntity:
-    """Per-DRB sequence numbering and hand-off to the F1-U interface."""
+    """Per-DRB sequence numbering and hand-off to the F1-U interface, for
+    one attachment (``attach_tag``) of the bearer."""
 
     def __init__(self, ue_id: UeId, config: DrbConfig,
-                 send_downlink: Callable[[UeId, DrbId, int, Packet], None]) -> None:
+                 send_downlink: Callable[[UeId, DrbId, int, Packet, str],
+                                         None],
+                 attach_tag: str = "") -> None:
         self.ue_id = ue_id
         self.config = config
         self.drb_id: DrbId = config.drb_id
+        self.attach_tag = attach_tag
         self._send_downlink = send_downlink
         self.next_sn = 0
-        self.submitted_sdus = 0
 
-    def submit(self, packet: Packet) -> int:
-        """Assign the next sequence number to ``packet`` and forward it to the DU.
-
-        Returns the assigned sequence number.
-        """
+    def submit(self, packet: Packet) -> None:
+        """Assign the next sequence number to ``packet`` and forward it to the DU."""
         sn = self.next_sn
-        self.next_sn += 1
-        self.submitted_sdus += 1
-        packet.payload_info["pdcp_sn"] = sn
-        self._send_downlink(self.ue_id, self.drb_id, sn, packet)
-        return sn
+        self.next_sn = sn + 1
+        self._send_downlink(self.ue_id, self.drb_id, sn, packet,
+                            self.attach_tag)

@@ -77,7 +77,7 @@ class UeContext:
     """
 
     def __init__(self, sim: Simulator, config: UeConfig,
-                 channel: ChannelModel, stream_tag: str = "") -> None:
+                 channel: ChannelModel, attach_tag: str = "") -> None:
         self._sim = sim
         self.config = config
         self.ue_id: UeId = config.ue_id
@@ -85,15 +85,16 @@ class UeContext:
         #: "" for the initial attach, "#aN" after the N-th handover: every
         #: per-UE random stream of this context is qualified by it (so a
         #: handed-over UE draws the same uplink sequence whether its new
-        #: cell runs in the shared loop or on another shard).
-        self.stream_tag = stream_tag
+        #: cell runs in the shared loop or on another shard), and so are the
+        #: keys of the bearers the serving gNB creates for it.
+        self.attach_tag = attach_tag
         # Read on every ACK, so copied out of the config once.
         self.uplink_base_delay = config.uplink_base_delay
         self.uplink_jitter = config.uplink_jitter
         # One uplink draw happens per ACK: read the stream's standard
         # exponentials in blocks (same variate sequence as scalar draws).
         self._exponential = block_draws(
-            sim.random.stream(f"uplink-ue{config.ue_id}{stream_tag}"),
+            sim.random.stream(f"uplink-ue{config.ue_id}{attach_tag}"),
             "exponential")
         #: The serving gNB's attached UEs (set on attach); their count
         #: scales the uplink load term.

@@ -11,11 +11,14 @@ tuple, ``config`` read on every use, and ``_shortcircuit_ack`` capturing the
 pre-rewrite words unconditionally.  Only the class names changed (a
 ``Reference`` prefix), the registry decorator is gone, and the background
 population's byte-counting hook and its two summary keys went with the
-production ones.  Two later edits followed the production layer: the
+production ones.  Three later edits followed the production layer: the
 retention horizon is this file's own ``PROFILE_HORIZON``, because the
 production table keeps only the standing queue (the differential compares
-it with this table's untransmitted entries), and Eq. 2 takes
-``rtt = initial_rtt + sojourn_threshold``.  What the PR did
+it with this table's untransmitted entries), Eq. 2 takes
+``rtt = initial_rtt + sojourn_threshold``, and a downlink packet comes with
+its PDCP SN, which keys the table, while a report for a bearer that no
+packet created is discarded (the per-UE stream tags went: the differential
+never hands a bearer over).  What the PR did
 not touch is imported from ``src``: ``FlowRecord``, the marking laws, the
 checksum helpers, ``DrbKey`` / ``FiveTuple``.
 
@@ -97,10 +100,9 @@ class ReferenceDrbProfile:
     # ------------------------------------------------------------------ #
     # Ingress
     # ------------------------------------------------------------------ #
-    def add_packet(self, size: int, now: float) -> int:
-        """Record a packet entering the bearer; returns its (mirrored) SN."""
-        sn = self._next_sn
-        self._next_sn += 1
+    def add_packet(self, sn: int, size: int, now: float) -> int:
+        """Record a packet entering the bearer under its PDCP SN."""
+        self._next_sn = sn + 1
         self._entries[sn] = ReferenceProfileEntry(sn=sn, size=size, ingress_time=now)
         self._queued_bytes += size
         self.total_packets += 1
@@ -455,10 +457,6 @@ class ReferenceL4SpanLayer:
         self._drbs: dict[DrbKey, ReferenceDrbState] = {}
         self._flows: dict[FiveTuple, FlowRecord] = {}
         self._last_purge = 0.0
-        # Attach tag per UE ("#a1" after its first handover): qualifies the
-        # marking stream of bearers created after a UE arrives here, so the
-        # draw sequence matches between single-loop and sharded runs.
-        self._ue_stream_tags: dict[UeId, str] = {}
         # Aggregate statistics.
         self.downlink_packets = 0
         self.uplink_packets = 0
@@ -472,22 +470,17 @@ class ReferenceL4SpanLayer:
     # ------------------------------------------------------------------ #
     # State accessors
     # ------------------------------------------------------------------ #
-    def set_ue_stream_tag(self, ue_id: UeId, tag: str) -> None:
-        """Qualify future marking streams of ``ue_id`` (handover arrival)."""
-        self._ue_stream_tags[ue_id] = tag
-
     def drb_state(self, ue_id: UeId, drb_id: DrbId) -> ReferenceDrbState:
         """Get or create the per-bearer state."""
         key = DrbKey(ue_id, drb_id)
         state = self._drbs.get(key)
         if state is None:
-            tag = self._ue_stream_tags.get(ue_id, "")
             state = ReferenceDrbState(key=key,
                              profile=ReferenceDrbProfile(PROFILE_HORIZON),
                              estimator=ReferenceEgressRateEstimator(
                                  self.config.estimation_window),
                              mark_rng=self._sim.random.stream(
-                                 f"l4span-mark-{key}{tag}"))
+                                 f"l4span-mark-{key}"))
             self._drbs[key] = state
         return state
 
@@ -509,7 +502,7 @@ class ReferenceL4SpanLayer:
     # Event 1: downlink datagram from the 5G core
     # ------------------------------------------------------------------ #
     def on_downlink_packet(self, packet: Packet, ue_id: UeId, drb_id: DrbId,
-                           now: float) -> None:
+                           sn: int, now: float) -> None:
         start = time.perf_counter() if self.config.measure_processing else 0.0
         self.downlink_packets += 1
         state = self.drb_state(ue_id, drb_id)
@@ -517,7 +510,7 @@ class ReferenceL4SpanLayer:
         state.classes_seen.add(flow.flow_class)
         if packet.cwr and not flow.uses_accecn:
             flow.ece_latched = False
-        state.profile.add_packet(packet.size, now)
+        state.profile.add_packet(sn, packet.size, now)
         flow.record_downlink(packet.size, now)
         self._maybe_mark(packet, state, flow, now)
         if now - self._last_purge > PROFILE_HORIZON:
@@ -623,7 +616,9 @@ class ReferenceL4SpanLayer:
     def on_ran_feedback(self, status: DeliveryStatus, now: float) -> None:
         start = time.perf_counter() if self.config.measure_processing else 0.0
         self.feedback_messages += 1
-        state = self.drb_state(status.ue_id, status.drb_id)
+        state = self._drbs.get(DrbKey(status.ue_id, status.drb_id))
+        if state is None:
+            return
         state.feedback_count += 1
         newly = state.profile.on_feedback(status.highest_txed_sn,
                                           status.highest_delivered_sn,

@@ -22,7 +22,7 @@ def drive_marker(marker, five_tuple, packets=200, interval=0.001,
     for i in range(packets):
         now = i * interval
         packet = make_data_packet(0, five_tuple, i * 1440, 1400, ecn, now)
-        marker.on_downlink_packet(packet, 0, 1, now)
+        marker.on_downlink_packet(packet, 0, 1, i, now)
         if i >= transmit_lag:
             marker.on_ran_feedback(DeliveryStatus(0, 1, i - transmit_lag, None,
                                                   now), now)

@@ -40,7 +40,7 @@ def feed_constant_rate(layer: L4SpanLayer, five_tuple, ue_id=0, drb_id=1,
     for i in range(packets):
         now = i * interval
         packet = make_data_packet(0, five_tuple, i * 1440, 1400, ecn, now)
-        layer.on_downlink_packet(packet, ue_id, drb_id, now)
+        layer.on_downlink_packet(packet, ue_id, drb_id, i, now)
         txed = i - transmit_lag
         if txed >= 0:
             layer.on_ran_feedback(DeliveryStatus(ue_id, drb_id, txed, None,
@@ -51,7 +51,7 @@ def feed_constant_rate(layer: L4SpanLayer, five_tuple, ue_id=0, drb_id=1,
 class TestDownlinkHandler:
     def test_creates_flow_and_profile_state(self, layer, five_tuple):
         packet = make_data_packet(0, five_tuple, 0, 1400, ECN.ECT1, 0.0)
-        layer.on_downlink_packet(packet, 3, 1, 0.0)
+        layer.on_downlink_packet(packet, 3, 1, 0, 0.0)
         assert layer.flow_record(five_tuple) is not None
         assert layer.drb_state(3, 1).profile.queued_bytes == packet.size
         assert layer.flow_record(five_tuple).flow_class == FlowClass.L4S
@@ -59,9 +59,11 @@ class TestDownlinkHandler:
     def test_flow_classification_by_ecn(self, layer, five_tuple):
         classic_tuple = FiveTuple("10.0.0.1", 443, "10.45.0.3", 50_001, "tcp")
         layer.on_downlink_packet(
-            make_data_packet(0, five_tuple, 0, 1400, ECN.ECT1, 0.0), 0, 1, 0.0)
+            make_data_packet(0, five_tuple, 0, 1400, ECN.ECT1, 0.0), 0, 1, 0,
+            0.0)
         layer.on_downlink_packet(
-            make_data_packet(1, classic_tuple, 0, 1400, ECN.ECT0, 0.0), 0, 2, 0.0)
+            make_data_packet(1, classic_tuple, 0, 1400, ECN.ECT0, 0.0), 0, 2, 0,
+            0.0)
         assert layer.flow_record(five_tuple).flow_class == FlowClass.L4S
         assert layer.flow_record(classic_tuple).flow_class == FlowClass.CLASSIC
 
@@ -69,7 +71,7 @@ class TestDownlinkHandler:
         for i in range(50):
             packet = make_data_packet(0, five_tuple, i * 1440, 1400,
                                       ECN.ECT1, i * 0.001)
-            layer.on_downlink_packet(packet, 0, 1, i * 0.001)
+            layer.on_downlink_packet(packet, 0, 1, i, i * 0.001)
         assert layer.marked_packets == 0
 
     def test_l4s_marking_triggers_when_queue_exceeds_threshold(
@@ -107,7 +109,7 @@ class TestDownlinkHandler:
             packet = make_data_packet(0, udp_tuple, i * 1240, 1200, ECN.ECT1,
                                       now)
             packet.protocol = "udp"
-            layer.on_downlink_packet(packet, 0, 1, now)
+            layer.on_downlink_packet(packet, 0, 1, i, now)
             if i >= 60:
                 layer.on_ran_feedback(DeliveryStatus(0, 1, i - 60, None, now),
                                       now)
@@ -121,7 +123,7 @@ class TestDownlinkHandler:
             now = i * 0.001
             packet = make_data_packet(0, five_tuple, i * 1440, 1400, ECN.ECT1,
                                       now)
-            layer.on_downlink_packet(packet, 0, 1, now)
+            layer.on_downlink_packet(packet, 0, 1, i, now)
             if i >= 60:
                 layer.on_ran_feedback(DeliveryStatus(0, 1, i - 60, None, now),
                                       now)
@@ -141,9 +143,36 @@ class TestFeedbackHandler:
                                    interval=0.001, transmit_lag=1)
         assert state.prediction.rate == pytest.approx(1.44e6, rel=0.3)
 
-    def test_feedback_for_unknown_drb_creates_state(self, layer):
-        layer.on_ran_feedback(DeliveryStatus(9, 9, None, None, 0.0), 0.0)
-        assert (9, 9) in [(k.ue_id, k.drb_id) for k in layer.drb_states]
+    def test_report_of_a_released_bearer_leaves_the_new_table_alone(
+            self, layer, five_tuple):
+        """The UE left and came back: its new PDCP numbers from 0 again, and
+        a report of the first attachment still in flight pops nothing."""
+        for sn in range(5):
+            packet = make_data_packet(0, five_tuple, sn * 1440, 1400,
+                                      ECN.ECT1, sn * 0.001)
+            layer.on_downlink_packet(packet, 0, 1, sn, sn * 0.001)
+        layer.release_ue(0)
+        assert layer.drb_states == {}
+        for sn in range(3):
+            packet = make_data_packet(0, five_tuple, (5 + sn) * 1440, 1400,
+                                      ECN.ECT1, 0.01)
+            layer.on_downlink_packet(packet, 0, 1, sn, 0.01, "#a2")
+        assert list(layer.drb_states) == [(0, 1, "#a2")]
+        state = layer.drb_states[(0, 1, "#a2")]
+        layer.on_ran_feedback(DeliveryStatus(0, 1, 4, None, 0.009), 0.0102)
+        assert state.feedback_count == 0
+        assert [entry.sn for entry in state.profile] == [0, 1, 2]
+        layer.on_ran_feedback(DeliveryStatus(0, 1, 1, None, 0.011, "#a2"),
+                              0.0112)
+        assert [entry.sn for entry in state.profile] == [2]
+        assert layer.flow_record(five_tuple).downlink_packets == 8
+
+    def test_feedback_for_unknown_drb_is_discarded(self, layer):
+        """No packet of the bearer went through this layer (its attachment
+        was released here, or never was): the report has no table to read."""
+        layer.on_ran_feedback(DeliveryStatus(9, 9, 3, None, 0.0), 0.0)
+        assert layer.drb_states == {}
+        assert layer.feedback_messages == 1
 
 
 class TestUplinkHandler:
@@ -169,7 +198,7 @@ class TestUplinkHandler:
             now = i * 0.001
             packet = make_data_packet(0, classic_tuple, i * 1440, 1400,
                                       ECN.ECT0, now)
-            layer.on_downlink_packet(packet, 0, 1, now)
+            layer.on_downlink_packet(packet, 0, 1, i, now)
             if i == 0:
                 data = packet
             if i >= 100:
@@ -187,7 +216,7 @@ class TestUplinkHandler:
         cwr_packet = make_data_packet(0, classic_tuple, 999_000, 1400,
                                       ECN.ECT0, 0.21)
         cwr_packet.cwr = True
-        layer.on_downlink_packet(cwr_packet, 0, 1, 0.21)
+        layer.on_downlink_packet(cwr_packet, 0, 1, 150, 0.21)
         assert not flow.ece_latched
 
     def test_classic_probability_targets_rtt_at_sojourn_threshold(self, sim):
@@ -199,7 +228,7 @@ class TestUplinkHandler:
             now = i * 0.001
             packet = make_data_packet(0, classic_tuple, i * 1440, 1400,
                                       ECN.ECT0, now)
-            layer.on_downlink_packet(packet, 0, 1, now)
+            layer.on_downlink_packet(packet, 0, 1, i, now)
             if i == 0:
                 data = packet
             if i >= 100:
@@ -219,7 +248,7 @@ class TestUplinkHandler:
 
     def test_uplink_establishes_initial_rtt(self, layer, five_tuple):
         packet = make_data_packet(0, five_tuple, 0, 1400, ECN.ECT1, 0.0)
-        layer.on_downlink_packet(packet, 0, 1, 0.0)
+        layer.on_downlink_packet(packet, 0, 1, 0, 0.0)
         ack = make_ack_packet(packet, 1440, 0.042, accecn=AccEcnCounters())
         layer.on_uplink_packet(ack, 0.042)
         assert layer.flow_record(five_tuple).initial_rtt == pytest.approx(0.042)
@@ -242,8 +271,8 @@ class TestSharedDrb:
                                           ECN.ECT1, now)
             classic_packet = make_data_packet(1, classic_tuple, i * 1440, 1400,
                                               ECN.ECT0, now)
-            layer.on_downlink_packet(l4s_packet, 0, 1, now)
-            layer.on_downlink_packet(classic_packet, 0, 1, now)
+            layer.on_downlink_packet(l4s_packet, 0, 1, 2 * i, now)
+            layer.on_downlink_packet(classic_packet, 0, 1, 2 * i + 1, now)
             if i == 2:
                 layer.on_uplink_packet(
                     make_ack_packet(classic_packet, 1440, now), now)
@@ -301,7 +330,7 @@ class TestHousekeeping:
             for layer, delivered in zip(layers, (None, max(0, i - 8))):
                 packet = make_data_packet(0, five_tuple, i * 1440, 1400,
                                           ECN.ECT1, now)
-                layer.on_downlink_packet(packet, 0, 1, now)
+                layer.on_downlink_packet(packet, 0, 1, i, now)
                 if i >= 4:
                     layer.on_ran_feedback(
                         DeliveryStatus(0, 1, i - 4, delivered, now), now)
@@ -314,7 +343,7 @@ class TestHousekeeping:
     def test_processing_times_recorded_when_enabled(self, sim, five_tuple):
         layer = L4SpanLayer(sim, config=L4SpanConfig(measure_processing=True))
         packet = make_data_packet(0, five_tuple, 0, 1400, ECN.ECT1, 0.0)
-        layer.on_downlink_packet(packet, 0, 1, 0.0)
+        layer.on_downlink_packet(packet, 0, 1, 0, 0.0)
         layer.on_ran_feedback(DeliveryStatus(0, 1, 0, None, 0.0), 0.0)
         layer.on_uplink_packet(make_ack_packet(packet, 1440, 0.01,
                                                accecn=AccEcnCounters()), 0.01)
@@ -355,14 +384,16 @@ def _assert_layers_agree(layer, oracle) -> None:
         profile, old_profile = state.profile, old.profile
         # The layer keeps only the standing queue; the oracle also retains
         # transmitted entries (with their delivery times) until its purge.
-        assert ([dataclasses.astuple(entry) for entry in profile]
-                == [(entry.sn, entry.size, entry.ingress_time, None)
-                    for entry in old_profile
-                    if entry.transmitted_time is None])
+        # The layer counts the queue once, by its entries: the oracle's own
+        # count (SNs above the highest report) misses the entries that
+        # arrive after a report ran past the table.
+        standing = [(entry.sn, entry.size, entry.ingress_time, None)
+                    for entry in old_profile if entry.transmitted_time is None]
+        assert [dataclasses.astuple(entry) for entry in profile] == standing
         assert ((profile.queued_bytes, profile.queued_packets,
                  profile.highest_txed_sn,
                  profile.total_packets, profile.total_bytes)
-                == (old_profile.queued_bytes, old_profile.queued_packets,
+                == (old_profile.queued_bytes, len(standing),
                     old_profile.highest_txed_sn,
                     old_profile.total_packets, old_profile.total_bytes))
         # Same marking-stream position: the layer's block reader and the
@@ -460,8 +491,9 @@ def _differential_run(rng, steps: int) -> dict:
         twin = copy.deepcopy(packet)
         before = layer.shortcircuited_acks
         if kind == "down":
-            layer.on_downlink_packet(packet, ue_id, drb_id, now)
-            oracle.on_downlink_packet(twin, ue_id, drb_id, now)
+            sn = sent[(ue_id, drb_id)] - 1   # PDCP's number for the SDU
+            layer.on_downlink_packet(packet, ue_id, drb_id, sn, now)
+            oracle.on_downlink_packet(twin, ue_id, drb_id, sn, now)
             seen["drops"] += bool(packet.payload_info.get("l4span_drop"))
         else:
             layer.on_uplink_packet(packet, now)

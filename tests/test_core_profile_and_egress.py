@@ -11,15 +11,17 @@ from repro.core.sojourn import (SojournPredictor, rtt_cost_of_overestimate,
 
 
 class TestDrbProfile:
-    def test_sequence_numbers_mirror_arrival_order(self):
+    def test_entries_are_keyed_by_pdcp_sn(self):
         profile = DrbProfile()
-        assert [profile.add_packet(100, i * 0.001) for i in range(5)] == \
-            list(range(5))
+        for sn in range(5):
+            profile.add_packet(sn, 100, sn * 0.001)
+        assert [entry.sn for entry in profile] == list(range(5))
+        assert profile.queued_packets == len(profile) == 5
 
     def test_feedback_marks_all_sns_up_to_highest(self):
         profile = DrbProfile()
         for i in range(5):
-            profile.add_packet(1000, i * 0.001)
+            profile.add_packet(i, 1000, i * 0.001)
         newly = profile.on_feedback(highest_txed_sn=2, timestamp=0.01)
         assert [e.sn for e in newly] == [0, 1, 2]
         assert profile.queued_packets == 2
@@ -28,7 +30,7 @@ class TestDrbProfile:
     def test_repeated_feedback_is_idempotent(self):
         profile = DrbProfile()
         for i in range(3):
-            profile.add_packet(1000, 0.0)
+            profile.add_packet(i, 1000, 0.0)
         profile.on_feedback(1, 0.01)
         newly = profile.on_feedback(1, 0.02)
         assert newly == []
@@ -36,8 +38,8 @@ class TestDrbProfile:
 
     def test_head_sojourn_of_standing_queue(self):
         profile = DrbProfile()
-        profile.add_packet(1000, 0.0)
-        profile.add_packet(1000, 0.005)
+        profile.add_packet(0, 1000, 0.0)
+        profile.add_packet(1, 1000, 0.005)
         profile.on_feedback(0, 0.006)
         assert profile.oldest_queued_entry().sn == 1
         assert profile.head_sojourn(0.02) == pytest.approx(0.015)
@@ -45,14 +47,14 @@ class TestDrbProfile:
     def test_head_sojourn_zero_when_empty(self):
         profile = DrbProfile()
         assert profile.head_sojourn(1.0) == 0.0
-        profile.add_packet(1000, 0.0)
+        profile.add_packet(0, 1000, 0.0)
         profile.on_feedback(0, 0.001)
         assert profile.head_sojourn(1.0) == 0.0
 
     def test_feedback_pops_transmitted_entries(self):
         profile = DrbProfile()
         for i in range(10):
-            profile.add_packet(1000, i * 0.01)
+            profile.add_packet(i, 1000, i * 0.01)
         newly = profile.on_feedback(4, 0.1)
         assert [entry.transmitted_time for entry in newly] == [0.1] * 5
         assert newly[0].queueing_delay() == pytest.approx(0.1)
@@ -64,7 +66,7 @@ class TestDrbProfile:
         newer one pops only the SNs above the last reported."""
         profile = DrbProfile()
         for i in range(8):
-            profile.add_packet(1000, i * 0.01)
+            profile.add_packet(i, 1000, i * 0.01)
         profile.on_feedback(4, 0.1)
         assert profile.on_feedback(2, 0.11) == []
         assert profile.highest_txed_sn == 4
@@ -76,7 +78,7 @@ class TestDrbProfile:
 
     def test_queued_bytes_never_negative(self):
         profile = DrbProfile()
-        profile.add_packet(1000, 0.0)
+        profile.add_packet(0, 1000, 0.0)
         profile.on_feedback(5, 0.01)  # feedback beyond what exists
         assert profile.queued_bytes == 0
 

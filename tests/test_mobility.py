@@ -20,6 +20,9 @@ import math
 
 import pytest
 
+from repro.core.l4span import L4SpanLayer
+from repro.core.ran_dualpi2 import RanDualPi2Marker
+from repro.core.tcran import TcRanMarker
 from repro.experiments.presets import make_preset
 from repro.experiments.scenario import build_scenario, run_scenario
 from repro.experiments.sharded import (boundary_lookahead,
@@ -30,6 +33,7 @@ from repro.experiments.sharded import (boundary_lookahead,
                                        sharding_blockers)
 from repro.experiments.spec import (CellSpec, HandoverSpec, MobilitySpec,
                                     ScenarioSpec, ShardingSpec, UeSpec)
+from repro.ran.cu import CentralUnitUserPlane
 from repro.ran.phy import AirInterfaceConfig
 from repro.units import ms
 from repro.workloads.flows import FlowSpec
@@ -467,3 +471,93 @@ class TestShardedMobility:
         sharded = run_scenario_sharded(spec, shards=2, inprocess=True)
         assert _results_equal(single, sharded)
         assert sharded.sharding_stats["routed_packets"] > 0
+
+
+# --------------------------------------------------------------------- #
+# Marker tables across handovers
+# --------------------------------------------------------------------- #
+def _check_tables_after_every_report(monkeypatch) -> list:
+    """After each F1-U report, every bearer of the reporting cell holds in
+    its marker table exactly the SNs its current PDCP entity numbered above
+    the highest reported one.  Returns the report times checked."""
+    cus = {}
+    build = CentralUnitUserPlane.__init__
+
+    def remember(cu, *args, **kwargs):
+        build(cu, *args, **kwargs)
+        cus[cu.marker] = cu
+
+    monkeypatch.setattr(CentralUnitUserPlane, "__init__", remember)
+    checked = []
+    for marker_class in (L4SpanLayer, TcRanMarker, RanDualPi2Marker):
+        def check(marker, status, now, report=marker_class.on_ran_feedback):
+            report(marker, status, now)
+            for (ue_id, drb_id), pdcp in cus[marker]._pdcp.items():
+                state = marker._drbs.get((ue_id, drb_id, pdcp.attach_tag))
+                if state is None:  # no SDU of this attachment numbered yet
+                    assert pdcp.next_sn == 0
+                    continue
+                highest = state.profile.highest_txed_sn
+                first = 0 if highest is None else highest + 1
+                assert ([entry.sn for entry in state.profile]
+                        == list(range(first, pdcp.next_sn)))
+            checked.append(now)
+        monkeypatch.setattr(marker_class, "on_ran_feedback", check)
+    return checked
+
+
+class TestMarkerTablesAcrossHandovers:
+    """PDCP owns the SN and the attachment owns the bearer's marker state."""
+
+    @pytest.mark.parametrize("ho_mode", ["forward", "flush"])
+    @pytest.mark.parametrize("marker, shards", [
+        ("l4span", 1), ("l4span", 2), ("tcran", 1), ("ran_dualpi2", 1)])
+    def test_tables_hold_what_pdcp_numbered_above_the_report(
+            self, monkeypatch, ho_mode, marker, shards):
+        checked = _check_tables_after_every_report(monkeypatch)
+        preset = make_preset("handover")
+        spec = dataclasses.replace(
+            preset, duration_s=2.5, marker=marker,
+            mobility=dataclasses.replace(
+                preset.mobility, ho_mode=ho_mode,
+                handovers=[HandoverSpec(time=0.8, ue_id=0, target_cell=1),
+                           HandoverSpec(time=1.6, ue_id=0, target_cell=0)]))
+        result = run_scenario_sharded(spec, shards=shards, inprocess=True)
+        assert [record["to_cell"] for record in result.handovers] == [1, 0]
+        if marker == "l4span":  # RAN-DualPi2 can leave no queue to move
+            moved = "forwarded_sdus" if ho_mode == "forward" else "flushed_sdus"
+            assert sum(record[moved] for record in result.handovers) > 0
+        assert len(checked) > 1000
+
+    def test_report_of_the_first_attachment_pops_nothing_after_the_return(
+            self, monkeypatch):
+        """A -> B -> A with the interruption and the handover spacing both
+        under F1-U's 250 us: a report the first attachment sent just before
+        leaving lands after the UE is back, and changes no table of cell A;
+        nor do the SDUs its PDCP sent, which land in the DU after the return."""
+        first = 2.00005  # just after a slot, whose report is still in flight
+        spec = _mobility_spec(
+            [HandoverSpec(time=first, ue_id=0, target_cell=1),
+             HandoverSpec(time=first + 1e-4, ue_id=0, target_cell=0)],
+            duration=first + 0.01, interruption=1e-4)
+        checked = _check_tables_after_every_report(monkeypatch)
+        report = L4SpanLayer.on_ran_feedback
+        landed = []
+
+        def tables(layer) -> dict:
+            return {key: [dataclasses.astuple(entry) for entry in state.profile]
+                    for key, state in layer.drb_states.items()}
+
+        def watched(layer, status, now):
+            before = tables(layer)
+            report(layer, status, now)
+            if (status.ue_id == 0 and status.timestamp < first
+                    and now > first + 1e-4):
+                landed.append((before, tables(layer)))
+
+        monkeypatch.setattr(L4SpanLayer, "on_ran_feedback", watched)
+        result = run_scenario(spec)
+        assert [record["to_cell"] for record in result.handovers] == [1, 0]
+        assert landed, "no report of the first attachment landed after the return"
+        assert all(before == after for before, after in landed)
+        assert max(checked) > first + 1e-4

@@ -69,7 +69,7 @@ def test_tcp_model_constant_positive(beta):
 def test_profile_queued_bytes_matches_untransmitted_sum(sizes, txed_fraction):
     profile = DrbProfile()
     for i, size in enumerate(sizes):
-        profile.add_packet(size, i * 0.001)
+        profile.add_packet(i, size, i * 0.001)
     highest = int(len(sizes) * txed_fraction) - 1
     if highest >= 0:
         profile.on_feedback(highest, 1.0)
@@ -83,7 +83,7 @@ def test_profile_queued_bytes_matches_untransmitted_sum(sizes, txed_fraction):
 def test_profile_feedback_idempotent_and_monotone(sizes, feedback_points):
     profile = DrbProfile()
     for i, size in enumerate(sizes):
-        profile.add_packet(size, i * 0.001)
+        profile.add_packet(i, size, i * 0.001)
     transmitted = set()
     for point in feedback_points:
         highest = min(point, len(sizes) - 1)

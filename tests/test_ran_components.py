@@ -99,10 +99,10 @@ class TestPdcp:
                           send_downlink=lambda *args: submitted.append(args))
         for i in range(3):
             packet = make_data_packet(0, five_tuple, i * 100, 100, ECN.ECT1, 0.0)
-            sn = pdcp.submit(packet)
-            assert sn == i
-            assert packet.payload_info["pdcp_sn"] == i
-        assert len(submitted) == 3
+            assert pdcp.next_sn == i
+            pdcp.submit(packet)
+            assert submitted[i] == (0, 1, i, packet, "")
+        assert pdcp.next_sn == 3
 
 
 class TestF1U:
